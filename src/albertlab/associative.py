@@ -88,9 +88,6 @@ class QuadraticCenter:
             raise DescentFailure("value %r does not descend to k" % (x,))
         return x.coords[0]
 
-    def trace_to_k(self, x):
-        return x.coords[0] + x.coords[0]
-
     def random(self, stream):
         return self.K.random(stream)
 

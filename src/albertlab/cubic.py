@@ -310,31 +310,22 @@ class CubicNormStructure:
 
         # x## = N(x) x and N(x#) = N(x)^2
         if symbolic_ok:
-            if g.char == 0 and not hasattr(g.one, "coords"):
-                # clear denominators and compare in plain int arithmetic;
-                # both identities are homogeneous, so a uniform scaling of
-                # sharp (resp. N) rescales both sides by a known factor
-                sh_i, s_den = _int_scaled(sharp_polys)
-                n_i, n_den = _int_scaled([n_poly])
-                n_i = n_i[0]
-                s3 = s_den ** 3
-                cache = {}
-                sharp2 = [p.eval(sh_i, 1, cache) for p in sh_i]
-                xs_int = [Poly({(i,): 1}) for i in range(self.dim)]
-                bad = next(
-                    (i for i in range(self.dim)
-                     if n_den * sharp2[i] != s3 * (n_i * xs_int[i])), None)
-                lhs = n_i.eval(sh_i, 1, cache)
-                norm_ok = n_den * lhs == s3 * (n_i * n_i)
-            else:
-                cache = {}
-                sharp2 = [p.eval(sharp_polys, g.one, cache)
-                          for p in sharp_polys]
-                bad = next(
-                    (i for i in range(self.dim)
-                     if sharp2[i] != n_poly * xs[i]), None)
-                lhs = n_poly.eval(sharp_polys, g.one, cache)
-                norm_ok = lhs == n_poly * n_poly
+            # lift to plain ints (denominators cleared over Q) and compare
+            # mod the characteristic; both identities are homogeneous, so a
+            # uniform scaling of sharp (resp. N) rescales both sides by a
+            # known factor
+            sh_i, s_den = _int_scaled(sharp_polys)
+            (n_i,), n_den = _int_scaled([n_poly])
+            s3 = s_den ** 3
+            cache = {}
+            sharp2 = [p.eval(sh_i, 1, cache) for p in sh_i]
+            bad = next(
+                (i for i in range(self.dim)
+                 if _mod(n_den * sharp2[i], g.char)
+                 != _mod(s3 * (n_i * Poly({(i,): 1})), g.char)), None)
+            lhs = n_i.eval(sh_i, 1, cache)
+            norm_ok = _mod(n_den * lhs, g.char) \
+                == _mod(s3 * (n_i * n_i), g.char)
             if bad is None:
                 emit("adjoint_of_adjoint", True, "symbolic")
             else:
@@ -450,7 +441,11 @@ class CubicNormStructure:
 
 
 def _int_scaled(polys):
-    """Scale rational polys by the lcm of all denominators; int coeffs."""
+    """Scale ground polys by the lcm of all denominators; int coeffs.
+
+    Over Q this clears denominators.  F_p scalars are ints with
+    denominator 1, so over F_p it lifts the residues unchanged; reduce
+    with _mod before comparing results."""
     from math import lcm
     den = 1
     for p in polys:
@@ -459,6 +454,14 @@ def _int_scaled(polys):
     out = [Poly({m: int(c * den) for m, c in p.terms.items()})
            for p in polys]
     return out, den
+
+
+def _mod(p, char):
+    """Int poly p read in characteristic char: coefficients reduced mod
+    char and zeros dropped; p itself in characteristic 0."""
+    if not char:
+        return p
+    return Poly({m: c % char for m, c in p.terms.items() if c % char})
 
 
 def corrupt_sharp(j: CubicNormStructure, coord=0, label=None):

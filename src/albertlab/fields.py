@@ -173,8 +173,10 @@ class Elem:
     """Element of an Extension: coordinate vector over the ground field.
 
     Coordinates are usually ground scalars but may be Polys during
-    symbolic expansion; all operations below are division-free except
-    inv(), which requires scalar coordinates.
+    symbolic expansion.  A non-Elem factor on either side scales the
+    coordinates; Poly * Elem reaches __rmul__ because Poly returns
+    NotImplemented for it.  All operations below are division-free
+    except inv(), which requires scalar coordinates.
     """
 
     __slots__ = ("ext", "coords")
@@ -202,12 +204,6 @@ class Elem:
         if isinstance(other, Elem):
             return Elem(self.ext, self.ext.mul_coords(self.coords,
                                                       other.coords))
-        if hasattr(other, "terms") and other.terms and \
-                isinstance(next(iter(other.terms.values())), Elem):
-            # polynomial with coefficients in this extension: the element
-            # is the scalar, so scale the coefficients (keeps symbolic
-            # expansion working when the extension is the ground field)
-            return other * self
         return Elem(self.ext, [a * other for a in self.coords])
 
     def __rmul__(self, other):
@@ -266,9 +262,6 @@ class Extension:
         return [self.ground.one if i == j else self.ground.zero
                 for i in range(self.dim)]
 
-    def basis_elem(self, j):
-        return Elem(self, self.basis_coords(j))
-
     def elem(self, coords):
         if len(coords) != self.dim:
             raise LevelMismatch("expected %d coordinates for %s, got %d"
@@ -303,9 +296,6 @@ class Extension:
             raise LevelMismatch("automorphism %r is not defined on %s"
                                 % (auto_name, self.name))
         return Elem(self, linalg.matvec(self.autos[auto_name], x.coords))
-
-    def auto_matrix(self, auto_name):
-        return self.autos[auto_name]
 
     def random(self, stream):
         return Elem(self, [self.ground.random(stream)
@@ -501,14 +491,6 @@ class FieldTower:
         if any(c for c in x.coords[1:]):
             raise LevelMismatch("element is not in the ground field")
         return x.coords[0]
-
-    # -- Galois actions -------------------------------------------------------
-
-    def galois_apply(self, x, g):
-        if not isinstance(x, Elem):
-            raise LevelMismatch("ground-field scalars are Galois fixed; "
-                                "pass an extension element")
-        return x.ext.apply(g, x)
 
     # -- norms and traces ------------------------------------------------------
 

@@ -15,7 +15,7 @@ the base point to the base point.
 from fractions import Fraction
 
 from . import linalg
-from .cubic import CubicNormStructure, _int_scaled
+from .cubic import CubicNormStructure, _int_scaled, _mod
 from .errors import ConfigError, NotInvertible, NoVerifiedMap
 from .poly import Poly
 from .tits import embed_hermitian_summand, second_tits
@@ -106,8 +106,6 @@ def verify_norm_similarity(f):
     failure witness.  Returns (multiplier_or_None, witness_or_None)."""
     src, tgt = f.source, f.target
     g = src.ground
-    n1 = src.n_poly
-    n2 = tgt.n_poly
     # linear forms: coordinate `row` of f(x) as a Poly in x
     forms = []
     for row in range(tgt.dim):
@@ -118,38 +116,22 @@ def verify_norm_similarity(f):
                 terms[(col,)] = e
         forms.append(Poly(terms))
 
-    if g.char == 0:
-        (n2_i,), d2 = _int_scaled([n2])
-        (n1_i,), d1 = _int_scaled([n1])
-        forms_i, s = _int_scaled(forms)
-        pull = n2_i.eval(forms_i, 1, {})        # = d2 s^3 N2(f(x))
-        mono = min(n1_i.terms)
-        a = pull.coefficient(mono) or 0
-        b = n1_i.terms[mono]
-        if b * pull != a * n1_i:
-            return None, _similarity_witness(pull, n1_i, a, b)
-        nu = Fraction(a * d1, b * d2 * s ** 3)
-        if not nu:
-            return None, "pullback is the zero form"
-        return g.from_fraction(nu), None
-    pull = n2.eval(forms, g.one, {})
-    mono = min(n1.terms)
-    a = pull.coefficient(mono)
-    a = g.zero if a is None else a
-    b = n1.terms[mono]
-    if b * pull != a * n1:
-        return None, _similarity_witness(pull, n1, a, b)
-    nu = a / b
+    # int arithmetic as in the axiom suite, read mod the characteristic
+    (n2_i,), d2 = _int_scaled([tgt.n_poly])
+    (n1_i,), d1 = _int_scaled([src.n_poly])
+    forms_i, s = _int_scaled(forms)
+    pull = n2_i.eval(forms_i, 1, {})        # = d2 s^3 N2(f(x))
+    mono = min(n1_i.terms)
+    a = pull.coefficient(mono) or 0
+    b = n1_i.terms[mono]
+    diff = _mod(b * pull - a * n1_i, g.char)
+    if diff:
+        return None, ("monomial %r: pullback and source norm are not "
+                      "proportional" % (min(diff.terms),))
+    nu = g.from_fraction(Fraction(a * d1, b * d2 * s ** 3))
     if not nu:
         return None, "pullback is the zero form"
     return nu, None
-
-
-def _similarity_witness(pull, n1, a, b):
-    diff = b * pull - a * n1
-    mono = min(diff.terms)
-    return "monomial %r: pullback and source norm are not proportional" \
-        % (mono,)
 
 
 def verify_isomorphism(f):

@@ -2,11 +2,15 @@
 
 Monomials are sorted tuples of variable indices with repetition, e.g.
 (0, 0, 2) = x0^2 * x2 and () = the constant term.  Coefficients are
-ground-field scalars (Fraction or mod-p ints); zero coefficients are
-never stored, so equality is dict equality.  Degrees stay tiny (<= 6)
-throughout the package, which is why the multiset encoding is cheaper
-than exponent vectors.
+ground-field scalars (Fraction or mod-p ints) or plain ints; zero
+coefficients are never stored, so equality is dict equality.  A Poly
+multiplies only by another Poly, an int or a Fraction; any other operand
+(an extension Elem) gets NotImplemented and handles the product itself.
+Degrees stay tiny (<= 6) throughout the package, which is why the
+multiset encoding is cheaper than exponent vectors.
 """
+
+from fractions import Fraction
 
 from .errors import AlbertLabError
 
@@ -66,18 +70,6 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if hasattr(other, "coords"):
-            if self.terms and hasattr(next(iter(self.terms.values())),
-                                      "coords"):
-                # coefficients already live in the extension: scale them
-                out = {}
-                for m, c in self.terms.items():
-                    p = c * other
-                    if p:
-                        out[m] = p
-                return Poly(out)
-            # otherwise let the element treat the Poly as a scalar
-            return NotImplemented
         if isinstance(other, Poly):
             a, b = self.terms, other.terms
             if len(a) > len(b):
@@ -96,6 +88,8 @@ class Poly:
                     elif c:
                         out[m] = c
             return Poly(out)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         if not other:
             return Poly()
         return Poly({m: c * other for m, c in self.terms.items()})
@@ -167,11 +161,15 @@ class Poly:
     def eval(self, args, one, cache=None):
         """Substitute args[i] for variable i.
 
-        args entries may be scalars or Polys; `one` is the scalar 1 used
-        for empty products.  An optional dict caches monomial products
-        across calls (keyed by monomial prefix), which pays off when the
-        same quadratic maps are substituted into many forms: products of
-        pairs are computed once and shared by every cubic monomial.
+        args entries may be scalars or Polys whose coefficients multiply
+        with the coefficients of self; `one` is the 1 used for empty
+        products.  An optional dict caches monomial products across calls
+        (keyed by monomial prefix), which pays off when the same quadratic
+        maps are substituted into many forms.  Only products of at most
+        two factors are stored: a pair product is shared by every
+        quadratic form that has that monomial and by every cubic monomial
+        that starts with it, while a product of three factors is never
+        looked up again and would only hold memory.
         """
         total = None
         for m, c in self.terms.items():
@@ -180,13 +178,14 @@ class Poly:
                 for i in m:
                     prod = prod * args[i]
             else:
-                t = len(m)
+                t = min(len(m), 2)
                 while t > 0 and m[:t] not in cache:
                     t -= 1
                 prod = cache[m[:t]] if t else one
                 for s in range(t, len(m)):
                     prod = prod * args[m[s]]
-                    cache[m[:s + 1]] = prod
+                    if s < 2:
+                        cache[m[:s + 1]] = prod
             term = c * prod
             total = term if total is None else total + term
         if total is None:

@@ -17,21 +17,13 @@ and golden files are reproducible.
 """
 
 from . import linalg
-from .associative import (CommutativeCubic, CyclicAlgebra, GroundCenter,
-                          MatrixAlgebra, QuadraticCenter, UnitaryInvolution)
+from .associative import GroundCenter, QuadraticCenter
 from .cubic import CubicNormStructure
 from .errors import (ConfigError, NotAdmissible, NotInvertible,
                      VerificationFailure)
-from .fields import (Composite, CyclicCubic, FieldTower, PrimeFieldDesc,
-                     QuadraticEtale, Rationals, tower_build)
-from .scalars import PrimeField, RationalField
 
 
 class ZeroLambda(ConfigError):
-    pass
-
-
-class IncompatibleTower(ConfigError):
     pass
 
 
@@ -161,143 +153,3 @@ def embed_hermitian_summand(j, b_elem):
     g = j.ground
     coords = linalg.matvec(j.meta["p_mat"], b_alg.to_k_coords(b_elem))
     return tuple(list(coords) + [g.zero] * b_alg.k_dim)
-
-
-# ---------------------------------------------------------------------------
-# base change
-
-class ExtendedGround:
-    """A tower extension reused as a ground field (scalars are Elems)."""
-
-    is_finite = False
-
-    def __init__(self, ext):
-        self.ext = ext
-        self.base = ext.ground
-        self.char = ext.ground.char
-        self.is_finite = ext.ground.is_finite
-        self.order = (ext.ground.order ** ext.dim
-                      if ext.ground.is_finite else None)
-        self.zero = ext.zero
-        self.one = ext.one
-
-    def from_int(self, n):
-        return self.ext.from_scalar(self.base.from_int(n))
-
-    def from_fraction(self, q):
-        return self.ext.from_scalar(self.base.from_fraction(q))
-
-    def parse(self, s):
-        if isinstance(s, list):
-            return self.ext.elem([self.base.parse(c) for c in s])
-        return self.ext.from_scalar(self.base.parse(s))
-
-    def to_str(self, x):
-        return "[" + ",".join(self.base.to_str(c) for c in x.coords) + "]"
-
-    def inv(self, x):
-        return x.inv()
-
-    def random(self, stream):
-        return self.ext.random(stream)
-
-    def random_nonzero(self, stream):
-        while True:
-            x = self.ext.random(stream)
-            if x:
-                return x
-
-    def iter_all(self):
-        return self.ext.iter_all()
-
-    def __repr__(self):
-        return "ExtendedGround(%s)" % self.ext.name
-
-
-def _scalar_embedding(old_ground, new_desc):
-    """Return (new_ground, embed_fn) or raise IncompatibleTower."""
-    from fractions import Fraction
-    if isinstance(new_desc, Rationals):
-        if isinstance(old_ground, RationalField):
-            return RationalField(), lambda c: c
-        raise IncompatibleTower("cannot map %r into Q" % (old_ground,))
-    if isinstance(new_desc, PrimeFieldDesc):
-        new_g = PrimeField(new_desc.p)
-        if isinstance(old_ground, RationalField):
-            return new_g, lambda c: new_g.from_fraction(c)
-        if isinstance(old_ground, PrimeField) and old_ground.p == new_desc.p:
-            return new_g, lambda c: c
-        raise IncompatibleTower("cannot map %r into F_%d"
-                                % (old_ground, new_desc.p))
-    if isinstance(new_desc, (QuadraticEtale, CyclicCubic)):
-        tower = tower_build(new_desc)
-        if tower.ground != old_ground:
-            raise IncompatibleTower("extension must sit over the current "
-                                    "ground field")
-        ext = tower.K if isinstance(new_desc, QuadraticEtale) else tower.L
-        new_g = ExtendedGround(ext)
-        return new_g, lambda c: ext.from_scalar(c)
-    raise IncompatibleTower("unsupported base-change target %r"
-                            % (new_desc,))
-
-
-def base_change(j, new_desc):
-    """Extend or reduce the scalars of a first construction J(D, lambda).
-
-    Supports: identity, reduction Q -> F_p (denominators must stay
-    invertible), and genuine ground extension by a quadratic or cyclic
-    cubic field for D = M3(k).  Tower-based D (cyclic algebras, LK) can
-    only be base-changed trivially or to F_p along with their towers.
-    """
-    meta = getattr(j, "meta", None)
-    if not meta or meta["type"] != "first_tits":
-        raise IncompatibleTower("base change is implemented for first "
-                                "constructions")
-    d_alg = meta["algebra"]
-    old_g = j.ground
-    new_g, embed = _scalar_embedding(old_g, new_desc)
-    if new_g == old_g:
-        return j
-
-    if isinstance(d_alg, MatrixAlgebra) and isinstance(d_alg.center,
-                                                       GroundCenter):
-        new_d = MatrixAlgebra(GroundCenter(new_g))
-    elif isinstance(d_alg, CyclicAlgebra) and isinstance(new_g, PrimeField):
-        old_desc = d_alg.tower.desc
-        new_tower = tower_build(CyclicCubic(
-            base=PrimeFieldDesc(new_g.p),
-            f=tuple(_as_literal(c) for c in old_desc.f),
-            rho=tuple(_as_literal(c) for c in old_desc.rho)))
-        new_d = CyclicAlgebra(new_tower, embed(d_alg.a))
-    elif isinstance(d_alg, CommutativeCubic) and isinstance(new_g,
-                                                            PrimeField):
-        raise IncompatibleTower("base change of cubic etale first "
-                                "constructions is not supported")
-    else:
-        raise IncompatibleTower("unsupported base change for %r" % (d_alg,))
-    return first_tits(new_d, embed(meta["lam"]),
-                      label=j.label + "@%r" % (new_g,))
-
-
-def _as_literal(c):
-    return c
-
-
-def embed_point(j_old, j_new, coords):
-    """Carry a point of J along a base change (coordinate-wise embedding)."""
-    old_g = j_old.ground
-    new_g, embed = _scalar_embedding(
-        old_g, _ground_desc(j_new.ground))
-    return tuple(embed(c) for c in coords)
-
-
-def _ground_desc(g):
-    if isinstance(g, RationalField):
-        return Rationals()
-    if isinstance(g, PrimeField):
-        return PrimeFieldDesc(g.p)
-    if isinstance(g, ExtendedGround):
-        raise IncompatibleTower("re-deriving an extension descriptor from "
-                                "a ground object is not supported; pass "
-                                "coordinates explicitly")
-    raise IncompatibleTower("unknown ground %r" % (g,))

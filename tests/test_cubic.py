@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from albertlab import tits
+from albertlab import cubic, tits
 from albertlab.cubic import CubicNormStructure, JElem, corrupt_sharp
 from albertlab.errors import NotInvertible, VerificationFailure
 from albertlab.rng import Stream
@@ -122,14 +122,16 @@ class TestNilpotency:
 
 
 class TestMutationDetection:
-    def test_corrupt_sharp_detected_with_witness(self, j_m3_f5):
-        bad = corrupt_sharp(j_m3_f5, coord=3)
-        rep = bad.axiom_suite(seed=5, points=40)
-        assert not rep.all_passed
-        names = [c.name for c in rep.failed()]
-        assert "adjoint_of_adjoint" in names
-        adj = next(c for c in rep.checks if c.name == "adjoint_of_adjoint")
-        assert adj.witness            # concrete failing data, not just a flag
+    def test_corrupt_sharp_detected_with_witness(self, j_m3_f5, j_m3_q):
+        for j in (j_m3_f5, j_m3_q):
+            bad = corrupt_sharp(j, coord=3)
+            rep = bad.axiom_suite(seed=5, points=40)
+            assert not rep.all_passed
+            names = [c.name for c in rep.failed()]
+            assert "adjoint_of_adjoint" in names
+            adj = next(c for c in rep.checks
+                       if c.name == "adjoint_of_adjoint")
+            assert adj.witness        # concrete failing data, not just a flag
 
     def test_corrupt_every_coordinate_is_caught(self, j_m3_f5):
         # the suite must notice a perturbation wherever it lands
@@ -141,3 +143,18 @@ class TestMutationDetection:
     def test_clean_structure_passes(self, j_m3_f5):
         rep = j_m3_f5.axiom_suite(seed=11, points=40)
         assert rep.all_passed, rep
+
+    def test_random_point_fallback(self, j_m3_f5, monkeypatch):
+        # with no symbolic budget both adjoint identities run on random
+        # points, and still separate a clean structure from a corrupt one
+        monkeypatch.setattr(cubic, "SYMBOLIC_OP_LIMIT", 0)
+        names = ("adjoint_of_adjoint", "norm_of_adjoint")
+        clean = {c.name: c for c in j_m3_f5.axiom_suite(seed=11, points=40)
+                 .checks}
+        bad = {c.name: c for c in corrupt_sharp(j_m3_f5, coord=3)
+               .axiom_suite(seed=5, points=40).checks}
+        for name in names:
+            assert clean[name].mode == bad[name].mode == "random"
+            assert clean[name].passed
+            assert not bad[name].passed
+            assert bad[name].witness

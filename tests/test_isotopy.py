@@ -68,15 +68,16 @@ class TestNormSimilarity:
             nu_ab, _ = verify_norm_similarity(fa.compose(fb))
             assert nu_ab == nu_a * nu_b
 
-    def test_non_similarity_detected(self, j_lk_q):
+    def test_non_similarity_detected(self, j_lk_q, j_lk_f5):
         # a generic invertible matrix is not a norm similarity
-        g = j_lk_q.ground
-        m = linalg.identity(9, g.one, g.zero)
-        m[0][1] = g.one
-        m[3][7] = g.from_int(2)
-        nu, wit = verify_norm_similarity(LinearMap(j_lk_q, j_lk_q, m))
-        assert nu is None
-        assert wit
+        for j in (j_lk_q, j_lk_f5):
+            g = j.ground
+            m = linalg.identity(9, g.one, g.zero)
+            m[0][1] = g.one
+            m[3][7] = g.from_int(2)
+            nu, wit = verify_norm_similarity(LinearMap(j, j, m))
+            assert nu is None
+            assert wit.startswith("monomial ")
 
 
 class TestIsotope:

@@ -89,6 +89,17 @@ class TestPoly:
         # prefix cache must not change values
         assert p.eval(args, Fraction(1), {}) == expect
 
+    def test_eval_cache_keeps_pair_products_only(self):
+        # substituting quadratic forms into a cubic: the cache must give the
+        # uncached result and hold no product of three factors
+        x, y, z = self._vars()
+        cubic = x * x * y - 3 * x * y * z + y * z * z + 2 * z * z * z
+        args = [x * y + z * z, x * x - 2 * y * z, y * y + x * z]
+        cache = {}
+        assert cubic.eval(args, 1, cache) == cubic.eval(args, 1)
+        assert cache
+        assert all(len(k) <= 2 for k in cache)
+
     def test_directional_derivative_of_cube(self):
         # d/dt (x0^3) along y = 3 x0^2 y0
         x = variables(1, Fraction(1))[0]

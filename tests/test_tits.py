@@ -1,4 +1,4 @@
-"""First and second constructions: structure, admissibility, base change."""
+"""First and second constructions: structure and admissibility."""
 
 from fractions import Fraction
 
@@ -9,10 +9,10 @@ from albertlab.associative import (CommutativeCubic, GroundCenter,
                                    MatrixAlgebra, QuadraticCenter,
                                    UnitaryInvolution)
 from albertlab.errors import ConfigError, NotAdmissible, NotInvertible
-from albertlab.fields import (Composite, CyclicCubic, Elem, PrimeFieldDesc,
-                              QuadraticEtale, Rationals, tower_build)
+from albertlab.fields import (Composite, CyclicCubic, Elem, QuadraticEtale,
+                              Rationals, tower_build)
 from albertlab.rng import Stream
-from albertlab.tits import IncompatibleTower, ZeroLambda, base_change
+from albertlab.tits import ZeroLambda
 
 
 class TestFirstConstruction:
@@ -150,44 +150,3 @@ class TestMatrixSecondConstruction:
         assert j.norm(j.unit) == Fraction(1)
         pt = tits.embed_hermitian_summand(j, u)
         assert j.norm(pt) == Fraction(2)
-
-
-class TestBaseChange:
-    def test_identity(self, j_m3_q):
-        assert base_change(j_m3_q, Rationals()) is j_m3_q
-
-    def test_q_to_f5_matrix(self, j_m3_q, F5):
-        j5 = base_change(j_m3_q, PrimeFieldDesc(5))
-        assert j5.ground is not j_m3_q.ground
-        s = Stream(223)
-        for _ in range(10):
-            pt = tuple(Fraction(s.next_below(19) - 9) for _ in range(27))
-            pt5 = tits.embed_point(j_m3_q, j5, pt)
-            assert j5.norm(pt5) == F5.from_fraction(j_m3_q.norm(pt))
-
-    def test_q_to_f5_cyclic(self, j_cyc_q, F5):
-        j5 = base_change(j_cyc_q, PrimeFieldDesc(5))
-        assert j5.dim == 27
-        s = Stream(227)
-        pt = tuple(Fraction(s.next_below(19) - 9) for _ in range(27))
-        pt5 = tits.embed_point(j_cyc_q, j5, pt)
-        assert j5.norm(pt5) == F5.from_fraction(j_cyc_q.norm(pt))
-
-    def test_ground_extension_matrix(self, j_m3_q):
-        jk = base_change(j_m3_q, QuadraticEtale(base=Rationals(), d="-1"))
-        assert jk.dim == 27
-        g = jk.ground
-        s = Stream(229)
-        pt = tuple(Fraction(s.next_below(11) - 5) for _ in range(27))
-        ptk = tuple(g.ext.from_scalar(c) for c in pt)
-        assert jk.norm(ptk) == g.ext.from_scalar(j_m3_q.norm(pt))
-        rep = jk.axiom_suite(seed=17, points=20)
-        assert rep.all_passed, rep
-
-    def test_incompatible_targets(self, j_m3_f5, j_lk_q):
-        with pytest.raises(IncompatibleTower):
-            base_change(j_m3_f5, PrimeFieldDesc(7))
-        with pytest.raises(IncompatibleTower):
-            base_change(j_m3_f5, Rationals())
-        with pytest.raises(IncompatibleTower):
-            base_change(j_lk_q, PrimeFieldDesc(5))   # not a first construction

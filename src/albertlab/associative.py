@@ -21,7 +21,7 @@ from . import linalg
 from .errors import (DescentFailure, NotInvertible, NotSecondKind,
                      TwistNotHermitian)
 from .fields import Elem, up_mod, up_mul
-from .poly import Poly
+from .poly import Poly, mono
 
 
 def _is_zero(c):
@@ -581,9 +581,9 @@ def _lift_to_poly(alg, x):
 
 
 def _center_poly_coeff(center, v, deg):
-    mono = (0,) * deg
+    t_deg = mono((0,) * deg)
     if center.dim == 1:
-        c = v.coefficient(mono) if isinstance(v, Poly) else \
+        c = v.coefficient(t_deg) if isinstance(v, Poly) else \
             (v if deg == 0 else None)
         g = center.ground
         return c if c is not None else g.zero
@@ -591,7 +591,7 @@ def _center_poly_coeff(center, v, deg):
     out = []
     for c in v.coords:
         if isinstance(c, Poly):
-            cc = c.coefficient(mono)
+            cc = c.coefficient(t_deg)
             out.append(cc if cc is not None else g.zero)
         else:
             out.append(c if deg == 0 else g.zero)

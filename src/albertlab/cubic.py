@@ -4,17 +4,21 @@ The trace linear form, the quadratic spur, the trace bilinear form, the
 cross product, U-operators, inverses and nilpotency tests are all
 derived from the two evaluators and the base point alone.  Exact sparse
 expansions of N and # are computed once by running the evaluators on
-polynomial indeterminates; identity checks are polynomial equalities
-where the expansion sizes stay reasonable and exact checks at random
-points otherwise.
+polynomial indeterminates, together with their lifts to int
+coefficients.  Identity checks compare the int forms mod the
+characteristic where the expansion sizes stay reasonable and run exact
+checks at random points otherwise; N and # at a ground point are the int
+forms evaluated at the point's integer lift, mapped back once.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Callable, List, Optional
 
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
-from .poly import Poly, directional_derivative, variables
+from .poly import Poly, directional_derivative, indices, variables
 from .rng import Stream
 
 # rough bound on coefficient multiplications before a symbolic identity
@@ -73,6 +77,8 @@ class CubicNormStructure:
         self.label = label
         self._n_poly = None
         self._sharp_polys = None
+        self._n_int = None
+        self._sharp_int = None
         self._t_vec = None
         self._s_poly = None
         self._t_bilinear = None
@@ -81,7 +87,10 @@ class CubicNormStructure:
     # -- symbolic expansion --------------------------------------------------
 
     def expand_symbolic(self):
-        """(N_poly, sharp_polys): exact expansions of the evaluators."""
+        """(N_poly, sharp_polys): exact expansions of the evaluators.
+
+        Their int lifts (see _int_scaled) are stored alongside for the
+        symbolic identity checks and for evaluation at ground points."""
         if self._n_poly is None:
             xs = variables(self.dim, self.ground.one)
             n = self.eval_norm(xs)
@@ -97,6 +106,9 @@ class CubicNormStructure:
                     raise VerificationFailure(
                         "adjoint coordinate %d of %s is not homogeneous "
                         "quadratic" % (i, self.label))
+            (n_i,), n_den = _int_scaled([n])
+            self._n_int = n_i, n_den
+            self._sharp_int = _int_scaled(sh)
             self._n_poly = n
             self._sharp_polys = sh
         return self._n_poly, self._sharp_polys
@@ -109,6 +121,12 @@ class CubicNormStructure:
     def sharp_polys(self):
         return self.expand_symbolic()[1]
 
+    @property
+    def n_int(self):
+        """(n_i, den): N = n_i / den with n_i an int form (_int_scaled)."""
+        self.expand_symbolic()
+        return self._n_int
+
     def _trace_data(self):
         """Split N(c + z) by degree: 1 + T(z) + S(z) + N(z)."""
         if self._t_vec is None:
@@ -120,13 +138,13 @@ class CubicNormStructure:
             s_part = full.homogeneous_part(2)
             t_vec = [g.zero] * self.dim
             for m, c in t_part.terms.items():
-                t_vec[m[0]] = c
+                t_vec[indices(m)[0]] = c
             tb = [[g.zero] * self.dim for _ in range(self.dim)]
             for i in range(self.dim):
                 for j in range(self.dim):
                     tb[i][j] = t_vec[i] * t_vec[j]
             for m, c in s_part.terms.items():
-                i, j = m
+                i, j = indices(m)
                 if i == j:
                     tb[i][i] = tb[i][i] - (c + c)
                 else:
@@ -141,18 +159,38 @@ class CubicNormStructure:
 
     def norm(self, x):
         # once expanded, the sparse form is much cheaper than re-running
-        # algebra arithmetic inside the evaluator
-        if self._n_poly is not None:
+        # algebra arithmetic inside the evaluator.  A ground point is
+        # lifted to ints and run through the int form, and the value is
+        # mapped back once; Poly coordinates (another structure's
+        # expansion passing through this one) go through the Poly form.
+        if self._n_poly is None:
+            return self.eval_norm(list(x))
+        if any(isinstance(c, Poly) for c in x):
             return self._n_poly.eval(list(x), self.ground.one)
-        return self.eval_norm(list(x))
+        n_i, den = self._n_int
+        xi, d = _lift(x)
+        return self._from_int(n_i.eval(xi, 1), den * d ** 3)
 
     def sharp(self, x):
-        if self._sharp_polys is not None:
+        # same routes as norm; the Poly route shares pair products
+        # across the coordinates of the adjoint
+        if self._sharp_polys is None:
+            return tuple(self.eval_sharp(list(x)))
+        if any(isinstance(c, Poly) for c in x):
             xl = list(x)
             cache = {}
             return tuple(p.eval(xl, self.ground.one, cache)
                          for p in self._sharp_polys)
-        return tuple(self.eval_sharp(list(x)))
+        sh_i, den = self._sharp_int
+        xi, d = _lift(x)
+        den *= d * d
+        return tuple(self._from_int(p.eval(xi, 1), den) for p in sh_i)
+
+    def _from_int(self, v, den):
+        """The ground scalar v / den: v read mod p over F_p, where every
+        lift has den 1."""
+        g = self.ground
+        return g.elem(v) if g.char else Fraction(v, den)
 
     def trace(self, x):
         t_vec, _, _ = self._trace_data()
@@ -197,7 +235,8 @@ class CubicNormStructure:
             out = []
             for p in self.sharp_polys:
                 d = {}
-                for (i, j), c in p.terms.items():
+                for m, c in p.terms.items():
+                    i, j = indices(m)
                     d[(i, j)] = c + c if i == j else c
                 out.append(d)
             self._sharp_bi = out
@@ -272,7 +311,8 @@ class CubicNormStructure:
         total = 0
         for p in self.sharp_polys:
             for m in p.terms:
-                total += sizes[m[0]] * sizes[m[1]]
+                i, j = indices(m)
+                total += sizes[i] * sizes[j]
         return total
 
     def _find_witness(self, diff_fn, stream, tries=300):
@@ -310,19 +350,19 @@ class CubicNormStructure:
 
         # x## = N(x) x and N(x#) = N(x)^2
         if symbolic_ok:
-            # lift to plain ints (denominators cleared over Q) and compare
-            # mod the characteristic; both identities are homogeneous, so a
+            # the int lifts (denominators cleared over Q) compared mod the
+            # characteristic; both identities are homogeneous, so a
             # uniform scaling of sharp (resp. N) rescales both sides by a
             # known factor
-            sh_i, s_den = _int_scaled(sharp_polys)
-            (n_i,), n_den = _int_scaled([n_poly])
+            sh_i, s_den = self._sharp_int
+            n_i, n_den = self._n_int
             s3 = s_den ** 3
             cache = {}
             sharp2 = [p.eval(sh_i, 1, cache) for p in sh_i]
             bad = next(
                 (i for i in range(self.dim)
                  if _mod(n_den * sharp2[i], g.char)
-                 != _mod(s3 * (n_i * Poly({(i,): 1})), g.char)), None)
+                 != _mod(s3 * (n_i * Poly.var(i, 1)), g.char)), None)
             lhs = n_i.eval(sh_i, 1, cache)
             norm_ok = _mod(n_den * lhs, g.char) \
                 == _mod(s3 * (n_i * n_i), g.char)
@@ -364,7 +404,7 @@ class CubicNormStructure:
         t_sym = Poly()
         for i, t in enumerate(t_vec):
             if t:
-                t_sym = t_sym + Poly({(i,): t})
+                t_sym = t_sym + Poly.var(i, t)
         ok = True
         wit = None
         for i in range(self.dim):
@@ -422,22 +462,27 @@ class CubicNormStructure:
                 break
         emit("u_operator_inverse_identity", ok, "random", wit)
 
-        # expansions agree with the evaluators
+        # expansions (through their int lifts) agree with the evaluators
         ok = True
         wit = None
         for _ in range(points):
             pt = self.random_point(stream)
-            if n_poly.eval(list(pt), g.one) != self.eval_norm(list(pt)):
+            if self.norm(pt) != self.eval_norm(list(pt)):
                 ok, wit = False, repr(pt)
                 break
-            sp = self.eval_sharp(list(pt))
-            if any(p.eval(list(pt), g.one) != s
-                   for p, s in zip(sharp_polys, sp)):
+            if self.sharp(pt) != tuple(self.eval_sharp(list(pt))):
                 ok, wit = False, repr(pt)
                 break
         emit("expansion_matches_evaluators", ok, "random", wit)
 
         return AxiomReport(checks)
+
+
+def _lift(x):
+    """(xi, d): ints with x_i = xi_i / d for a ground point x; over Q the
+    numerators over a common denominator, over F_p the residues (d = 1)."""
+    d = lcm(*[c.denominator for c in x])
+    return [c.numerator * (d // c.denominator) for c in x], d
 
 
 def _int_scaled(polys):
@@ -446,7 +491,6 @@ def _int_scaled(polys):
     Over Q this clears denominators.  F_p scalars are ints with
     denominator 1, so over F_p it lifts the residues unchanged; reduce
     with _mod before comparing results."""
-    from math import lcm
     den = 1
     for p in polys:
         for c in p.terms.values():

@@ -49,7 +49,17 @@ class NotInvertible(AlbertLabError):
     pass
 
 
+# polynomial errors
+
+class NonPolynomialEvaluator(AlbertLabError):
+    """An evaluator divided by a non-constant during symbolic expansion."""
+
+
 # Tits construction errors
+
+class ZeroLambda(ConfigError):
+    pass
+
 
 class NotAdmissible(ConfigError):
     """(u, mu) fails N_B(u) = mu * bar(mu)."""
@@ -57,3 +67,13 @@ class NotAdmissible(ConfigError):
 
 class NoVerifiedMap(VerificationFailure):
     """No candidate isomorphism passed the norm-pullback certificate."""
+
+
+# isotope and Galois errors
+
+class SingularMap(ConfigError):
+    pass
+
+
+class NormConditionFailed(ConfigError):
+    pass

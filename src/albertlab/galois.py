@@ -9,12 +9,8 @@ unital subalgebra.
 
 from . import linalg
 from .associative import CommutativeCubic
-from .errors import ConfigError, VerificationFailure
+from .errors import ConfigError, NormConditionFailed, VerificationFailure
 from .isotopy import LinearMap, verify_isomorphism
-
-
-class NormConditionFailed(ConfigError):
-    pass
 
 
 def extend_rho(j):

@@ -16,13 +16,9 @@ from fractions import Fraction
 
 from . import linalg
 from .cubic import CubicNormStructure, _int_scaled, _mod
-from .errors import ConfigError, NotInvertible, NoVerifiedMap
-from .poly import Poly
+from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
+from .poly import Poly, indices, mono
 from .tits import embed_hermitian_summand, second_tits
-
-
-class SingularMap(ConfigError):
-    pass
 
 
 class LinearMap:
@@ -113,21 +109,22 @@ def verify_norm_similarity(f):
         for col in range(src.dim):
             e = f.matrix[row][col]
             if e:
-                terms[(col,)] = e
+                terms[mono((col,))] = e
         forms.append(Poly(terms))
 
     # int arithmetic as in the axiom suite, read mod the characteristic
-    (n2_i,), d2 = _int_scaled([tgt.n_poly])
-    (n1_i,), d1 = _int_scaled([src.n_poly])
+    n2_i, d2 = tgt.n_int
+    n1_i, d1 = src.n_int
     forms_i, s = _int_scaled(forms)
     pull = n2_i.eval(forms_i, 1, {})        # = d2 s^3 N2(f(x))
-    mono = min(n1_i.terms)
-    a = pull.coefficient(mono) or 0
-    b = n1_i.terms[mono]
+    m = min(n1_i.terms, key=indices)
+    a = pull.coefficient(m) or 0
+    b = n1_i.terms[m]
     diff = _mod(b * pull - a * n1_i, g.char)
     if diff:
+        first = indices(min(diff.terms, key=indices))
         return None, ("monomial %r: pullback and source norm are not "
-                      "proportional" % (min(diff.terms),))
+                      "proportional" % (first,))
     nu = g.from_fraction(Fraction(a * d1, b * d2 * s ** 3))
     if not nu:
         return None, "pullback is the zero form"

@@ -1,22 +1,88 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-Monomials are sorted tuples of variable indices with repetition, e.g.
-(0, 0, 2) = x0^2 * x2 and () = the constant term.  Coefficients are
-ground-field scalars (Fraction or mod-p ints) or plain ints; zero
-coefficients are never stored, so equality is dict equality.  A Poly
-multiplies only by another Poly, an int or a Fraction; any other operand
-(an extension Elem) gets NotImplemented and handles the product itself.
-Degrees stay tiny (<= 6) throughout the package, which is why the
-multiset encoding is cheaper than exponent vectors.
+A monomial is one packed int: the low byte holds the total degree and
+byte i + 1 the exponent of x_i, so x0^2 * x2 = mono((0, 0, 2)) =
+3 + (2 << 8) + (1 << 24) and 0 is the constant monomial.  A product of
+monomials is a single int addition (Monagan and Pearce's packed exponent
+vectors); __mul__ refuses products of degree above 255, so no byte ever
+carries into its neighbour.  indices(m) unpacks a monomial into the
+sorted tuple of its variable indices with repetition, e.g. (0, 0, 2),
+and every deterministic order (dumps, repr, witnesses) sorts by it.
+
+Coefficients are ground-field scalars (Fraction or mod-p ints) or plain
+ints; zero coefficients are never stored, so equality is dict equality.
+A Poly multiplies only by another Poly, an int or a Fraction; any other
+operand (an extension Elem) gets NotImplemented and handles the product
+itself.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import AlbertLabError
+from .errors import AlbertLabError, NonPolynomialEvaluator
+
+MAX_DEGREE = 255
 
 
-class NonPolynomialEvaluator(AlbertLabError):
-    """An evaluator divided by a non-constant during symbolic expansion."""
+def mono(idx):
+    """The packed monomial prod(x_i for i in idx), repetition allowed."""
+    if len(idx) > MAX_DEGREE:
+        raise AlbertLabError("monomial degree %d exceeds %d"
+                             % (len(idx), MAX_DEGREE))
+    m = len(idx)
+    for i in idx:
+        m += 1 << (8 * i + 8)
+    return m
+
+
+@lru_cache(maxsize=None)
+def indices(m):
+    """Sorted variable indices of the packed monomial m, with repetition."""
+    out = []
+    i = 0
+    m >>= 8
+    while m:
+        out += [i] * (m & 255)
+        m >>= 8
+        i += 1
+    return tuple(out)
+
+
+def _order(m):
+    """Sort key: degree first, then the index tuple."""
+    return m & 255, indices(m)
+
+
+def _max_degree(terms):
+    return max(m & 255 for m in terms)
+
+
+def _mul_into(out, a, b, c):
+    """out += c * a * b for term dicts a and b; zeros stay in out."""
+    if a and b and _max_degree(a) + _max_degree(b) > MAX_DEGREE:
+        raise AlbertLabError("product degree exceeds %d" % MAX_DEGREE)
+    if len(a) > len(b):
+        a, b = b, a
+    for m1, c1 in a.items():
+        c1 = c * c1
+        for m2, c2 in b.items():
+            m = m1 + m2
+            if m in out:
+                out[m] += c1 * c2
+            else:
+                out[m] = c1 * c2
+
+
+def _terms(x):
+    """The term dict of a Poly, or of a scalar as a constant."""
+    return x.terms if isinstance(x, Poly) else {0: x}
+
+
+def _nonzero(out):
+    """A Poly on the dict out, with its zero coefficients deleted."""
+    for m in [m for m, c in out.items() if not c]:
+        del out[m]
+    return Poly(out)
 
 
 class Poly:
@@ -29,11 +95,11 @@ class Poly:
 
     @staticmethod
     def const(c):
-        return Poly({(): c}) if c else Poly()
+        return Poly({0: c}) if c else Poly()
 
     @staticmethod
     def var(i, one):
-        return Poly({(i,): one})
+        return Poly({mono((i,)): one})
 
     # -- ring structure --------------------------------------------------
 
@@ -54,14 +120,14 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, Poly):
             return self._add_terms(other.terms, +1)
-        return self._add_terms({(): other}, +1) if other else self
+        return self._add_terms({0: other}, +1) if other else self
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Poly):
             return self._add_terms(other.terms, -1)
-        return self._add_terms({(): other}, -1) if other else self
+        return self._add_terms({0: other}, -1) if other else self
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -71,23 +137,9 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.terms, other.terms
-            if len(a) > len(b):
-                a, b = b, a
             out = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    m = tuple(sorted(m1 + m2))
-                    c = c1 * c2
-                    if m in out:
-                        s = out[m] + c
-                        if s:
-                            out[m] = s
-                        else:
-                            del out[m]
-                    elif c:
-                        out[m] = c
-            return Poly(out)
+            _mul_into(out, self.terms, other.terms, 1)
+            return _nonzero(out)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if not other:
@@ -121,7 +173,7 @@ class Poly:
             return self.terms == other.terms
         if not other:
             return not self.terms
-        return self.terms == {(): other}
+        return self.terms == {0: other}
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -130,68 +182,74 @@ class Poly:
         if not self.terms:
             return "Poly(0)"
         bits = []
-        for m in sorted(self.terms, key=lambda m: (len(m), m)):
-            mono = "*".join("x%d" % i for i in m) or "1"
-            bits.append("%s*%s" % (self.terms[m], mono))
+        for m in sorted(self.terms, key=_order):
+            name = "*".join("x%d" % i for i in indices(m)) or "1"
+            bits.append("%s*%s" % (self.terms[m], name))
         return "Poly(%s)" % " + ".join(bits)
 
     # -- queries ----------------------------------------------------------
 
     def degree(self):
-        return max((len(m) for m in self.terms), default=-1)
+        return _max_degree(self.terms) if self.terms else -1
 
     def is_homogeneous(self, d):
-        return all(len(m) == d for m in self.terms)
+        return all(m & 255 == d for m in self.terms)
 
     def homogeneous_part(self, d):
-        return Poly({m: c for m, c in self.terms.items() if len(m) == d})
+        return Poly({m: c for m, c in self.terms.items() if m & 255 == d})
 
     def constant_or_none(self):
         if not self.terms:
             return 0
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
         return None
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(sorted(mono)))
+    def coefficient(self, m):
+        """Coefficient of the packed monomial m, or None."""
+        return self.terms.get(m)
 
     # -- evaluation / substitution ----------------------------------------
 
     def eval(self, args, one, cache=None):
         """Substitute args[i] for variable i.
 
-        args entries may be scalars or Polys whose coefficients multiply
-        with the coefficients of self; `one` is the 1 used for empty
-        products.  An optional dict caches monomial products across calls
-        (keyed by monomial prefix), which pays off when the same quadratic
-        maps are substituted into many forms.  Only products of at most
-        two factors are stored: a pair product is shared by every
-        quadratic form that has that monomial and by every cubic monomial
-        that starts with it, while a product of three factors is never
-        looked up again and would only hold memory.
+        With scalar args the result is the scalar sum of c * prod(args);
+        `one` only fixes its zero when self has no terms.  With Poly args
+        each term c * x_i ... x_k is multiplied out by its last factor
+        straight into one output dict, whose zeros are dropped once at the
+        end.  There an optional dict caches the products x_i x_j of the first
+        two factors across calls (keyed by the index pair), which pays off
+        when the same quadratic maps are substituted into many forms: a
+        pair product is shared by every quadratic form that has that
+        monomial and by every cubic monomial that starts with it.  A
+        product of three factors is never looked up again and is not
+        stored.
         """
-        total = None
+        if not any(isinstance(a, Poly) for a in args):
+            total = one - one
+            for m, c in self.terms.items():
+                for i in indices(m):
+                    c = c * args[i]
+                total = total + c
+            return total
+        out = {}
         for m, c in self.terms.items():
-            if cache is None:
-                prod = one
-                for i in m:
-                    prod = prod * args[i]
+            idx = indices(m)
+            if cache is not None and len(idx) >= 2:
+                prod = cache.get(idx[:2])
+                if prod is None:
+                    prod = cache[idx[:2]] = args[idx[0]] * args[idx[1]]
+                rest = idx[2:]
+            elif idx:
+                prod, rest = args[idx[0]], idx[1:]
             else:
-                t = min(len(m), 2)
-                while t > 0 and m[:t] not in cache:
-                    t -= 1
-                prod = cache[m[:t]] if t else one
-                for s in range(t, len(m)):
-                    prod = prod * args[m[s]]
-                    if s < 2:
-                        cache[m[:s + 1]] = prod
-            term = c * prod
-            total = term if total is None else total + term
-        if total is None:
-            return Poly() if any(isinstance(a, Poly) for a in args) else \
-                one - one
-        return total
+                prod, rest = one, ()
+            for i in rest[:-1]:
+                prod = prod * args[i]
+            last = args[rest[-1]] if rest else one
+            _mul_into(out, _terms(prod), _terms(last), c)
+        return _nonzero(out)
 
 
 def variables(n, one):
@@ -201,13 +259,17 @@ def variables(n, one):
 
 def directional_derivative(p, nvars):
     """d/dt p(x + t y) at t=0, as a Poly in x (vars 0..n-1), y (vars n..2n-1)."""
-    out = Poly()
+    out = {}
+    shift = 8 * nvars
     for m, c in p.terms.items():
-        for pos in range(len(m)):
-            rest = m[:pos] + m[pos + 1:]
-            mono = tuple(sorted(rest + (m[pos] + nvars,)))
-            out = out + Poly({mono: c})
-    return out
+        for i in indices(m):
+            x_i = 1 << (8 * i + 8)
+            mm = m - x_i + (x_i << shift)
+            if mm in out:
+                out[mm] += c
+            else:
+                out[mm] = c
+    return _nonzero(out)
 
 
 # -- serialization of cubic forms and quadratic maps ------------------------
@@ -217,8 +279,9 @@ def dump_cubic_form(p, ground):
     if not p.is_homogeneous(3):
         raise AlbertLabError("not a homogeneous cubic form")
     lines = []
-    for m in sorted(p.terms):
-        lines.append("%d %d %d %s" % (m[0], m[1], m[2], ground.to_str(p.terms[m])))
+    for m in sorted(p.terms, key=indices):
+        lines.append("%d %d %d %s"
+                     % (indices(m) + (ground.to_str(p.terms[m]),)))
     return "\n".join(lines) + "\n"
 
 
@@ -228,7 +291,7 @@ def dump_quad_map(polys, ground):
     for m, p in enumerate(polys):
         if not p.is_homogeneous(2):
             raise AlbertLabError("output %d is not homogeneous quadratic" % m)
-        for mono in sorted(p.terms):
-            lines.append("%d %d %d %s"
-                         % (m, mono[0], mono[1], ground.to_str(p.terms[mono])))
+        for mo in sorted(p.terms, key=indices):
+            lines.append("%d %d %d %s" % ((m,) + indices(mo)
+                                          + (ground.to_str(p.terms[mo]),)))
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ import time
 
 from . import galois, isotopy, search
 from .config import SCHEMA_VERSION, BuildContext
-from .errors import ConfigError, VerificationFailure
+from .errors import ConfigError, NotInvertible, VerificationFailure
 from .poly import dump_cubic_form, dump_quad_map
 from .rng import Stream
 
@@ -124,7 +124,10 @@ def _t_isotope(ctx, node, entry, tseed, **kw):
     j = ctx.j
     g = j.ground
     v = ctx.carrier_point(node["v"])
-    jv = isotopy.isotope(j, v)
+    try:
+        jv = isotopy.isotope(j, v)
+    except NotInvertible as e:
+        raise ConfigError("isotope v: %s" % e)
     rep = jv.axiom_suite(seed=tseed, points=int(node.get("points", 100)))
     u_wit = isotopy.u_isotope_identity(j, jv, v, Stream(tseed).derive("u_id"),
                                        points=int(node.get("u_points", 50)))

@@ -20,11 +20,7 @@ from . import linalg
 from .associative import GroundCenter, QuadraticCenter
 from .cubic import CubicNormStructure
 from .errors import (ConfigError, NotAdmissible, NotInvertible,
-                     VerificationFailure)
-
-
-class ZeroLambda(ConfigError):
-    pass
+                     VerificationFailure, ZeroLambda)
 
 
 def first_tits(d_alg, lam, label=None):

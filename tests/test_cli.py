@@ -132,6 +132,19 @@ class TestExitCodes:
         assert code == 2
         assert "admissible" in err
 
+    def test_singular_isotope_v_is_2(self, tmp_path):
+        with open(cfg("m3_q_first.json")) as fh:
+            data = json.load(fh)
+        node = next(t for t in data["tasks"] if t["task"] == "isotope")
+        node["v"] = ["0"] * 27
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli(["isotope", "--config", str(c)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestDeterminism:
     def test_reports_identical_across_jobs(self, tmp_path):

@@ -104,6 +104,52 @@ class TestDerivedOps:
         assert j_m3_q.inverse(xi) == x
 
 
+class TestIntPointPath:
+    """norm and sharp at ground points run through the int lifts of the
+    expanded forms; they must agree with the evaluators."""
+
+    @staticmethod
+    def _agree(j, pt):
+        n = j.norm(pt)
+        assert type(n) is type(j.ground.one)
+        assert n == j.eval_norm(list(pt))
+        assert j.sharp(pt) == tuple(j.eval_sharp(list(pt)))
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q"])
+    def test_mixed_denominators_over_q(self, name, request):
+        j = request.getfixturevalue(name)
+        j.expand_symbolic()
+        s = Stream(59)
+        for _ in range(3):
+            x = j.random_invertible(s)
+            xi = j.inverse(x)
+            assert any(c.denominator > 1 for c in xi)
+            self._agree(j, x)
+            self._agree(j, xi)
+        self._agree(j, tuple(Fraction(i - 13, 1 + i % 5)
+                             for i in range(j.dim)))
+
+    def test_finite_field_points(self, j_lk_f5):
+        j_lk_f5.expand_symbolic()
+        s = Stream(61)
+        for _ in range(10):
+            self._agree(j_lk_f5, j_lk_f5.random_point(s))
+        self._agree(j_lk_f5, j_lk_f5.unit)
+        zero = j_lk_f5.ground.zero
+        assert j_lk_f5.norm((zero,) * j_lk_f5.dim) == zero
+
+    @pytest.mark.parametrize("name", ["iso_m3_f5", "iso_lk_q"])
+    def test_isotope_expansion_through_base(self, name, request):
+        # expanding an isotope runs Poly coordinates through the base
+        # structure's norm and sharp, which keep them symbolic
+        jv = request.getfixturevalue(name)
+        base, v = jv.meta["base"], jv.meta["v"]
+        assert jv.n_poly == base.norm(v) * base.n_poly
+        s = Stream(67)
+        for _ in range(5):
+            self._agree(jv, jv.random_point(s))
+
+
 class TestNilpotency:
     def test_structured_nilpotent(self, j_m3_q, QQ):
         m3 = j_m3_q.meta["algebra"]

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albertlab import linalg
-from albertlab.errors import ConfigError, NonPrimeModulus, NotInvertible
+from albertlab.errors import (AlbertLabError, ConfigError, NonPrimeModulus,
+                              NotInvertible)
 from albertlab.poly import (Poly, directional_derivative, dump_cubic_form,
-                            variables)
+                            indices, mono, variables)
 from albertlab.rng import Stream, draw, splitmix64
 from albertlab.scalars import PrimeField, RationalField, is_prime
 
@@ -118,6 +119,26 @@ class TestPoly:
         one = Fraction(1)
         assert (p * q).eval(args, one) == p.eval(args, one) * q.eval(args, one)
         assert (p + q).eval(args, one) == p.eval(args, one) + q.eval(args, one)
+
+    def test_packed_monomials(self):
+        # low byte: total degree; byte i + 1: exponent of x_i
+        assert mono((0, 0, 2)) == 3 + (2 << 8) + (1 << 24)
+        for idx in [(), (0,), (0, 0, 2), (3, 5, 26), (53, 53, 53)]:
+            assert indices(mono(idx)) == idx
+        x, y, z = self._vars()
+        assert (x * x * z).terms == {mono((0, 0, 2)): 1}
+        assert (x * x * z).coefficient(mono((2, 0, 0))) == 1
+
+    def test_product_degree_limit(self):
+        # degree 255 fills the degree byte and x0's byte without a carry
+        a = Poly({mono((0,) * 200): Fraction(1)})
+        top = a * Poly({mono((0,) * 55): Fraction(2)})
+        assert top.degree() == 255
+        assert indices(next(iter(top.terms))) == (0,) * 255
+        with pytest.raises(AlbertLabError):
+            a * Poly({mono((1,) * 56): Fraction(1)})
+        with pytest.raises(AlbertLabError):
+            top * self._vars()[2]
 
     def test_dump_sorted(self):
         g = RationalField()

@@ -17,9 +17,6 @@ from . import tits, isotopy
 
 SCHEMA_VERSION = 1
 
-KNOWN_TASKS = ("axioms", "div_falsify", "nilpotent_search", "norm_zero",
-               "isotope", "iso_verify", "galois_ext", "dump_forms")
-
 
 def load_config(path):
     try:
@@ -37,11 +34,39 @@ def load_config(path):
     for t in cfg.get("tasks", []):
         if not isinstance(t, dict) or "task" not in t:
             raise ConfigError("each task needs a 'task' field")
-        if t["task"] not in KNOWN_TASKS:
-            raise ConfigError("unknown task %r" % (t["task"],))
     if "construction" not in cfg:
         raise ConfigError("config needs a 'construction' section")
     return cfg
+
+
+# integer task fields and their least values
+_TASK_COUNTS = (("budget", 0), ("points", 1), ("u_points", 1))
+
+
+def check_run(tasks, known, budget=None, jobs=1):
+    """Reject what a run cannot honour before any task starts: a task name
+    not in `known` (the runner's task table), a task field of
+    _TASK_COUNTS that is not an integer of at least its least value, a
+    budget override below 0 and fewer than one job."""
+    for t in tasks:
+        if t["task"] not in known:
+            raise ConfigError("unknown task %r" % (t["task"],))
+        for key, least in _TASK_COUNTS:
+            if key in t:
+                _at_least(t[key], least, "%s %s" % (t["task"], key))
+    if budget is not None:
+        _at_least(budget, 0, "budget")
+    _at_least(jobs, 1, "jobs")
+
+
+def _at_least(value, least, what):
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError("%s must be an integer, got %r" % (what, value))
+    if n < least:
+        raise ConfigError("%s must be at least %d, got %d"
+                          % (what, least, n))
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,21 @@ expansions of N and # are computed once by running the evaluators on
 polynomial indeterminates, together with their lifts to int
 coefficients.  Identity checks compare the int forms mod the
 characteristic where the expansion sizes stay reasonable and run exact
-checks at random points otherwise; N and # at a ground point are the int
-forms evaluated at the point's integer lift, mapped back once.
+checks at random points otherwise; N and #, and the U-operator matrix,
+at a ground point are computed from the int forms at the point's integer
+lift (scalars.lift) and mapped back once (scalars.from_int).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, List, Optional
 
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
 from .poly import Poly, directional_derivative, indices, variables
 from .rng import Stream
+from .scalars import from_int, lift
 
 # rough bound on coefficient multiplications before a symbolic identity
 # check falls back to random-point verification
@@ -75,6 +77,7 @@ class CubicNormStructure:
         self.eval_sharp = eval_sharp
         self.unit = tuple(unit)
         self.label = label
+        self._kind = type(ground.one)
         self._n_poly = None
         self._sharp_polys = None
         self._n_int = None
@@ -82,7 +85,7 @@ class CubicNormStructure:
         self._t_vec = None
         self._s_poly = None
         self._t_bilinear = None
-        self._sharp_bi = None
+        self._u_int = None
 
     # -- symbolic expansion --------------------------------------------------
 
@@ -168,8 +171,8 @@ class CubicNormStructure:
         if any(isinstance(c, Poly) for c in x):
             return self._n_poly.eval(list(x), self.ground.one)
         n_i, den = self._n_int
-        xi, d = _lift(x)
-        return self._from_int(n_i.eval(xi, 1), den * d ** 3)
+        xi, d = lift(x)
+        return from_int(self._kind, n_i.eval(xi, 1), den * d ** 3)
 
     def sharp(self, x):
         # same routes as norm; the Poly route shares pair products
@@ -182,15 +185,9 @@ class CubicNormStructure:
             return tuple(p.eval(xl, self.ground.one, cache)
                          for p in self._sharp_polys)
         sh_i, den = self._sharp_int
-        xi, d = _lift(x)
+        xi, d = lift(x)
         den *= d * d
-        return tuple(self._from_int(p.eval(xi, 1), den) for p in sh_i)
-
-    def _from_int(self, v, den):
-        """The ground scalar v / den: v read mod p over F_p, where every
-        lift has den 1."""
-        g = self.ground
-        return g.elem(v) if g.char else Fraction(v, den)
+        return tuple(from_int(self._kind, p.eval(xi, 1), den) for p in sh_i)
 
     def trace(self, x):
         t_vec, _, _ = self._trace_data()
@@ -227,54 +224,45 @@ class CubicNormStructure:
         cx = self.cross(self.sharp(x), y)
         return tuple(t * xi - ci for xi, ci in zip(x, cx))
 
-    def _sharp_bilinear(self):
-        """Polarized adjoint: coefficients of the symmetric bilinear cross
-        map, cross(x, y)_m = sum c_m(i,j) (x_i y_j + x_j y_i) with the
-        diagonal already doubled."""
-        if self._sharp_bi is None:
-            out = []
-            for p in self.sharp_polys:
-                d = {}
-                for m, c in p.terms.items():
-                    i, j = indices(m)
-                    d[(i, j)] = c + c if i == j else c
-                out.append(d)
-            self._sharp_bi = out
-        return self._sharp_bi
-
-    def cross_matrix(self, s):
-        """Matrix of y -> s x y (cross product with a fixed element)."""
-        g = self.ground
-        bi = self._sharp_bilinear()
-        m = [[g.zero] * self.dim for _ in range(self.dim)]
-        for out, d in enumerate(bi):
-            row = m[out]
-            for (i, j), c in d.items():
-                if i == j:
-                    if s[i]:
-                        row[i] = row[i] + c * s[i]
-                else:
-                    if s[i]:
-                        row[j] = row[j] + c * s[i]
-                    if s[j]:
-                        row[i] = row[i] + c * s[j]
-        return m
+    def _u_data(self):
+        """Int data of the U-operator, lifted once: the columns of the
+        trace bilinear matrix times t_den, and the polarized adjoint of
+        _sharp_int, cross(x, y)_m * s_den = sum c (x_i y_j + x_j y_i) over
+        the triples (i, j, c) of row m, the diagonal c already doubled."""
+        if self._u_int is None:
+            _, _, tb = self._trace_data()
+            flat, t_den = lift([c for row in tb for c in row])
+            cols = [flat[j::self.dim] for j in range(self.dim)]
+            cross = [[(i, j, c + c if i == j else c)
+                      for m, c in p.terms.items() for i, j in [indices(m)]]
+                     for p in self._sharp_int[0]]
+            self._u_int = cols, t_den, cross
+        return self._u_int
 
     def u_matrix(self, x):
-        """Matrix of U_x(y) = T(x,y) x - x# x y, linear in y."""
-        g = self.ground
-        _, _, tb = self._trace_data()
-        r = [g.zero] * self.dim
-        for i in range(self.dim):
-            if not x[i]:
-                continue
-            row = tb[i]
-            for j in range(self.dim):
-                if row[j]:
-                    r[j] = r[j] + row[j] * x[i]
-        cm = self.cross_matrix(self.sharp(x))
-        return [[x[i] * r[j] - cm[i][j] for j in range(self.dim)]
-                for i in range(self.dim)]
+        """Matrix of U_x(y) = T(x,y) x - x# x y, linear in y.
+
+        With x = xi / d, T(x, y) = r.y / (t_den d) and x# = s / (s_den d^2)
+        for int vectors r and s, so every entry is an int over the one
+        denominator lcm(t_den, s_den^2) d^2 and is mapped back once."""
+        cols, t_den, cross = self._u_data()
+        sh_i, s_den = self._sharp_int
+        xi, d = lift(x)
+        s = [p.eval(xi, 1) for p in sh_i]
+        cm = [[0] * self.dim for _ in range(self.dim)]
+        for row, terms in zip(cm, cross):
+            for i, j, c in terms:
+                if i == j:
+                    row[i] += c * s[i]
+                else:
+                    row[j] += c * s[i]
+                    row[i] += c * s[j]
+        den = lcm(t_den, s_den * s_den)
+        a, b = den // t_den, den // (s_den * s_den)
+        r = [a * sum(map(mul, col, xi)) for col in cols]
+        den *= d * d
+        return [[from_int(self._kind, xv * rj - b * cj, den)
+                 for rj, cj in zip(r, row)] for xv, row in zip(xi, cm)]
 
     def inverse(self, x):
         n = self.norm(x)
@@ -478,26 +466,15 @@ class CubicNormStructure:
         return AxiomReport(checks)
 
 
-def _lift(x):
-    """(xi, d): ints with x_i = xi_i / d for a ground point x; over Q the
-    numerators over a common denominator, over F_p the residues (d = 1)."""
-    d = lcm(*[c.denominator for c in x])
-    return [c.numerator * (d // c.denominator) for c in x], d
-
-
 def _int_scaled(polys):
     """Scale ground polys by the lcm of all denominators; int coeffs.
 
     Over Q this clears denominators.  F_p scalars are ints with
     denominator 1, so over F_p it lifts the residues unchanged; reduce
     with _mod before comparing results."""
-    den = 1
-    for p in polys:
-        for c in p.terms.values():
-            den = lcm(den, c.denominator)
-    out = [Poly({m: int(c * den) for m, c in p.terms.items()})
-           for p in polys]
-    return out, den
+    coeffs, den = lift([c for p in polys for c in p.terms.values()])
+    it = iter(coeffs)
+    return [Poly({m: next(it) for m in p.terms}) for p in polys], den
 
 
 def _mod(p, char):

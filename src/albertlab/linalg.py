@@ -3,9 +3,20 @@
 Dimensions never exceed 27x27 here, so plain Gaussian elimination with
 first-nonzero pivoting is both fast enough and deterministic (the same
 input always yields the same echelon form and kernel basis).
+
+Matrices over a ground field (every entry a Fraction, or every entry an
+F_p scalar) run matmul and rank through their int lifts (scalars.lift):
+a product multiplies int rows by int columns and maps each entry back
+once; a rank is Bareiss fraction-free elimination over Q (every division
+exact) and elimination mod p over F_p.  Matrices over extension fields
+take the generic route.
 """
 
+from fractions import Fraction
+from operator import mul
+
 from .errors import NotInvertible
+from .scalars import from_int, ground_type, lift
 
 
 def identity(n, one, zero):
@@ -32,6 +43,16 @@ def matvec(m, v):
 
 
 def matmul(a, b):
+    kind = ground_type([c for m in (a, b) for row in m for c in row])
+    if kind is not None:
+        # each row of a and each column of b over its own denominator
+        cols = [lift(c) for c in zip(*b)]
+        out = []
+        for r in a:
+            ri, dr = lift(r)
+            out.append([from_int(kind, sum(map(mul, ri, ci)), dr * dc)
+                        for ci, dc in cols])
+        return out
     n, k = len(a), len(b)
     cols = len(b[0])
     out = []
@@ -85,8 +106,39 @@ def _echelonize(m):
 
 
 def rank(m):
-    work = [list(r) for r in m]
-    return len(_echelonize(work))
+    kind = ground_type([c for row in m for c in row])
+    if kind is None:
+        return len(_echelonize([list(r) for r in m]))
+    # row scaling keeps the rank, so each row is lifted on its own
+    return _rank_int([lift(r)[0] for r in m],
+                     0 if kind is Fraction else kind.modulus)
+
+
+def _rank_int(rows, p):
+    """Rank of an int matrix over Q (p = 0) or of residues mod a prime p,
+    by fraction-free elimination; the rows are overwritten.
+
+    A step replaces each row below the pivot row by pivot * row - f * top.
+    Over Q this is Bareiss: every entry is then a minor of the input
+    (Sylvester's identity), so dividing by the previous pivot is exact.
+    Over F_p the step is read mod p instead: multiplying a row by a
+    nonzero residue keeps the rank, so no division is needed."""
+    n = len(rows)
+    r, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, n) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        a = top[c]
+        for i in range(r + 1, n):
+            f = rows[i][c]
+            row = [(a * x - f * y) // prev for x, y in zip(rows[i], top)]
+            rows[i] = [v % p for v in row] if p else row
+        prev = 1 if p else a
+        r += 1
+    return r
 
 
 def solve(m, rhs, one, zero):

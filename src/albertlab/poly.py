@@ -73,6 +73,9 @@ def _mul_into(out, a, b, c):
                 out[m] = c1 * c2
 
 
+_ONE = {0: 1}
+
+
 def _terms(x):
     """The term dict of a Poly, or of a scalar as a constant."""
     return x.terms if isinstance(x, Poly) else {0: x}
@@ -216,15 +219,17 @@ class Poly:
 
         With scalar args the result is the scalar sum of c * prod(args);
         `one` only fixes its zero when self has no terms.  With Poly args
-        each term c * x_i ... x_k is multiplied out by its last factor
-        straight into one output dict, whose zeros are dropped once at the
-        end.  There an optional dict caches the products x_i x_j of the first
-        two factors across calls (keyed by the index pair), which pays off
-        when the same quadratic maps are substituted into many forms: a
-        pair product is shared by every quadratic form that has that
-        monomial and by every cubic monomial that starts with it.  A
-        product of three factors is never looked up again and is not
-        stored.
+        the substitution is nested: the terms of degree 3 or more are
+        grouped by their first index i, self = sum_i x_i Q_i + (terms of
+        degree at most 2), each Q_i is substituted the same way and then
+        multiplied by args[i] once per group, straight into one output
+        dict whose zeros are dropped once at the end.  A quadratic term
+        reads the product args[i] * args[j] from a dict keyed by the index
+        pair (i, j); pass `cache` to share those pair products across
+        calls, which pays off when the same maps are substituted into many
+        forms (the coordinates of the adjoint).  The cache only ever holds
+        pair products: the Q_i and their products with args[i] are used
+        once and are not stored.
         """
         if not any(isinstance(a, Poly) for a in args):
             total = one - one
@@ -234,22 +239,33 @@ class Poly:
                 total = total + c
             return total
         out = {}
-        for m, c in self.terms.items():
-            idx = indices(m)
-            if cache is not None and len(idx) >= 2:
-                prod = cache.get(idx[:2])
-                if prod is None:
-                    prod = cache[idx[:2]] = args[idx[0]] * args[idx[1]]
-                rest = idx[2:]
-            elif idx:
-                prod, rest = args[idx[0]], idx[1:]
-            else:
-                prod, rest = one, ()
-            for i in rest[:-1]:
-                prod = prod * args[i]
-            last = args[rest[-1]] if rest else one
-            _mul_into(out, _terms(prod), _terms(last), c)
+        _subst_into(out, self.terms, args, {} if cache is None else cache)
         return _nonzero(out)
+
+
+def _subst_into(out, terms, args, cache):
+    """out += (the term dict `terms` with args substituted), nested by
+    first index as described in Poly.eval."""
+    groups = {}
+    for m, c in terms.items():
+        idx = indices(m)
+        if len(idx) >= 3:
+            # m = x_i * rest: drop one x_i and one from the degree byte
+            i = idx[0]
+            groups.setdefault(i, {})[m - (1 << (8 * i + 8)) - 1] = c
+            continue
+        if len(idx) == 2:
+            prod = cache.get(idx)
+            if prod is None:
+                prod = cache[idx] = args[idx[0]] * args[idx[1]]
+        else:
+            prod = args[idx[0]] if idx else 1
+        _mul_into(out, _terms(prod), _ONE, c)
+    for i, rest in groups.items():
+        q = {}
+        _subst_into(q, rest, args, cache)
+        _mul_into(out, {m: v for m, v in q.items() if v}, _terms(args[i]),
+                  1)
 
 
 def variables(n, one):

@@ -9,7 +9,7 @@ they never break report comparisons.
 import time
 
 from . import galois, isotopy, search
-from .config import SCHEMA_VERSION, BuildContext
+from .config import SCHEMA_VERSION, BuildContext, check_run
 from .errors import ConfigError, NotInvertible, VerificationFailure
 from .poly import dump_cubic_form, dump_quad_map
 from .rng import Stream
@@ -31,13 +31,15 @@ def run_config(cfg, seed=None, budget=None, mode=None, jobs=1,
     (search exhaustion is not failure), 1 verification failure,
     2 config errors (raised as ConfigError for the CLI to map).
     """
+    task_list = tasks if tasks is not None else \
+        cfg.get("tasks", [{"task": "axioms"}])
+    check_run(cfg.get("tasks", []) + (tasks or []), _HANDLERS,
+              budget=budget, jobs=jobs)
     ctx = BuildContext(cfg)
     j = ctx.j
     g = j.ground
     if seed is None:
         seed = int(cfg.get("seed", 0))
-    task_list = tasks if tasks is not None else \
-        cfg.get("tasks", [{"task": "axioms"}])
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -54,12 +56,8 @@ def run_config(cfg, seed=None, budget=None, mode=None, jobs=1,
         t0 = time.monotonic()
         entry = {"task": name}
         tseed = _task_seed(seed, name, pos)
-        try:
-            handler = _HANDLERS[name]
-        except KeyError:
-            raise ConfigError("unknown task %r" % (name,))
-        handler(ctx, node, entry, tseed,
-                budget=budget, mode=mode, jobs=jobs)
+        _HANDLERS[name](ctx, node, entry, tseed,
+                        budget=budget, mode=mode, jobs=jobs)
         if timing:
             entry["elapsed_s"] = round(time.monotonic() - t0, 3)
         report["tasks"].append(entry)
@@ -146,6 +144,8 @@ def _t_iso_verify(ctx, node, entry, tseed, **kw):
     v = ctx.algebra_element(node["v"])
     try:
         f = isotopy.second_tits_isotope_iso(ctx.j, v)
+    except NotInvertible as e:
+        raise ConfigError("iso_verify v: %s" % e)
     except VerificationFailure as e:
         entry["status"] = "fail"
         entry["error"] = str(e)

@@ -5,9 +5,14 @@ when zero; everything above this layer (extension towers, polynomials,
 matrices) is written against that contract only.  Rationals use
 fractions.Fraction, prime fields use a dynamically created int subclass
 that reduces mod p on every operation.
+
+The exact kernels (Poly point evaluation, matrix products and ranks,
+U-matrices) run on plain ints: lift() clears the denominators of a list
+of ground scalars once, and from_int() maps an int result back once.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ConfigError, NonPrimeModulus, NotInvertible
 from .rng import Stream
@@ -97,6 +102,33 @@ def _make_fp_class(p: int):
         "modulus": p,
     })
     return cls
+
+
+def ground_type(xs):
+    """Fraction or the F_p class when every x in xs has that one type;
+    None for anything else (extension Elems, Polys, mixed types)."""
+    kinds = set(map(type, xs))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is Fraction or _fp_classes.get(getattr(kind, "modulus", 0)) \
+            is kind:
+        return kind
+    return None
+
+
+def lift(xs):
+    """(ints, d) with xs[i] = ints[i] / d for ground scalars (or ints) of
+    one field: over Q the numerators over the least common denominator,
+    over F_p the residues and d = 1."""
+    d = lcm(*[c.denominator for c in xs])
+    return [c.numerator * (d // c.denominator) for c in xs], d
+
+
+def from_int(kind, v, den):
+    """The ground scalar v / den of type kind (see ground_type); over F_p
+    every lift has den 1 and v is read mod p."""
+    return Fraction(v, den) if kind is Fraction else kind(v)
 
 
 class RationalField:

@@ -145,6 +145,44 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    def test_singular_iso_verify_v_is_2(self, tmp_path):
+        with open(cfg("lk_q_second.json")) as fh:
+            data = json.load(fh)
+        node = next(t for t in data["tasks"] if t["task"] == "iso_verify")
+        node["v"] = ["0"] * len(node["v"])
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli(["isotope", "--config", str(c)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: iso_verify v: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("command, flags, task, field", [
+        ("check", ["--jobs", "0"], None, None),
+        ("search", ["--jobs", "-3"], None, None),
+        ("check", ["--budget", "-1"], None, None),
+        ("search", ["--budget", "-4000", "--jobs", "2"], None, None),
+        ("check", [], "div_falsify", {"budget": -5}),
+        ("search", [], "nilpotent_search", {"budget": -1}),
+        ("check", [], "div_falsify", {"budget": "many"}),
+        ("check", [], "axioms", {"points": "many"}),
+        ("check", [], "axioms", {"points": 0}),
+    ])
+    def test_bad_jobs_budget_or_points_is_2(self, tmp_path, command, flags,
+                                            task, field):
+        with open(cfg("m3_f5_first.json")) as fh:
+            data = json.load(fh)
+        if task is not None:
+            next(t for t in data["tasks"] if t["task"] == task).update(field)
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli([command, "--config", str(c)] + flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestDeterminism:
     def test_reports_identical_across_jobs(self, tmp_path):

@@ -1,0 +1,196 @@
+"""The int-lifted kernels (linalg.matmul, linalg.rank, u_matrix) against
+independent references written here: plain Fraction and mod-p loops,
+and U_x(y) = T(x, y) x - x# x y assembled from trace_pair and cross."""
+
+from fractions import Fraction
+
+import pytest
+
+from albertlab import linalg
+from albertlab.associative import CyclicAlgebra
+from albertlab.rng import Stream
+from albertlab.scalars import PrimeField, RationalField
+
+Q = RationalField()
+F5 = PrimeField(5)
+
+
+def _ref_matmul(a, b, zero):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), zero)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _ref_rank(m, p=None):
+    """Rank by Gauss-Jordan on Fractions, or on ints mod p."""
+    rows = [[Fraction(int(c)) if p else Fraction(c) for c in r] for r in m]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows))
+                    if (rows[i][c] % p if p else rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(int(rows[rank][c]), -1, p) if p else 1 / rows[rank][c]
+        for i in range(len(rows)):
+            if i != rank:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+                if p:
+                    rows[i] = [Fraction(int(x) % p) for x in rows[i]]
+        rank += 1
+    return rank
+
+
+def _q_entry(s):
+    # mixed denominators, about a third of the entries zero
+    if s.next_below(3) == 0:
+        return Fraction(0)
+    return Fraction(s.next_below(19) - 9, 1 + s.next_below(6))
+
+
+def _matrix(s, rows, cols, entry):
+    return [[entry(s) for _ in range(cols)] for _ in range(rows)]
+
+
+def _low_rank(s, rows, cols, r, entry, zero):
+    """A rows x cols product of random rows x r and r x cols factors."""
+    return _ref_matmul(_matrix(s, rows, r, entry), _matrix(s, r, cols, entry),
+                       zero)
+
+
+FIELDS = [
+    ("Q", _q_entry, Q.zero, None),
+    ("F5", lambda s: F5.elem(s.next_below(5)), F5.zero, 5),
+]
+SHAPES = [(1, 1, 1), (1, 6, 4), (5, 1, 3), (4, 3, 1), (6, 5, 7), (9, 9, 9)]
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("name, entry, zero, p", FIELDS)
+    @pytest.mark.parametrize("n, k, m", SHAPES)
+    def test_against_plain_loops(self, name, entry, zero, p, n, k, m):
+        s = Stream(7 * n + 3 * k + m).derive(name)
+        for _ in range(5):
+            a, b = _matrix(s, n, k, entry), _matrix(s, k, m, entry)
+            got = linalg.matmul(a, b)
+            assert got == _ref_matmul(a, b, zero)
+            assert all(type(c) is type(zero) for row in got for c in row)
+
+    def test_zero_rows_and_columns(self):
+        s = Stream(11)
+        a = _matrix(s, 4, 5, _q_entry)
+        b = _matrix(s, 5, 3, _q_entry)
+        a[2] = [Q.zero] * 5
+        for row in b:
+            row[1] = Q.zero
+        got = linalg.matmul(a, b)
+        assert got == _ref_matmul(a, b, Q.zero)
+        assert got[2] == [Q.zero] * 3
+        assert all(row[1] == 0 for row in got)
+
+    def test_denominators_survive(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        a = [[half, third], [Q.zero, Fraction(5, 6)]]
+        b = [[Fraction(2, 7), Q.one], [Fraction(3, 4), Q.zero]]
+        assert linalg.matmul(a, b) == [[Fraction(1, 7) + Fraction(1, 4), half],
+                                       [Fraction(5, 8), Q.zero]]
+
+
+class TestRank:
+    @pytest.mark.parametrize("name, entry, zero, p", FIELDS)
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (7, 1), (5, 8), (8, 5),
+                                      (9, 9)])
+    def test_full_random_matrices(self, name, entry, zero, p, n, m):
+        s = Stream(31 * n + m).derive(name)
+        for _ in range(5):
+            a = _matrix(s, n, m, entry)
+            assert linalg.rank(a) == _ref_rank(a, p)
+
+    @pytest.mark.parametrize("name, entry, zero, p", FIELDS)
+    @pytest.mark.parametrize("n, m, r", [(6, 7, 1), (6, 7, 3), (8, 8, 5),
+                                         (9, 4, 2), (3, 9, 2)])
+    def test_rank_deficient(self, name, entry, zero, p, n, m, r):
+        s = Stream(100 * r + 10 * n + m).derive(name)
+        for _ in range(5):
+            a = _low_rank(s, n, m, r, entry, zero)
+            want = _ref_rank(a, p)
+            assert want <= r
+            assert linalg.rank(a) == want
+
+    def test_zero_rows_and_columns(self):
+        s = Stream(37)
+        a = _low_rank(s, 7, 6, 4, _q_entry, Q.zero)
+        a[0] = [Q.zero] * 6
+        a[4] = [Q.zero] * 6
+        for row in a:
+            row[2] = Q.zero
+        assert linalg.rank(a) == _ref_rank(a)
+        assert linalg.rank([[Q.zero] * 5] * 3) == 0
+        assert linalg.rank([[F5.zero], [F5.zero]]) == 0
+
+    def test_dependence_hidden_by_denominators(self):
+        # row 2 = row 0 / 3 - 2 row 1 / 5, so the rank is 2; moving one
+        # entry by 10^-9 makes it 3
+        r0 = [Fraction(1, 2), Fraction(-7, 3), Fraction(5), Fraction(2, 9)]
+        r1 = [Fraction(3, 4), Fraction(0), Fraction(-1, 6), Fraction(8)]
+        r2 = [a / 3 - 2 * b / 5 for a, b in zip(r0, r1)]
+        assert linalg.rank([r0, r1, r2]) == 2
+        r2[3] += Fraction(1, 10 ** 9)
+        assert linalg.rank([r0, r1, r2]) == 3
+
+
+class TestExtensionFieldMatrices:
+    def test_generic_route(self, QQ, tower_l_q):
+        # L-valued matrices are not ground matrices: matmul and rank run
+        # on the extension arithmetic itself
+        d = CyclicAlgebra(tower_l_q, QQ.from_int(2))
+        L = d.L
+        s = Stream(79)
+        x = d.random(s)
+        assert d.norm(x)
+        mx = d.splitting_embed(x)
+        assert linalg.rank(mx) == 3
+        assert linalg.matmul(mx, linalg.identity(3, L.one, L.zero)) == mx
+        c = mx[1][0]                   # an L-multiple of row 1
+        mx[2] = [a - c * b for a, b in zip(mx[0], mx[1])]
+        assert linalg.rank(mx) == 2
+        mx[1] = [L.zero] * 3
+        mx[2] = [c * a for a in mx[0]]
+        assert linalg.rank(mx) == 1
+
+
+class TestUMatrix:
+    @staticmethod
+    def _reference(j, x):
+        """Column k is U_x(e_k) = T(x, e_k) x - x# x e_k."""
+        g = j.ground
+        sx = j.sharp(x)
+        cols = []
+        for k in range(j.dim):
+            e = tuple(g.one if i == k else g.zero for i in range(j.dim))
+            t = j.trace_pair(x, e)
+            cx = j.cross(sx, e)
+            cols.append([t * xi - ci for xi, ci in zip(x, cx)])
+        return [[cols[k][i] for k in range(j.dim)] for i in range(j.dim)]
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q"])
+    def test_mixed_denominators_over_q(self, name, request):
+        j = request.getfixturevalue(name)
+        s = Stream(71)
+        points = [tuple(Fraction(i - 13, 1 + i % 5) for i in range(j.dim))]
+        for _ in range(2):
+            x = j.random_invertible(s)
+            points += [x, j.inverse(x)]
+        assert any(c.denominator > 1 for c in points[-1])
+        for x in points:
+            got = j.u_matrix(x)
+            assert got == self._reference(j, x)
+            assert all(type(c) is Fraction for row in got for c in row)
+
+    def test_finite_field(self, j_lk_f5):
+        s = Stream(73)
+        for x in [j_lk_f5.unit] + [j_lk_f5.random_point(s) for _ in range(6)]:
+            got = j_lk_f5.u_matrix(x)
+            assert got == self._reference(j_lk_f5, x)
+            assert all(type(c) is type(j_lk_f5.ground.one)
+                       for row in got for c in row)

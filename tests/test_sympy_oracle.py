@@ -82,3 +82,32 @@ def test_eval_matches_sympy(p, args, point):
     # evaluating at a rational point
     assert _scalar(QQ, p.eval(point, one)) == \
         ps(*[_scalar(QQ, c) for c in point])
+
+
+# non-homogeneous polys with monomials up to degree 5, substituted by
+# polys of degree at most 2 (constants and zero included): terms of
+# degree 3 to 5 go through the grouping by first index, nested twice for
+# degree 5
+_monomials5 = st.lists(st.integers(0, NVARS - 1), max_size=5).map(
+    lambda idx: tuple(sorted(idx)))
+_polys5 = st.dictionaries(_monomials5, _coeffs, max_size=8).map(
+    lambda d: Poly({mono(idx): c for idx, c in d.items()}))
+_monomials2 = st.lists(st.integers(0, NVARS - 1), max_size=2).map(
+    lambda idx: tuple(sorted(idx)))
+_args2 = st.dictionaries(_monomials2, _coeffs, max_size=4).map(
+    lambda d: Poly({mono(idx): c for idx, c in d.items()}))
+
+
+@given(_polys5, st.lists(_args2, min_size=NVARS, max_size=NVARS))
+@settings(max_examples=80, deadline=None)
+def test_nested_eval_matches_sympy_compose(p, args):
+    r, xs = _ring(NVARS, QQ)
+    want = _to_sympy(p, r, QQ).compose(
+        list(zip(xs, [_to_sympy(a, r, QQ) for a in args])))
+    one = Fraction(1)
+    assert _to_sympy(p.eval(args, one), r, QQ) == want
+    cache = {}
+    assert _to_sympy(p.eval(args, one, cache), r, QQ) == want
+    assert all(len(k) == 2 for k in cache)
+    # a second call reads the pair products back from the cache
+    assert _to_sympy(p.eval(args, one, cache), r, QQ) == want

@@ -11,10 +11,15 @@ ground field k:
 
 Every operation is division-free in the element coordinates, so the
 same code paths run with polynomial indeterminates during symbolic
-expansion.  The reduced norm of the cyclic algebra is *defined* as the
-determinant of the splitting embedding; closed trace/adjoint formulas
-are validated against interpolation in the test suite before being
-used as fast paths.
+expansion, and on int coordinates when a point over Q is lifted to ints:
+the integral constants (the cyclic parameter a, the coefficients of f,
+the rho matrices, with rho^2 cached as one matrix) are held as plain
+ints, and sums start from None instead of a Fraction zero, so int
+coordinates stay ints through every product.  Over F_p the constants
+stay F_p scalars.  The reduced norm of the cyclic algebra is *defined*
+as the determinant of the splitting embedding; closed trace/adjoint
+formulas are validated against interpolation in the test suite before
+being used as fast paths.
 """
 
 from . import linalg
@@ -22,6 +27,7 @@ from .errors import (DescentFailure, NotInvertible, NotSecondKind,
                      TwistNotHermitian)
 from .fields import Elem, up_mod, up_mul
 from .poly import Poly, mono
+from .scalars import int_constants
 
 
 def _is_zero(c):
@@ -202,16 +208,21 @@ class CyclicAlgebra:
         self.tower = tower
         self.L = tower.L
         self.ground = tower.ground
-        self.a = a
         if not a:
             raise NotInvertible("cyclic algebra parameter a must be nonzero")
+        self.a = int_constants(a)
         self.center = GroundCenter(self.ground)
         self.k_dim = 9
+        self._one = Elem(self.L, int_constants(self.L.one.coords))
+        rho = self.L.autos["rho"]
+        self._rho_powers = (None, rho,
+                            int_constants(linalg.matmul(rho, rho)))
 
     def _rho(self, x, times):
-        for _ in range(times % 3):
-            x = self.L.apply("rho", x)
-        return x
+        times %= 3
+        if not times:
+            return x
+        return Elem(self.L, linalg.matvec(self._rho_powers[times], x.coords))
 
     def unit(self):
         return (self.L.one, self.L.zero, self.L.zero)
@@ -226,7 +237,7 @@ class CyclicAlgebra:
         return tuple(p * s for p in x)
 
     def mul(self, x, y):
-        z = [self.L.zero, self.L.zero, self.L.zero]
+        z = [None, None, None]
         for i in range(3):
             if not x[i]:
                 continue
@@ -237,13 +248,14 @@ class CyclicAlgebra:
                 term = x[i] * self._rho(y[j], i)
                 if s >= 3:
                     term = term * self.a
-                z[s % 3] = z[s % 3] + term
-        return tuple(z)
+                r = s % 3
+                z[r] = term if z[r] is None else z[r] + term
+        return tuple(self.L.zero if v is None else v for v in z)
 
     def splitting_embed(self, x):
         """Left-multiplication matrix on the right L-module with basis
         {1, e, e^2}; an injective algebra homomorphism into M3(L)."""
-        m = [[self.L.zero] * 3 for _ in range(3)]
+        m = [[None] * 3 for _ in range(3)]
         for j in range(3):
             for i in range(3):
                 if not x[i]:
@@ -253,8 +265,8 @@ class CyclicAlgebra:
                 entry = self._rho(x[i], (3 - r) % 3)
                 if s >= 3:
                     entry = entry * self.a
-                m[r][j] = m[r][j] + entry
-        return m
+                m[r][j] = entry if m[r][j] is None else m[r][j] + entry
+        return [[self.L.zero if v is None else v for v in row] for row in m]
 
     def _descend(self, l_elem):
         if any(not _is_zero(c) for c in l_elem.coords[1:]):
@@ -284,8 +296,8 @@ class CyclicAlgebra:
         t = self.trace(x)
         s = self.spur(x)
         xx = self.mul(x, x)
-        u = self.unit()
-        return tuple(xx[i] - x[i] * t + u[i] * s for i in range(3))
+        return (xx[0] - x[0] * t + self._one * s, xx[1] - x[1] * t,
+                xx[2] - x[2] * t)
 
     def inv(self, x):
         n = self.norm(x)
@@ -343,7 +355,8 @@ class CommutativeCubic:
     def over_LK(tower):
         """LK as a commutative cubic K-algebra (the second-process B)."""
         center = QuadraticCenter(tower)
-        f = [center.from_k_coords([c, tower.ground.zero]) for c in tower.L.f]
+        f = [center.from_k_coords(int_constants([c, tower.ground.zero]))
+             for c in tower.L.f]
         return CommutativeCubic(center, f, tower.L.autos["rho"])
 
     def unit(self):

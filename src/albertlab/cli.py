@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .config import load_config
+from .config import SEARCH_MODES, load_config
 from .errors import ConfigError, VerificationFailure
 from .runner import run_config
 
@@ -40,7 +40,7 @@ def _parser():
                         help="override the config seed")
         sp.add_argument("--budget", type=int, default=None,
                         help="override search budgets")
-        sp.add_argument("--mode", choices=("random", "exhaustive"),
+        sp.add_argument("--mode", choices=SEARCH_MODES,
                         default=None, help="override search mode")
         sp.add_argument("--out", default=None,
                         help="write the JSON report here instead of stdout")

@@ -40,23 +40,41 @@ def load_config(path):
 
 
 # integer task fields and their least values
-_TASK_COUNTS = (("budget", 0), ("points", 1), ("u_points", 1))
+_TASK_COUNTS = (("budget", 0), ("points", 1), ("u_points", 1),
+                ("corrupt_coord", 0))
+# task fields without a default
+_TASK_NEEDS = {"isotope": ("v",), "iso_verify": ("v",)}
+SEARCH_MODES = ("random", "exhaustive")
 
 
 def check_run(tasks, known, budget=None, jobs=1):
     """Reject what a run cannot honour before any task starts: a task name
-    not in `known` (the runner's task table), a task field of
-    _TASK_COUNTS that is not an integer of at least its least value, a
-    budget override below 0 and fewer than one job."""
+    not in `known` (the runner's task table), a missing field of
+    _TASK_NEEDS, a task field of _TASK_COUNTS that is not an integer of at
+    least its least value, a search mode not in SEARCH_MODES, a budget
+    override below 0 and fewer than one job."""
     for t in tasks:
-        if t["task"] not in known:
-            raise ConfigError("unknown task %r" % (t["task"],))
+        name = t["task"]
+        if name not in known:
+            raise ConfigError("unknown task %r" % (name,))
+        for key in _TASK_NEEDS.get(name, ()):
+            _need(t, key, "task %s" % name)
         for key, least in _TASK_COUNTS:
             if key in t:
-                _at_least(t[key], least, "%s %s" % (t["task"], key))
+                _at_least(t[key], least, "%s %s" % (name, key))
+        if "mode" in t and t["mode"] not in SEARCH_MODES:
+            raise ConfigError("%s mode must be one of %s, got %r"
+                              % (name, ", ".join(SEARCH_MODES), t["mode"]))
     if budget is not None:
         _at_least(budget, 0, "budget")
     _at_least(jobs, 1, "jobs")
+
+
+def _need(node, key, what):
+    """node[key], or a ConfigError saying that `what` lacks it."""
+    if not isinstance(node, dict) or key not in node:
+        raise ConfigError("%s has no %r field" % (what, key))
+    return node[key]
 
 
 def _at_least(value, least, what):
@@ -76,7 +94,10 @@ def _base_desc(node):
     if node in ("Q", "rationals", None):
         return Rationals()
     if isinstance(node, dict) and "p" in node:
-        return PrimeFieldDesc(int(node["p"]))
+        try:
+            return PrimeFieldDesc(int(node["p"]))
+        except (TypeError, ValueError):
+            raise ConfigError("bad prime %r" % (node["p"],))
     raise ConfigError("bad base field %r (use \"Q\" or {\"p\": prime})"
                       % (node,))
 
@@ -91,13 +112,14 @@ def tower_desc(node):
     if kind == "quadratic":
         return QuadraticEtale(base=base, d=node.get("d"),
                               split=bool(node.get("split", False)))
-    if kind == "cubic":
-        return CyclicCubic(base=base, f=tuple(node["f"]),
-                           rho=tuple(node["rho"]))
-    if kind == "composite":
+    if kind in ("cubic", "composite"):
+        what = "%s tower" % kind
+        cubic = CyclicCubic(base=base, f=tuple(_need(node, "f", what)),
+                            rho=tuple(_need(node, "rho", what)))
+        if kind == "cubic":
+            return cubic
         return Composite(
-            L=CyclicCubic(base=base, f=tuple(node["f"]),
-                          rho=tuple(node["rho"])),
+            L=cubic,
             K=QuadraticEtale(base=base, d=node.get("d"),
                              split=bool(node.get("split", False))))
     raise ConfigError("unknown tower kind %r" % (kind,))
@@ -133,8 +155,8 @@ class BuildContext:
         if ctype == "second_tits":
             return self._second(node)
         if ctype == "isotope_of":
-            base = self._construction(node["base"])
-            v = self._carrier_point(base, node["v"])
+            base = self._construction(_need(node, "base", ctype))
+            v = self._carrier_point(base, _need(node, "v", ctype))
             return isotopy.isotope(base, v)
         raise ConfigError("unknown construction type %r" % (ctype,))
 
@@ -147,7 +169,8 @@ class BuildContext:
         elif kind == "cyclic":
             if self.tower is None or self.tower.L is None:
                 raise ConfigError("cyclic algebra needs a cubic tower")
-            d_alg = CyclicAlgebra(self.tower, g.parse(alg_node["a"]))
+            d_alg = CyclicAlgebra(self.tower,
+                                  g.parse(_need(alg_node, "a", "cyclic")))
         elif kind == "cubic_etale":
             if self.tower is None or self.tower.L is None:
                 raise ConfigError("cubic etale algebra needs a cubic tower")
@@ -155,7 +178,7 @@ class BuildContext:
         else:
             raise ConfigError("unknown first-construction algebra %r"
                               % (kind,))
-        lam = g.parse(node["lambda"])
+        lam = g.parse(_need(node, "lambda", "first_tits"))
         return tits.first_tits(d_alg, lam)
 
     def _second(self, node):
@@ -178,7 +201,8 @@ class BuildContext:
             u = b_alg.unit()
         else:
             u = b_alg.from_k_coords(self._scalars(u_node, b_alg.k_dim))
-        mu = Elem(self.tower.K, self._scalars(node["mu"], 2))
+        mu_node = _need(node, "mu", "second_tits")
+        mu = Elem(self.tower.K, self._scalars(mu_node, 2))
         twist = node.get("sigma_twist")
         if twist is not None:
             sigma = sigma.twisted(

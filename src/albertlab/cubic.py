@@ -7,19 +7,25 @@ expansions of N and # are computed once by running the evaluators on
 polynomial indeterminates, together with their lifts to int
 coefficients.  Identity checks compare the int forms mod the
 characteristic where the expansion sizes stay reasonable and run exact
-checks at random points otherwise; N and #, and the U-operator matrix,
-at a ground point are computed from the int forms at the point's integer
-lift (scalars.lift) and mapped back once (scalars.from_int).
+checks at random points otherwise; N and #, the U-operator matrix and
+U_x(y) at a ground point are computed from the int forms at the point's
+integer lift (scalars.lift) and mapped back once (scalars.from_int).
+The random-point check of the expansion against the evaluators runs the
+evaluators on the point's int lift as well over Q (lifted_norm,
+lifted_sharp), where the algebras hold their integral constants as ints;
+over F_p the evaluators take the F_p point as it is.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Callable, List, Optional
 
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
-from .poly import Poly, directional_derivative, indices, variables
+from .poly import (Poly, _mul_into, _nonzero, directional_derivative,
+                   indices, mono, variables)
 from .rng import Stream
 from .scalars import from_int, lift
 
@@ -189,6 +195,26 @@ class CubicNormStructure:
         den *= d * d
         return tuple(from_int(self._kind, p.eval(xi, 1), den) for p in sh_i)
 
+    def lifted_norm(self, x):
+        """eval_norm at a ground point, run on its int lift over Q: with
+        x = xi / d, N(x) = eval_norm(xi) / d^3, since the expansion is a
+        homogeneous cubic (expand_symbolic checks it).  The evaluator then
+        multiplies ints by the int-held structure constants; F_p points
+        are passed as they are."""
+        if self._kind is not Fraction:
+            return self.eval_norm(list(x))
+        xi, d = lift(x)
+        return Fraction(self.eval_norm(xi), d ** 3)
+
+    def lifted_sharp(self, x):
+        """eval_sharp at a ground point, on its int lift over Q as in
+        lifted_norm: x# = eval_sharp(xi) / d^2."""
+        if self._kind is not Fraction:
+            return tuple(self.eval_sharp(list(x)))
+        xi, d = lift(x)
+        d *= d
+        return tuple(Fraction(v, d) for v in self.eval_sharp(xi))
+
     def trace(self, x):
         t_vec, _, _ = self._trace_data()
         acc = self.ground.zero
@@ -220,9 +246,27 @@ class CubicNormStructure:
         return tuple(a - b - c for a, b, c in zip(s, sx, sy))
 
     def u_op(self, x, y):
-        t = self.trace_pair(x, y)
-        cx = self.cross(self.sharp(x), y)
-        return tuple(t * xi - ci for xi, ci in zip(x, cx))
+        """U_x(y) = T(x,y) x - x# x y at ground points, on the int data of
+        u_matrix: with x = xi / dx and y = yi / dy, T(x,y) = (r.yi) /
+        (t_den dx dy) for r = (trace columns).xi, and x# x y =
+        c / (s_den^2 dx^2 dy) for the polarized adjoint c of s = x# (int)
+        and yi, so every coordinate is an int over lcm(t_den, s_den^2)
+        dx^2 dy, mapped back once."""
+        cols, t_den, cross = self._u_data()
+        sh_i, s_den = self._sharp_int
+        xi, dx = lift(x)
+        yi, dy = lift(y)
+        s = [p.eval(xi, 1) for p in sh_i]
+        t = sum(yj * sum(map(mul, col, xi))
+                for col, yj in zip(cols, yi) if yj)
+        sy = [sum(c * s[i] * yi[i] if i == j
+                  else c * (s[i] * yi[j] + s[j] * yi[i])
+                  for i, j, c in terms) for terms in cross]
+        den = lcm(t_den, s_den * s_den)
+        a, b = den // t_den, den // (s_den * s_den)
+        den *= dx * dx * dy
+        return tuple(from_int(self._kind, a * t * xv - b * cv, den)
+                     for xv, cv in zip(xi, sy))
 
     def _u_data(self):
         """Int data of the U-operator, lifted once: the columns of the
@@ -404,19 +448,24 @@ class CubicNormStructure:
                 break
         emit("unit_cross_identity", ok, "symbolic", wit)
 
-        # T(x#, y) equals the directional derivative of N at x along y
-        dd = directional_derivative(n_poly, self.dim)
-        ys = variables(2 * self.dim, g.one)[self.dim:]
-        _, _, tb = self._trace_data()
-        lhs = Poly()
-        for m in range(self.dim):
-            row = tb[m]
-            for n_i in range(self.dim):
-                coef = row[n_i]
-                if coef:
-                    lhs = lhs + coef * (sharp_polys[m] * ys[n_i])
-        emit("trace_adjoint_is_norm_derivative", lhs == dd, "symbolic",
-             None if lhs == dd else "polynomials differ")
+        # T(x#, y) equals the directional derivative of N at x along y.
+        # On the int forms (the trace columns of _u_data and _sharp_int),
+        # sum_m x#_m (sum_n T_mn y_n) is accumulated into one dict and
+        # compared with dN over the same denominator, mod the
+        # characteristic
+        cols, t_den, _ = self._u_data()
+        sh_i, s_den = self._sharp_int
+        n_i, n_den = self._n_int
+        acc = {}
+        for m, p in enumerate(sh_i):
+            lin = {mono((self.dim + n,)): col[m]
+                   for n, col in enumerate(cols) if col[m]}
+            if lin:
+                _mul_into(acc, p.terms, lin, 1)
+        ok = _mod(n_den * _nonzero(acc), g.char) == _mod(
+            s_den * t_den * directional_derivative(n_i, self.dim), g.char)
+        emit("trace_adjoint_is_norm_derivative", ok, "symbolic",
+             None if ok else "polynomials differ")
 
         # U_c = identity
         uc = self.u_matrix(self.unit)
@@ -455,10 +504,10 @@ class CubicNormStructure:
         wit = None
         for _ in range(points):
             pt = self.random_point(stream)
-            if self.norm(pt) != self.eval_norm(list(pt)):
+            if self.norm(pt) != self.lifted_norm(pt):
                 ok, wit = False, repr(pt)
                 break
-            if self.sharp(pt) != tuple(self.eval_sharp(list(pt))):
+            if self.sharp(pt) != self.lifted_sharp(pt):
                 ok, wit = False, repr(pt)
                 break
         emit("expansion_matches_evaluators", ok, "random", wit)

@@ -6,6 +6,14 @@ bases: {1, s} with s^2 = d for K (or the two idempotents for split K),
 the power basis {1, a, a^2} for L = k[x]/(f), and the tensor basis
 {a^i * w_j} (index 2*i + j) for LK.  Galois actions are k-linear
 matrices: bar on K, rho on L, and their K-/L-linear extensions on LK.
+
+Over Q the integral structure constants (multiplication tables, Galois
+matrices, the coefficients of f) are held as plain ints
+(scalars.int_constants), so an element with int coordinates -- a
+point lifted to ints by an evaluator check -- multiplies on ints and
+its products start from None rather than a Fraction zero.  Elements
+built from ground scalars keep Fraction coordinates, and over F_p every
+constant stays an F_p scalar.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +23,7 @@ from typing import Optional, Tuple
 from . import linalg
 from .errors import (ConfigError, LevelMismatch, NotGaloisClosure,
                      NotInvertible, NotIrreducible)
-from .scalars import PrimeField, RationalField
+from .scalars import PrimeField, RationalField, int_constants
 
 
 # ---------------------------------------------------------------------------
@@ -30,13 +38,14 @@ def up_trim(c):
 def up_mul(a, b, zero):
     if not a or not b:
         return []
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [None] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return up_trim(out)
+            t = x * y
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return up_trim([zero if v is None else v for v in out])
 
 
 def up_mod(a, f, zero):
@@ -253,8 +262,9 @@ class Extension:
         self.ground = ground
         self.name = name
         self.dim = dim
-        self.table = mult_table          # table[i][j] = coord list
-        self.autos = autos               # name -> dim x dim ground matrix
+        # table[i][j] = coord list; autos: name -> dim x dim ground matrix
+        self.table = int_constants(mult_table)
+        self.autos = {name: int_constants(m) for name, m in autos.items()}
         self.one = Elem(self, one_coords)
         self.zero = Elem(self, [ground.zero] * dim)
 
@@ -274,6 +284,7 @@ class Extension:
     def mul_coords(self, a, b):
         dim = self.dim
         out = [None] * dim
+        prod = None
         for i in range(dim):
             ai = a[i]
             if not ai:
@@ -286,9 +297,13 @@ class Extension:
                 prod = ai * bj
                 for m, c in enumerate(row[j]):
                     if c:
-                        t = prod * c if c != self.ground.one else prod
+                        t = prod * c if c != 1 else prod
                         out[m] = t if out[m] is None else out[m] + t
-        zero = self.ground.zero
+        if prod is None:                    # a or b is zero
+            prod = a[0] * b[0]
+        # a coordinate no product reached: int 0 between int lifts, so
+        # they stay ints, and the ground zero otherwise
+        zero = 0 if type(prod) is int else self.ground.zero
         return [zero if v is None else v for v in out]
 
     def apply(self, auto_name, x):
@@ -396,7 +411,7 @@ def _build_cyclic_cubic(ground, desc):
     rho_mat = [[cols[j][i] for j in range(3)] for i in range(3)]
     ext = Extension(g, "L", 3, table, [g.one, g.zero, g.zero],
                     {"rho": rho_mat})
-    ext.f = f
+    ext.f = int_constants(f)
     ext.rho_poly = rho
     return ext
 

@@ -77,6 +77,9 @@ def _t_axioms(ctx, node, entry, tseed, **kw):
         # mutation self-test: perturb one adjoint coefficient and let the
         # suite prove it notices (the task is then expected to fail)
         from .cubic import corrupt_sharp
+        if int(corrupt) >= j.dim:
+            raise ConfigError("axioms corrupt_coord must be below %d, got %s"
+                              % (j.dim, corrupt))
         j = corrupt_sharp(j, int(corrupt))
         entry["corrupted_coord"] = int(corrupt)
     rep = j.axiom_suite(seed=tseed, points=int(node.get("points", 100)))

@@ -7,8 +7,13 @@ fractions.Fraction, prime fields use a dynamically created int subclass
 that reduces mod p on every operation.
 
 The exact kernels (Poly point evaluation, matrix products and ranks,
-U-matrices) run on plain ints: lift() clears the denominators of a list
-of ground scalars once, and from_int() maps an int result back once.
+U-matrices and U-operators) run on plain ints: lift() clears the
+denominators of a list of ground scalars once, and from_int() maps an
+int result back once.  Over Q the structure constants of the algebras
+(multiplication tables, Galois matrices, construction parameters) are
+held as plain ints wherever they are integral (int_constants), so the
+algebra evaluators run on ints when a point is lifted to ints; F_p
+scalars are never replaced, because every F_p value must stay reduced.
 """
 
 from fractions import Fraction
@@ -123,6 +128,19 @@ def lift(xs):
     over F_p the residues and d = 1."""
     d = lcm(*[c.denominator for c in xs])
     return [c.numerator * (d // c.denominator) for c in xs], d
+
+
+def int_constants(x):
+    """x with every integral Fraction replaced by the equal plain int,
+    through nested lists and tuples.  Non-integral Fractions, F_p scalars
+    and anything else are returned unchanged.  A product of ints stays an
+    int, and int with Fraction gives a Fraction, so every value computed
+    from the result stays exact as long as nothing is divided."""
+    if isinstance(x, (list, tuple)):
+        return type(x)(int_constants(c) for c in x)
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def from_int(kind, v, den):

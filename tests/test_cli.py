@@ -184,6 +184,42 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+    # (command, config, path to the edited field, new value or None to
+    # delete the field)
+    @pytest.mark.parametrize("command, name, path, value", [
+        ("check", "m3_f5_first.json", ["base", "p"], "abc"),
+        ("check", "m3_f5_first.json", ["construction", "lambda"], None),
+        ("check", "lk_q_second.json", ["construction", "mu"], None),
+        ("check", "cyclic_q_first.json", ["tower", "f"], None),
+        ("check", "lk_q_second.json", ["tower", "rho"], None),
+        ("check", "cyclic_q_first.json", ["construction", "algebra", "a"],
+         None),
+        ("isotope", "m3_q_first.json", ["tasks", 2, "v"], None),
+        ("isotope", "lk_q_second.json", ["tasks", 2, "v"], None),
+        ("check", "m3_f5_first.json", ["tasks", 0, "corrupt_coord"], 99),
+        ("check", "m3_f5_first.json", ["tasks", 0, "corrupt_coord"], -1),
+        ("check", "m3_f5_first.json", ["tasks", 1, "mode"], "bogus"),
+    ])
+    def test_malformed_config_is_2(self, tmp_path, command, name, path,
+                                   value):
+        with open(cfg(name)) as fh:
+            data = json.load(fh)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli([command, "--config", str(c)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestDeterminism:
     def test_reports_identical_across_jobs(self, tmp_path):
         a = tmp_path / "a.json"

@@ -24,8 +24,8 @@ from typing import Callable, List, Optional
 
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
-from .poly import (Poly, _mul_into, _nonzero, directional_derivative,
-                   indices, mono, variables)
+from .poly import (Poly, directional_derivative, indices, linear_form,
+                   sum_of_products, variables)
 from .rng import Stream
 from .scalars import from_int, lift
 
@@ -433,10 +433,7 @@ class CubicNormStructure:
         # c x x = T(x) c - x   (cross with the unit)
         cu = self.cross(self.unit, xs)
         t_vec, _, _ = self._trace_data()
-        t_sym = Poly()
-        for i, t in enumerate(t_vec):
-            if t:
-                t_sym = t_sym + Poly.var(i, t)
+        t_sym = linear_form(t_vec)
         ok = True
         wit = None
         for i in range(self.dim):
@@ -450,19 +447,16 @@ class CubicNormStructure:
 
         # T(x#, y) equals the directional derivative of N at x along y.
         # On the int forms (the trace columns of _u_data and _sharp_int),
-        # sum_m x#_m (sum_n T_mn y_n) is accumulated into one dict and
-        # compared with dN over the same denominator, mod the
-        # characteristic
+        # sum_m x#_m (sum_n T_mn y_n), with y in variables dim..2 dim - 1,
+        # is accumulated into one dict and compared with dN over the same
+        # denominator, mod the characteristic
         cols, t_den, _ = self._u_data()
         sh_i, s_den = self._sharp_int
         n_i, n_den = self._n_int
-        acc = {}
-        for m, p in enumerate(sh_i):
-            lin = {mono((self.dim + n,)): col[m]
-                   for n, col in enumerate(cols) if col[m]}
-            if lin:
-                _mul_into(acc, p.terms, lin, 1)
-        ok = _mod(n_den * _nonzero(acc), g.char) == _mod(
+        lhs = sum_of_products(
+            (p, linear_form([col[m] for col in cols], self.dim))
+            for m, p in enumerate(sh_i))
+        ok = _mod(n_den * lhs, g.char) == _mod(
             s_den * t_den * directional_derivative(n_i, self.dim), g.char)
         emit("trace_adjoint_is_norm_derivative", ok, "symbolic",
              None if ok else "polynomials differ")

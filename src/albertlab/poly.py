@@ -273,6 +273,19 @@ def variables(n, one):
     return [Poly.var(i, one) for i in range(n)]
 
 
+def linear_form(coeffs, offset=0):
+    """sum_n coeffs[n] x_{offset + n}; zero coefficients are skipped."""
+    return Poly({mono((offset + n,)): c for n, c in enumerate(coeffs) if c})
+
+
+def sum_of_products(pairs):
+    """sum a * b over the Poly pairs (a, b), accumulated in one dict."""
+    out = {}
+    for a, b in pairs:
+        _mul_into(out, a.terms, b.terms, 1)
+    return _nonzero(out)
+
+
 def directional_derivative(p, nvars):
     """d/dt p(x + t y) at t=0, as a Poly in x (vars 0..n-1), y (vars n..2n-1)."""
     out = {}

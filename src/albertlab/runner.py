@@ -38,6 +38,11 @@ def run_config(cfg, seed=None, budget=None, mode=None, jobs=1,
     ctx = BuildContext(cfg)
     j = ctx.j
     g = j.ground
+    for node in task_list:
+        corrupt = node.get("corrupt_coord")
+        if corrupt is not None and int(corrupt) >= j.dim:
+            raise ConfigError("%s corrupt_coord must be below %d, got %s"
+                              % (node["task"], j.dim, corrupt))
     if seed is None:
         seed = int(cfg.get("seed", 0))
 
@@ -77,11 +82,9 @@ def _t_axioms(ctx, node, entry, tseed, **kw):
         # mutation self-test: perturb one adjoint coefficient and let the
         # suite prove it notices (the task is then expected to fail)
         from .cubic import corrupt_sharp
-        if int(corrupt) >= j.dim:
-            raise ConfigError("axioms corrupt_coord must be below %d, got %s"
-                              % (j.dim, corrupt))
-        j = corrupt_sharp(j, int(corrupt))
-        entry["corrupted_coord"] = int(corrupt)
+        corrupt = int(corrupt)
+        j = corrupt_sharp(j, corrupt)
+        entry["corrupted_coord"] = corrupt
     rep = j.axiom_suite(seed=tseed, points=int(node.get("points", 100)))
     entry["status"] = "pass" if rep.all_passed else "fail"
     entry["checks"] = [

@@ -219,6 +219,27 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    def test_corrupt_coord_bound_checked_before_any_task(self, tmp_path,
+                                                         monkeypatch):
+        # the bound needs the built structure, but still holds before the
+        # first task: the search ahead of the axioms task never starts
+        from albertlab import runner
+        calls = []
+        monkeypatch.setattr(runner.search, "division_falsify",
+                            lambda *a, **kw: calls.append(a))
+        with open(cfg("m3_f5_first.json")) as fh:
+            data = json.load(fh)
+        data["tasks"] = [{"task": "div_falsify", "budget": 10},
+                         {"task": "axioms", "corrupt_coord": 99}]
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", "--config", str(c)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: axioms corrupt_coord ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert calls == []
+
 
 class TestDeterminism:
     def test_reports_identical_across_jobs(self, tmp_path):

@@ -10,7 +10,8 @@ from albertlab import linalg
 from albertlab.errors import (AlbertLabError, ConfigError, NonPrimeModulus,
                               NotInvertible)
 from albertlab.poly import (Poly, directional_derivative, dump_cubic_form,
-                            indices, mono, variables)
+                            indices, linear_form, mono, sum_of_products,
+                            variables)
 from albertlab.rng import Stream, draw, splitmix64
 from albertlab.scalars import PrimeField, RationalField, is_prime
 
@@ -107,6 +108,21 @@ class TestPoly:
         dd = directional_derivative(x * x * x, 1)
         y0 = Poly.var(1, Fraction(1))
         assert dd == 3 * x * x * y0
+
+    def test_linear_form_and_sum_of_products(self):
+        x, y, z = self._vars()
+        assert linear_form([Fraction(2), 0, Fraction(-1, 3)]) == \
+            2 * x - Fraction(1, 3) * z
+        # offset 3 puts the form in x3, x4, x5
+        w = variables(6, Fraction(1))
+        assert linear_form([1, 5], 3) == w[3] + 5 * w[4]
+        assert linear_form([0, 0]) == Poly()
+        pairs = [(x * y + z, x - 2 * z), (z * z, y + 1), (x, -x),
+                 (y, Poly())]
+        assert sum_of_products(pairs) == \
+            sum((a * b for a, b in pairs), Poly())
+        # cancelling products leave no zero coefficient behind
+        assert sum_of_products([(x, y), (-x, y)]).terms == {}
 
     @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
            st.lists(st.integers(-9, 9), min_size=3, max_size=3))

@@ -1,14 +1,14 @@
 """Run the perfbench workloads and write one BENCH JSON file.
 
-    python3 tools/bench.py --out BENCH_N.json [--baseline DIR] \
-        [--pairs 10] [--seconds 20] [--seed 1] \
-        [--workloads axioms certify search]
+    python3 tools/bench.py --out BENCH_N.json [--baseline DIR]
 
-Run from the root of a checkout.  Each run is one
-`python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
-started in a checkout; its last output line is parsed for the
+Run from the root of a checkout.  Each of the three workloads (axioms,
+certify, search) gets PAIRS = 10 runs of
+`python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0`
+(the run length perfbench/README.md fixes), run i with seed
+FIRST_SEED + i; the last output line of each run is parsed for the
 end-to-end metrics (setup_s, verdict_s, peak_rss_mb) and the attempted
-and failed operation counts.  Run i of a workload uses seed S + i.
+and failed operation counts.
 
 With --baseline DIR (another checkout, e.g. the parent commit) every
 pair runs both checkouts with the same seed, alternating which goes
@@ -27,6 +27,9 @@ import subprocess
 import sys
 
 WORKLOADS = ("axioms", "certify", "search")
+PAIRS = 10
+SECONDS = 20
+FIRST_SEED = 11
 METRICS = ("setup_s", "verdict_s", "peak_rss_mb")   # all lower-is-better
 
 
@@ -44,11 +47,11 @@ def _git_sha(root):
     return sha.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
 
 
-def run_once(root, workload, seed, seconds):
+def run_once(root, workload, seed):
     """One perfbench run in the checkout at root: the parsed result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -63,25 +66,24 @@ def run_once(root, workload, seed, seconds):
 
 def summary(values):
     """Median and quartiles of a list of run values."""
-    if len(values) < 2:
-        return {"n": len(values), "median": values[0] if values else None}
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return {"n": len(values), "median": statistics.median(values),
             "q1": q1, "q3": q3}
 
 
-def bench_workload(workload, roots, pairs, seed, seconds):
-    """`pairs` rounds over the checkouts in roots (name -> path), the
-    order alternating from one round to the next."""
+def bench_workload(workload, roots):
+    """PAIRS rounds over the checkouts in roots (name -> path), the order
+    alternating from one round to the next."""
     names = list(roots)
     runs = {name: [] for name in names}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = names if i % 2 == 0 else names[::-1]
         for name in order:
-            r = run_once(roots[name], workload, seed + i, seconds)
+            r = run_once(roots[name], workload, FIRST_SEED + i)
             runs[name].append(r)
             print("%s %s seed %d: verdict_s %.3f" % (
-                workload, name, seed + i, r["verdict_s"]), file=sys.stderr)
+                workload, name, FIRST_SEED + i, r["verdict_s"]),
+                file=sys.stderr)
     out = {"runs": runs,
            "summary": {name: {m: summary([r[m] for r in runs[name]])
                               for m in METRICS} for name in names}}
@@ -98,16 +100,7 @@ def main(argv=None):
     ap.add_argument("--out", required=True, help="the JSON file to write")
     ap.add_argument("--baseline", default=None,
                     help="another checkout to run in alternating pairs")
-    ap.add_argument("--pairs", type=int, default=10,
-                    help="runs per workload and checkout")
-    ap.add_argument("--seconds", type=int, default=20,
-                    help="perfbench run length")
-    ap.add_argument("--seed", type=int, default=1, help="first seed")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                    default=list(WORKLOADS))
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 1:
-        ap.error("--pairs and --seconds must be at least 1")
 
     roots = {"checkout": os.getcwd()}
     if args.baseline:
@@ -121,11 +114,9 @@ def main(argv=None):
                  "python": platform.python_version(),
                  "machine": platform.machine()},
         "commits": {name: _git_sha(root) for name, root in roots.items()},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "first_seed": args.seed, "trace": 0},
-        "workloads": {w: bench_workload(w, roots, args.pairs, args.seed,
-                                        args.seconds)
-                      for w in args.workloads},
+        "settings": {"pairs": PAIRS, "seconds": SECONDS,
+                     "first_seed": FIRST_SEED, "trace": 0},
+        "workloads": {w: bench_workload(w, roots) for w in WORKLOADS},
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

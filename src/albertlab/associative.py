@@ -19,14 +19,17 @@ coordinates stay ints through every product.  Over F_p the constants
 stay F_p scalars.  The reduced norm of the cyclic algebra is *defined*
 as the determinant of the splitting embedding; closed trace/adjoint
 formulas are validated against interpolation in the test suite before
-being used as fast paths.
+being used as fast paths.  Each algebra also expands its reduced norm
+once into int forms in the k-coordinates (norm_int), which the witness
+search evaluates at every candidate.
 """
 
 from . import linalg
+from .cubic import _int_scaled
 from .errors import (DescentFailure, NotInvertible, NotSecondKind,
-                     TwistNotHermitian)
+                     TwistNotHermitian, VerificationFailure)
 from .fields import Elem, up_mod, up_mul
-from .poly import Poly, mono
+from .poly import Poly, mono, variables
 from .scalars import int_constants
 
 
@@ -99,9 +102,37 @@ class QuadraticCenter:
 
 
 # ---------------------------------------------------------------------------
+# the reduced norm as int forms
+
+class _IntNorm:
+    """The reduced norm expanded once, for the algebras below."""
+
+    _norm_int = None
+
+    def norm_int(self):
+        """(forms, den): an element with k-coordinates x has reduced norm
+        with center coordinates forms[i](x) / den, for the int cubic forms
+        of cubic._int_scaled (one form over a ground center, two over a
+        quadratic one).  The forms are homogeneous, so at x = xi / d the
+        norm is forms[i](xi) / (den d^3)."""
+        if self._norm_int is None:
+            c = self.center
+            n = self.norm(self.from_k_coords(
+                variables(self.k_dim, c.ground.one)))
+            polys = [p if isinstance(p, Poly) else Poly.const(p)
+                     for p in c.to_k_coords(n)]
+            if not all(p.is_homogeneous(3) for p in polys):
+                raise VerificationFailure(
+                    "reduced norm of %r is not a homogeneous cubic"
+                    % (self,))
+            self._norm_int = _int_scaled(polys)
+        return self._norm_int
+
+
+# ---------------------------------------------------------------------------
 # matrix algebra M3(center)
 
-class MatrixAlgebra:
+class MatrixAlgebra(_IntNorm):
     """3x3 matrices, elements as row-major 9-tuples of center elements."""
 
     kind = "matrix3"
@@ -196,7 +227,7 @@ class MatrixAlgebra:
 # ---------------------------------------------------------------------------
 # cyclic algebra (L/k, rho, a)
 
-class CyclicAlgebra:
+class CyclicAlgebra(_IntNorm):
     """(L/k, rho, a): x = x0 + x1 e + x2 e^2 with x_i in L, e l = rho(l) e,
     e^3 = a in k*.  Elements are 3-tuples of L Elems."""
 
@@ -325,7 +356,7 @@ class CyclicAlgebra:
 # ---------------------------------------------------------------------------
 # commutative cubic etale algebra (L over k, LK over K)
 
-class CommutativeCubic:
+class CommutativeCubic(_IntNorm):
     """Cubic etale algebra C[x]/(f) over center C with Galois generator rho.
 
     Elements are coefficient triples over the center.  Used both as a

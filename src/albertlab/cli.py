@@ -45,7 +45,9 @@ def _parser():
         sp.add_argument("--out", default=None,
                         help="write the JSON report here instead of stdout")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for sharded searches")
+                        help="accepted for compatibility and checked to be "
+                             "at least 1; searches run in one sequential "
+                             "scan")
         sp.add_argument("--timing", action="store_true",
                         help="include timing fields in the report "
                              "(breaks byte-for-byte comparability)")

@@ -31,7 +31,10 @@ def load_config(path):
     version = cfg.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError("unsupported schema_version %r" % (version,))
-    for t in cfg.get("tasks", []):
+    tasks = cfg.get("tasks", [])
+    if not isinstance(tasks, list):
+        raise ConfigError("'tasks' must be a list, got %r" % (tasks,))
+    for t in tasks:
         if not isinstance(t, dict) or "task" not in t:
             raise ConfigError("each task needs a 'task' field")
     if "construction" not in cfg:
@@ -77,11 +80,32 @@ def _need(node, key, what):
     return node[key]
 
 
-def _at_least(value, least, what):
+def _object(node, what):
+    """node, or a ConfigError when it is not a JSON object."""
+    if not isinstance(node, dict):
+        raise ConfigError("%s must be a JSON object, got %r" % (what, node))
+    return node
+
+
+def _coeff_list(node, key, what):
+    """The coefficient list node[key] as a tuple."""
+    value = _need(node, key, what)
+    if not isinstance(value, list):
+        raise ConfigError("%s %r must be a list of coefficients, got %r"
+                          % (what, key, value))
+    return tuple(value)
+
+
+def as_int(value, what):
+    """int(value), or a ConfigError naming `what`."""
     try:
-        n = int(value)
+        return int(value)
     except (TypeError, ValueError):
         raise ConfigError("%s must be an integer, got %r" % (what, value))
+
+
+def _at_least(value, least, what):
+    n = as_int(value, what)
     if n < least:
         raise ConfigError("%s must be at least %d, got %d"
                           % (what, least, n))
@@ -114,8 +138,8 @@ def tower_desc(node):
                               split=bool(node.get("split", False)))
     if kind in ("cubic", "composite"):
         what = "%s tower" % kind
-        cubic = CyclicCubic(base=base, f=tuple(_need(node, "f", what)),
-                            rho=tuple(_need(node, "rho", what)))
+        cubic = CyclicCubic(base=base, f=_coeff_list(node, "f", what),
+                            rho=_coeff_list(node, "rho", what))
         if kind == "cubic":
             return cubic
         return Composite(
@@ -149,7 +173,7 @@ class BuildContext:
         return ground_field_of(_base_desc(node))
 
     def _construction(self, node):
-        ctype = node.get("type")
+        ctype = _object(node, "construction").get("type")
         if ctype == "first_tits":
             return self._first(node)
         if ctype == "second_tits":
@@ -162,7 +186,8 @@ class BuildContext:
 
     def _first(self, node):
         g = self._ground()
-        alg_node = node.get("algebra", {"kind": "matrix"})
+        alg_node = _object(node.get("algebra", {"kind": "matrix"}),
+                           "first_tits algebra")
         kind = alg_node.get("kind")
         if kind == "matrix":
             d_alg = MatrixAlgebra(GroundCenter(g))
@@ -184,7 +209,8 @@ class BuildContext:
     def _second(self, node):
         if self.tower is None or self.tower.K is None:
             raise ConfigError("second construction needs a tower with K")
-        alg_node = node.get("algebra", {"kind": "lk"})
+        alg_node = _object(node.get("algebra", {"kind": "lk"}),
+                           "second_tits algebra")
         kind = alg_node.get("kind")
         if kind == "lk":
             if self.tower.LK is None:

@@ -362,8 +362,10 @@ def _build_quadratic(ground, desc):
 
 
 def _parse_upoly(ground, coeffs):
-    return [ground.from_fraction(Fraction(c)) if isinstance(c, (int, str, Fraction))
-            else ground.from_fraction(c) for c in coeffs]
+    try:
+        return [ground.from_fraction(Fraction(c)) for c in coeffs]
+    except (TypeError, ValueError, ZeroDivisionError, NotInvertible):
+        raise ConfigError("bad polynomial coefficients %r" % (coeffs,))
 
 
 def _build_cyclic_cubic(ground, desc):

@@ -11,6 +11,9 @@ and every deterministic order (dumps, repr, witnesses) sorts by it.
 
 Coefficients are ground-field scalars (Fraction or mod-p ints) or plain
 ints; zero coefficients are never stored, so equality is dict equality.
+No code changes a Poly's term dict once the Poly is built: every
+operation returns a new Poly, and the scalar route of eval caches a plan
+of the terms on that assumption.
 A Poly multiplies only by another Poly, an int or a Fraction; any other
 operand (an extension Elem) gets NotImplemented and handles the product
 itself.
@@ -89,10 +92,11 @@ def _nonzero(out):
 
 
 class Poly:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, terms=None):
         self.terms = terms if terms is not None else {}
+        self._plan = None
 
     # -- construction helpers -------------------------------------------
 
@@ -218,7 +222,10 @@ class Poly:
         """Substitute args[i] for variable i.
 
         With scalar args the result is the scalar sum of c * prod(args);
-        `one` only fixes its zero when self has no terms.  With Poly args
+        `one` only fixes its zero when self has no terms.  The terms are
+        read from a plan of (coefficient, indices(m)) pairs built at the
+        first scalar evaluation and kept, which is sound because a Poly's
+        terms never change after construction.  With Poly args
         the substitution is nested: the terms of degree 3 or more are
         grouped by their first index i, self = sum_i x_i Q_i + (terms of
         degree at most 2), each Q_i is substituted the same way and then
@@ -232,9 +239,13 @@ class Poly:
         once and are not stored.
         """
         if not any(isinstance(a, Poly) for a in args):
+            plan = self._plan
+            if plan is None:
+                plan = self._plan = [(c, indices(m))
+                                     for m, c in self.terms.items()]
             total = one - one
-            for m, c in self.terms.items():
-                for i in indices(m):
+            for c, idx in plan:
+                for i in idx:
                     c = c * args[i]
                 total = total + c
             return total

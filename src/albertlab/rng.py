@@ -1,8 +1,8 @@
 """Counter-based deterministic random stream (splitmix64).
 
-Draw i of a stream is a pure function of (seed, i), so disjoint search
-shards can read the same stream at arbitrary offsets and reproduce each
-other's values exactly.  The algorithm is pinned in docs/schema.md so
+Draw i of a stream is a pure function of (seed, i), so a search reads
+candidate i at its own offset of the stream, and any candidate can be
+reproduced on its own.  The algorithm is pinned in docs/schema.md so
 reports stay comparable across implementations.
 """
 

@@ -9,7 +9,7 @@ they never break report comparisons.
 import time
 
 from . import galois, isotopy, search
-from .config import SCHEMA_VERSION, BuildContext, check_run
+from .config import SCHEMA_VERSION, BuildContext, as_int, check_run
 from .errors import ConfigError, NotInvertible, VerificationFailure
 from .poly import dump_cubic_form, dump_quad_map
 from .rng import Stream
@@ -35,6 +35,8 @@ def run_config(cfg, seed=None, budget=None, mode=None, jobs=1,
         cfg.get("tasks", [{"task": "axioms"}])
     check_run(cfg.get("tasks", []) + (tasks or []), _HANDLERS,
               budget=budget, jobs=jobs)
+    if seed is None:
+        seed = as_int(cfg.get("seed", 0), "seed")
     ctx = BuildContext(cfg)
     j = ctx.j
     g = j.ground
@@ -43,8 +45,6 @@ def run_config(cfg, seed=None, budget=None, mode=None, jobs=1,
         if corrupt is not None and int(corrupt) >= j.dim:
             raise ConfigError("%s corrupt_coord must be below %d, got %s"
                               % (node["task"], j.dim, corrupt))
-    if seed is None:
-        seed = int(cfg.get("seed", 0))
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -1,21 +1,20 @@
 """Deterministic witness searches: norm-zero points, nilpotents, and
 division falsification.
 
-Candidate i of a random search is a pure function of (seed, i), so the
-index space can be partitioned into residue-class shards scanned by a
-worker pool; the earliest-index witness is returned no matter how many
-workers ran, which keeps reports byte-identical across --jobs settings.
-Every witness is re-verified with a fresh evaluation before it is
-returned.
+Candidate i of a random search is a pure function of (seed, i), and one
+sequential scan returns the earliest-index witness, so reports are
+byte-identical for a fixed seed.  The `jobs` argument is accepted and
+ignored: the predicates are pure-Python arithmetic, and worker threads
+made the scans slower.  The norm-preimage predicate of division
+falsification evaluates the coefficient algebra's int norm forms
+(norm_int) at the candidate's int lift.  Every witness is re-verified
+with a fresh evaluation before it is returned.
 """
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 from .associative import MatrixAlgebra
-from .cubic import CubicNormStructure
 from .errors import VerificationFailure
 from .rng import Stream
+from .scalars import lift
 
 
 class SearchResult:
@@ -52,48 +51,25 @@ def _exhaustive_point(j, index):
 
 
 class _Best:
-    """Shared minimal-index witness; doubles as the cancellation signal.
-
-    A shard stops once its next candidate index can no longer beat the
-    best hit so far, which preserves earliest-index semantics (and hence
-    byte-identical reports) for any worker count.
-    """
+    """The earliest-index hit of a scan: index and witness, or None."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.index = None
         self.witness = None
-
-    def offer(self, i, x):
-        with self._lock:
-            if self.index is None or i < self.index:
-                self.index = i
-                self.witness = x
 
 
 def _scan(indices, candidate, predicate, best):
     for i in indices:
-        cut = best.index
-        if cut is not None and i >= cut:
-            break
         x = candidate(i)
         if predicate(x):
-            best.offer(i, x)
-            break
+            best.index, best.witness = i, x
+            return
 
 
-def _sharded_search(total, candidate, predicate, jobs):
+def _search(total, candidate, predicate):
     """Earliest-index i in range(total) with predicate(candidate(i))."""
-    jobs = max(1, jobs)
     best = _Best()
-    if jobs == 1:
-        _scan(range(total), candidate, predicate, best)
-    else:
-        shards = [range(s, total, jobs) for s in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(
-                lambda shard: _scan(shard, candidate, predicate, best),
-                shards))
+    _scan(range(total), candidate, predicate, best)
     if best.index is None:
         return None
     return best.index, best.witness
@@ -111,11 +87,9 @@ def find_norm_zero(j, budget=10000, mode="random", seed=0, jobs=1):
             raise VerificationFailure(
                 "exhaustive search needs a finite ground field")
         total = j.ground.order ** j.dim
-        hit = _sharded_search(total, lambda i: _exhaustive_point(j, i),
-                              predicate, jobs)
+        hit = _search(total, lambda i: _exhaustive_point(j, i), predicate)
     else:
-        hit = _sharded_search(budget, lambda i: point_at(j, seed, i),
-                              predicate, jobs)
+        hit = _search(budget, lambda i: point_at(j, seed, i), predicate)
     if hit is None:
         return SearchResult("exhausted")
     i, x = hit
@@ -150,8 +124,7 @@ def find_nilpotent(j, budget=100000, seed=0, jobs=1):
         if predicate(x):
             return SearchResult("witness", witness=x, index=-1,
                                 detail="structured candidate")
-    hit = _sharded_search(budget, lambda i: point_at(j, seed, i),
-                          predicate, jobs)
+    hit = _search(budget, lambda i: point_at(j, seed, i), predicate)
     if hit is None:
         return SearchResult("exhausted")
     i, x = hit
@@ -175,7 +148,7 @@ def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
         d_alg = meta["algebra"]
         lam = meta["lam"]
         hit = _preimage_search(
-            d_alg, lam, lambda x: d_alg.norm(x), pre_budget, seed, jobs)
+            d_alg, lam, d_alg.norm, pre_budget, seed, jobs)
         if hit is not None:
             i, w = hit
             jw = _first_split_witness(j, d_alg, w)
@@ -190,7 +163,7 @@ def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
         b_alg = meta["algebra"]
         mu = meta["mu"]
         hit = _preimage_search(
-            b_alg, mu, lambda x: b_alg.norm(x), pre_budget, seed, jobs)
+            b_alg, mu, b_alg.norm, pre_budget, seed, jobs)
         if hit is not None:
             i, w = hit
             return SearchResult(
@@ -203,14 +176,42 @@ def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
 
 
 def _preimage_search(alg, value, norm_fn, budget, seed, jobs):
+    """Earliest (i, w) with N(w) = value over the random candidates w of
+    alg, tested on alg.norm_int and re-verified with norm_fn."""
     base = Stream(seed).derive("preimage").seed
 
     def candidate(i):
         s = Stream(base, offset=i * (alg.k_dim + 2))
         return alg.random(s)
 
-    return _sharded_search(
-        budget, candidate, lambda x: norm_fn(x) == value, jobs)
+    hit = _search(budget, candidate, _norm_is(alg, value))
+    if hit is not None and norm_fn(hit[1]) != value:
+        raise VerificationFailure("norm preimage failed re-verification")
+    return hit
+
+
+def _norm_is(alg, value):
+    """Predicate w -> N(w) == value on the int forms of alg.norm_int.
+
+    With the k-coordinates of w equal to xi / d and the center coordinates
+    of value equal to t / t_den, coordinate i of N(w) is
+    forms[i](xi) / (den d^3), so the test is
+    forms[i](xi) t_den == t[i] den d^3, read mod the characteristic."""
+    forms, den = alg.norm_int()
+    t, t_den = lift(alg.center.to_k_coords(value))
+    pairs = list(zip(forms, t))
+    char = alg.center.ground.char
+
+    def predicate(w):
+        xi, d = lift(alg.to_k_coords(w))
+        scale = den * d ** 3
+        for f, ti in pairs:
+            diff = f.eval(xi, 1) * t_den - ti * scale
+            if diff % char if char else diff:
+                return False
+        return True
+
+    return predicate
 
 
 def _first_split_witness(j, d_alg, w):

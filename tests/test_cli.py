@@ -199,6 +199,15 @@ class TestExitCodes:
         ("check", "m3_f5_first.json", ["tasks", 0, "corrupt_coord"], 99),
         ("check", "m3_f5_first.json", ["tasks", 0, "corrupt_coord"], -1),
         ("check", "m3_f5_first.json", ["tasks", 1, "mode"], "bogus"),
+        ("build", "m3_f5_first.json", ["construction"], "x"),
+        ("build", "m3_f5_first.json", ["construction", "algebra"],
+         "matrix"),
+        ("build", "lk_q_second.json", ["construction", "algebra"], "lk"),
+        ("build", "cyclic_q_first.json", ["tower", "f"], 5),
+        ("build", "cyclic_q_first.json", ["tower", "f"],
+         ["1", "x", "0", "1"]),
+        ("build", "m3_f5_first.json", ["seed"], "abc"),
+        ("build", "m3_f5_first.json", ["tasks"], 5),
     ])
     def test_malformed_config_is_2(self, tmp_path, command, name, path,
                                    value):

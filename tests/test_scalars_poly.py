@@ -136,6 +136,27 @@ class TestPoly:
         assert (p * q).eval(args, one) == p.eval(args, one) * q.eval(args, one)
         assert (p + q).eval(args, one) == p.eval(args, one) + q.eval(args, one)
 
+    @given(st.lists(st.tuples(
+               st.lists(st.integers(0, 3), max_size=4),
+               st.integers(-20, 20).filter(bool)), max_size=12),
+           st.lists(st.lists(st.fractions(max_denominator=6),
+                             min_size=4, max_size=4), min_size=1,
+                    max_size=3),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_eval_plan_matches_plain_loop(self, terms, points, over_f7):
+        # every point after the first reuses the plan the first one built
+        g = PrimeField(7) if over_f7 else RationalField()
+        p = Poly({mono(sorted(idx)): g.from_int(c) for idx, c in terms})
+        for args in points:
+            args = [g.from_fraction(a) for a in args]
+            total = g.zero
+            for m, c in p.terms.items():
+                for i in indices(m):
+                    c = c * args[i]
+                total = total + c
+            assert p.eval(args, g.one) == total
+
     def test_packed_monomials(self):
         # low byte: total degree; byte i + 1: exponent of x_i
         assert mono((0, 0, 2)) == 3 + (2 << 8) + (1 << 24)

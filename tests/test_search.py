@@ -1,9 +1,16 @@
-"""Deterministic sharded searches and their witness conversions."""
+"""Deterministic searches, their witness conversions, and the int norm
+forms of the coefficient algebras that the preimage scan evaluates."""
+
+from fractions import Fraction
 
 import pytest
 
 from albertlab import search
+from albertlab.associative import CyclicAlgebra
 from albertlab.errors import VerificationFailure
+from albertlab.fields import Elem
+from albertlab.rng import Stream
+from albertlab.scalars import from_int, lift
 from albertlab.search import (division_falsify, find_nilpotent,
                               find_norm_zero, point_at)
 
@@ -102,3 +109,77 @@ class TestDivisionFalsify:
         r8 = division_falsify(j_m3_f5, budget=4000, seed=5, jobs=8)
         assert (r1.status, r1.index, r1.witness, r1.detail) == \
             (r8.status, r8.index, r8.witness, r8.detail)
+
+    def test_preimage_hit_failing_norm_fn_raises(self, j_m3_f5):
+        # the int-form predicate hits (as above); a norm_fn that disagrees
+        # with it must stop the search instead of returning the hit
+        m3 = j_m3_f5.meta["algebra"]
+        lam = j_m3_f5.meta["lam"]
+        with pytest.raises(VerificationFailure):
+            search._preimage_search(m3, lam, lambda w: lam + 1, 4000, 5, 1)
+
+
+def _algebra(request, name):
+    if name == "cyclic_half":
+        # a = 1/2 gives the norm form a denominator, den = 4
+        tower = request.getfixturevalue("tower_l_q")
+        return CyclicAlgebra(tower, Fraction(1, 2))
+    return request.getfixturevalue(name).meta["algebra"]
+
+
+def _elements(alg, s):
+    """The unit, drawn elements, and over Q elements whose k-coordinates
+    have mixed denominators."""
+    out = [alg.unit()] + [alg.random(s) for _ in range(3)]
+    if alg.center.ground.char == 0:
+        for _ in range(3):
+            out.append(alg.from_k_coords([
+                Fraction(s.next_below(19) - 9, 1 + s.next_below(6))
+                for _ in range(alg.k_dim)]))
+        assert any(lift(alg.to_k_coords(w))[1] > 1 for w in out)
+    return out
+
+
+class TestIntNormForms:
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_cyc_q",
+                                      "cyclic_half", "j_lk_q", "j_lk_f5"])
+    def test_forms_match_algebra_norm(self, request, name):
+        alg = _algebra(request, name)
+        forms, den = alg.norm_int()
+        c = alg.center
+        assert len(forms) == c.dim
+        assert all(f.is_homogeneous(3) for f in forms)
+        if name == "cyclic_half":
+            assert den == 4
+        kind = type(c.ground.one)
+        for w in _elements(alg, Stream(7).derive(name)):
+            n = alg.norm(w)
+            xi, d = lift(alg.to_k_coords(w))
+            got = [from_int(kind, f.eval(xi, 1), den * d ** 3)
+                   for f in forms]
+            assert got == c.to_k_coords(n)
+            assert search._norm_is(alg, n)(w)
+            g = c.ground
+            for i in range(c.dim):
+                step = c.from_k_coords([g.one if k == i else g.zero
+                                        for k in range(c.dim)])
+                assert not search._norm_is(alg, n + step)(w)
+
+    def test_known_norms(self, j_m3_q, j_m3_f5, j_lk_q, QQ, F5):
+        m3 = j_m3_q.meta["algebra"]
+        two = m3.smul(QQ.from_int(2), m3.unit())
+        assert search._norm_is(m3, QQ.from_int(8))(two)
+        assert not search._norm_is(m3, QQ.from_int(7))(two)
+        half = m3.smul(Fraction(1, 2), m3.unit())     # lifts with d = 2
+        assert search._norm_is(m3, Fraction(1, 8))(half)
+        assert not search._norm_is(m3, Fraction(1, 4))(half)
+        m3_5 = j_m3_f5.meta["algebra"]
+        two = m3_5.smul(F5.from_int(2), m3_5.unit())
+        assert search._norm_is(m3_5, F5.from_int(8))(two)
+        assert not search._norm_is(m3_5, F5.from_int(2))(two)
+        b = j_lk_q.meta["algebra"]
+        k = b.center.K
+        two = b.smul(Elem(k, [QQ.from_int(2), QQ.zero]), b.unit())
+        assert search._norm_is(b, Elem(k, [QQ.from_int(8), QQ.zero]))(two)
+        assert not search._norm_is(
+            b, Elem(k, [QQ.from_int(8), QQ.one]))(two)

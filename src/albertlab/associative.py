@@ -119,8 +119,7 @@ class _IntNorm:
             c = self.center
             n = self.norm(self.from_k_coords(
                 variables(self.k_dim, c.ground.one)))
-            polys = [p if isinstance(p, Poly) else Poly.const(p)
-                     for p in c.to_k_coords(n)]
+            polys = c.to_k_coords(n)
             if not all(p.is_homogeneous(3) for p in polys):
                 raise VerificationFailure(
                     "reduced norm of %r is not a homogeneous cubic"

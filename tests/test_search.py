@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from albertlab import search
-from albertlab.associative import CyclicAlgebra
+from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
+                                   MatrixAlgebra, QuadraticCenter)
 from albertlab.errors import VerificationFailure
 from albertlab.fields import Elem
 from albertlab.rng import Stream
@@ -124,6 +125,11 @@ def _algebra(request, name):
         # a = 1/2 gives the norm form a denominator, den = 4
         tower = request.getfixturevalue("tower_l_q")
         return CyclicAlgebra(tower, Fraction(1, 2))
+    if name == "cubic_etale":
+        return CommutativeCubic.over_L(request.getfixturevalue("tower_l_q"))
+    if name == "m3_k":
+        return MatrixAlgebra(QuadraticCenter(
+            request.getfixturevalue("tower_q")))
     return request.getfixturevalue(name).meta["algebra"]
 
 
@@ -142,7 +148,8 @@ def _elements(alg, s):
 
 class TestIntNormForms:
     @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_cyc_q",
-                                      "cyclic_half", "j_lk_q", "j_lk_f5"])
+                                      "cyclic_half", "cubic_etale", "j_lk_q",
+                                      "j_lk_f5", "m3_k"])
     def test_forms_match_algebra_norm(self, request, name):
         alg = _algebra(request, name)
         forms, den = alg.norm_int()

@@ -491,7 +491,7 @@ class UnitaryInvolution:
                 raise TwistNotHermitian("twist u must satisfy sigma(u) = u")
             self._twist_inv = algebra.inv(twist)  # raises NotInvertible
         self._matrix = None
-        self._herm = None
+        self._herm = self._free = None
         if _validate:
             self._check_involution()
 
@@ -546,7 +546,20 @@ class UnitaryInvolution:
                       for j in range(alg.k_dim)] for i in range(alg.k_dim)]
             kern = linalg.kernel_basis(delta, g.one, g.zero)
             self._herm = [alg.from_k_coords(v) for v in kern]
+            self._free = [max(i for i, c in enumerate(v) if c)
+                          for v in kern]
         return self._herm
+
+    def hermitian_coords(self, x):
+        """Coordinates of a hermitian x in hermitian_basis().
+
+        Basis vector i is the echelon kernel vector of its free column,
+        its last nonzero entry, where it is 1 and every other basis vector
+        is 0; so coordinate i is the k-coordinate of x at that column.
+        x is not checked to be hermitian."""
+        self.hermitian_basis()
+        coords = self.algebra.to_k_coords(x)
+        return [coords[c] for c in self._free]
 
     def is_hermitian(self, x):
         return not any(p - q for p, q in zip(self.apply(x), x))

@@ -126,6 +126,15 @@ def _base_desc(node):
                       % (node,))
 
 
+def _split_flag(node):
+    """A tower's `split` field: the JSON value true or false."""
+    split = node.get("split", False)
+    if not isinstance(split, bool):
+        raise ConfigError("tower 'split' must be true or false, got %r"
+                          % (split,))
+    return split
+
+
 def tower_desc(node):
     if node is None:
         return None
@@ -135,7 +144,7 @@ def tower_desc(node):
     kind = node["kind"]
     if kind == "quadratic":
         return QuadraticEtale(base=base, d=node.get("d"),
-                              split=bool(node.get("split", False)))
+                              split=_split_flag(node))
     if kind in ("cubic", "composite"):
         what = "%s tower" % kind
         cubic = CyclicCubic(base=base, f=_coeff_list(node, "f", what),
@@ -145,7 +154,7 @@ def tower_desc(node):
         return Composite(
             L=cubic,
             K=QuadraticEtale(base=base, d=node.get("d"),
-                             split=bool(node.get("split", False))))
+                             split=_split_flag(node)))
     raise ConfigError("unknown tower kind %r" % (kind,))
 
 

@@ -66,7 +66,7 @@ class NotAdmissible(ConfigError):
 
 
 class NoVerifiedMap(VerificationFailure):
-    """No candidate isomorphism passed the norm-pullback certificate."""
+    """A closed-form isomorphism failed the norm-pullback certificate."""
 
 
 # isotope and Galois errors

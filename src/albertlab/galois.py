@@ -1,16 +1,17 @@
 """Extending the cubic Galois generator to a verified automorphism.
 
-For J = J(LK, *, 1, nu) with N_K(nu) = 1, the componentwise candidate
+For J = J(LK, *, 1, nu) with N_K(nu) = 1, the componentwise map
 rho~((l, x)) = (rho(l), (rho tensor id)(x)) is built as an exact matrix
-and then certified at runtime by the norm-pullback isomorphism check;
-its fixed subspace is computed as an exact kernel and checked to be a
-unital subalgebra.
+(tits.componentwise_matrix) and then certified at runtime by the
+norm-pullback isomorphism check; its fixed subspace is computed as an
+exact kernel and checked to be a unital subalgebra.
 """
 
 from . import linalg
 from .associative import CommutativeCubic
 from .errors import ConfigError, NormConditionFailed, VerificationFailure
 from .isotopy import LinearMap, verify_isomorphism
+from .tits import componentwise_matrix
 
 
 def extend_rho(j):
@@ -27,25 +28,12 @@ def extend_rho(j):
         raise NormConditionFailed("N_K(nu) != 1")
 
     g = j.ground
-    her = meta["her_basis"]
-    hd = len(her)
-    bd = b_alg.k_dim
-    cols = []
-    for h in her:
-        img = b_alg.rho(h)
-        top = linalg.matvec(meta["p_mat"], b_alg.to_k_coords(img))
-        cols.append(list(top) + [g.zero] * bd)
-    for i in range(bd):
-        coords = [g.one if t == i else g.zero for t in range(bd)]
-        img = b_alg.rho(b_alg.from_k_coords(coords))
-        cols.append([g.zero] * hd + b_alg.to_k_coords(img))
-    m = [[cols[c][r] for c in range(j.dim)] for r in range(j.dim)]
-
+    m = componentwise_matrix(j, j, b_alg.rho, b_alg.rho)
     f = LinearMap(j, j, m)
     ok, cert = verify_isomorphism(f)
     if not ok:
         raise VerificationFailure(
-            "componentwise rho candidate failed certification: %r" % (cert,))
+            "componentwise rho failed certification: %r" % (cert,))
     m2 = linalg.matmul(m, m)
     m3 = linalg.matmul(m2, m)
     ident = linalg.identity(j.dim, g.one, g.zero)

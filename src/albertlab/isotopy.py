@@ -6,10 +6,12 @@ The v-isotope lives on the same carrier with
 
 and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  Norm
 similarities are certified symbolically: the pullback of the target
-norm form through the candidate matrix is compared, monomial by
-monomial, with a scalar multiple of the source norm form.  An
-isomorphism certificate is a similarity with multiplier 1 that carries
-the base point to the base point.
+norm form through the map's matrix is compared, monomial by monomial,
+with a scalar multiple of the source norm form.  An isomorphism
+certificate is a similarity with multiplier 1 that carries the base
+point to the base point.  For a second construction the v-isotope is
+mapped onto J(B, s_v, u v#, N(v) mu) by one closed-form map, which is
+certified that way before it is returned.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from . import linalg
 from .cubic import CubicNormStructure, _int_scaled, _mod
 from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
 from .poly import Poly, indices, mono
-from .tits import embed_hermitian_summand, second_tits
+from .tits import componentwise_matrix, embed_hermitian_summand, second_tits
 
 
 class LinearMap:
@@ -155,91 +157,36 @@ def verify_isomorphism(f):
 # the isotope isomorphism for second constructions
 
 def second_tits_isotope_iso(j, v):
-    """A verified isomorphism isotope(J(B,s,u,mu), (v,0)) ->
-    J(B, s_v, u v#, N(v) mu) for sigma-hermitian invertible v.
+    """The certified isomorphism (b, x) |-> (vb, x) from
+    isotope(J(B,s,u,mu), (v,0)) to J(B, s_v, u v#, N(v) mu), for
+    s-hermitian invertible v (Petersson and Racine, "Jordan algebras of
+    degree 3 and the Tits process", J. Algebra 1986).
 
-    Candidates are drawn from a fixed list of structured shapes
-    (b, x) |-> (alpha(b), x w); each is accepted only if it passes
-    verify_isomorphism, so correctness rests on the certificate."""
+    vb is s_v-hermitian for s-hermitian b, as s_v(vb) = v s(b) s(v) v^-1
+    = vb.  The map is returned only once verify_isomorphism certifies it;
+    otherwise NoVerifiedMap is raised."""
     meta = getattr(j, "meta", None)
     if not meta or meta["type"] != "second_tits":
         raise ConfigError("needs a second-construction structure")
     b_alg = meta["algebra"]
     sigma = meta["sigma"]
-    u, mu = meta["u"], meta["mu"]
-    center = b_alg.center
     if not sigma.is_hermitian(v):
         raise ConfigError("v must be fixed by the involution")
     nv = b_alg.norm(v)          # in K, but bar-fixed
-    nv_k = center.descend(nv)
-    if not nv_k:
+    if not b_alg.center.descend(nv):
         raise NotInvertible("N_B(v) = 0")
 
     jv = isotope(j, embed_hermitian_summand(j, v))
-    sigma_v = sigma.twisted(v)
-    u_new = b_alg.mul(u, b_alg.sharp(v))
-    mu_new = nv * mu
-    target = second_tits(b_alg, sigma_v, u_new, mu_new,
-                         label=j.label + "_isotope_target")
-
-    v_inv = b_alg.inv(v)
-    v_sharp = b_alg.sharp(v)
-    nv_inv = center.ground.inv(nv_k)
-    alphas = [
-        ("b->vb", lambda s: b_alg.mul(v, s)),
-        ("b->bv", lambda s: b_alg.mul(s, v)),
-        ("b->vbv/N(v)", lambda s: b_alg.smul(
-            nv_inv, b_alg.mul(b_alg.mul(v, s), v))),
-    ]
-    ws = [
-        ("x", None),
-        ("xv", v),
-        ("xv^{-1}", v_inv),
-        ("xv#/N(v)", b_alg.smul(nv_inv, v_sharp)),
-    ]
-    best = None
-    for aname, alpha in alphas:
-        for wname, w in ws:
-            m = _component_map_matrix(jv, target, b_alg, sigma_v, alpha, w)
-            if m is None:
-                continue
-            f = None
-            try:
-                f = LinearMap(jv, target, m)
-            except SingularMap:
-                continue
-            ok, cert = verify_isomorphism(f)
-            if ok:
-                cert["candidate"] = "(b,x) -> (%s, %s)" % (aname, wname)
-                f.certificate = cert
-                return f
-            if best is None:
-                best = ("(b,x) -> (%s, %s)" % (aname, wname), cert)
-    raise NoVerifiedMap("no structured candidate verified; best attempt "
-                        "%s gave %r" % best if best else
-                        "no candidate produced a hermitian-compatible map")
-
-
-def _component_map_matrix(jv, target, b_alg, sigma_v, alpha, w):
-    """Matrix of (b,x) -> (alpha(b), x w) in the two carriers' bases, or
-    None when alpha(b) fails to land in the sigma_v-hermitian space."""
-    src_meta = jv.meta["base"].meta
-    tgt_meta = target.meta
-    her_src = src_meta["her_basis"]
-    hd = len(her_src)
-    bd = b_alg.k_dim
-    g = b_alg.center.ground
-    cols = []
-    for h in her_src:
-        img = alpha(h)
-        if not sigma_v.is_hermitian(img):
-            return None
-        top = linalg.matvec(tgt_meta["p_mat"], b_alg.to_k_coords(img))
-        cols.append(list(top) + [g.zero] * bd)
-    for i in range(bd):
-        coords = [g.one if t == i else g.zero for t in range(bd)]
-        x = b_alg.from_k_coords(coords)
-        img = x if w is None else b_alg.mul(x, w)
-        cols.append([g.zero] * hd + b_alg.to_k_coords(img))
-    dim = hd + bd
-    return [[cols[c][r] for c in range(dim)] for r in range(dim)]
+    target = second_tits(b_alg, sigma.twisted(v),
+                         b_alg.mul(meta["u"], b_alg.sharp(v)),
+                         nv * meta["mu"], label=j.label + "_isotope_target")
+    m = componentwise_matrix(j, target, lambda b: b_alg.mul(v, b),
+                             lambda x: x)
+    f = LinearMap(jv, target, m)
+    ok, cert = verify_isomorphism(f)
+    if not ok:
+        raise NoVerifiedMap("(b,x) -> (vb, x) failed certification: %r"
+                            % (cert,))
+    cert["candidate"] = "(b,x) -> (b->vb, x)"
+    f.certificate = cert
+    return f

@@ -23,10 +23,6 @@ def identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows, cols, zero):
-    return [[zero] * cols for _ in range(rows)]
-
-
 def matvec(m, v):
     out = []
     for row in m:
@@ -161,7 +157,11 @@ def inverse(m, one, zero):
 
 
 def kernel_basis(m, one, zero):
-    """Deterministic basis of the right kernel of m (echelon convention)."""
+    """Deterministic basis of the right kernel of m (echelon convention).
+
+    There is one vector per free column c of the reduced echelon form: it
+    has 1 at c, 0 at every other free column, and its other nonzero
+    entries at pivot columns left of c, so c is its last nonzero entry."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     work = [list(r) for r in m]
@@ -177,38 +177,3 @@ def kernel_basis(m, one, zero):
                 vec[pc] = -val
         basis.append(vec)
     return basis
-
-
-def left_inverse(m, one, zero):
-    """P with P m = I for m with full column rank (least-norm not needed)."""
-    # solve (m^T m) P = m^T ; works over exact fields whenever columns are
-    # independent AND m^T m is invertible; fall back to row selection else
-    rows, cols = len(m), len(m[0])
-    mt = transpose(m)
-    gram = matmul(mt, m)
-    try:
-        gram_inv = inverse(gram, one, zero)
-        return matmul(gram_inv, mt)
-    except NotInvertible:
-        pass
-    # pick a set of rows of m forming an invertible square block
-    work = [list(r) for r in mt]
-    _echelonize(work)
-    # pivot columns of m^T = row indices of m that are independent
-    chosen = []
-    sub = []
-    for i in range(rows):
-        if len(chosen) == cols:
-            break
-        cand = sub + [m[i]]
-        if rank(cand) == len(cand):
-            sub = cand
-            chosen.append(i)
-    if len(chosen) != cols:
-        raise NotInvertible("matrix does not have full column rank")
-    sub_inv = inverse(sub, one, zero)
-    p = zero_matrix(cols, rows, zero)
-    for j, i in enumerate(chosen):
-        for r in range(cols):
-            p[r][i] = sub_inv[r][j]
-    return p

@@ -12,8 +12,9 @@ Second construction J(B, sigma, u, mu): carrier (B,sigma)+ + B with
 
 for an admissible pair: sigma(u) = u invertible and N_B(u) = mu bar(mu).
 Coordinates of the hermitian summand are taken in the deterministic
-basis from UnitaryInvolution.hermitian_basis(), so carriers, expansions
-and golden files are reproducible.
+basis from UnitaryInvolution.hermitian_basis() and read off by
+UnitaryInvolution.hermitian_coords(), so carriers, expansions and golden
+files are reproducible.
 """
 
 from . import linalg
@@ -96,14 +97,11 @@ def second_tits(b_alg, sigma, u, mu, label=None):
     her = sigma.hermitian_basis()
     hd = len(her)
     bd = b_alg.k_dim
-    h_cols = [b_alg.to_k_coords(h) for h in her]
-    h_mat = [[h_cols[j][i] for j in range(hd)] for i in range(bd)]
-    p_mat = linalg.left_inverse(h_mat, g.one, g.zero)
-    dim = hd + bd
     # the closures hold the integral constants as ints
     # (scalars.int_constants); meta and the base point keep the ground
     # scalars
-    h_c, p_c = int_constants((h_mat, p_mat))
+    h_c = int_constants(linalg.transpose([b_alg.to_k_coords(h)
+                                          for h in her]))
     u_c, u_inv = (b_alg.from_k_coords(int_constants(b_alg.to_k_coords(w)))
                   for w in (u, u_inv))
     mu_c, mu_bar = (center.from_k_coords(int_constants(list(w.coords)))
@@ -132,19 +130,16 @@ def second_tits(b_alg, sigma, u, mu, label=None):
             raise VerificationFailure(
                 "first adjoint component left the hermitian space "
                 "(construction bug)")
-        first_coords = linalg.matvec(p_c, b_alg.to_k_coords(first))
         second = b_alg.sub(
             b_alg.mul(b_alg.smul(mu_bar, b_alg.sharp(sx)), u_inv),
             b_alg.mul(b, x))
-        return list(first_coords) + b_alg.to_k_coords(second)
+        return sigma.hermitian_coords(first) + b_alg.to_k_coords(second)
 
-    unit = list(linalg.matvec(p_mat, b_alg.to_k_coords(b_alg.unit()))) \
-        + [g.zero] * bd
-    j = CubicNormStructure(g, dim, eval_norm, eval_sharp, unit,
+    unit = sigma.hermitian_coords(b_alg.unit()) + [g.zero] * bd
+    j = CubicNormStructure(g, hd + bd, eval_norm, eval_sharp, unit,
                            label=label or "J(B,sigma,u,mu)")
     j.meta = {"type": "second_tits", "algebra": b_alg, "sigma": sigma,
-              "u": u, "mu": mu, "her_basis": her, "h_mat": h_mat,
-              "p_mat": p_mat}
+              "u": u, "mu": mu, "her_basis": her}
     return j
 
 
@@ -155,7 +150,24 @@ def _trace_k(center, y):
 
 def embed_hermitian_summand(j, b_elem):
     """(B,sigma)+ -> J(B,sigma,u,mu), first summand."""
-    b_alg = j.meta["algebra"]
     g = j.ground
-    coords = linalg.matvec(j.meta["p_mat"], b_alg.to_k_coords(b_elem))
-    return tuple(list(coords) + [g.zero] * b_alg.k_dim)
+    return tuple(j.meta["sigma"].hermitian_coords(b_elem)
+                 + [g.zero] * j.meta["algebra"].k_dim)
+
+
+def componentwise_matrix(src, tgt, alpha, beta):
+    """Matrix of (b, x) -> (alpha(b), beta(x)) from the carrier of the
+    second construction src to that of tgt.  alpha must carry hermitian
+    elements of src to hermitian elements of tgt; the map is not
+    certified here."""
+    b_alg = src.meta["algebra"]
+    sigma = tgt.meta["sigma"]
+    g = src.ground
+    her = src.meta["her_basis"]
+    bd = b_alg.k_dim
+    cols = [sigma.hermitian_coords(alpha(h)) + [g.zero] * bd for h in her]
+    for i in range(bd):
+        x = b_alg.from_k_coords([g.one if t == i else g.zero
+                                 for t in range(bd)])
+        cols.append([g.zero] * len(her) + b_alg.to_k_coords(beta(x)))
+    return linalg.transpose(cols)

@@ -105,6 +105,18 @@ def j_lk_f7(F7, tower_f7):
 
 
 @pytest.fixture(scope="session")
+def j_m3k_q(tower_q):
+    # the 27-dimensional J(M3(K), sigma, u, mu): N(u) = 2 = N_K(1 + i)
+    m3 = MatrixAlgebra(QuadraticCenter(tower_q))
+    K = tower_q.K
+    z = K.zero
+    two = Elem(K, [Fraction(2), Fraction(0)])
+    u = (K.one, z, z, z, K.one, z, z, z, two)
+    mu = Elem(K, [Fraction(1), Fraction(1)])
+    return tits.second_tits(m3, UnitaryInvolution(m3), u, mu)
+
+
+@pytest.fixture(scope="session")
 def j_m3_f7(F7):
     return tits.first_tits(MatrixAlgebra(GroundCenter(F7)), F7.from_int(3))
 

@@ -250,6 +250,50 @@ class TestExitCodes:
         assert calls == []
 
 
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_non_boolean_split_is_2(self, tmp_path, value):
+        with open(cfg("lk_q_second.json")) as fh:
+            data = json.load(fh)
+        data["tower"]["split"] = value
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli(["build", "--config", str(c)])
+        assert code == 2
+        assert out == ""
+        assert err == "config error: tower 'split' must be true or false, " \
+            "got %r\n" % (value,)
+
+    @pytest.mark.parametrize("value, want", [(False, 0), (True, 2)])
+    def test_boolean_split_is_read(self, tmp_path, value, want):
+        # false builds the field K = k(sqrt(d)); true asks for k x k, which
+        # second constructions do not support
+        with open(cfg("lk_q_second.json")) as fh:
+            data = json.load(fh)
+        data["tower"]["split"] = value
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, _, err = run_cli(["build", "--config", str(c)])
+        assert code == want
+        assert ("not supported" in err) == value
+
+    def test_uncertified_iso_verify_map_is_1(self, monkeypatch):
+        # (b, x) -> (b, x) in place of (b, x) -> (vb, x)
+        from albertlab import isotopy, linalg
+        monkeypatch.setattr(
+            isotopy, "componentwise_matrix",
+            lambda src, tgt, alpha, beta: linalg.identity(
+                src.dim, src.ground.one, src.ground.zero))
+        code, out, err = run_cli(["isotope", "--config",
+                                  cfg("lk_q_second.json")])
+        assert code == 1
+        assert err == ""
+        rep = json.loads(out)
+        assert rep["status"] == "fail"
+        task = rep["tasks"][0]
+        assert task["task"] == "iso_verify" and task["status"] == "fail"
+        assert "failed certification" in task["error"]
+
+
 class TestDeterminism:
     def test_reports_identical_across_jobs(self, tmp_path):
         a = tmp_path / "a.json"
@@ -294,3 +338,15 @@ class TestGoldenDumps:
             assert task["norm_form"] == fh.read()
         with open(os.path.join(GOLDEN, "m3_f5_adjoint.txt")) as fh:
             assert task["adjoint_map"] == fh.read()
+
+
+class TestGoldenReports:
+    # whole isotope and galois reports of the LK configs, byte for byte
+    @pytest.mark.parametrize("command", ["isotope", "galois"])
+    @pytest.mark.parametrize("name", ["lk_q_second", "lk_f5_second"])
+    def test_report_matches_golden(self, name, command):
+        code, out, err = run_cli([command, "--config", cfg(name + ".json")])
+        assert (code, err) == (0, "")
+        with open(os.path.join(GOLDEN, "%s_%s.json" % (name, command)),
+                  "rb") as fh:
+            assert out.encode() == fh.read()

@@ -174,3 +174,30 @@ class TestSecondTitsIsotopeIso:
     def test_first_construction_rejected(self, j_m3_f5):
         with pytest.raises(ConfigError):
             second_tits_isotope_iso(j_m3_f5, j_m3_f5.unit)
+
+    def _m3k_vs(self, j):
+        # 2 + (e12 + e21), and y + sigma(y) for a random y
+        b = j.meta["algebra"]
+        her = j.meta["her_basis"]
+        y = b.random(Stream(431))
+        return [b.add(b.add(b.unit(), b.unit()), her[1]),
+                b.add(y, j.meta["sigma"].apply(y))]
+
+    def test_certified_isomorphism_m3k(self, j_m3k_q):
+        for v in self._m3k_vs(j_m3k_q):
+            f = second_tits_isotope_iso(j_m3k_q, v)
+            assert f.certificate["multiplier"] == "1"
+            assert f.certificate["unit_check"] == "base point preserved"
+            assert f.certificate["candidate"] == "(b,x) -> (b->vb, x)"
+
+    @pytest.mark.parametrize("name", ["j_lk_q", "j_m3k_q"])
+    def test_identity_map_fails_certification(self, request, name):
+        # (b, x) -> (b, x) in coordinates, for v != 1
+        j = request.getfixturevalue(name)
+        v = self._vs(j)[0] if name == "j_lk_q" else self._m3k_vs(j)[0]
+        f = second_tits_isotope_iso(j, v)
+        g = j.ground
+        mutant = LinearMap(f.source, f.target,
+                           linalg.identity(j.dim, g.one, g.zero))
+        ok, _ = verify_isomorphism(mutant)
+        assert not ok

@@ -206,12 +206,6 @@ class TestLinalg:
         basis = linalg.kernel_basis(m, one, zero)
         assert basis == [[-one, one, zero], [-one, zero, one]]
 
-    def test_left_inverse(self):
-        one, zero = Fraction(1), Fraction(0)
-        m = [[one, zero], [one, one], [zero, one]]
-        p = linalg.left_inverse(m, one, zero)
-        assert linalg.matmul(p, m) == linalg.identity(2, one, zero)
-
 
 class TestRng:
     def test_splitmix_reference_values(self):

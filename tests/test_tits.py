@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from albertlab import tits
+from albertlab import linalg, tits
 from albertlab.associative import (CommutativeCubic, GroundCenter,
                                    MatrixAlgebra, QuadraticCenter,
                                    UnitaryInvolution)
@@ -136,17 +136,61 @@ class TestSecondConstruction:
 
 
 class TestMatrixSecondConstruction:
-    def test_m3k_second(self, tower_q):
+    def test_m3k_second(self, j_m3k_q):
         # 27-dimensional second construction over M3(K)
-        m3 = MatrixAlgebra(QuadraticCenter(tower_q))
-        sigma = UnitaryInvolution(m3)
-        K = tower_q.K
-        z = K.zero
-        two = Elem(K, [Fraction(2), Fraction(0)])
-        u = (K.one, z, z, z, K.one, z, z, z, two)
-        mu = Elem(K, [Fraction(1), Fraction(1)])   # N_K = 1 + 1 = 2 = N(u)
-        j = tits.second_tits(m3, sigma, u, mu)
+        j = j_m3k_q
         assert j.dim == 27
         assert j.norm(j.unit) == Fraction(1)
-        pt = tits.embed_hermitian_summand(j, u)
+        pt = tits.embed_hermitian_summand(j, j.meta["u"])
         assert j.norm(pt) == Fraction(2)
+
+
+def _random_hermitian(j, stream):
+    """y + sigma(y) for a random y of the coefficient algebra."""
+    b_alg, sigma = j.meta["algebra"], j.meta["sigma"]
+    y = b_alg.random(stream)
+    return b_alg.add(y, sigma.apply(y))
+
+
+class TestHermitianCoords:
+    # LK has a 0/1 hermitian basis; on M3(K) the off-diagonal basis
+    # vectors have two nonzero k-coordinates
+    @pytest.fixture(params=["j_lk_q", "j_lk_f5", "j_m3k_q"])
+    def j(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_basis_vectors_have_unit_coords(self, j):
+        sigma = j.meta["sigma"]
+        g = j.ground
+        her = sigma.hermitian_basis()
+        for i, h in enumerate(her):
+            assert sigma.hermitian_coords(h) == \
+                [g.one if t == i else g.zero for t in range(len(her))]
+
+    def test_coords_rebuild_random_hermitian(self, j):
+        b_alg, sigma = j.meta["algebra"], j.meta["sigma"]
+        h_mat = linalg.transpose([b_alg.to_k_coords(h)
+                                  for h in sigma.hermitian_basis()])
+        s = Stream(419)
+        for _ in range(10):
+            x = _random_hermitian(j, s)
+            assert any(b_alg.to_k_coords(x))
+            assert linalg.matvec(h_mat, sigma.hermitian_coords(x)) == \
+                b_alg.to_k_coords(x)
+
+    def test_embed_hermitian_summand_round_trips(self, j):
+        b_alg, sigma = j.meta["algebra"], j.meta["sigma"]
+        center = b_alg.center
+        g = j.ground
+        hd = len(j.meta["her_basis"])
+        s = Stream(421)
+        for _ in range(5):
+            x = _random_hermitian(j, s)
+            pt = tits.embed_hermitian_summand(j, x)
+            assert all(c == g.zero for c in pt[hd:])
+            back = None
+            for c, h in zip(pt[:hd], j.meta["her_basis"]):
+                term = b_alg.smul(center.from_k_coords([c, g.zero]), h)
+                back = term if back is None else b_alg.add(back, term)
+            assert back == x
+            assert j.norm(pt) == center.descend(b_alg.norm(x))

@@ -10,7 +10,7 @@ import json
 
 from .associative import (CommutativeCubic, CyclicAlgebra, GroundCenter,
                           MatrixAlgebra, QuadraticCenter, UnitaryInvolution)
-from .errors import ConfigError
+from .errors import ConfigError, NotInvertible
 from .fields import (Composite, CyclicCubic, Elem, PrimeFieldDesc,
                      QuadraticEtale, Rationals, tower_build)
 from . import tits, isotopy
@@ -190,7 +190,10 @@ class BuildContext:
         if ctype == "isotope_of":
             base = self._construction(_need(node, "base", ctype))
             v = self._carrier_point(base, _need(node, "v", ctype))
-            return isotopy.isotope(base, v)
+            try:
+                return isotopy.isotope(base, v)
+            except NotInvertible as e:
+                raise ConfigError("isotope_of v: %s" % e)
         raise ConfigError("unknown construction type %r" % (ctype,))
 
     def _first(self, node):

@@ -10,6 +10,9 @@ characteristic where the expansion sizes stay reasonable and run exact
 checks at random points otherwise; N and #, the U-operator matrix and
 U_x(y) at a ground point are computed from the int forms at the point's
 integer lift (scalars.lift) and mapped back once (scalars.from_int).
+sharp_int and u_matrix_int stop before the map back and return the int
+adjoint and the int U-matrix over one denominator, for callers that
+keep computing on ints (the isotope's evaluator and its U^(v) check).
 The random-point check of the expansion against the evaluators runs the
 evaluators on the point's int lift as well over Q (lifted_norm,
 lifted_sharp), where the algebras hold their integral constants as ints;
@@ -190,10 +193,16 @@ class CubicNormStructure:
             cache = {}
             return tuple(p.eval(xl, self.ground.one, cache)
                          for p in self._sharp_polys)
+        s, den = self.sharp_int(x)
+        return tuple(from_int(self._kind, c, den) for c in s)
+
+    def sharp_int(self, x):
+        """(s, den): x# = s / den at a ground point x of an expanded
+        structure, the int adjoint evaluated at the point's lift; over
+        F_p den is 1 and s holds unreduced lifts."""
         sh_i, den = self._sharp_int
         xi, d = lift(x)
-        den *= d * d
-        return tuple(from_int(self._kind, p.eval(xi, 1), den) for p in sh_i)
+        return [p.eval(xi, 1) for p in sh_i], den * d * d
 
     def lifted_norm(self, x):
         """eval_norm at a ground point, run on its int lift over Q: with
@@ -283,12 +292,14 @@ class CubicNormStructure:
             self._u_int = cols, t_den, cross
         return self._u_int
 
-    def u_matrix(self, x):
-        """Matrix of U_x(y) = T(x,y) x - x# x y, linear in y.
+    def u_matrix_int(self, x):
+        """(rows, den): the matrix of U_x(y) = T(x,y) x - x# x y, linear
+        in y, as int rows with U_x = rows / den.
 
         With x = xi / d, T(x, y) = r.y / (t_den d) and x# = s / (s_den d^2)
         for int vectors r and s, so every entry is an int over the one
-        denominator lcm(t_den, s_den^2) d^2 and is mapped back once."""
+        denominator den = lcm(t_den, s_den^2) d^2.  Over F_p den is 1 and
+        the entries are unreduced lifts, to be read mod p."""
         cols, t_den, cross = self._u_data()
         sh_i, s_den = self._sharp_int
         xi, d = lift(x)
@@ -304,9 +315,14 @@ class CubicNormStructure:
         den = lcm(t_den, s_den * s_den)
         a, b = den // t_den, den // (s_den * s_den)
         r = [a * sum(map(mul, col, xi)) for col in cols]
-        den *= d * d
-        return [[from_int(self._kind, xv * rj - b * cj, den)
-                 for rj, cj in zip(r, row)] for xv, row in zip(xi, cm)]
+        return [[xv * rj - b * cj for rj, cj in zip(r, row)]
+                for xv, row in zip(xi, cm)], den * d * d
+
+    def u_matrix(self, x):
+        """Matrix of U_x over the ground field: u_matrix_int mapped back
+        once per entry."""
+        rows, den = self.u_matrix_int(x)
+        return [[from_int(self._kind, e, den) for e in row] for row in rows]
 
     def inverse(self, x):
         n = self.norm(x)

@@ -4,8 +4,11 @@ The v-isotope lives on the same carrier with
 
     N_v(x) = N(v) N(x),   x^{#_v} = N(v) U_{v^{-1}}(x^#),   1^{(v)} = v^{-1}
 
-and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  Norm
-similarities are certified symbolically: the pullback of the target
+and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope's
+evaluators run through the base's int forms (N(v) and U_{v^-1} lifted
+once), and u_isotope_identity compares the isotope's own U-matrix with
+U_x U_v as int matrices over their denominators, mod the characteristic.
+Norm similarities are certified symbolically: the pullback of the target
 norm form through the map's matrix is compared, monomial by monomial,
 with a scalar multiple of the source norm form.  An isomorphism
 certificate is a similarity with multiplier 1 that carries the base
@@ -15,11 +18,13 @@ certified that way before it is returned.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .cubic import CubicNormStructure, _int_scaled, _mod
 from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
 from .poly import Poly, indices, mono
+from .scalars import from_int, lift
 from .tits import componentwise_matrix, embed_hermitian_summand, second_tits
 
 
@@ -66,20 +71,35 @@ class LinearMap:
 
 
 def isotope(j, v):
-    """The v-isotope of j on the same carrier."""
+    """The v-isotope of j on the same carrier.
+
+    Its evaluators run through the base, with U_{v^-1} (u_matrix_int) and
+    N(v) held once as int lifts.  At a ground point x^{#v} is the base's
+    int adjoint at the point's lift (sharp_int), one int matvec and one
+    from_int per coordinate; Poly coordinates (the isotope's own
+    expansion) take the base's Poly adjoint through the same int matrix
+    and one scalar N(v) / den."""
     nv = j.norm(v)
     if not nv:
         raise NotInvertible("N(v) = 0: isotope needs invertible v")
     v_inv = j.inverse(v)
-    u_vinv = j.u_matrix(v_inv)
+    u_rows, u_den = j.u_matrix_int(v_inv)
+    (nv_i,), nv_den = lift([nv])
+    kind = j._kind
+    scale_den = nv_den * u_den
+    scale = from_int(kind, nv_i, scale_den)
 
     def eval_norm(coords):
         return nv * j.norm(coords)
 
     def eval_sharp(coords):
-        sp = j.sharp(coords)
-        moved = linalg.matvec(u_vinv, list(sp))
-        return [nv * c for c in moved]
+        if any(isinstance(c, Poly) for c in coords):
+            return [scale * c
+                    for c in linalg.matvec(u_rows, j.sharp(coords))]
+        s, den = j.sharp_int(coords)
+        den *= scale_den
+        return [from_int(kind, nv_i * sum(map(mul, row, s)), den)
+                for row in u_rows]
 
     out = CubicNormStructure(j.ground, j.dim, eval_norm, eval_sharp,
                              list(v_inv), label=j.label + "^(v)")
@@ -88,14 +108,27 @@ def isotope(j, v):
 
 
 def u_isotope_identity(j, jv, v, stream, points=50):
-    """Check U^{(v)}_x = U_x U_v for random x; returns a witness or None."""
-    uv = j.u_matrix(v)
+    """Check U^{(v)}_x = U_x U_v for random x; returns the first failing x
+    or None.
+
+    The left side is jv's own U-matrix, from the isotope's expansion, and
+    the right side the base's product.  With every U-matrix an int matrix
+    over its denominator (u_matrix_int), the identity reads
+    lhs (dx dv) = dl (U_x U_v) entry by entry over ints, mod the
+    characteristic; U_v is lifted once."""
+    p = j.ground.char
+    v_rows, dv = j.u_matrix_int(v)
+    v_cols = list(zip(*v_rows))
     for _ in range(points):
         x = j.random_point(stream)
-        lhs = jv.u_matrix(x)
-        rhs = linalg.matmul(j.u_matrix(x), uv)
-        if not linalg.mat_equal(lhs, rhs):
-            return x
+        lhs, dl = jv.u_matrix_int(x)
+        ux, dx = j.u_matrix_int(x)
+        a = dx * dv
+        for lrow, urow in zip(lhs, ux):
+            for e, col in zip(lrow, v_cols):
+                diff = a * e - dl * sum(map(mul, urow, col))
+                if diff and (not p or diff % p):
+                    return x
     return None
 
 

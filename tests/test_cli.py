@@ -63,6 +63,22 @@ class TestSubcommands:
         assert [t["task"] for t in rep["tasks"]] == ["isotope"]
         assert rep["tasks"][0]["base_point_is_v_inverse"] is True
 
+    @pytest.mark.parametrize("name", ["m3_q_first", "m3_f5_first"])
+    def test_check_isotope_of_config(self, tmp_path, name):
+        with open(cfg(name + ".json")) as fh:
+            data = json.load(fh)
+        data["construction"] = {
+            "type": "isotope_of", "base": data["construction"],
+            "v": ["1", "1", "0", "0", "1", "0", "0", "0", "1"] + ["0"] * 18}
+        data["tasks"] = [{"task": "axioms", "points": 20}]
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", "--config", str(c)])
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        assert rep["label"].endswith("^(v)")
+        assert rep["tasks"][0]["status"] == "pass"
+
     def test_isotope_requires_isotope_tasks(self):
         code, _, err = run_cli(["isotope", "--config",
                                 cfg("m3_f5_first.json")])
@@ -143,6 +159,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_singular_isotope_of_v_is_2(self, tmp_path):
+        with open(cfg("m3_f5_first.json")) as fh:
+            data = json.load(fh)
+        data["construction"] = {"type": "isotope_of",
+                                "base": data["construction"],
+                                "v": ["0"] * 27}
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", "--config", str(c)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: isotope_of v: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_singular_iso_verify_v_is_2(self, tmp_path):
@@ -342,8 +372,11 @@ class TestGoldenDumps:
 
 class TestGoldenReports:
     # whole isotope and galois reports of the LK configs, byte for byte
-    @pytest.mark.parametrize("command", ["isotope", "galois"])
-    @pytest.mark.parametrize("name", ["lk_q_second", "lk_f5_second"])
+    # and the isotope report of m3_q_first (J(M3(Q), 1) and one v)
+    @pytest.mark.parametrize("name, command", [
+        ("lk_q_second", "isotope"), ("lk_q_second", "galois"),
+        ("lk_f5_second", "isotope"), ("lk_f5_second", "galois"),
+        ("m3_q_first", "isotope")])
     def test_report_matches_golden(self, name, command):
         code, out, err = run_cli([command, "--config", cfg(name + ".json")])
         assert (code, err) == (0, "")

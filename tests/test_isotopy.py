@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from albertlab import isotopy, linalg, tits
+from albertlab.config import BuildContext
 from albertlab.errors import ConfigError, NotInvertible, NoVerifiedMap
 from albertlab.isotopy import (LinearMap, SingularMap, isotope,
                                second_tits_isotope_iso, u_isotope_identity,
@@ -114,6 +115,49 @@ class TestIsotope:
     def test_isotope_axioms(self, iso_lk_q):
         rep = iso_lk_q.axiom_suite(seed=19, points=40)
         assert rep.all_passed, rep
+
+    @pytest.mark.parametrize("base", ["Q", {"p": 5}], ids=["Q", "F5"])
+    def test_config_built_isotope_axioms(self, base):
+        # the isotope_of construction, built from a config node as the
+        # CLI builds it, with v = diag(1,1,1) + e_12 in the D summand
+        v = ["1", "1", "0", "0", "1", "0", "0", "0", "1"] + ["0"] * 18
+        j = BuildContext({
+            "schema_version": 1, "base": base,
+            "construction": {"type": "isotope_of", "v": v, "base": {
+                "type": "first_tits", "algebra": {"kind": "matrix"},
+                "lambda": "2"}}}).j
+        assert j.meta["type"] == "isotope"
+        assert j.unit == j.meta["base"].inverse(j.meta["v"])
+        rep = j.axiom_suite(seed=23, points=40)
+        assert rep.all_passed, rep
+        assert len(rep.checks) == 12
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5"])
+    def test_mismatched_v_witness_matches_fraction_reference(self, request,
+                                                             name):
+        # the int compare (denominators cross-multiplied, read mod the
+        # characteristic) against the Fraction matrices it replaced: the
+        # same verdict and the same first failing x on the same stream
+        j = request.getfixturevalue(name)
+        g = j.ground
+        s = Stream(347)
+        v = j.random_invertible(s)
+        jv = isotope(j, v)
+        half = g.inv(g.from_int(2))
+        for v2, fails in ((v, False), (j.random_invertible(s), True),
+                          (tuple(half * c for c in v), True)):
+            wit = u_isotope_identity(j, jv, v2, Stream(349), points=20)
+            uv2 = j.u_matrix(v2)
+            ref_stream = Stream(349)
+            ref = None
+            for _ in range(20):
+                x = j.random_point(ref_stream)
+                if not linalg.mat_equal(
+                        jv.u_matrix(x), linalg.matmul(j.u_matrix(x), uv2)):
+                    ref = x
+                    break
+            assert (wit is not None) == fails
+            assert wit == ref
 
 
 class TestSecondTitsIsotopeIso:

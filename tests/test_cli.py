@@ -18,6 +18,12 @@ def cfg(name):
     return os.path.join(CONFIGS, name)
 
 
+def wrap_isotope_of(data, v):
+    """Replace the construction of a config by its isotope at v."""
+    data["construction"] = {"type": "isotope_of",
+                            "base": data["construction"], "v": v}
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -67,9 +73,8 @@ class TestSubcommands:
     def test_check_isotope_of_config(self, tmp_path, name):
         with open(cfg(name + ".json")) as fh:
             data = json.load(fh)
-        data["construction"] = {
-            "type": "isotope_of", "base": data["construction"],
-            "v": ["1", "1", "0", "0", "1", "0", "0", "0", "1"] + ["0"] * 18}
+        wrap_isotope_of(
+            data, ["1", "1", "0", "0", "1", "0", "0", "0", "1"] + ["0"] * 18)
         data["tasks"] = [{"task": "axioms", "points": 20}]
         c = tmp_path / "c.json"
         c.write_text(json.dumps(data))
@@ -164,9 +169,7 @@ class TestExitCodes:
     def test_singular_isotope_of_v_is_2(self, tmp_path):
         with open(cfg("m3_f5_first.json")) as fh:
             data = json.load(fh)
-        data["construction"] = {"type": "isotope_of",
-                                "base": data["construction"],
-                                "v": ["0"] * 27}
+        wrap_isotope_of(data, ["0"] * 27)
         c = tmp_path / "c.json"
         c.write_text(json.dumps(data))
         code, out, err = run_cli(["check", "--config", str(c)])

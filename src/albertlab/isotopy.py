@@ -10,7 +10,10 @@ once), and u_isotope_identity compares the isotope's own U-matrix with
 U_x U_v as int matrices over their denominators, mod the characteristic.
 Norm similarities are certified symbolically: the pullback of the target
 norm form through the map's matrix is compared, monomial by monomial,
-with a scalar multiple of the source norm form.  An isomorphism
+with a scalar multiple of the source norm form.  The pullback runs on
+int lifts, the matrix lifted once over one denominator and the target's
+int norm form contracted with it one tensor mode at a time
+(poly.pullback), with no Poly per matrix row.  An isomorphism
 certificate is a similarity with multiplier 1 that carries the base
 point to the base point.  For a second construction the v-isotope is
 mapped onto J(B, s_v, u v#, N(v) mu) by one closed-form map, which is
@@ -21,9 +24,9 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .cubic import CubicNormStructure, _int_scaled, _mod
+from .cubic import CubicNormStructure, _mod
 from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
-from .poly import Poly, indices, mono
+from .poly import Poly, indices, pullback
 from .scalars import from_int, lift
 from .tits import componentwise_matrix, embed_hermitian_summand, second_tits
 
@@ -134,24 +137,21 @@ def u_isotope_identity(j, jv, v, stream, points=50):
 
 def verify_norm_similarity(f):
     """Exact multiplier nu with N_target(f(x)) = nu N_source(x), or a
-    failure witness.  Returns (multiplier_or_None, witness_or_None)."""
+    failure witness.  Returns (multiplier_or_None, witness_or_None).
+
+    The matrix entries are lifted once to ints over one denominator s,
+    and the target's int norm form is pulled back through that int
+    matrix by poly.pullback, a dense contraction one mode at a time;
+    the result is compared with the source's int norm form mod the
+    characteristic, as in the axiom suite."""
     src, tgt = f.source, f.target
     g = src.ground
-    # linear forms: coordinate `row` of f(x) as a Poly in x
-    forms = []
-    for row in range(tgt.dim):
-        terms = {}
-        for col in range(src.dim):
-            e = f.matrix[row][col]
-            if e:
-                terms[mono((col,))] = e
-        forms.append(Poly(terms))
-
-    # int arithmetic as in the axiom suite, read mod the characteristic
+    n = src.dim
     n2_i, d2 = tgt.n_int
     n1_i, d1 = src.n_int
-    forms_i, s = _int_scaled(forms)
-    pull = n2_i.eval(forms_i, 1, {})        # = d2 s^3 N2(f(x))
+    ints, s = lift([e for row in f.matrix for e in row])
+    pull = pullback(n2_i, [ints[r * n:r * n + n]
+                           for r in range(tgt.dim)])   # = d2 s^3 N2(f(x))
     m = min(n1_i.terms, key=indices)
     a = pull.coefficient(m) or 0
     b = n1_i.terms[m]

@@ -17,10 +17,17 @@ of the terms on that assumption.
 A Poly multiplies only by another Poly, an int or a Fraction; any other
 operand (an extension Elem) gets NotImplemented and handles the product
 itself.
+
+Besides the general substitution of Poly.eval, pullback(p, rows) pulls a
+homogeneous cubic int form back through an int matrix as a dense
+contraction on int lists; the norm-similarity certificate uses it,
+since its matrices are nearly full and the sparse substitution pays one
+dict update per term product.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .errors import AlbertLabError, NonPolynomialEvaluator
 
@@ -294,6 +301,48 @@ def sum_of_products(pairs):
     out = {}
     for a, b in pairs:
         _mul_into(out, a.terms, b.terms, 1)
+    return _nonzero(out)
+
+
+def pullback(p, rows):
+    """p(F x) for a homogeneous cubic int form p and an int matrix F
+    whose row r holds the coefficients of coordinate r of F x.
+
+    A dense contraction, one mode at a time, on int lists: with p =
+    sum c_ijk x_i x_j x_k, R_ij = sum_k c_ijk rows[k] over the terms of
+    index prefix (i, j), G_i = sum_j rows[j] (x) R_ij as a flat list with
+    entry b * n + c, and T_a = sum_i rows[i][a] G_i, so that p(F x) =
+    sum T_a[b * n + c] x_a x_b x_c.  Each nonzero entry is folded once
+    onto its packed monomial and zero sums are dropped once at the end.
+    The term dict equals p.eval(linear forms of rows, 1) exactly."""
+    if not p.is_homogeneous(3):
+        raise AlbertLabError("pullback needs a homogeneous cubic form")
+    n = len(rows[0]) if rows else 0
+    r = {}
+    for m, c in p.terms.items():
+        i, j, k = indices(m)
+        rk = [c * e for e in rows[k]]
+        r[i, j] = list(map(add, r[i, j], rk)) if (i, j) in r else rk
+    g = {}
+    for (i, j), rij in r.items():
+        outer = [e * f for e in rows[j] for f in rij]
+        g[i] = list(map(add, g[i], outer)) if i in g else outer
+    x = [mono((a,)) for a in range(n)]
+    bc = [x[b] + x[c] for b in range(n) for c in range(n)]
+    out = {}
+    for a in range(n):
+        t = None
+        for i, gi in g.items():
+            w = rows[i][a]
+            if w:
+                wg = [w * e for e in gi]
+                t = wg if t is None else list(map(add, t, wg))
+        if t is None:
+            continue
+        for m, v in zip(bc, t):
+            if v:
+                m += x[a]
+                out[m] = out.get(m, 0) + v
     return _nonzero(out)
 
 

@@ -53,6 +53,19 @@ class TestSubcommands:
         assert all(t["status"] in ("pass", "witness", "exhausted")
                    for t in rep["tasks"])
 
+    def test_check_m3k_second_config(self):
+        # the full axiom suite and the iso_verify certificate of the
+        # 27-dimensional J(M3(K), sigma, u, mu) over Q(sqrt(-1))
+        code, out, err = run_cli(["check", "--config",
+                                  cfg("m3k_q_second.json")])
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        assert rep["dim"] == 27
+        assert [t["task"] for t in rep["tasks"]] == [
+            "axioms", "iso_verify", "dump_forms"]
+        assert all(t["status"] == "pass" for t in rep["tasks"])
+        assert rep["tasks"][1]["certificate"]["multiplier"] == "1"
+
     def test_search_subcommand(self):
         code, out, _ = run_cli(["search", "--config",
                                 cfg("m3_f5_first.json"), "--budget", "4000"])
@@ -375,11 +388,12 @@ class TestGoldenDumps:
 
 class TestGoldenReports:
     # whole isotope and galois reports of the LK configs, byte for byte
-    # and the isotope report of m3_q_first (J(M3(Q), 1) and one v)
+    # and the isotope reports of m3_q_first (J(M3(Q), 1) and one v) and
+    # m3k_q_second (J(M3(K), sigma, u, mu) and v = diag(1, 1, 2))
     @pytest.mark.parametrize("name, command", [
         ("lk_q_second", "isotope"), ("lk_q_second", "galois"),
         ("lk_f5_second", "isotope"), ("lk_f5_second", "galois"),
-        ("m3_q_first", "isotope")])
+        ("m3_q_first", "isotope"), ("m3k_q_second", "isotope")])
     def test_report_matches_golden(self, name, command):
         code, out, err = run_cli([command, "--config", cfg(name + ".json")])
         assert (code, err) == (0, "")

@@ -1,15 +1,20 @@
-"""The int-lifted kernels (linalg.matmul, linalg.rank, u_matrix) against
-independent references written here: plain Fraction and mod-p loops,
-and U_x(y) = T(x, y) x - x# x y assembled from trace_pair and cross."""
+"""The int-lifted kernels (linalg.matmul, linalg.rank, u_matrix,
+poly.pullback) against independent references written here: plain
+Fraction and mod-p loops, U_x(y) = T(x, y) x - x# x y assembled from
+trace_pair and cross, and the nested Poly.eval substitution."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from albertlab import linalg
+from albertlab import linalg, poly, tits
 from albertlab.associative import CyclicAlgebra
+from albertlab.errors import AlbertLabError
+from albertlab.poly import Poly, linear_form, mono, pullback
 from albertlab.rng import Stream
-from albertlab.scalars import PrimeField, RationalField
+from albertlab.scalars import PrimeField, RationalField, lift
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -194,3 +199,97 @@ class TestUMatrix:
             assert got == self._reference(j_lk_f5, x)
             assert all(type(c) is type(j_lk_f5.ground.one)
                        for row in got for c in row)
+
+
+def _nested_pullback(p, rows):
+    """p(F x) by the nested Poly.eval route, one linear form per row."""
+    return p.eval([linear_form(row) for row in rows], 1, {})
+
+
+def _int_rows(m):
+    ints, _ = lift([e for row in m for e in row])
+    n = len(m[0])
+    return [ints[r * n:r * n + n] for r in range(len(m))]
+
+
+def _cubic(terms):
+    """The int cubic form sum c x_i x_j x_k over (i, j, k, c) terms."""
+    out = Poly()
+    for i, j, k, c in terms:
+        out = out + Poly({mono((i, j, k)): c})
+    return out
+
+
+class TestPullback:
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q", "j_lk_q",
+                                      "j_m3k_q", "j_m3_f5", "j_lk_f5"])
+    def test_norm_through_u_matrices(self, name, request):
+        j = request.getfixturevalue(name)
+        n2 = j.n_int[0]
+        s = Stream(79)
+        if j.ground.char:
+            points = [j.random_point(s) for _ in range(2)]
+        else:
+            # mixed denominators, so the lift has a nontrivial denominator
+            points = [tuple(Fraction(i - 13, 1 + i % 5)
+                            for i in range(j.dim)), j.random_point(s)]
+        for a in points:
+            rows = _int_rows(j.u_matrix(a))
+            got = pullback(n2, rows)
+            assert got.terms == _nested_pullback(n2, rows).terms
+            assert got.terms
+
+    @pytest.mark.parametrize("name", ["j_lk_q", "j_lk_f5"])
+    def test_componentwise_rho(self, name, request):
+        j = request.getfixturevalue(name)
+        b = j.meta["algebra"]
+        rows = _int_rows(tits.componentwise_matrix(j, j, b.rho, b.rho))
+        n2 = j.n_int[0]
+        assert pullback(n2, rows).terms == _nested_pullback(n2, rows).terms
+
+    @pytest.mark.parametrize("terms", [
+        [(0, 0, 0, 1)],                                 # x0^3
+        [(0, 0, 1, -2)],                                # x0^2 x1
+        [(0, 1, 1, 3)],                                 # x0 x1^2
+        [(0, 1, 2, 5), (2, 2, 2, -1), (1, 1, 2, 4)]])
+    def test_power_and_square_terms(self, terms):
+        p = _cubic(terms)
+        rows = [[2, -1, 0], [0, 3, -4], [1, 1, 1]]
+        got = pullback(p, rows)
+        assert got.terms == _nested_pullback(p, rows).terms
+
+    def test_zero_rows_columns_and_rank_deficiency(self):
+        p = _cubic([(0, 0, 0, 1), (0, 1, 2, -3), (1, 1, 3, 2),
+                    (2, 3, 3, 7), (3, 3, 3, -1)])
+        zero_row = [[1, -2, 0, 3], [0, 0, 0, 0], [4, 1, -1, 0],
+                    [-2, 0, 5, 1]]
+        zero_col = [[1, 0, -2, 3], [2, 0, 1, 1], [-1, 0, 0, 4],
+                    [3, 0, 2, -2]]
+        # rank 1: every row a multiple of (1, -1, 2, 0)
+        rank_one = [[c * e for e in (1, -1, 2, 0)] for c in (2, -3, 0, 1)]
+        for rows in (zero_row, zero_col, rank_one, [[0] * 4] * 4):
+            got = pullback(p, rows)
+            assert got.terms == _nested_pullback(p, rows).terms
+        assert pullback(p, [[0] * 4] * 4).terms == {}
+        assert all(1 not in poly.indices(m)
+                   for m in pullback(p, zero_col).terms)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_cubic_forms(self, nvars, ncols, data):
+        idx = st.integers(0, nvars - 1)
+        terms = data.draw(st.lists(
+            st.tuples(idx, idx, idx, st.integers(-9, 9)), max_size=8))
+        p = _cubic([tuple(sorted(t[:3])) + (t[3],) for t in terms])
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
+            min_size=nvars, max_size=nvars))
+        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+
+    @pytest.mark.parametrize("p", [
+        Poly({mono((0, 1)): 1}),
+        Poly({mono((0, 0, 0)): 1, mono((1,)): 2}),
+        Poly({mono((0, 0, 1, 1)): 3})])
+    def test_non_cubic_rejected(self, p):
+        with pytest.raises(AlbertLabError):
+            pullback(p, [[1, 0], [0, 1]])

@@ -11,11 +11,31 @@ from albertlab.errors import ConfigError, NotInvertible, NoVerifiedMap
 from albertlab.isotopy import (LinearMap, SingularMap, isotope,
                                second_tits_isotope_iso, u_isotope_identity,
                                verify_isomorphism, verify_norm_similarity)
+from albertlab.poly import indices, linear_form
 from albertlab.rng import Stream
+from albertlab.scalars import lift
 
 
 def _u_map(j, a):
     return LinearMap(j, j, j.u_matrix(a))
+
+
+def _nested_witness(j, m):
+    """First index tuple where N(m x) and N(x) are not proportional, with
+    the pullback substituted by the nested Poly.eval route."""
+    ints, _ = lift([e for row in m for e in row])
+    n2, _ = j.n_int
+    pull = n2.eval([linear_form(ints[r * j.dim:(r + 1) * j.dim])
+                    for r in range(j.dim)], 1, {})
+    first = min(n2.terms, key=indices)
+    a, b = pull.coefficient(first) or 0, n2.terms[first]
+    p = j.ground.char
+    diff = []
+    for mo in set(pull.terms) | set(n2.terms):
+        d = b * pull.terms.get(mo, 0) - a * n2.terms.get(mo, 0)
+        if d % p if p else d:
+            diff.append(mo)
+    return indices(min(diff, key=indices))
 
 
 class TestLinearMap:
@@ -69,16 +89,19 @@ class TestNormSimilarity:
             nu_ab, _ = verify_norm_similarity(fa.compose(fb))
             assert nu_ab == nu_a * nu_b
 
-    def test_non_similarity_detected(self, j_lk_q, j_lk_f5):
-        # a generic invertible matrix is not a norm similarity
-        for j in (j_lk_q, j_lk_f5):
+    def test_non_similarity_detected(self, j_lk_q, j_lk_f5, j_m3_q):
+        # a generic invertible matrix is not a norm similarity; the
+        # witness names the first monomial where the nested Poly.eval
+        # pullback and the source norm stop being proportional
+        for j in (j_lk_q, j_lk_f5, j_m3_q):
             g = j.ground
-            m = linalg.identity(9, g.one, g.zero)
+            m = linalg.identity(j.dim, g.one, g.zero)
             m[0][1] = g.one
             m[3][7] = g.from_int(2)
             nu, wit = verify_norm_similarity(LinearMap(j, j, m))
             assert nu is None
-            assert wit.startswith("monomial ")
+            assert wit == ("monomial %r: pullback and source norm are not "
+                           "proportional" % (_nested_witness(j, m),))
 
 
 class TestIsotope:

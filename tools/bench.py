@@ -16,6 +16,10 @@ first, and the file records for each metric both sides' medians and
 quartiles and how many pairs the checkout won (ties count for neither
 side).  The file also records the CPU count, the Python version and the
 git commit of each checkout.
+
+A checkout holding a __pycache__ directory under src/ or perfbench/ is
+refused before any run: a compiled cache shortens the import that
+setup_s measures, so a cache on one side only skews the comparison.
 """
 
 import argparse
@@ -45,6 +49,16 @@ def _git_sha(root):
     except (OSError, subprocess.CalledProcessError):
         return None
     return sha.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
+
+
+def bytecode_cache(root):
+    """The first __pycache__ directory under root's src/ or perfbench/,
+    or None."""
+    for top in ("src", "perfbench"):
+        for dirpath, dirnames, _ in sorted(os.walk(os.path.join(root, top))):
+            if "__pycache__" in dirnames:
+                return os.path.join(dirpath, "__pycache__")
+    return None
 
 
 def run_once(root, workload, seed):
@@ -108,6 +122,10 @@ def main(argv=None):
     for root in roots.values():
         if not os.path.exists(os.path.join(root, "perfbench", "run.py")):
             ap.error("%s is not an albertlab checkout" % root)
+        cache = bytecode_cache(root)
+        if cache:
+            raise SystemExit("bench: bytecode cache %s; delete it before "
+                             "benchmarking" % cache)
 
     report = {
         "host": {"cpus": os.cpu_count(),

@@ -387,16 +387,33 @@ class TestGoldenDumps:
 
 
 class TestGoldenReports:
-    # whole isotope and galois reports of the LK configs, byte for byte
-    # and the isotope reports of m3_q_first (J(M3(Q), 1) and one v) and
-    # m3k_q_second (J(M3(K), sigma, u, mu) and v = diag(1, 1, 2))
+    # whole isotope and galois reports of the LK configs, byte for byte,
+    # the isotope reports of m3_q_first (J(M3(Q), 1) and one v) and
+    # m3k_q_second (J(M3(K), sigma, u, mu) and v = diag(1, 1, 2)), and
+    # the check report of cyclic_q_first (its axiom suite, whose
+    # N(x#) = N(x)^2 is derived from the other two symbolic identities)
     @pytest.mark.parametrize("name, command", [
         ("lk_q_second", "isotope"), ("lk_q_second", "galois"),
         ("lk_f5_second", "isotope"), ("lk_f5_second", "galois"),
-        ("m3_q_first", "isotope"), ("m3k_q_second", "isotope")])
+        ("m3_q_first", "isotope"), ("m3k_q_second", "isotope"),
+        ("cyclic_q_first", "check")])
     def test_report_matches_golden(self, name, command):
         code, out, err = run_cli([command, "--config", cfg(name + ".json")])
         assert (code, err) == (0, "")
         with open(os.path.join(GOLDEN, "%s_%s.json" % (name, command)),
+                  "rb") as fh:
+            assert out.encode() == fh.read()
+
+    def test_corrupted_axioms_report_matches_golden(self, tmp_path):
+        # the failing verdicts and witnesses of a corrupted adjoint on
+        # J(M3(F_5), 2), where N(x#) = N(x)^2 is composed directly
+        with open(cfg("m3_f5_first.json")) as fh:
+            data = json.load(fh)
+        data["tasks"] = [{"task": "axioms", "corrupt_coord": 3}]
+        path = tmp_path / "corrupt.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", "--config", str(path)])
+        assert (code, err) == (1, "")
+        with open(os.path.join(GOLDEN, "m3_f5_first_axioms_corrupt3.json"),
                   "rb") as fh:
             assert out.encode() == fh.read()

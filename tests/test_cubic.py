@@ -1,11 +1,14 @@
 """Cubic norm structures: derived operations, identity suite, mutation
 detection, nilpotency."""
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from albertlab import cubic, tits
+from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, JElem, corrupt_sharp
 from albertlab.errors import NotInvertible, VerificationFailure
 from albertlab.rng import Stream
@@ -204,3 +207,101 @@ class TestMutationDetection:
             assert clean[name].passed
             assert not bad[name].passed
             assert bad[name].witness
+
+
+SEED = 20260823
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.fixture
+def direct_calls(monkeypatch):
+    """Labels of the structures whose N(x#) = N(x)^2 was composed."""
+    calls = []
+    real = CubicNormStructure._norm_of_adjoint_direct
+
+    def spy(self, cache=None):
+        calls.append(self.label)
+        return real(self, cache)
+
+    monkeypatch.setattr(CubicNormStructure, "_norm_of_adjoint_direct", spy)
+    return calls
+
+
+def _check(rep, name):
+    return next(c for c in rep.checks if c.name == name)
+
+
+class TestNormOfAdjointRoute:
+    # N(x#) = N(x)^2 is derived from x## = N(x) x and the gradient
+    # identity outside characteristic 3, and composed otherwise
+
+    @pytest.mark.parametrize("name", [
+        "j_m3_f5", "j_m3_q", "j_cyc_q", "j_lk_q", "j_lk_f5", "iso_m3_f5",
+        "iso_lk_q", "j_m3k_q", "j_m3_f7", "j_lk_f7"])
+    def test_direct_composition_holds(self, name, request):
+        # the composition the suite skips still proves N(x#) = N(x)^2
+        j = request.getfixturevalue(name)
+        j.expand_symbolic()
+        assert j._norm_of_adjoint_direct()
+
+    def test_clean_suite_derives(self, j_m3_f5, direct_calls):
+        rep = j_m3_f5.axiom_suite(seed=SEED, points=20)
+        assert rep.all_passed
+        assert _check(rep, "norm_of_adjoint").mode == "symbolic"
+        assert direct_calls == []
+
+    def test_characteristic_3_composes(self, direct_calls):
+        # J(M3(F_3), 2): the derivation divides by 3, so it is not used
+        with open(os.path.join(CONFIGS, "m3_f5_first.json")) as fh:
+            data = json.load(fh)
+        data["base"] = {"p": 3}
+        j = BuildContext(data).j
+        assert j.ground.char == 3
+        rep = j.axiom_suite(seed=SEED)
+        assert rep.all_passed, rep
+        assert _check(rep, "norm_of_adjoint").mode == "symbolic"
+        assert direct_calls == [j.label]
+
+    def test_failed_trace_premise_composes(self, j_m3_q, direct_calls,
+                                           monkeypatch):
+        monkeypatch.setattr(CubicNormStructure, "_trace_adjoint_ok",
+                            lambda self: False)
+        rep = j_m3_q.axiom_suite(seed=SEED, points=20)
+        trace = _check(rep, "trace_adjoint_is_norm_derivative")
+        assert not trace.passed and trace.witness == "polynomials differ"
+        norm = _check(rep, "norm_of_adjoint")
+        assert norm.passed and norm.mode == "symbolic"
+        assert direct_calls == [j_m3_q.label]
+
+    def test_failed_adjoint_premise_composes(self, QQ, direct_calls):
+        # N(x) = x0^3 - 3 x0 x1^2 with x# the gradient of N through T:
+        # T(x#, y) = d_y N(x) holds, x## = N(x) x does not, and neither
+        # does N(x#) = N(x)^2
+        j = CubicNormStructure(
+            QQ, 2,
+            lambda x: x[0] * x[0] * x[0] - 3 * x[0] * x[1] * x[1],
+            lambda x: [x[0] * x[0] - x[1] * x[1], -(x[0] * x[1])],
+            [QQ.one, QQ.zero], label="toy")
+        rep = j.axiom_suite(seed=SEED, points=20)
+        assert _check(rep, "trace_adjoint_is_norm_derivative").passed
+        assert not _check(rep, "adjoint_of_adjoint").passed
+        norm = _check(rep, "norm_of_adjoint")
+        assert not norm.passed and norm.mode == "symbolic"
+        assert norm.witness
+        assert direct_calls == ["toy"]
+
+    @pytest.mark.parametrize("name, witness", [
+        ("j_m3_f5", (1, 1, 1, 2, 0, 2, 4, 2, 1, 4, 2, 3, 1, 0, 3, 3, 4, 2,
+                     3, 3, 4, 4, 4, 0, 1, 4, 4)),
+        ("j_m3_q", tuple(Fraction(v) for v in (
+            1, -10, -1, -7, 8, 10, 10, 8, 10, 4, -7, 6, -8, 6, 1, 0, -3,
+            -6, -6, 8, -5, 0, 0, 8, 4, 10, -5)))])
+    def test_corrupt_sharp_composes(self, name, witness, request,
+                                    direct_calls):
+        # the verdict and the witness of the composition route, pinned
+        j = corrupt_sharp(request.getfixturevalue(name), coord=5)
+        rep = j.axiom_suite(seed=SEED, points=60)
+        norm = _check(rep, "norm_of_adjoint")
+        assert (norm.passed, norm.mode, norm.witness) == (
+            False, "symbolic", repr(witness))
+        assert direct_calls == [j.label]

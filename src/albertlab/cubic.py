@@ -392,9 +392,9 @@ class CubicNormStructure:
     def _norm_of_adjoint_direct(self, cache=None):
         """N(x#) = N(x)^2 by composition: the int norm form composed with
         the int adjoint, against the square of the norm form, mod the
-        characteristic.  Both sides are homogeneous of degree 6, so the
-        scalings of the lifts give n_den N(x#) = s_den^3 N(x)^2.  cache
-        is Poly.eval's prefix cache, shared with the x## composition."""
+        characteristic.  With n_i = n_den N and sh_i = s_den #, the
+        identity reads n_den n_i(sh_i) = s_den^3 n_i^2.  cache is
+        Poly.eval's pair-product cache, shared with the x## composition."""
         sh_i, s_den = self._sharp_int
         n_i, n_den = self._n_int
         char = self.ground.char

@@ -97,11 +97,14 @@ def _coeff_list(node, key, what):
 
 
 def as_int(value, what):
-    """int(value), or a ConfigError naming `what`."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError("%s must be an integer, got %r" % (what, value))
+    """int(value), or a ConfigError naming `what`; JSON true, false and
+    numbers with a fraction or exponent part are refused, not truncated."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError("%s must be an integer, got %r" % (what, value))
 
 
 def _at_least(value, least, what):
@@ -119,9 +122,9 @@ def _base_desc(node):
         return Rationals()
     if isinstance(node, dict) and "p" in node:
         try:
-            return PrimeFieldDesc(int(node["p"]))
-        except (TypeError, ValueError):
-            raise ConfigError("bad prime %r" % (node["p"],))
+            return PrimeFieldDesc(as_int(node["p"], "prime"))
+        except ConfigError:
+            raise ConfigError("bad prime %r" % (node["p"],)) from None
     raise ConfigError("bad base field %r (use \"Q\" or {\"p\": prime})"
                       % (node,))
 

@@ -33,7 +33,10 @@ from .rng import Stream
 from .scalars import from_int, lift
 
 # rough bound on coefficient multiplications before a symbolic identity
-# check falls back to random-point verification
+# check falls back to random-point verification.  _sharp_cost, the sum of
+# |S_i| |S_k| over the terms x_i x_k of the adjoint (S_i the terms of its
+# coordinate i), bounds the quadratic term products of the x## proof:
+# Poly.eval multiplies each first-index group sum_k c_ik S_k by S_i once.
 SYMBOLIC_OP_LIMIT = 3_000_000
 
 
@@ -184,14 +187,12 @@ class CubicNormStructure:
         return from_int(self._kind, n_i.eval(xi, 1), den * d ** 3)
 
     def sharp(self, x):
-        # same routes as norm; the Poly route shares pair products
-        # across the coordinates of the adjoint
+        # same routes as norm
         if self._sharp_polys is None:
             return tuple(self.eval_sharp(list(x)))
         if any(isinstance(c, Poly) for c in x):
             xl = list(x)
-            cache = {}
-            return tuple(p.eval(xl, self.ground.one, cache)
+            return tuple(p.eval(xl, self.ground.one)
                          for p in self._sharp_polys)
         s, den = self.sharp_int(x)
         return tuple(from_int(self._kind, c, den) for c in s)
@@ -389,16 +390,15 @@ class CubicNormStructure:
         return _mod(n_den * lhs, char) == _mod(
             s_den * t_den * directional_derivative(n_i, self.dim), char)
 
-    def _norm_of_adjoint_direct(self, cache=None):
+    def _norm_of_adjoint_direct(self):
         """N(x#) = N(x)^2 by composition: the int norm form composed with
         the int adjoint, against the square of the norm form, mod the
         characteristic.  With n_i = n_den N and sh_i = s_den #, the
-        identity reads n_den n_i(sh_i) = s_den^3 n_i^2.  cache is
-        Poly.eval's pair-product cache, shared with the x## composition."""
+        identity reads n_den n_i(sh_i) = s_den^3 n_i^2."""
         sh_i, s_den = self._sharp_int
         n_i, n_den = self._n_int
         char = self.ground.char
-        lhs = n_i.eval(sh_i, 1, cache)
+        lhs = n_i.eval(sh_i, 1)
         return _mod(n_den * lhs, char) == _mod(s_den ** 3 * (n_i * n_i),
                                                char)
 
@@ -451,15 +451,14 @@ class CubicNormStructure:
             sh_i, s_den = self._sharp_int
             n_i, n_den = self._n_int
             s3 = s_den ** 3
-            cache = {}
-            sharp2 = [p.eval(sh_i, 1, cache) for p in sh_i]
+            sharp2 = [p.eval(sh_i, 1) for p in sh_i]
             bad = next(
                 (i for i in range(self.dim)
                  if _mod(n_den * sharp2[i], g.char)
                  != _mod(s3 * (n_i * Poly.var(i, 1)), g.char)), None)
             # derived from the two proved identities (see the docstring)
             norm_ok = (bad is None and trace_ok and g.char != 3) \
-                or self._norm_of_adjoint_direct(cache)
+                or self._norm_of_adjoint_direct()
             if bad is None:
                 emit("adjoint_of_adjoint", True, "symbolic")
             else:

@@ -18,8 +18,9 @@ A Poly multiplies only by another Poly, an int or a Fraction; any other
 operand (an extension Elem) gets NotImplemented and handles the product
 itself.
 
-Besides the general substitution of Poly.eval, pullback(p, rows) pulls a
-homogeneous cubic int form back through an int matrix as a dense
+Poly.eval substitutes Poly args nested by first index down to linear
+terms and keeps nothing between calls.  Besides it, pullback(p, rows)
+pulls a homogeneous cubic int form back through an int matrix as a dense
 contraction on int lists; the norm-similarity certificate uses it,
 since its matrices are nearly full and the sparse substitution pays one
 dict update per term product.
@@ -225,25 +226,21 @@ class Poly:
 
     # -- evaluation / substitution ----------------------------------------
 
-    def eval(self, args, one, cache=None):
+    def eval(self, args, one):
         """Substitute args[i] for variable i.
 
         With scalar args the result is the scalar sum of c * prod(args);
         `one` only fixes its zero when self has no terms.  The terms are
         read from a plan of (coefficient, indices(m)) pairs built at the
         first scalar evaluation and kept, which is sound because a Poly's
-        terms never change after construction.  With Poly args
-        the substitution is nested: the terms of degree 3 or more are
-        grouped by their first index i, self = sum_i x_i Q_i + (terms of
-        degree at most 2), each Q_i is substituted the same way and then
-        multiplied by args[i] once per group, straight into one output
-        dict whose zeros are dropped once at the end.  A quadratic term
-        reads the product args[i] * args[j] from a dict keyed by the index
-        pair (i, j); pass `cache` to share those pair products across
-        calls, which pays off when the same maps are substituted into many
-        forms (the coordinates of the adjoint).  The cache only ever holds
-        pair products: the Q_i and their products with args[i] are used
-        once and are not stored.
+        terms never change after construction.  With Poly args the
+        substitution is nested down to linear terms: the terms of degree
+        2 or more are grouped by their first index i, self = sum_i x_i L_i
+        + (terms of degree at most 1), and each L_i is substituted the same
+        way, stripped of its zero sums and multiplied by args[i] once,
+        straight into one output dict whose zeros are dropped at the end.
+        So a quadratic form costs one linear combination of the args per
+        first index and no product args[i] * args[j] per term.
         """
         if not any(isinstance(a, Poly) for a in args):
             plan = self._plan
@@ -257,31 +254,25 @@ class Poly:
                 total = total + c
             return total
         out = {}
-        _subst_into(out, self.terms, args, {} if cache is None else cache)
+        _subst_into(out, self.terms, args)
         return _nonzero(out)
 
 
-def _subst_into(out, terms, args, cache):
+def _subst_into(out, terms, args):
     """out += (the term dict `terms` with args substituted), nested by
     first index as described in Poly.eval."""
     groups = {}
     for m, c in terms.items():
-        idx = indices(m)
-        if len(idx) >= 3:
+        if m & 255 >= 2:
             # m = x_i * rest: drop one x_i and one from the degree byte
-            i = idx[0]
+            i = indices(m)[0]
             groups.setdefault(i, {})[m - (1 << (8 * i + 8)) - 1] = c
-            continue
-        if len(idx) == 2:
-            prod = cache.get(idx)
-            if prod is None:
-                prod = cache[idx] = args[idx[0]] * args[idx[1]]
         else:
-            prod = args[idx[0]] if idx else 1
-        _mul_into(out, _terms(prod), _ONE, c)
+            _mul_into(out, _terms(args[indices(m)[0]]) if m else _ONE,
+                      _ONE, c)
     for i, rest in groups.items():
         q = {}
-        _subst_into(q, rest, args, cache)
+        _subst_into(q, rest, args)
         _mul_into(out, {m: v for m, v in q.items() if v}, _terms(args[i]),
                   1)
 

@@ -254,6 +254,16 @@ class TestExitCodes:
          ["1", "x", "0", "1"]),
         ("build", "m3_f5_first.json", ["seed"], "abc"),
         ("build", "m3_f5_first.json", ["tasks"], 5),
+        # integer fields refuse JSON booleans and non-integral numbers
+        # instead of truncating them
+        ("check", "m3_f5_first.json", ["base", "p"], 5.7),
+        ("check", "m3_f5_first.json", ["base", "p"], True),
+        ("build", "m3_f5_first.json", ["seed"], True),
+        ("build", "m3_f5_first.json", ["seed"], 2.0),
+        ("check", "m3_f5_first.json", ["tasks", 1, "budget"], 9.9),
+        ("check", "m3_f5_first.json", ["tasks", 1, "budget"], False),
+        ("check", "m3_f5_first.json", ["tasks", 0, "points"], 2.5),
+        ("check", "m3_f5_first.json", ["tasks", 0, "corrupt_coord"], 1.5),
     ])
     def test_malformed_config_is_2(self, tmp_path, command, name, path,
                                    value):

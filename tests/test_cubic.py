@@ -219,9 +219,9 @@ def direct_calls(monkeypatch):
     calls = []
     real = CubicNormStructure._norm_of_adjoint_direct
 
-    def spy(self, cache=None):
+    def spy(self):
         calls.append(self.label)
-        return real(self, cache)
+        return real(self)
 
     monkeypatch.setattr(CubicNormStructure, "_norm_of_adjoint_direct", spy)
     return calls

@@ -203,7 +203,7 @@ class TestUMatrix:
 
 def _nested_pullback(p, rows):
     """p(F x) by the nested Poly.eval route, one linear form per row."""
-    return p.eval([linear_form(row) for row in rows], 1, {})
+    return p.eval([linear_form(row) for row in rows], 1)
 
 
 def _int_rows(m):

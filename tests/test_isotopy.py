@@ -26,7 +26,7 @@ def _nested_witness(j, m):
     ints, _ = lift([e for row in m for e in row])
     n2, _ = j.n_int
     pull = n2.eval([linear_form(ints[r * j.dim:(r + 1) * j.dim])
-                    for r in range(j.dim)], 1, {})
+                    for r in range(j.dim)], 1)
     first = min(n2.terms, key=indices)
     a, b = pull.coefficient(first) or 0, n2.terms[first]
     p = j.ground.char

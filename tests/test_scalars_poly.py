@@ -88,19 +88,26 @@ class TestPoly:
         expect = (args[0] ** 2 * args[1] - 3 * args[2] ** 3
                   + args[1] ** 2 * args[2])
         assert p.eval(args, Fraction(1)) == expect
-        # prefix cache must not change values
-        assert p.eval(args, Fraction(1), {}) == expect
+        # a second evaluation reads the kept plan and gives the same value
+        assert p.eval(args, Fraction(1)) == expect
 
-    def test_eval_cache_keeps_pair_products_only(self):
-        # substituting quadratic forms into a cubic: the cache must give the
-        # uncached result and hold no product of three factors
+    def test_eval_cancelled_group_is_zero(self):
+        # p = x0 x1 + x0 x2 groups to x0 (x1 + x2); with args[2] = -args[1]
+        # the linear remainder cancels, and nothing of it is stored
         x, y, z = self._vars()
-        cubic = x * x * y - 3 * x * y * z + y * z * z + 2 * z * z * z
-        args = [x * y + z * z, x * x - 2 * y * z, y * y + x * z]
-        cache = {}
-        assert cubic.eval(args, 1, cache) == cubic.eval(args, 1)
-        assert cache
-        assert all(len(k) <= 2 for k in cache)
+        p = x * y + x * z
+        args = [x + 2 * z, y * y - x * z, -(y * y - x * z)]
+        out = p.eval(args, 1)
+        assert out == Poly()
+        assert out.terms == {}
+        # the cancelled group is never multiplied by args[0]: were its zero
+        # sums kept, the degree 200 remainder times the degree 100 args[0]
+        # would overflow the degree byte
+        high = [Poly({mono((0,) * 100): 1}), Poly({mono((1,) * 200): 1}),
+                Poly({mono((1,) * 200): -1})]
+        assert p.eval(high, 1).terms == {}
+        with pytest.raises(AlbertLabError):
+            high[0] * high[1]
 
     def test_directional_derivative_of_cube(self):
         # d/dt (x0^3) along y = 3 x0^2 y0

@@ -75,10 +75,9 @@ def test_eval_matches_sympy(p, args, point):
     r, xs = _ring(NVARS, QQ)
     ps = _to_sympy(p, r, QQ)
     one = Fraction(1)
-    # substituting polynomials, with and without the pair-product cache
+    # substituting polynomials
     want = ps.compose(list(zip(xs, [_to_sympy(a, r, QQ) for a in args])))
     assert _to_sympy(p.eval(args, one), r, QQ) == want
-    assert _to_sympy(p.eval(args, one, {}), r, QQ) == want
     # evaluating at a rational point
     assert _scalar(QQ, p.eval(point, one)) == \
         ps(*[_scalar(QQ, c) for c in point])
@@ -86,8 +85,8 @@ def test_eval_matches_sympy(p, args, point):
 
 # non-homogeneous polys with monomials up to degree 5, substituted by
 # polys of degree at most 2 (constants and zero included): terms of
-# degree 3 to 5 go through the grouping by first index, nested twice for
-# degree 5
+# degree 2 to 5 go through the grouping by first index, nested down to
+# linear terms, four times for degree 5
 _monomials5 = st.lists(st.integers(0, NVARS - 1), max_size=5).map(
     lambda idx: tuple(sorted(idx)))
 _polys5 = st.dictionaries(_monomials5, _coeffs, max_size=8).map(
@@ -106,8 +105,3 @@ def test_nested_eval_matches_sympy_compose(p, args):
         list(zip(xs, [_to_sympy(a, r, QQ) for a in args])))
     one = Fraction(1)
     assert _to_sympy(p.eval(args, one), r, QQ) == want
-    cache = {}
-    assert _to_sympy(p.eval(args, one, cache), r, QQ) == want
-    assert all(len(k) == 2 for k in cache)
-    # a second call reads the pair products back from the cache
-    assert _to_sympy(p.eval(args, one, cache), r, QQ) == want

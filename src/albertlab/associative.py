@@ -17,11 +17,11 @@ the rho matrices, with rho^2 cached as one matrix) are held as plain
 ints, and sums start from None instead of a Fraction zero, so int
 coordinates stay ints through every product.  Over F_p the constants
 stay F_p scalars.  The reduced norm of the cyclic algebra is *defined*
-as the determinant of the splitting embedding; closed trace/adjoint
-formulas are validated against interpolation in the test suite before
-being used as fast paths.  Each algebra also expands its reduced norm
-once into int forms in the k-coordinates (norm_int), which the witness
-search evaluates at every candidate.
+as the determinant of the splitting embedding.  The closed trace, spur
+and adjoint formulas are validated against N(t 1 - x), read off by
+interpolation, in tests/test_associative.py.  Each algebra also expands
+its reduced norm once into int forms in the k-coordinates (norm_int),
+which the witness search evaluates at every candidate.
 """
 
 from . import linalg
@@ -29,7 +29,7 @@ from .cubic import _int_scaled
 from .errors import (DescentFailure, NotInvertible, NotSecondKind,
                      TwistNotHermitian, VerificationFailure)
 from .fields import Elem, up_mod, up_mul
-from .poly import Poly, mono, variables
+from .poly import variables
 from .scalars import int_constants
 
 
@@ -573,82 +573,3 @@ class UnitaryInvolution:
         new_twist = v if self.twist is None else alg.mul(v, self.twist)
         return UnitaryInvolution(alg, new_twist)
 
-
-# ---------------------------------------------------------------------------
-# generic characteristic coefficients
-
-def char_coeffs(alg, x, shifts=None):
-    """(T, S, N, x#) from the reduced norm alone.
-
-    N(t*1 - x) = t^3 - T t^2 + S t - N is read off either by exact
-    interpolation at four scalar shifts (default {0,1,2,3}) or, when the
-    ground field has fewer than four elements, by evaluating with t as a
-    polynomial indeterminate, which is characteristic-independent.
-    """
-    g = alg.center.ground
-    center = alg.center
-    unit = alg.unit()
-    if shifts is None and (g.char == 0 or g.char >= 5):
-        shifts = [g.from_int(i) for i in (0, 1, 2, 3)]
-    if shifts is not None:
-        vals = [alg.norm(alg.sub(alg.smul(t, unit), x)) for t in shifts]
-        vander = [[g.one, t, t * t, t * t * t] for t in shifts]
-        rhs = vals
-        coeffs = _solve_mixed(vander, rhs, g)
-        c0, c1, c2, c3 = coeffs
-        # c3 must be 1: cubic in t with leading coefficient 1
-        n_val = -c0
-        s_val = c1
-        t_val = -c2
-    else:
-        tvar = Poly.var(0, g.one)
-        xt = alg.sub(alg.smul(tvar, unit), _lift_to_poly(alg, x))
-        v = alg.norm(xt)
-        t_val = -_center_poly_coeff(center, v, 2)
-        s_val = _center_poly_coeff(center, v, 1)
-        n_val = -_center_poly_coeff(center, v, 0)
-    xx = alg.mul(x, x)
-    tx = alg.smul(t_val, x)
-    su = alg.smul(s_val, unit)
-    sharp = tuple(a - b + c for a, b, c in zip(xx, tx, su))
-    return t_val, s_val, n_val, sharp
-
-
-def _solve_mixed(mat, rhs, g):
-    """Solve a small linear system with k-scalar matrix and center rhs."""
-    n = len(mat)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c])
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [e / pv for e in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
-
-
-def _lift_to_poly(alg, x):
-    """Re-embed an element so its k-coordinates are constant Polys."""
-    coords = alg.to_k_coords(x)
-    return alg.from_k_coords([Poly.const(c) for c in coords])
-
-
-def _center_poly_coeff(center, v, deg):
-    t_deg = mono((0,) * deg)
-    if center.dim == 1:
-        c = v.coefficient(t_deg) if isinstance(v, Poly) else \
-            (v if deg == 0 else None)
-        g = center.ground
-        return c if c is not None else g.zero
-    g = center.ground
-    out = []
-    for c in v.coords:
-        if isinstance(c, Poly):
-            cc = c.coefficient(t_deg)
-            out.append(cc if cc is not None else g.zero)
-        else:
-            out.append(c if deg == 0 else g.zero)
-    return center.from_k_coords(out)

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .config import SEARCH_MODES, load_config
+from .config import SEARCH_MODES, at_least, load_config
 from .errors import ConfigError, VerificationFailure
 from .runner import run_config
 
@@ -81,9 +81,10 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         tasks = _select_tasks(args.command, cfg)
+        at_least(args.jobs, 1, "jobs")
         report, code = run_config(
             cfg, seed=args.seed, budget=args.budget, mode=args.mode,
-            jobs=args.jobs, timing=args.timing, tasks=tasks)
+            timing=args.timing, tasks=tasks)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2

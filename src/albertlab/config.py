@@ -50,12 +50,12 @@ _TASK_NEEDS = {"isotope": ("v",), "iso_verify": ("v",)}
 SEARCH_MODES = ("random", "exhaustive")
 
 
-def check_run(tasks, known, budget=None, jobs=1):
+def check_run(tasks, known, budget=None):
     """Reject what a run cannot honour before any task starts: a task name
     not in `known` (the runner's task table), a missing field of
     _TASK_NEEDS, a task field of _TASK_COUNTS that is not an integer of at
-    least its least value, a search mode not in SEARCH_MODES, a budget
-    override below 0 and fewer than one job."""
+    least its least value, a search mode not in SEARCH_MODES and a budget
+    override below 0."""
     for t in tasks:
         name = t["task"]
         if name not in known:
@@ -64,13 +64,12 @@ def check_run(tasks, known, budget=None, jobs=1):
             _need(t, key, "task %s" % name)
         for key, least in _TASK_COUNTS:
             if key in t:
-                _at_least(t[key], least, "%s %s" % (name, key))
+                at_least(t[key], least, "%s %s" % (name, key))
         if "mode" in t and t["mode"] not in SEARCH_MODES:
             raise ConfigError("%s mode must be one of %s, got %r"
                               % (name, ", ".join(SEARCH_MODES), t["mode"]))
     if budget is not None:
-        _at_least(budget, 0, "budget")
-    _at_least(jobs, 1, "jobs")
+        at_least(budget, 0, "budget")
 
 
 def _need(node, key, what):
@@ -97,17 +96,15 @@ def _coeff_list(node, key, what):
 
 
 def as_int(value, what):
-    """int(value), or a ConfigError naming `what`; JSON true, false and
-    numbers with a fraction or exponent part are refused, not truncated."""
-    if not isinstance(value, (bool, float)):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
+    """value when it is an integer, or a ConfigError naming `what`; JSON
+    true, false, strings and numbers with a fraction or exponent part are
+    refused, not converted."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise ConfigError("%s must be an integer, got %r" % (what, value))
 
 
-def _at_least(value, least, what):
+def at_least(value, least, what):
     n = as_int(value, what)
     if n < least:
         raise ConfigError("%s must be at least %d, got %d"

@@ -65,21 +65,6 @@ class AxiomReport:
             "FAILURES: %s" % [c.name for c in self.failed()])
 
 
-@dataclass
-class JElem:
-    structure: "CubicNormStructure"
-    coords: tuple
-
-    def norm(self):
-        return self.structure.norm(self.coords)
-
-    def sharp(self):
-        return JElem(self.structure, self.structure.sharp(self.coords))
-
-    def inverse(self):
-        return JElem(self.structure, self.structure.inverse(self.coords))
-
-
 class CubicNormStructure:
     def __init__(self, ground, dim, eval_norm: Callable, eval_sharp: Callable,
                  unit, label="J"):

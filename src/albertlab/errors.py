@@ -28,7 +28,7 @@ class NotGaloisClosure(ConfigError):
 
 
 class LevelMismatch(AlbertLabError):
-    """Element does not live in the tower level named by the caller."""
+    """The extension has no automorphism of the name the caller gave."""
 
 
 # associative algebra errors

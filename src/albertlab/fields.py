@@ -16,7 +16,7 @@ built from ground scalars keep Fraction coordinates, and over F_p every
 constant stays an F_p scalar.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -272,12 +272,6 @@ class Extension:
         return [self.ground.one if i == j else self.ground.zero
                 for i in range(self.dim)]
 
-    def elem(self, coords):
-        if len(coords) != self.dim:
-            raise LevelMismatch("expected %d coordinates for %s, got %d"
-                                % (self.dim, self.name, len(coords)))
-        return Elem(self, list(coords))
-
     def from_scalar(self, s):
         return Elem(self, [s * c for c in self.one.coords])
 
@@ -315,24 +309,6 @@ class Extension:
     def random(self, stream):
         return Elem(self, [self.ground.random(stream)
                            for _ in range(self.dim)])
-
-    def random_invertible(self, stream):
-        while True:
-            x = self.random(stream)
-            try:
-                x.inv()
-                return x
-            except NotInvertible:
-                continue
-
-    def iter_all(self):
-        def rec(prefix, left):
-            if left == 0:
-                yield Elem(self, prefix)
-                return
-            for v in self.ground.iter_all():
-                yield from rec(prefix + [v], left - 1)
-        yield from rec([], self.dim)
 
     def __repr__(self):
         return "Extension(%s/%r, dim %d)" % (self.name, self.ground, self.dim)
@@ -477,83 +453,6 @@ class FieldTower:
             self.K, self.d = _build_quadratic(self.ground, desc.K)
             self.L = _build_cyclic_cubic(self.ground, desc.L)
             self.LK = _build_composite(self.ground, self.L, self.K)
-
-    # -- embeddings ---------------------------------------------------------
-
-    def embed_K_in_LK(self, x):
-        g = self.ground
-        coords = [g.zero] * 6
-        coords[0], coords[1] = x.coords
-        return self.LK.elem(coords)
-
-    def embed_L_in_LK(self, x):
-        g = self.ground
-        coords = [g.zero] * 6
-        for i in range(3):
-            coords[2 * i] = x.coords[i]
-        return self.LK.elem(coords)
-
-    def project_LK_to_K(self, x):
-        if any(x.coords[i] for i in range(2, 6)):
-            raise LevelMismatch("element is not in K inside LK")
-        return self.K.elem([x.coords[0], x.coords[1]])
-
-    def project_LK_to_L(self, x):
-        if any(x.coords[2 * i + 1] for i in range(3)):
-            raise LevelMismatch("element is not in L inside LK")
-        return self.L.elem([x.coords[2 * i] for i in range(3)])
-
-    def scalar_part(self, x):
-        """Extract the ground-field part of an Elem known to be scalar."""
-        if any(c for c in x.coords[1:]):
-            raise LevelMismatch("element is not in the ground field")
-        return x.coords[0]
-
-    # -- norms and traces ------------------------------------------------------
-
-    def norm(self, x, level):
-        if level == "K/k":
-            self._require(x, self.K)
-            return self.scalar_part(x * self.K.apply("bar", x))
-        if level == "L/k":
-            self._require(x, self.L)
-            r = self.L.apply("rho", x)
-            r2 = self.L.apply("rho", r)
-            return self.scalar_part(x * r * r2)
-        if level == "LK/K":
-            self._require(x, self.LK)
-            r = self.LK.apply("rho", x)
-            r2 = self.LK.apply("rho", r)
-            return self.project_LK_to_K(x * r * r2)
-        if level == "LK/L":
-            self._require(x, self.LK)
-            return self.project_LK_to_L(x * self.LK.apply("star", x))
-        raise LevelMismatch("unknown level %r" % (level,))
-
-    def trace(self, x, level):
-        if level == "K/k":
-            self._require(x, self.K)
-            return self.scalar_part(x + self.K.apply("bar", x))
-        if level == "L/k":
-            self._require(x, self.L)
-            r = self.L.apply("rho", x)
-            r2 = self.L.apply("rho", r)
-            return self.scalar_part(x + r + r2)
-        if level == "LK/K":
-            self._require(x, self.LK)
-            r = self.LK.apply("rho", x)
-            r2 = self.LK.apply("rho", r)
-            return self.project_LK_to_K(x + r + r2)
-        if level == "LK/L":
-            self._require(x, self.LK)
-            return self.project_LK_to_L(x + self.LK.apply("star", x))
-        raise LevelMismatch("unknown level %r" % (level,))
-
-    @staticmethod
-    def _require(x, ext):
-        if ext is None or not isinstance(x, Elem) or x.ext is not ext:
-            raise LevelMismatch("element does not live in the requested "
-                                "tower level")
 
 
 def tower_build(desc) -> FieldTower:

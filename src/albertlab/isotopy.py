@@ -54,23 +54,9 @@ class LinearMap:
         return LinearMap(other.source, self.target,
                          linalg.matmul(self.matrix, other.matrix))
 
-    def inverse_map(self):
-        try:
-            inv = linalg.inverse([row[:] for row in self.matrix],
-                                 self.source.ground.one,
-                                 self.source.ground.zero)
-        except NotInvertible:
-            raise SingularMap("matrix is singular")
-        return LinearMap(self.target, self.source, inv)
-
     def serialize(self):
         g = self.source.ground
         return [[g.to_str(e) for e in row] for row in self.matrix]
-
-    @staticmethod
-    def identity(j):
-        g = j.ground
-        return LinearMap(j, j, linalg.identity(j.dim, g.one, g.zero))
 
 
 def isotope(j, v):

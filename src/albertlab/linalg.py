@@ -147,15 +147,6 @@ def solve(m, rhs, one, zero):
     return [aug[i][n] for i in range(n)]
 
 
-def inverse(m, one, zero):
-    n = len(m)
-    aug = [list(m[i]) + identity(n, one, zero)[i] for i in range(n)]
-    pivots = _echelonize(aug)
-    if pivots != list(range(n)):
-        raise NotInvertible("singular matrix")
-    return [aug[i][n:] for i in range(n)]
-
-
 def kernel_basis(m, one, zero):
     """Deterministic basis of the right kernel of m (echelon convention).
 

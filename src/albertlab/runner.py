@@ -1,9 +1,9 @@
 """Task orchestration and deterministic report assembly.
 
 A report is a plain dict rendered as sorted-key JSON; with a fixed
-config and seed it is byte-identical across runs and across --jobs
-settings.  Timing fields are only added when explicitly requested, so
-they never break report comparisons.
+config and seed it is byte-identical across runs.  Timing fields are
+only added when explicitly requested, so they never break report
+comparisons.
 """
 
 import time
@@ -23,8 +23,8 @@ def _task_seed(seed, label, position):
     return Stream(seed).derive("task:%d:%s" % (position, label)).seed
 
 
-def run_config(cfg, seed=None, budget=None, mode=None, jobs=1,
-               timing=False, tasks=None):
+def run_config(cfg, seed=None, budget=None, mode=None, timing=False,
+               tasks=None):
     """Build the configured structure and execute its task list.
 
     Returns (report, exit_code): 0 all verification tasks passed
@@ -34,9 +34,10 @@ def run_config(cfg, seed=None, budget=None, mode=None, jobs=1,
     task_list = tasks if tasks is not None else \
         cfg.get("tasks", [{"task": "axioms"}])
     check_run(cfg.get("tasks", []) + (tasks or []), _HANDLERS,
-              budget=budget, jobs=jobs)
+              budget=budget)
+    cfg_seed = as_int(cfg.get("seed", 0), "seed")
     if seed is None:
-        seed = as_int(cfg.get("seed", 0), "seed")
+        seed = cfg_seed
     ctx = BuildContext(cfg)
     j = ctx.j
     g = j.ground
@@ -61,8 +62,7 @@ def run_config(cfg, seed=None, budget=None, mode=None, jobs=1,
         t0 = time.monotonic()
         entry = {"task": name}
         tseed = _task_seed(seed, name, pos)
-        _HANDLERS[name](ctx, node, entry, tseed,
-                        budget=budget, mode=mode, jobs=jobs)
+        _HANDLERS[name](ctx, node, entry, tseed, budget=budget, mode=mode)
         if timing:
             entry["elapsed_s"] = round(time.monotonic() - t0, 3)
         report["tasks"].append(entry)
@@ -102,25 +102,23 @@ def _search_entry(entry, g, res):
             entry["detail"] = res.detail
 
 
-def _t_div_falsify(ctx, node, entry, tseed, budget=None, mode=None, jobs=1):
+def _t_div_falsify(ctx, node, entry, tseed, budget=None, mode=None):
     b = budget if budget is not None else int(node.get("budget", 10000))
     m = mode if mode is not None else node.get("mode", "random")
-    res = search.division_falsify(ctx.j, budget=b, mode=m, seed=tseed,
-                                  jobs=jobs)
+    res = search.division_falsify(ctx.j, budget=b, mode=m, seed=tseed)
     _search_entry(entry, ctx.j.ground, res)
 
 
-def _t_norm_zero(ctx, node, entry, tseed, budget=None, mode=None, jobs=1):
+def _t_norm_zero(ctx, node, entry, tseed, budget=None, mode=None):
     b = budget if budget is not None else int(node.get("budget", 10000))
     m = mode if mode is not None else node.get("mode", "random")
-    res = search.find_norm_zero(ctx.j, budget=b, mode=m, seed=tseed,
-                                jobs=jobs)
+    res = search.find_norm_zero(ctx.j, budget=b, mode=m, seed=tseed)
     _search_entry(entry, ctx.j.ground, res)
 
 
-def _t_nilpotent(ctx, node, entry, tseed, budget=None, jobs=1, **kw):
+def _t_nilpotent(ctx, node, entry, tseed, budget=None, **kw):
     b = budget if budget is not None else int(node.get("budget", 100000))
-    res = search.find_nilpotent(ctx.j, budget=b, seed=tseed, jobs=jobs)
+    res = search.find_nilpotent(ctx.j, budget=b, seed=tseed)
     _search_entry(entry, ctx.j.ground, res)
 
 

@@ -190,15 +190,6 @@ class RationalField:
         # small integers keep downstream Fraction growth in check
         return Fraction(stream.next_below(21) - 10)
 
-    def random_nonzero(self, stream: Stream):
-        while True:
-            v = self.random(stream)
-            if v:
-                return v
-
-    def iter_all(self):
-        raise ConfigError("cannot enumerate an infinite field")
-
     def __repr__(self):
         return "Q"
 
@@ -258,9 +249,6 @@ class PrimeField:
 
     def random(self, stream: Stream):
         return self.elem(stream.next_below(self.p))
-
-    def random_nonzero(self, stream: Stream):
-        return self.elem(1 + stream.next_below(self.p - 1))
 
     def iter_all(self):
         for v in range(self.p):

@@ -3,12 +3,13 @@ division falsification.
 
 Candidate i of a random search is a pure function of (seed, i), and one
 sequential scan returns the earliest-index witness, so reports are
-byte-identical for a fixed seed.  The `jobs` argument is accepted and
-ignored: the predicates are pure-Python arithmetic, and worker threads
-made the scans slower.  The norm-preimage predicate of division
-falsification evaluates the coefficient algebra's int norm forms
-(norm_int) at the candidate's int lift.  Every witness is re-verified
-with a fresh evaluation before it is returned.
+byte-identical for a fixed seed.  The public searches keep their `jobs`
+parameter only for callers that still pass it, and ignore it: the
+predicates are pure-Python arithmetic, and worker threads made the scans
+slower.  The norm-preimage predicate of division falsification evaluates
+the coefficient algebra's int norm forms (norm_int) at the candidate's
+int lift.  Every witness is re-verified with a fresh evaluation before
+it is returned.
 """
 
 from .associative import MatrixAlgebra
@@ -147,8 +148,7 @@ def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
     if meta and meta["type"] == "first_tits":
         d_alg = meta["algebra"]
         lam = meta["lam"]
-        hit = _preimage_search(
-            d_alg, lam, d_alg.norm, pre_budget, seed, jobs)
+        hit = _preimage_search(d_alg, lam, d_alg.norm, pre_budget, seed)
         if hit is not None:
             i, w = hit
             jw = _first_split_witness(j, d_alg, w)
@@ -162,20 +162,19 @@ def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
     elif meta and meta["type"] == "second_tits":
         b_alg = meta["algebra"]
         mu = meta["mu"]
-        hit = _preimage_search(
-            b_alg, mu, b_alg.norm, pre_budget, seed, jobs)
+        hit = _preimage_search(b_alg, mu, b_alg.norm, pre_budget, seed)
         if hit is not None:
             i, w = hit
             return SearchResult(
                 "witness", witness=tuple(b_alg.to_k_coords(w)), index=i,
                 detail="norm preimage of mu in B (coordinates over k)")
-    res = find_norm_zero(j, budget=budget, mode=mode, seed=seed, jobs=jobs)
+    res = find_norm_zero(j, budget=budget, mode=mode, seed=seed)
     if res.found and res.detail is None:
         res.detail = "nonzero element with N = 0"
     return res
 
 
-def _preimage_search(alg, value, norm_fn, budget, seed, jobs):
+def _preimage_search(alg, value, norm_fn, budget, seed):
     """Earliest (i, w) with N(w) = value over the random candidates w of
     alg, tested on alg.norm_int and re-verified with norm_fn."""
     base = Stream(seed).derive("preimage").seed

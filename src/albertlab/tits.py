@@ -63,14 +63,6 @@ def first_tits(d_alg, lam, label=None):
     return j
 
 
-def embed_first_summand(j, d_elem):
-    """D -> J(D, lambda), first summand."""
-    d_alg = j.meta["algebra"]
-    g = j.ground
-    return tuple(d_alg.to_k_coords(d_elem)
-                 + [g.zero] * (j.dim - d_alg.k_dim))
-
-
 def second_tits(b_alg, sigma, u, mu, label=None):
     """J(B, sigma, u, mu) for B of degree 3 over a quadratic etale K."""
     center = b_alg.center

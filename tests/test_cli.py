@@ -264,6 +264,12 @@ class TestExitCodes:
         ("check", "m3_f5_first.json", ["tasks", 1, "budget"], False),
         ("check", "m3_f5_first.json", ["tasks", 0, "points"], 2.5),
         ("check", "m3_f5_first.json", ["tasks", 0, "corrupt_coord"], 1.5),
+        # a --seed override does not excuse the config's own seed
+        ("build --seed 5", "m3_f5_first.json", ["seed"], True),
+        # nor are digit strings read as integers
+        ("search", "m3_f5_first.json", ["tasks", 1, "budget"], "7"),
+        ("build", "m3_f5_first.json", ["seed"], "5"),
+        ("check", "m3_f5_first.json", ["base", "p"], "5"),
     ])
     def test_malformed_config_is_2(self, tmp_path, command, name, path,
                                    value):
@@ -278,7 +284,7 @@ class TestExitCodes:
             node[path[-1]] = value
         c = tmp_path / "c.json"
         c.write_text(json.dumps(data))
-        code, out, err = run_cli([command, "--config", str(c)])
+        code, out, err = run_cli(command.split() + ["--config", str(c)])
         assert code == 2
         assert out == ""
         assert err.startswith("config error: ")

@@ -7,11 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from albertlab import cubic, tits
+from albertlab import cubic
 from albertlab.config import BuildContext
-from albertlab.cubic import CubicNormStructure, JElem, corrupt_sharp
+from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import NotInvertible, VerificationFailure
 from albertlab.rng import Stream
+
+
+def _first_summand(j, d_elem):
+    """D -> J(D, lambda), first summand."""
+    coords = j.meta["algebra"].to_k_coords(d_elem)
+    return tuple(coords + [j.ground.zero] * (j.dim - len(coords)))
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +53,6 @@ class TestDimOne:
         rep = j_dim1.axiom_suite(seed=3, points=30)
         assert rep.all_passed, rep
 
-    def test_jelem_wrapper(self, j_dim1):
-        e = JElem(j_dim1, (Fraction(2),))
-        assert e.norm() == Fraction(8)
-        assert e.sharp().coords == (Fraction(4),)
-        assert e.inverse().coords == (Fraction(1, 2),)
-
 
 class TestDerivedOps:
     def test_trace_matches_algebra_trace(self, j_m3_q, QQ):
@@ -63,7 +63,7 @@ class TestDerivedOps:
         s = Stream(31)
         for _ in range(10):
             a = m3.random(s)
-            pt = tits.embed_first_summand(j_m3_q, a)
+            pt = _first_summand(j_m3_q, a)
             assert j_m3_q.trace(pt) == m3.trace(a)
             assert j_m3_q.spur(pt) == m3.spur(a)
 
@@ -158,7 +158,7 @@ class TestNilpotency:
         m3 = j_m3_q.meta["algebra"]
         z = QQ.zero
         e12 = (z, QQ.one, z, z, z, z, z, z, z)
-        pt = tits.embed_first_summand(j_m3_q, e12)
+        pt = _first_summand(j_m3_q, e12)
         assert j_m3_q.is_nilpotent(pt)
         assert not any(j_m3_q.u_op(pt, pt))
 

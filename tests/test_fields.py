@@ -12,13 +12,26 @@ from albertlab.rng import Stream
 from albertlab.scalars import PrimeField
 
 
+def _rho_norm(ext, x):
+    """x rho(x) rho^2(x): the norm of L/k, or of LK/K, as an element.  An
+    Elem equals a scalar only when it is that scalar times 1."""
+    r = ext.apply("rho", x)
+    return x * r * ext.apply("rho", r)
+
+
+def _rho_trace(ext, x):
+    """x + rho(x) + rho^2(x)."""
+    r = ext.apply("rho", x)
+    return x + r + ext.apply("rho", r)
+
+
 class TestQuadratic:
     def test_gaussian_norm_trace(self, tower_q):
         K = tower_q.K
         x = Elem(K, [Fraction(3), Fraction(4)])       # 3 + 4i
         # N(3+4i) = 9 + 16, T = 6   [oracle: a^2 - d b^2 with d = -1]
-        assert tower_q.norm(x, "K/k") == Fraction(25)
-        assert tower_q.trace(x, "K/k") == Fraction(6)
+        assert x * K.apply("bar", x) == Fraction(25)
+        assert x + K.apply("bar", x) == Fraction(6)
 
     def test_bar_is_involution(self, tower_q):
         K = tower_q.K
@@ -57,8 +70,8 @@ class TestCyclicCubic:
         L = tower_l_q.L
         alpha = Elem(L, [Fraction(0), Fraction(1), Fraction(0)])
         # for x^3 - 3x + 1: N(alpha) = -a0 = -1, T(alpha) = -a2 = 0
-        assert tower_l_q.norm(alpha, "L/k") == Fraction(-1)
-        assert tower_l_q.trace(alpha, "L/k") == Fraction(0)
+        assert _rho_norm(L, alpha) == Fraction(-1)
+        assert _rho_trace(L, alpha) == Fraction(0)
 
     def test_rho_order_three_and_nontrivial(self, tower_l_q):
         L = tower_l_q.L
@@ -73,8 +86,9 @@ class TestCyclicCubic:
         s = Stream(7)
         for _ in range(20):
             x = L.random(s)
-            assert tower_l_q.norm(x, "L/k") == \
-                tower_l_q.norm(L.apply("rho", x), "L/k")
+            n = _rho_norm(L, x)
+            assert not any(n.coords[1:])
+            assert n == _rho_norm(L, L.apply("rho", x))
 
     def test_reducible_rejected(self):
         # x^3 - 1 = (x - 1)(x^2 + x + 1)
@@ -98,10 +112,10 @@ class TestCyclicCubic:
 class TestComposite:
     def test_star_fixes_l_and_rho_fixes_k(self, tower_q):
         LK = tower_q.LK
-        alpha = tower_q.embed_L_in_LK(
-            Elem(tower_q.L, [Fraction(0), Fraction(1), Fraction(0)]))
-        i_elem = tower_q.embed_K_in_LK(
-            Elem(tower_q.K, [Fraction(0), Fraction(1)]))
+        z = Fraction(0)
+        # LK basis index 2*i + j for a^i s^j
+        alpha = Elem(LK, [z, z, Fraction(1), z, z, z])
+        i_elem = Elem(LK, [z, Fraction(1), z, z, z, z])
         assert LK.apply("star", alpha) == alpha
         assert LK.apply("star", i_elem) == -i_elem
         assert LK.apply("rho", i_elem) == i_elem
@@ -120,9 +134,10 @@ class TestComposite:
         for _ in range(10):
             x = tower_q.LK.random(s)
             y = tower_q.LK.random(s)
-            nx = tower_q.norm(x, "LK/K")
-            ny = tower_q.norm(y, "LK/K")
-            assert tower_q.norm(x * y, "LK/K") == nx * ny
+            nx, ny, nxy = (_rho_norm(tower_q.LK, w) for w in (x, y, x * y))
+            # the norms lie in K, at LK indices 0 and 1
+            assert not any(nx.coords[2:] + ny.coords[2:])
+            assert nxy == nx * ny
 
     def test_inversion(self, tower_q):
         s = Stream(17)

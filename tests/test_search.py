@@ -90,7 +90,7 @@ class TestDivisionFalsify:
         # force the preimage branch and check the conversion identity
         m3 = j_m3_f5.meta["algebra"]
         lam = j_m3_f5.meta["lam"]
-        hit = search._preimage_search(m3, lam, m3.norm, 4000, 5, 1)
+        hit = search._preimage_search(m3, lam, m3.norm, 4000, 5)
         assert hit is not None
         i, w = hit
         assert m3.norm(w) == lam
@@ -117,7 +117,7 @@ class TestDivisionFalsify:
         m3 = j_m3_f5.meta["algebra"]
         lam = j_m3_f5.meta["lam"]
         with pytest.raises(VerificationFailure):
-            search._preimage_search(m3, lam, lambda w: lam + 1, 4000, 5, 1)
+            search._preimage_search(m3, lam, lambda w: lam + 1, 4000, 5)
 
 
 def _algebra(request, name):

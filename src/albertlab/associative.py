@@ -245,8 +245,9 @@ class CyclicAlgebra(_IntNorm):
         self.k_dim = 9
         self._one = Elem(self.L, int_constants(self.L.one.coords))
         rho = self.L.autos["rho"]
-        self._rho_powers = (None, rho,
-                            int_constants(linalg.matmul(rho, rho)))
+        rho2 = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rho)]
+                for row in rho]
+        self._rho_powers = (None, rho, int_constants(rho2))
 
     def _rho(self, x, times):
         times %= 3

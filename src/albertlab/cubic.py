@@ -2,21 +2,27 @@
 
 The trace linear form, the quadratic spur, the trace bilinear form, the
 cross product, U-operators, inverses and nilpotency tests are all
-derived from the two evaluators and the base point alone.  Exact sparse
-expansions of N and # are computed once by running the evaluators on
-polynomial indeterminates, together with their lifts to int
-coefficients.  Identity checks compare the int forms mod the
+derived from the two forms and the base point alone.  A structure reads
+the exact sparse forms of N and # once, at first use, from its forms
+hook, and lifts them to int coefficients at the same time.  The default
+hook runs the evaluators on polynomial indeterminates; the Tits
+constructions use it.  Derived structures build their forms from their
+base's: an isotope scales them (isotopy.isotope), and corrupt_sharp adds
+one term.
+
+Every operation at a ground point has one route.  N and #, the
+U-operator matrix and U_x(y) are computed from the int forms at the
+point's integer lift (scalars.lift) and mapped back once
+(scalars.from_int).  sharp_int and u_matrix_int stop before the map back
+and return the int adjoint and the int U-matrix over one denominator,
+for callers that keep computing on ints (the isotope's evaluator and its
+U^(v) check).  Identity checks compare the int forms mod the
 characteristic where the expansion sizes stay reasonable and run exact
-checks at random points otherwise; N and #, the U-operator matrix and
-U_x(y) at a ground point are computed from the int forms at the point's
-integer lift (scalars.lift) and mapped back once (scalars.from_int).
-sharp_int and u_matrix_int stop before the map back and return the int
-adjoint and the int U-matrix over one denominator, for callers that
-keep computing on ints (the isotope's evaluator and its U^(v) check).
-The random-point check of the expansion against the evaluators runs the
-evaluators on the point's int lift as well over Q (lifted_norm,
-lifted_sharp), where the algebras hold their integral constants as ints;
-over F_p the evaluators take the F_p point as it is.
+checks at random points otherwise.  The evaluators are run at ground
+points only by the random-point check of the forms against them, on the
+point's int lift over Q (lifted_norm, lifted_sharp), where the algebras
+hold their integral constants as ints; over F_p the evaluators take the
+F_p point as it is.
 """
 
 from dataclasses import dataclass
@@ -66,14 +72,20 @@ class AxiomReport:
 
 
 class CubicNormStructure:
+    """(N, #, c) on k^dim.  eval_norm and eval_sharp compute N and # at a
+    point; forms, when given, returns the sparse forms (N_poly,
+    sharp_polys) directly, and otherwise they are read off the evaluators
+    run on indeterminates (_evaluator_forms)."""
+
     def __init__(self, ground, dim, eval_norm: Callable, eval_sharp: Callable,
-                 unit, label="J"):
+                 unit, label="J", forms: Optional[Callable] = None):
         self.ground = ground
         self.dim = dim
         self.eval_norm = eval_norm
         self.eval_sharp = eval_sharp
         self.unit = tuple(unit)
         self.label = label
+        self._forms = forms
         self._kind = type(ground.one)
         self._n_poly = None
         self._sharp_polys = None
@@ -86,18 +98,23 @@ class CubicNormStructure:
 
     # -- symbolic expansion --------------------------------------------------
 
+    def _evaluator_forms(self):
+        """The evaluators run on indeterminates; a constant they return
+        (a coordinate that no term reaches) becomes a constant Poly."""
+        xs = variables(self.dim, self.ground.one)
+        n, *sh = [p if isinstance(p, Poly) else Poly.const(p)
+                  for p in [self.eval_norm(xs), *self.eval_sharp(xs)]]
+        return n, sh
+
     def expand_symbolic(self):
-        """(N_poly, sharp_polys): exact expansions of the evaluators.
+        """(N_poly, sharp_polys): the exact forms, from the forms hook.
 
         Their int lifts (see _int_scaled) are stored alongside for the
         symbolic identity checks and for evaluation at ground points."""
         if self._n_poly is None:
-            xs = variables(self.dim, self.ground.one)
-            n = self.eval_norm(xs)
-            if not isinstance(n, Poly):
-                n = Poly.const(n)
-            sh = [p if isinstance(p, Poly) else Poly.const(p)
-                  for p in self.eval_sharp(xs)]
+            # not a bound method held on self: that cycle would keep every
+            # structure alive until the cyclic garbage collector runs
+            n, sh = (self._forms or self._evaluator_forms)()
             if not n.is_homogeneous(3):
                 raise VerificationFailure(
                     "norm of %s is not a homogeneous cubic" % self.label)
@@ -121,11 +138,17 @@ class CubicNormStructure:
     def sharp_polys(self):
         return self.expand_symbolic()[1]
 
+    def _int_forms(self):
+        """((n_i, n_den), (sh_i, s_den)), the int forms of N and # over
+        their denominators (_int_scaled), expanded on first use."""
+        if self._n_int is None:
+            self.expand_symbolic()
+        return self._n_int, self._sharp_int
+
     @property
     def n_int(self):
         """(n_i, den): N = n_i / den with n_i an int form (_int_scaled)."""
-        self.expand_symbolic()
-        return self._n_int
+        return self._int_forms()[0]
 
     def _trace_data(self):
         """Split N(c + z) by degree: 1 + T(z) + S(z) + N(z)."""
@@ -158,35 +181,22 @@ class CubicNormStructure:
     # -- derived operations ----------------------------------------------------
 
     def norm(self, x):
-        # once expanded, the sparse form is much cheaper than re-running
-        # algebra arithmetic inside the evaluator.  A ground point is
-        # lifted to ints and run through the int form, and the value is
-        # mapped back once; Poly coordinates (another structure's
-        # expansion passing through this one) go through the Poly form.
-        if self._n_poly is None:
-            return self.eval_norm(list(x))
-        if any(isinstance(c, Poly) for c in x):
-            return self._n_poly.eval(list(x), self.ground.one)
-        n_i, den = self._n_int
+        """N(x) at a ground point: the int norm form at the point's lift,
+        mapped back once."""
+        n_i, den = self.n_int
         xi, d = lift(x)
         return from_int(self._kind, n_i.eval(xi, 1), den * d ** 3)
 
     def sharp(self, x):
-        # same routes as norm
-        if self._sharp_polys is None:
-            return tuple(self.eval_sharp(list(x)))
-        if any(isinstance(c, Poly) for c in x):
-            xl = list(x)
-            return tuple(p.eval(xl, self.ground.one)
-                         for p in self._sharp_polys)
+        """x# at a ground point: sharp_int mapped back once."""
         s, den = self.sharp_int(x)
         return tuple(from_int(self._kind, c, den) for c in s)
 
     def sharp_int(self, x):
-        """(s, den): x# = s / den at a ground point x of an expanded
-        structure, the int adjoint evaluated at the point's lift; over
-        F_p den is 1 and s holds unreduced lifts."""
-        sh_i, den = self._sharp_int
+        """(s, den): x# = s / den at a ground point x, the int adjoint
+        evaluated at the point's lift; over F_p den is 1 and s holds
+        unreduced lifts."""
+        sh_i, den = self._int_forms()[1]
         xi, d = lift(x)
         return [p.eval(xi, 1) for p in sh_i], den * d * d
 
@@ -266,8 +276,9 @@ class CubicNormStructure:
     def _u_data(self):
         """Int data of the U-operator, lifted once: the columns of the
         trace bilinear matrix times t_den, and the polarized adjoint of
-        _sharp_int, cross(x, y)_m * s_den = sum c (x_i y_j + x_j y_i) over
-        the triples (i, j, c) of row m, the diagonal c already doubled."""
+        _sharp_int as triples (i, j, c) per row m, the diagonal c
+        doubled: cross(x, y)_m * s_den sums c (x_i y_j + x_j y_i) over
+        the triples with i < j and c x_i y_i over those with i = j."""
         if self._u_int is None:
             _, _, tb = self._trace_data()
             flat, t_den = lift([c for row in tb for c in row])
@@ -278,6 +289,19 @@ class CubicNormStructure:
             self._u_int = cols, t_den, cross
         return self._u_int
 
+    def _cross_rows(self, s):
+        """The int matrix of y -> (s x y) s_den for an int vector s, one
+        row per polarized adjoint row of _u_data."""
+        cm = [[0] * self.dim for _ in range(self.dim)]
+        for row, terms in zip(cm, self._u_data()[2]):
+            for i, j, c in terms:
+                if i == j:
+                    row[i] += c * s[i]
+                else:
+                    row[j] += c * s[i]
+                    row[i] += c * s[j]
+        return cm
+
     def u_matrix_int(self, x):
         """(rows, den): the matrix of U_x(y) = T(x,y) x - x# x y, linear
         in y, as int rows with U_x = rows / den.
@@ -286,18 +310,10 @@ class CubicNormStructure:
         for int vectors r and s, so every entry is an int over the one
         denominator den = lcm(t_den, s_den^2) d^2.  Over F_p den is 1 and
         the entries are unreduced lifts, to be read mod p."""
-        cols, t_den, cross = self._u_data()
+        cols, t_den, _ = self._u_data()
         sh_i, s_den = self._sharp_int
         xi, d = lift(x)
-        s = [p.eval(xi, 1) for p in sh_i]
-        cm = [[0] * self.dim for _ in range(self.dim)]
-        for row, terms in zip(cm, cross):
-            for i, j, c in terms:
-                if i == j:
-                    row[i] += c * s[i]
-                else:
-                    row[j] += c * s[i]
-                    row[i] += c * s[j]
+        cm = self._cross_rows([p.eval(xi, 1) for p in sh_i])
         den = lcm(t_den, s_den * s_den)
         a, b = den // t_den, den // (s_den * s_den)
         r = [a * sum(map(mul, col, xi)) for col in cols]
@@ -375,6 +391,25 @@ class CubicNormStructure:
         return _mod(n_den * lhs, char) == _mod(
             s_den * t_den * directional_derivative(n_i, self.dim), char)
 
+    def _unit_cross_failure(self):
+        """The first coordinate i where c x y = T(y) c - y fails, or None.
+
+        With c = ci / cd, the trace vector ti / td and cross(c, y) =
+        C y / (s_den cd) for C = _cross_rows(ci), row i reads
+        td C_i = s_den (ci_i ti - cd td e_i) over ints, mod the
+        characteristic."""
+        ci, cd = lift(self.unit)
+        ti, td = lift(self._trace_data()[0])
+        s_den = self._sharp_int[1]
+        char = self.ground.char
+        for i, row in enumerate(self._cross_rows(ci)):
+            for n, e in enumerate(row):
+                diff = td * e - s_den * (ci[i] * ti[n]
+                                         - (cd * td if n == i else 0))
+                if diff % char if char else diff:
+                    return i
+        return None
+
     def _norm_of_adjoint_direct(self):
         """N(x#) = N(x)^2 by composition: the int norm form composed with
         the int adjoint, against the square of the norm form, mod the
@@ -422,7 +457,6 @@ class CubicNormStructure:
         emit("sharp_homogeneous_degree_2",
              all(p.is_homogeneous(2) for p in sharp_polys), "symbolic")
 
-        xs = variables(self.dim, g.one)
         cost = self._sharp_cost()
         symbolic_ok = cost <= SYMBOLIC_OP_LIMIT
         trace_ok = self._trace_adjoint_ok()
@@ -477,19 +511,9 @@ class CubicNormStructure:
             emit("norm_of_adjoint", ok, "random", wit)
 
         # c x x = T(x) c - x   (cross with the unit)
-        cu = self.cross(self.unit, xs)
-        t_vec, _, _ = self._trace_data()
-        t_sym = linear_form(t_vec)
-        ok = True
-        wit = None
-        for i in range(self.dim):
-            want = t_sym * self.unit[i] - xs[i]
-            have = cu[i] if isinstance(cu[i], Poly) else Poly.const(cu[i])
-            if have != want:
-                ok = False
-                wit = "coordinate %d" % i
-                break
-        emit("unit_cross_identity", ok, "symbolic", wit)
+        bad = self._unit_cross_failure()
+        emit("unit_cross_identity", bad is None, "symbolic",
+             None if bad is None else "coordinate %d" % bad)
 
         # T(x#, y) equals the directional derivative of N at x along y
         emit("trace_adjoint_is_norm_derivative", trace_ok, "symbolic",
@@ -563,8 +587,9 @@ def _mod(p, char):
 
 
 def corrupt_sharp(j: CubicNormStructure, coord=0, label=None):
-    """Copy of j with one adjoint coefficient perturbed (mutation testing)."""
-    g = j.ground
+    """Copy of j with x0^2 added to adjoint coordinate `coord` (mutation
+    testing): its forms are j's with that term added, and its evaluator
+    adds it to j's evaluator at a point."""
     base_sharp = j.eval_sharp
 
     def bad_sharp(coords):
@@ -572,5 +597,12 @@ def corrupt_sharp(j: CubicNormStructure, coord=0, label=None):
         out[coord] = out[coord] + coords[0] * coords[0]
         return out
 
-    return CubicNormStructure(g, j.dim, j.eval_norm, bad_sharp, j.unit,
-                              label=label or (j.label + "_corrupted"))
+    def forms():
+        n, sh = j.expand_symbolic()
+        x0 = Poly.var(0, j.ground.one)
+        return n, [p + x0 * x0 if i == coord else p
+                   for i, p in enumerate(sh)]
+
+    return CubicNormStructure(j.ground, j.dim, j.eval_norm, bad_sharp,
+                              j.unit, label=label or (j.label + "_corrupted"),
+                              forms=forms)

@@ -49,12 +49,6 @@ class NotInvertible(AlbertLabError):
     pass
 
 
-# polynomial errors
-
-class NonPolynomialEvaluator(AlbertLabError):
-    """An evaluator divided by a non-constant during symbolic expansion."""
-
-
 # Tits construction errors
 
 class ZeroLambda(ConfigError):

@@ -218,14 +218,6 @@ class Elem:
     def __rmul__(self, other):
         return Elem(self.ext, [other * a for a in self.coords])
 
-    def __truediv__(self, other):
-        if isinstance(other, Elem):
-            return self * other.inv()
-        return Elem(self.ext, [a / other for a in self.coords])
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
     def __eq__(self, other):
         if isinstance(other, Elem):
             return self.ext is other.ext and \
@@ -246,12 +238,11 @@ class Elem:
 
     def inv(self):
         ext = self.ext
-        g = ext.ground
         cols = [ext.mul_coords(self.coords, ext.basis_coords(j))
                 for j in range(ext.dim)]
         m = [[cols[j][i] for j in range(ext.dim)] for i in range(ext.dim)]
         try:
-            y = linalg.solve(m, list(ext.one.coords), g.one, g.zero)
+            y = linalg.solve(m, list(ext.one.coords))
         except NotInvertible:
             raise NotInvertible("element %r is not invertible" % (self,))
         return Elem(ext, y)

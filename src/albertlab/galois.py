@@ -45,7 +45,7 @@ def extend_rho(j):
     return f
 
 
-def in_span(basis_vectors, vec, one, zero):
+def in_span(basis_vectors, vec):
     """Exact membership of vec in the span of the given vectors."""
     if not basis_vectors:
         return not any(vec)
@@ -67,13 +67,13 @@ def fixed_subspace(f, j):
     basis = linalg.kernel_basis(delta, g.one, g.zero)
 
     closure = {}
-    closure["contains_unit"] = in_span(basis, list(j.unit), g.one, g.zero)
+    closure["contains_unit"] = in_span(basis, list(j.unit))
     closure["closed_under_sharp"] = all(
-        in_span(basis, list(j.sharp(b)), g.one, g.zero) for b in basis)
+        in_span(basis, list(j.sharp(b))) for b in basis)
     closure["closed_under_cross"] = all(
-        in_span(basis, list(j.cross(a, b)), g.one, g.zero)
+        in_span(basis, list(j.cross(a, b)))
         for i, a in enumerate(basis) for b in basis[i:])
     closure["closed_under_u"] = all(
-        in_span(basis, list(j.u_op(a, b)), g.one, g.zero)
+        in_span(basis, list(j.u_op(a, b)))
         for a in basis for b in basis)
     return basis, closure

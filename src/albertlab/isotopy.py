@@ -5,8 +5,9 @@ The v-isotope lives on the same carrier with
     N_v(x) = N(v) N(x),   x^{#_v} = N(v) U_{v^{-1}}(x^#),   1^{(v)} = v^{-1}
 
 and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope's
+forms are the base's forms scaled by these closed formulas, and its
 evaluators run through the base's int forms (N(v) and U_{v^-1} lifted
-once), and u_isotope_identity compares the isotope's own U-matrix with
+once); u_isotope_identity compares the isotope's own U-matrix with
 U_x U_v as int matrices over their denominators, mod the characteristic.
 Norm similarities are certified symbolically: the pullback of the target
 norm form through the map's matrix is compared, monomial by monomial,
@@ -26,7 +27,7 @@ from operator import mul
 from . import linalg
 from .cubic import CubicNormStructure, _mod
 from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
-from .poly import Poly, indices, pullback
+from .poly import indices, pullback
 from .scalars import from_int, lift
 from .tits import componentwise_matrix, embed_hermitian_summand, second_tits
 
@@ -62,12 +63,12 @@ class LinearMap:
 def isotope(j, v):
     """The v-isotope of j on the same carrier.
 
-    Its evaluators run through the base, with U_{v^-1} (u_matrix_int) and
-    N(v) held once as int lifts.  At a ground point x^{#v} is the base's
-    int adjoint at the point's lift (sharp_int), one int matvec and one
-    from_int per coordinate; Poly coordinates (the isotope's own
-    expansion) take the base's Poly adjoint through the same int matrix
-    and one scalar N(v) / den."""
+    U_{v^-1} (u_matrix_int) and N(v) are held once as int lifts.  The
+    isotope's forms are N(v) times the base's norm form and the base's
+    adjoint forms through the same int matrix, times one scalar
+    N(v) / den.  At a ground point its evaluator computes x^{#v} from the
+    base's int adjoint at the point's lift (sharp_int), one int matvec and
+    one from_int per coordinate."""
     nv = j.norm(v)
     if not nv:
         raise NotInvertible("N(v) = 0: isotope needs invertible v")
@@ -82,16 +83,18 @@ def isotope(j, v):
         return nv * j.norm(coords)
 
     def eval_sharp(coords):
-        if any(isinstance(c, Poly) for c in coords):
-            return [scale * c
-                    for c in linalg.matvec(u_rows, j.sharp(coords))]
         s, den = j.sharp_int(coords)
         den *= scale_den
         return [from_int(kind, nv_i * sum(map(mul, row, s)), den)
                 for row in u_rows]
 
+    def forms():
+        n, sh = j.expand_symbolic()
+        return nv * n, [scale * p for p in linalg.matvec(u_rows, sh)]
+
     out = CubicNormStructure(j.ground, j.dim, eval_norm, eval_sharp,
-                             list(v_inv), label=j.label + "^(v)")
+                             list(v_inv), label=j.label + "^(v)",
+                             forms=forms)
     out.meta = {"type": "isotope", "base": j, "v": tuple(v)}
     return out
 

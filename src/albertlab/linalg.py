@@ -1,15 +1,16 @@
-"""Exact dense linear algebra over any scalar type with /, ==, truthiness.
+"""Exact dense linear algebra.
 
 Dimensions never exceed 27x27 here, so plain Gaussian elimination with
 first-nonzero pivoting is both fast enough and deterministic (the same
-input always yields the same echelon form and kernel basis).
+input always yields the same echelon form and kernel basis).  solve and
+kernel_basis run it on any scalar type with /, == and truthiness.
 
-Matrices over a ground field (every entry a Fraction, or every entry an
-F_p scalar) run matmul and rank through their int lifts (scalars.lift):
-a product multiplies int rows by int columns and maps each entry back
+matmul and rank take matrices over a ground field only (every entry a
+Fraction, or every entry an F_p scalar; scalars.ground_type refuses
+anything else) and run through their int lifts (scalars.lift): a
+product multiplies int rows by int columns and maps each entry back
 once; a rank is Bareiss fraction-free elimination over Q (every division
-exact) and elimination mod p over F_p.  Matrices over extension fields
-take the generic route.
+exact) and elimination mod p over F_p.
 """
 
 from fractions import Fraction
@@ -40,28 +41,13 @@ def matvec(m, v):
 
 def matmul(a, b):
     kind = ground_type([c for m in (a, b) for row in m for c in row])
-    if kind is not None:
-        # each row of a and each column of b over its own denominator
-        cols = [lift(c) for c in zip(*b)]
-        out = []
-        for r in a:
-            ri, dr = lift(r)
-            out.append([from_int(kind, sum(map(mul, ri, ci)), dr * dc)
-                        for ci, dc in cols])
-        return out
-    n, k = len(a), len(b)
-    cols = len(b[0])
+    # each row of a and each column of b over its own denominator
+    cols = [lift(c) for c in zip(*b)]
     out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(cols):
-            acc = ai[0] * b[0][j]
-            for t in range(1, k):
-                if ai[t]:
-                    acc = acc + ai[t] * b[t][j]
-            row.append(acc)
-        out.append(row)
+    for r in a:
+        ri, dr = lift(r)
+        out.append([from_int(kind, sum(map(mul, ri, ci)), dr * dc)
+                    for ci, dc in cols])
     return out
 
 
@@ -103,8 +89,6 @@ def _echelonize(m):
 
 def rank(m):
     kind = ground_type([c for row in m for c in row])
-    if kind is None:
-        return len(_echelonize([list(r) for r in m]))
     # row scaling keeps the rank, so each row is lifted on its own
     return _rank_int([lift(r)[0] for r in m],
                      0 if kind is Fraction else kind.modulus)
@@ -137,7 +121,7 @@ def _rank_int(rows, p):
     return r
 
 
-def solve(m, rhs, one, zero):
+def solve(m, rhs):
     """Solve m x = rhs for square invertible m; raises NotInvertible."""
     n = len(m)
     aug = [list(m[i]) + [rhs[i]] for i in range(n)]

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .errors import AlbertLabError, NonPolynomialEvaluator
+from .errors import AlbertLabError
 
 MAX_DEGREE = 255
 
@@ -163,23 +163,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Poly):
-            c = other.constant_or_none()
-            if c is None:
-                raise NonPolynomialEvaluator(
-                    "division by non-constant polynomial")
-            other = c
-        return Poly({m: c / other for m, c in self.terms.items()})
-
-    def __pow__(self, e):
-        if e < 1:
-            raise ValueError("only positive powers are supported")
-        acc = None
-        for _ in range(e):
-            acc = self if acc is None else acc * self
-        return acc
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -204,21 +187,11 @@ class Poly:
 
     # -- queries ----------------------------------------------------------
 
-    def degree(self):
-        return _max_degree(self.terms) if self.terms else -1
-
     def is_homogeneous(self, d):
         return all(m & 255 == d for m in self.terms)
 
     def homogeneous_part(self, d):
         return Poly({m: c for m, c in self.terms.items() if m & 255 == d})
-
-    def constant_or_none(self):
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and 0 in self.terms:
-            return self.terms[0]
-        return None
 
     def coefficient(self, m):
         """Coefficient of the packed monomial m, or None."""

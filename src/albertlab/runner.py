@@ -46,6 +46,10 @@ def run_config(cfg, seed=None, budget=None, mode=None, timing=False,
         if corrupt is not None and int(corrupt) >= j.dim:
             raise ConfigError("%s corrupt_coord must be below %d, got %s"
                               % (node["task"], j.dim, corrupt))
+        if node["task"] in _NORM_ZERO_SCANS and not g.is_finite and \
+                (mode or node.get("mode")) == "exhaustive":
+            raise ConfigError("%s exhaustive mode needs a finite ground "
+                              "field, not %r" % (node["task"], g))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -179,6 +183,9 @@ def _t_dump(ctx, node, entry, tseed, **kw):
     entry["norm_form"] = dump_cubic_form(n_poly, j.ground)
     entry["adjoint_map"] = dump_quad_map(sharp_polys, j.ground)
 
+
+# the tasks whose mode may be "exhaustive"
+_NORM_ZERO_SCANS = ("div_falsify", "norm_zero")
 
 _HANDLERS = {
     "axioms": _t_axioms,

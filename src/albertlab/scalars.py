@@ -9,7 +9,9 @@ that reduces mod p on every operation.
 The exact kernels (Poly point evaluation, matrix products and ranks,
 U-matrices and U-operators) run on plain ints: lift() clears the
 denominators of a list of ground scalars once, and from_int() maps an
-int result back once.  Over Q the structure constants of the algebras
+int result back once.  Matrix products and ranks take ground-field
+matrices only (ground_type); nothing multiplies or ranks a matrix over
+an extension field.  Over Q the structure constants of the algebras
 (multiplication tables, Galois matrices, construction parameters) are
 held as plain ints wherever they are integral (int_constants), so the
 algebra evaluators run on ints when a point is lifted to ints; F_p
@@ -110,16 +112,17 @@ def _make_fp_class(p: int):
 
 
 def ground_type(xs):
-    """Fraction or the F_p class when every x in xs has that one type;
-    None for anything else (extension Elems, Polys, mixed types)."""
+    """Fraction or the F_p class, the one type of every x in xs.  Anything
+    else (extension Elems, Polys, plain ints, mixed types) is a TypeError:
+    the int kernels take the scalars of one ground field only."""
     kinds = set(map(type, xs))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind is Fraction or _fp_classes.get(getattr(kind, "modulus", 0)) \
-            is kind:
-        return kind
-    return None
+    if len(kinds) == 1:
+        kind, = kinds
+        if kind is Fraction or \
+                _fp_classes.get(getattr(kind, "modulus", 0)) is kind:
+            return kind
+    raise TypeError("expected the scalars of one ground field, got %s"
+                    % ", ".join(sorted(k.__name__ for k in kinds)))
 
 
 def lift(xs):

@@ -37,7 +37,7 @@ def char_coeffs(alg, x):
         shifts = [g.from_int(i) for i in range(4)]
         vals = [alg.norm(alg.sub(alg.smul(t, unit), x)) for t in shifts]
         vander = [[g.one, t, t * t, t * t * t] for t in shifts]
-        coeffs = linalg.solve(vander, vals, g.one, g.zero)
+        coeffs = linalg.solve(vander, vals)
     else:
         t = Poly.var(0, g.one)
         x_const = alg.from_k_coords([Poly.const(c)
@@ -156,7 +156,8 @@ class TestCyclicAlgebra:
             x, y = d.random(s), d.random(s)
             mx, my = d.splitting_embed(x), d.splitting_embed(y)
             mxy = d.splitting_embed(d.mul(x, y))
-            assert linalg.matmul(mx, my) == mxy
+            assert [[sum((a * b for a, b in zip(row, col)), L.zero)
+                     for col in zip(*my)] for row in mx] == mxy
         assert d.splitting_embed(d.unit()) == linalg.identity(3, L.one, L.zero)
 
     def test_norm_multiplicative_and_adjoint(self, QQ, tower_l_q):

@@ -7,11 +7,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from albertlab import runner
 from albertlab.cli import main
 
 HERE = os.path.dirname(__file__)
 CONFIGS = os.path.join(HERE, "..", "configs")
 GOLDEN = os.path.join(HERE, "golden")
+# the carrier point (1 + e12, 0, 0) of J(M3(F_5), 2)
+ISOTOPE_V = ["1", "1", "0", "0", "1", "0", "0", "0", "1"] + ["0"] * 18
 
 
 def cfg(name):
@@ -230,6 +233,30 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+    @pytest.mark.parametrize("command, flags, field", [
+        ("search", ["--mode", "exhaustive"], None),
+        ("check", [], {"mode": "exhaustive"}),
+    ])
+    def test_exhaustive_scan_over_q_is_2(self, tmp_path, monkeypatch,
+                                         command, flags, field):
+        # an exhaustive scan needs a finite ground field; asking for one
+        # over Q is refused after the build and before any task runs
+        ran = []
+        for name in runner._HANDLERS:
+            monkeypatch.setitem(runner._HANDLERS, name,
+                                lambda *a, name=name, **kw: ran.append(name))
+        with open(cfg("cyclic_q_first.json")) as fh:
+            data = json.load(fh)
+        if field is not None:
+            next(t for t in data["tasks"]
+                 if t["task"] == "div_falsify").update(field)
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli([command, "--config", str(c)] + flags)
+        assert (code, out, ran) == (2, "", [])
+        assert err == ("config error: div_falsify exhaustive mode needs a "
+                       "finite ground field, not Q\n")
+
     # (command, config, path to the edited field, new value or None to
     # delete the field)
     @pytest.mark.parametrize("command, name, path, value", [
@@ -417,6 +444,28 @@ class TestGoldenReports:
         code, out, err = run_cli([command, "--config", cfg(name + ".json")])
         assert (code, err) == (0, "")
         with open(os.path.join(GOLDEN, "%s_%s.json" % (name, command)),
+                  "rb") as fh:
+            assert out.encode() == fh.read()
+
+    @pytest.mark.parametrize("command, tasks, want", [
+        ("dump", None, 0),
+        ("check", [{"task": "axioms"},
+                   {"task": "axioms", "corrupt_coord": 3}], 1)])
+    def test_isotope_of_report_matches_golden(self, tmp_path, command, tasks,
+                                              want):
+        # an isotope takes its forms from its base: the dump and the clean
+        # and corrupted axiom suites of J(M3(F_5), 2)^(v) with v = (a, 0, 0)
+        # for the upper triangular a = 1 + e12
+        with open(cfg("m3_f5_first.json")) as fh:
+            data = json.load(fh)
+        wrap_isotope_of(data, ISOTOPE_V)
+        if tasks is not None:
+            data["tasks"] = tasks
+        path = tmp_path / "isotope_of.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli([command, "--config", str(path)])
+        assert (code, err) == (want, "")
+        with open(os.path.join(GOLDEN, "m3_f5_isotope_of_%s.json" % command),
                   "rb") as fh:
             assert out.encode() == fh.read()
 

@@ -132,6 +132,26 @@ class TestIntPointPath:
         self._agree(j, tuple(Fraction(i - 13, 1 + i % 5)
                              for i in range(j.dim)))
 
+    def test_ground_points_never_reach_the_evaluators(self, QQ):
+        # one route: the first norm or sharp expands the forms, running
+        # the evaluators once on indeterminates, and every ground point
+        # goes through the int forms
+        seen = []
+
+        def eval_norm(xs):
+            seen.append(("norm", type(xs[0]).__name__))
+            return xs[0] * xs[0] * xs[0]
+
+        def eval_sharp(xs):
+            seen.append(("sharp", type(xs[0]).__name__))
+            return [xs[0] * xs[0]]
+
+        j = CubicNormStructure(QQ, 1, eval_norm, eval_sharp, [QQ.one])
+        x = (Fraction(2, 3),)
+        assert j.sharp(x) == (Fraction(4, 9),)
+        assert j.norm(x) == Fraction(8, 27)
+        assert seen == [("norm", "Poly"), ("sharp", "Poly")]
+
     def test_finite_field_points(self, j_lk_f5):
         j_lk_f5.expand_symbolic()
         s = Stream(61)

@@ -65,7 +65,7 @@ class TestPoly:
         left = (x + y) * (x - y)
         right = x * x - y * y
         assert left == right
-        assert (x + y + z) ** 2 == \
+        assert (x + y + z) * (x + y + z) == \
             x * x + y * y + z * z + 2 * (x * y + y * z + x * z)
 
     def test_zero_coefficients_dropped(self):
@@ -85,8 +85,8 @@ class TestPoly:
         x, y, z = self._vars()
         p = x * x * y - 3 * z * z * z + y * y * z
         args = [Fraction(2), Fraction(-1, 3), Fraction(5)]
-        expect = (args[0] ** 2 * args[1] - 3 * args[2] ** 3
-                  + args[1] ** 2 * args[2])
+        a, b, c = args
+        expect = a * a * b - 3 * c * c * c + b * b * c
         assert p.eval(args, Fraction(1)) == expect
         # a second evaluation reads the kept plan and gives the same value
         assert p.eval(args, Fraction(1)) == expect
@@ -177,7 +177,7 @@ class TestPoly:
         # degree 255 fills the degree byte and x0's byte without a carry
         a = Poly({mono((0,) * 200): Fraction(1)})
         top = a * Poly({mono((0,) * 55): Fraction(2)})
-        assert top.degree() == 255
+        assert top.is_homogeneous(255)
         assert indices(next(iter(top.terms))) == (0,) * 255
         with pytest.raises(AlbertLabError):
             a * Poly({mono((1,) * 56): Fraction(1)})
@@ -195,10 +195,10 @@ class TestLinalg:
     def test_solve_and_inverse(self):
         one, zero = Fraction(1), Fraction(0)
         m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
-        x = linalg.solve(m, [Fraction(1), Fraction(0)], one, zero)
+        x = linalg.solve(m, [Fraction(1), Fraction(0)])
         assert x == [Fraction(4), Fraction(-7)]
         # the inverse, one column per unit vector
-        cols = [linalg.solve(m, e, one, zero)
+        cols = [linalg.solve(m, e)
                 for e in linalg.identity(2, one, zero)]
         assert linalg.matmul(m, linalg.transpose(cols)) == \
             linalg.identity(2, one, zero)
@@ -207,7 +207,7 @@ class TestLinalg:
         one, zero = Fraction(1), Fraction(0)
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         with pytest.raises(NotInvertible):
-            linalg.solve(m, [one, zero], one, zero)
+            linalg.solve(m, [one, zero])
         assert linalg.rank(m) == 1
 
     def test_kernel_basis_echelon_convention(self):

@@ -6,13 +6,23 @@ ground field k:
 * MatrixAlgebra  -- 3x3 matrices over k or over a quadratic etale K,
 * CyclicAlgebra  -- (L/k, rho, a) with L cyclic cubic, presented on the
                     basis {1, e, e^2} with e*l = rho(l)*e and e^3 = a,
-* CommutativeCubic -- a cubic etale algebra (L over k, or LK over K)
-                    viewed as a commutative "degree 3 algebra".
+* CommutativeCubic -- a cubic etale algebra (L over k, or LK = L (x) K
+                    over K) viewed as a commutative "degree 3 algebra".
+
+An element is a tuple of entries: 9 center elements for the matrix
+algebra, 3 elements of L for the cyclic one, 3 center elements (its
+coefficients on {1, alpha, alpha^2}) for the commutative cubic.  The
+element operations that do not depend on the kind (sums, scaling,
+inverse, k-coordinates, random draws) live once in _Algebra; each kind
+gives its entry count and its entries: the center, or L for the cyclic
+algebra.  The commutative cubic multiplies through L's structure table
+and rho, with center elements as coefficients, so L over k and LK over
+K share one multiplication.
 
 Every operation is division-free in the element coordinates, so the
 same code paths run with polynomial indeterminates during symbolic
 expansion, and on int coordinates when a point over Q is lifted to ints:
-the integral constants (the cyclic parameter a, the coefficients of f,
+the integral constants (the cyclic parameter a, L's structure table,
 the rho matrices, with rho^2 cached as one matrix) are held as plain
 ints, and sums start from None instead of a Fraction zero, so int
 coordinates stay ints through every product.  Over F_p the constants
@@ -28,13 +38,9 @@ from . import linalg
 from .cubic import _int_scaled
 from .errors import (DescentFailure, NotInvertible, NotSecondKind,
                      TwistNotHermitian, VerificationFailure)
-from .fields import Elem, up_mod, up_mul
+from .fields import Elem
 from .poly import variables
 from .scalars import int_constants
-
-
-def _is_zero(c):
-    return not c
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +68,9 @@ class GroundCenter:
 
     def descend(self, x):
         return x
+
+    def inv(self, x):
+        return self.ground.inv(x)
 
     def random(self, stream):
         return self.ground.random(stream)
@@ -93,21 +102,65 @@ class QuadraticCenter:
 
     def descend(self, x):
         """K element fixed by bar -> ground scalar (coordinate check)."""
-        if not _is_zero(x.coords[1]):
+        if x.coords[1]:
             raise DescentFailure("value %r does not descend to k" % (x,))
         return x.coords[0]
+
+    def inv(self, x):
+        return x.inv()
 
     def random(self, stream):
         return self.K.random(stream)
 
 
 # ---------------------------------------------------------------------------
-# the reduced norm as int forms
+# the element operations every algebra shares
 
-class _IntNorm:
-    """The reduced norm expanded once, for the algebras below."""
+class _Algebra:
+    """A degree-3 algebra whose elements are tuples of `size` entries.
+
+    `entries` is the center, or L for the cyclic algebra: it gives dim
+    (k-coordinates per entry), from_k_coords, to_k_coords and random.
+    Subclasses give unit, mul, trace, spur, norm and sharp."""
 
     _norm_int = None
+
+    def __init__(self, center, entries, size):
+        self.center = center
+        self.ground = center.ground
+        self.entries = entries
+        self.size = size
+        self.k_dim = size * entries.dim
+
+    def add(self, x, y):
+        return tuple(p + q for p, q in zip(x, y))
+
+    def sub(self, x, y):
+        return tuple(p - q for p, q in zip(x, y))
+
+    def smul(self, s, x):
+        return tuple(s * p for p in x)
+
+    def inv(self, x):
+        """x# / N(x), dividing through the center."""
+        n = self.norm(x)
+        if not n:
+            raise NotInvertible("element has norm 0")
+        return self.smul(self.center.inv(n), self.sharp(x))
+
+    def to_k_coords(self, x):
+        out = []
+        for e in x:
+            out.extend(self.entries.to_k_coords(e))
+        return out
+
+    def from_k_coords(self, coords):
+        d = self.entries.dim
+        return tuple(self.entries.from_k_coords(list(coords[d * i:d * i + d]))
+                     for i in range(self.size))
+
+    def random(self, stream):
+        return tuple(self.entries.random(stream) for _ in range(self.size))
 
     def norm_int(self):
         """(forms, den): an element with k-coordinates x has reduced norm
@@ -131,27 +184,15 @@ class _IntNorm:
 # ---------------------------------------------------------------------------
 # matrix algebra M3(center)
 
-class MatrixAlgebra(_IntNorm):
+class MatrixAlgebra(_Algebra):
     """3x3 matrices, elements as row-major 9-tuples of center elements."""
 
-    kind = "matrix3"
-
     def __init__(self, center):
-        self.center = center
-        self.k_dim = 9 * center.dim
+        super().__init__(center, center, 9)
 
     def unit(self):
         o, z = self.center.one, self.center.zero
         return (o, z, z, z, o, z, z, z, o)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def smul(self, s, a):
-        return tuple(s * x for x in a)
 
     def mul(self, a, b):
         out = []
@@ -190,33 +231,10 @@ class MatrixAlgebra(_IntNorm):
             a[0] * a[4] - a[1] * a[3],
         )
 
-    def inv(self, a):
-        n = self.norm(a)
-        if isinstance(n, Elem):
-            ninv = n.inv()
-        else:
-            if not n:
-                raise NotInvertible("matrix is singular")
-            ninv = self.center.ground.inv(n)
-        return self.smul(ninv, self.sharp(a))
-
-    def conj_transpose(self, a):
+    def involution(self, a):
+        """Conjugate transpose."""
         c = self.center
         return tuple(c.bar(a[3 * j + i]) for i in range(3) for j in range(3))
-
-    def to_k_coords(self, a):
-        out = []
-        for e in a:
-            out.extend(self.center.to_k_coords(e))
-        return out
-
-    def from_k_coords(self, coords):
-        d = self.center.dim
-        return tuple(self.center.from_k_coords(list(coords[d * i:d * i + d]))
-                     for i in range(9))
-
-    def random(self, stream):
-        return tuple(self.center.random(stream) for _ in range(9))
 
     def __repr__(self):
         return "M3(center dim %d over %r)" % (self.center.dim,
@@ -226,23 +244,19 @@ class MatrixAlgebra(_IntNorm):
 # ---------------------------------------------------------------------------
 # cyclic algebra (L/k, rho, a)
 
-class CyclicAlgebra(_IntNorm):
+class CyclicAlgebra(_Algebra):
     """(L/k, rho, a): x = x0 + x1 e + x2 e^2 with x_i in L, e l = rho(l) e,
     e^3 = a in k*.  Elements are 3-tuples of L Elems."""
-
-    kind = "cyclic"
 
     def __init__(self, tower, a):
         if tower.L is None:
             raise DescentFailure("cyclic algebra needs a cyclic cubic L")
         self.tower = tower
         self.L = tower.L
-        self.ground = tower.ground
+        super().__init__(GroundCenter(tower.ground), self.L, 3)
         if not a:
             raise NotInvertible("cyclic algebra parameter a must be nonzero")
         self.a = int_constants(a)
-        self.center = GroundCenter(self.ground)
-        self.k_dim = 9
         self._one = Elem(self.L, int_constants(self.L.one.coords))
         rho = self.L.autos["rho"]
         rho2 = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rho)]
@@ -257,15 +271,6 @@ class CyclicAlgebra(_IntNorm):
 
     def unit(self):
         return (self.L.one, self.L.zero, self.L.zero)
-
-    def add(self, x, y):
-        return tuple(p + q for p, q in zip(x, y))
-
-    def sub(self, x, y):
-        return tuple(p - q for p, q in zip(x, y))
-
-    def smul(self, s, x):
-        return tuple(p * s for p in x)
 
     def mul(self, x, y):
         z = [None, None, None]
@@ -300,7 +305,7 @@ class CyclicAlgebra(_IntNorm):
         return [[self.L.zero if v is None else v for v in row] for row in m]
 
     def _descend(self, l_elem):
-        if any(not _is_zero(c) for c in l_elem.coords[1:]):
+        if any(l_elem.coords[1:]):
             raise DescentFailure(
                 "cyclic-algebra invariant %r did not descend to k" % (l_elem,))
         return l_elem.coords[0]
@@ -330,25 +335,6 @@ class CyclicAlgebra(_IntNorm):
         return (xx[0] - x[0] * t + self._one * s, xx[1] - x[1] * t,
                 xx[2] - x[2] * t)
 
-    def inv(self, x):
-        n = self.norm(x)
-        if not n:
-            raise NotInvertible("cyclic algebra element has norm 0")
-        return self.smul(self.ground.inv(n), self.sharp(x))
-
-    def to_k_coords(self, x):
-        out = []
-        for p in x:
-            out.extend(p.coords)
-        return out
-
-    def from_k_coords(self, coords):
-        return tuple(Elem(self.L, list(coords[3 * i:3 * i + 3]))
-                     for i in range(3))
-
-    def random(self, stream):
-        return tuple(self.L.random(stream) for _ in range(3))
-
     def __repr__(self):
         return "Cyclic(L/%r, a=%s)" % (self.ground, self.a)
 
@@ -356,66 +342,47 @@ class CyclicAlgebra(_IntNorm):
 # ---------------------------------------------------------------------------
 # commutative cubic etale algebra (L over k, LK over K)
 
-class CommutativeCubic(_IntNorm):
-    """Cubic etale algebra C[x]/(f) over center C with Galois generator rho.
+class CommutativeCubic(_Algebra):
+    """The cubic etale algebra L (x) C over a center C (k or K), with
+    Galois generator rho acting on L.
 
-    Elements are coefficient triples over the center.  Used both as a
-    9-dimensional first-construction input (L over k) and as the "B" of
-    the LK-based second Tits process (LK over K, with star = bar on
+    Elements are coefficient triples over the center on L's power basis
+    {1, alpha, alpha^2}; they multiply through L's structure table.  Used
+    both as a 9-dimensional first-construction input (L over k) and as
+    the "B" of the LK-based second Tits process (LK over K, with bar on
     coefficients as the involution of the second kind).
     """
 
-    kind = "commutative_cubic"
-
-    def __init__(self, center, f_coeffs, rho_matrix):
-        self.center = center
-        self.ground = center.ground
-        self.f = f_coeffs                 # 4 center elements, monic
-        self.rho_matrix = rho_matrix      # 3x3 over k (acts on coeff triples)
-        self.k_dim = 3 * center.dim
+    def __init__(self, center, L):
+        super().__init__(center, center, 3)
+        self.L = L
+        self._rho = L.autos["rho"]        # 3x3 over k (acts on triples)
 
     @staticmethod
     def over_L(tower):
         """L as a commutative cubic k-algebra."""
-        g = tower.ground
-        center = GroundCenter(g)
-        return CommutativeCubic(center, list(tower.L.f),
-                                tower.L.autos["rho"])
+        return CommutativeCubic(GroundCenter(tower.ground), tower.L)
 
     @staticmethod
     def over_LK(tower):
         """LK as a commutative cubic K-algebra (the second-process B)."""
-        center = QuadraticCenter(tower)
-        f = [center.from_k_coords(int_constants([c, tower.ground.zero]))
-             for c in tower.L.f]
-        return CommutativeCubic(center, f, tower.L.autos["rho"])
+        return CommutativeCubic(QuadraticCenter(tower), tower.L)
 
     def unit(self):
         return (self.center.one, self.center.zero, self.center.zero)
 
-    def add(self, x, y):
-        return tuple(p + q for p, q in zip(x, y))
-
-    def sub(self, x, y):
-        return tuple(p - q for p, q in zip(x, y))
-
-    def smul(self, s, x):
-        return tuple(s * p for p in x)
-
     def mul(self, x, y):
-        prod = up_mul(list(x), list(y), self.center.zero)
-        out = up_mod(prod, self.f, self.center.zero)
-        out = list(out) + [self.center.zero] * (3 - len(out))
-        return tuple(out[:3])
+        return tuple(self.L.mul_coords(x, y, self.center.zero))
 
     def rho(self, x):
-        r = self.rho_matrix
+        r = self._rho
         return tuple(
             r[i][0] * x[0] + r[i][1] * x[1] + r[i][2] * x[2]
             for i in range(3))
 
-    def star(self, x):
-        """The nontrivial center-semilinear involution fixing L (LK only)."""
+    def involution(self, x):
+        """bar on the coefficients: the center-semilinear involution fixing
+        L (LK only)."""
         return tuple(self.center.bar(c) for c in x)
 
     def _descend_to_center(self, x):
@@ -443,30 +410,6 @@ class CommutativeCubic(_IntNorm):
                      self.add(self.mul(self.rho(x), self.rho(self.rho(x))),
                               self.mul(self.rho(self.rho(x)), x))))
 
-    def inv(self, x):
-        n = self.norm(x)
-        if isinstance(n, Elem):
-            ninv = n.inv()
-        else:
-            if not n:
-                raise NotInvertible("element has norm 0")
-            ninv = self.ground.inv(n)
-        return self.smul(ninv, self.sharp(x))
-
-    def to_k_coords(self, x):
-        out = []
-        for c in x:
-            out.extend(self.center.to_k_coords(c))
-        return out
-
-    def from_k_coords(self, coords):
-        d = self.center.dim
-        return tuple(self.center.from_k_coords(list(coords[d * i:d * i + d]))
-                     for i in range(3))
-
-    def random(self, stream):
-        return tuple(self.center.random(stream) for _ in range(3))
-
     def __repr__(self):
         return "CommutativeCubic(center dim %d over %r)" \
             % (self.center.dim, self.ground)
@@ -476,10 +419,11 @@ class CommutativeCubic(_IntNorm):
 # unitary involutions of the second kind
 
 class UnitaryInvolution:
-    """sigma = Int(twist) o sigma0 where sigma0 is conjugate-transpose
-    (matrix algebras) or star (commutative LK).  twist=None means sigma0."""
+    """sigma = Int(twist) o sigma0 where sigma0 is the algebra's own
+    involution: conjugate transpose on M3(K), bar on the coefficients of
+    LK.  twist=None means sigma0."""
 
-    def __init__(self, algebra, twist=None, _validate=True):
+    def __init__(self, algebra, twist=None):
         if not algebra.center.is_quadratic:
             raise NotSecondKind("involutions of the second kind require a "
                                 "quadratic etale center")
@@ -487,25 +431,16 @@ class UnitaryInvolution:
         self.twist = twist
         self._twist_inv = None
         if twist is not None:
-            base = self.base_apply(twist)
+            base = algebra.involution(twist)
             if any(p - q for p, q in zip(base, twist)):
                 raise TwistNotHermitian("twist u must satisfy sigma(u) = u")
             self._twist_inv = algebra.inv(twist)  # raises NotInvertible
         self._matrix = None
         self._herm = self._free = None
-        if _validate:
-            self._check_involution()
-
-    def base_apply(self, x):
-        alg = self.algebra
-        if isinstance(alg, MatrixAlgebra):
-            return alg.conj_transpose(x)
-        if isinstance(alg, CommutativeCubic):
-            return alg.star(x)
-        raise NotSecondKind("no base involution on %r" % (alg,))
+        self._check_involution()
 
     def apply(self, x):
-        y = self.base_apply(x)
+        y = self.algebra.involution(x)
         if self.twist is not None:
             y = self.algebra.mul(self.algebra.mul(self.twist, y),
                                  self._twist_inv)

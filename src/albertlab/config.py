@@ -182,18 +182,22 @@ class BuildContext:
         return ground_field_of(_base_desc(node))
 
     def _construction(self, node):
+        """The structure of a construction node.  A parameter that the
+        construction must invert and cannot (a cyclic algebra's a, u, a
+        sigma twist, an isotope's v) is a ConfigError naming the node."""
         ctype = _object(node, "construction").get("type")
-        if ctype == "first_tits":
-            return self._first(node)
-        if ctype == "second_tits":
-            return self._second(node)
-        if ctype == "isotope_of":
-            base = self._construction(_need(node, "base", ctype))
-            v = self._carrier_point(base, _need(node, "v", ctype))
-            try:
-                return isotopy.isotope(base, v)
-            except NotInvertible as e:
-                raise ConfigError("isotope_of v: %s" % e)
+        try:
+            if ctype == "first_tits":
+                return self._first(node)
+            if ctype == "second_tits":
+                return self._second(node)
+            if ctype == "isotope_of":
+                base = self._construction(_need(node, "base", ctype))
+                return isotopy.isotope(
+                    base, self._carrier_point(base, _need(node, "v", ctype)))
+        except NotInvertible as e:
+            what = "isotope_of v" if ctype == "isotope_of" else ctype
+            raise ConfigError("%s: %s" % (what, e))
         raise ConfigError("unknown construction type %r" % (ctype,))
 
     def _first(self, node):
@@ -225,7 +229,7 @@ class BuildContext:
                            "second_tits algebra")
         kind = alg_node.get("kind")
         if kind == "lk":
-            if self.tower.LK is None:
+            if self.tower.L is None:
                 raise ConfigError("algebra 'lk' needs a composite tower")
             b_alg = CommutativeCubic.over_LK(self.tower)
         elif kind == "matrix":

@@ -1,17 +1,20 @@
-"""Exact field towers: k, quadratic etale K, cyclic cubic L, composite LK.
+"""Exact field towers: k, quadratic etale K and cyclic cubic L.
 
 Every extension is stored as structure constants over the ground field
 (Q or F_p), with elements as coordinate vectors relative to canonical
-bases: {1, s} with s^2 = d for K (or the two idempotents for split K),
-the power basis {1, a, a^2} for L = k[x]/(f), and the tensor basis
-{a^i * w_j} (index 2*i + j) for LK.  Galois actions are k-linear
-matrices: bar on K, rho on L, and their K-/L-linear extensions on LK.
+bases: {1, s} with s^2 = d for K (or the two idempotents for split K)
+and the power basis {1, a, a^2} for L = k[x]/(f).  Galois actions are
+k-linear matrices: bar on K, rho on L.  A composite tower builds K and
+L; the composite field L (x) K is a commutative cubic K-algebra in
+associative (CommutativeCubic), whose coefficient triples over K
+multiply through L's structure table.  The univariate polynomial
+helpers below only build L.
 
-Over Q the integral structure constants (multiplication tables, Galois
-matrices, the coefficients of f) are held as plain ints
-(scalars.int_constants), so an element with int coordinates -- a
-point lifted to ints by an evaluator check -- multiplies on ints and
-its products start from None rather than a Fraction zero.  Elements
+Over Q the integral structure constants (multiplication tables and
+Galois matrices) are held as plain ints (scalars.int_constants), so an
+element with int coordinates -- a point lifted to ints by an evaluator
+check -- multiplies on ints and its products start from None rather
+than a Fraction zero.  Elements
 built from ground scalars keep Fraction coordinates, and over F_p every
 constant stays an F_p scalar.
 """
@@ -263,10 +266,20 @@ class Extension:
         return [self.ground.one if i == j else self.ground.zero
                 for i in range(self.dim)]
 
+    def from_k_coords(self, coords):
+        return Elem(self, coords)
+
+    def to_k_coords(self, x):
+        return list(x.coords)
+
     def from_scalar(self, s):
         return Elem(self, [s * c for c in self.one.coords])
 
-    def mul_coords(self, a, b):
+    def mul_coords(self, a, b, zero=None):
+        """The coordinates of a b.  Coordinates may be ground scalars,
+        Polys or, for L (x) K, K elements; a coordinate that no product
+        reaches is int 0 between int lifts, so that they stay ints, and
+        `zero` (by default the ground zero) otherwise."""
         dim = self.dim
         out = [None] * dim
         prod = None
@@ -286,9 +299,10 @@ class Extension:
                         out[m] = t if out[m] is None else out[m] + t
         if prod is None:                    # a or b is zero
             prod = a[0] * b[0]
-        # a coordinate no product reached: int 0 between int lifts, so
-        # they stay ints, and the ground zero otherwise
-        zero = 0 if type(prod) is int else self.ground.zero
+        if type(prod) is int:
+            zero = 0
+        elif zero is None:
+            zero = self.ground.zero
         return [zero if v is None else v for v in out]
 
     def apply(self, auto_name, x):
@@ -378,63 +392,18 @@ def _build_cyclic_cubic(ground, desc):
             power = list(power) + [g.zero] * (3 - len(power))
         cols.append(list(power))
     rho_mat = [[cols[j][i] for j in range(3)] for i in range(3)]
-    ext = Extension(g, "L", 3, table, [g.one, g.zero, g.zero],
-                    {"rho": rho_mat})
-    ext.f = int_constants(f)
-    ext.rho_poly = rho
-    return ext
-
-
-def _build_composite(ground, L, K):
-    g = ground
-    dim = 6
-
-    def idx(i, j):
-        return 2 * i + j
-
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(3):
-        for ip in range(3):
-            lcoords = L.table[i][ip]
-            for j in range(2):
-                for jp in range(2):
-                    kcoords = K.table[j][jp]
-                    out = [g.zero] * dim
-                    for m in range(3):
-                        if not lcoords[m]:
-                            continue
-                        for c in range(2):
-                            if kcoords[c]:
-                                out[idx(m, c)] = lcoords[m] * kcoords[c]
-                    table[idx(i, j)][idx(ip, jp)] = out
-    one = [g.zero] * dim
-    one[0] = g.one
-    rho_l = L.autos["rho"]
-    bar_k = K.autos["bar"]
-    rho_mat = [[g.zero] * dim for _ in range(dim)]
-    star_mat = [[g.zero] * dim for _ in range(dim)]
-    for m in range(3):
-        for j in range(3):
-            for c in range(2):
-                rho_mat[idx(m, c)][idx(j, c)] = rho_l[m][j]
-    for m in range(3):
-        for c in range(2):
-            for cp in range(2):
-                star_mat[idx(m, c)][idx(m, cp)] = bar_k[c][cp]
-    autos = {"rho": rho_mat, "star": star_mat, "bar": star_mat}
-    ext = Extension(g, "LK", dim, table, one, autos)
-    return ext
+    return Extension(g, "L", 3, table, [g.one, g.zero, g.zero],
+                     {"rho": rho_mat})
 
 
 class FieldTower:
-    """A base field plus whichever of K, L, LK the descriptor declares."""
+    """A base field plus whichever of K and L the descriptor declares."""
 
     def __init__(self, desc):
         self.desc = desc
         self.ground = ground_field_of(desc)
         self.K = None
         self.L = None
-        self.LK = None
         self.d = None
         if isinstance(desc, QuadraticEtale):
             self.K, self.d = _build_quadratic(self.ground, desc)
@@ -443,7 +412,6 @@ class FieldTower:
         elif isinstance(desc, Composite):
             self.K, self.d = _build_quadratic(self.ground, desc.K)
             self.L = _build_cyclic_cubic(self.ground, desc.L)
-            self.LK = _build_composite(self.ground, self.L, self.K)
 
 
 def tower_build(desc) -> FieldTower:

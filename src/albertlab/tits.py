@@ -68,7 +68,7 @@ def second_tits(b_alg, sigma, u, mu, label=None):
     center = b_alg.center
     if not isinstance(center, QuadraticCenter):
         raise ConfigError("second construction needs a K-central algebra")
-    if getattr(center.K, "split", False) or center.tower.d is None:
+    if center.tower.d is None:
         raise ConfigError("split K = k x k second constructions are not "
                           "supported")
     if sigma.algebra is not b_alg:

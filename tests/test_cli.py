@@ -297,6 +297,13 @@ class TestExitCodes:
         ("search", "m3_f5_first.json", ["tasks", 1, "budget"], "7"),
         ("build", "m3_f5_first.json", ["seed"], "5"),
         ("check", "m3_f5_first.json", ["base", "p"], "5"),
+        # a construction parameter that must be invertible and is not:
+        # a zero u, an all-zero sigma twist, a zero cyclic parameter
+        ("check", "lk_q_second.json", ["construction", "u"], ["0"] * 6),
+        ("check", "m3k_q_second.json", ["construction", "sigma_twist"],
+         ["0"] * 18),
+        ("check", "cyclic_q_first.json", ["construction", "algebra", "a"],
+         "0"),
     ])
     def test_malformed_config_is_2(self, tmp_path, command, name, path,
                                    value):
@@ -467,6 +474,24 @@ class TestGoldenReports:
         assert (code, err) == (want, "")
         with open(os.path.join(GOLDEN, "m3_f5_isotope_of_%s.json" % command),
                   "rb") as fh:
+            assert out.encode() == fh.read()
+
+    def test_cubic_etale_report_matches_golden(self, tmp_path):
+        # J(L, 3) with L the cubic etale algebra of cyclic_q_first's tower
+        # (CommutativeCubic.over_L): its axiom suite, a short division
+        # falsification and its dumped forms
+        with open(cfg("cyclic_q_first.json")) as fh:
+            data = json.load(fh)
+        data["construction"]["algebra"] = {"kind": "cubic_etale"}
+        data["tasks"] = [{"task": "axioms"},
+                         {"task": "div_falsify", "budget": 200},
+                         {"task": "dump_forms"}]
+        path = tmp_path / "cubic_etale.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", "--config", str(path)])
+        assert (code, err) == (0, "")
+        golden = "cyclic_q_first_cubic_etale_check.json"
+        with open(os.path.join(GOLDEN, golden), "rb") as fh:
             assert out.encode() == fh.read()
 
     def test_corrupted_axioms_report_matches_golden(self, tmp_path):

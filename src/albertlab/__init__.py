@@ -10,7 +10,6 @@ from .errors import (
     AlbertLabError,
     ConfigError,
     DescentFailure,
-    LevelMismatch,
     NonPrimeModulus,
     NotAdmissible,
     NotGaloisClosure,

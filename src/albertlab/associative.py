@@ -98,7 +98,7 @@ class QuadraticCenter:
         return list(x.coords)
 
     def bar(self, x):
-        return self.K.apply("bar", x)
+        return self.K.conj(x)
 
     def descend(self, x):
         """K element fixed by bar -> ground scalar (coordinate check)."""
@@ -258,7 +258,7 @@ class CyclicAlgebra(_Algebra):
             raise NotInvertible("cyclic algebra parameter a must be nonzero")
         self.a = int_constants(a)
         self._one = Elem(self.L, int_constants(self.L.one.coords))
-        rho = self.L.autos["rho"]
+        rho = self.L.sigma
         rho2 = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rho)]
                 for row in rho]
         self._rho_powers = (None, rho, int_constants(rho2))
@@ -356,7 +356,7 @@ class CommutativeCubic(_Algebra):
     def __init__(self, center, L):
         super().__init__(center, center, 3)
         self.L = L
-        self._rho = L.autos["rho"]        # 3x3 over k (acts on triples)
+        self._rho = L.sigma               # 3x3 over k (acts on triples)
 
     @staticmethod
     def over_L(tower):

@@ -11,8 +11,8 @@ import json
 from .associative import (CommutativeCubic, CyclicAlgebra, GroundCenter,
                           MatrixAlgebra, QuadraticCenter, UnitaryInvolution)
 from .errors import ConfigError, NotInvertible
-from .fields import (Composite, CyclicCubic, Elem, PrimeFieldDesc,
-                     QuadraticEtale, Rationals, tower_build)
+from .fields import Elem, FieldTower, cyclic_cubic, quadratic_etale
+from .scalars import PrimeField, RationalField
 from . import tits, isotopy
 
 SCHEMA_VERSION = 1
@@ -37,6 +37,9 @@ def load_config(path):
     for t in tasks:
         if not isinstance(t, dict) or "task" not in t:
             raise ConfigError("each task needs a 'task' field")
+        if not isinstance(t["task"], str):
+            raise ConfigError("task name must be a string, got %r"
+                              % (t["task"],))
     if "construction" not in cfg:
         raise ConfigError("config needs a 'construction' section")
     return cfg
@@ -86,15 +89,6 @@ def _object(node, what):
     return node
 
 
-def _coeff_list(node, key, what):
-    """The coefficient list node[key] as a tuple."""
-    value = _need(node, key, what)
-    if not isinstance(value, list):
-        raise ConfigError("%s %r must be a list of coefficients, got %r"
-                          % (what, key, value))
-    return tuple(value)
-
-
 def as_int(value, what):
     """value when it is an integer, or a ConfigError naming `what`; JSON
     true, false, strings and numbers with a fraction or exponent part are
@@ -112,16 +106,18 @@ def at_least(value, least, what):
 
 
 # ---------------------------------------------------------------------------
-# descriptors
+# field towers
 
-def _base_desc(node):
+def ground_field(node):
+    """The ground field of a `base` node: "Q" (the default) or {"p": p}."""
     if node in ("Q", "rationals", None):
-        return Rationals()
+        return RationalField()
     if isinstance(node, dict) and "p" in node:
         try:
-            return PrimeFieldDesc(as_int(node["p"], "prime"))
+            p = as_int(node["p"], "prime")
         except ConfigError:
             raise ConfigError("bad prime %r" % (node["p"],)) from None
+        return PrimeField(p)
     raise ConfigError("bad base field %r (use \"Q\" or {\"p\": prime})"
                       % (node,))
 
@@ -135,27 +131,42 @@ def _split_flag(node):
     return split
 
 
-def tower_desc(node):
-    if node is None:
-        return None
+def _tower_scalar(ground, value, what):
+    """ground.parse(value), or a ConfigError naming `what`."""
+    try:
+        return ground.parse(value)
+    except (ConfigError, NotInvertible) as e:
+        raise ConfigError("%s: %s" % (what, e)) from None
+
+
+def _coeff_list(ground, node, key, what):
+    """The coefficient list node[key], parsed by the ground field."""
+    value = _need(node, key, what)
+    if not isinstance(value, list):
+        raise ConfigError("%s %r must be a list of coefficients, got %r"
+                          % (what, key, value))
+    return [_tower_scalar(ground, c, "%s %s" % (what, key)) for c in value]
+
+
+def tower(node):
+    """The FieldTower of a tower node: K for a "quadratic" node, L for a
+    "cubic" one, both for a "composite" one, over the node's `base`."""
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError("tower needs a 'kind'")
-    base = _base_desc(node.get("base"))
+    ground = ground_field(node.get("base"))
     kind = node["kind"]
-    if kind == "quadratic":
-        return QuadraticEtale(base=base, d=node.get("d"),
-                              split=_split_flag(node))
-    if kind in ("cubic", "composite"):
-        what = "%s tower" % kind
-        cubic = CyclicCubic(base=base, f=_coeff_list(node, "f", what),
-                            rho=_coeff_list(node, "rho", what))
-        if kind == "cubic":
-            return cubic
-        return Composite(
-            L=cubic,
-            K=QuadraticEtale(base=base, d=node.get("d"),
-                             split=_split_flag(node)))
-    raise ConfigError("unknown tower kind %r" % (kind,))
+    if kind not in ("quadratic", "cubic", "composite"):
+        raise ConfigError("unknown tower kind %r" % (kind,))
+    what = "%s tower" % kind
+    K = d = L = None
+    if kind != "quadratic":
+        L = cyclic_cubic(ground, _coeff_list(ground, node, "f", what),
+                         _coeff_list(ground, node, "rho", what))
+    if kind != "cubic":
+        if not _split_flag(node):
+            d = _tower_scalar(ground, _need(node, "d", what), what + " d")
+        K = quadratic_etale(ground, d)
+    return FieldTower(ground, K, d, L)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +176,13 @@ class BuildContext:
     """The tower, coefficient algebra and structure built from a config."""
 
     def __init__(self, cfg):
-        self.cfg = cfg
-        self.tower = None
-        desc = tower_desc(cfg.get("tower"))
-        if desc is not None:
-            self.tower = tower_build(desc)
+        node = cfg.get("tower")
+        self.tower = None if node is None else tower(node)
+        self.ground = (ground_field(cfg.get("base")) if self.tower is None
+                       else self.tower.ground)
         self.j = self._construction(cfg["construction"])
 
     # -- pieces ------------------------------------------------------------
-
-    def _ground(self):
-        if self.tower is not None:
-            return self.tower.ground
-        node = self.cfg.get("base")
-        from .fields import ground_field_of
-        return ground_field_of(_base_desc(node))
 
     def _construction(self, node):
         """The structure of a construction node.  A parameter that the
@@ -201,7 +204,7 @@ class BuildContext:
         raise ConfigError("unknown construction type %r" % (ctype,))
 
     def _first(self, node):
-        g = self._ground()
+        g = self.ground
         alg_node = _object(node.get("algebra", {"kind": "matrix"}),
                            "first_tits algebra")
         kind = alg_node.get("kind")
@@ -247,14 +250,20 @@ class BuildContext:
         mu = Elem(self.tower.K, self._scalars(mu_node, 2))
         twist = node.get("sigma_twist")
         if twist is not None:
-            sigma = sigma.twisted(
-                b_alg.from_k_coords(self._scalars(twist, b_alg.k_dim)))
-        return tits.second_tits(b_alg, sigma, u, mu)
+            try:
+                sigma = sigma.twisted(
+                    b_alg.from_k_coords(self._scalars(twist, b_alg.k_dim)))
+            except NotInvertible as e:
+                raise ConfigError("second_tits sigma_twist: %s" % e)
+        try:
+            return tits.second_tits(b_alg, sigma, u, mu)
+        except NotInvertible as e:      # u is the one element it inverts
+            raise ConfigError("second_tits u: %s" % e)
 
     # -- element parsing -----------------------------------------------------
 
     def _scalars(self, node, expect):
-        g = self._ground()
+        g = self.ground
         if not isinstance(node, list) or len(node) != expect:
             raise ConfigError("expected %d coordinates, got %r"
                               % (expect, node))

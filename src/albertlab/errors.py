@@ -27,10 +27,6 @@ class NotGaloisClosure(ConfigError):
     """f(rho(alpha)) is not 0 mod f, or rho does not generate Gal(L/k)."""
 
 
-class LevelMismatch(AlbertLabError):
-    """The extension has no automorphism of the name the caller gave."""
-
-
 # associative algebra errors
 
 class DescentFailure(AlbertLabError):

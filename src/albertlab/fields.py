@@ -3,12 +3,13 @@
 Every extension is stored as structure constants over the ground field
 (Q or F_p), with elements as coordinate vectors relative to canonical
 bases: {1, s} with s^2 = d for K (or the two idempotents for split K)
-and the power basis {1, a, a^2} for L = k[x]/(f).  Galois actions are
-k-linear matrices: bar on K, rho on L.  A composite tower builds K and
-L; the composite field L (x) K is a commutative cubic K-algebra in
-associative (CommutativeCubic), whose coefficient triples over K
-multiply through L's structure table.  The univariate polynomial
-helpers below only build L.
+and the power basis {1, a, a^2} for L = k[x]/(f).  Each extension has
+one Galois generator, a k-linear matrix `sigma`: bar on K, rho on L.
+L's table comes straight from f, and rho's matrix from evaluating the
+polynomial rho at a with L's own multiplication.  config.tower builds a
+FieldTower from a config's tower node; the composite field L (x) K is a
+commutative cubic K-algebra in associative (CommutativeCubic), whose
+coefficient triples over K multiply through L's structure table.
 
 Over Q the integral structure constants (multiplication tables and
 Galois matrices) are held as plain ints (scalars.int_constants), so an
@@ -19,64 +20,13 @@ built from ground scalars keep Fraction coordinates, and over F_p every
 constant stays an F_p scalar.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional
 
 from . import linalg
-from .errors import (ConfigError, LevelMismatch, NotGaloisClosure,
-                     NotInvertible, NotIrreducible)
-from .scalars import PrimeField, RationalField, int_constants
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomial helpers (dense, lowest degree first, ground scalars)
-
-def up_trim(c):
-    while c and not c[-1]:
-        c = c[:-1]
-    return c
-
-
-def up_mul(a, b, zero):
-    if not a or not b:
-        return []
-    out = [None] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            t = x * y
-            out[i + j] = t if out[i + j] is None else out[i + j] + t
-    return up_trim([zero if v is None else v for v in out])
-
-
-def up_mod(a, f, zero):
-    """a mod f for monic f."""
-    a = list(a)
-    d = len(f) - 1
-    while len(up_trim(a)) > d:
-        a = up_trim(a)
-        lead = a[-1]
-        shift = len(a) - 1 - d
-        for i in range(len(f)):
-            a[shift + i] = a[shift + i] - lead * f[i]
-        a = a[:-1]
-    a = up_trim(a)
-    return a + [zero] * (d - len(a))
-
-
-def up_compose_mod(a, b, f, zero, one):
-    """a(b(x)) mod f."""
-    out = [zero] * (len(f) - 1)
-    power = [one]
-    for i, c in enumerate(a):
-        if i > 0:
-            power = up_mod(up_mul(power, b, zero), f, zero)
-        if c:
-            for j, pv in enumerate(power):
-                out[j] = out[j] + c * pv
-    return up_mod(out, f, zero)
+from .errors import (ConfigError, NotGaloisClosure, NotInvertible,
+                     NotIrreducible)
+from .scalars import RationalField, int_constants
 
 
 def _rational_cubic_has_root(f):
@@ -121,61 +71,6 @@ def cubic_is_irreducible(f, ground):
         if not acc:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# descriptors
-
-@dataclass(frozen=True)
-class Rationals:
-    kind: str = "rationals"
-
-
-@dataclass(frozen=True)
-class PrimeFieldDesc:
-    p: int
-    kind: str = "prime_field"
-
-
-@dataclass(frozen=True)
-class QuadraticEtale:
-    base: object
-    d: Optional[object] = None       # base-field scalar literal, or None
-    split: bool = False
-    kind: str = "quadratic"
-
-
-@dataclass(frozen=True)
-class CyclicCubic:
-    base: object
-    f: Tuple = ()                    # monic cubic, low degree first, length 4
-    rho: Tuple = ()                  # polynomial giving a conjugate root
-    kind: str = "cyclic_cubic"
-
-
-@dataclass(frozen=True)
-class Composite:
-    L: CyclicCubic
-    K: QuadraticEtale
-    kind: str = "composite"
-
-
-def ground_field_of(desc):
-    if isinstance(desc, Rationals):
-        return RationalField()
-    if isinstance(desc, PrimeFieldDesc):
-        return PrimeField(desc.p)
-    if isinstance(desc, QuadraticEtale):
-        return ground_field_of(desc.base)
-    if isinstance(desc, CyclicCubic):
-        return ground_field_of(desc.base)
-    if isinstance(desc, Composite):
-        gl = ground_field_of(desc.L)
-        gk = ground_field_of(desc.K)
-        if gl != gk:
-            raise ConfigError("L and K must share the same base field")
-        return gl
-    raise ConfigError("unknown field descriptor %r" % (desc,))
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +147,16 @@ class Elem:
 
 
 class Extension:
-    def __init__(self, ground, name, dim, mult_table, one_coords, autos):
+    """A commutative k-algebra with basis e_0, ..., e_{dim-1}: table[i][j]
+    holds the coordinates of e_i e_j.  sigma is the matrix of its Galois
+    generator (bar on K, rho on L); the builder below sets it."""
+
+    def __init__(self, ground, name, dim, mult_table, one_coords):
         self.ground = ground
         self.name = name
         self.dim = dim
-        # table[i][j] = coord list; autos: name -> dim x dim ground matrix
         self.table = int_constants(mult_table)
-        self.autos = {name: int_constants(m) for name, m in autos.items()}
+        self.sigma = None
         self.one = Elem(self, one_coords)
         self.zero = Elem(self, [ground.zero] * dim)
 
@@ -305,11 +203,9 @@ class Extension:
             zero = self.ground.zero
         return [zero if v is None else v for v in out]
 
-    def apply(self, auto_name, x):
-        if auto_name not in self.autos:
-            raise LevelMismatch("automorphism %r is not defined on %s"
-                                % (auto_name, self.name))
-        return Elem(self, linalg.matvec(self.autos[auto_name], x.coords))
+    def conj(self, x):
+        """x under the Galois generator: bar on K, rho on L."""
+        return Elem(self, linalg.matvec(self.sigma, x.coords))
 
     def random(self, stream):
         return Elem(self, [self.ground.random(stream)
@@ -320,99 +216,74 @@ class Extension:
 
 
 # ---------------------------------------------------------------------------
-# tower construction
+# the tower
 
-def _build_quadratic(ground, desc):
+class FieldTower(NamedTuple):
+    """A ground field with the K and L a tower node declares (None for a
+    level it does not); d is K's parameter, None when K is split."""
+    ground: object
+    K: Optional[Extension]
+    d: object
+    L: Optional[Extension]
+
+
+def quadratic_etale(ground, d):
+    """K = k[s]/(s^2 - d) with bar: s -> -s, or the split k x k with the
+    swap of its idempotents when d is None."""
     g = ground
-    if desc.split:
-        table = [
-            [[g.one, g.zero], [g.zero, g.zero]],
-            [[g.zero, g.zero], [g.zero, g.one]],
-        ]
-        bar = [[g.zero, g.one], [g.one, g.zero]]
-        return Extension(g, "K", 2, table, [g.one, g.one], {"bar": bar}), None
-    d = g.parse(desc.d)
+    if d is None:
+        K = Extension(g, "K", 2, [[[g.one, g.zero], [g.zero, g.zero]],
+                                  [[g.zero, g.zero], [g.zero, g.one]]],
+                      [g.one, g.one])
+        K.sigma = int_constants([[g.zero, g.one], [g.one, g.zero]])
+        return K
     if not d:
         raise ConfigError("quadratic etale parameter d must be nonzero")
-    table = [
-        [[g.one, g.zero], [g.zero, g.one]],
-        [[g.zero, g.one], [d, g.zero]],
-    ]
-    bar = [[g.one, g.zero], [g.zero, -g.one]]
-    return Extension(g, "K", 2, table, [g.one, g.zero], {"bar": bar}), d
+    K = Extension(g, "K", 2, [[[g.one, g.zero], [g.zero, g.one]],
+                              [[g.zero, g.one], [d, g.zero]]],
+                  [g.one, g.zero])
+    K.sigma = int_constants([[g.one, g.zero], [g.zero, -g.one]])
+    return K
 
 
-def _parse_upoly(ground, coeffs):
-    try:
-        return [ground.from_fraction(Fraction(c)) for c in coeffs]
-    except (TypeError, ValueError, ZeroDivisionError, NotInvertible):
-        raise ConfigError("bad polynomial coefficients %r" % (coeffs,))
+def _at(coeffs, x):
+    """The polynomial with coefficients `coeffs` (lowest degree first)
+    at x, by Horner's rule in x's extension."""
+    ext = x.ext
+    acc = ext.zero
+    for c in reversed(coeffs):
+        acc = acc * x + ext.from_scalar(c)
+    return acc
 
 
-def _build_cyclic_cubic(ground, desc):
+def cyclic_cubic(ground, f, rho):
+    """L = k[x]/(f) for the monic cubic f (4 ground scalars, lowest degree
+    first), with rho the k-automorphism a -> rho(a) for the polynomial
+    rho (any list of ground scalars).  rho must carry a to another root
+    of f and have order 3."""
     g = ground
-    f = _parse_upoly(g, desc.f)
-    if len(up_trim(f)) != 4 or f[3] != g.one:
+    if len(f) != 4 or f[3] != g.one:
         raise ConfigError("f must be a monic cubic (4 coefficients, "
                           "lowest degree first)")
     if not cubic_is_irreducible(f, g):
         raise NotIrreducible("f is reducible over %r" % (g,))
-    rho = _parse_upoly(g, desc.rho)
-    if len(rho) > 3:
-        rho = up_mod(rho, f, g.zero)
-    rho = list(rho) + [g.zero] * (3 - len(rho))
-    # f(rho(alpha)) must vanish mod f, and rho must be a nontrivial
-    # order-3 permutation of the roots
-    frho = up_compose_mod(f, rho, f, g.zero, g.one)
-    if any(frho):
+    # a^0 .. a^4 on the power basis: a^3 = -(f0 + f1 a + f2 a^2), a^4 = a a^3
+    a3 = [-c for c in f[:3]]
+    powers = [[g.one, g.zero, g.zero], [g.zero, g.one, g.zero],
+              [g.zero, g.zero, g.one], a3,
+              [a3[2] * a3[0], a3[0] + a3[2] * a3[1], a3[1] + a3[2] * a3[2]]]
+    L = Extension(g, "L", 3, [[powers[i + j] for j in range(3)]
+                              for i in range(3)], powers[0])
+    alpha = Elem(L, powers[1])
+    r = _at(rho, alpha)
+    if _at(f, r):
         raise NotGaloisClosure("f(rho(alpha)) != 0 mod f: rho does not "
                                "permute the roots inside L")
-    x_poly = [g.zero, g.one, g.zero]
-    if rho == x_poly:
+    if r == alpha:
         raise NotGaloisClosure("rho is the identity")
-    r2 = up_compose_mod(rho, rho, f, g.zero, g.one)
-    r3 = up_compose_mod(r2, rho, f, g.zero, g.one)
-    r3 = list(r3) + [g.zero] * (3 - len(r3))
-    if r3 != x_poly:
+    # the algebra map a -> r has the columns 1, r, r^2
+    L.sigma = int_constants(linalg.transpose(
+        [list(L.one.coords), list(r.coords), list((r * r).coords)]))
+    if L.conj(L.conj(r)) != alpha:
         raise NotGaloisClosure("rho^3 is not the identity on L")
-    # multiplication table of the power basis
-    table = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            prod = [g.zero] * (i + j) + [g.one]
-            row.append(up_mod(prod, f, g.zero))
-        table.append(row)
-    # rho matrix: column j = coords of rho(alpha)^j
-    cols = []
-    power = [g.one, g.zero, g.zero]
-    for j in range(3):
-        if j:
-            power = up_mod(up_mul(power, rho, g.zero), f, g.zero)
-            power = list(power) + [g.zero] * (3 - len(power))
-        cols.append(list(power))
-    rho_mat = [[cols[j][i] for j in range(3)] for i in range(3)]
-    return Extension(g, "L", 3, table, [g.one, g.zero, g.zero],
-                     {"rho": rho_mat})
-
-
-class FieldTower:
-    """A base field plus whichever of K and L the descriptor declares."""
-
-    def __init__(self, desc):
-        self.desc = desc
-        self.ground = ground_field_of(desc)
-        self.K = None
-        self.L = None
-        self.d = None
-        if isinstance(desc, QuadraticEtale):
-            self.K, self.d = _build_quadratic(self.ground, desc)
-        elif isinstance(desc, CyclicCubic):
-            self.L = _build_cyclic_cubic(self.ground, desc)
-        elif isinstance(desc, Composite):
-            self.K, self.d = _build_quadratic(self.ground, desc.K)
-            self.L = _build_cyclic_cubic(self.ground, desc.L)
-
-
-def tower_build(desc) -> FieldTower:
-    return FieldTower(desc)
+    return L

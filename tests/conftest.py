@@ -9,15 +9,15 @@ from fractions import Fraction
 import pytest
 
 from albertlab.scalars import PrimeField, RationalField
-from albertlab.fields import (Composite, CyclicCubic, Elem, PrimeFieldDesc,
-                              QuadraticEtale, Rationals, tower_build)
+from albertlab.config import tower
+from albertlab.fields import Elem
 from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
                                    GroundCenter, MatrixAlgebra,
                                    QuadraticCenter, UnitaryInvolution)
 from albertlab import tits, isotopy
 
-F_COEFFS = ("1", "-3", "0", "1")      # x^3 - 3x + 1, cyclic over Q, F5, F7
-RHO_COEFFS = ("-2", "0", "1")         # alpha -> alpha^2 - 2
+F_COEFFS = ["1", "-3", "0", "1"]      # x^3 - 3x + 1, cyclic over Q, F5, F7
+RHO_COEFFS = ["-2", "0", "1"]         # alpha -> alpha^2 - 2
 
 
 @pytest.fixture(scope="session")
@@ -35,30 +35,30 @@ def F7():
     return PrimeField(7)
 
 
-def _composite_desc(base, d):
-    return Composite(L=CyclicCubic(base=base, f=F_COEFFS, rho=RHO_COEFFS),
-                     K=QuadraticEtale(base=base, d=d))
+def _composite(base, d):
+    return tower({"kind": "composite", "base": base, "f": F_COEFFS,
+                  "rho": RHO_COEFFS, "d": d})
 
 
 @pytest.fixture(scope="session")
 def tower_q():
-    return tower_build(_composite_desc(Rationals(), "-1"))
+    return _composite("Q", "-1")
 
 
 @pytest.fixture(scope="session")
 def tower_f5():
-    return tower_build(_composite_desc(PrimeFieldDesc(5), "2"))
+    return _composite({"p": 5}, "2")
 
 
 @pytest.fixture(scope="session")
 def tower_f7():
-    return tower_build(_composite_desc(PrimeFieldDesc(7), "3"))
+    return _composite({"p": 7}, "3")
 
 
 @pytest.fixture(scope="session")
 def tower_l_q():
-    return tower_build(CyclicCubic(base=Rationals(), f=F_COEFFS,
-                                   rho=RHO_COEFFS))
+    return tower({"kind": "cubic", "base": "Q", "f": F_COEFFS,
+                  "rho": RHO_COEFFS})
 
 
 # -- the six acceptance fixtures plus friends --------------------------------

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from albertlab import isotopy, linalg, tits
+from albertlab import linalg, tits
 from albertlab.cli import main as cli_main
 from albertlab.cubic import corrupt_sharp
 from albertlab.galois import extend_rho, fixed_subspace

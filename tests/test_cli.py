@@ -34,6 +34,23 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_edited(tmp_path, command, name, path, value):
+    """Run `command` on the config `name` with the field at `path` set to
+    value, or deleted when value is None."""
+    with open(cfg(name)) as fh:
+        data = json.load(fh)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps(data))
+    return run_cli(command.split() + ["--config", str(c)])
+
+
 class TestSubcommands:
     def test_build(self):
         code, out, _ = run_cli(["build", "--config",
@@ -304,25 +321,47 @@ class TestExitCodes:
          ["0"] * 18),
         ("check", "cyclic_q_first.json", ["construction", "algebra", "a"],
          "0"),
+        # a task name that is not a string
+        ("check", "m3_f5_first.json", ["tasks", 0, "task"], []),
+        ("check", "m3_f5_first.json", ["tasks", 0, "task"], {}),
+        # tower coefficients are strings or integers, and f has exactly
+        # four of them
+        ("check", "cyclic_q_first.json", ["tower", "f"],
+         [1.0, "-3", "0", "1"]),
+        ("check", "cyclic_q_first.json", ["tower", "rho"], [-2.0, 0, True]),
+        ("check", "cyclic_q_first.json", ["tower", "f"],
+         ["1", "-3", "0", "1", "0"]),
     ])
     def test_malformed_config_is_2(self, tmp_path, command, name, path,
                                    value):
-        with open(cfg(name)) as fh:
-            data = json.load(fh)
-        node = data
-        for key in path[:-1]:
-            node = node[key]
-        if value is None:
-            del node[path[-1]]
-        else:
-            node[path[-1]] = value
-        c = tmp_path / "c.json"
-        c.write_text(json.dumps(data))
-        code, out, err = run_cli(command.split() + ["--config", str(c)])
+        code, out, err = _run_edited(tmp_path, command, name, path, value)
         assert code == 2
         assert out == ""
         assert err.startswith("config error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("name, path, value, want", [
+        ("lk_q_second.json", ["construction", "u"], ["0"] * 6,
+         "second_tits u: element has norm 0"),
+        ("m3k_q_second.json", ["construction", "u"], ["0"] * 18,
+         "second_tits u: element has norm 0"),
+        ("lk_q_second.json", ["construction", "sigma_twist"], ["0"] * 6,
+         "second_tits sigma_twist: element has norm 0"),
+        ("m3k_q_second.json", ["construction", "sigma_twist"], ["0"] * 18,
+         "second_tits sigma_twist: element has norm 0"),
+        ("cyclic_q_first.json", ["tower", "f"], [1.0, "-3", "0", "1"],
+         "cubic tower f: bad rational literal 1.0"),
+        ("cyclic_q_first.json", ["tower", "f"], ["1", "-3", "0", "1", "0"],
+         "f must be a monic cubic (4 coefficients, lowest degree first)"),
+        ("lk_f5_second.json", ["tower", "d"], "1/5",
+         "composite tower d: denominator of 1/5 vanishes mod 5"),
+        ("m3_f5_first.json", ["tasks", 0, "task"], [],
+         "task name must be a string, got []"),
+    ])
+    def test_malformed_config_names_the_field(self, tmp_path, name, path,
+                                              value, want):
+        code, out, err = _run_edited(tmp_path, "check", name, path, value)
+        assert (code, out, err) == (2, "", "config error: %s\n" % want)
 
     def test_corrupt_coord_bound_checked_before_any_task(self, tmp_path,
                                                          monkeypatch):
@@ -492,6 +531,26 @@ class TestGoldenReports:
         assert (code, err) == (0, "")
         golden = "cyclic_q_first_cubic_etale_check.json"
         with open(os.path.join(GOLDEN, golden), "rb") as fh:
+            assert out.encode() == fh.read()
+
+    def test_f7_cyclic_report_matches_golden(self, tmp_path):
+        # J(D, 3) for cyclic_q_first's D read over F_7, with rho given as
+        # x^3 + x^2 - 3x - 1 = (x^2 - 2) + f, so that L's generator is
+        # pinned to rho reduced mod f: its axiom suite, a short division
+        # falsification and its dumped forms
+        with open(cfg("cyclic_q_first.json")) as fh:
+            data = json.load(fh)
+        data["tower"]["base"] = {"p": 7}
+        data["tower"]["rho"] = ["-1", "-3", "1", "1"]
+        data["tasks"] = [{"task": "axioms"},
+                         {"task": "div_falsify", "budget": 200},
+                         {"task": "dump_forms"}]
+        path = tmp_path / "cyclic_f7.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", "--config", str(path)])
+        assert (code, err) == (0, "")
+        with open(os.path.join(GOLDEN, "cyclic_q_first_f7_check.json"),
+                  "rb") as fh:
             assert out.encode() == fh.read()
 
     def test_corrupted_axioms_report_matches_golden(self, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from albertlab import cubic
 from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
-from albertlab.errors import NotInvertible, VerificationFailure
+from albertlab.errors import NotInvertible
 from albertlab.rng import Stream
 
 
@@ -58,7 +58,6 @@ class TestDerivedOps:
     def test_trace_matches_algebra_trace(self, j_m3_q, QQ):
         # on the first construction the trace of (x, 0, 0) is the matrix
         # trace of x
-        from albertlab.associative import GroundCenter, MatrixAlgebra
         m3 = j_m3_q.meta["algebra"]
         s = Stream(31)
         for _ in range(10):

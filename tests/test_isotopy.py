@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from albertlab import isotopy, linalg, tits
+from albertlab import linalg
 from albertlab.config import BuildContext
-from albertlab.errors import ConfigError, NotInvertible, NoVerifiedMap
+from albertlab.errors import ConfigError, NotInvertible
 from albertlab.isotopy import (LinearMap, SingularMap, isotope,
                                second_tits_isotope_iso, u_isotope_identity,
                                verify_isomorphism, verify_norm_similarity)

@@ -9,8 +9,8 @@ from albertlab.associative import (CommutativeCubic, GroundCenter,
                                    MatrixAlgebra, QuadraticCenter,
                                    UnitaryInvolution)
 from albertlab.errors import ConfigError, NotAdmissible, NotInvertible
-from albertlab.fields import (Composite, CyclicCubic, Elem, QuadraticEtale,
-                              Rationals, tower_build)
+from albertlab.config import tower
+from albertlab.fields import Elem
 from albertlab.rng import Stream
 from albertlab.tits import ZeroLambda
 
@@ -117,14 +117,13 @@ class TestSecondConstruction:
             tits.second_tits(b, sigma, (K.zero,) * 3, K.one)
 
     def test_split_k_rejected(self):
-        tower = tower_build(Composite(
-            L=CyclicCubic(base=Rationals(), f=("1", "-3", "0", "1"),
-                          rho=("-2", "0", "1")),
-            K=QuadraticEtale(base=Rationals(), split=True)))
-        b = CommutativeCubic.over_LK(tower)
+        split = tower({"kind": "composite", "base": "Q",
+                       "f": ["1", "-3", "0", "1"], "rho": ["-2", "0", "1"],
+                       "split": True})
+        b = CommutativeCubic.over_LK(split)
         sigma = UnitaryInvolution(b)
         with pytest.raises(ConfigError):
-            tits.second_tits(b, sigma, b.unit(), tower.K.one)
+            tits.second_tits(b, sigma, b.unit(), split.K.one)
 
     def test_twisted_parameters(self, tower_q, j_lk_q):
         # the isotope target data (sigma_v, u v#, N(v) mu) is admissible

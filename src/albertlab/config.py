@@ -176,10 +176,16 @@ class BuildContext:
     """The tower, coefficient algebra and structure built from a config."""
 
     def __init__(self, cfg):
+        """A top-level `base` next to a `tower` must name the tower's
+        base."""
         node = cfg.get("tower")
         self.tower = None if node is None else tower(node)
-        self.ground = (ground_field(cfg.get("base")) if self.tower is None
-                       else self.tower.ground)
+        self.ground = ground_field(cfg.get("base"))
+        if self.tower is not None:
+            if "base" in cfg and self.ground != self.tower.ground:
+                raise ConfigError("base %r differs from the tower's base %r"
+                                  % (self.ground, self.tower.ground))
+            self.ground = self.tower.ground
         self.j = self._construction(cfg["construction"])
 
     # -- pieces ------------------------------------------------------------

@@ -10,24 +10,26 @@ constructions use it.  Derived structures build their forms from their
 base's: an isotope scales them (isotopy.isotope), and corrupt_sharp adds
 one term.
 
-Every operation at a ground point has one route.  N and #, the
+Every operation at a ground point has one route.  N, #, T, S, the
 U-operator matrix and U_x(y) are computed from the int forms at the
 point's integer lift (scalars.lift) and mapped back once
-(scalars.from_int).  sharp_int and u_matrix_int stop before the map back
-and return the int adjoint and the int U-matrix over one denominator,
-for callers that keep computing on ints (the isotope's evaluator and its
-U^(v) check).  Identity checks compare the int forms mod the
-characteristic where the expansion sizes stay reasonable and run exact
-checks at random points otherwise.  The evaluators are run at ground
-points only by the random-point check of the forms against them, on the
-point's int lift over Q (lifted_norm, lifted_sharp), where the algebras
-hold their integral constants as ints; over F_p the evaluators take the
-F_p point as it is.
+(scalars.from_int); T and S themselves, and the trace bilinear form of
+the U-operator, are read off the int norm form at the unit's lift.
+sharp_int and u_matrix_int stop before the map back and return the int
+adjoint and the int U-matrix over one denominator, for callers that keep
+computing on ints (the isotope's evaluator and its U^(v) check).
+Identity checks compare the int forms mod the characteristic where the
+expansion sizes stay reasonable and run exact checks at random points
+otherwise, each sampled check through one loop (_first_failure).  The
+evaluators are run at ground points only by the random-point check of
+the forms against them, on the point's int lift over Q (lifted_norm,
+lifted_sharp), where the algebras hold their integral constants as ints;
+over F_p the evaluators take the F_p point as it is.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, List, Optional
 
@@ -91,9 +93,7 @@ class CubicNormStructure:
         self._sharp_polys = None
         self._n_int = None
         self._sharp_int = None
-        self._t_vec = None
-        self._s_poly = None
-        self._t_bilinear = None
+        self._trace_int = None
         self._u_int = None
 
     # -- symbolic expansion --------------------------------------------------
@@ -151,32 +151,20 @@ class CubicNormStructure:
         return self._int_forms()[0]
 
     def _trace_data(self):
-        """Split N(c + z) by degree: 1 + T(z) + S(z) + N(z)."""
-        if self._t_vec is None:
-            g = self.ground
-            xs = variables(self.dim, g.one)
-            shifted = [Poly.const(c) + x for c, x in zip(self.unit, xs)]
-            full = self.n_poly.eval(shifted, g.one)
-            t_part = full.homogeneous_part(1)
-            s_part = full.homogeneous_part(2)
-            t_vec = [g.zero] * self.dim
-            for m, c in t_part.terms.items():
-                t_vec[indices(m)[0]] = c
-            tb = [[g.zero] * self.dim for _ in range(self.dim)]
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    tb[i][j] = t_vec[i] * t_vec[j]
-            for m, c in s_part.terms.items():
-                i, j = indices(m)
-                if i == j:
-                    tb[i][i] = tb[i][i] - (c + c)
-                else:
-                    tb[i][j] = tb[i][j] - c
-                    tb[j][i] = tb[j][i] - c
-            self._t_vec = t_vec
-            self._s_poly = s_part
-            self._t_bilinear = tb
-        return self._t_vec, self._s_poly, self._t_bilinear
+        """(t, s, den): T = t / den and S = s / den for an int vector t and
+        an int quadratic form s, read off N(c + z) = 1 + T(z) + S(z) + N(z)
+        on the int forms.  With c = ci / cd and N = n_i / n_den, the int
+        norm form at ci + cd z is den N(c + z) for den = n_den cd^3."""
+        if self._trace_int is None:
+            n_i, n_den = self.n_int
+            ci, cd = lift(self.unit)
+            full = n_i.eval([Poly.var(k, cd) + c for k, c in enumerate(ci)],
+                            1)
+            t = [0] * self.dim
+            for m, c in full.homogeneous_part(1).terms.items():
+                t[indices(m)[0]] = c
+            self._trace_int = t, full.homogeneous_part(2), n_den * cd ** 3
+        return self._trace_int
 
     # -- derived operations ----------------------------------------------------
 
@@ -221,28 +209,16 @@ class CubicNormStructure:
         return tuple(Fraction(v, d) for v in self.eval_sharp(xi))
 
     def trace(self, x):
-        t_vec, _, _ = self._trace_data()
-        acc = self.ground.zero
-        for t, c in zip(t_vec, x):
-            if t:
-                acc = acc + t * c
-        return acc
+        """T(x) at a ground point: t.xi / (den d) for the lift xi / d."""
+        t, _, den = self._trace_data()
+        xi, d = lift(x)
+        return from_int(self._kind, sum(map(mul, t, xi)), den * d)
 
     def spur(self, x):
-        _, s_poly, _ = self._trace_data()
-        return s_poly.eval(list(x), self.ground.one)
-
-    def trace_pair(self, x, y):
-        _, _, tb = self._trace_data()
-        acc = self.ground.zero
-        for i in range(self.dim):
-            if not x[i]:
-                continue
-            row = tb[i]
-            for j in range(self.dim):
-                if row[j] and y[j]:
-                    acc = acc + row[j] * x[i] * y[j]
-        return acc
+        """S(x) at a ground point: s(xi) / (den d^2)."""
+        _, s, den = self._trace_data()
+        xi, d = lift(x)
+        return from_int(self._kind, s.eval(xi, 1), den * d * d)
 
     def cross(self, x, y):
         s = self.sharp([a + b for a, b in zip(x, y)])
@@ -274,19 +250,30 @@ class CubicNormStructure:
                      for xv, cv in zip(xi, sy))
 
     def _u_data(self):
-        """Int data of the U-operator, lifted once: the columns of the
-        trace bilinear matrix times t_den, and the polarized adjoint of
-        _sharp_int as triples (i, j, c) per row m, the diagonal c
-        doubled: cross(x, y)_m * s_den sums c (x_i y_j + x_j y_i) over
-        the triples with i < j and c x_i y_i over those with i = j."""
+        """Int data of the U-operator: the columns of the trace bilinear
+        matrix times t_den, and the polarized adjoint of _sharp_int as
+        triples (i, j, c) per row m, the diagonal c doubled:
+        cross(x, y)_m * s_den sums c (x_i y_j + x_j y_i) over the triples
+        with i < j and c x_i y_i over those with i = j.
+
+        T(x, y) = T(x) T(y) - (S(x + y) - S(x) - S(y)), so with t, s and
+        den of _trace_data the matrix is (t t^T - den P) / den^2 for the
+        polarization P of s, symmetric, so its rows are its columns.  The
+        entries and den^2 are divided by their common gcd: over Q, t_den
+        is then the least common denominator of the entries."""
         if self._u_int is None:
-            _, _, tb = self._trace_data()
-            flat, t_den = lift([c for row in tb for c in row])
-            cols = [flat[j::self.dim] for j in range(self.dim)]
+            t, s, den = self._trace_data()
+            cols = [[a * b for b in t] for a in t]
+            for m, c in s.terms.items():
+                i, j = indices(m)
+                cols[i][j] -= den * c
+                cols[j][i] -= den * c
+            g = gcd(den * den, *(e for col in cols for e in col))
+            cols = [[e // g for e in col] for col in cols]
             cross = [[(i, j, c + c if i == j else c)
                       for m, c in p.terms.items() for i, j in [indices(m)]]
                      for p in self._sharp_int[0]]
-            self._u_int = cols, t_den, cross
+            self._u_int = cols, den * den // g, cross
         return self._u_int
 
     def _cross_rows(self, s):
@@ -334,13 +321,12 @@ class CubicNormStructure:
         return tuple(ninv * c for c in self.sharp(x))
 
     def is_nilpotent(self, x):
-        flat = not self.trace(x) and not self.spur(x) and not self.norm(x)
-        cube = self.u_op(x, x)
-        cube_zero = not any(cube)
-        if flat != cube_zero:
-            raise VerificationFailure(
-                "nilpotency criteria disagree at %r" % (x,))
-        return flat
+        """T(x) = S(x) = N(x) = 0.  Every x satisfies its generic minimum
+        polynomial x^3 - T(x) x^2 + S(x) x - N(x) (McCrimmon, A Taste of
+        Jordan Algebras, 2004, Part II, ch. 4), so such an x has
+        x^3 = U_x(x) = 0; search.find_nilpotent re-verifies its hit with
+        U_x(x) = 0."""
+        return not self.trace(x) and not self.spur(x) and not self.norm(x)
 
     # -- randomness ---------------------------------------------------------------
 
@@ -365,14 +351,6 @@ class CubicNormStructure:
                 total += sizes[i] * sizes[j]
         return total
 
-    def _find_witness(self, diff_fn, stream, tries=300):
-        for _ in range(tries):
-            pt = self.random_point(stream)
-            d = diff_fn(pt)
-            if any(d) if isinstance(d, (tuple, list)) else bool(d):
-                return pt
-        return None
-
     def _trace_adjoint_ok(self):
         """T(x#, y) equals the directional derivative of N at x along y,
         as int forms mod the characteristic.
@@ -394,18 +372,18 @@ class CubicNormStructure:
     def _unit_cross_failure(self):
         """The first coordinate i where c x y = T(y) c - y fails, or None.
 
-        With c = ci / cd, the trace vector ti / td and cross(c, y) =
+        With c = ci / cd, T = t / den (_trace_data) and cross(c, y) =
         C y / (s_den cd) for C = _cross_rows(ci), row i reads
-        td C_i = s_den (ci_i ti - cd td e_i) over ints, mod the
+        den C_i = s_den (ci_i t - cd den e_i) over ints, mod the
         characteristic."""
         ci, cd = lift(self.unit)
-        ti, td = lift(self._trace_data()[0])
+        t, _, den = self._trace_data()
         s_den = self._sharp_int[1]
         char = self.ground.char
         for i, row in enumerate(self._cross_rows(ci)):
             for n, e in enumerate(row):
-                diff = td * e - s_den * (ci[i] * ti[n]
-                                         - (cd * td if n == i else 0))
+                diff = den * e - s_den * (ci[i] * t[n]
+                                          - (cd * den if n == i else 0))
                 if diff % char if char else diff:
                     return i
         return None
@@ -447,6 +425,14 @@ class CubicNormStructure:
         def emit(name, ok, mode, witness=None):
             checks.append(CheckResult(name, bool(ok), mode, witness))
 
+        def point():
+            return self.random_point(stream)
+
+        def sampled(names, n, fails, draw=point):
+            w = _first_failure(n, draw, fails)
+            for name in names:
+                emit(name, w is None, "random", None if w is None else repr(w))
+
         # base point identities
         emit("norm_unit_is_one", self.norm(self.unit) == g.one, "symbolic")
         emit("sharp_unit_is_unit",
@@ -481,34 +467,27 @@ class CubicNormStructure:
             if bad is None:
                 emit("adjoint_of_adjoint", True, "symbolic")
             else:
-                w = self._find_witness(
-                    lambda pt: [a - b for a, b in zip(
-                        self.sharp(self.sharp(pt)),
-                        [self.norm(pt) * c for c in pt])], stream)
+                def adjoint_fails(pt):
+                    n = self.norm(pt)
+                    return any(a - n * b for a, b in
+                               zip(self.sharp(self.sharp(pt)), pt))
+                w = _first_failure(300, point, adjoint_fails)
                 emit("adjoint_of_adjoint", False, "symbolic",
                      "coordinate %d differs; point %r" % (bad, w))
             if norm_ok:
                 emit("norm_of_adjoint", True, "symbolic")
             else:
-                w = self._find_witness(
-                    lambda pt: self.norm(self.sharp(pt))
-                    - self.norm(pt) * self.norm(pt), stream)
+                w = _first_failure(300, point, lambda pt: self.norm(
+                    self.sharp(pt)) != self.norm(pt) * self.norm(pt))
                 emit("norm_of_adjoint", False, "symbolic", repr(w))
         else:
-            ok = True
-            wit = None
-            for _ in range(points):
-                pt = self.random_point(stream)
+            def adjoint_fails(pt):
                 sp = self.sharp(pt)
                 n = self.norm(pt)
-                if any(a - n * b for a, b in zip(self.sharp(sp), pt)):
-                    ok, wit = False, repr(pt)
-                    break
-                if self.norm(sp) != n * n:
-                    ok, wit = False, repr(pt)
-                    break
-            emit("adjoint_of_adjoint", ok, "random", wit)
-            emit("norm_of_adjoint", ok, "random", wit)
+                return any(a - n * b for a, b in zip(self.sharp(sp), pt)) \
+                    or self.norm(sp) != n * n
+            sampled(("adjoint_of_adjoint", "norm_of_adjoint"), points,
+                    adjoint_fails)
 
         # c x x = T(x) c - x   (cross with the unit)
         bad = self._unit_cross_failure()
@@ -526,45 +505,38 @@ class CubicNormStructure:
              "symbolic")
 
         # N(U_x y) = N(x)^2 N(y) on random pairs
-        ok = True
-        wit = None
-        for _ in range(points):
-            x = self.random_point(stream)
-            y = self.random_point(stream)
-            nx = self.norm(x)
-            if self.norm(self.u_op(x, y)) != nx * nx * self.norm(y):
-                ok, wit = False, repr((x, y))
-                break
-        emit("u_operator_norm_similarity", ok, "random", wit)
+        def similarity_fails(xy):
+            nx = self.norm(xy[0])
+            return self.norm(self.u_op(*xy)) != nx * nx * self.norm(xy[1])
+        sampled(("u_operator_norm_similarity",), points, similarity_fails,
+                lambda: (point(), point()))
 
         # U_x(x^{-1}) = x on random invertible x
-        ok = True
-        wit = None
-        for _ in range(max(10, points // 5)):
-            try:
-                x = self.random_invertible(stream)
-            except NotInvertible:
-                ok, wit = False, "no invertible elements found"
-                break
-            if any(a - b for a, b in zip(self.u_op(x, self.inverse(x)), x)):
-                ok, wit = False, repr(x)
-                break
-        emit("u_operator_inverse_identity", ok, "random", wit)
+        try:
+            sampled(("u_operator_inverse_identity",), max(10, points // 5),
+                    lambda x: any(a - b for a, b in zip(
+                        self.u_op(x, self.inverse(x)), x)),
+                    lambda: self.random_invertible(stream))
+        except NotInvertible:
+            emit("u_operator_inverse_identity", False, "random",
+                 "no invertible elements found")
 
         # expansions (through their int lifts) agree with the evaluators
-        ok = True
-        wit = None
-        for _ in range(points):
-            pt = self.random_point(stream)
-            if self.norm(pt) != self.lifted_norm(pt):
-                ok, wit = False, repr(pt)
-                break
-            if self.sharp(pt) != self.lifted_sharp(pt):
-                ok, wit = False, repr(pt)
-                break
-        emit("expansion_matches_evaluators", ok, "random", wit)
+        sampled(("expansion_matches_evaluators",), points,
+                lambda pt: self.norm(pt) != self.lifted_norm(pt)
+                or self.sharp(pt) != self.lifted_sharp(pt))
 
         return AxiomReport(checks)
+
+
+def _first_failure(n, draw, fails):
+    """The first of n values drawn by draw() at which fails holds, or
+    None."""
+    for _ in range(n):
+        x = draw()
+        if fails(x):
+            return x
+    return None
 
 
 def _int_scaled(polys):

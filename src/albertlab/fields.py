@@ -20,7 +20,7 @@ built from ground scalars keep Fraction coordinates, and over F_p every
 constant stays an F_p scalar.
 """
 
-from fractions import Fraction
+from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -30,31 +30,36 @@ from .scalars import RationalField, int_constants
 
 
 def _rational_cubic_has_root(f):
-    """Rational root test for a monic cubic with Fraction coefficients."""
-    from math import gcd
-    den = 1
-    for c in f:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in f]  # ints[3] = den (monic * den)
-    a0, lead = ints[0], ints[-1]
-    if a0 == 0:
-        return True
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-    for p in divisors(a0):
-        for q in divisors(lead):
-            for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                if sum(c * r ** i for i, c in enumerate(f)) == 0:
-                    return True
+    """Rational root test for a monic cubic with Fraction coefficients.
+
+    With den the lcm of the denominators, y = den x turns f into the monic
+    int cubic g(y) = y^3 + b y^2 + c y + e, whose rational roots are ints
+    in [-B, B] for the Cauchy bound B.  g is monotone on the int pieces
+    cut at the floors of its critical points (-b -+ sqrt(b^2 - 3c)) / 3,
+    so one bisection per piece decides it in O(log B) steps."""
+    den = lcm(*[c.denominator for c in f])
+    b, c, e = int(f[2] * den), int(f[1] * den ** 2), int(f[0] * den ** 3)
+
+    def g(y):
+        return ((y + b) * y + c) * y + e
+
+    bound = 1 + max(abs(b), abs(c), abs(e))
+    cuts = [-bound - 1, bound]
+    disc = b * b - 3 * c
+    if disc >= 0:
+        s = isqrt(disc)
+        cuts[1:1] = [(-b - s - (s * s < disc)) // 3, (-b + s) // 3]
+    for lo, hi in zip(cuts, cuts[1:]):
+        lo += 1
+        sign = 1 if g(hi) >= g(lo) else -1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * g(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if g(lo) == 0:
+            return True
     return False
 
 

@@ -129,8 +129,8 @@ def _t_nilpotent(ctx, node, entry, tseed, budget=None, **kw):
 def _t_isotope(ctx, node, entry, tseed, **kw):
     j = ctx.j
     g = j.ground
-    v = ctx.carrier_point(node["v"])
     try:
+        v = ctx.carrier_point(node["v"])
         jv = isotopy.isotope(j, v)
     except NotInvertible as e:
         raise ConfigError("isotope v: %s" % e)
@@ -149,9 +149,9 @@ def _t_isotope(ctx, node, entry, tseed, **kw):
 
 
 def _t_iso_verify(ctx, node, entry, tseed, **kw):
-    v = ctx.algebra_element(node["v"])
     try:
-        f = isotopy.second_tits_isotope_iso(ctx.j, v)
+        f = isotopy.second_tits_isotope_iso(
+            ctx.j, ctx.algebra_element(node["v"]))
     except NotInvertible as e:
         raise ConfigError("iso_verify v: %s" % e)
     except VerificationFailure as e:

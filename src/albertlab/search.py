@@ -115,23 +115,26 @@ def _structured_nilpotents(j):
 
 
 def find_nilpotent(j, budget=100000, seed=0, jobs=1):
-    """Nonzero x with T(x) = S(x) = N(x) = 0, re-verified via U_x(x) = 0."""
+    """Nonzero x with T(x) = S(x) = N(x) = 0 (j.is_nilpotent); the hit
+    alone is re-verified via U_x(x) = x^3 = 0."""
     j.expand_symbolic()
 
     def predicate(x):
         return any(x) and j.is_nilpotent(x)
 
-    for x in _structured_nilpotents(j):
-        if predicate(x):
-            return SearchResult("witness", witness=x, index=-1,
-                                detail="structured candidate")
-    hit = _search(budget, lambda i: point_at(j, seed, i), predicate)
-    if hit is None:
-        return SearchResult("exhausted")
-    i, x = hit
+    x = next(filter(predicate, _structured_nilpotents(j)), None)
+    if x is not None:
+        res = SearchResult("witness", witness=x, index=-1,
+                           detail="structured candidate")
+    else:
+        hit = _search(budget, lambda i: point_at(j, seed, i), predicate)
+        if hit is None:
+            return SearchResult("exhausted")
+        i, x = hit
+        res = SearchResult("witness", witness=x, index=i)
     if any(j.u_op(x, x)) or not any(x):
         raise VerificationFailure("nilpotent witness failed re-verification")
-    return SearchResult("witness", witness=x, index=i)
+    return res
 
 
 def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):

@@ -21,6 +21,16 @@ RHO_COEFFS = ["-2", "0", "1"]         # alpha -> alpha^2 - 2
 
 
 @pytest.fixture(scope="session")
+def trace_pair():
+    """T(x, y) = T(x) T(y) - (S(x + y) - S(x) - S(y)), from a structure's
+    trace and spur alone."""
+    def pair(j, x, y):
+        xy = tuple(a + b for a, b in zip(x, y))
+        return j.trace(x) * j.trace(y) - (j.spur(xy) - j.spur(x) - j.spur(y))
+    return pair
+
+
+@pytest.fixture(scope="session")
 def QQ():
     return RationalField()
 

@@ -6,6 +6,8 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from albertlab import runner
 from albertlab.cli import main
@@ -357,11 +359,26 @@ class TestExitCodes:
          "composite tower d: denominator of 1/5 vanishes mod 5"),
         ("m3_f5_first.json", ["tasks", 0, "task"], [],
          "task name must be a string, got []"),
+        # a task v scalar whose denominator vanishes mod p
+        ("lk_f5_second.json", ["tasks", 2, "v"], ["1/5"] + ["0"] * 5,
+         "iso_verify v: denominator of 1/5 vanishes mod 5"),
+        ("m3_f5_first.json", ["tasks"],
+         [{"task": "isotope", "v": ["1/5"] + ["0"] * 26}],
+         "isotope v: denominator of 1/5 vanishes mod 5"),
+        # a top-level base that is not the tower's
+        ("m3k_q_second.json", ["base"], {"p": 5},
+         "base F_5 differs from the tower's base Q"),
     ])
     def test_malformed_config_names_the_field(self, tmp_path, name, path,
                                               value, want):
         code, out, err = _run_edited(tmp_path, "check", name, path, value)
         assert (code, out, err) == (2, "", "config error: %s\n" % want)
+
+    def test_base_equal_to_tower_base_is_accepted(self, tmp_path):
+        code, out, err = _run_edited(tmp_path, "build", "lk_f5_second.json",
+                                     ["base"], {"p": 5})
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ground"] == "F_5"
 
     def test_corrupt_coord_bound_checked_before_any_task(self, tmp_path,
                                                          monkeypatch):
@@ -427,6 +444,74 @@ class TestExitCodes:
         task = rep["tasks"][0]
         assert task["task"] == "iso_verify" and task["status"] == "fail"
         assert "failed certification" in task["error"]
+
+
+def _paths(node, prefix=()):
+    """The path of every node below the root of a JSON tree."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _example_sites():
+    out = []
+    for name in sorted(os.listdir(CONFIGS)):
+        with open(cfg(name)) as fh:
+            out += [(name, path) for path in _paths(json.load(fh))]
+    return out
+
+
+class _Deleted:
+    def __repr__(self):
+        return "DELETE"
+
+
+DELETE = _Deleted()
+# one-leaf mutations: None, a boolean, a float, 0, -1, a stray string, a
+# scalar whose denominator vanishes mod 5, a list, an object, 10^40, and
+# the key deleted
+MUTATIONS = (None, True, 0.5, 0, -1, "stray", "1/5", ["0"], {"x": "1"},
+             10 ** 40, DELETE)
+COMMANDS = ("build", "check", "search", "isotope", "galois", "dump")
+
+
+class TestExitContract:
+    """A config with one value replaced or deleted keeps the exit
+    contract: main returns 0, 1 or 2 and raises nothing, exit 2 prints
+    one stderr line and no stdout, and exit 1 prints a failing report.
+    Search budgets are capped by --budget."""
+
+    @given(st.sampled_from(_example_sites()), st.sampled_from(MUTATIONS),
+           st.sampled_from(COMMANDS))
+    @example(("lk_f5_second.json", ("tasks", 2, "v", 0)), "1/5", "isotope")
+    @example(("cyclic_q_first.json", ("tower", "f", 0)), 10 ** 40, "build")
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=80, report_multiple_bugs=False)
+    def test_one_leaf_mutation(self, tmp_path_factory, site, value,
+                               command):
+        name, path = site
+        with open(cfg(name)) as fh:
+            data = json.load(fh)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        c = tmp_path_factory.mktemp("mutant") / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli([command, "--config", str(c),
+                                  "--budget", "20"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.startswith("config error: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == ""
+            assert json.loads(out)["status"] == ("fail" if code else "ok")
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ import pytest
 from albertlab.associative import CommutativeCubic
 from albertlab.config import tower
 from albertlab.errors import ConfigError, NotGaloisClosure, NotIrreducible
-from albertlab.fields import Elem
+from albertlab.fields import Elem, cubic_is_irreducible
 from albertlab.rng import Stream
 from albertlab.scalars import PrimeField
 
@@ -99,6 +99,24 @@ class TestCyclicCubic:
         # x^3 - 1 = (x - 1)(x^2 + x + 1)
         with pytest.raises(NotIrreducible):
             _cubic(["-1", "0", "0", "1"], ["-2", "0", "1"])
+
+    @pytest.mark.parametrize("f, irreducible", [
+        ([10 ** 40, -3, 0, 1], True),
+        ([-2 * 10 ** 30, 0, 0, 1], True),
+        # (x - r)(x^2 + p x + q) = x^3 + (p - r) x^2 + (q - p r) x - q r
+        *[([-q * r, q - p * r, p - r, 1], False) for r, p, q in [
+            (10 ** 13 + 37, 0, 1),
+            (Fraction(10 ** 15 + 1, 7), Fraction(1, 3), 5),
+            # three roots around one critical point
+            (10 ** 12, -2 * 10 ** 12 - 3, (10 ** 12 + 1) * (10 ** 12 + 2)),
+        ]],
+    ])
+    def test_rational_root_test_on_large_coefficients(self, QQ, f,
+                                                      irreducible):
+        # no trial division of the constant term, which would take about
+        # 10^20 steps on the first case
+        f = [Fraction(c) for c in f]
+        assert cubic_is_irreducible(f, QQ) == irreducible
 
     def test_non_galois_rejected(self):
         # x^3 - 2 is irreducible but not Galois over Q; no polynomial rho

@@ -1,7 +1,8 @@
 """The int-lifted kernels (linalg.matmul, linalg.rank, u_matrix,
 poly.pullback) against independent references written here: plain
 Fraction and mod-p loops, U_x(y) = T(x, y) x - x# x y assembled from
-trace_pair and cross, and the nested Poly.eval substitution."""
+T(x, y) (the trace_pair fixture) and cross, and the nested Poly.eval
+substitution."""
 
 from fractions import Fraction
 
@@ -161,20 +162,20 @@ class TestExtensionFieldMatrices:
 
 class TestUMatrix:
     @staticmethod
-    def _reference(j, x):
+    def _reference(j, x, trace_pair):
         """Column k is U_x(e_k) = T(x, e_k) x - x# x e_k."""
         g = j.ground
         sx = j.sharp(x)
         cols = []
         for k in range(j.dim):
             e = tuple(g.one if i == k else g.zero for i in range(j.dim))
-            t = j.trace_pair(x, e)
+            t = trace_pair(j, x, e)
             cx = j.cross(sx, e)
             cols.append([t * xi - ci for xi, ci in zip(x, cx)])
         return [[cols[k][i] for k in range(j.dim)] for i in range(j.dim)]
 
     @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q"])
-    def test_mixed_denominators_over_q(self, name, request):
+    def test_mixed_denominators_over_q(self, name, request, trace_pair):
         j = request.getfixturevalue(name)
         s = Stream(71)
         points = [tuple(Fraction(i - 13, 1 + i % 5) for i in range(j.dim))]
@@ -184,14 +185,14 @@ class TestUMatrix:
         assert any(c.denominator > 1 for c in points[-1])
         for x in points:
             got = j.u_matrix(x)
-            assert got == self._reference(j, x)
+            assert got == self._reference(j, x, trace_pair)
             assert all(type(c) is Fraction for row in got for c in row)
 
-    def test_finite_field(self, j_lk_f5):
+    def test_finite_field(self, j_lk_f5, trace_pair):
         s = Stream(73)
         for x in [j_lk_f5.unit] + [j_lk_f5.random_point(s) for _ in range(6)]:
             got = j_lk_f5.u_matrix(x)
-            assert got == self._reference(j_lk_f5, x)
+            assert got == self._reference(j_lk_f5, x, trace_pair)
             assert all(type(c) is type(j_lk_f5.ground.one)
                        for row in got for c in row)
 

@@ -1,7 +1,9 @@
 """Ground-point routes on int lifts: u_op from the int U data against
-T(x, y) x - x# x y assembled from trace_pair and cross, and the
-evaluators run on a point's int lift (lifted_norm, lifted_sharp) against
-the same evaluators run on the ground scalars themselves."""
+T(x, y) x - x# x y assembled from T(x, y) (the trace_pair fixture) and
+cross; trace, spur and u_matrix against the ground norm form expanded at
+c + z; and the evaluators run on a point's int lift (lifted_norm,
+lifted_sharp) against the same evaluators run on the ground scalars
+themselves."""
 
 from fractions import Fraction
 
@@ -14,12 +16,13 @@ from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
 from albertlab.cubic import corrupt_sharp
 from albertlab.fields import Elem
 from albertlab.isotopy import isotope
+from albertlab.poly import Poly, variables
 from albertlab.rng import Stream
 from albertlab.scalars import lift
 
 
-def _generic_u(j, x, y):
-    t = j.trace_pair(x, y)
+def _generic_u(j, x, y, trace_pair):
+    t = trace_pair(j, x, y)
     cx = j.cross(j.sharp(x), y)
     return tuple(t * xi - ci for xi, ci in zip(x, cx))
 
@@ -42,7 +45,7 @@ def _points(j, s):
 
 class TestUOp:
     @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q"])
-    def test_mixed_denominators_over_q(self, name, request):
+    def test_mixed_denominators_over_q(self, name, request, trace_pair):
         j = request.getfixturevalue(name)
         s = Stream(81)
         x = j.random_invertible(s)
@@ -54,17 +57,67 @@ class TestUOp:
         assert any(lift(x)[1] > 1 and lift(y)[1] > 1 for x, y in pairs)
         for x, y in pairs:
             got = j.u_op(x, y)
-            assert got == _generic_u(j, x, y)
+            assert got == _generic_u(j, x, y, trace_pair)
             assert all(type(c) is Fraction for c in got)
 
-    def test_finite_field(self, j_lk_f5):
+    def test_finite_field(self, j_lk_f5, trace_pair):
         s = Stream(83)
         kind = type(j_lk_f5.ground.one)
         for _ in range(8):
             x, y = j_lk_f5.random_point(s), j_lk_f5.random_point(s)
             got = j_lk_f5.u_op(x, y)
-            assert got == _generic_u(j_lk_f5, x, y)
+            assert got == _generic_u(j_lk_f5, x, y, trace_pair)
             assert all(type(c) is kind for c in got)
+
+
+class TestTraceForms:
+    """At a non-integral base point c = v^-1 of a random-v isotope, the
+    int trace route against T and S read off the ground norm form
+    expanded at c + z, N(c + z) = 1 + T(z) + S(z) + N(z)."""
+
+    @staticmethod
+    def _reference(j):
+        """(T, S, U) at ground points, from the ground forms t and s."""
+        g = j.ground
+        xs = variables(j.dim, g.one)
+        full = j.n_poly.eval([Poly.const(c) + x for c, x in zip(j.unit, xs)],
+                             g.one)
+        t, s = full.homogeneous_part(1), full.homogeneous_part(2)
+        basis = [tuple(g.one if i == k else g.zero for i in range(j.dim))
+                 for k in range(j.dim)]
+
+        def u_matrix(x):
+            """Column k is U_x(e_k) = T(x, e_k) x - x# x e_k, with
+            T(x, e_k) = T(x) T(e_k) - (S(x + e_k) - S(x) - S(e_k))."""
+            tx, sx, shx = t.eval(x, g.one), s.eval(x, g.one), j.sharp(x)
+            cols = []
+            for e in basis:
+                xe = tuple(a + b for a, b in zip(x, e))
+                pair = tx * t.eval(e, g.one) - (
+                    s.eval(xe, g.one) - sx - s.eval(e, g.one))
+                cols.append([pair * a - b
+                             for a, b in zip(x, j.cross(shx, e))])
+            return [list(row) for row in zip(*cols)]
+
+        return (lambda x: t.eval(x, g.one)), (lambda x: s.eval(x, g.one)), \
+            u_matrix
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_lk_q", "j_m3_f5",
+                                      "j_lk_f5"])
+    def test_random_v_isotope(self, name, request):
+        j = request.getfixturevalue(name)
+        s = Stream(95)
+        jv = isotope(j, j.random_invertible(s))
+        trace, spur, u_matrix = self._reference(jv)
+        points = _points(jv, s)
+        if jv.ground.char == 0:
+            assert lift(jv.unit)[1] > 1
+        else:
+            assert jv.unit != j.unit
+        for x in points:
+            assert jv.trace(x) == trace(x)
+            assert jv.spur(x) == spur(x)
+            assert jv.u_matrix(x) == u_matrix(x)
 
 
 def _agree(j, points):

@@ -75,6 +75,17 @@ class TestNilpotent:
         assert res.found
         assert j_lk_f5.is_nilpotent(res.witness)
 
+    def test_only_the_hit_reaches_u_op(self, j_lk_f5, monkeypatch):
+        # the scan tests T = S = N = 0 alone, and U_x(x) = 0 re-verifies
+        # the one hit
+        calls = []
+        u_op = type(j_lk_f5).u_op
+        monkeypatch.setattr(type(j_lk_f5), "u_op", lambda self, x, y: (
+            calls.append(x), u_op(self, x, y))[1])
+        res = find_nilpotent(j_lk_f5, budget=100000, seed=3)
+        assert res.index > 0
+        assert calls == [res.witness]
+
 
 class TestDivisionFalsify:
     def test_first_construction_preimage_conversion(self, j_m3_f5):

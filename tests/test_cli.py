@@ -469,9 +469,9 @@ class _Deleted:
 
 
 DELETE = _Deleted()
-# one-leaf mutations: None, a boolean, a float, 0, -1, a stray string, a
-# scalar whose denominator vanishes mod 5, a list, an object, 10^40, and
-# the key deleted
+# the mutations of one node: None, a boolean, a float, 0, -1, a stray
+# string, a scalar whose denominator vanishes mod 5, a list, an object,
+# 10^40, and the key deleted
 MUTATIONS = (None, True, 0.5, 0, -1, "stray", "1/5", ["0"], {"x": "1"},
              10 ** 40, DELETE)
 COMMANDS = ("build", "check", "search", "isotope", "galois", "dump")

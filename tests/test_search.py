@@ -80,8 +80,12 @@ class TestNilpotent:
         # the one hit
         calls = []
         u_op = type(j_lk_f5).u_op
-        monkeypatch.setattr(type(j_lk_f5), "u_op", lambda self, x, y: (
-            calls.append(x), u_op(self, x, y))[1])
+
+        def counted(self, x, y):
+            calls.append(x)
+            return u_op(self, x, y)
+
+        monkeypatch.setattr(type(j_lk_f5), "u_op", counted)
         res = find_nilpotent(j_lk_f5, budget=100000, seed=3)
         assert res.index > 0
         assert calls == [res.witness]

@@ -19,14 +19,15 @@ algebra.  The commutative cubic multiplies through L's structure table
 and rho, with center elements as coefficients, so L over k and LK over
 K share one multiplication.
 
-Every operation is division-free in the element coordinates, so the
-same code paths run with polynomial indeterminates during symbolic
-expansion, and on int coordinates when a point over Q is lifted to ints:
-the integral constants (the cyclic parameter a, L's structure table,
-the rho matrices, with rho^2 cached as one matrix) are held as plain
-ints, and sums start from None instead of a Fraction zero, so int
-coordinates stay ints through every product.  Over F_p the constants
-stay F_p scalars.  The reduced norm of the cyclic algebra is *defined*
+Every operation is division-free in the element coordinates and
+branches on a coordinate's truthiness only to skip a zero term or to
+raise (a failed descent), so the same code paths run with polynomial
+indeterminates during symbolic expansion, and on lane vectors of int
+lifts (scalars.Lanes) when the evaluator check runs a batch of points;
+a lane vector reads an integral constant over Q (the cyclic parameter
+a, L's structure table, the rho matrices, with rho^2 cached as one
+matrix) as an int, and sums start from None instead of a Fraction zero,
+so int lanes stay ints through every product.  The reduced norm of the cyclic algebra is *defined*
 as the determinant of the splitting embedding.  The closed trace, spur
 and adjoint formulas are validated against N(t 1 - x), read off by
 interpolation, in tests/test_associative.py.  Each algebra also expands
@@ -40,7 +41,6 @@ from .errors import (DescentFailure, NotInvertible, NotSecondKind,
                      TwistNotHermitian, VerificationFailure)
 from .fields import Elem
 from .poly import variables
-from .scalars import int_constants
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +256,11 @@ class CyclicAlgebra(_Algebra):
         super().__init__(GroundCenter(tower.ground), self.L, 3)
         if not a:
             raise NotInvertible("cyclic algebra parameter a must be nonzero")
-        self.a = int_constants(a)
-        self._one = Elem(self.L, int_constants(self.L.one.coords))
+        self.a = a
         rho = self.L.sigma
         rho2 = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rho)]
                 for row in rho]
-        self._rho_powers = (None, rho, int_constants(rho2))
+        self._rho_powers = (None, rho, rho2)
 
     def _rho(self, x, times):
         times %= 3
@@ -332,7 +331,7 @@ class CyclicAlgebra(_Algebra):
         t = self.trace(x)
         s = self.spur(x)
         xx = self.mul(x, x)
-        return (xx[0] - x[0] * t + self._one * s, xx[1] - x[1] * t,
+        return (xx[0] - x[0] * t + self.L.one * s, xx[1] - x[1] * t,
                 xx[2] - x[2] * t)
 
     def __repr__(self):

@@ -20,15 +20,19 @@ adjoint and the int U-matrix over one denominator, for callers that keep
 computing on ints (the isotope's evaluator and its U^(v) check).
 Identity checks compare the int forms mod the characteristic where the
 expansion sizes stay reasonable and run exact checks at random points
-otherwise, each sampled check through one loop (_first_failure).  The
-evaluators are run at ground points only by the random-point check of
-the forms against them, on the point's int lift over Q (lifted_norm,
-lifted_sharp), where the algebras hold their integral constants as ints;
-over F_p the evaluators take the F_p point as it is.
+otherwise, each sampled check through one loop (_first_failure).
+
+The evaluators have one route at ground points too, the check of the
+forms against them (evaluate_batch): they run once per chunk of
+EVAL_CHUNK points on lane vectors (scalars.Lanes), one per coordinate,
+holding the points' int lifts, and each point's values are mapped back
+once and compared with N and # in draw order.  An evaluator may branch
+on a value's truthiness only, to skip a zero term or to raise; a lane
+vector is falsy only when every lane is zero, so a failed descent on
+any lane raises for the whole chunk.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, List, Optional
@@ -38,7 +42,7 @@ from .errors import NotInvertible, VerificationFailure
 from .poly import (Poly, directional_derivative, indices, linear_form,
                    sum_of_products, variables)
 from .rng import Stream
-from .scalars import from_int, lift
+from .scalars import Lanes, from_int, lane_values, lift
 
 # rough bound on coefficient multiplications before a symbolic identity
 # check falls back to random-point verification.  _sharp_cost, the sum of
@@ -46,6 +50,11 @@ from .scalars import from_int, lift
 # coordinate i), bounds the quadratic term products of the x## proof:
 # Poly.eval multiplies each first-index group sum_k c_ik S_k by S_i once.
 SYMBOLIC_OP_LIMIT = 3_000_000
+
+# points per run of the evaluators in the evaluator check (evaluate_batch):
+# one lane vector per coordinate holds this many points at most, so the
+# memory of a run is bounded for any number of points
+EVAL_CHUNK = 128
 
 
 @dataclass
@@ -188,25 +197,24 @@ class CubicNormStructure:
         xi, d = lift(x)
         return [p.eval(xi, 1) for p in sh_i], den * d * d
 
-    def lifted_norm(self, x):
-        """eval_norm at a ground point, run on its int lift over Q: with
-        x = xi / d, N(x) = eval_norm(xi) / d^3, since the expansion is a
-        homogeneous cubic (expand_symbolic checks it).  The evaluator then
-        multiplies ints by the int-held structure constants; F_p points
-        are passed as they are."""
-        if self._kind is not Fraction:
-            return self.eval_norm(list(x))
-        xi, d = lift(x)
-        return Fraction(self.eval_norm(xi), d ** 3)
-
-    def lifted_sharp(self, x):
-        """eval_sharp at a ground point, on its int lift over Q as in
-        lifted_norm: x# = eval_sharp(xi) / d^2."""
-        if self._kind is not Fraction:
-            return tuple(self.eval_sharp(list(x)))
-        xi, d = lift(x)
-        d *= d
-        return tuple(Fraction(v, d) for v in self.eval_sharp(xi))
+    def evaluate_batch(self, points):
+        """[(N(x), x#)] at ground points x from one run of each evaluator
+        on lane vectors (scalars.Lanes), the columns of the points' int
+        lifts: with x = xi / d, eval_norm gives d^3 N(x) and eval_sharp
+        d^2 x# in x's lane, since the expansions are homogeneous
+        (expand_symbolic checks it), and each value is mapped back once.
+        Over Q the lanes stay ints until a non-integral constant is met;
+        over F_p d = 1 and every lane is a residue."""
+        lifts = [lift(x) for x in points]
+        cols = [Lanes([xi[i] for xi, _ in lifts], self.ground.char)
+                for i in range(self.dim)]
+        width = len(points)
+        n = lane_values(self.eval_norm(cols), width)
+        sh = [lane_values(c, width) for c in self.eval_sharp(cols)]
+        kind = self._kind
+        return [(from_int(kind, n[k], d ** 3),
+                 tuple(from_int(kind, c[k], d * d) for c in sh))
+                for k, (_, d) in enumerate(lifts)]
 
     def trace(self, x):
         """T(x) at a ground point: t.xi / (den d) for the lift xi / d."""
@@ -521,10 +529,18 @@ class CubicNormStructure:
             emit("u_operator_inverse_identity", False, "random",
                  "no invertible elements found")
 
-        # expansions (through their int lifts) agree with the evaluators
-        sampled(("expansion_matches_evaluators",), points,
-                lambda pt: self.norm(pt) != self.lifted_norm(pt)
-                or self.sharp(pt) != self.lifted_sharp(pt))
+        # expansions (through their int lifts) agree with the evaluators,
+        # run once per chunk of EVAL_CHUNK points; the witness is the
+        # first failing point in draw order
+        w = None
+        for start in range(0, points, EVAL_CHUNK):
+            pts = [point() for _ in range(min(EVAL_CHUNK, points - start))]
+            w = next((x for x, (n, sh) in zip(pts, self.evaluate_batch(pts))
+                      if self.norm(x) != n or self.sharp(x) != sh), None)
+            if w is not None:
+                break
+        emit("expansion_matches_evaluators", w is None, "random",
+             None if w is None else repr(w))
 
         return AxiomReport(checks)
 

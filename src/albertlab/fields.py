@@ -11,13 +11,12 @@ FieldTower from a config's tower node; the composite field L (x) K is a
 commutative cubic K-algebra in associative (CommutativeCubic), whose
 coefficient triples over K multiply through L's structure table.
 
-Over Q the integral structure constants (multiplication tables and
-Galois matrices) are held as plain ints (scalars.int_constants), so an
-element with int coordinates -- a point lifted to ints by an evaluator
-check -- multiplies on ints and its products start from None rather
-than a Fraction zero.  Elements
-built from ground scalars keep Fraction coordinates, and over F_p every
-constant stays an F_p scalar.
+Products start from None rather than a ground zero, so an element
+whose coordinates are lane vectors of int lifts (the evaluator check,
+cubic.CubicNormStructure.evaluate_batch) multiplies on ints: a lane
+vector reads the integral structure constants over Q as ints.  The F_p
+root test of a cubic takes a gcd with x^p - x, so a large prime costs
+O(log p) products.
 """
 
 from math import isqrt, lcm
@@ -26,7 +25,7 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .errors import (ConfigError, NotGaloisClosure, NotInvertible,
                      NotIrreducible)
-from .scalars import RationalField, int_constants
+from .scalars import RationalField
 
 
 def _rational_cubic_has_root(f):
@@ -63,19 +62,53 @@ def _rational_cubic_has_root(f):
     return False
 
 
+def _fp_cubic_has_root(f, p):
+    """Root test for a monic cubic f over F_p: f has a root in F_p iff
+    gcd(f, x^p - x) is not 1, as x^p - x is the product of x - a over
+    all a in F_p.  x^p mod f is computed by square-and-multiply on
+    residues a0 + a1 x + a2 x^2, then Euclid runs on int coefficient
+    lists mod p (lowest degree first)."""
+    f0, f1, f2 = (int(c) for c in f[:3])
+
+    def mulmod(a, b):
+        prod = [0] * 5
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        for k in (4, 3):           # x^k = -x^(k-3) (f0 + f1 x + f2 x^2)
+            c = prod[k]
+            prod[k - 3] -= c * f0
+            prod[k - 2] -= c * f1
+            prod[k - 1] -= c * f2
+        return [c % p for c in prod[:3]]
+
+    xp, base = [1, 0, 0], [0, 1, 0]
+    for bit in bin(p)[2:]:
+        xp = mulmod(xp, xp)
+        if bit == "1":
+            xp = mulmod(xp, base)
+    xp[1] = (xp[1] - 1) % p
+    a, b = [f0 % p, f1 % p, f2 % p, 1], xp
+    while b and not b[-1]:
+        b.pop()
+    while b:                       # a, b = b, a mod b
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) > 1
+
+
 def cubic_is_irreducible(f, ground):
     """Monic cubic over Q or F_p: reducible iff it has a root."""
     if isinstance(ground, RationalField):
         return not _rational_cubic_has_root(f)
-    for x in ground.iter_all():
-        acc = ground.zero
-        xp = ground.one
-        for c in f:
-            acc = acc + c * xp
-            xp = xp * x
-        if not acc:
-            return False
-    return True
+    return not _fp_cubic_has_root(f, ground.p)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +193,7 @@ class Extension:
         self.ground = ground
         self.name = name
         self.dim = dim
-        self.table = int_constants(mult_table)
+        self.table = mult_table
         self.sigma = None
         self.one = Elem(self, one_coords)
         self.zero = Elem(self, [ground.zero] * dim)
@@ -180,12 +213,13 @@ class Extension:
 
     def mul_coords(self, a, b, zero=None):
         """The coordinates of a b.  Coordinates may be ground scalars,
-        Polys or, for L (x) K, K elements; a coordinate that no product
-        reaches is int 0 between int lifts, so that they stay ints, and
-        `zero` (by default the ground zero) otherwise."""
+        Polys, lane vectors or, for L (x) K, K elements; a coordinate
+        that no product reaches is `zero`, by default the ground zero.
+        A lane vector reads an integral Fraction as the equal int
+        (scalars.Lanes), so a Fraction zero added to int lanes later
+        leaves them ints."""
         dim = self.dim
         out = [None] * dim
-        prod = None
         for i in range(dim):
             ai = a[i]
             if not ai:
@@ -200,11 +234,7 @@ class Extension:
                     if c:
                         t = prod * c if c != 1 else prod
                         out[m] = t if out[m] is None else out[m] + t
-        if prod is None:                    # a or b is zero
-            prod = a[0] * b[0]
-        if type(prod) is int:
-            zero = 0
-        elif zero is None:
+        if zero is None:
             zero = self.ground.zero
         return [zero if v is None else v for v in out]
 
@@ -240,14 +270,14 @@ def quadratic_etale(ground, d):
         K = Extension(g, "K", 2, [[[g.one, g.zero], [g.zero, g.zero]],
                                   [[g.zero, g.zero], [g.zero, g.one]]],
                       [g.one, g.one])
-        K.sigma = int_constants([[g.zero, g.one], [g.one, g.zero]])
+        K.sigma = [[g.zero, g.one], [g.one, g.zero]]
         return K
     if not d:
         raise ConfigError("quadratic etale parameter d must be nonzero")
     K = Extension(g, "K", 2, [[[g.one, g.zero], [g.zero, g.one]],
                               [[g.zero, g.one], [d, g.zero]]],
                   [g.one, g.zero])
-    K.sigma = int_constants([[g.one, g.zero], [g.zero, -g.one]])
+    K.sigma = [[g.one, g.zero], [g.zero, -g.one]]
     return K
 
 
@@ -287,8 +317,8 @@ def cyclic_cubic(ground, f, rho):
     if r == alpha:
         raise NotGaloisClosure("rho is the identity")
     # the algebra map a -> r has the columns 1, r, r^2
-    L.sigma = int_constants(linalg.transpose(
-        [list(L.one.coords), list(r.coords), list((r * r).coords)]))
+    L.sigma = linalg.transpose(
+        [list(L.one.coords), list(r.coords), list((r * r).coords)])
     if L.conj(L.conj(r)) != alpha:
         raise NotGaloisClosure("rho^3 is not the identity on L")
     return L

@@ -6,9 +6,12 @@ The v-isotope lives on the same carrier with
 
 and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope's
 forms are the base's forms scaled by these closed formulas, and its
-evaluators run through the base's int forms (N(v) and U_{v^-1} lifted
-once); u_isotope_identity compares the isotope's own U-matrix with
-U_x U_v as int matrices over their denominators, mod the characteristic.
+evaluators are the base's evaluators scaled the same way (U_{v^-1} held
+once as int rows), so they run on whatever the base's run on, lane
+vectors included, and the evaluator check compares the isotope's forms
+with the base's evaluators.  u_isotope_identity compares the isotope's
+own U-matrix with U_x U_v as int matrices over their denominators, mod
+the characteristic.
 Norm similarities are certified symbolically: the pullback of the target
 norm form through the map's matrix is compared, monomial by monomial,
 with a scalar multiple of the source norm form.  The pullback runs on
@@ -28,7 +31,7 @@ from . import linalg
 from .cubic import CubicNormStructure, _mod
 from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
 from .poly import indices, pullback
-from .scalars import from_int, lift
+from .scalars import lift
 from .tits import componentwise_matrix, embed_hermitian_summand, second_tits
 
 
@@ -63,30 +66,27 @@ class LinearMap:
 def isotope(j, v):
     """The v-isotope of j on the same carrier.
 
-    U_{v^-1} (u_matrix_int) and N(v) are held once as int lifts.  The
-    isotope's forms are N(v) times the base's norm form and the base's
-    adjoint forms through the same int matrix, times one scalar
-    N(v) / den.  At a ground point its evaluator computes x^{#v} from the
-    base's int adjoint at the point's lift (sharp_int), one int matvec and
-    one from_int per coordinate."""
+    U_{v^-1} (u_matrix_int) is held once as int rows over its
+    denominator, so x^{#v} = N(v) U_{v^-1}(x#) is scale times those rows
+    applied to x#.  The isotope's forms are N(v) times the base's norm
+    form and the base's adjoint forms through the rows, times scale; its
+    evaluators are the base's, scaled the same way, so they run on any
+    scalars the base's run on (ground scalars, lane vectors) and the
+    evaluator check compares the isotope's forms with the base's
+    evaluators."""
     nv = j.norm(v)
     if not nv:
         raise NotInvertible("N(v) = 0: isotope needs invertible v")
     v_inv = j.inverse(v)
     u_rows, u_den = j.u_matrix_int(v_inv)
-    (nv_i,), nv_den = lift([nv])
-    kind = j._kind
-    scale_den = nv_den * u_den
-    scale = from_int(kind, nv_i, scale_den)
+    scale = nv / u_den
 
     def eval_norm(coords):
-        return nv * j.norm(coords)
+        return nv * j.eval_norm(coords)
 
     def eval_sharp(coords):
-        s, den = j.sharp_int(coords)
-        den *= scale_den
-        return [from_int(kind, nv_i * sum(map(mul, row, s)), den)
-                for row in u_rows]
+        return [scale * c
+                for c in linalg.matvec(u_rows, j.eval_sharp(coords))]
 
     def forms():
         n, sh = j.expand_symbolic()

@@ -4,39 +4,66 @@ Scalar values must support +, -, *, unary -, /, ==, and be falsy exactly
 when zero; everything above this layer (extension towers, polynomials,
 matrices) is written against that contract only.  Rationals use
 fractions.Fraction, prime fields use a dynamically created int subclass
-that reduces mod p on every operation.
+that reduces mod p on every operation.  The evaluators of the algebras
+and constructions need less: they are division-free, never compare
+with ==, and branch on a value's truthiness only to skip a zero term or
+to raise.  So they also run on a lane vector (Lanes), one value per
+point of a batch, which is falsy only when every lane is zero.
 
 The exact kernels (Poly point evaluation, matrix products and ranks,
 U-matrices and U-operators) run on plain ints: lift() clears the
 denominators of a list of ground scalars once, and from_int() maps an
 int result back once.  Matrix products and ranks take ground-field
 matrices only (ground_type); nothing multiplies or ranks a matrix over
-an extension field.  Over Q the structure constants of the algebras
-(multiplication tables, Galois matrices, construction parameters) are
-held as plain ints wherever they are integral (int_constants), so the
-algebra evaluators run on ints when a point is lifted to ints; F_p
-scalars are never replaced, because every F_p value must stay reduced.
+an extension field.  The evaluators run on int lifts too, as lane
+vectors: a lane vector reads an integral Fraction constant (a structure
+constant of an algebra, a construction parameter, a Fraction zero) as
+the equal int, so over Q its lanes stay ints until a non-integral
+constant is met, and over F_p it reduces every lane.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub
 
 from .errors import ConfigError, NonPrimeModulus, NotInvertible
 from .rng import Stream
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality
+# exactly below this bound (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the bases _MR_BASES.  A modulus of at
+    least PRIME_BOUND, where those bases no longer decide, is a
+    ConfigError: primality is never guessed."""
+    if n >= PRIME_BOUND:
+        raise ConfigError("modulus %d is not below %d, the bound under "
+                          "which primality is decided exactly"
+                          % (n, PRIME_BOUND))
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -133,23 +160,101 @@ def lift(xs):
     return [c.numerator * (d // c.denominator) for c in xs], d
 
 
-def int_constants(x):
-    """x with every integral Fraction replaced by the equal plain int,
-    through nested lists and tuples.  Non-integral Fractions, F_p scalars
-    and anything else are returned unchanged.  A product of ints stays an
-    int, and int with Fraction gives a Fraction, so every value computed
-    from the result stays exact as long as nothing is divided."""
-    if isinstance(x, (list, tuple)):
-        return type(x)(int_constants(c) for c in x)
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
-
-
 def from_int(kind, v, den):
     """The ground scalar v / den of type kind (see ground_type); over F_p
     every lift has den 1 and v is read mod p."""
     return Fraction(v, den) if kind is Fraction else kind(v)
+
+
+def _lane_constant(o):
+    """o as a constant that every lane shares: an int (an F_p scalar as
+    its plain int, an integral Fraction as the equal int) or a
+    non-integral Fraction; None for anything else."""
+    if type(o) is Fraction:
+        return o.numerator if o.denominator == 1 else o
+    if isinstance(o, int):
+        return int(o)
+    return None
+
+
+class Lanes:
+    """A lane vector: one ground value per point of a batch, so that an
+    evaluator runs once on a batch of points instead of once per point.
+
+    +, - and * act lane by lane, with another lane vector of the same
+    width or with a constant (an int, a Fraction or an F_p scalar) that
+    every lane shares; unary - negates every lane.  Over F_p (p > 0)
+    every lane is a plain int reduced mod p after every operation; over
+    Q (p = 0) a lane is an int, or a Fraction once a non-integral
+    constant is met, and an integral Fraction constant acts as the equal
+    int, so that int lanes stay ints.  A lane vector is falsy only when
+    every lane is zero, and it has no ==: an evaluator may branch on a
+    value's truthiness only to skip a zero term or to raise."""
+
+    __slots__ = ("values", "p")
+
+    def __init__(self, values, p=0):
+        self.values = values
+        self.p = p
+
+    def _new(self, values):
+        p = self.p
+        return Lanes([v % p for v in values] if p else values, p)
+
+    def __add__(self, o):
+        if type(o) is Lanes:
+            return self._new(list(map(add, self.values, o.values)))
+        c = _lane_constant(o)
+        if c is None:
+            return NotImplemented
+        return self._new([v + c for v in self.values])
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is Lanes:
+            return self._new(list(map(sub, self.values, o.values)))
+        c = _lane_constant(o)
+        if c is None:
+            return NotImplemented
+        return self._new([v - c for v in self.values])
+
+    def __rsub__(self, o):
+        c = _lane_constant(o)
+        if c is None:
+            return NotImplemented
+        return self._new([c - v for v in self.values])
+
+    def __mul__(self, o):
+        if type(o) is Lanes:
+            return self._new(list(map(mul, self.values, o.values)))
+        c = _lane_constant(o)
+        if c is None:
+            return NotImplemented
+        return self._new([v * c for v in self.values])
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._new([-v for v in self.values])
+
+    def __bool__(self):
+        return any(self.values)
+
+    def __eq__(self, o):
+        raise TypeError("lane vectors are tested by truthiness only")
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "Lanes(%r, p=%d)" % (self.values, self.p)
+
+
+def lane_values(v, width):
+    """The lanes of an evaluator's value v: v's own for a lane vector,
+    and width copies of v for a constant (a coordinate that no term of
+    the evaluator reaches)."""
+    return v.values if type(v) is Lanes else [v] * width
 
 
 class RationalField:
@@ -252,10 +357,6 @@ class PrimeField:
 
     def random(self, stream: Stream):
         return self.elem(stream.next_below(self.p))
-
-    def iter_all(self):
-        for v in range(self.p):
-            yield self.elem(v)
 
     def __repr__(self):
         return "F_%d" % self.p

@@ -22,7 +22,6 @@ from .associative import GroundCenter, QuadraticCenter
 from .cubic import CubicNormStructure
 from .errors import (ConfigError, NotAdmissible, NotInvertible,
                      VerificationFailure, ZeroLambda)
-from .scalars import int_constants
 
 
 def first_tits(d_alg, lam, label=None):
@@ -32,8 +31,7 @@ def first_tits(d_alg, lam, label=None):
     g = d_alg.center.ground
     if not lam:
         raise ZeroLambda("lambda must be nonzero")
-    # held as ints when integral (scalars.int_constants); meta keeps lam
-    lam_c, lam_inv = int_constants((lam, g.inv(lam)))
+    lam_inv = g.inv(lam)
     d = d_alg.k_dim
     dim = 3 * d
 
@@ -45,14 +43,14 @@ def first_tits(d_alg, lam, label=None):
     def eval_norm(coords):
         x, y, z = dec(coords)
         xyz = d_alg.mul(d_alg.mul(x, y), z)
-        return (d_alg.norm(x) + lam_c * d_alg.norm(y)
+        return (d_alg.norm(x) + lam * d_alg.norm(y)
                 + lam_inv * d_alg.norm(z) - d_alg.trace(xyz))
 
     def eval_sharp(coords):
         x, y, z = dec(coords)
         c1 = d_alg.sub(d_alg.sharp(x), d_alg.mul(y, z))
         c2 = d_alg.sub(d_alg.smul(lam_inv, d_alg.sharp(z)), d_alg.mul(x, y))
-        c3 = d_alg.sub(d_alg.smul(lam_c, d_alg.sharp(y)), d_alg.mul(z, x))
+        c3 = d_alg.sub(d_alg.smul(lam, d_alg.sharp(y)), d_alg.mul(z, x))
         return (d_alg.to_k_coords(c1) + d_alg.to_k_coords(c2)
                 + d_alg.to_k_coords(c3))
 
@@ -89,15 +87,7 @@ def second_tits(b_alg, sigma, u, mu, label=None):
     her = sigma.hermitian_basis()
     hd = len(her)
     bd = b_alg.k_dim
-    # the closures hold the integral constants as ints
-    # (scalars.int_constants); meta and the base point keep the ground
-    # scalars
-    h_c = int_constants(linalg.transpose([b_alg.to_k_coords(h)
-                                          for h in her]))
-    u_c, u_inv = (b_alg.from_k_coords(int_constants(b_alg.to_k_coords(w)))
-                  for w in (u, u_inv))
-    mu_c, mu_bar = (center.from_k_coords(int_constants(list(w.coords)))
-                    for w in (mu, mu_bar))
+    h_c = linalg.transpose([b_alg.to_k_coords(h) for h in her])
 
     def dec(coords):
         b = b_alg.from_k_coords(linalg.matvec(h_c, list(coords[:hd])))
@@ -107,9 +97,9 @@ def second_tits(b_alg, sigma, u, mu, label=None):
     def eval_norm(coords):
         b, x = dec(coords)
         nb = center.descend(b_alg.norm(b))
-        tmu = _trace_k(center, mu_c * b_alg.norm(x))
+        tmu = _trace_k(center, mu * b_alg.norm(x))
         cross = center.descend(
-            b_alg.trace(b_alg.mul(b_alg.mul(b_alg.mul(b, x), u_c),
+            b_alg.trace(b_alg.mul(b_alg.mul(b_alg.mul(b, x), u),
                                   sigma.apply(x))))
         return nb + tmu - cross
 
@@ -117,7 +107,7 @@ def second_tits(b_alg, sigma, u, mu, label=None):
         b, x = dec(coords)
         sx = sigma.apply(x)
         first = b_alg.sub(b_alg.sharp(b),
-                          b_alg.mul(b_alg.mul(x, u_c), sx))
+                          b_alg.mul(b_alg.mul(x, u), sx))
         if not sigma.is_hermitian(first):
             raise VerificationFailure(
                 "first adjoint component left the hermitian space "

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from albertlab import runner
 from albertlab.cli import main
+from albertlab.scalars import PRIME_BOUND
 
 HERE = os.path.dirname(__file__)
 CONFIGS = os.path.join(HERE, "..", "configs")
@@ -187,6 +189,31 @@ class TestExitCodes:
         code, _, err = run_cli(["check", "--config", str(c)])
         assert code == 2
         assert "admissible" in err
+
+    def test_large_prime_base_builds_quickly(self, tmp_path):
+        t = time.perf_counter()
+        code, out, _ = _run_edited(tmp_path, "build", "m3_f5_first.json",
+                                   ["base"], {"p": 2 ** 61 - 1})
+        assert time.perf_counter() - t < 2
+        assert code == 0
+        assert json.loads(out)["ground"] == "F_%d" % (2 ** 61 - 1)
+
+    def test_large_prime_tower_rejected_quickly(self, tmp_path):
+        t = time.perf_counter()
+        code, _, err = _run_edited(tmp_path, "build", "lk_f5_second.json",
+                                   ["tower", "base"], {"p": 1000003})
+        assert time.perf_counter() - t < 2
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+
+    def test_prime_above_the_decided_bound_is_2(self, tmp_path):
+        code, _, err = _run_edited(tmp_path, "build", "m3_f5_first.json",
+                                   ["base"], {"p": PRIME_BOUND + 2})
+        assert code == 2
+        assert err.strip().splitlines() == [
+            "config error: modulus %d is not below %d, the bound under "
+            "which primality is decided exactly"
+            % (PRIME_BOUND + 2, PRIME_BOUND)]
 
     def test_singular_isotope_v_is_2(self, tmp_path):
         with open(cfg("m3_q_first.json")) as fh:

@@ -1,6 +1,7 @@
 """Field towers: quadratic etale, cyclic cubic, composite LK."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -117,6 +118,16 @@ class TestCyclicCubic:
         # 10^20 steps on the first case
         f = [Fraction(c) for c in f]
         assert cubic_is_irreducible(f, QQ) == irreducible
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_fp_root_test_matches_root_scan(self, p):
+        # every monic cubic over F_p: irreducible iff no root
+        g = PrimeField(p)
+        for c0, c1, c2 in product(range(p), repeat=3):
+            has_root = any((c0 + c1 * x + c2 * x * x + x ** 3) % p == 0
+                           for x in range(p))
+            f = [g.from_int(c) for c in (c0, c1, c2, 1)]
+            assert cubic_is_irreducible(f, g) == (not has_root)
 
     def test_non_galois_rejected(self):
         # x^3 - 2 is irreducible but not Galois over Q; no polynomial rho

@@ -1,24 +1,31 @@
 """Ground-point routes on int lifts: u_op from the int U data against
 T(x, y) x - x# x y assembled from T(x, y) (the trace_pair fixture) and
 cross; trace, spur and u_matrix against the ground norm form expanded at
-c + z; and the evaluators run on a point's int lift (lifted_norm,
-lifted_sharp) against the same evaluators run on the ground scalars
-themselves."""
+c + z; and the evaluators run once on lane vectors of a batch of int
+lifts (evaluate_batch) against the same evaluators run point by point
+on the ground scalars themselves, with the lane contract, the witness
+order and the number of evaluator runs of the axiom suite's evaluator
+check."""
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from albertlab import tits
+from albertlab import config, cubic, tits
 from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
                                    GroundCenter, MatrixAlgebra,
-                                   UnitaryInvolution)
-from albertlab.cubic import corrupt_sharp
+                                   QuadraticCenter, UnitaryInvolution)
+from albertlab.cubic import CubicNormStructure, corrupt_sharp
+from albertlab.errors import DescentFailure
 from albertlab.fields import Elem
 from albertlab.isotopy import isotope
 from albertlab.poly import Poly, variables
 from albertlab.rng import Stream
-from albertlab.scalars import lift
+from albertlab.scalars import Lanes, PrimeField, lane_values, lift
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _generic_u(j, x, y, trace_pair):
@@ -120,19 +127,35 @@ class TestTraceForms:
             assert jv.u_matrix(x) == u_matrix(x)
 
 
+def _columns(j, points):
+    """The lane vectors of the points' int lifts, one per coordinate."""
+    lifts = [lift(pt)[0] for pt in points]
+    return [Lanes([xi[i] for xi in lifts], j.ground.char)
+            for i in range(j.dim)]
+
+
+def _raw_lanes(j, points):
+    """Every lane value of the evaluators run on _columns(j, points)."""
+    cols = _columns(j, points)
+    return [v for r in [j.eval_norm(cols)] + list(j.eval_sharp(cols))
+            for v in lane_values(r, len(points))]
+
+
 def _agree(j, points):
-    """lifted_norm / lifted_sharp equal the evaluators on the point, come
-    back as ground scalars, and the evaluators never meet a float."""
+    """evaluate_batch equals the evaluators run point by point on the
+    ground scalars, comes back as ground scalars, and the evaluators
+    never meet a float: lanes are ints or Fractions over Q and reduced
+    ints over F_p."""
     kind = type(j.ground.one)
-    for pt in points:
-        n, sh = j.lifted_norm(pt), j.lifted_sharp(pt)
+    for pt, (n, sh) in zip(points, j.evaluate_batch(points)):
         assert n == j.eval_norm(list(pt))
         assert sh == tuple(j.eval_sharp(list(pt)))
         assert type(n) is kind and all(type(c) is kind for c in sh)
-        if kind is Fraction:
-            xi, _ = lift(pt)
-            raw = [j.eval_norm(xi)] + list(j.eval_sharp(xi))
-            assert all(type(v) in (int, Fraction) for v in raw)
+    raw = _raw_lanes(j, points)
+    if kind is Fraction:
+        assert all(type(v) in (int, Fraction) for v in raw)
+    else:
+        assert all(type(v) is int and 0 <= v < j.ground.p for v in raw)
 
 
 class TestLiftedEvaluators:
@@ -155,6 +178,157 @@ class TestLiftedEvaluators:
             _agree(bad, _points(bad, Stream(91)))
 
 
+class TestLanes:
+    def test_falsy_only_when_every_lane_is_zero(self):
+        assert not Lanes([0, 0, 0])
+        assert not Lanes([Fraction(0), 0], 0)
+        assert not Lanes([0, 0], 7)
+        for lanes in ([1, 0, 0], [0, 0, -2], [0, Fraction(1, 3)]):
+            assert Lanes(lanes)
+        assert not (Lanes([0, 1], 7) - Lanes([0, 1], 7))
+
+    def test_fp_lanes_stay_reduced(self):
+        f7 = PrimeField(7)
+        s = Stream(97)
+        a = [s.next_below(7) for _ in range(20)]
+        b = [s.next_below(7) for _ in range(20)]
+        la, lb = Lanes(a, 7), Lanes(b, 7)
+        c, big = f7.from_int(5), -123456789
+        cases = [(la + lb, lambda x, y: x + y), (la - lb, lambda x, y: x - y),
+                 (la * lb, lambda x, y: x * y), (-la, lambda x, y: -x),
+                 (c * la, lambda x, y: c * x), (la * c, lambda x, y: x * c),
+                 (la + c, lambda x, y: x + c), (c - la, lambda x, y: c - x),
+                 (la - big, lambda x, y: x - big),
+                 (big - la, lambda x, y: big - x),
+                 (big * la, lambda x, y: big * x),
+                 (la + big, lambda x, y: x + big)]
+        for lanes, op in cases:
+            assert type(lanes) is Lanes and lanes.p == 7
+            assert all(type(v) is int and 0 <= v < 7 for v in lanes.values)
+            assert lanes.values == [
+                int(op(f7.from_int(x), f7.from_int(y)))
+                for x, y in zip(a, b)]
+
+    def test_integral_fraction_constants_keep_ints(self):
+        lanes = Lanes([1, -2, 3])
+        for v in (lanes + Fraction(0), Fraction(4) * lanes,
+                  Fraction(0) - lanes):
+            assert all(type(x) is int for x in v.values)
+        half = lanes * Fraction(1, 2)
+        assert half.values == [Fraction(1, 2), -1, Fraction(3, 2)]
+
+    def test_no_equality_and_no_float(self):
+        with pytest.raises(TypeError):
+            Lanes([1]) == Lanes([1])
+        with pytest.raises(TypeError):
+            Lanes([1]) * 0.5
+
+    def test_descent_failure_on_one_lane_raises(self, tower_q, tower_l_q):
+        center = QuadraticCenter(tower_q)
+        ok = Elem(tower_q.K, [Lanes([1, 2, 3]), Lanes([0, 0, 0])])
+        assert center.descend(ok).values == [1, 2, 3]
+        with pytest.raises(DescentFailure):
+            center.descend(Elem(tower_q.K, [Lanes([1, 2, 3]),
+                                            Lanes([0, 0, 4])]))
+        cyc = CyclicAlgebra(tower_l_q, 2)
+        with pytest.raises(DescentFailure):
+            cyc._descend(Elem(tower_l_q.L, [Lanes([1, 1]), Lanes([0, 0]),
+                                            Lanes([0, 5])]))
+
+
+def _sparse_corrupt(j, rate):
+    """corrupt_sharp(j)'s forms with j's own evaluators, so that forms and
+    evaluators differ exactly at the points with x0 != 0; points are
+    drawn with x0 = 0 except at about one draw in `rate`."""
+    bad = corrupt_sharp(j, coord=3)
+    s = CubicNormStructure(j.ground, j.dim, j.eval_norm, j.eval_sharp,
+                           j.unit, label="sparse_corrupt",
+                           forms=bad.expand_symbolic)
+    draw = s.random_point
+
+    def random_point(stream):
+        x = draw(stream)
+        if stream.next_below(rate):
+            x = (j.ground.zero,) + x[1:]
+        return x
+
+    s.random_point = random_point
+    return s
+
+
+def _evaluator_witness(report):
+    check, = [c for c in report.checks
+              if c.name == "expansion_matches_evaluators"]
+    assert check.passed == (check.witness is None)
+    return check.witness
+
+
+def _reference_scan(j, seed, points, monkeypatch):
+    """(witness, index): the suite's evaluator check run point by point on
+    ground scalars with the same seed, and the index of the failing
+    point among the check's draws."""
+    calls = []
+
+    def per_point(self, pts):
+        calls.append(pts)
+        return [(self.eval_norm(list(x)), tuple(self.eval_sharp(list(x))))
+                for x in pts]
+
+    with monkeypatch.context() as m:
+        m.setattr(cubic, "EVAL_CHUNK", 1)
+        m.setattr(CubicNormStructure, "evaluate_batch", per_point)
+        report = j.axiom_suite(seed=seed, points=points)
+    assert all(len(pts) == 1 for pts in calls)
+    return _evaluator_witness(report), len(calls) - 1
+
+
+class TestWitnessOrder:
+    """The batched check reports the first failing point in draw order,
+    the one a point-by-point scan with the same seed reports."""
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5"])
+    @pytest.mark.parametrize("rate, seed, points, first_chunk", [
+        (20, 3, 100, True),
+        (400, 12, 2 * cubic.EVAL_CHUNK + 1, False),
+    ])
+    def test_first_failing_point(self, name, rate, seed, points,
+                                 first_chunk, request, monkeypatch):
+        j = _sparse_corrupt(request.getfixturevalue(name), rate)
+        got = _evaluator_witness(j.axiom_suite(seed=seed, points=points))
+        want, index = _reference_scan(j, seed, points, monkeypatch)
+        assert want is not None and got == want
+        if first_chunk:
+            assert 0 < index < cubic.EVAL_CHUNK
+        else:
+            assert cubic.EVAL_CHUNK <= index < points
+
+
+class TestEvaluatorRuns:
+    """The evaluator check runs each evaluator once per chunk of points,
+    never once per point."""
+
+    @pytest.mark.parametrize("points, runs", [
+        (100, 1), (2 * cubic.EVAL_CHUNK + 1, 3)])
+    def test_one_run_per_chunk(self, points, runs):
+        with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
+            j = config.BuildContext(json.load(fh)).j
+        j.expand_symbolic()
+        counts = {"eval_norm": 0, "eval_sharp": 0}
+
+        def counted(name):
+            f = getattr(j, name)
+
+            def wrapper(coords):
+                counts[name] += 1
+                return f(coords)
+            return wrapper
+
+        for name in counts:
+            setattr(j, name, counted(name))
+        assert j.axiom_suite(seed=5, points=points).all_passed
+        assert counts == {"eval_norm": runs, "eval_sharp": runs}
+
+
 @pytest.fixture(scope="module")
 def integral_structures(QQ, tower_l_q, tower_q):
     """Structures over Q whose constants are all integral: J(M3(Q), 1),
@@ -170,17 +344,27 @@ def integral_structures(QQ, tower_l_q, tower_q):
 
 
 def test_integral_constants_keep_int_lifts_int(integral_structures):
-    # dense int points, so that every product of the tower is reached;
-    # a structure constant held as a Fraction would turn a value into a
-    # Fraction
+    # dense int points, so that every product of the tower is reached,
+    # and points with one block of zero coordinates, so that some
+    # products are reached by no lane and start from a Fraction zero:
+    # a lane vector that kept an integral Fraction constant, or that
+    # zero, as a Fraction would turn its lanes into Fractions
     s = Stream(93)
     for j in integral_structures:
         j.expand_symbolic()
-        for _ in range(3):
-            xi = [1 + s.next_below(9) if s.next_below(2) else
-                  -1 - s.next_below(9) for _ in range(j.dim)]
-            raw = [j.eval_norm(xi)] + list(j.eval_sharp(xi))
-            assert all(type(v) is int for v in raw), j.label
-            pt = tuple(Fraction(v) for v in xi)
-            assert j.norm(pt) == Fraction(raw[0])
-            assert j.sharp(pt) == tuple(Fraction(v) for v in raw[1:])
+        dense = [tuple(Fraction(1 + s.next_below(9) if s.next_below(2)
+                                else -1 - s.next_below(9))
+                       for _ in range(j.dim)) for _ in range(3)]
+        third = j.dim // 3
+        sparse = [x[:third] + (Fraction(0),) * (j.dim - third)
+                  for x in dense]
+        for points in (dense, sparse):
+            cols = _columns(j, points)
+            raw = [j.eval_norm(cols)] + list(j.eval_sharp(cols))
+            for r in raw:
+                if type(r) is Lanes:
+                    assert all(type(v) is int for v in r.values), j.label
+                else:
+                    assert not r, j.label
+            for pt, (n, sh) in zip(points, j.evaluate_batch(points)):
+                assert j.norm(pt) == n and j.sharp(pt) == sh

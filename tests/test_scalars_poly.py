@@ -13,13 +13,34 @@ from albertlab.poly import (Poly, directional_derivative, dump_cubic_form,
                             indices, linear_form, mono, sum_of_products,
                             variables)
 from albertlab.rng import Stream, draw, splitmix64
-from albertlab.scalars import PrimeField, RationalField, is_prime
+from albertlab.scalars import (PRIME_BOUND, PrimeField, RationalField,
+                               is_prime)
 
 
 class TestScalars:
     def test_prime_check(self):
         assert [p for p in range(2, 30) if is_prime(p)] == \
             [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_prime_check_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        assert all(is_prime(n) == sympy.isprime(n) for n in range(10 ** 5))
+        carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041,
+                      825265, 321197185, 5394826801, 232250619601,
+                      9746347772161]
+        assert not any(is_prime(n) or sympy.isprime(n) for n in carmichael)
+        # a strong pseudoprime to the bases 2 .. 37, which base 41 exposes,
+        # and a composite just below the bound
+        for n in (318665857834031151167461, 3317044064679887385961979):
+            assert not is_prime(n) and not sympy.isprime(n)
+        assert is_prime(2 ** 61 - 1) and sympy.isprime(2 ** 61 - 1)
+        assert not is_prime(2 ** 61 + 1)
+
+    def test_prime_check_above_the_bound_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=str(PRIME_BOUND)):
+            is_prime(PRIME_BOUND)
+        with pytest.raises(ConfigError):
+            PrimeField(2 ** 89 - 1)
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(NonPrimeModulus):

@@ -27,12 +27,13 @@ lifts (scalars.Lanes) when the evaluator check runs a batch of points;
 a lane vector reads an integral constant over Q (the cyclic parameter
 a, L's structure table, the rho matrices, with rho^2 cached as one
 matrix) as an int, and sums start from None instead of a Fraction zero,
-so int lanes stay ints through every product.  The reduced norm of the cyclic algebra is *defined*
-as the determinant of the splitting embedding.  The closed trace, spur
-and adjoint formulas are validated against N(t 1 - x), read off by
-interpolation, in tests/test_associative.py.  Each algebra also expands
-its reduced norm once into int forms in the k-coordinates (norm_int),
-which the witness search evaluates at every candidate.
+so int lanes stay ints through every product.  The reduced norm of the
+cyclic algebra is *defined* as the determinant of the splitting
+embedding.  The closed trace, spur and adjoint formulas are validated
+against N(t 1 - x), read off by interpolation, in
+tests/test_associative.py.  Each algebra also expands its reduced norm
+once into int forms in the k-coordinates (norm_int), which the witness
+search evaluates at every candidate.
 """
 
 from . import linalg

@@ -15,9 +15,9 @@ U-operator matrix and U_x(y) are computed from the int forms at the
 point's integer lift (scalars.lift) and mapped back once
 (scalars.from_int); T and S themselves, and the trace bilinear form of
 the U-operator, are read off the int norm form at the unit's lift.
-sharp_int and u_matrix_int stop before the map back and return the int
-adjoint and the int U-matrix over one denominator, for callers that keep
-computing on ints (the isotope's evaluator and its U^(v) check).
+u_matrix_int stops before the map back and returns the int U-matrix over
+one denominator, for callers that keep computing on ints (the isotope's
+U_{v^-1} and its U^(v) check).
 Identity checks compare the int forms mod the characteristic where the
 expansion sizes stay reasonable and run exact checks at random points
 otherwise, each sampled check through one loop (_first_failure).
@@ -185,17 +185,12 @@ class CubicNormStructure:
         return from_int(self._kind, n_i.eval(xi, 1), den * d ** 3)
 
     def sharp(self, x):
-        """x# at a ground point: sharp_int mapped back once."""
-        s, den = self.sharp_int(x)
-        return tuple(from_int(self._kind, c, den) for c in s)
-
-    def sharp_int(self, x):
-        """(s, den): x# = s / den at a ground point x, the int adjoint
-        evaluated at the point's lift; over F_p den is 1 and s holds
-        unreduced lifts."""
+        """x# at a ground point: the int adjoint forms at the point's
+        lift, mapped back once."""
         sh_i, den = self._int_forms()[1]
         xi, d = lift(x)
-        return [p.eval(xi, 1) for p in sh_i], den * d * d
+        den *= d * d
+        return tuple(from_int(self._kind, p.eval(xi, 1), den) for p in sh_i)
 
     def evaluate_batch(self, points):
         """[(N(x), x#)] at ground points x from one run of each evaluator

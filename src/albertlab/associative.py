@@ -23,14 +23,15 @@ Every operation is division-free in the element coordinates and
 branches on a coordinate's truthiness only to skip a zero term or to
 raise (a failed descent), so the same code paths run with polynomial
 indeterminates during symbolic expansion, and on lane vectors of int
-lifts (scalars.Lanes) when the evaluator check runs a batch of points;
-a lane vector reads an integral constant over Q (the cyclic parameter
-a, L's structure table, the rho matrices, with rho^2 cached as one
-matrix) as an int, and sums start from None instead of a Fraction zero,
-so int lanes stay ints through every product.  The reduced norm of the
-cyclic algebra is *defined* as the determinant of the splitting
-embedding.  The closed trace, spur and adjoint formulas are validated
-against N(t 1 - x), read off by interpolation, in
+lifts (scalars.Lanes) when the evaluator check runs a batch of points
+and compares the lanes with the int forms run on the same lanes; a lane
+vector reads an integral constant over Q (the cyclic parameter a, L's
+structure table, the rho matrices, with rho^2 cached as one matrix) as
+an int, and sums start from None instead of a Fraction zero, so int
+lanes stay ints through every product.  The reduced norm of the cyclic
+algebra is *defined* as the determinant of the splitting embedding.
+The closed trace and adjoint formulas, and the cyclic algebra's spur,
+are validated against N(t 1 - x), read off by interpolation, in
 tests/test_associative.py.  Each algebra also expands its reduced norm
 once into int forms in the k-coordinates (norm_int), which the witness
 search evaluates at every candidate.
@@ -122,7 +123,8 @@ class _Algebra:
 
     `entries` is the center, or L for the cyclic algebra: it gives dim
     (k-coordinates per entry), from_k_coords, to_k_coords and random.
-    Subclasses give unit, mul, trace, spur, norm and sharp."""
+    Subclasses give unit, mul, trace, norm and sharp; the cyclic algebra
+    also gives the spur its adjoint is built from."""
 
     _norm_int = None
 
@@ -207,11 +209,6 @@ class MatrixAlgebra(_Algebra):
 
     def trace(self, a):
         return a[0] + a[4] + a[8]
-
-    def spur(self, a):
-        """Second characteristic coefficient: sum of principal 2x2 minors."""
-        return (a[4] * a[8] - a[5] * a[7]) + (a[0] * a[8] - a[2] * a[6]) \
-            + (a[0] * a[4] - a[1] * a[3])
 
     def norm(self, a):
         return (a[0] * (a[4] * a[8] - a[5] * a[7])
@@ -403,12 +400,6 @@ class CommutativeCubic(_Algebra):
 
     def norm(self, x):
         return self._descend_to_center(self.mul(x, self.sharp(x)))
-
-    def spur(self, x):
-        return self._descend_to_center(
-            self.add(self.mul(x, self.rho(x)),
-                     self.add(self.mul(self.rho(x), self.rho(self.rho(x))),
-                              self.mul(self.rho(self.rho(x)), x))))
 
     def __repr__(self):
         return "CommutativeCubic(center dim %d over %r)" \

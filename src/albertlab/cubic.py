@@ -23,10 +23,10 @@ expansion sizes stay reasonable and run exact checks at random points
 otherwise, each sampled check through one loop (_first_failure).
 
 The evaluators have one route at ground points too, the check of the
-forms against them (evaluate_batch): they run once per chunk of
-EVAL_CHUNK points on lane vectors (scalars.Lanes), one per coordinate,
-holding the points' int lifts, and each point's values are mapped back
-once and compared with N and # in draw order.  An evaluator may branch
+forms against them (_evaluator_mismatch): per chunk of EVAL_CHUNK points
+the evaluators and the int forms run once each on the same lane vectors
+(scalars.Lanes) of the points' int lifts, compared lane by lane over the
+forms' denominators with no value mapped back.  An evaluator may branch
 on a value's truthiness only, to skip a zero term or to raise; a lane
 vector is falsy only when every lane is zero, so a failed descent on
 any lane raises for the whole chunk.
@@ -51,9 +51,9 @@ from .scalars import Lanes, from_int, lane_values, lift
 # Poly.eval multiplies each first-index group sum_k c_ik S_k by S_i once.
 SYMBOLIC_OP_LIMIT = 3_000_000
 
-# points per run of the evaluators in the evaluator check (evaluate_batch):
-# one lane vector per coordinate holds this many points at most, so the
-# memory of a run is bounded for any number of points
+# points per run of the evaluator check (_evaluator_mismatch): one lane
+# vector per coordinate holds this many points at most, so the memory of
+# a run is bounded for any number of points
 EVAL_CHUNK = 128
 
 
@@ -191,25 +191,6 @@ class CubicNormStructure:
         xi, d = lift(x)
         den *= d * d
         return tuple(from_int(self._kind, p.eval(xi, 1), den) for p in sh_i)
-
-    def evaluate_batch(self, points):
-        """[(N(x), x#)] at ground points x from one run of each evaluator
-        on lane vectors (scalars.Lanes), the columns of the points' int
-        lifts: with x = xi / d, eval_norm gives d^3 N(x) and eval_sharp
-        d^2 x# in x's lane, since the expansions are homogeneous
-        (expand_symbolic checks it), and each value is mapped back once.
-        Over Q the lanes stay ints until a non-integral constant is met;
-        over F_p d = 1 and every lane is a residue."""
-        lifts = [lift(x) for x in points]
-        cols = [Lanes([xi[i] for xi, _ in lifts], self.ground.char)
-                for i in range(self.dim)]
-        width = len(points)
-        n = lane_values(self.eval_norm(cols), width)
-        sh = [lane_values(c, width) for c in self.eval_sharp(cols)]
-        kind = self._kind
-        return [(from_int(kind, n[k], d ** 3),
-                 tuple(from_int(kind, c[k], d * d) for c in sh))
-                for k, (_, d) in enumerate(lifts)]
 
     def trace(self, x):
         """T(x) at a ground point: t.xi / (den d) for the lift xi / d."""
@@ -403,9 +384,31 @@ class CubicNormStructure:
         return _mod(n_den * lhs, char) == _mod(s_den ** 3 * (n_i * n_i),
                                                char)
 
+    def _evaluator_mismatch(self, points):
+        """The index of the first ground point at which the forms and the
+        evaluators differ, or None.
+
+        Each evaluator and each int form runs once on the same lane
+        vectors, the columns of the points' int lifts.  With x = xi / d,
+        x's lane holds d^3 N(x) from eval_norm and n_den d^3 N(x) from
+        n_i, and d^2 x# from eval_sharp and s_den d^2 x# from sh_i, the
+        forms being homogeneous (expand_symbolic checks it); so x's lane
+        of n_den eval_norm - n_i, or of s_den eval_sharp - sh_i, is
+        nonzero exactly where the two differ at x.  Over F_p every lane
+        is a residue."""
+        (n_i, n_den), (sh_i, s_den) = self._int_forms()
+        cols = [Lanes(list(c), self.ground.char)
+                for c in zip(*[lift(x)[0] for x in points])]
+        diffs = [n_den * self.eval_norm(cols) - n_i.eval(cols, 0)]
+        diffs += [s_den * e - p.eval(cols, 0)
+                  for e, p in zip(self.eval_sharp(cols), sh_i)]
+        rows = zip(*[lane_values(v, len(points)) for v in diffs])
+        return next((k for k, row in enumerate(rows) if any(row)), None)
+
     def axiom_suite(self, seed=0, points=100):
-        """Run the full identity suite; never raises on failure, returns
-        a report with one entry per identity.
+        """Run the full identity suite and return a report with one entry
+        per identity; failures are reported, not raised, but inhomogeneous
+        forms raise expand_symbolic's VerificationFailure first.
 
         Below SYMBOLIC_OP_LIMIT, x## = N(x) x and N(x#) = N(x)^2 are
         proved on the int forms.  N(x#) = N(x)^2 is derived, not
@@ -524,15 +527,15 @@ class CubicNormStructure:
             emit("u_operator_inverse_identity", False, "random",
                  "no invertible elements found")
 
-        # expansions (through their int lifts) agree with the evaluators,
-        # run once per chunk of EVAL_CHUNK points; the witness is the
-        # first failing point in draw order
+        # the int forms agree with the evaluators, both run once per
+        # chunk of EVAL_CHUNK points; the witness is the first failing
+        # point in draw order
         w = None
         for start in range(0, points, EVAL_CHUNK):
             pts = [point() for _ in range(min(EVAL_CHUNK, points - start))]
-            w = next((x for x, (n, sh) in zip(pts, self.evaluate_batch(pts))
-                      if self.norm(x) != n or self.sharp(x) != sh), None)
-            if w is not None:
+            k = self._evaluator_mismatch(pts)
+            if k is not None:
+                w = pts[k]
                 break
         emit("expansion_matches_evaluators", w is None, "random",
              None if w is None else repr(w))

@@ -13,7 +13,8 @@ coefficient triples over K multiply through L's structure table.
 
 Products start from None rather than a ground zero, so an element
 whose coordinates are lane vectors of int lifts (the evaluator check,
-cubic.CubicNormStructure.evaluate_batch) multiplies on ints: a lane
+cubic.CubicNormStructure._evaluator_mismatch, which compares the
+evaluators' lanes with the int forms' lanes) multiplies on ints: a lane
 vector reads the integral structure constants over Q as ints.  The F_p
 root test of a cubic takes a gcd with x^p - x, so a large prime costs
 O(log p) products.
@@ -164,9 +165,6 @@ class Elem:
 
     def __bool__(self):
         return any(bool(c) for c in self.coords)
-
-    def __hash__(self):
-        return hash((id(self.ext), self.coords))
 
     def __repr__(self):
         return "Elem(%s, [%s])" % (self.ext.name,

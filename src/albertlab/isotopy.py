@@ -8,10 +8,10 @@ and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope's
 forms are the base's forms scaled by these closed formulas, and its
 evaluators are the base's evaluators scaled the same way (U_{v^-1} held
 once as int rows), so they run on whatever the base's run on, lane
-vectors included, and the evaluator check compares the isotope's forms
-with the base's evaluators.  u_isotope_identity compares the isotope's
-own U-matrix with U_x U_v as int matrices over their denominators, mod
-the characteristic.
+vectors included, and the evaluator check compares the isotope's int
+forms with the base's evaluators, both run on the same lanes.
+u_isotope_identity compares the isotope's own U-matrix with U_x U_v as
+int matrices over their denominators, mod the characteristic.
 Norm similarities are certified symbolically: the pullback of the target
 norm form through the map's matrix is compared, monomial by monomial,
 with a scalar multiple of the source norm form.  The pullback runs on

@@ -14,9 +14,9 @@ ints; zero coefficients are never stored, so equality is dict equality.
 No code changes a Poly's term dict once the Poly is built: every
 operation returns a new Poly, and the scalar route of eval caches a plan
 of the terms on that assumption.
-A Poly multiplies only by another Poly, an int or a Fraction; any other
-operand (an extension Elem) gets NotImplemented and handles the product
-itself.
+A Poly adds, subtracts and multiplies only with another Poly, an int or
+a Fraction; any other operand gets NotImplemented (an extension Elem
+then handles a product itself).
 
 Poly.eval substitutes Poly args nested by first index down to linear
 terms and keeps nothing between calls.  Besides it, pullback(p, rows)
@@ -135,6 +135,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, Poly):
             return self._add_terms(other.terms, +1)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return self._add_terms({0: other}, +1) if other else self
 
     __radd__ = __add__
@@ -142,6 +144,8 @@ class Poly:
     def __sub__(self, other):
         if isinstance(other, Poly):
             return self._add_terms(other.terms, -1)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return self._add_terms({0: other}, -1) if other else self
 
     def __rsub__(self, other):
@@ -173,9 +177,6 @@ class Poly:
             return not self.terms
         return self.terms == {0: other}
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -202,15 +203,16 @@ class Poly:
     def eval(self, args, one):
         """Substitute args[i] for variable i.
 
-        With scalar args the result is the scalar sum of c * prod(args);
-        `one` only fixes its zero when self has no terms.  The terms are
-        read from a plan of (coefficient, indices(m)) pairs built at the
-        first scalar evaluation and kept, which is sound because a Poly's
-        terms never change after construction.  With Poly args the
-        substitution is nested down to linear terms: the terms of degree
-        2 or more are grouped by their first index i, self = sum_i x_i L_i
-        + (terms of degree at most 1), and each L_i is substituted the same
-        way, stripped of its zero sums and multiplied by args[i] once,
+        With scalar args (ground scalars, ints or lane vectors) the
+        result is the scalar sum of c * prod(args); `one` only fixes its
+        zero when self has no terms.  The terms are read from a plan of
+        (coefficient, indices(m)) pairs built at the first scalar
+        evaluation and kept, which is sound because a Poly's terms never
+        change after construction.  With Poly args the substitution is
+        nested down to linear terms: the terms of degree 2 or more are
+        grouped by their first index i, self = sum_i x_i L_i + (terms of
+        degree at most 1), and each L_i is substituted the same way,
+        stripped of its zero sums and multiplied by args[i] once,
         straight into one output dict whose zeros are dropped at the end.
         So a quadratic form costs one linear combination of the args per
         first index and no product args[i] * args[j] per term.

@@ -15,11 +15,12 @@ U-matrices and U-operators) run on plain ints: lift() clears the
 denominators of a list of ground scalars once, and from_int() maps an
 int result back once.  Matrix products and ranks take ground-field
 matrices only (ground_type); nothing multiplies or ranks a matrix over
-an extension field.  The evaluators run on int lifts too, as lane
-vectors: a lane vector reads an integral Fraction constant (a structure
-constant of an algebra, a construction parameter, a Fraction zero) as
-the equal int, so over Q its lanes stay ints until a non-integral
-constant is met, and over F_p it reduces every lane.
+an extension field.  The evaluators, and the int forms they are checked
+against, run on int lifts too, as lane vectors: a lane vector reads an
+integral Fraction constant (a structure constant of an algebra, a
+construction parameter, a Fraction zero) as the equal int, so over Q
+its lanes stay ints until a non-integral constant is met, and over F_p
+it reduces every lane.
 """
 
 from fractions import Fraction

@@ -10,7 +10,7 @@ import pytest
 from albertlab import cubic
 from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
-from albertlab.errors import NotInvertible
+from albertlab.errors import NotInvertible, VerificationFailure
 from albertlab.rng import Stream
 
 
@@ -54,6 +54,35 @@ class TestDimOne:
         assert rep.all_passed, rep
 
 
+class TestOneDimensionalFallbacks:
+    """expand_symbolic refuses forms that are not homogeneous before any
+    check of the suite runs, and a structure with no invertible element
+    reports the inverse identity failed instead of raising."""
+
+    @pytest.mark.parametrize("norm, sharp, message", [
+        (lambda x: x * x * x + x, lambda x: x * x,
+         "norm of k is not a homogeneous cubic"),
+        (lambda x: x * x * x, lambda x: x * x * x,
+         "adjoint coordinate 0 of k is not homogeneous quadratic"),
+    ])
+    def test_inhomogeneous_forms_raise(self, QQ, norm, sharp, message):
+        j = CubicNormStructure(QQ, 1, lambda xs: norm(xs[0]),
+                               lambda xs: [sharp(xs[0])], [QQ.one],
+                               label="k")
+        with pytest.raises(VerificationFailure, match=message):
+            j.axiom_suite(seed=3, points=20)
+
+    def test_no_invertible_elements(self, QQ):
+        j = CubicNormStructure(QQ, 1, lambda xs: QQ.zero,
+                               lambda xs: [xs[0] * xs[0]], [QQ.one],
+                               label="k")
+        rep = j.axiom_suite(seed=3, points=20)
+        check, = [c for c in rep.checks
+                  if c.name == "u_operator_inverse_identity"]
+        assert (check.passed, check.mode, check.witness) == (
+            False, "random", "no invertible elements found")
+
+
 class TestDerivedOps:
     def test_trace_matches_algebra_trace(self, j_m3_q, QQ):
         # on the first construction the trace of (x, 0, 0) is the matrix
@@ -64,7 +93,9 @@ class TestDerivedOps:
             a = m3.random(s)
             pt = _first_summand(j_m3_q, a)
             assert j_m3_q.trace(pt) == m3.trace(a)
-            assert j_m3_q.spur(pt) == m3.spur(a)
+            # S(a) = (T(a)^2 - T(a^2)) / 2 in characteristic 0
+            assert j_m3_q.spur(pt) == (
+                m3.trace(a) ** 2 - m3.trace(m3.mul(a, a))) / 2
 
     def test_trace_pair_bilinear_symmetric(self, j_m3_f5, trace_pair):
         s = Stream(37)

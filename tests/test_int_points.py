@@ -1,11 +1,11 @@
 """Ground-point routes on int lifts: u_op from the int U data against
 T(x, y) x - x# x y assembled from T(x, y) (the trace_pair fixture) and
 cross; trace, spur and u_matrix against the ground norm form expanded at
-c + z; and the evaluators run once on lane vectors of a batch of int
-lifts (evaluate_batch) against the same evaluators run point by point
-on the ground scalars themselves, with the lane contract, the witness
-order and the number of evaluator runs of the axiom suite's evaluator
-check."""
+c + z; and the evaluator check (_evaluator_mismatch), which runs the
+evaluators and the int forms on the same lane vectors of a batch of int
+lifts, against the evaluators and N and # run point by point on the
+ground scalars themselves, with the lane contract, the witness order and
+the number of evaluator runs of the axiom suite's evaluator check."""
 
 import json
 import os
@@ -141,18 +141,22 @@ def _raw_lanes(j, points):
             for v in lane_values(r, len(points))]
 
 
+def _reference_mismatch(j, points):
+    """The index of the first point at which the evaluators run on the
+    ground scalars differ from N and #, or None."""
+    return next((k for k, x in enumerate(points)
+                 if j.eval_norm(list(x)) != j.norm(x)
+                 or tuple(j.eval_sharp(list(x))) != j.sharp(x)), None)
+
+
 def _agree(j, points):
-    """evaluate_batch equals the evaluators run point by point on the
-    ground scalars, comes back as ground scalars, and the evaluators
-    never meet a float: lanes are ints or Fractions over Q and reduced
-    ints over F_p."""
-    kind = type(j.ground.one)
-    for pt, (n, sh) in zip(points, j.evaluate_batch(points)):
-        assert n == j.eval_norm(list(pt))
-        assert sh == tuple(j.eval_sharp(list(pt)))
-        assert type(n) is kind and all(type(c) is kind for c in sh)
+    """The lane check finds no mismatch, as the point-by-point reference
+    does not, and the evaluators never meet a float: lanes are ints or
+    Fractions over Q and reduced ints over F_p."""
+    assert j._evaluator_mismatch(points) is None
+    assert _reference_mismatch(j, points) is None
     raw = _raw_lanes(j, points)
-    if kind is Fraction:
+    if j.ground.char == 0:
         assert all(type(v) in (int, Fraction) for v in raw)
     else:
         assert all(type(v) is int and 0 <= v < j.ground.p for v in raw)
@@ -176,6 +180,28 @@ class TestLiftedEvaluators:
             bad = corrupt_sharp(j, coord=2)
             bad.expand_symbolic()
             _agree(bad, _points(bad, Stream(91)))
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q", "j_m3_f5"])
+    @pytest.mark.parametrize("form", ["norm", "sharp"])
+    def test_first_mismatch_at_mixed_denominators(self, name, form,
+                                                  request):
+        # forms with x0^3 added to N or x0^2 to #0, against j's own
+        # evaluators, differ exactly where x0 != 0; the zero point and
+        # the unit come first
+        j = request.getfixturevalue(name)
+        n, sh = j.expand_symbolic()
+        x0 = Poly.var(0, j.ground.one)
+        if form == "norm":
+            n = n + x0 * x0 * x0
+        else:
+            sh = [sh[0] + x0 * x0] + sh[1:]
+        bad = CubicNormStructure(j.ground, j.dim, j.eval_norm, j.eval_sharp,
+                                 j.unit, forms=lambda: (n, sh))
+        zero = tuple(j.ground.zero for _ in j.unit)
+        points = [zero] + _points(j, Stream(92))
+        want = _reference_mismatch(bad, points)
+        assert want == next(k for k, x in enumerate(points) if x[0])
+        assert bad._evaluator_mismatch(points) == want
 
 
 class TestLanes:
@@ -271,22 +297,34 @@ def _reference_scan(j, seed, points, monkeypatch):
 
     def per_point(self, pts):
         calls.append(pts)
-        return [(self.eval_norm(list(x)), tuple(self.eval_sharp(list(x))))
-                for x in pts]
+        return _reference_mismatch(self, pts)
 
     with monkeypatch.context() as m:
         m.setattr(cubic, "EVAL_CHUNK", 1)
-        m.setattr(CubicNormStructure, "evaluate_batch", per_point)
+        m.setattr(CubicNormStructure, "_evaluator_mismatch", per_point)
         report = j.axiom_suite(seed=seed, points=points)
     assert all(len(pts) == 1 for pts in calls)
     return _evaluator_witness(report), len(calls) - 1
 
 
-class TestWitnessOrder:
-    """The batched check reports the first failing point in draw order,
-    the one a point-by-point scan with the same seed reports."""
+@pytest.fixture(scope="module")
+def j_iso_q(j_m3_q):
+    """A random-v isotope of J(M3(Q), 1): its adjoint form's common
+    denominator s_den is in the thousands."""
+    jv = isotope(j_m3_q, j_m3_q.random_invertible(Stream(89)))
+    assert jv.n_int[1] == 1 and jv._int_forms()[1][1] > 1000
+    return jv
 
-    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5"])
+
+class TestWitnessOrder:
+    """The lane check reports the first failing point in draw order, the
+    one a point-by-point scan on ground scalars with the same seed
+    reports.  j_cyc_q (n_den = s_den = 3, Fraction lanes) and j_iso_q
+    (s_den in the thousands) fail the comparison when a denominator is
+    dropped or misplaced."""
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_cyc_q",
+                                      "j_iso_q"])
     @pytest.mark.parametrize("rate, seed, points, first_chunk", [
         (20, 3, 100, True),
         (400, 12, 2 * cubic.EVAL_CHUNK + 1, False),
@@ -366,5 +404,5 @@ def test_integral_constants_keep_int_lifts_int(integral_structures):
                     assert all(type(v) is int for v in r.values), j.label
                 else:
                     assert not r, j.label
-            for pt, (n, sh) in zip(points, j.evaluate_batch(points)):
-                assert j.norm(pt) == n and j.sharp(pt) == sh
+            assert j._evaluator_mismatch(points) is None, j.label
+            assert _reference_mismatch(j, points) is None, j.label

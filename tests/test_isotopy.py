@@ -60,6 +60,20 @@ class TestLinearMap:
         assert ok
         assert cert["multiplier"] == "1"
 
+    def test_similarity_with_multiplier_not_one(self, j_m3_q):
+        # 2 I on J(M3(Q), 1) (configs/m3_q_first.json) scales N by 8: a
+        # certified similarity, not an isomorphism, so the base point is
+        # not checked
+        g = j_m3_q.ground
+        two = [[2 * e for e in row]
+               for row in linalg.identity(j_m3_q.dim, g.one, g.zero)]
+        ok, cert = verify_isomorphism(LinearMap(j_m3_q, j_m3_q, two))
+        assert not ok
+        assert cert == {"multiplier": "8",
+                        "norm_check": "norm pullback proportional "
+                                      "(symbolic)",
+                        "unit_check": "skipped"}
+
 
 class TestNormSimilarity:
     def test_u_operator_multiplier_is_norm_squared(self, j_lk_q, j_lk_f5):

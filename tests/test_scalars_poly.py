@@ -13,8 +13,8 @@ from albertlab.poly import (Poly, directional_derivative, dump_cubic_form,
                             indices, linear_form, mono, sum_of_products,
                             variables)
 from albertlab.rng import Stream, draw, splitmix64
-from albertlab.scalars import (PRIME_BOUND, PrimeField, RationalField,
-                               is_prime)
+from albertlab.scalars import (PRIME_BOUND, Lanes, PrimeField,
+                               RationalField, is_prime)
 
 
 class TestScalars:
@@ -94,6 +94,18 @@ class TestPoly:
         p = x * y - x * y
         assert not p
         assert p.terms == {}
+
+    def test_foreign_operands_refused(self):
+        # only a Poly, an int or a Fraction is a coefficient: a lane
+        # vector or a float raises instead of becoming a constant term
+        x = Poly.var(0, 1)
+        for add in (lambda: Lanes([1]) + x, lambda: x + Lanes([1]),
+                    lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5,
+                    lambda: 0.5 - x, lambda: Lanes([1]) - x):
+            with pytest.raises(TypeError):
+                add()
+        half = Fraction(1, 2)
+        assert 1 - (x + half) == Poly({**(-x).terms, 0: half})
 
     def test_homogeneity(self):
         x, y, _ = self._vars()

@@ -1,4 +1,5 @@
-"""Every imported name in the package modules and the tests is read."""
+"""Every imported name in the package modules, the tests and the tools is
+read."""
 
 import ast
 import glob
@@ -8,7 +9,8 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 FILES = sorted(
     [p for p in glob.glob(os.path.join(ROOT, "src", "albertlab", "*.py"))
      if os.path.basename(p) != "__init__.py"]
-    + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+    + glob.glob(os.path.join(ROOT, "tools", "*.py")))
 
 
 def unused_imports(source):

@@ -34,7 +34,9 @@ The closed trace and adjoint formulas, and the cyclic algebra's spur,
 are validated against N(t 1 - x), read off by interpolation, in
 tests/test_associative.py.  Each algebra also expands its reduced norm
 once into int forms in the k-coordinates (norm_int), which the witness
-search evaluates at every candidate.
+search evaluates at every candidate.  A unitary involution builds its
+k-linear matrix once, checks sigma^2 = 1 on it as one matrix product,
+and reads its hermitian basis off it (linalg.fixed_basis).
 """
 
 from . import linalg
@@ -256,9 +258,7 @@ class CyclicAlgebra(_Algebra):
             raise NotInvertible("cyclic algebra parameter a must be nonzero")
         self.a = a
         rho = self.L.sigma
-        rho2 = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rho)]
-                for row in rho]
-        self._rho_powers = (None, rho, rho2)
+        self._rho_powers = (None, rho, linalg.matmul(rho, rho))
 
     def _rho(self, x, times):
         times %= 3
@@ -372,10 +372,7 @@ class CommutativeCubic(_Algebra):
         return tuple(self.L.mul_coords(x, y, self.center.zero))
 
     def rho(self, x):
-        r = self._rho
-        return tuple(
-            r[i][0] * x[0] + r[i][1] * x[1] + r[i][2] * x[2]
-            for i in range(3))
+        return tuple(linalg.matvec(self._rho, x))
 
     def involution(self, x):
         """bar on the coefficients: the center-semilinear involution fixing
@@ -412,7 +409,11 @@ class CommutativeCubic(_Algebra):
 class UnitaryInvolution:
     """sigma = Int(twist) o sigma0 where sigma0 is the algebra's own
     involution: conjugate transpose on M3(K), bar on the coefficients of
-    LK.  twist=None means sigma0."""
+    LK.  twist=None means sigma0.
+
+    sigma is k-linear, so its matrix on the k-coordinates (matrix) is
+    built once, at construction, and sigma^2 = 1 is checked there as
+    matrix^2 = I."""
 
     def __init__(self, algebra, twist=None):
         if not algebra.center.is_quadratic:
@@ -426,9 +427,14 @@ class UnitaryInvolution:
             if any(p - q for p, q in zip(base, twist)):
                 raise TwistNotHermitian("twist u must satisfy sigma(u) = u")
             self._twist_inv = algebra.inv(twist)  # raises NotInvertible
-        self._matrix = None
+        g = algebra.center.ground
+        ident = linalg.identity(algebra.k_dim, g.one, g.zero)
+        self.matrix = linalg.transpose(
+            [algebra.to_k_coords(self.apply(algebra.from_k_coords(e)))
+             for e in ident])
+        if linalg.matmul(self.matrix, self.matrix) != ident:
+            raise TwistNotHermitian("sigma^2 != id for this twist")
         self._herm = self._free = None
-        self._check_involution()
 
     def apply(self, x):
         y = self.algebra.involution(x)
@@ -437,41 +443,13 @@ class UnitaryInvolution:
                                  self._twist_inv)
         return y
 
-    def _check_involution(self):
-        alg = self.algebra
-        g = alg.center.ground
-        for j in range(alg.k_dim):
-            coords = [g.one if i == j else g.zero for i in range(alg.k_dim)]
-            b = alg.from_k_coords(coords)
-            bb = self.apply(self.apply(b))
-            if any(p - q for p, q in zip(bb, b)):
-                raise TwistNotHermitian("sigma^2 != id for this twist")
-
-    def matrix(self):
-        """sigma as a k-linear matrix on the algebra's k-coordinates."""
-        if self._matrix is None:
-            alg = self.algebra
-            g = alg.center.ground
-            cols = []
-            for j in range(alg.k_dim):
-                coords = [g.one if i == j else g.zero
-                          for i in range(alg.k_dim)]
-                cols.append(alg.to_k_coords(self.apply(
-                    alg.from_k_coords(coords))))
-            self._matrix = [[cols[j][i] for j in range(alg.k_dim)]
-                            for i in range(alg.k_dim)]
-        return self._matrix
-
     def hermitian_basis(self):
-        """Deterministic k-basis of the sigma-fixed space (echelon kernel
-        of sigma - id)."""
+        """Deterministic k-basis of the sigma-fixed space
+        (linalg.fixed_basis of the matrix)."""
         if self._herm is None:
             alg = self.algebra
             g = alg.center.ground
-            m = self.matrix()
-            delta = [[m[i][j] - (g.one if i == j else g.zero)
-                      for j in range(alg.k_dim)] for i in range(alg.k_dim)]
-            kern = linalg.kernel_basis(delta, g.one, g.zero)
+            kern = linalg.fixed_basis(self.matrix, g.one, g.zero)
             self._herm = [alg.from_k_coords(v) for v in kern]
             self._free = [max(i for i, c in enumerate(v) if c)
                           for v in kern]

@@ -4,11 +4,13 @@ The trace linear form, the quadratic spur, the trace bilinear form, the
 cross product, U-operators, inverses and nilpotency tests are all
 derived from the two forms and the base point alone.  A structure reads
 the exact sparse forms of N and # once, at first use, from its forms
-hook, and lifts them to int coefficients at the same time.  The default
-hook runs the evaluators on polynomial indeterminates; the Tits
-constructions use it.  Derived structures build their forms from their
-base's: an isotope scales them (isotopy.isotope), and corrupt_sharp adds
-one term.
+hook.  Its int data (the int forms n_int and sharp_int, the trace data
+and the U-operator data) are cached properties, each built once, at
+first use, from the items it reads, so no method has to run before
+another.  The default hook runs the evaluators on polynomial
+indeterminates; the Tits constructions use it.  Derived structures
+build their forms from their base's: an isotope scales them
+(isotopy.isotope), and corrupt_sharp adds one term.
 
 Every operation at a ground point has one route.  N, #, T, S, the
 U-operator matrix and U_x(y) are computed from the int forms at the
@@ -33,6 +35,7 @@ any lane raises for the whole chunk.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, List, Optional
@@ -100,10 +103,6 @@ class CubicNormStructure:
         self._kind = type(ground.one)
         self._n_poly = None
         self._sharp_polys = None
-        self._n_int = None
-        self._sharp_int = None
-        self._trace_int = None
-        self._u_int = None
 
     # -- symbolic expansion --------------------------------------------------
 
@@ -116,10 +115,8 @@ class CubicNormStructure:
         return n, sh
 
     def expand_symbolic(self):
-        """(N_poly, sharp_polys): the exact forms, from the forms hook.
-
-        Their int lifts (see _int_scaled) are stored alongside for the
-        symbolic identity checks and for evaluation at ground points."""
+        """(N_poly, sharp_polys): the exact forms, from the forms hook,
+        checked to be homogeneous."""
         if self._n_poly is None:
             # not a bound method held on self: that cycle would keep every
             # structure alive until the cyclic garbage collector runs
@@ -132,48 +129,38 @@ class CubicNormStructure:
                     raise VerificationFailure(
                         "adjoint coordinate %d of %s is not homogeneous "
                         "quadratic" % (i, self.label))
-            (n_i,), n_den = _int_scaled([n])
-            self._n_int = n_i, n_den
-            self._sharp_int = _int_scaled(sh)
             self._n_poly = n
             self._sharp_polys = sh
         return self._n_poly, self._sharp_polys
 
     @property
-    def n_poly(self):
-        return self.expand_symbolic()[0]
-
-    @property
     def sharp_polys(self):
         return self.expand_symbolic()[1]
 
-    def _int_forms(self):
-        """((n_i, n_den), (sh_i, s_den)), the int forms of N and # over
-        their denominators (_int_scaled), expanded on first use."""
-        if self._n_int is None:
-            self.expand_symbolic()
-        return self._n_int, self._sharp_int
-
-    @property
+    @cached_property
     def n_int(self):
         """(n_i, den): N = n_i / den with n_i an int form (_int_scaled)."""
-        return self._int_forms()[0]
+        (n_i,), den = _int_scaled([self.expand_symbolic()[0]])
+        return n_i, den
 
+    @cached_property
+    def sharp_int(self):
+        """(sh_i, den): # = sh_i / den with sh_i int forms (_int_scaled)."""
+        return _int_scaled(self.sharp_polys)
+
+    @cached_property
     def _trace_data(self):
         """(t, s, den): T = t / den and S = s / den for an int vector t and
         an int quadratic form s, read off N(c + z) = 1 + T(z) + S(z) + N(z)
         on the int forms.  With c = ci / cd and N = n_i / n_den, the int
         norm form at ci + cd z is den N(c + z) for den = n_den cd^3."""
-        if self._trace_int is None:
-            n_i, n_den = self.n_int
-            ci, cd = lift(self.unit)
-            full = n_i.eval([Poly.var(k, cd) + c for k, c in enumerate(ci)],
-                            1)
-            t = [0] * self.dim
-            for m, c in full.homogeneous_part(1).terms.items():
-                t[indices(m)[0]] = c
-            self._trace_int = t, full.homogeneous_part(2), n_den * cd ** 3
-        return self._trace_int
+        n_i, n_den = self.n_int
+        ci, cd = lift(self.unit)
+        full = n_i.eval([Poly.var(k, cd) + c for k, c in enumerate(ci)], 1)
+        t = [0] * self.dim
+        for m, c in full.homogeneous_part(1).terms.items():
+            t[indices(m)[0]] = c
+        return t, full.homogeneous_part(2), n_den * cd ** 3
 
     # -- derived operations ----------------------------------------------------
 
@@ -187,20 +174,20 @@ class CubicNormStructure:
     def sharp(self, x):
         """x# at a ground point: the int adjoint forms at the point's
         lift, mapped back once."""
-        sh_i, den = self._int_forms()[1]
+        sh_i, den = self.sharp_int
         xi, d = lift(x)
         den *= d * d
         return tuple(from_int(self._kind, p.eval(xi, 1), den) for p in sh_i)
 
     def trace(self, x):
         """T(x) at a ground point: t.xi / (den d) for the lift xi / d."""
-        t, _, den = self._trace_data()
+        t, _, den = self._trace_data
         xi, d = lift(x)
         return from_int(self._kind, sum(map(mul, t, xi)), den * d)
 
     def spur(self, x):
         """S(x) at a ground point: s(xi) / (den d^2)."""
-        _, s, den = self._trace_data()
+        _, s, den = self._trace_data
         xi, d = lift(x)
         return from_int(self._kind, s.eval(xi, 1), den * d * d)
 
@@ -217,8 +204,8 @@ class CubicNormStructure:
         c / (s_den^2 dx^2 dy) for the polarized adjoint c of s = x# (int)
         and yi, so every coordinate is an int over lcm(t_den, s_den^2)
         dx^2 dy, mapped back once."""
-        cols, t_den, cross = self._u_data()
-        sh_i, s_den = self._sharp_int
+        cols, t_den, cross = self._u_data
+        sh_i, s_den = self.sharp_int
         xi, dx = lift(x)
         yi, dy = lift(y)
         s = [p.eval(xi, 1) for p in sh_i]
@@ -233,9 +220,10 @@ class CubicNormStructure:
         return tuple(from_int(self._kind, a * t * xv - b * cv, den)
                      for xv, cv in zip(xi, sy))
 
+    @cached_property
     def _u_data(self):
         """Int data of the U-operator: the columns of the trace bilinear
-        matrix times t_den, and the polarized adjoint of _sharp_int as
+        matrix times t_den, and the polarized adjoint of sharp_int as
         triples (i, j, c) per row m, the diagonal c doubled:
         cross(x, y)_m * s_den sums c (x_i y_j + x_j y_i) over the triples
         with i < j and c x_i y_i over those with i = j.
@@ -245,26 +233,24 @@ class CubicNormStructure:
         polarization P of s, symmetric, so its rows are its columns.  The
         entries and den^2 are divided by their common gcd: over Q, t_den
         is then the least common denominator of the entries."""
-        if self._u_int is None:
-            t, s, den = self._trace_data()
-            cols = [[a * b for b in t] for a in t]
-            for m, c in s.terms.items():
-                i, j = indices(m)
-                cols[i][j] -= den * c
-                cols[j][i] -= den * c
-            g = gcd(den * den, *(e for col in cols for e in col))
-            cols = [[e // g for e in col] for col in cols]
-            cross = [[(i, j, c + c if i == j else c)
-                      for m, c in p.terms.items() for i, j in [indices(m)]]
-                     for p in self._sharp_int[0]]
-            self._u_int = cols, den * den // g, cross
-        return self._u_int
+        t, s, den = self._trace_data
+        cols = [[a * b for b in t] for a in t]
+        for m, c in s.terms.items():
+            i, j = indices(m)
+            cols[i][j] -= den * c
+            cols[j][i] -= den * c
+        g = gcd(den * den, *(e for col in cols for e in col))
+        cols = [[e // g for e in col] for col in cols]
+        cross = [[(i, j, c + c if i == j else c)
+                  for m, c in p.terms.items() for i, j in [indices(m)]]
+                 for p in self.sharp_int[0]]
+        return cols, den * den // g, cross
 
     def _cross_rows(self, s):
         """The int matrix of y -> (s x y) s_den for an int vector s, one
         row per polarized adjoint row of _u_data."""
         cm = [[0] * self.dim for _ in range(self.dim)]
-        for row, terms in zip(cm, self._u_data()[2]):
+        for row, terms in zip(cm, self._u_data[2]):
             for i, j, c in terms:
                 if i == j:
                     row[i] += c * s[i]
@@ -281,8 +267,8 @@ class CubicNormStructure:
         for int vectors r and s, so every entry is an int over the one
         denominator den = lcm(t_den, s_den^2) d^2.  Over F_p den is 1 and
         the entries are unreduced lifts, to be read mod p."""
-        cols, t_den, _ = self._u_data()
-        sh_i, s_den = self._sharp_int
+        cols, t_den, _ = self._u_data
+        sh_i, s_den = self.sharp_int
         xi, d = lift(x)
         cm = self._cross_rows([p.eval(xi, 1) for p in sh_i])
         den = lcm(t_den, s_den * s_den)
@@ -339,13 +325,13 @@ class CubicNormStructure:
         """T(x#, y) equals the directional derivative of N at x along y,
         as int forms mod the characteristic.
 
-        On the int forms (the trace columns of _u_data and _sharp_int),
+        On the int forms (the trace columns of _u_data and sharp_int),
         sum_m x#_m (sum_n T_mn y_n), with y in variables dim..2 dim - 1,
         is accumulated into one dict and compared with dN over the same
         denominator."""
-        cols, t_den, _ = self._u_data()
-        sh_i, s_den = self._sharp_int
-        n_i, n_den = self._n_int
+        cols, t_den, _ = self._u_data
+        sh_i, s_den = self.sharp_int
+        n_i, n_den = self.n_int
         lhs = sum_of_products(
             (p, linear_form([col[m] for col in cols], self.dim))
             for m, p in enumerate(sh_i))
@@ -361,8 +347,8 @@ class CubicNormStructure:
         den C_i = s_den (ci_i t - cd den e_i) over ints, mod the
         characteristic."""
         ci, cd = lift(self.unit)
-        t, _, den = self._trace_data()
-        s_den = self._sharp_int[1]
+        t, _, den = self._trace_data
+        s_den = self.sharp_int[1]
         char = self.ground.char
         for i, row in enumerate(self._cross_rows(ci)):
             for n, e in enumerate(row):
@@ -377,8 +363,8 @@ class CubicNormStructure:
         the int adjoint, against the square of the norm form, mod the
         characteristic.  With n_i = n_den N and sh_i = s_den #, the
         identity reads n_den n_i(sh_i) = s_den^3 n_i^2."""
-        sh_i, s_den = self._sharp_int
-        n_i, n_den = self._n_int
+        sh_i, s_den = self.sharp_int
+        n_i, n_den = self.n_int
         char = self.ground.char
         lhs = n_i.eval(sh_i, 1)
         return _mod(n_den * lhs, char) == _mod(s_den ** 3 * (n_i * n_i),
@@ -396,7 +382,7 @@ class CubicNormStructure:
         of n_den eval_norm - n_i, or of s_den eval_sharp - sh_i, is
         nonzero exactly where the two differ at x.  Over F_p every lane
         is a residue."""
-        (n_i, n_den), (sh_i, s_den) = self._int_forms()
+        (n_i, n_den), (sh_i, s_den) = self.n_int, self.sharp_int
         cols = [Lanes(list(c), self.ground.char)
                 for c in zip(*[lift(x)[0] for x in points])]
         diffs = [n_den * self.eval_norm(cols) - n_i.eval(cols, 0)]
@@ -459,8 +445,8 @@ class CubicNormStructure:
             # characteristic; both identities are homogeneous, so a
             # uniform scaling of sharp (resp. N) rescales both sides by a
             # known factor
-            sh_i, s_den = self._sharp_int
-            n_i, n_den = self._n_int
+            sh_i, s_den = self.sharp_int
+            n_i, n_den = self.n_int
             s3 = s_den ** 3
             sharp2 = [p.eval(sh_i, 1) for p in sh_i]
             bad = next(

@@ -172,9 +172,9 @@ class Elem:
 
     def inv(self):
         ext = self.ext
-        cols = [ext.mul_coords(self.coords, ext.basis_coords(j))
-                for j in range(ext.dim)]
-        m = [[cols[j][i] for j in range(ext.dim)] for i in range(ext.dim)]
+        g = ext.ground
+        m = linalg.transpose([ext.mul_coords(self.coords, e) for e in
+                              linalg.identity(ext.dim, g.one, g.zero)])
         try:
             y = linalg.solve(m, list(ext.one.coords))
         except NotInvertible:
@@ -195,10 +195,6 @@ class Extension:
         self.sigma = None
         self.one = Elem(self, one_coords)
         self.zero = Elem(self, [ground.zero] * dim)
-
-    def basis_coords(self, j):
-        return [self.ground.one if i == j else self.ground.zero
-                for i in range(self.dim)]
 
     def from_k_coords(self, coords):
         return Elem(self, coords)

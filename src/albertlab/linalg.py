@@ -4,6 +4,9 @@ Dimensions never exceed 27x27 here, so plain Gaussian elimination with
 first-nonzero pivoting is both fast enough and deterministic (the same
 input always yields the same echelon form and kernel basis).  solve and
 kernel_basis run it on any scalar type with /, == and truthiness.
+fixed_basis, the kernel basis of m - I, is the one route to the space a
+square matrix fixes (a hermitian basis, the extended rho's fixed
+subalgebra).
 
 matmul and rank take matrices over a ground field only (every entry a
 Fraction, or every entry an F_p scalar; scalars.ground_type refuses
@@ -152,3 +155,10 @@ def kernel_basis(m, one, zero):
                 vec[pc] = -val
         basis.append(vec)
     return basis
+
+
+def fixed_basis(m, one, zero):
+    """kernel_basis of m - I: a deterministic basis of the vectors the
+    square matrix m fixes, in kernel_basis's echelon convention."""
+    return kernel_basis([[e - one if i == k else e for k, e in enumerate(row)]
+                         for i, row in enumerate(m)], one, zero)

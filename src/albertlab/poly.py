@@ -216,8 +216,13 @@ class Poly:
         straight into one output dict whose zeros are dropped at the end.
         So a quadratic form costs one linear combination of the args per
         first index and no product args[i] * args[j] per term.
+
+        The route is picked from the first argument alone.  Both routes
+        return the same value for any mix of Poly and scalar args (a
+        scalar product or sum that meets a Poly becomes Poly arithmetic),
+        so the choice affects only speed.
         """
-        if not any(isinstance(a, Poly) for a in args):
+        if not args or not isinstance(args[0], Poly):
             plan = self._plan
             if plan is None:
                 plan = self._plan = [(c, indices(m))

@@ -148,8 +148,7 @@ def componentwise_matrix(src, tgt, alpha, beta):
     her = src.meta["her_basis"]
     bd = b_alg.k_dim
     cols = [sigma.hermitian_coords(alpha(h)) + [g.zero] * bd for h in her]
-    for i in range(bd):
-        x = b_alg.from_k_coords([g.one if t == i else g.zero
-                                 for t in range(bd)])
-        cols.append([g.zero] * len(her) + b_alg.to_k_coords(beta(x)))
+    for e in linalg.identity(bd, g.one, g.zero):
+        cols.append([g.zero] * len(her)
+                    + b_alg.to_k_coords(beta(b_alg.from_k_coords(e))))
     return linalg.transpose(cols)

@@ -257,6 +257,31 @@ class TestUnitaryInvolution:
         for h in tau.hermitian_basis():
             assert tau.is_hermitian(h)
 
+    @pytest.mark.parametrize("order", [3, 6])
+    def test_involution_of_other_order_rejected(self, tower_q, monkeypatch,
+                                                order):
+        # rho (order 3), or rho after bar (order 6), in place of bar
+        def rho_bar(self, x):
+            if order == 6:
+                x = tuple(self.center.bar(c) for c in x)
+            return self.rho(x)
+        monkeypatch.setattr(CommutativeCubic, "involution", rho_bar)
+        with pytest.raises(TwistNotHermitian,
+                           match=r"^sigma\^2 != id for this twist$"):
+            UnitaryInvolution(CommutativeCubic.over_LK(tower_q))
+
+    def test_matrix_squares_to_identity(self, tower_q):
+        m3 = MatrixAlgebra(QuadraticCenter(tower_q))
+        sig = UnitaryInvolution(m3)
+        g = tower_q.ground
+        assert linalg.matmul(sig.matrix, sig.matrix) == \
+            linalg.identity(18, g.one, g.zero)
+        s = Stream(171)
+        for _ in range(3):
+            x = m3.random(s)
+            assert m3.to_k_coords(sig.apply(x)) == \
+                linalg.matvec(sig.matrix, m3.to_k_coords(x))
+
     def test_ground_center_rejected(self, QQ):
         m3 = MatrixAlgebra(GroundCenter(QQ))
         with pytest.raises(NotSecondKind):

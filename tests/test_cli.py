@@ -395,11 +395,44 @@ class TestExitCodes:
         # a top-level base that is not the tower's
         ("m3k_q_second.json", ["base"], {"p": 5},
          "base F_5 differs from the tower's base Q"),
+        # an algebra the base or the tower cannot carry
+        ("m3_q_first.json", ["construction", "algebra"],
+         {"kind": "cubic_etale"}, "cubic etale algebra needs a cubic tower"),
+        ("m3_q_first.json", ["construction", "algebra"],
+         {"kind": "octonion"}, "unknown first-construction algebra "
+         "'octonion'"),
+        ("lk_q_second.json", ["tower", "kind"], "cubic",
+         "second construction needs a tower with K"),
+        ("lk_q_second.json", ["tower", "kind"], "quadratic",
+         "algebra 'lk' needs a composite tower"),
     ])
     def test_malformed_config_names_the_field(self, tmp_path, name, path,
                                               value, want):
         code, out, err = _run_edited(tmp_path, "check", name, path, value)
         assert (code, out, err) == (2, "", "config error: %s\n" % want)
+
+    @pytest.mark.parametrize("data, want", [
+        ([], "config root must be a JSON object"),
+        ({"schema_version": 1}, "config needs a 'construction' section"),
+    ])
+    def test_malformed_config_root_is_2(self, tmp_path, data, want):
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", "--config", str(c)])
+        assert (code, out, err) == (2, "", "config error: %s\n" % want)
+
+    def test_iso_verify_on_isotope_of_is_2(self, tmp_path):
+        # an isotope has no coefficient algebra to read the task's v in
+        with open(cfg("lk_q_second.json")) as fh:
+            data = json.load(fh)
+        wrap_isotope_of(data, ["1"] + ["0"] * 8)
+        data["tasks"] = [{"task": "iso_verify",
+                          "v": ["1", "0", "1", "0", "0", "0"]}]
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        code, out, err = run_cli(["check", "--config", str(c)])
+        assert (code, out, err) == (
+            2, "", "config error: construction has no coefficient algebra\n")
 
     def test_base_equal_to_tower_base_is_accepted(self, tmp_path):
         code, out, err = _run_edited(tmp_path, "build", "lk_f5_second.json",

@@ -1,15 +1,28 @@
 """Extending the cubic Galois generator to the 9-dimensional structure."""
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from albertlab import linalg, tits
 from albertlab.associative import CommutativeCubic, UnitaryInvolution
+from albertlab.config import BuildContext
 from albertlab.errors import ConfigError
 from albertlab.fields import Elem
 from albertlab.galois import NormConditionFailed, extend_rho, fixed_subspace
+from albertlab.isotopy import LinearMap
 from albertlab.rng import Stream
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def _in_span(basis, v):
+    """Rank-based membership, independent of the map that fixes basis."""
+    if not basis:
+        return not any(v)
+    return linalg.rank(basis) == linalg.rank(basis + [list(v)])
 
 
 class TestExtendRho:
@@ -92,3 +105,33 @@ class TestFixedSubspace:
         basis, _ = fixed_subspace(f, j_lk_q)
         for b in basis:
             assert f.apply(b) == tuple(b)
+
+    @pytest.mark.parametrize("name", ["lk_q_second", "lk_f5_second"])
+    @pytest.mark.parametrize("ones", [{0}, {0, 1}, {0, 6}, {1, 2, 3}])
+    def test_closure_matches_rank_reference(self, name, ones):
+        # the diagonal map with 1 on `ones` and 2 elsewhere fixes the span
+        # of those unit vectors, which need not be a subalgebra
+        with open(os.path.join(CONFIGS, name + ".json")) as fh:
+            j = BuildContext(json.load(fh)).j
+        g = j.ground
+        two = g.one + g.one
+        diag = [[(g.one if i in ones else two) if i == k else g.zero
+                 for k in range(j.dim)] for i in range(j.dim)]
+        basis, closure = fixed_subspace(LinearMap(j, j, diag), j)
+        assert len(basis) == len(ones)
+        assert closure == {
+            "contains_unit": _in_span(basis, j.unit),
+            "closed_under_sharp": all(_in_span(basis, j.sharp(b))
+                                      for b in basis),
+            "closed_under_cross": all(
+                _in_span(basis, j.cross(a, b))
+                for i, a in enumerate(basis) for b in basis[i:]),
+            "closed_under_u": all(_in_span(basis, j.u_op(a, b))
+                                  for a in basis for b in basis),
+        }
+        # the unit is (1, 0, ..., 0): only S = {0, 1} holds it and nothing
+        # else, and S = {1, 2, 3} misses even the unit
+        if ones == {0, 1}:
+            assert list(closure.values()) == [True, False, False, False]
+        if ones == {1, 2, 3}:
+            assert not any(closure.values())

@@ -87,8 +87,8 @@ class TestTraceForms:
         """(T, S, U) at ground points, from the ground forms t and s."""
         g = j.ground
         xs = variables(j.dim, g.one)
-        full = j.n_poly.eval([Poly.const(c) + x for c, x in zip(j.unit, xs)],
-                             g.one)
+        n = j.expand_symbolic()[0]
+        full = n.eval([Poly.const(c) + x for c, x in zip(j.unit, xs)], g.one)
         t, s = full.homogeneous_part(1), full.homogeneous_part(2)
         basis = [tuple(g.one if i == k else g.zero for i in range(j.dim))
                  for k in range(j.dim)]
@@ -312,7 +312,7 @@ def j_iso_q(j_m3_q):
     """A random-v isotope of J(M3(Q), 1): its adjoint form's common
     denominator s_den is in the thousands."""
     jv = isotope(j_m3_q, j_m3_q.random_invertible(Stream(89)))
-    assert jv.n_int[1] == 1 and jv._int_forms()[1][1] > 1000
+    assert jv.n_int[1] == 1 and jv.sharp_int[1] > 1000
     return jv
 
 

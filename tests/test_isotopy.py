@@ -74,6 +74,23 @@ class TestLinearMap:
                                       "(symbolic)",
                         "unit_check": "skipped"}
 
+    @pytest.mark.parametrize("name, diag", [
+        ("j_m3_q", (2, Fraction(1, 2), 1)), ("j_m3_f5", (2, 3, 1))])
+    def test_norm_preserving_map_that_moves_the_unit(self, request, name,
+                                                     diag):
+        # U_a with N(a) = 1 keeps N, but carries 1 to a^2 != 1; a is
+        # diag(diag) in the first summand
+        j = request.getfixturevalue(name)
+        g = j.ground
+        a = [g.zero] * j.dim
+        for k, e in zip((0, 4, 8), diag):
+            a[k] = g.from_fraction(Fraction(e))
+        assert j.norm(a) == g.one
+        assert verify_isomorphism(_u_map(j, a)) == (
+            False, {"multiplier": "1",
+                    "norm_check": "norm pullback proportional (symbolic)",
+                    "unit_check": "base point not preserved"})
+
 
 class TestNormSimilarity:
     def test_u_operator_multiplier_is_norm_squared(self, j_lk_q, j_lk_f5):

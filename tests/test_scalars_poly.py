@@ -197,6 +197,19 @@ class TestPoly:
                 total = total + c
             assert p.eval(args, g.one) == total
 
+    @pytest.mark.parametrize("field", [RationalField(), PrimeField(5)])
+    def test_eval_route_picked_by_first_arg(self, field):
+        # a mixed list takes the scalar route when a scalar comes first and
+        # the Poly route when a Poly does; both equal the all-Poly value
+        one = field.one
+        x, y, z = variables(3, one)
+        f = x * y * z + x * x * x + y * y + (one + one) * z + Poly.const(one)
+        two, u, v = one + one, *variables(2, one)
+        for args in ([u, two, v], [two, u, v], [two, two, u]):
+            all_poly = [a if isinstance(a, Poly) else Poly.const(a)
+                        for a in args]
+            assert f.eval(args, one) == f.eval(all_poly, one)
+
     def test_packed_monomials(self):
         # low byte: total degree; byte i + 1: exponent of x_i
         assert mono((0, 0, 2)) == 3 + (2 << 8) + (1 << 24)
@@ -248,6 +261,36 @@ class TestLinalg:
         m = [[one, one, one]]
         basis = linalg.kernel_basis(m, one, zero)
         assert basis == [[-one, one, zero], [-one, zero, one]]
+
+    def test_fixed_basis_of_a_swap(self):
+        # (x0, x1, x2) -> (x1, x0, x2) fixes (1, 1, 0) and (0, 0, 1)
+        one, zero = Fraction(1), Fraction(0)
+        m = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
+        assert linalg.fixed_basis(m, one, zero) == \
+            [[one, one, zero], [zero, zero, one]]
+
+    @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+           st.integers(0, 4), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_fixed_basis_contract(self, entries, ones, over_f7):
+        # ones diagonal entries are set to 1 so that fixed vectors occur
+        g = PrimeField(7) if over_f7 else RationalField()
+        n = 4
+        m = [[g.from_int(entries[n * i + k] if i != k or i >= ones else 1)
+              for k in range(n)] for i in range(n)]
+        basis = linalg.fixed_basis(m, g.one, g.zero)
+        delta = [[e - (g.one if i == k else g.zero)
+                  for k, e in enumerate(row)] for i, row in enumerate(m)]
+        assert len(basis) == n - linalg.rank(delta)
+        for v in basis:
+            assert linalg.matvec(m, v) == v
+        # echelon convention: each vector ends in a 1 at its own free
+        # column, where every other vector is 0; the free columns ascend
+        free = [max(i for i, c in enumerate(v) if c) for v in basis]
+        assert free == sorted(set(free))
+        for v, c in zip(basis, free):
+            assert v[c] == g.one
+            assert all(not w[c] for w in basis if w is not v)
 
 
 class TestRng:

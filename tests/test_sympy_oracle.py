@@ -41,7 +41,7 @@ def test_adjoint_identities_in_sympy(name, domain, request):
     j = request.getfixturevalue(name)
     assert j.dim == 9
     r, xs = _ring(j.dim, domain)
-    n = _to_sympy(j.n_poly, r, domain)
+    n = _to_sympy(j.expand_symbolic()[0], r, domain)
     sh = [_to_sympy(p, r, domain) for p in j.sharp_polys]
     subs = list(zip(xs, sh))
     # N(x#) = N(x)^2

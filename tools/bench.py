@@ -14,8 +14,11 @@ With --baseline DIR (another checkout, e.g. the parent commit) every
 pair runs both checkouts with the same seed, alternating which goes
 first, and the file records for each metric both sides' medians and
 quartiles and how many pairs the checkout won (ties count for neither
-side).  The file also records the CPU count, the Python version and the
-git commit of each checkout.
+side), and per end-to-end metric its relative change (the checkout's
+median minus the baseline's, over the baseline's) next to the bound
+that the checkout's BENCHMARK.json gives for it, so a regression past
+the bound reads straight off the file.  The file also records the CPU
+count, the Python version and the git commit of each checkout.
 
 A checkout holding a __pycache__ directory under src/ or perfbench/ is
 refused before any run: a compiled cache shortens the import that
@@ -78,6 +81,12 @@ def run_once(root, workload, seed):
             **{m: out["metrics"][m]["value"] for m in METRICS}}
 
 
+def bounds(root):
+    """The bound of each end-to-end metric in root's BENCHMARK.json."""
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        return {e["name"]: e["bound"] for e in json.load(fh)["end_to_end"]}
+
+
 def summary(values):
     """Median and quartiles of a list of run values."""
     q1, q2, q3 = statistics.quantiles(values, n=4)
@@ -105,6 +114,12 @@ def bench_workload(workload, roots):
         out["pairs_won"] = {
             m: sum(c[m] < b[m] for c, b in zip(runs["checkout"],
                                                runs["baseline"]))
+            for m in METRICS}
+        bound = bounds(roots["checkout"])
+        new, old = out["summary"]["checkout"], out["summary"]["baseline"]
+        out["against_baseline"] = {
+            m: {"relative_change": (new[m]["median"] - old[m]["median"])
+                / old[m]["median"], "bound": bound[m]}
             for m in METRICS}
     return out
 

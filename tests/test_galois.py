@@ -107,8 +107,13 @@ class TestFixedSubspace:
             assert f.apply(b) == tuple(b)
 
     @pytest.mark.parametrize("name", ["lk_q_second", "lk_f5_second"])
-    @pytest.mark.parametrize("ones", [{0}, {0, 1}, {0, 6}, {1, 2, 3}])
-    def test_closure_matches_rank_reference(self, name, ones):
+    # (S, closure values): the unit is e_0, so {0} spans the subalgebra
+    # k 1, {0, 1} and {0, 6} hold the unit but are not closed, and
+    # {1, 2, 3} misses even the unit
+    @pytest.mark.parametrize("ones, want", [
+        ({0}, [True] * 4), ({0, 1}, [True] + [False] * 3),
+        ({0, 6}, [True] + [False] * 3), ({1, 2, 3}, [False] * 4)])
+    def test_closure_matches_rank_reference(self, name, ones, want):
         # the diagonal map with 1 on `ones` and 2 elsewhere fixes the span
         # of those unit vectors, which need not be a subalgebra
         with open(os.path.join(CONFIGS, name + ".json")) as fh:
@@ -129,9 +134,4 @@ class TestFixedSubspace:
             "closed_under_u": all(_in_span(basis, j.u_op(a, b))
                                   for a in basis for b in basis),
         }
-        # the unit is (1, 0, ..., 0): only S = {0, 1} holds it and nothing
-        # else, and S = {1, 2, 3} misses even the unit
-        if ones == {0, 1}:
-            assert list(closure.values()) == [True, False, False, False]
-        if ones == {1, 2, 3}:
-            assert not any(closure.values())
+        assert list(closure.values()) == want

@@ -24,6 +24,16 @@ Identity checks compare the int forms mod the characteristic where the
 expansion sizes stay reasonable and run exact checks at random points
 otherwise, each sampled check through one loop (_first_failure).
 
+The two U-operator identities N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x
+are derived, not sampled, when the suite has proved their premises as
+formal identities in the same run: N(c) = 1, c# = c, x## = N(x) x (below
+SYMBOLIC_OP_LIMIT), c x y = T(y) c - y and T(x#, y) = d_y N(x).  These
+are the hypotheses of McCrimmon's construction theorem for cubic norm
+structures (Trans. AMS 139, 1969; A Taste of Jordan Algebras, 2004,
+Part II, ch. 4), stated over any commutative ring of scalars, so in
+every characteristic; U_x(x^-1) = x also follows from two of them
+directly (see axiom_suite).  A failed or sampled premise samples both.
+
 The evaluators have one route at ground points too, the check of the
 forms against them (_evaluator_mismatch): per chunk of EVAL_CHUNK points
 the evaluators and the int forms run once each on the same lane vectors
@@ -34,6 +44,7 @@ vector is falsy only when every lane is zero, so a failed descent on
 any lane raises for the whole chunk.
 """
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
@@ -59,6 +70,12 @@ SYMBOLIC_OP_LIMIT = 3_000_000
 # a run is bounded for any number of points
 EVAL_CHUNK = 128
 
+# the premises of McCrimmon's construction theorem, as the suite names
+# them; both U-operator identities are derived when all of them were
+# proved symbolically in the same run (axiom_suite)
+U_PREMISES = ("norm_unit_is_one", "sharp_unit_is_unit", "adjoint_of_adjoint",
+              "unit_cross_identity", "trace_adjoint_is_norm_derivative")
+
 
 @dataclass
 class CheckResult:
@@ -66,6 +83,7 @@ class CheckResult:
     passed: bool
     mode: str                  # "symbolic" or "random"
     witness: Optional[str] = None
+    elapsed_s: float = 0.0     # wall seconds spent on this check
 
 
 class AxiomReport:
@@ -394,7 +412,9 @@ class CubicNormStructure:
     def axiom_suite(self, seed=0, points=100):
         """Run the full identity suite and return a report with one entry
         per identity; failures are reported, not raised, but inhomogeneous
-        forms raise expand_symbolic's VerificationFailure first.
+        forms raise expand_symbolic's VerificationFailure first.  Each
+        entry's elapsed_s is the wall time of its check, including the int
+        data it builds first.
 
         Below SYMBOLIC_OP_LIMIT, x## = N(x) x and N(x#) = N(x)^2 are
         proved on the int forms.  N(x#) = N(x)^2 is derived, not
@@ -408,14 +428,54 @@ class CubicNormStructure:
         identities of formal polynomials, so the substitution is sound.
         Otherwise N(x#) is composed directly (_norm_of_adjoint_direct).
         Over the limit both identities are sampled at random points and
-        neither is derived."""
+        neither is derived.
+
+        N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x are derived, and draw no
+        points, when the five checks of U_PREMISES all passed
+        symbolically in this run: N(c) = 1, c# = c, x## = N(x) x proved
+        below the limit, c x y = T(y) c - y and T(x#, y) = d_y N(x).
+        u_op computes U_x y = T(x, y) x - x# x y, with T(x, y) = T(x) T(y)
+        - S(x, y) the trace bilinear form of _u_data and x x y =
+        (x + y)# - x# - y# the polarized adjoint, the same T and x the
+        premises were proved for.
+        - U_x(x^-1) = x, in every characteristic: x^-1 = x# / N(x), and
+          U_x x# = T(x, x#) x - x# x x#.  The adjoint is quadratic, so
+          x# x x# = 2 x## = 2 N(x) x.  T is symmetric, and the gradient
+          identity with Euler's identity gives T(x#, x) = d_x N(x) =
+          3 N(x).  So U_x x# = 3 N(x) x - 2 N(x) x = N(x) x.
+        - N(U_x y) = N(x)^2 N(y), by McCrimmon's construction theorem
+          (Trans. AMS 139, 1969; A Taste of Jordan Algebras, 2004, Part
+          II, ch. 4).  Its hypotheses: a cubic form N on a module over a
+          commutative ring of scalars, any characteristic, with a base
+          point c, N(c) = 1, and a quadratic map # with c# = c, such that
+          T(x#, y) = d_y N(x), x## = N(x) x and c x y = T(y) c - y hold
+          strictly, that is in every scalar extension.  Then U_x y =
+          T(x, y) x - x# x y makes a unital Jordan algebra with unit c
+          whose norm satisfies N(U_x y) = N(x)^2 N(y).  The suite proves
+          the three identities as identities of formal polynomials, which
+          hold in every scalar extension.  The theorem excludes no
+          characteristic, so none falls back to sampling.
+        Otherwise both are sampled as the premises leave them: N(U_x y)
+        at `points` random pairs, then U_x(x^-1) = x at max(10, points //
+        5) random invertible points, from the suite's one stream.  The
+        evaluator check (expansion_matches_evaluators) draws its points
+        last, so on a derived suite they come earlier in the stream than
+        on a sampled one; a wrong evaluator fails that check either way,
+        since no premise reads the evaluators."""
         g = self.ground
         stream = Stream(seed).derive("axioms:" + self.label)
         checks = []
         n_poly, sharp_polys = self.expand_symbolic()
+        clock = time.perf_counter()
 
-        def emit(name, ok, mode, witness=None):
-            checks.append(CheckResult(name, bool(ok), mode, witness))
+        def emit(name, ok, mode, witness=None, earlier=0.0):
+            # a check's time runs from the previous emit, plus the seconds
+            # of any part of it that ran before that (earlier)
+            nonlocal clock
+            now = time.perf_counter()
+            checks.append(CheckResult(name, bool(ok), mode, witness,
+                                      now - clock + earlier))
+            clock = now
 
         def point():
             return self.random_point(stream)
@@ -437,7 +497,10 @@ class CubicNormStructure:
 
         cost = self._sharp_cost()
         symbolic_ok = cost <= SYMBOLIC_OP_LIMIT
+        t0 = time.perf_counter()
         trace_ok = self._trace_adjoint_ok()
+        trace_s = time.perf_counter() - t0
+        clock += trace_s        # charged to the gradient identity's check
 
         # x## = N(x) x and N(x#) = N(x)^2
         if symbolic_ok:
@@ -453,9 +516,6 @@ class CubicNormStructure:
                 (i for i in range(self.dim)
                  if _mod(n_den * sharp2[i], g.char)
                  != _mod(s3 * (n_i * Poly.var(i, 1)), g.char)), None)
-            # derived from the two proved identities (see the docstring)
-            norm_ok = (bad is None and trace_ok and g.char != 3) \
-                or self._norm_of_adjoint_direct()
             if bad is None:
                 emit("adjoint_of_adjoint", True, "symbolic")
             else:
@@ -466,6 +526,9 @@ class CubicNormStructure:
                 w = _first_failure(300, point, adjoint_fails)
                 emit("adjoint_of_adjoint", False, "symbolic",
                      "coordinate %d differs; point %r" % (bad, w))
+            # derived from the two proved identities (see the docstring)
+            norm_ok = (bad is None and trace_ok and g.char != 3) \
+                or self._norm_of_adjoint_direct()
             if norm_ok:
                 emit("norm_of_adjoint", True, "symbolic")
             else:
@@ -488,7 +551,7 @@ class CubicNormStructure:
 
         # T(x#, y) equals the directional derivative of N at x along y
         emit("trace_adjoint_is_norm_derivative", trace_ok, "symbolic",
-             None if trace_ok else "polynomials differ")
+             None if trace_ok else "polynomials differ", earlier=trace_s)
 
         # U_c = identity
         uc = self.u_matrix(self.unit)
@@ -496,22 +559,28 @@ class CubicNormStructure:
         emit("u_operator_of_unit_is_identity", linalg.mat_equal(uc, ident),
              "symbolic")
 
-        # N(U_x y) = N(x)^2 N(y) on random pairs
-        def similarity_fails(xy):
-            nx = self.norm(xy[0])
-            return self.norm(self.u_op(*xy)) != nx * nx * self.norm(xy[1])
-        sampled(("u_operator_norm_similarity",), points, similarity_fails,
-                lambda: (point(), point()))
-
-        # U_x(x^{-1}) = x on random invertible x
-        try:
-            sampled(("u_operator_inverse_identity",), max(10, points // 5),
-                    lambda x: any(a - b for a, b in zip(
-                        self.u_op(x, self.inverse(x)), x)),
-                    lambda: self.random_invertible(stream))
-        except NotInvertible:
-            emit("u_operator_inverse_identity", False, "random",
-                 "no invertible elements found")
+        # N(U_x y) = N(x)^2 N(y) and U_x(x^{-1}) = x: derived from the
+        # proved premises (see the docstring), else sampled
+        if set(U_PREMISES) <= {c.name for c in checks
+                               if c.passed and c.mode == "symbolic"}:
+            emit("u_operator_norm_similarity", True, "symbolic")
+            emit("u_operator_inverse_identity", True, "symbolic")
+        else:
+            def similarity_fails(xy):
+                nx = self.norm(xy[0])
+                return self.norm(self.u_op(*xy)) != \
+                    nx * nx * self.norm(xy[1])
+            sampled(("u_operator_norm_similarity",), points,
+                    similarity_fails, lambda: (point(), point()))
+            try:
+                sampled(("u_operator_inverse_identity",),
+                        max(10, points // 5),
+                        lambda x: any(a - b for a, b in zip(
+                            self.u_op(x, self.inverse(x)), x)),
+                        lambda: self.random_invertible(stream))
+            except NotInvertible:
+                emit("u_operator_inverse_identity", False, "random",
+                     "no invertible elements found")
 
         # the int forms agree with the evaluators, both run once per
         # chunk of EVAL_CHUNK points; the witness is the first failing

@@ -66,7 +66,8 @@ def run_config(cfg, seed=None, budget=None, mode=None, timing=False,
         t0 = time.monotonic()
         entry = {"task": name}
         tseed = _task_seed(seed, name, pos)
-        _HANDLERS[name](ctx, node, entry, tseed, budget=budget, mode=mode)
+        _HANDLERS[name](ctx, node, entry, tseed, budget=budget, mode=mode,
+                        timing=timing)
         if timing:
             entry["elapsed_s"] = round(time.monotonic() - t0, 3)
         report["tasks"].append(entry)
@@ -79,7 +80,7 @@ def run_config(cfg, seed=None, budget=None, mode=None, timing=False,
 # ---------------------------------------------------------------------------
 # task handlers
 
-def _t_axioms(ctx, node, entry, tseed, **kw):
+def _t_axioms(ctx, node, entry, tseed, timing=False, **kw):
     j = ctx.j
     corrupt = node.get("corrupt_coord")
     if corrupt is not None:
@@ -93,7 +94,8 @@ def _t_axioms(ctx, node, entry, tseed, **kw):
     entry["status"] = "pass" if rep.all_passed else "fail"
     entry["checks"] = [
         {"name": c.name, "passed": c.passed, "mode": c.mode,
-         **({"witness": c.witness} if c.witness else {})}
+         **({"witness": c.witness} if c.witness else {}),
+         **({"elapsed_s": round(c.elapsed_s, 3)} if timing else {})}
         for c in rep.checks]
 
 
@@ -106,14 +108,14 @@ def _search_entry(entry, g, res):
             entry["detail"] = res.detail
 
 
-def _t_div_falsify(ctx, node, entry, tseed, budget=None, mode=None):
+def _t_div_falsify(ctx, node, entry, tseed, budget=None, mode=None, **kw):
     b = budget if budget is not None else int(node.get("budget", 10000))
     m = mode if mode is not None else node.get("mode", "random")
     res = search.division_falsify(ctx.j, budget=b, mode=m, seed=tseed)
     _search_entry(entry, ctx.j.ground, res)
 
 
-def _t_norm_zero(ctx, node, entry, tseed, budget=None, mode=None):
+def _t_norm_zero(ctx, node, entry, tseed, budget=None, mode=None, **kw):
     b = budget if budget is not None else int(node.get("budget", 10000))
     m = mode if mode is not None else node.get("mode", "random")
     res = search.find_norm_zero(ctx.j, budget=b, mode=m, seed=tseed)

@@ -598,14 +598,28 @@ class TestDeterminism:
         assert ra["seed"] == 1 and rb["seed"] == 2
 
     def test_timing_only_with_flag(self):
-        _, out_plain, _ = run_cli(["build", "--config",
+        _, out_build, _ = run_cli(["build", "--config",
                                    cfg("m3_f5_first.json")])
+        _, out_plain, _ = run_cli(["check", "--config",
+                                   cfg("m3_f5_first.json"),
+                                   "--budget", "500"])
         _, out_timed, _ = run_cli(["check", "--config",
                                    cfg("m3_f5_first.json"), "--timing",
                                    "--budget", "500"])
+        assert "elapsed_s" not in out_build
         assert "elapsed_s" not in out_plain
         rep = json.loads(out_timed)
         assert all("elapsed_s" in t for t in rep["tasks"])
+        # each axiom check carries its own time under --timing, and
+        # nothing else in the report changes
+        axioms = rep["tasks"][0]
+        assert axioms["task"] == "axioms"
+        assert all(c["elapsed_s"] >= 0 for c in axioms["checks"])
+        for t in rep["tasks"]:
+            del t["elapsed_s"]
+        for c in axioms["checks"]:
+            del c["elapsed_s"]
+        assert rep == json.loads(out_plain)
 
 
 class TestGoldenDumps:
@@ -625,7 +639,8 @@ class TestGoldenReports:
     # the isotope reports of m3_q_first (J(M3(Q), 1) and one v) and
     # m3k_q_second (J(M3(K), sigma, u, mu) and v = diag(1, 1, 2)), and
     # the check report of cyclic_q_first (its axiom suite, whose
-    # N(x#) = N(x)^2 is derived from the other two symbolic identities)
+    # N(x#) = N(x)^2 is derived from the other two symbolic identities,
+    # and its two U-operator identities from the five proved premises)
     @pytest.mark.parametrize("name, command", [
         ("lk_q_second", "isotope"), ("lk_q_second", "galois"),
         ("lk_f5_second", "isotope"), ("lk_f5_second", "galois"),
@@ -700,7 +715,8 @@ class TestGoldenReports:
 
     def test_corrupted_axioms_report_matches_golden(self, tmp_path):
         # the failing verdicts and witnesses of a corrupted adjoint on
-        # J(M3(F_5), 2), where N(x#) = N(x)^2 is composed directly
+        # J(M3(F_5), 2), where N(x#) = N(x)^2 is composed directly and
+        # the U-operator identities are sampled
         with open(cfg("m3_f5_first.json")) as fh:
             data = json.load(fh)
         data["tasks"] = [{"task": "axioms", "corrupt_coord": 3}]

@@ -356,3 +356,116 @@ class TestNormOfAdjointRoute:
         assert (norm.passed, norm.mode, norm.witness) == (
             False, "symbolic", repr(witness))
         assert direct_calls == [j.label]
+
+
+U_CHECKS = ("u_operator_norm_similarity", "u_operator_inverse_identity")
+
+
+def _config(name):
+    with open(os.path.join(CONFIGS, name + ".json")) as fh:
+        return json.load(fh)
+
+
+def _cyclic_f7():
+    # cyclic_q_first's D read over F_7, as in its golden check report
+    data = _config("cyclic_q_first")
+    data["tower"]["base"] = {"p": 7}
+    data["tower"]["rho"] = ["-1", "-3", "1", "1"]
+    return data
+
+
+def _m3_f5_isotope_of():
+    # J(M3(F_5), 2)^(v) for v = (1 + e12, 0, 0), as in its golden reports
+    data = _config("m3_f5_first")
+    data["construction"] = {
+        "type": "isotope_of", "base": data["construction"],
+        "v": ["1", "1", "0", "0", "1", "0", "0", "0", "1"] + ["0"] * 18}
+    return data
+
+
+class TestUOperatorRoute:
+    # N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x are derived when the five
+    # premises of cubic.U_PREMISES passed symbolically, and sampled
+    # otherwise
+
+    @pytest.mark.parametrize("data", [
+        _config("cyclic_q_first"), _config("m3_q_first"),
+        _config("m3_f5_first"), _config("lk_q_second"),
+        _config("lk_f5_second"), _config("m3k_q_second"), _cyclic_f7(),
+        _m3_f5_isotope_of()],
+        ids=["cyclic_q_first", "m3_q_first", "m3_f5_first", "lk_q_second",
+             "lk_f5_second", "m3k_q_second", "cyclic_f7", "m3_f5_isotope"])
+    def test_derived_identities_hold_through_u_op(self, data):
+        # the derivation and u_op are checked against each other: the
+        # suite derives both identities, and u_op satisfies them at
+        # seeded points
+        j = BuildContext(data).j
+        rep = j.axiom_suite(seed=SEED, points=20)
+        assert rep.all_passed, rep
+        for name in U_CHECKS:
+            assert _check(rep, name).mode == "symbolic"
+        s = Stream(SEED).derive("u:" + j.label)
+        for _ in range(20):
+            x, y = j.random_point(s), j.random_point(s)
+            nx = j.norm(x)
+            assert j.norm(j.u_op(x, y)) == nx * nx * j.norm(y)
+            x = j.random_invertible(s)
+            assert j.u_op(x, j.inverse(x)) == x
+
+    @pytest.mark.parametrize("owner, attr, value, premise, verdict", [
+        (CubicNormStructure, "_unit_cross_failure", lambda self: 0,
+         "unit_cross_identity", (False, "symbolic")),
+        (CubicNormStructure, "_trace_adjoint_ok", lambda self: False,
+         "trace_adjoint_is_norm_derivative", (False, "symbolic")),
+        (cubic, "SYMBOLIC_OP_LIMIT", 0, "adjoint_of_adjoint",
+         (True, "random"))],
+        ids=["unit_cross", "trace_adjoint", "limit"])
+    def test_unproved_premise_samples(self, j_m3_q, owner, attr, value,
+                                      premise, verdict, monkeypatch):
+        monkeypatch.setattr(owner, attr, value)
+        rep = j_m3_q.axiom_suite(seed=SEED, points=20)
+        check = _check(rep, premise)
+        assert (check.passed, check.mode) == verdict
+        for name in U_CHECKS:
+            u = _check(rep, name)
+            assert (u.passed, u.mode) == (True, "random")
+
+    def test_wrong_unit_samples(self, j_m3_f5):
+        two = j_m3_f5.ground.from_int(2)
+        j = CubicNormStructure(
+            j_m3_f5.ground, j_m3_f5.dim, j_m3_f5.eval_norm,
+            j_m3_f5.eval_sharp, [two * c for c in j_m3_f5.unit],
+            label="wrong_unit", forms=j_m3_f5.expand_symbolic)
+        rep = j.axiom_suite(seed=SEED, points=20)
+        assert not _check(rep, "norm_unit_is_one").passed
+        assert not _check(rep, "sharp_unit_is_unit").passed
+        for name in U_CHECKS:
+            assert _check(rep, name).mode == "random"
+
+    @pytest.mark.parametrize("name", ["j_m3_f5", "j_m3_q"])
+    def test_derived_suite_catches_wrong_evaluator(self, name, request):
+        # j's own forms with a corrupted adjoint evaluator: every premise
+        # passes, so the U checks draw no points and the evaluator check
+        # draws the suite's first points, failing at the first with
+        # x0 != 0
+        j = request.getfixturevalue(name)
+        base_sharp = j.eval_sharp
+
+        def bad_sharp(coords):
+            out = list(base_sharp(coords))
+            out[4] = out[4] + coords[0] * coords[0]
+            return out
+
+        bad = CubicNormStructure(j.ground, j.dim, j.eval_norm, bad_sharp,
+                                 j.unit, label="bad_evaluator",
+                                 forms=j.expand_symbolic)
+        rep = bad.axiom_suite(seed=SEED, points=40)
+        assert [c.name for c in rep.failed()] == \
+            ["expansion_matches_evaluators"]
+        for u in U_CHECKS:
+            assert _check(rep, u).mode == "symbolic"
+        s = Stream(SEED).derive("axioms:bad_evaluator")
+        first = next(x for x in (bad.random_point(s) for _ in range(40))
+                     if x[0])
+        assert _check(rep, "expansion_matches_evaluators").witness == \
+            repr(first)

@@ -50,6 +50,15 @@ from .poly import variables
 # ---------------------------------------------------------------------------
 # center adapters
 
+def _descend(coords, what):
+    """coords[0] when every later coordinate vanishes, the descent of a
+    value to the center, or to k; else DescentFailure naming `what`."""
+    if any(coords[1:]):
+        raise DescentFailure("%s with coordinates %r does not descend"
+                             % (what, list(coords)))
+    return coords[0]
+
+
 class GroundCenter:
     """Center = the ground field itself; elements are bare scalars."""
 
@@ -106,9 +115,7 @@ class QuadraticCenter:
 
     def descend(self, x):
         """K element fixed by bar -> ground scalar (coordinate check)."""
-        if x.coords[1]:
-            raise DescentFailure("value %r does not descend to k" % (x,))
-        return x.coords[0]
+        return _descend(x.coords, "K value")
 
     def inv(self, x):
         return x.inv()
@@ -301,29 +308,23 @@ class CyclicAlgebra(_Algebra):
                 m[r][j] = entry if m[r][j] is None else m[r][j] + entry
         return [[self.L.zero if v is None else v for v in row] for row in m]
 
-    def _descend(self, l_elem):
-        if any(l_elem.coords[1:]):
-            raise DescentFailure(
-                "cyclic-algebra invariant %r did not descend to k" % (l_elem,))
-        return l_elem.coords[0]
-
     def trace(self, x):
         t = x[0] + self._rho(x[0], 1) + self._rho(x[0], 2)
-        return self._descend(t)
+        return _descend(t.coords, "cyclic-algebra trace")
 
     def norm(self, x):
         m = self.splitting_embed(x)
         det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        return self._descend(det)
+        return _descend(det.coords, "cyclic-algebra norm")
 
     def spur(self, x):
         m = self.splitting_embed(x)
         s = (m[1][1] * m[2][2] - m[1][2] * m[2][1]) \
             + (m[0][0] * m[2][2] - m[0][2] * m[2][0]) \
             + (m[0][0] * m[1][1] - m[0][1] * m[1][0])
-        return self._descend(s)
+        return _descend(s.coords, "cyclic-algebra spur")
 
     def sharp(self, x):
         t = self.trace(x)
@@ -379,16 +380,10 @@ class CommutativeCubic(_Algebra):
         L (LK only)."""
         return tuple(self.center.bar(c) for c in x)
 
-    def _descend_to_center(self, x):
-        if any(bool(c) for c in x[1:]):
-            raise DescentFailure("conjugate-symmetric value %r is not in "
-                                 "the center" % (x,))
-        return x[0]
-
     def trace(self, x):
         r = self.rho(x)
         r2 = self.rho(r)
-        return self._descend_to_center(self.add(self.add(x, r), r2))
+        return _descend(self.add(self.add(x, r), r2), "cubic etale trace")
 
     def sharp(self, x):
         r = self.rho(x)
@@ -396,7 +391,7 @@ class CommutativeCubic(_Algebra):
         return self.mul(r, r2)
 
     def norm(self, x):
-        return self._descend_to_center(self.mul(x, self.sharp(x)))
+        return _descend(self.mul(x, self.sharp(x)), "cubic etale norm")
 
     def __repr__(self):
         return "CommutativeCubic(center dim %d over %r)" \

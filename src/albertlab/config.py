@@ -28,7 +28,8 @@ def load_config(path):
         raise ConfigError("config is not valid JSON: %s" % e)
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    version = cfg.get("schema_version", SCHEMA_VERSION)
+    version = as_int(cfg.get("schema_version", SCHEMA_VERSION),
+                     "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("unsupported schema_version %r" % (version,))
     tasks = cfg.get("tasks", [])

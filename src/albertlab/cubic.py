@@ -13,13 +13,16 @@ build their forms from their base's: an isotope scales them
 (isotopy.isotope), and corrupt_sharp adds one term.
 
 Every operation at a ground point has one route.  N, #, T, S, the
-U-operator matrix and U_x(y) are computed from the int forms at the
-point's integer lift (scalars.lift) and mapped back once
+U-operator matrix, U_x(y) and x x y are computed from the int forms at
+the point's integer lift (scalars.lift) and mapped back once
 (scalars.from_int); T and S themselves, and the trace bilinear form of
 the U-operator, are read off the int norm form at the unit's lift.
-u_matrix_int stops before the map back and returns the int U-matrix over
-one denominator, for callers that keep computing on ints (the isotope's
-U_{v^-1} and its U^(v) check).
+u_matrix_int, u_op and cross share the int U-operator data (_u_data),
+the trace bilinear matrix and the polarized adjoint: u_matrix_int
+returns the int U-matrix over one denominator, for callers that keep
+computing on ints (the isotope's U_{v^-1} and its U^(v) check), u_op
+applies it to y's lift, and cross applies the polarized adjoint rows at
+x's lift to y's lift.
 Identity checks compare the int forms mod the characteristic where the
 expansion sizes stay reasonable and run exact checks at random points
 otherwise, each sampled check through one loop (_first_failure).
@@ -209,34 +212,24 @@ class CubicNormStructure:
         xi, d = lift(x)
         return from_int(self._kind, s.eval(xi, 1), den * d * d)
 
+    def _apply(self, rows, den, y):
+        """The int matrix rows / den applied to a ground point y: with
+        y = yi / dy, (rows yi) / (den dy), mapped back once."""
+        yi, dy = lift(y)
+        den *= dy
+        return tuple(from_int(self._kind, sum(map(mul, row, yi)), den)
+                     for row in rows)
+
     def cross(self, x, y):
-        s = self.sharp([a + b for a, b in zip(x, y)])
-        sx = self.sharp(x)
-        sy = self.sharp(y)
-        return tuple(a - b - c for a, b, c in zip(s, sx, sy))
+        """x x y = (x + y)# - x# - y# at ground points: _cross_rows of
+        x's int lift xi / dx applied to y, over s_den dx."""
+        xi, dx = lift(x)
+        return self._apply(self._cross_rows(xi), self.sharp_int[1] * dx, y)
 
     def u_op(self, x, y):
-        """U_x(y) = T(x,y) x - x# x y at ground points, on the int data of
-        u_matrix: with x = xi / dx and y = yi / dy, T(x,y) = (r.yi) /
-        (t_den dx dy) for r = (trace columns).xi, and x# x y =
-        c / (s_den^2 dx^2 dy) for the polarized adjoint c of s = x# (int)
-        and yi, so every coordinate is an int over lcm(t_den, s_den^2)
-        dx^2 dy, mapped back once."""
-        cols, t_den, cross = self._u_data
-        sh_i, s_den = self.sharp_int
-        xi, dx = lift(x)
-        yi, dy = lift(y)
-        s = [p.eval(xi, 1) for p in sh_i]
-        t = sum(yj * sum(map(mul, col, xi))
-                for col, yj in zip(cols, yi) if yj)
-        sy = [sum(c * s[i] * yi[i] if i == j
-                  else c * (s[i] * yi[j] + s[j] * yi[i])
-                  for i, j, c in terms) for terms in cross]
-        den = lcm(t_den, s_den * s_den)
-        a, b = den // t_den, den // (s_den * s_den)
-        den *= dx * dx * dy
-        return tuple(from_int(self._kind, a * t * xv - b * cv, den)
-                     for xv, cv in zip(xi, sy))
+        """U_x(y) = T(x,y) x - x# x y at ground points: u_matrix_int(x)
+        applied to y."""
+        return self._apply(*self.u_matrix_int(x), y)
 
     @cached_property
     def _u_data(self):
@@ -436,7 +429,7 @@ class CubicNormStructure:
         below the limit, c x y = T(y) c - y and T(x#, y) = d_y N(x).
         u_op computes U_x y = T(x, y) x - x# x y, with T(x, y) = T(x) T(y)
         - S(x, y) the trace bilinear form of _u_data and x x y =
-        (x + y)# - x# - y# the polarized adjoint, the same T and x the
+        (x + y)# - x# - y# its polarized adjoint, the same T and x the
         premises were proved for.
         - U_x(x^-1) = x, in every characteristic: x^-1 = x# / N(x), and
           U_x x# = T(x, x#) x - x# x x#.  The adjoint is quadratic, so

@@ -264,6 +264,9 @@ class RationalField:
     char = 0
     is_finite = False
     order = None
+    # the values of random(), built once: small integers keep downstream
+    # Fraction growth in check
+    _draws = tuple(Fraction(n) for n in range(-10, 11))
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -296,8 +299,7 @@ class RationalField:
         return 1 / Fraction(x)
 
     def random(self, stream: Stream):
-        # small integers keep downstream Fraction growth in check
-        return Fraction(stream.next_below(21) - 10)
+        return self._draws[stream.next_below(21)]
 
     def __repr__(self):
         return "Q"

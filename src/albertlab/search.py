@@ -37,8 +37,7 @@ class SearchResult:
 
 def point_at(j, seed, index):
     """Candidate number `index` of the random search stream."""
-    s = Stream(seed, offset=index * (j.dim + 2))
-    return tuple(j.ground.random(s) for _ in range(j.dim))
+    return j.random_point(Stream(seed, offset=index * (j.dim + 2)))
 
 
 def _exhaustive_point(j, index):

@@ -360,6 +360,9 @@ class TestExitCodes:
         ("check", "cyclic_q_first.json", ["tower", "rho"], [-2.0, 0, True]),
         ("check", "cyclic_q_first.json", ["tower", "f"],
          ["1", "-3", "0", "1", "0"]),
+        # the schema version is an integer field too
+        ("build", "m3_f5_first.json", ["schema_version"], True),
+        ("build", "m3_f5_first.json", ["schema_version"], 1.0),
     ])
     def test_malformed_config_is_2(self, tmp_path, command, name, path,
                                    value):

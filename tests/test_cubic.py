@@ -11,7 +11,9 @@ from albertlab import cubic
 from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import NotInvertible, VerificationFailure
+from albertlab.isotopy import isotope
 from albertlab.rng import Stream
+from albertlab.scalars import lift
 
 
 def _first_summand(j, d_elem):
@@ -108,14 +110,30 @@ class TestDerivedOps:
             assert trace_pair(j_m3_f5, xz, y) == \
                 trace_pair(j_m3_f5, x, y) + trace_pair(j_m3_f5, z, y)
 
-    def test_cross_is_polarized_sharp(self, j_lk_q):
+    def test_cross_is_polarized_sharp(self, j_lk_q, j_lk_f5):
         s = Stream(41)
-        for _ in range(5):
-            x = j_lk_q.random_point(s)
-            y = j_lk_q.random_point(s)
-            lhs = j_lk_q.sharp(tuple(a + b for a, b in zip(x, y)))
+
+        def mixed(j):
+            # a Q point with mixed denominators, about a third of it zero
+            return tuple(Fraction(0) if s.next_below(3) == 0 else
+                         Fraction(s.next_below(19) - 9, 1 + s.next_below(6))
+                         for _ in range(j.dim))
+
+        pairs = [(j_lk_q, j_lk_q.random_point(s), j_lk_q.random_point(s))
+                 for _ in range(5)]
+        pairs += [(j_lk_q, mixed(j_lk_q), mixed(j_lk_q)) for _ in range(5)]
+        pairs += [(j_lk_f5, j_lk_f5.random_point(s),
+                   j_lk_f5.random_point(s)) for _ in range(5)]
+        # a random-v isotope: its unit, and so its adjoint, is not integral
+        jv = isotope(j_lk_q, j_lk_q.random_invertible(s))
+        assert lift(jv.unit)[1] > 1
+        pairs += [(jv, jv.unit, mixed(jv)), (jv, mixed(jv), jv.unit)]
+        pairs += [(jv, jv.random_point(s), mixed(jv)) for _ in range(3)]
+        assert any(lift(x)[1] > 1 and lift(y)[1] > 1 for _, x, y in pairs)
+        for j, x, y in pairs:
+            lhs = j.sharp(tuple(a + b for a, b in zip(x, y)))
             rhs = tuple(a + b + c for a, b, c in zip(
-                j_lk_q.sharp(x), j_lk_q.sharp(y), j_lk_q.cross(x, y)))
+                j.sharp(x), j.sharp(y), j.cross(x, y)))
             assert lhs == rhs
 
     def test_u_matrix_matches_u_op(self, j_m3_f5):

@@ -1,11 +1,12 @@
 """Ground-point routes on int lifts: u_op from the int U data against
 T(x, y) x - x# x y assembled from T(x, y) (the trace_pair fixture) and
 the adjoint polarized from sharp; trace, spur and u_matrix against the
-ground norm form expanded at c + z; and the evaluator check (_evaluator_mismatch), which runs the
-evaluators and the int forms on the same lane vectors of a batch of int
-lifts, against the evaluators and N and # run point by point on the
-ground scalars themselves, with the lane contract, the witness order and
-the number of evaluator runs of the axiom suite's evaluator check."""
+ground norm form expanded at c + z; and the evaluator check
+(_evaluator_mismatch), which runs the evaluators and the int forms on
+the same lane vectors of a batch of int lifts, against the evaluators
+and N and # run point by point on the ground scalars themselves, with
+the lane contract, the witness order and the number of evaluator runs
+of the axiom suite's evaluator check."""
 
 import json
 import os

@@ -9,15 +9,17 @@ ground field k:
 * CommutativeCubic -- a cubic etale algebra (L over k, or LK = L (x) K
                     over K) viewed as a commutative "degree 3 algebra".
 
-An element is a tuple of entries: 9 center elements for the matrix
-algebra, 3 elements of L for the cyclic one, 3 center elements (its
-coefficients on {1, alpha, alpha^2}) for the commutative cubic.  The
-element operations that do not depend on the kind (sums, scaling,
-inverse, k-coordinates, random draws) live once in _Algebra; each kind
-gives its entry count and its entries: the center, or L for the cyclic
-algebra.  The commutative cubic multiplies through L's structure table
-and rho, with center elements as coefficients, so L over k and LK over
-K share one multiplication.
+The center is k (GroundCenter, whose elements are bare scalars) or the
+tower's quadratic etale K itself (a fields.Extension, whose elements
+are K Elems).  An element is a tuple of entries: 9 center elements for
+the matrix algebra, 3 elements of L for the cyclic one, 3 center
+elements (its coefficients on {1, alpha, alpha^2}) for the commutative
+cubic.  The element operations that do not depend on the kind (sums,
+scaling, inverse, k-coordinates, random draws) live once in _Algebra;
+each kind gives its entry count and its entries: the center, or L for
+the cyclic algebra.  The commutative cubic multiplies through L's
+structure table and rho, with center elements as coefficients, so L
+over k and LK over K share one multiplication.
 
 Every operation is division-free in the element coordinates and
 branches on a coordinate's truthiness only to skip a zero term or to
@@ -33,37 +35,28 @@ algebra is *defined* as the determinant of the splitting embedding.
 The closed trace and adjoint formulas, and the cyclic algebra's spur,
 are validated against N(t 1 - x), read off by interpolation, in
 tests/test_associative.py.  Each algebra also expands its reduced norm
-once into int forms in the k-coordinates (norm_int), which the witness
-search evaluates at every candidate.  A unitary involution builds its
-k-linear matrix once, checks sigma^2 = 1 on it as one matrix product,
-and reads its hermitian basis off it (linalg.fixed_basis).
+once into int forms in the k-coordinates (norm_int, through
+poly._int_scaled), which the witness search evaluates at every
+candidate.  A unitary involution builds its k-linear matrix once,
+checks sigma^2 = 1 on it as one matrix product, and reads its hermitian
+basis off it (linalg.fixed_basis).
 """
 
 from . import linalg
-from .cubic import _int_scaled
-from .errors import (DescentFailure, NotInvertible, NotSecondKind,
+from .errors import (ConfigError, NotInvertible, NotSecondKind,
                      TwistNotHermitian, VerificationFailure)
-from .fields import Elem
-from .poly import variables
+from .fields import Elem, _descend
+from .poly import _int_scaled, variables
 
 
 # ---------------------------------------------------------------------------
-# center adapters
-
-def _descend(coords, what):
-    """coords[0] when every later coordinate vanishes, the descent of a
-    value to the center, or to k; else DescentFailure naming `what`."""
-    if any(coords[1:]):
-        raise DescentFailure("%s with coordinates %r does not descend"
-                             % (what, list(coords)))
-    return coords[0]
-
+# the ground field as a center
 
 class GroundCenter:
-    """Center = the ground field itself; elements are bare scalars."""
+    """Center = the ground field itself; elements are bare scalars.  It
+    gives the members of fields.Extension that a center needs."""
 
     dim = 1
-    is_quadratic = False
 
     def __init__(self, ground):
         self.ground = ground
@@ -76,7 +69,7 @@ class GroundCenter:
     def to_k_coords(self, x):
         return [x]
 
-    def bar(self, x):
+    def conj(self, x):
         raise NotSecondKind("center is the ground field; no conjugation")
 
     def descend(self, x):
@@ -87,41 +80,6 @@ class GroundCenter:
 
     def random(self, stream):
         return self.ground.random(stream)
-
-
-class QuadraticCenter:
-    """Center = quadratic etale K; elements are K Elems."""
-
-    dim = 2
-    is_quadratic = True
-
-    def __init__(self, tower):
-        if tower.K is None:
-            raise NotSecondKind("tower has no quadratic level K")
-        self.tower = tower
-        self.K = tower.K
-        self.ground = tower.ground
-        self.one = self.K.one
-        self.zero = self.K.zero
-
-    def from_k_coords(self, coords):
-        return Elem(self.K, coords)
-
-    def to_k_coords(self, x):
-        return list(x.coords)
-
-    def bar(self, x):
-        return self.K.conj(x)
-
-    def descend(self, x):
-        """K element fixed by bar -> ground scalar (coordinate check)."""
-        return _descend(x.coords, "K value")
-
-    def inv(self, x):
-        return x.inv()
-
-    def random(self, stream):
-        return self.K.random(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +135,9 @@ class _Algebra:
     def norm_int(self):
         """(forms, den): an element with k-coordinates x has reduced norm
         with center coordinates forms[i](x) / den, for the int cubic forms
-        of cubic._int_scaled (one form over a ground center, two over a
-        quadratic one).  The forms are homogeneous, so at x = xi / d the
-        norm is forms[i](xi) / (den d^3)."""
+        of poly._int_scaled (one form over a ground center, two over K).
+        The forms are homogeneous, so at x = xi / d the norm is
+        forms[i](xi) / (den d^3)."""
         if self._norm_int is None:
             c = self.center
             n = self.norm(self.from_k_coords(
@@ -241,7 +199,8 @@ class MatrixAlgebra(_Algebra):
     def involution(self, a):
         """Conjugate transpose."""
         c = self.center
-        return tuple(c.bar(a[3 * j + i]) for i in range(3) for j in range(3))
+        return tuple(c.conj(a[3 * j + i]) for i in range(3)
+                     for j in range(3))
 
     def __repr__(self):
         return "M3(center dim %d over %r)" % (self.center.dim,
@@ -257,8 +216,8 @@ class CyclicAlgebra(_Algebra):
 
     def __init__(self, tower, a):
         if tower.L is None:
-            raise DescentFailure("cyclic algebra needs a cyclic cubic L")
-        self.tower = tower
+            raise ConfigError("cyclic algebra needs a cyclic cubic L; the "
+                              "tower has none")
         self.L = tower.L
         super().__init__(GroundCenter(tower.ground), self.L, 3)
         if not a:
@@ -364,7 +323,9 @@ class CommutativeCubic(_Algebra):
     @staticmethod
     def over_LK(tower):
         """LK as a commutative cubic K-algebra (the second-process B)."""
-        return CommutativeCubic(QuadraticCenter(tower), tower.L)
+        if tower.K is None:
+            raise NotSecondKind("tower has no quadratic level K")
+        return CommutativeCubic(tower.K, tower.L)
 
     def unit(self):
         return (self.center.one, self.center.zero, self.center.zero)
@@ -378,7 +339,7 @@ class CommutativeCubic(_Algebra):
     def involution(self, x):
         """bar on the coefficients: the center-semilinear involution fixing
         L (LK only)."""
-        return tuple(self.center.bar(c) for c in x)
+        return tuple(self.center.conj(c) for c in x)
 
     def trace(self, x):
         r = self.rho(x)
@@ -411,7 +372,7 @@ class UnitaryInvolution:
     matrix^2 = I."""
 
     def __init__(self, algebra, twist=None):
-        if not algebra.center.is_quadratic:
+        if algebra.center.dim != 2:
             raise NotSecondKind("involutions of the second kind require a "
                                 "quadratic etale center")
         self.algebra = algebra

@@ -9,7 +9,7 @@ in the documented bases.  See docs/schema.md for the full format.
 import json
 
 from .associative import (CommutativeCubic, CyclicAlgebra, GroundCenter,
-                          MatrixAlgebra, QuadraticCenter, UnitaryInvolution)
+                          MatrixAlgebra, UnitaryInvolution)
 from .errors import ConfigError, NotInvertible
 from .fields import Elem, FieldTower, cyclic_cubic, quadratic_etale
 from .scalars import PrimeField, RationalField
@@ -167,7 +167,7 @@ def tower(node):
         if not _split_flag(node):
             d = _tower_scalar(ground, _need(node, "d", what), what + " d")
         K = quadratic_etale(ground, d)
-    return FieldTower(ground, K, d, L)
+    return FieldTower(ground, K, L)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ class BuildContext:
                 raise ConfigError("algebra 'lk' needs a composite tower")
             b_alg = CommutativeCubic.over_LK(self.tower)
         elif kind == "matrix":
-            b_alg = MatrixAlgebra(QuadraticCenter(self.tower))
+            b_alg = MatrixAlgebra(self.tower.K)
         else:
             raise ConfigError("unknown second-construction algebra %r"
                               % (kind,))

@@ -56,8 +56,8 @@ from typing import Callable, List, Optional
 
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
-from .poly import (Poly, directional_derivative, indices, linear_form,
-                   sum_of_products, variables)
+from .poly import (Poly, _int_scaled, _mod, directional_derivative,
+                   indices, linear_form, sum_of_products, variables)
 from .rng import Stream
 from .scalars import Lanes, from_int, lane_values, lift
 
@@ -599,25 +599,6 @@ def _first_failure(n, draw, fails):
         if fails(x):
             return x
     return None
-
-
-def _int_scaled(polys):
-    """Scale ground polys by the lcm of all denominators; int coeffs.
-
-    Over Q this clears denominators.  F_p scalars are ints with
-    denominator 1, so over F_p it lifts the residues unchanged; reduce
-    with _mod before comparing results."""
-    coeffs, den = lift([c for p in polys for c in p.terms.values()])
-    it = iter(coeffs)
-    return [Poly({m: next(it) for m in p.terms}) for p in polys], den
-
-
-def _mod(p, char):
-    """Int poly p read in characteristic char: coefficients reduced mod
-    char and zeros dropped; p itself in characteristic 0."""
-    if not char:
-        return p
-    return Poly({m: c % char for m, c in p.terms.items() if c % char})
 
 
 def corrupt_sharp(j: CubicNormStructure, coord=0, label=None):

@@ -4,7 +4,11 @@ Every extension is stored as structure constants over the ground field
 (Q or F_p), with elements as coordinate vectors relative to canonical
 bases: {1, s} with s^2 = d for K (or the two idempotents for split K)
 and the power basis {1, a, a^2} for L = k[x]/(f).  Each extension has
-one Galois generator, a k-linear matrix `sigma`: bar on K, rho on L.
+one Galois generator, a k-linear matrix `sigma`: bar on K, rho on L,
+applied by `conj`.  K is itself the center of the degree-3 algebras
+over it (M3(K) and LK in associative): it reads their entries in
+k-coordinates, inverts and conjugates them, and descends a bar-fixed
+value to k (`descend`, through _descend, the one coordinate descent).
 L's table comes straight from f, and rho's matrix from evaluating the
 polynomial rho at a with L's own multiplication.  config.tower builds a
 FieldTower from a config's tower node; the composite field L (x) K is a
@@ -24,8 +28,8 @@ from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
 from . import linalg
-from .errors import (ConfigError, NotGaloisClosure, NotInvertible,
-                     NotIrreducible)
+from .errors import (ConfigError, DescentFailure, NotGaloisClosure,
+                     NotInvertible, NotIrreducible)
 from .scalars import RationalField
 
 
@@ -112,6 +116,15 @@ def cubic_is_irreducible(f, ground):
     return not _fp_cubic_has_root(f, ground.p)
 
 
+def _descend(coords, what):
+    """coords[0] when every later coordinate vanishes, the descent of a
+    value to the center, or to k; else DescentFailure naming `what`."""
+    if any(coords[1:]):
+        raise DescentFailure("%s with coordinates %r does not descend"
+                             % (what, list(coords)))
+    return coords[0]
+
+
 # ---------------------------------------------------------------------------
 # extensions and their elements
 
@@ -121,8 +134,8 @@ class Elem:
     Coordinates are usually ground scalars but may be Polys during
     symbolic expansion.  A non-Elem factor on either side scales the
     coordinates; Poly * Elem reaches __rmul__ because Poly returns
-    NotImplemented for it.  All operations below are division-free
-    except inv(), which requires scalar coordinates.
+    NotImplemented for it.  All operations below are division-free;
+    Extension.inv divides, and requires scalar coordinates.
     """
 
     __slots__ = ("ext", "coords")
@@ -169,17 +182,6 @@ class Elem:
     def __repr__(self):
         return "Elem(%s, [%s])" % (self.ext.name,
                                    ", ".join(str(c) for c in self.coords))
-
-    def inv(self):
-        ext = self.ext
-        g = ext.ground
-        m = linalg.transpose([ext.mul_coords(self.coords, e) for e in
-                              linalg.identity(ext.dim, g.one, g.zero)])
-        try:
-            y = linalg.solve(m, list(ext.one.coords))
-        except NotInvertible:
-            raise NotInvertible("element %r is not invertible" % (self,))
-        return Elem(ext, y)
 
 
 class Extension:
@@ -236,6 +238,22 @@ class Extension:
         """x under the Galois generator: bar on K, rho on L."""
         return Elem(self, linalg.matvec(self.sigma, x.coords))
 
+    def descend(self, x):
+        """A value fixed by the Galois generator -> ground scalar
+        (coordinate check)."""
+        return _descend(x.coords, self.name + " value")
+
+    def inv(self, x):
+        """x^-1, solving x y = 1 on the multiplication matrix of x."""
+        g = self.ground
+        m = linalg.transpose([self.mul_coords(x.coords, e) for e in
+                              linalg.identity(self.dim, g.one, g.zero)])
+        try:
+            y = linalg.solve(m, list(self.one.coords))
+        except NotInvertible:
+            raise NotInvertible("element %r is not invertible" % (x,))
+        return Elem(self, y)
+
     def random(self, stream):
         return Elem(self, [self.ground.random(stream)
                            for _ in range(self.dim)])
@@ -249,10 +267,9 @@ class Extension:
 
 class FieldTower(NamedTuple):
     """A ground field with the K and L a tower node declares (None for a
-    level it does not); d is K's parameter, None when K is split."""
+    level it does not)."""
     ground: object
     K: Optional[Extension]
-    d: object
     L: Optional[Extension]
 
 

@@ -26,7 +26,7 @@ def extend_rho(j):
         raise ConfigError("the algebra must be the commutative cubic LK")
     center = b_alg.center
     mu = meta["mu"]
-    if mu * center.bar(mu) != center.one:
+    if mu * center.conj(mu) != center.one:
         raise NormConditionFailed("N_K(nu) != 1")
 
     g = j.ground

@@ -28,9 +28,9 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .cubic import CubicNormStructure, _mod
+from .cubic import CubicNormStructure
 from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
-from .poly import indices, pullback
+from .poly import _mod, indices, pullback
 from .scalars import lift
 from .tits import componentwise_matrix, embed_hermitian_summand, second_tits
 

@@ -24,6 +24,12 @@ pulls a homogeneous cubic int form back through an int matrix as a dense
 contraction on int lists; the norm-similarity certificate uses it,
 since its matrices are nearly full and the sparse substitution pays one
 dict update per term product.
+
+The int-form helpers live here too: _int_scaled turns ground polys into
+int forms over one denominator (through scalars.lift), and _mod reads
+an int form in a characteristic.  The cubic structures (cubic,
+isotopy) and the coefficient algebras (associative) build and compare
+their int forms with them.
 """
 
 from fractions import Fraction
@@ -31,6 +37,7 @@ from functools import lru_cache
 from operator import add
 
 from .errors import AlbertLabError
+from .scalars import lift
 
 MAX_DEGREE = 255
 
@@ -273,6 +280,27 @@ def sum_of_products(pairs):
     for a, b in pairs:
         _mul_into(out, a.terms, b.terms, 1)
     return _nonzero(out)
+
+
+# -- int forms --------------------------------------------------------------
+
+def _int_scaled(polys):
+    """Scale ground polys by the lcm of all denominators; int coeffs.
+
+    Over Q this clears denominators.  F_p scalars are ints with
+    denominator 1, so over F_p it lifts the residues unchanged; reduce
+    with _mod before comparing results."""
+    coeffs, den = lift([c for p in polys for c in p.terms.values()])
+    it = iter(coeffs)
+    return [Poly({m: next(it) for m in p.terms}) for p in polys], den
+
+
+def _mod(p, char):
+    """Int poly p read in characteristic char: coefficients reduced mod
+    char and zeros dropped; p itself in characteristic 0."""
+    if not char:
+        return p
+    return Poly({m: c % char for m, c in p.terms.items() if c % char})
 
 
 def pullback(p, rows):

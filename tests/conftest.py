@@ -13,7 +13,7 @@ from albertlab.config import tower
 from albertlab.fields import Elem
 from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
                                    GroundCenter, MatrixAlgebra,
-                                   QuadraticCenter, UnitaryInvolution)
+                                   UnitaryInvolution)
 from albertlab import tits, isotopy
 
 F_COEFFS = ["1", "-3", "0", "1"]      # x^3 - 3x + 1, cyclic over Q, F5, F7
@@ -117,7 +117,7 @@ def j_lk_f7(F7, tower_f7):
 @pytest.fixture(scope="session")
 def j_m3k_q(tower_q):
     # the 27-dimensional J(M3(K), sigma, u, mu): N(u) = 2 = N_K(1 + i)
-    m3 = MatrixAlgebra(QuadraticCenter(tower_q))
+    m3 = MatrixAlgebra(tower_q.K)
     K = tower_q.K
     z = K.zero
     two = Elem(K, [Fraction(2), Fraction(0)])

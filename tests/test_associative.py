@@ -9,8 +9,10 @@ import pytest
 from albertlab import linalg
 from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
                                    GroundCenter, MatrixAlgebra,
-                                   QuadraticCenter, UnitaryInvolution)
-from albertlab.errors import NotInvertible, NotSecondKind, TwistNotHermitian
+                                   UnitaryInvolution)
+from albertlab.config import tower
+from albertlab.errors import (ConfigError, NotInvertible, NotSecondKind,
+                              TwistNotHermitian)
 from albertlab.fields import Elem
 from albertlab.poly import Poly, mono
 from albertlab.rng import Stream
@@ -129,7 +131,7 @@ class TestMatrixAlgebra:
                 assert sharp == m3.sharp(a)
 
     def test_conj_transpose_over_k(self, tower_q):
-        m3 = MatrixAlgebra(QuadraticCenter(tower_q))
+        m3 = MatrixAlgebra(tower_q.K)
         s = Stream(127)
         x, y = m3.random(s), m3.random(s)
         # antihomomorphism: (xy)* = y* x*
@@ -139,6 +141,11 @@ class TestMatrixAlgebra:
 
 
 class TestCyclicAlgebra:
+    def test_tower_without_l_rejected(self, QQ):
+        quadratic = tower({"kind": "quadratic", "base": "Q", "d": "-1"})
+        with pytest.raises(ConfigError, match="cyclic cubic L"):
+            CyclicAlgebra(quadratic, QQ.one)
+
     def test_generator_norm_is_a(self, QQ, tower_l_q):
         d = CyclicAlgebra(tower_l_q, QQ.from_int(2))
         L = d.L
@@ -198,6 +205,11 @@ class TestCyclicAlgebra:
 
 
 class TestCommutativeCubic:
+    def test_over_lk_needs_k(self, tower_l_q):
+        with pytest.raises(NotSecondKind,
+                           match="^tower has no quadratic level K$"):
+            CommutativeCubic.over_LK(tower_l_q)
+
     def test_over_l_norm_matches_tower(self, tower_l_q):
         c = CommutativeCubic.over_L(tower_l_q)
         L = tower_l_q.L
@@ -244,7 +256,7 @@ class TestCommutativeCubic:
 
 class TestUnitaryInvolution:
     def test_hermitian_dimensions(self, tower_q):
-        m3 = MatrixAlgebra(QuadraticCenter(tower_q))
+        m3 = MatrixAlgebra(tower_q.K)
         sig = UnitaryInvolution(m3)
         assert len(sig.hermitian_basis()) == 9
         c = CommutativeCubic.over_LK(tower_q)
@@ -263,7 +275,7 @@ class TestUnitaryInvolution:
         # rho (order 3), or rho after bar (order 6), in place of bar
         def rho_bar(self, x):
             if order == 6:
-                x = tuple(self.center.bar(c) for c in x)
+                x = tuple(self.center.conj(c) for c in x)
             return self.rho(x)
         monkeypatch.setattr(CommutativeCubic, "involution", rho_bar)
         with pytest.raises(TwistNotHermitian,
@@ -271,7 +283,7 @@ class TestUnitaryInvolution:
             UnitaryInvolution(CommutativeCubic.over_LK(tower_q))
 
     def test_matrix_squares_to_identity(self, tower_q):
-        m3 = MatrixAlgebra(QuadraticCenter(tower_q))
+        m3 = MatrixAlgebra(tower_q.K)
         sig = UnitaryInvolution(m3)
         g = tower_q.ground
         assert linalg.matmul(sig.matrix, sig.matrix) == \
@@ -288,7 +300,7 @@ class TestUnitaryInvolution:
             UnitaryInvolution(m3)
 
     def test_twisted_involution(self, tower_q):
-        m3 = MatrixAlgebra(QuadraticCenter(tower_q))
+        m3 = MatrixAlgebra(tower_q.K)
         sig = UnitaryInvolution(m3)
         K = tower_q.K
         two = Elem(K, [Fraction(2), Fraction(0)])
@@ -304,7 +316,7 @@ class TestUnitaryInvolution:
             assert sig_v.apply(sig_v.apply(x)) == x
 
     def test_non_hermitian_twist_rejected(self, tower_q):
-        m3 = MatrixAlgebra(QuadraticCenter(tower_q))
+        m3 = MatrixAlgebra(tower_q.K)
         sig = UnitaryInvolution(m3)
         K = tower_q.K
         i_elem = Elem(K, [Fraction(0), Fraction(1)])

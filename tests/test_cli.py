@@ -491,6 +491,17 @@ class TestExitCodes:
         assert code == want
         assert ("not supported" in err) == value
 
+    def test_nilpotent_reverification_failure_is_1(self, monkeypatch):
+        # a witness failing U_x(x) = 0 stops the run outside any task
+        from albertlab.cubic import CubicNormStructure
+        monkeypatch.setattr(CubicNormStructure, "u_op",
+                            lambda self, x, y: (self.ground.one,) * self.dim)
+        code, out, err = run_cli(["search", "--config",
+                                  cfg("m3_f5_first.json")])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "verification failure: nilpotent witness failed re-verification"]
+
     def test_uncertified_iso_verify_map_is_1(self, monkeypatch):
         # (b, x) -> (b, x) in place of (b, x) -> (vb, x)
         from albertlab import isotopy, linalg

@@ -17,11 +17,10 @@ import pytest
 from albertlab import config, cubic, tits
 from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
                                    GroundCenter, MatrixAlgebra,
-                                   QuadraticCenter, UnitaryInvolution,
-                                   _descend)
+                                   UnitaryInvolution)
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import DescentFailure
-from albertlab.fields import Elem
+from albertlab.fields import Elem, _descend
 from albertlab.isotopy import isotope
 from albertlab.poly import Poly, variables
 from albertlab.rng import Stream
@@ -259,7 +258,7 @@ class TestLanes:
             Lanes([1]) * 0.5
 
     def test_descent_failure_on_one_lane_raises(self, tower_q):
-        center = QuadraticCenter(tower_q)
+        center = tower_q.K
         ok = Elem(tower_q.K, [Lanes([1, 2, 3]), Lanes([0, 0, 0])])
         assert center.descend(ok).values == [1, 2, 3]
         with pytest.raises(DescentFailure):

@@ -7,9 +7,10 @@ import pytest
 
 from albertlab import search
 from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
-                                   MatrixAlgebra, QuadraticCenter)
+                                   MatrixAlgebra)
 from albertlab.errors import VerificationFailure
 from albertlab.fields import Elem
+from albertlab.isotopy import isotope
 from albertlab.rng import Stream
 from albertlab.scalars import from_int, lift
 from albertlab.search import (division_falsify, find_nilpotent,
@@ -126,6 +127,15 @@ class TestDivisionFalsify:
         assert (r1.status, r1.index, r1.witness, r1.detail) == \
             (r8.status, r8.index, r8.witness, r8.detail)
 
+    def test_norm_zero_fall_through(self, j_m3_f5):
+        # an isotope is no Tits construction, so no preimage scan runs
+        # and the witness is a norm-zero element of j itself
+        j = isotope(j_m3_f5, j_m3_f5.random_invertible(Stream(5)))
+        res = division_falsify(j, budget=200, seed=3)
+        assert (res.found, res.index) == (True, 0)
+        assert res.detail == "nonzero element with N = 0"
+        assert any(res.witness) and j.norm(res.witness) == 0
+
     def test_preimage_hit_failing_norm_fn_raises(self, j_m3_f5):
         # the int-form predicate hits (as above); a norm_fn that disagrees
         # with it must stop the search instead of returning the hit
@@ -143,8 +153,7 @@ def _algebra(request, name):
     if name == "cubic_etale":
         return CommutativeCubic.over_L(request.getfixturevalue("tower_l_q"))
     if name == "m3_k":
-        return MatrixAlgebra(QuadraticCenter(
-            request.getfixturevalue("tower_q")))
+        return MatrixAlgebra(request.getfixturevalue("tower_q").K)
     return request.getfixturevalue(name).meta["algebra"]
 
 
@@ -200,7 +209,7 @@ class TestIntNormForms:
         assert search._norm_is(m3_5, F5.from_int(8))(two)
         assert not search._norm_is(m3_5, F5.from_int(2))(two)
         b = j_lk_q.meta["algebra"]
-        k = b.center.K
+        k = b.center
         two = b.smul(Elem(k, [QQ.from_int(2), QQ.zero]), b.unit())
         assert search._norm_is(b, Elem(k, [QQ.from_int(8), QQ.zero]))(two)
         assert not search._norm_is(

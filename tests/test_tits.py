@@ -6,8 +6,7 @@ import pytest
 
 from albertlab import linalg, tits
 from albertlab.associative import (CommutativeCubic, GroundCenter,
-                                   MatrixAlgebra, QuadraticCenter,
-                                   UnitaryInvolution)
+                                   MatrixAlgebra, UnitaryInvolution)
 from albertlab.errors import ConfigError, NotAdmissible, NotInvertible
 from albertlab.config import tower
 from albertlab.fields import Elem
@@ -65,7 +64,7 @@ class TestFirstConstruction:
             tits.first_tits(MatrixAlgebra(GroundCenter(QQ)), QQ.zero)
 
     def test_k_central_required(self, tower_q):
-        m3k = MatrixAlgebra(QuadraticCenter(tower_q))
+        m3k = MatrixAlgebra(tower_q.K)
         with pytest.raises(ConfigError):
             tits.first_tits(m3k, Fraction(1))
 
@@ -109,6 +108,12 @@ class TestSecondConstruction:
         with pytest.raises(NotAdmissible):
             tits.second_tits(b, sigma, b.unit(), mu)
 
+    def test_zero_mu_rejected(self, tower_q):
+        b = CommutativeCubic.over_LK(tower_q)
+        sigma = UnitaryInvolution(b)
+        with pytest.raises(NotAdmissible, match="mu must be invertible"):
+            tits.second_tits(b, sigma, b.unit(), tower_q.K.zero)
+
     def test_singular_u_rejected(self, tower_q):
         b = CommutativeCubic.over_LK(tower_q)
         sigma = UnitaryInvolution(b)
@@ -122,7 +127,7 @@ class TestSecondConstruction:
                        "split": True})
         b = CommutativeCubic.over_LK(split)
         sigma = UnitaryInvolution(b)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="not supported"):
             tits.second_tits(b, sigma, b.unit(), split.K.one)
 
     def test_twisted_parameters(self, tower_q, j_lk_q):

@@ -16,8 +16,12 @@ Norm similarities are certified symbolically: the pullback of the target
 norm form through the map's matrix is compared, monomial by monomial,
 with a scalar multiple of the source norm form.  The pullback runs on
 int lifts, the matrix lifted once over one denominator and the target's
-int norm form contracted with it one tensor mode at a time
-(poly.pullback), with no Poly per matrix row.  An isomorphism
+int norm form contracted with it by poly.pullback: two tensor modes on
+int lists, the symmetric pair of the last two folded onto one entry,
+and the last mode as one big-int multiply-add per matrix row on slices
+packed into byte slots wide enough that none borrows from the next; no
+Poly per matrix row.  The contraction is exact over Z, so the result is
+read mod the characteristic afterwards.  An isomorphism
 certificate is a similarity with multiplier 1 that carries the base
 point to the base point.  For a second construction the v-isotope is
 mapped onto J(B, s_v, u v#, N(v) mu) by one closed-form map, which is
@@ -130,9 +134,11 @@ def verify_norm_similarity(f):
 
     The matrix entries are lifted once to ints over one denominator s,
     and the target's int norm form is pulled back through that int
-    matrix by poly.pullback, a dense contraction one mode at a time;
-    the result is compared with the source's int norm form mod the
-    characteristic, as in the axiom suite."""
+    matrix by poly.pullback, a dense contraction over Z that folds the
+    symmetric pair of the last two modes and contracts the last mode on
+    packed big-int slots sized by an exact bound; the result is compared
+    with the source's int norm form mod the characteristic, as in the
+    axiom suite."""
     src, tgt = f.source, f.target
     g = src.ground
     n = src.dim

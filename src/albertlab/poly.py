@@ -21,9 +21,16 @@ then handles a product itself).
 Poly.eval substitutes Poly args nested by first index down to linear
 terms and keeps nothing between calls.  Besides it, pullback(p, rows)
 pulls a homogeneous cubic int form back through an int matrix as a dense
-contraction on int lists; the norm-similarity certificate uses it,
-since its matrices are nearly full and the sparse substitution pays one
-dict update per term product.
+contraction on ints; the norm-similarity certificate uses it, since its
+matrices are nearly full and the sparse substitution pays one dict
+update per term product.  It contracts the first two tensor modes on
+int lists, folds the symmetric pair (b, c), (c, b) of the last two
+modes onto one entry, packs each folded slice into one int of
+fixed-width signed byte slots (Kronecker substitution) and contracts
+the remaining mode one scalar multiply-add per row on those ints.  The
+slot width comes from an exact bound on every slot, so no slot borrows
+from its neighbour, and since only ints are added and multiplied the
+result is exact over Z and so, read by _mod, in every characteristic.
 
 The int-form helpers live here too: _int_scaled turns ground polys into
 int forms over one denominator (through scalars.lift), and _mod reads
@@ -307,38 +314,78 @@ def pullback(p, rows):
     """p(F x) for a homogeneous cubic int form p and an int matrix F
     whose row r holds the coefficients of coordinate r of F x.
 
-    A dense contraction, one mode at a time, on int lists: with p =
-    sum c_ijk x_i x_j x_k, R_ij = sum_k c_ijk rows[k] over the terms of
-    index prefix (i, j), G_i = sum_j rows[j] (x) R_ij as a flat list with
-    entry b * n + c, and T_a = sum_i rows[i][a] G_i, so that p(F x) =
-    sum T_a[b * n + c] x_a x_b x_c.  Each nonzero entry is folded once
-    onto its packed monomial and zero sums are dropped once at the end.
+    rows must hold one row per variable index of p, all of one length n
+    (the number of variables of the result); anything else is an
+    AlbertLabError.
+
+    A dense contraction on ints: with p = sum c_ijk x_i x_j x_k,
+    R_ij = sum_k c_ijk rows[k] over the terms of index prefix (i, j) and
+    G_i = sum_j rows[j] (x) R_ij, p(F x) = sum_a sum_i rows[i][a] G_i[b, c]
+    x_a x_b x_c.  Terms whose row i is zero contribute nothing and are
+    skipped.  Entries (b, c) and (c, b) of G_i land on one monomial, so
+    G_i is folded to its n(n + 1)/2 entries b <= c, the two entries added
+    when b != c.  Each folded G_i is packed into one int of nb-byte slots,
+    slot k holding entry k (Kronecker substitution), and the last mode is
+    contracted on those ints, T_a = sum_i rows[i][a] P_i being one scalar
+    multiply-add per packed i; each nonzero T_a is unpacked once.
+
+    The slots never borrow from their neighbours: every |G_i[k]| is at
+    most gmax, the largest folded entry over the packed i, and every
+    |T_a[k]| at most (sum_i |rows[i][a]|) gmax.  Each packed i has a
+    nonzero row, so bound = max_a (sum_i |rows[i][a]|) gmax is at least
+    gmax and bounds every slot of both.  nb = (bit length of bound + 8)
+    // 8 bytes hold any |v| <= bound below 2^(8 nb - 1), the top bit of a
+    slot being its sign; a slot is written as v + 2^(8 nb - 1) and the
+    packed int corrected by one offset.  Only ints are added and multiplied, so the
+    result is exact over Z and, read by _mod, in every characteristic.
     The term dict equals p.eval(linear forms of rows, 1) exactly."""
     if not p.is_homogeneous(3):
         raise AlbertLabError("pullback needs a homogeneous cubic form")
     n = len(rows[0]) if rows else 0
+    top = max((indices(m)[2] for m in p.terms), default=-1)
+    if len(rows) <= top or any(len(row) != n for row in rows):
+        raise AlbertLabError("pullback needs one row per variable of the "
+                             "form, all of one length")
     r = {}
     for m, c in p.terms.items():
         i, j, k = indices(m)
+        if not any(rows[i]):
+            continue
         rk = [c * e for e in rows[k]]
         r[i, j] = list(map(add, r[i, j], rk)) if (i, j) in r else rk
     g = {}
     for (i, j), rij in r.items():
         outer = [e * f for e in rows[j] for f in rij]
         g[i] = list(map(add, g[i], outer)) if i in g else outer
+    pairs = [(b * n + c, c * n + b) for b in range(n) for c in range(b, n)]
+    for i, gi in g.items():
+        g[i] = [gi[u] + gi[v] if u != v else gi[u] for u, v in pairs]
+    gmax = max((abs(v) for gi in g.values() for v in gi), default=0)
+    wsum = max((sum(abs(rows[i][a]) for i in g) for a in range(n)),
+               default=0)
+    bound = wsum * gmax
+    nb = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * nb - 1)
+    offset = int.from_bytes(half.to_bytes(nb, "little") * len(pairs),
+                            "little")
+    packed = []
+    for i, gi in g.items():
+        buf = b"".join([(v + half).to_bytes(nb, "little") for v in gi])
+        packed.append((rows[i], int.from_bytes(buf, "little") - offset))
     x = [mono((a,)) for a in range(n)]
-    bc = [x[b] + x[c] for b in range(n) for c in range(n)]
+    bc = [x[b] + x[c] for b in range(n) for c in range(b, n)]
+    size = nb * len(pairs)
     out = {}
     for a in range(n):
-        t = None
-        for i, gi in g.items():
-            w = rows[i][a]
-            if w:
-                wg = [w * e for e in gi]
-                t = wg if t is None else list(map(add, t, wg))
-        if t is None:
+        t = 0
+        for row, pi in packed:
+            if row[a]:
+                t += row[a] * pi
+        if not t:
             continue
-        for m, v in zip(bc, t):
+        buf = (t + offset).to_bytes(size, "little")
+        for m, s in zip(bc, range(0, size, nb)):
+            v = int.from_bytes(buf[s:s + nb], "little") - half
             if v:
                 m += x[a]
                 out[m] = out.get(m, 0) + v

@@ -217,8 +217,11 @@ def _cubic(terms):
 
 
 class TestPullback:
+    # an isotope's norm form is its base's scaled by N(v), so the last two
+    # cases pull back larger coefficients than the base configs do
     @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q", "j_lk_q",
-                                      "j_m3k_q", "j_m3_f5", "j_lk_f5"])
+                                      "j_m3k_q", "j_m3_f5", "j_lk_f5",
+                                      "iso_m3_f5", "iso_lk_q"])
     def test_norm_through_u_matrices(self, name, request):
         j = request.getfixturevalue(name)
         n2 = j.n_int[0]
@@ -281,6 +284,64 @@ class TestPullback:
             st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
             min_size=nvars, max_size=nvars))
         assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_wide_entries(self, nvars, ncols, data):
+        """Coefficients and entries in +-2^70: slots many bytes wide."""
+        wide = st.integers(-2 ** 70, 2 ** 70)
+        idx = st.integers(0, nvars - 1)
+        terms = data.draw(st.lists(st.tuples(idx, idx, idx, wide),
+                                   max_size=8))
+        p = _cubic([tuple(sorted(t[:3])) + (t[3],) for t in terms])
+        rows = data.draw(st.lists(
+            st.lists(wide, min_size=ncols, max_size=ncols),
+            min_size=nvars, max_size=nvars))
+        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+
+    def test_zero_row_with_nonzero_contraction(self):
+        """Row 1 is zero while R_12 and G_1 are not: the term adds no
+        weight to the last mode and must not size the slots."""
+        p = _cubic([(1, 2, 2, 5)])
+        rows = [[1, 2], [0, 0], [30, -40]]
+        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+        assert pullback(p, rows).terms == {}
+        p = p + _cubic([(0, 0, 2, -3)])
+        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+
+    @pytest.mark.parametrize("e", [63, 64, 90])
+    def test_entries_near_powers_of_two(self, e):
+        big = 2 ** e
+        p = _cubic([(0, 0, 0, 3), (0, 1, 2, -7), (1, 1, 2, 1),
+                    (2, 2, 2, -2), (0, 2, 2, 5)])
+        rows = [[big - 1, -big, 3], [-big + 1, big, -5],
+                [7, -big - 1, big + 1]]
+        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+        rows = [[-big, -big + 1, big], [big - 1, 0, -big], [1, big, -1]]
+        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+
+    @pytest.mark.parametrize("m", [1, 255, 1000000, 2 ** 40 + 1])
+    def test_same_sign_slot_at_bound(self, m):
+        """p = 2 (x0^3 + x1^3 + x2^3) with every entry -m: each folded
+        G_i has off-diagonal entries 4 m^2 and every T_a slot b < c is
+        -12 m^3, the slot bound exactly (it has bit length 64 at
+        m = 1000000, a whole number of bytes)."""
+        p = _cubic([(i, i, i, 2) for i in range(3)])
+        rows = [[-m] * 3] * 3
+        got = pullback(p, rows)
+        assert got.terms == _nested_pullback(p, rows).terms
+        s3 = _cubic([(i, j, k, 1) for i in range(3) for j in range(3)
+                     for k in range(3)])    # (x0 + x1 + x2)^3
+        assert got == -6 * m ** 3 * s3
+
+    @pytest.mark.parametrize("rows", [
+        [[1], [2, 3]],          # short first row
+        [[1, 2], [3]],          # short last row
+        [[1, 2]]])              # no row for x1
+    def test_malformed_rows_rejected(self, rows):
+        p = _cubic([(0, 0, 1, 1), (1, 1, 1, 2)])
+        with pytest.raises(AlbertLabError, match="one row per variable"):
+            pullback(p, rows)
 
     @pytest.mark.parametrize("p", [
         Poly({mono((0, 1)): 1}),

@@ -336,8 +336,9 @@ def pullback(p, rows):
     gmax and bounds every slot of both.  nb = (bit length of bound + 8)
     // 8 bytes hold any |v| <= bound below 2^(8 nb - 1), the top bit of a
     slot being its sign; a slot is written as v + 2^(8 nb - 1) and the
-    packed int corrected by one offset.  Only ints are added and multiplied, so the
-    result is exact over Z and, read by _mod, in every characteristic.
+    packed int corrected by one offset.  Only ints are added and
+    multiplied, so the result is exact over Z and, read by _mod, in
+    every characteristic.
     The term dict equals p.eval(linear forms of rows, 1) exactly."""
     if not p.is_homogeneous(3):
         raise AlbertLabError("pullback needs a homogeneous cubic form")

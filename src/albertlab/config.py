@@ -159,13 +159,13 @@ def tower(node):
     if kind not in ("quadratic", "cubic", "composite"):
         raise ConfigError("unknown tower kind %r" % (kind,))
     what = "%s tower" % kind
-    K = d = L = None
+    K = L = None
     if kind != "quadratic":
         L = cyclic_cubic(ground, _coeff_list(ground, node, "f", what),
                          _coeff_list(ground, node, "rho", what))
     if kind != "cubic":
-        if not _split_flag(node):
-            d = _tower_scalar(ground, _need(node, "d", what), what + " d")
+        d = ground.one if _split_flag(node) else \
+            _tower_scalar(ground, _need(node, "d", what), what + " d")
         K = quadratic_etale(ground, d)
     return FieldTower(ground, K, L)
 

@@ -2,13 +2,14 @@
 
 Every extension is stored as structure constants over the ground field
 (Q or F_p), with elements as coordinate vectors relative to canonical
-bases: {1, s} with s^2 = d for K (or the two idempotents for split K)
-and the power basis {1, a, a^2} for L = k[x]/(f).  Each extension has
-one Galois generator, a k-linear matrix `sigma`: bar on K, rho on L,
-applied by `conj`.  K is itself the center of the degree-3 algebras
-over it (M3(K) and LK in associative): it reads their entries in
-k-coordinates, inverts and conjugates them, and descends a bar-fixed
-value to k (`descend`, through _descend, the one coordinate descent).
+bases: {1, s} with s^2 = d for K (split K = k x k is d = 1, with
+idempotents (1 +- s)/2) and the power basis {1, a, a^2} for
+L = k[x]/(f).  Each extension has one Galois generator, a k-linear
+matrix `sigma`: bar on K, rho on L, applied by `conj`.  K is itself the
+center of the degree-3 algebras over it (M3(K) and LK in associative):
+it reads their entries in k-coordinates, inverts them as bar(x)/N(x)
+and conjugates them, and descends a bar-fixed value to k (`descend`,
+through _descend, the one coordinate descent).
 L's table comes straight from f, and rho's matrix from evaluating the
 polynomial rho at a with L's own multiplication.  config.tower builds a
 FieldTower from a config's tower node; the composite field L (x) K is a
@@ -244,15 +245,12 @@ class Extension:
         return _descend(x.coords, self.name + " value")
 
     def inv(self, x):
-        """x^-1, solving x y = 1 on the multiplication matrix of x."""
-        g = self.ground
-        m = linalg.transpose([self.mul_coords(x.coords, e) for e in
-                              linalg.identity(self.dim, g.one, g.zero)])
-        try:
-            y = linalg.solve(m, list(self.one.coords))
-        except NotInvertible:
+        """x^-1 = bar(x) / N(x) on K, whose norm x bar(x) descends to k."""
+        xb = self.conj(x)
+        n = self.descend(x * xb)
+        if not n:
             raise NotInvertible("element %r is not invertible" % (x,))
-        return Elem(self, y)
+        return xb * self.ground.inv(n)
 
     def random(self, stream):
         return Elem(self, [self.ground.random(stream)
@@ -274,15 +272,13 @@ class FieldTower(NamedTuple):
 
 
 def quadratic_etale(ground, d):
-    """K = k[s]/(s^2 - d) with bar: s -> -s, or the split k x k with the
-    swap of its idempotents when d is None."""
+    """K = k[s]/(s^2 - d) with bar: s -> -s, etale for nonzero d away
+    from characteristic 2 (where s -> -s is the identity); d = 1 is the
+    split K = k x k."""
     g = ground
-    if d is None:
-        K = Extension(g, "K", 2, [[[g.one, g.zero], [g.zero, g.zero]],
-                                  [[g.zero, g.zero], [g.zero, g.one]]],
-                      [g.one, g.one])
-        K.sigma = [[g.zero, g.one], [g.one, g.zero]]
-        return K
+    if g.char == 2:
+        raise ConfigError("quadratic etale K = k[s]/(s^2 - d) is not etale "
+                          "in characteristic 2")
     if not d:
         raise ConfigError("quadratic etale parameter d must be nonzero")
     K = Extension(g, "K", 2, [[[g.one, g.zero], [g.zero, g.one]],

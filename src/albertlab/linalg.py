@@ -2,8 +2,8 @@
 
 Dimensions never exceed 27x27 here, so plain Gaussian elimination with
 first-nonzero pivoting is both fast enough and deterministic (the same
-input always yields the same echelon form and kernel basis).  solve and
-kernel_basis run it on any scalar type with /, == and truthiness.
+input always yields the same echelon form and kernel basis), and
+kernel_basis runs it on any scalar type with /, == and truthiness.
 fixed_basis, the kernel basis of m - I, is the one route to the space a
 square matrix fixes (a hermitian basis, the extended rho's fixed
 subalgebra).
@@ -19,7 +19,6 @@ exact) and elimination mod p over F_p.
 from fractions import Fraction
 from operator import mul
 
-from .errors import NotInvertible
 from .scalars import from_int, ground_type, lift
 
 
@@ -122,16 +121,6 @@ def _rank_int(rows, p):
         prev = 1 if p else a
         r += 1
     return r
-
-
-def solve(m, rhs):
-    """Solve m x = rhs for square invertible m; raises NotInvertible."""
-    n = len(m)
-    aug = [list(m[i]) + [rhs[i]] for i in range(n)]
-    pivots = _echelonize(aug)
-    if pivots != list(range(n)):
-        raise NotInvertible("singular linear system")
-    return [aug[i][n] for i in range(n)]
 
 
 def kernel_basis(m, one, zero):

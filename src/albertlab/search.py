@@ -150,7 +150,7 @@ def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
     if meta and meta["type"] == "first_tits":
         d_alg = meta["algebra"]
         lam = meta["lam"]
-        hit = _preimage_search(d_alg, lam, d_alg.norm, pre_budget, seed)
+        hit = _preimage_search(d_alg, lam, pre_budget, seed)
         if hit is not None:
             i, w = hit
             jw = _first_split_witness(j, d_alg, w)
@@ -164,7 +164,7 @@ def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
     elif meta and meta["type"] == "second_tits":
         b_alg = meta["algebra"]
         mu = meta["mu"]
-        hit = _preimage_search(b_alg, mu, b_alg.norm, pre_budget, seed)
+        hit = _preimage_search(b_alg, mu, pre_budget, seed)
         if hit is not None:
             i, w = hit
             return SearchResult(
@@ -176,9 +176,9 @@ def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
     return res
 
 
-def _preimage_search(alg, value, norm_fn, budget, seed):
+def _preimage_search(alg, value, budget, seed):
     """Earliest (i, w) with N(w) = value over the random candidates w of
-    alg, tested on alg.norm_int and re-verified with norm_fn."""
+    alg, tested on alg.norm_int and re-verified with alg.norm."""
     base = Stream(seed).derive("preimage").seed
 
     def candidate(i):
@@ -186,7 +186,7 @@ def _preimage_search(alg, value, norm_fn, budget, seed):
         return alg.random(s)
 
     hit = _search(budget, candidate, _norm_is(alg, value))
-    if hit is not None and norm_fn(hit[1]) != value:
+    if hit is not None and alg.norm(hit[1]) != value:
         raise VerificationFailure("norm preimage failed re-verification")
     return hit
 

@@ -64,11 +64,6 @@ def first_tits(d_alg, lam, label=None):
 def second_tits(b_alg, sigma, u, mu, label=None):
     """J(B, sigma, u, mu) for B of degree 3 over a quadratic etale K."""
     center = b_alg.center
-    if center.dim != 2:
-        raise ConfigError("second construction needs a K-central algebra")
-    if any(center.one.coords[1:]):     # descent reads k as k e_0
-        raise ConfigError("split K = k x k second constructions are not "
-                          "supported")
     if sigma.algebra is not b_alg:
         raise ConfigError("involution does not act on the given algebra")
     g = center.ground

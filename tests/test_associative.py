@@ -45,23 +45,16 @@ def char_coeffs(alg, x):
     """(T, S, N, x#) of x in a k-central algebra, from its reduced norm
     alone, as an oracle for the closed forms.
 
-    N(t*1 - x) = t^3 - T t^2 + S t - N is read off by exact interpolation
-    at t = 0, 1, 2, 3 or, over F_2 and F_3, which have too few shifts, by
-    evaluating with t a polynomial indeterminate; x# = x^2 - T x + S 1.
+    N(t*1 - x) = t^3 - T t^2 + S t - N is read off by evaluating it with
+    t a polynomial indeterminate, in every characteristic;
+    x# = x^2 - T x + S 1.
     """
     g = alg.center.ground
     unit = alg.unit()
-    if g.char == 0 or g.char >= 5:
-        shifts = [g.from_int(i) for i in range(4)]
-        vals = [alg.norm(alg.sub(alg.smul(t, unit), x)) for t in shifts]
-        vander = [[g.one, t, t * t, t * t * t] for t in shifts]
-        coeffs = linalg.solve(vander, vals)
-    else:
-        t = Poly.var(0, g.one)
-        x_const = alg.from_k_coords([Poly.const(c)
-                                     for c in alg.to_k_coords(x)])
-        v = alg.norm(alg.sub(alg.smul(t, unit), x_const))
-        coeffs = [v.coefficient(mono((0,) * k)) or g.zero for k in range(3)]
+    t = Poly.var(0, g.one)
+    x_const = alg.from_k_coords([Poly.const(c) for c in alg.to_k_coords(x)])
+    v = alg.norm(alg.sub(alg.smul(t, unit), x_const))
+    coeffs = [v.coefficient(mono((0,) * k)) or g.zero for k in range(3)]
     t_val, s_val, n_val = -coeffs[2], coeffs[1], -coeffs[0]
     xx = alg.mul(x, x)
     tx = alg.smul(t_val, x)
@@ -117,8 +110,8 @@ class TestMatrixAlgebra:
                 assert sharp == m3.sharp(a)
 
     def test_char_coeffs_small_field_symbolic_path(self):
-        # F2 and F3 have too few scalar shifts for interpolation; the
-        # symbolic-t path must agree with the closed determinant forms
+        # the symbolic-t oracle agrees with the closed determinant forms
+        # also over F2 and F3, which have too few points to interpolate at
         for p in (2, 3):
             g = PrimeField(p)
             m3 = MatrixAlgebra(GroundCenter(g))

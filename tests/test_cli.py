@@ -408,6 +408,10 @@ class TestExitCodes:
          "second construction needs a tower with K"),
         ("lk_q_second.json", ["tower", "kind"], "quadratic",
          "algebra 'lk' needs a composite tower"),
+        # s -> -s is the identity in characteristic 2
+        ("m3k_q_second.json", ["tower", "base"], {"p": 2},
+         "quadratic etale K = k[s]/(s^2 - d) is not etale in "
+         "characteristic 2"),
     ])
     def test_malformed_config_names_the_field(self, tmp_path, name, path,
                                               value, want):
@@ -480,8 +484,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value, want", [(False, 0), (True, 2)])
     def test_boolean_split_is_read(self, tmp_path, value, want):
-        # false builds the field K = k(sqrt(d)); true asks for k x k, which
-        # second constructions do not support
+        # false builds the field K = k(sqrt(d)); true builds the split
+        # K = k[s]/(s^2 - 1), where N_K(3/5 + 4/5 s) = -7/25 is not
+        # N_B(1) = 1, while mu = 1 is admissible
         with open(cfg("lk_q_second.json")) as fh:
             data = json.load(fh)
         data["tower"]["split"] = value
@@ -489,7 +494,32 @@ class TestExitCodes:
         c.write_text(json.dumps(data))
         code, _, err = run_cli(["build", "--config", str(c)])
         assert code == want
-        assert ("not supported" in err) == value
+        if value:
+            assert err == "config error: N_B(u) != mu * bar(mu): pair " \
+                "is not admissible\n"
+            data["construction"]["mu"] = ["1", "0"]
+            c.write_text(json.dumps(data))
+            assert run_cli(["build", "--config", str(c)])[0] == 0
+
+    @pytest.mark.parametrize("name", ["lk_q_second.json",
+                                      "m3k_q_second.json",
+                                      "lk_f5_second.json"])
+    def test_split_is_d_equal_1(self, tmp_path, name):
+        # "split": true and "d": "1" are one K, so one check report
+        runs = []
+        for key, value in (("split", True), ("d", "1")):
+            with open(cfg(name)) as fh:
+                data = json.load(fh)
+            del data["tower"]["d"]
+            data["tower"][key] = value
+            data["construction"]["mu"] = ["1", "0"]
+            c = tmp_path / "c.json"
+            c.write_text(json.dumps(data))
+            runs.append(run_cli(["check", "--config", str(c)]))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "ok"
 
     def test_nilpotent_reverification_failure_is_1(self, monkeypatch):
         # a witness failing U_x(x) = 0 stops the run outside any task
@@ -561,6 +591,7 @@ class TestExitContract:
            st.sampled_from(COMMANDS))
     @example(("lk_f5_second.json", ("tasks", 2, "v", 0)), "1/5", "isotope")
     @example(("cyclic_q_first.json", ("tower", "f", 0)), 10 ** 40, "build")
+    @example(("m3k_q_second.json", ("tower", "base")), {"p": 2}, "check")
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=80, report_multiple_bugs=False)
     def test_one_leaf_mutation(self, tmp_path_factory, site, value,

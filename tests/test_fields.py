@@ -7,7 +7,8 @@ import pytest
 
 from albertlab.associative import CommutativeCubic
 from albertlab.config import tower
-from albertlab.errors import ConfigError, NotGaloisClosure, NotIrreducible
+from albertlab.errors import (ConfigError, NotGaloisClosure, NotInvertible,
+                              NotIrreducible)
 from albertlab.fields import Elem, cubic_is_irreducible
 from albertlab.rng import Stream
 from albertlab.scalars import PrimeField
@@ -46,13 +47,39 @@ class TestQuadratic:
         assert K.conj(x) == Elem(K, [Fraction(2), Fraction(7)])
 
     def test_split_case(self):
+        # split K = k x k is k[s]/(s^2 - 1), with idempotents (1 +- s)/2
         tow = tower({"kind": "quadratic", "base": "Q", "split": True})
         K = tow.K
         x = Elem(K, [Fraction(2), Fraction(5)])
         y = Elem(K, [Fraction(3), Fraction(-1)])
-        # componentwise product in k x k
-        assert x * y == Elem(K, [Fraction(6), Fraction(-5)])
-        assert K.conj(x) == Elem(K, [Fraction(5), Fraction(2)])
+        # (2 + 5s)(3 - s) = 6 - 5 + (15 - 2)s
+        assert x * y == Elem(K, [Fraction(1), Fraction(13)])
+        assert K.conj(x) == Elem(K, [Fraction(2), Fraction(-5)])
+        # N(2 + 5s) = 4 - 25, so x^-1 = (2 - 5s) / -21
+        assert K.inv(x) == Elem(K, [Fraction(-2, 21), Fraction(5, 21)])
+        assert x * K.inv(x) == K.one
+        with pytest.raises(NotInvertible):
+            K.inv(Elem(K, [Fraction(1), Fraction(1)]))
+
+    def test_inverse_is_bar_over_norm(self, tower_q, tower_f5):
+        # K = Q(i) (d = -1) and F_25 = F_5(sqrt 2) (d = 2)
+        for K in (tower_q.K, tower_f5.K):
+            s = Stream(19)
+            for _ in range(20):
+                x = K.random(s)
+                if not x:
+                    with pytest.raises(NotInvertible):
+                        K.inv(x)
+                    continue
+                assert x * K.inv(x) == K.one
+                assert K.inv(K.inv(x)) == x
+
+    @pytest.mark.parametrize("node", [
+        {"kind": "quadratic", "base": {"p": 2}, "d": "1"},
+        {"kind": "quadratic", "base": {"p": 2}, "split": True}])
+    def test_characteristic_2_rejected(self, node):
+        with pytest.raises(ConfigError, match="characteristic 2"):
+            tower(node)
 
     def test_f25_bar_is_frobenius(self):
         f5 = PrimeField(5)

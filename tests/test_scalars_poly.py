@@ -238,22 +238,8 @@ class TestPoly:
 
 
 class TestLinalg:
-    def test_solve_and_inverse(self):
-        one, zero = Fraction(1), Fraction(0)
-        m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
-        x = linalg.solve(m, [Fraction(1), Fraction(0)])
-        assert x == [Fraction(4), Fraction(-7)]
-        # the inverse, one column per unit vector
-        cols = [linalg.solve(m, e)
-                for e in linalg.identity(2, one, zero)]
-        assert linalg.matmul(m, linalg.transpose(cols)) == \
-            linalg.identity(2, one, zero)
-
-    def test_singular_raises(self):
-        one, zero = Fraction(1), Fraction(0)
+    def test_rank_of_singular_matrix(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        with pytest.raises(NotInvertible):
-            linalg.solve(m, [one, zero])
         assert linalg.rank(m) == 1
 
     def test_kernel_basis_echelon_convention(self):

@@ -106,7 +106,7 @@ class TestDivisionFalsify:
         # force the preimage branch and check the conversion identity
         m3 = j_m3_f5.meta["algebra"]
         lam = j_m3_f5.meta["lam"]
-        hit = search._preimage_search(m3, lam, m3.norm, 4000, 5)
+        hit = search._preimage_search(m3, lam, 4000, 5)
         assert hit is not None
         i, w = hit
         assert m3.norm(w) == lam
@@ -136,13 +136,17 @@ class TestDivisionFalsify:
         assert res.detail == "nonzero element with N = 0"
         assert any(res.witness) and j.norm(res.witness) == 0
 
-    def test_preimage_hit_failing_norm_fn_raises(self, j_m3_f5):
-        # the int-form predicate hits (as above); a norm_fn that disagrees
-        # with it must stop the search instead of returning the hit
+    def test_preimage_hit_failing_norm_fn_raises(self, j_m3_f5,
+                                                 monkeypatch):
+        # the int-form predicate hits (as above); an alg.norm that
+        # disagrees with it must stop the search instead of returning
+        # the hit
         m3 = j_m3_f5.meta["algebra"]
         lam = j_m3_f5.meta["lam"]
+        m3.norm_int()       # the int forms come from the true norm
+        monkeypatch.setattr(m3, "norm", lambda w: lam + 1)
         with pytest.raises(VerificationFailure):
-            search._preimage_search(m3, lam, lambda w: lam + 1, 4000, 5)
+            search._preimage_search(m3, lam, 4000, 5)
 
 
 def _algebra(request, name):

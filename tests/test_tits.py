@@ -121,14 +121,24 @@ class TestSecondConstruction:
         with pytest.raises(NotInvertible):
             tits.second_tits(b, sigma, (K.zero,) * 3, K.one)
 
-    def test_split_k_rejected(self):
+    def test_split_k_builds(self):
+        # split K = k[s]/(s^2 - 1); mu = 5/4 + 3/4 s has N_K(mu) = 1 = N_B(1)
         split = tower({"kind": "composite", "base": "Q",
                        "f": ["1", "-3", "0", "1"], "rho": ["-2", "0", "1"],
                        "split": True})
         b = CommutativeCubic.over_LK(split)
         sigma = UnitaryInvolution(b)
-        with pytest.raises(ConfigError, match="not supported"):
-            tits.second_tits(b, sigma, b.unit(), split.K.one)
+        mu = Elem(split.K, [Fraction(5, 4), Fraction(3, 4)])
+        j = tits.second_tits(b, sigma, b.unit(), mu)
+        assert j.dim == 9
+        rep = j.axiom_suite(seed=17, points=40)
+        assert rep.all_passed, rep
+
+    def test_involution_of_another_algebra_rejected(self, tower_q):
+        b = CommutativeCubic.over_LK(tower_q)
+        sigma = UnitaryInvolution(CommutativeCubic.over_LK(tower_q))
+        with pytest.raises(ConfigError, match="does not act on the given"):
+            tits.second_tits(b, sigma, b.unit(), tower_q.K.one)
 
     def test_twisted_parameters(self, tower_q, j_lk_q):
         # the isotope target data (sigma_v, u v#, N(v) mu) is admissible

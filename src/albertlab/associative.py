@@ -24,14 +24,9 @@ over k and LK over K share one multiplication.
 Every operation is division-free in the element coordinates and
 branches on a coordinate's truthiness only to skip a zero term or to
 raise (a failed descent), so the same code paths run with polynomial
-indeterminates during symbolic expansion, and on lane vectors of int
-lifts (scalars.Lanes) when the evaluator check runs a batch of points
-and compares the lanes with the int forms run on the same lanes; a lane
-vector reads an integral constant over Q (the cyclic parameter a, L's
-structure table, the rho matrices, with rho^2 cached as one matrix) as
-an int, and sums start from None instead of a Fraction zero, so int
-lanes stay ints through every product.  The reduced norm of the cyclic
-algebra is *defined* as the determinant of the splitting embedding.
+indeterminates during symbolic expansion and on ground scalars.  The
+reduced norm of the cyclic algebra is *defined* as the determinant of
+the splitting embedding.
 The closed trace and adjoint formulas, and the cyclic algebra's spur,
 are validated against N(t 1 - x), read off by interpolation, in
 tests/test_associative.py.  Each algebra also expands its reduced norm

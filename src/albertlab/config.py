@@ -164,7 +164,11 @@ def tower(node):
         L = cyclic_cubic(ground, _coeff_list(ground, node, "f", what),
                          _coeff_list(ground, node, "rho", what))
     if kind != "cubic":
-        d = ground.one if _split_flag(node) else \
+        split = _split_flag(node)
+        if split and "d" in node:
+            raise ConfigError("%s: 'split': true and 'd' both name K; "
+                              "give one" % what)
+        d = ground.one if split else \
             _tower_scalar(ground, _need(node, "d", what), what + " d")
         K = quadratic_etale(ground, d)
     return FieldTower(ground, K, L)

@@ -37,14 +37,11 @@ Part II, ch. 4), stated over any commutative ring of scalars, so in
 every characteristic; U_x(x^-1) = x also follows from two of them
 directly (see axiom_suite).  A failed or sampled premise samples both.
 
-The evaluators have one route at ground points too, the check of the
-forms against them (_evaluator_mismatch): per chunk of EVAL_CHUNK points
-the evaluators and the int forms run once each on the same lane vectors
-(scalars.Lanes) of the points' int lifts, compared lane by lane over the
-forms' denominators with no value mapped back.  An evaluator may branch
-on a value's truthiness only, to skip a zero term or to raise; a lane
-vector is falsy only when every lane is zero, so a failed descent on
-any lane raises for the whole chunk.
+The evaluators run only on indeterminates.  Without a forms hook they
+yield the forms, so forms and evaluators agree by construction; with
+one, the evaluator check (_forms_mismatch) compares the hook's forms
+with the evaluators' own forms as int forms, mod the characteristic.
+Neither draws a point.
 """
 
 import time
@@ -59,7 +56,7 @@ from .errors import NotInvertible, VerificationFailure
 from .poly import (Poly, _int_scaled, _mod, directional_derivative,
                    indices, linear_form, sum_of_products, variables)
 from .rng import Stream
-from .scalars import Lanes, from_int, lane_values, lift
+from .scalars import from_int, lift
 
 # rough bound on coefficient multiplications before a symbolic identity
 # check falls back to random-point verification.  _sharp_cost, the sum of
@@ -67,11 +64,6 @@ from .scalars import Lanes, from_int, lane_values, lift
 # coordinate i), bounds the quadratic term products of the x## proof:
 # Poly.eval multiplies each first-index group sum_k c_ik S_k by S_i once.
 SYMBOLIC_OP_LIMIT = 3_000_000
-
-# points per run of the evaluator check (_evaluator_mismatch): one lane
-# vector per coordinate holds this many points at most, so the memory of
-# a run is bounded for any number of points
-EVAL_CHUNK = 128
 
 # the premises of McCrimmon's construction theorem, as the suite names
 # them; both U-operator identities are derived when all of them were
@@ -381,26 +373,25 @@ class CubicNormStructure:
         return _mod(n_den * lhs, char) == _mod(s_den ** 3 * (n_i * n_i),
                                                char)
 
-    def _evaluator_mismatch(self, points):
-        """The index of the first ground point at which the forms and the
-        evaluators differ, or None.
+    def _forms_mismatch(self):
+        """None when the forms equal the evaluators' own forms
+        (_evaluator_forms), else a witness naming the first that differs,
+        "norm" or "adjoint coordinate m", and its lowest differing
+        monomial.
 
-        Each evaluator and each int form runs once on the same lane
-        vectors, the columns of the points' int lifts.  With x = xi / d,
-        x's lane holds d^3 N(x) from eval_norm and n_den d^3 N(x) from
-        n_i, and d^2 x# from eval_sharp and s_den d^2 x# from sh_i, the
-        forms being homogeneous (expand_symbolic checks it); so x's lane
-        of n_den eval_norm - n_i, or of s_den eval_sharp - sh_i, is
-        nonzero exactly where the two differ at x.  Over F_p every lane
-        is a residue."""
-        (n_i, n_den), (sh_i, s_den) = self.n_int, self.sharp_int
-        cols = [Lanes(list(c), self.ground.char)
-                for c in zip(*[lift(x)[0] for x in points])]
-        diffs = [n_den * self.eval_norm(cols) - n_i.eval(cols, 0)]
-        diffs += [s_den * e - p.eval(cols, 0)
-                  for e, p in zip(self.eval_sharp(cols), sh_i)]
-        rows = zip(*[lane_values(v, len(points)) for v in diffs])
-        return next((k for k, row in enumerate(rows) if any(row)), None)
+        Each side is lifted to int forms over one denominator
+        (_int_scaled), a = da A and b = db B, so A = B exactly when
+        db a - da b is zero read in the characteristic (_mod)."""
+        n, sh = self.expand_symbolic()
+        en, esh = self._evaluator_forms()
+        (a_i, da), (b_i, db) = _int_scaled([n, *sh]), _int_scaled([en, *esh])
+        for m, (a, b) in enumerate(zip(a_i, b_i)):
+            diff = _mod(db * a - da * b, self.ground.char)
+            if diff:
+                return "%s, monomial %r" % (
+                    "adjoint coordinate %d" % (m - 1) if m else "norm",
+                    indices(min(diff.terms, key=indices)))
+        return None
 
     def axiom_suite(self, seed=0, points=100):
         """Run the full identity suite and return a report with one entry
@@ -450,11 +441,12 @@ class CubicNormStructure:
           characteristic, so none falls back to sampling.
         Otherwise both are sampled as the premises leave them: N(U_x y)
         at `points` random pairs, then U_x(x^-1) = x at max(10, points //
-        5) random invertible points, from the suite's one stream.  The
-        evaluator check (expansion_matches_evaluators) draws its points
-        last, so on a derived suite they come earlier in the stream than
-        on a sampled one; a wrong evaluator fails that check either way,
-        since no premise reads the evaluators."""
+        5) random invertible points, from the suite's one stream.
+
+        The forms agree with the evaluators by construction when there is
+        no forms hook; otherwise the hook's forms are compared with the
+        evaluators run on indeterminates (_forms_mismatch).  Either way
+        expansion_matches_evaluators is symbolic and draws no point."""
         g = self.ground
         stream = Stream(seed).derive("axioms:" + self.label)
         checks = []
@@ -575,18 +567,10 @@ class CubicNormStructure:
                 emit("u_operator_inverse_identity", False, "random",
                      "no invertible elements found")
 
-        # the int forms agree with the evaluators, both run once per
-        # chunk of EVAL_CHUNK points; the witness is the first failing
-        # point in draw order
-        w = None
-        for start in range(0, points, EVAL_CHUNK):
-            pts = [point() for _ in range(min(EVAL_CHUNK, points - start))]
-            k = self._evaluator_mismatch(pts)
-            if k is not None:
-                w = pts[k]
-                break
-        emit("expansion_matches_evaluators", w is None, "random",
-             None if w is None else repr(w))
+        # the forms against the evaluators: the same forms without a
+        # forms hook, else compared as int forms
+        w = None if self._forms is None else self._forms_mismatch()
+        emit("expansion_matches_evaluators", w is None, "symbolic", w)
 
         return AxiomReport(checks)
 

@@ -16,13 +16,8 @@ FieldTower from a config's tower node; the composite field L (x) K is a
 commutative cubic K-algebra in associative (CommutativeCubic), whose
 coefficient triples over K multiply through L's structure table.
 
-Products start from None rather than a ground zero, so an element
-whose coordinates are lane vectors of int lifts (the evaluator check,
-cubic.CubicNormStructure._evaluator_mismatch, which compares the
-evaluators' lanes with the int forms' lanes) multiplies on ints: a lane
-vector reads the integral structure constants over Q as ints.  The F_p
-root test of a cubic takes a gcd with x^p - x, so a large prime costs
-O(log p) products.
+The F_p root test of a cubic takes a gcd with x^p - x, so a large prime
+costs O(log p) products.
 """
 
 from math import isqrt, lcm
@@ -210,11 +205,8 @@ class Extension:
 
     def mul_coords(self, a, b, zero=None):
         """The coordinates of a b.  Coordinates may be ground scalars,
-        Polys, lane vectors or, for L (x) K, K elements; a coordinate
-        that no product reaches is `zero`, by default the ground zero.
-        A lane vector reads an integral Fraction as the equal int
-        (scalars.Lanes), so a Fraction zero added to int lanes later
-        leaves them ints."""
+        Polys or, for L (x) K, K elements; a coordinate that no product
+        reaches is `zero`, by default the ground zero."""
         dim = self.dim
         out = [None] * dim
         for i in range(dim):

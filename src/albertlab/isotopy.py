@@ -7,9 +7,8 @@ The v-isotope lives on the same carrier with
 and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope's
 forms are the base's forms scaled by these closed formulas, and its
 evaluators are the base's evaluators scaled the same way (U_{v^-1} held
-once as int rows), so they run on whatever the base's run on, lane
-vectors included, and the evaluator check compares the isotope's int
-forms with the base's evaluators, both run on the same lanes.
+once as int rows), so the evaluator check compares the isotope's forms
+with the base's evaluators run on indeterminates and scaled.
 u_isotope_identity compares the isotope's own U-matrix with U_x U_v as
 int matrices over their denominators, mod the characteristic.
 Norm similarities are certified symbolically: the pullback of the target
@@ -74,10 +73,8 @@ def isotope(j, v):
     denominator, so x^{#v} = N(v) U_{v^-1}(x#) is scale times those rows
     applied to x#.  The isotope's forms are N(v) times the base's norm
     form and the base's adjoint forms through the rows, times scale; its
-    evaluators are the base's, scaled the same way, so they run on any
-    scalars the base's run on (ground scalars, lane vectors) and the
-    evaluator check compares the isotope's forms with the base's
-    evaluators."""
+    evaluators are the base's, scaled the same way, and the evaluator
+    check compares the two."""
     nv = j.norm(v)
     if not nv:
         raise NotInvertible("N(v) = 0: isotope needs invertible v")

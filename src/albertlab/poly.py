@@ -175,9 +175,8 @@ class Poly:
             return _nonzero(out)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not other:
-            return Poly()
-        return Poly({m: c * other for m, c in self.terms.items()})
+        # over F_p a nonzero c * other can still be zero: keep no zero
+        return _nonzero({m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -217,12 +216,12 @@ class Poly:
     def eval(self, args, one):
         """Substitute args[i] for variable i.
 
-        With scalar args (ground scalars, ints or lane vectors) the
-        result is the scalar sum of c * prod(args); `one` only fixes its
-        zero when self has no terms.  The terms are read from a plan of
-        (coefficient, indices(m)) pairs built at the first scalar
-        evaluation and kept, which is sound because a Poly's terms never
-        change after construction.  With Poly args the substitution is
+        With scalar args (ground scalars or ints) the result is the
+        scalar sum of c * prod(args); `one` only fixes its zero when self
+        has no terms.  The terms are read from a plan of (coefficient,
+        indices(m)) pairs built at the first scalar evaluation and kept,
+        which is sound because a Poly's terms never change after
+        construction.  With Poly args the substitution is
         nested down to linear terms: the terms of degree 2 or more are
         grouped by their first index i, self = sum_i x_i L_i + (terms of
         degree at most 1), and each L_i is substituted the same way,

@@ -4,28 +4,18 @@ Scalar values must support +, -, *, unary -, /, ==, and be falsy exactly
 when zero; everything above this layer (extension towers, polynomials,
 matrices) is written against that contract only.  Rationals use
 fractions.Fraction, prime fields use a dynamically created int subclass
-that reduces mod p on every operation.  The evaluators of the algebras
-and constructions need less: they are division-free, never compare
-with ==, and branch on a value's truthiness only to skip a zero term or
-to raise.  So they also run on a lane vector (Lanes), one value per
-point of a batch, which is falsy only when every lane is zero.
+that reduces mod p on every operation.
 
 The exact kernels (Poly point evaluation, matrix products and ranks,
 U-matrices and U-operators) run on plain ints: lift() clears the
 denominators of a list of ground scalars once, and from_int() maps an
 int result back once.  Matrix products and ranks take ground-field
 matrices only (ground_type); nothing multiplies or ranks a matrix over
-an extension field.  The evaluators, and the int forms they are checked
-against, run on int lifts too, as lane vectors: a lane vector reads an
-integral Fraction constant (a structure constant of an algebra, a
-construction parameter, a Fraction zero) as the equal int, so over Q
-its lanes stay ints until a non-integral constant is met, and over F_p
-it reduces every lane.
+an extension field.
 """
 
 from fractions import Fraction
 from math import lcm
-from operator import add, mul, sub
 
 from .errors import ConfigError, NonPrimeModulus, NotInvertible
 from .rng import Stream
@@ -165,97 +155,6 @@ def from_int(kind, v, den):
     """The ground scalar v / den of type kind (see ground_type); over F_p
     every lift has den 1 and v is read mod p."""
     return Fraction(v, den) if kind is Fraction else kind(v)
-
-
-def _lane_constant(o):
-    """o as a constant that every lane shares: an int (an F_p scalar as
-    its plain int, an integral Fraction as the equal int) or a
-    non-integral Fraction; None for anything else."""
-    if type(o) is Fraction:
-        return o.numerator if o.denominator == 1 else o
-    if isinstance(o, int):
-        return int(o)
-    return None
-
-
-class Lanes:
-    """A lane vector: one ground value per point of a batch, so that an
-    evaluator runs once on a batch of points instead of once per point.
-
-    +, - and * act lane by lane, with another lane vector of the same
-    width or with a constant (an int, a Fraction or an F_p scalar) that
-    every lane shares; unary - negates every lane.  Over F_p (p > 0)
-    every lane is a plain int reduced mod p after every operation; over
-    Q (p = 0) a lane is an int, or a Fraction once a non-integral
-    constant is met, and an integral Fraction constant acts as the equal
-    int, so that int lanes stay ints.  A lane vector is falsy only when
-    every lane is zero, and it has no ==: an evaluator may branch on a
-    value's truthiness only to skip a zero term or to raise."""
-
-    __slots__ = ("values", "p")
-
-    def __init__(self, values, p=0):
-        self.values = values
-        self.p = p
-
-    def _new(self, values):
-        p = self.p
-        return Lanes([v % p for v in values] if p else values, p)
-
-    def __add__(self, o):
-        if type(o) is Lanes:
-            return self._new(list(map(add, self.values, o.values)))
-        c = _lane_constant(o)
-        if c is None:
-            return NotImplemented
-        return self._new([v + c for v in self.values])
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if type(o) is Lanes:
-            return self._new(list(map(sub, self.values, o.values)))
-        c = _lane_constant(o)
-        if c is None:
-            return NotImplemented
-        return self._new([v - c for v in self.values])
-
-    def __rsub__(self, o):
-        c = _lane_constant(o)
-        if c is None:
-            return NotImplemented
-        return self._new([c - v for v in self.values])
-
-    def __mul__(self, o):
-        if type(o) is Lanes:
-            return self._new(list(map(mul, self.values, o.values)))
-        c = _lane_constant(o)
-        if c is None:
-            return NotImplemented
-        return self._new([v * c for v in self.values])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._new([-v for v in self.values])
-
-    def __bool__(self):
-        return any(self.values)
-
-    def __eq__(self, o):
-        raise TypeError("lane vectors are tested by truthiness only")
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "Lanes(%r, p=%d)" % (self.values, self.p)
-
-
-def lane_values(v, width):
-    """The lanes of an evaluator's value v: v's own for a lane vector,
-    and width copies of v for a constant (a coordinate that no term of
-    the evaluator reaches)."""
-    return v.values if type(v) is Lanes else [v] * width
 
 
 class RationalField:

@@ -484,12 +484,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value, want", [(False, 0), (True, 2)])
     def test_boolean_split_is_read(self, tmp_path, value, want):
-        # false builds the field K = k(sqrt(d)); true builds the split
-        # K = k[s]/(s^2 - 1), where N_K(3/5 + 4/5 s) = -7/25 is not
-        # N_B(1) = 1, while mu = 1 is admissible
+        # false builds the field K = k(sqrt(d)); true, in place of d,
+        # builds the split K = k[s]/(s^2 - 1), where N_K(3/5 + 4/5 s) =
+        # -7/25 is not N_B(1) = 1, while mu = 1 is admissible
         with open(cfg("lk_q_second.json")) as fh:
             data = json.load(fh)
         data["tower"]["split"] = value
+        if value:
+            del data["tower"]["d"]
         c = tmp_path / "c.json"
         c.write_text(json.dumps(data))
         code, _, err = run_cli(["build", "--config", str(c)])
@@ -500,6 +502,17 @@ class TestExitCodes:
             data["construction"]["mu"] = ["1", "0"]
             c.write_text(json.dumps(data))
             assert run_cli(["build", "--config", str(c)])[0] == 0
+
+    def test_split_next_to_d_is_2(self, tmp_path):
+        # "split": true and "d": "-1" name two different K's
+        with open(cfg("lk_q_second.json")) as fh:
+            data = json.load(fh)
+        data["tower"]["split"] = True
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        assert run_cli(["build", "--config", str(c)]) == (
+            2, "", "config error: composite tower: 'split': true and 'd' "
+            "both name K; give one\n")
 
     @pytest.mark.parametrize("name", ["lk_q_second.json",
                                       "m3k_q_second.json",

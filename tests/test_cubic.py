@@ -12,6 +12,7 @@ from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import NotInvertible, VerificationFailure
 from albertlab.isotopy import isotope
+from albertlab.poly import indices
 from albertlab.rng import Stream
 from albertlab.scalars import lift
 
@@ -460,30 +461,80 @@ class TestUOperatorRoute:
         for name in U_CHECKS:
             assert _check(rep, name).mode == "random"
 
-    @pytest.mark.parametrize("name", ["j_m3_f5", "j_m3_q"])
+    @pytest.mark.parametrize("name", ["j_m3_f5", "j_m3_q", "j_cyc_q"])
     def test_derived_suite_catches_wrong_evaluator(self, name, request):
-        # j's own forms with a corrupted adjoint evaluator: every premise
-        # passes, so the U checks draw no points and the evaluator check
-        # draws the suite's first points, failing at the first with
-        # x0 != 0
-        j = request.getfixturevalue(name)
-        base_sharp = j.eval_sharp
-
-        def bad_sharp(coords):
-            out = list(base_sharp(coords))
-            out[4] = out[4] + coords[0] * coords[0]
-            return out
-
-        bad = CubicNormStructure(j.ground, j.dim, j.eval_norm, bad_sharp,
-                                 j.unit, label="bad_evaluator",
-                                 forms=j.expand_symbolic)
+        # j's own forms with 2 x0 x2 added to adjoint coordinate 4 of the
+        # evaluator: every premise passes, so the U checks are derived,
+        # and the form comparison names the coordinate and the monomial
+        bad = _wrong_evaluator(request.getfixturevalue(name))
         rep = bad.axiom_suite(seed=SEED, points=40)
         assert [c.name for c in rep.failed()] == \
             ["expansion_matches_evaluators"]
         for u in U_CHECKS:
             assert _check(rep, u).mode == "symbolic"
-        s = Stream(SEED).derive("axioms:bad_evaluator")
-        first = next(x for x in (bad.random_point(s) for _ in range(40))
-                     if x[0])
-        assert _check(rep, "expansion_matches_evaluators").witness == \
-            repr(first)
+        check = _check(rep, "expansion_matches_evaluators")
+        assert (check.mode, check.witness) == (
+            "symbolic", "adjoint coordinate 4, monomial (0, 2)")
+
+
+def _wrong_evaluator(j):
+    """j's forms hook (its expanded forms) under j's evaluators with
+    2 x0 x2 added to adjoint coordinate 4."""
+    def bad_sharp(coords):
+        out = list(j.eval_sharp(coords))
+        out[4] = out[4] + 2 * coords[0] * coords[2]
+        return out
+
+    return CubicNormStructure(j.ground, j.dim, j.eval_norm, bad_sharp,
+                              j.unit, label="bad_evaluator",
+                              forms=j.expand_symbolic)
+
+
+class TestEvaluatorCheck:
+    # expansion_matches_evaluators is symbolic on every structure: a Tits
+    # construction's forms are its evaluators' forms, and a forms hook's
+    # forms are compared with the evaluators run on indeterminates
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5"])
+    def test_isotope_hook_catches_wrong_evaluator(self, name, request):
+        j = request.getfixturevalue(name)
+        jv = isotope(j, j.random_invertible(Stream(7)))
+        assert jv.axiom_suite(seed=SEED, points=20).all_passed
+        rep = _wrong_evaluator(jv).axiom_suite(seed=SEED, points=20)
+        assert [(c.name, c.mode, c.witness) for c in rep.failed()] == [
+            ("expansion_matches_evaluators", "symbolic",
+             "adjoint coordinate 4, monomial (0, 2)")]
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q"])
+    def test_scaled_norm_form_is_caught(self, name, request):
+        # N/2 against N: both lift to the same int form, over the
+        # denominators 2 and 1, so only the cross-multiplied compare sees
+        # the difference, at the lowest monomial of N
+        j = request.getfixturevalue(name)
+        n, sh = j.expand_symbolic()
+        half = CubicNormStructure(j.ground, j.dim, j.eval_norm, j.eval_sharp,
+                                  j.unit, forms=lambda: (n * Fraction(1, 2),
+                                                         sh))
+        assert half._forms_mismatch() == "norm, monomial %r" % (
+            indices(min(n.terms, key=indices)),)
+
+    def test_tits_suite_runs_each_evaluator_once(self):
+        # the expansion is the only run: the check reads no second one
+        j = BuildContext(_config("cyclic_q_first")).j
+        counts = {"eval_norm": 0, "eval_sharp": 0}
+
+        def counted(name):
+            f = getattr(j, name)
+
+            def wrapper(coords):
+                counts[name] += 1
+                return f(coords)
+            return wrapper
+
+        for name in counts:
+            setattr(j, name, counted(name))
+        rep = j.axiom_suite(seed=SEED, points=100)
+        assert rep.all_passed
+        assert _check(rep, "expansion_matches_evaluators").mode == \
+            "symbolic"
+        assert counts == {"eval_norm": 1, "eval_sharp": 1}

@@ -172,6 +172,15 @@ class TestIsotope:
         rep = iso_lk_q.axiom_suite(seed=19, points=40)
         assert rep.all_passed, rep
 
+    def test_fp_isotope_stores_no_zero(self, j_m3_f5, j_lk_f5):
+        # U_{v^-1} is held as unreduced int rows, so the adjoint forms sum
+        # F_5 coefficients times plain ints, and such a product can be 0
+        for j in (j_m3_f5, j_lk_f5):
+            jv = isotope(j, j.random_invertible(Stream(7)))
+            n, sh = jv.expand_symbolic()
+            assert all(c for p in [n, *sh] for c in p.terms.values()), \
+                j.label
+
     @pytest.mark.parametrize("base", ["Q", {"p": 5}], ids=["Q", "F5"])
     def test_config_built_isotope_axioms(self, base):
         # the isotope_of construction, built from a config node as the

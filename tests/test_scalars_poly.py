@@ -13,8 +13,8 @@ from albertlab.poly import (Poly, directional_derivative, dump_cubic_form,
                             indices, linear_form, mono, sum_of_products,
                             variables)
 from albertlab.rng import Stream, draw, splitmix64
-from albertlab.scalars import (PRIME_BOUND, Lanes, PrimeField,
-                               RationalField, is_prime)
+from albertlab.scalars import (PRIME_BOUND, PrimeField, RationalField,
+                               is_prime)
 
 
 class TestScalars:
@@ -95,13 +95,21 @@ class TestPoly:
         assert not p
         assert p.terms == {}
 
+    def test_scalar_multiple_drops_zeros(self):
+        # over F_5 the product of a nonzero coefficient and a plain int
+        # can be zero: 2 * 5 = 0, 3 * 5 = 0
+        f5 = PrimeField(5)
+        x, y = variables(2, f5.one)
+        p = f5.from_int(2) * x + f5.from_int(3) * y
+        assert (p * 5).terms == {} and (5 * p).terms == {}
+        assert (p * 6).terms == p.terms
+
     def test_foreign_operands_refused(self):
-        # only a Poly, an int or a Fraction is a coefficient: a lane
-        # vector or a float raises instead of becoming a constant term
+        # only a Poly, an int or a Fraction is a coefficient: a float
+        # raises instead of becoming a constant term
         x = Poly.var(0, 1)
-        for add in (lambda: Lanes([1]) + x, lambda: x + Lanes([1]),
-                    lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5,
-                    lambda: 0.5 - x, lambda: Lanes([1]) - x):
+        for add in (lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5,
+                    lambda: 0.5 - x):
             with pytest.raises(TypeError):
                 add()
         half = Fraction(1, 2)

@@ -517,24 +517,3 @@ class TestEvaluatorCheck:
                                                          sh))
         assert half._forms_mismatch() == "norm, monomial %r" % (
             indices(min(n.terms, key=indices)),)
-
-    def test_tits_suite_runs_each_evaluator_once(self):
-        # the expansion is the only run: the check reads no second one
-        j = BuildContext(_config("cyclic_q_first")).j
-        counts = {"eval_norm": 0, "eval_sharp": 0}
-
-        def counted(name):
-            f = getattr(j, name)
-
-            def wrapper(coords):
-                counts[name] += 1
-                return f(coords)
-            return wrapper
-
-        for name in counts:
-            setattr(j, name, counted(name))
-        rep = j.axiom_suite(seed=SEED, points=100)
-        assert rep.all_passed
-        assert _check(rep, "expansion_matches_evaluators").mode == \
-            "symbolic"
-        assert counts == {"eval_norm": 1, "eval_sharp": 1}

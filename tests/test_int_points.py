@@ -4,17 +4,23 @@ the adjoint polarized from sharp; trace, spur and u_matrix against the
 ground norm form expanded at c + z; and N and # against the evaluators
 run point by point on the ground scalars themselves, with the form
 comparison of the evaluator check (_forms_mismatch) on forms that
-differ from the evaluators."""
+differ from the evaluators; and one run of each evaluator per suite
+of a Tits construction."""
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
+from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.isotopy import isotope
 from albertlab.poly import Poly, variables
 from albertlab.rng import Stream
 from albertlab.scalars import lift
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _polarized(j, x, y):
@@ -176,3 +182,31 @@ class TestLiftedEvaluators:
         assert _reference_mismatch(bad, points) == \
             next(k for k, x in enumerate(points) if x[0])
         assert bad._forms_mismatch() == want
+
+
+class TestEvaluatorRuns:
+    """The evaluator check of a Tits construction runs each evaluator
+    once per suite, in the expansion, whatever its points and seed: the
+    points form no chunks and none is run point by point."""
+
+    @pytest.mark.parametrize("points, seed", [(100, 1), (257, 3)])
+    def test_one_run_per_chunk(self, points, seed):
+        with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
+            j = BuildContext(json.load(fh)).j
+        counts = {"eval_norm": 0, "eval_sharp": 0}
+
+        def counted(name):
+            f = getattr(j, name)
+
+            def wrapper(coords):
+                counts[name] += 1
+                return f(coords)
+            return wrapper
+
+        for name in counts:
+            setattr(j, name, counted(name))
+        rep = j.axiom_suite(seed=seed, points=points)
+        assert rep.all_passed
+        assert next(c.mode for c in rep.checks
+                    if c.name == "expansion_matches_evaluators") == "symbolic"
+        assert counts == {"eval_norm": 1, "eval_sharp": 1}

@@ -10,7 +10,7 @@ first use, from the items it reads, so no method has to run before
 another.  The default hook runs the evaluators on polynomial
 indeterminates; the Tits constructions use it.  Derived structures
 build their forms from their base's: an isotope scales them
-(isotopy.isotope), and corrupt_sharp adds one term.
+(isotopy.Isotope), and corrupt_sharp adds one term.
 
 Every operation at a ground point has one route.  N, #, T, S, the
 U-operator matrix, U_x(y) and x x y are computed from the int forms at
@@ -23,25 +23,30 @@ returns the int U-matrix over one denominator, for callers that keep
 computing on ints (the isotope's U_{v^-1} and its U^(v) check), u_op
 applies it to y's lift, and cross applies the polarized adjoint rows at
 x's lift to y's lift.
-Identity checks compare the int forms mod the characteristic where the
-expansion sizes stay reasonable and run exact checks at random points
-otherwise, each sampled check through one loop (_first_failure).
+Identity checks compare int forms mod the characteristic; a failed
+x##, N(x#) or evaluator check names the lowest monomial that differs,
+and the coordinate where there is one.
+x## = N(x) x and N(x#) = N(x)^2 come from one cached property
+(_adjoint_verdicts): this class proves them on its own forms, and an
+isotope overrides it to prove them through its base (isotopy.Isotope),
+so no dense isotope form is ever composed.
 
 The two U-operator identities N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x
 are derived, not sampled, when the suite has proved their premises as
-formal identities in the same run: N(c) = 1, c# = c, x## = N(x) x (below
-SYMBOLIC_OP_LIMIT), c x y = T(y) c - y and T(x#, y) = d_y N(x).  These
-are the hypotheses of McCrimmon's construction theorem for cubic norm
-structures (Trans. AMS 139, 1969; A Taste of Jordan Algebras, 2004,
-Part II, ch. 4), stated over any commutative ring of scalars, so in
-every characteristic; U_x(x^-1) = x also follows from two of them
-directly (see axiom_suite).  A failed or sampled premise samples both.
+formal identities in the same run: N(c) = 1, c# = c, x## = N(x) x,
+c x y = T(y) c - y and T(x#, y) = d_y N(x).  These are the hypotheses
+of McCrimmon's construction theorem for cubic norm structures (Trans.
+AMS 139, 1969; A Taste of Jordan Algebras, 2004, Part II, ch. 4),
+stated over any commutative ring of scalars, so in every
+characteristic; U_x(x^-1) = x also follows from two of them directly
+(see axiom_suite).  Only a failed premise samples both, through one
+loop (_first_failure).
 
-The evaluators run only on indeterminates.  Without a forms hook they
-yield the forms, so forms and evaluators agree by construction; with
-one, the evaluator check (_forms_mismatch) compares the hook's forms
-with the evaluators' own forms as int forms, mod the characteristic.
-Neither draws a point.
+The evaluators run only on indeterminates, once per structure
+(_evaluator_forms).  Without a forms hook they yield the forms, so forms
+and evaluators agree by construction; with one, the evaluator check
+(_forms_mismatch) compares the hook's forms with the evaluators' own
+forms as int forms, mod the characteristic.  Neither draws a point.
 """
 
 import time
@@ -53,17 +58,10 @@ from typing import Callable, List, Optional
 
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
-from .poly import (Poly, _int_scaled, _mod, directional_derivative,
+from .poly import (Poly, _int_scaled, _lowest, _mod, directional_derivative,
                    indices, linear_form, sum_of_products, variables)
 from .rng import Stream
 from .scalars import from_int, lift
-
-# rough bound on coefficient multiplications before a symbolic identity
-# check falls back to random-point verification.  _sharp_cost, the sum of
-# |S_i| |S_k| over the terms x_i x_k of the adjoint (S_i the terms of its
-# coordinate i), bounds the quadratic term products of the x## proof:
-# Poly.eval multiplies each first-index group sum_k c_ik S_k by S_i once.
-SYMBOLIC_OP_LIMIT = 3_000_000
 
 # the premises of McCrimmon's construction theorem, as the suite names
 # them; both U-operator identities are derived when all of them were
@@ -119,21 +117,26 @@ class CubicNormStructure:
 
     # -- symbolic expansion --------------------------------------------------
 
+    @cached_property
     def _evaluator_forms(self):
-        """The evaluators run on indeterminates; a constant they return
-        (a coordinate that no term reaches) becomes a constant Poly."""
+        """The evaluators run on indeterminates, once; a constant they
+        return (a coordinate that no term reaches) becomes a constant
+        Poly."""
         xs = variables(self.dim, self.ground.one)
         n, *sh = [p if isinstance(p, Poly) else Poly.const(p)
                   for p in [self.eval_norm(xs), *self.eval_sharp(xs)]]
         return n, sh
 
+    def _given_forms(self):
+        """The forms before expand_symbolic checks them: the forms hook's,
+        else the evaluators' own."""
+        return self._forms() if self._forms else self._evaluator_forms
+
     def expand_symbolic(self):
         """(N_poly, sharp_polys): the exact forms, from the forms hook,
         checked to be homogeneous."""
         if self._n_poly is None:
-            # not a bound method held on self: that cycle would keep every
-            # structure alive until the cyclic garbage collector runs
-            n, sh = (self._forms or self._evaluator_forms)()
+            n, sh = self._given_forms()
             if not n.is_homogeneous(3):
                 raise VerificationFailure(
                     "norm of %s is not a homogeneous cubic" % self.label)
@@ -146,10 +149,6 @@ class CubicNormStructure:
             self._sharp_polys = sh
         return self._n_poly, self._sharp_polys
 
-    @property
-    def sharp_polys(self):
-        return self.expand_symbolic()[1]
-
     @cached_property
     def n_int(self):
         """(n_i, den): N = n_i / den with n_i an int form (_int_scaled)."""
@@ -159,7 +158,7 @@ class CubicNormStructure:
     @cached_property
     def sharp_int(self):
         """(sh_i, den): # = sh_i / den with sh_i int forms (_int_scaled)."""
-        return _int_scaled(self.sharp_polys)
+        return _int_scaled(self.expand_symbolic()[1])
 
     @cached_property
     def _trace_data(self):
@@ -313,16 +312,26 @@ class CubicNormStructure:
                 return x
         raise NotInvertible("no invertible element found in %d draws" % tries)
 
-    # -- identity suite --------------------------------------------------------------
+    def _corrupted(self, coord):
+        """corrupt_sharp's copy of this structure."""
+        base_sharp = self.eval_sharp
 
-    def _sharp_cost(self):
-        sizes = [len(p.terms) for p in self.sharp_polys]
-        total = 0
-        for p in self.sharp_polys:
-            for m in p.terms:
-                i, j = indices(m)
-                total += sizes[i] * sizes[j]
-        return total
+        def bad_sharp(coords):
+            out = list(base_sharp(coords))
+            out[coord] = out[coord] + coords[0] * coords[0]
+            return out
+
+        def forms():
+            n, sh = self.expand_symbolic()
+            x0 = Poly.var(0, self.ground.one)
+            return n, [p + x0 * x0 if i == coord else p
+                       for i, p in enumerate(sh)]
+
+        return CubicNormStructure(self.ground, self.dim, self.eval_norm,
+                                  bad_sharp, self.unit,
+                                  label=self.label + "_corrupted", forms=forms)
+
+    # -- identity suite --------------------------------------------------------------
 
     def _trace_adjoint_ok(self):
         """T(x#, y) equals the directional derivative of N at x along y,
@@ -361,17 +370,54 @@ class CubicNormStructure:
                     return i
         return None
 
+    @cached_property
+    def _adjoint_verdicts(self):
+        """(x## = N(x) x, N(x#) = N(x)^2), each None when proved and a
+        witness otherwise.  Cached, so every suite run on the structure
+        and every isotope built on it share them.
+
+        x## = N(x) x is compared on the int lifts (denominators cleared
+        over Q) mod the characteristic: with n_i = n_den N and sh_i =
+        s_den #, coordinate i reads n_den sh_i(sh_i)_i = s_den^3 n_i x_i.
+        The witness names the first coordinate that differs and its
+        lowest differing monomial.
+
+        N(x#) = N(x)^2 is derived, not composed, when x## = N(x) x is
+        proved, the gradient identity T(x#, y) = d_y N(x) holds
+        (_trace_adjoint_ok) and the characteristic is not 3.  N is a
+        homogeneous cubic, so Euler's identity gives T(x#, x) = 3 N(x).
+        Substituting x# for x gives T(x##, x#) = 3 N(x#), and x## = N(x) x
+        with the symmetry of T turns the left side into N(x) T(x, x#) =
+        3 N(x)^2.  Dividing by 3 is allowed outside characteristic 3.  All
+        of these are identities of formal polynomials, so the
+        substitution is sound.  Otherwise N(x#) is composed
+        (_norm_of_adjoint_direct)."""
+        sh_i, s_den = self.sharp_int
+        n_i, n_den = self.n_int
+        char = self.ground.char
+        s3 = s_den ** 3
+        adjoint = None
+        for i, p in enumerate(sh_i):
+            diff = _mod(n_den * p.eval(sh_i, 1)
+                        - s3 * (n_i * Poly.var(i, 1)), char)
+            if diff:
+                adjoint = "coordinate %d, monomial %r" % (i, _lowest(diff))
+                break
+        if adjoint is None and char != 3 and self._trace_adjoint_ok():
+            return None, None
+        return adjoint, self._norm_of_adjoint_direct()
+
     def _norm_of_adjoint_direct(self):
         """N(x#) = N(x)^2 by composition: the int norm form composed with
         the int adjoint, against the square of the norm form, mod the
         characteristic.  With n_i = n_den N and sh_i = s_den #, the
-        identity reads n_den n_i(sh_i) = s_den^3 n_i^2."""
+        identity reads n_den n_i(sh_i) = s_den^3 n_i^2.  None when it
+        holds, else the lowest differing monomial."""
         sh_i, s_den = self.sharp_int
         n_i, n_den = self.n_int
-        char = self.ground.char
-        lhs = n_i.eval(sh_i, 1)
-        return _mod(n_den * lhs, char) == _mod(s_den ** 3 * (n_i * n_i),
-                                               char)
+        diff = _mod(n_den * n_i.eval(sh_i, 1) - s_den ** 3 * (n_i * n_i),
+                    self.ground.char)
+        return "monomial %r" % (_lowest(diff),) if diff else None
 
     def _forms_mismatch(self):
         """None when the forms equal the evaluators' own forms
@@ -383,14 +429,14 @@ class CubicNormStructure:
         (_int_scaled), a = da A and b = db B, so A = B exactly when
         db a - da b is zero read in the characteristic (_mod)."""
         n, sh = self.expand_symbolic()
-        en, esh = self._evaluator_forms()
+        en, esh = self._evaluator_forms
         (a_i, da), (b_i, db) = _int_scaled([n, *sh]), _int_scaled([en, *esh])
         for m, (a, b) in enumerate(zip(a_i, b_i)):
             diff = _mod(db * a - da * b, self.ground.char)
             if diff:
                 return "%s, monomial %r" % (
                     "adjoint coordinate %d" % (m - 1) if m else "norm",
-                    indices(min(diff.terms, key=indices)))
+                    _lowest(diff))
         return None
 
     def axiom_suite(self, seed=0, points=100):
@@ -400,24 +446,14 @@ class CubicNormStructure:
         entry's elapsed_s is the wall time of its check, including the int
         data it builds first.
 
-        Below SYMBOLIC_OP_LIMIT, x## = N(x) x and N(x#) = N(x)^2 are
-        proved on the int forms.  N(x#) = N(x)^2 is derived, not
-        composed, when x## = N(x) x was proved here, the gradient
-        identity T(x#, y) = d_y N(x) holds (_trace_adjoint_ok) and the
-        characteristic is not 3.  N is a homogeneous cubic, so Euler's
-        identity gives T(x#, x) = 3 N(x).  Substituting x# for x gives
-        T(x##, x#) = 3 N(x#), and x## = N(x) x with the symmetry of T
-        turns the left side into N(x) T(x, x#) = 3 N(x)^2.  Dividing by
-        3 is allowed outside characteristic 3.  All of these are
-        identities of formal polynomials, so the substitution is sound.
-        Otherwise N(x#) is composed directly (_norm_of_adjoint_direct).
-        Over the limit both identities are sampled at random points and
-        neither is derived.
+        x## = N(x) x and N(x#) = N(x)^2 are read from _adjoint_verdicts:
+        proved on the structure's own int forms, or, on an isotope,
+        through its base (isotopy.Isotope).  Neither draws a point.
 
         N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x are derived, and draw no
         points, when the five checks of U_PREMISES all passed
-        symbolically in this run: N(c) = 1, c# = c, x## = N(x) x proved
-        below the limit, c x y = T(y) c - y and T(x#, y) = d_y N(x).
+        symbolically in this run: N(c) = 1, c# = c, x## = N(x) x,
+        c x y = T(y) c - y and T(x#, y) = d_y N(x).
         u_op computes U_x y = T(x, y) x - x# x y, with T(x, y) = T(x) T(y)
         - S(x, y) the trace bilinear form of _u_data and x x y =
         (x + y)# - x# - y# its polarized adjoint, the same T and x the
@@ -439,7 +475,7 @@ class CubicNormStructure:
           the three identities as identities of formal polynomials, which
           hold in every scalar extension.  The theorem excludes no
           characteristic, so none falls back to sampling.
-        Otherwise both are sampled as the premises leave them: N(U_x y)
+        Otherwise, only when a premise failed, both are sampled: N(U_x y)
         at `points` random pairs, then U_x(x^-1) = x at max(10, points //
         5) random invertible points, from the suite's one stream.
 
@@ -453,22 +489,17 @@ class CubicNormStructure:
         n_poly, sharp_polys = self.expand_symbolic()
         clock = time.perf_counter()
 
-        def emit(name, ok, mode, witness=None, earlier=0.0):
-            # a check's time runs from the previous emit, plus the seconds
-            # of any part of it that ran before that (earlier)
+        def emit(name, ok, mode, witness=None):
+            # a check's time runs from the previous emit
             nonlocal clock
             now = time.perf_counter()
             checks.append(CheckResult(name, bool(ok), mode, witness,
-                                      now - clock + earlier))
+                                      now - clock))
             clock = now
 
-        def point():
-            return self.random_point(stream)
-
-        def sampled(names, n, fails, draw=point):
+        def sampled(name, n, fails, draw):
             w = _first_failure(n, draw, fails)
-            for name in names:
-                emit(name, w is None, "random", None if w is None else repr(w))
+            emit(name, w is None, "random", None if w is None else repr(w))
 
         # base point identities
         emit("norm_unit_is_one", self.norm(self.unit) == g.one, "symbolic")
@@ -480,54 +511,10 @@ class CubicNormStructure:
         emit("sharp_homogeneous_degree_2",
              all(p.is_homogeneous(2) for p in sharp_polys), "symbolic")
 
-        cost = self._sharp_cost()
-        symbolic_ok = cost <= SYMBOLIC_OP_LIMIT
-        t0 = time.perf_counter()
-        trace_ok = self._trace_adjoint_ok()
-        trace_s = time.perf_counter() - t0
-        clock += trace_s        # charged to the gradient identity's check
-
         # x## = N(x) x and N(x#) = N(x)^2
-        if symbolic_ok:
-            # the int lifts (denominators cleared over Q) compared mod the
-            # characteristic; both identities are homogeneous, so a
-            # uniform scaling of sharp (resp. N) rescales both sides by a
-            # known factor
-            sh_i, s_den = self.sharp_int
-            n_i, n_den = self.n_int
-            s3 = s_den ** 3
-            sharp2 = [p.eval(sh_i, 1) for p in sh_i]
-            bad = next(
-                (i for i in range(self.dim)
-                 if _mod(n_den * sharp2[i], g.char)
-                 != _mod(s3 * (n_i * Poly.var(i, 1)), g.char)), None)
-            if bad is None:
-                emit("adjoint_of_adjoint", True, "symbolic")
-            else:
-                def adjoint_fails(pt):
-                    n = self.norm(pt)
-                    return any(a - n * b for a, b in
-                               zip(self.sharp(self.sharp(pt)), pt))
-                w = _first_failure(300, point, adjoint_fails)
-                emit("adjoint_of_adjoint", False, "symbolic",
-                     "coordinate %d differs; point %r" % (bad, w))
-            # derived from the two proved identities (see the docstring)
-            norm_ok = (bad is None and trace_ok and g.char != 3) \
-                or self._norm_of_adjoint_direct()
-            if norm_ok:
-                emit("norm_of_adjoint", True, "symbolic")
-            else:
-                w = _first_failure(300, point, lambda pt: self.norm(
-                    self.sharp(pt)) != self.norm(pt) * self.norm(pt))
-                emit("norm_of_adjoint", False, "symbolic", repr(w))
-        else:
-            def adjoint_fails(pt):
-                sp = self.sharp(pt)
-                n = self.norm(pt)
-                return any(a - n * b for a, b in zip(self.sharp(sp), pt)) \
-                    or self.norm(sp) != n * n
-            sampled(("adjoint_of_adjoint", "norm_of_adjoint"), points,
-                    adjoint_fails)
+        adjoint, norm = self._adjoint_verdicts
+        emit("adjoint_of_adjoint", adjoint is None, "symbolic", adjoint)
+        emit("norm_of_adjoint", norm is None, "symbolic", norm)
 
         # c x x = T(x) c - x   (cross with the unit)
         bad = self._unit_cross_failure()
@@ -535,8 +522,9 @@ class CubicNormStructure:
              None if bad is None else "coordinate %d" % bad)
 
         # T(x#, y) equals the directional derivative of N at x along y
+        trace_ok = self._trace_adjoint_ok()
         emit("trace_adjoint_is_norm_derivative", trace_ok, "symbolic",
-             None if trace_ok else "polynomials differ", earlier=trace_s)
+             None if trace_ok else "polynomials differ")
 
         # U_c = identity
         uc = self.u_matrix(self.unit)
@@ -555,10 +543,11 @@ class CubicNormStructure:
                 nx = self.norm(xy[0])
                 return self.norm(self.u_op(*xy)) != \
                     nx * nx * self.norm(xy[1])
-            sampled(("u_operator_norm_similarity",), points,
-                    similarity_fails, lambda: (point(), point()))
+            sampled("u_operator_norm_similarity", points, similarity_fails,
+                    lambda: (self.random_point(stream),
+                             self.random_point(stream)))
             try:
-                sampled(("u_operator_inverse_identity",),
+                sampled("u_operator_inverse_identity",
                         max(10, points // 5),
                         lambda x: any(a - b for a, b in zip(
                             self.u_op(x, self.inverse(x)), x)),
@@ -585,23 +574,11 @@ def _first_failure(n, draw, fails):
     return None
 
 
-def corrupt_sharp(j: CubicNormStructure, coord=0, label=None):
+def corrupt_sharp(j: CubicNormStructure, coord=0):
     """Copy of j with x0^2 added to adjoint coordinate `coord` (mutation
-    testing): its forms are j's with that term added, and its evaluator
-    adds it to j's evaluator at a point."""
-    base_sharp = j.eval_sharp
-
-    def bad_sharp(coords):
-        out = list(base_sharp(coords))
-        out[coord] = out[coord] + coords[0] * coords[0]
-        return out
-
-    def forms():
-        n, sh = j.expand_symbolic()
-        x0 = Poly.var(0, j.ground.one)
-        return n, [p + x0 * x0 if i == coord else p
-                   for i, p in enumerate(sh)]
-
-    return CubicNormStructure(j.ground, j.dim, j.eval_norm, bad_sharp,
-                              j.unit, label=label or (j.label + "_corrupted"),
-                              forms=forms)
+    testing), built by j._corrupted: its forms are j's with that term
+    added, and its evaluator adds it to j's evaluator at a point.  An
+    isotope adds it to its innermost construction and re-applies its v
+    (isotopy.Isotope), so its identities are still proved through its
+    base."""
+    return j._corrupted(coord)

@@ -4,11 +4,16 @@ The v-isotope lives on the same carrier with
 
     N_v(x) = N(v) N(x),   x^{#_v} = N(v) U_{v^{-1}}(x^#),   1^{(v)} = v^{-1}
 
-and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope's
-forms are the base's forms scaled by these closed formulas, and its
-evaluators are the base's evaluators scaled the same way (U_{v^-1} held
-once as int rows), so the evaluator check compares the isotope's forms
-with the base's evaluators run on indeterminates and scaled.
+and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope
+(Isotope) holds U_{v^-1} once as int rows; its forms are the base's
+forms scaled by these closed formulas, its evaluator forms the base's
+cached evaluator forms scaled the same way.  Its x## = N(x) x and
+N(x#) = N(x)^2 are proved through the base: the base's proved
+identities, plus exact checks on the fixed v (the adjoint identity
+(U_w y)# = U_{w#} y# as int quadratic forms, U_w U_{w#} = N(w)^2 I as
+an int matrix identity, one scalar identity, and the norm pulled back
+through N(v) U_w), with w = v^{-1}.  The isotope's own dense forms are
+never composed, and an isotope of an isotope recurses.
 u_isotope_identity compares the isotope's own U-matrix with U_x U_v as
 int matrices over their denominators, mod the characteristic.
 Norm similarities are certified symbolically: the pullback of the target
@@ -28,12 +33,13 @@ certified that way before it is returned.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .cubic import CubicNormStructure
+from .cubic import CubicNormStructure, corrupt_sharp
 from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
-from .poly import _mod, indices, pullback
+from .poly import _lowest, _mod, indices, linear_form, pullback
 from .scalars import lift
 from .tits import componentwise_matrix, embed_hermitian_summand, second_tits
 
@@ -66,38 +72,126 @@ class LinearMap:
         return [[g.to_str(e) for e in row] for row in self.matrix]
 
 
+class Isotope(CubicNormStructure):
+    """The v-isotope of base on the same carrier.
+
+    U_{v^-1} (u_matrix_int) is held once as int rows u_rows over u_den,
+    so x^{#v} = M x# for M = N(v) U_{v^-1} = scale u_rows, scale =
+    N(v) / u_den.  The isotope's forms hook is the base's forms, which
+    it scales: N(v) times the base's norm form and the base's adjoint
+    forms through M (_scaled).  Its evaluators are the base's, scaled the
+    same way, and its evaluator forms are the base's cached evaluator
+    forms, scaled the same way, so the evaluator check runs no evaluator
+    again.  The forms, the evaluator forms and the proofs read nv,
+    u_rows, u_den and scale from the isotope at first use.
+
+    x## = N(x) x and N(x#) = N(x)^2 are proved through the base
+    (_adjoint_verdicts), never by composing the isotope's own dense
+    forms.  An isotope's base may be an isotope, and the proof then
+    recurses."""
+
+    def __init__(self, base, v):
+        nv = base.norm(v)
+        if not nv:
+            raise NotInvertible("N(v) = 0: isotope needs invertible v")
+        w = base.inverse(v)
+        u_rows, u_den = base.u_matrix_int(w)
+        scale = nv / u_den
+
+        def eval_norm(coords):
+            return nv * base.eval_norm(coords)
+
+        def eval_sharp(coords):
+            return [scale * c
+                    for c in linalg.matvec(u_rows, base.eval_sharp(coords))]
+
+        super().__init__(base.ground, base.dim, eval_norm, eval_sharp, w,
+                         label=base.label + "^(v)", forms=base.expand_symbolic)
+        self.base = base
+        self.nv, self.u_rows, self.u_den, self.scale = nv, u_rows, u_den, scale
+        self.meta = {"type": "isotope", "base": base, "v": tuple(v)}
+
+    def _scaled(self, n, sh):
+        """The isotope's (N, #) from forms (n, sh) of the base."""
+        return self.nv * n, [self.scale * p
+                             for p in linalg.matvec(self.u_rows, sh)]
+
+    def _given_forms(self):
+        return self._scaled(*self._forms())
+
+    @cached_property
+    def _evaluator_forms(self):
+        return self._scaled(*self.base._evaluator_forms)
+
+    def _corrupted(self, coord):
+        return Isotope(corrupt_sharp(self.base, coord), self.meta["v"])
+
+    @cached_property
+    def _adjoint_verdicts(self):
+        """(x## = N(x) x, N(x#) = N(x)^2) through the base, each None when
+        proved and a witness otherwise: a failed base verdict, prefixed
+        "base: ", else the first failed check on the fixed v.  Write
+        N_v = nv N for the isotope's norm, w = v^-1 (the isotope's unit)
+        and M = scale A with A = u_rows, so x^{#v} = M x#.
+
+        x## (_adjoint_failure): (x^{#v})^{#v} = scale^3 A (A x#)#.  If
+        (A y)# = (u_den^2 / c_den) C y# as forms in y, for C / c_den =
+        U_{w#}; A C = N(w)^2 u_den c_den I; and (scale u_den)^3 N(w)^2 =
+        nv, then with the base's x## = N(x) x this is scale^3 u_den^3
+        N(w)^2 N(x) x = N_v(x) x.  For a true isotope these are
+        (U_w y)# = U_{w#} y#, U_w U_{w#} = N(w)^2 I and N(w) = 1 / N(v)
+        (McCrimmon, A Taste of Jordan Algebras, 2004, Part II).
+
+        N(x#) (_norm_failure): N_v(x^{#v}) = nv N(M x#).  If N(M y) =
+        nv N(y) as forms in y, then with the base's N(x#) = N(x)^2 this
+        is nv^2 N(x)^2 = N_v(x)^2."""
+        adjoint, norm = self.base._adjoint_verdicts
+        return ("base: " + adjoint if adjoint else self._adjoint_failure(),
+                "base: " + norm if norm else self._norm_failure())
+
+    def _adjoint_failure(self):
+        """The first of the three x## checks on v that fails, or None (see
+        _adjoint_verdicts).  Each is exact over the ints, read mod the
+        characteristic."""
+        b = self.base
+        char = self.ground.char
+        a, a_den = self.u_rows, self.u_den
+        nw = b.norm(self.unit)
+        if (self.scale * a_den) ** 3 * nw * nw != self.nv:
+            return "scale: (scale u_den)^3 N(w)^2 != N(v)"
+        c, c_den = b.u_matrix_int(b.sharp(self.unit))
+        (n2,), d2 = lift([nw * nw])
+        diag = n2 * a_den * c_den
+        cols = list(zip(*c))
+        for i, row in enumerate(a):
+            for k, col in enumerate(cols):
+                e = d2 * sum(map(mul, row, col)) - (diag if i == k else 0)
+                if e % char if char else e:
+                    return "U_w U_{w#} entry (%d, %d)" % (i, k)
+        sh_i, _ = b.sharp_int
+        ay = [linear_form(row) for row in a]
+        a2 = a_den * a_den
+        for m, (p, q) in enumerate(zip(sh_i, linalg.matvec(c, sh_i))):
+            diff = _mod(c_den * p.eval(ay, 1) - a2 * q, char)
+            if diff:
+                return "(U_w y)# coordinate %d, monomial %r" % (
+                    m, _lowest(diff))
+        return None
+
+    def _norm_failure(self):
+        """N(M y) = nv N(y) on the base's int norm form n_i, pulled back
+        through A (poly.pullback): scale^3 n_i(A y) = nv n_i(y), or the
+        lowest monomial where it fails."""
+        n_i, _ = self.base.n_int
+        (s3, nv), _ = lift([self.scale ** 3, self.nv])
+        diff = _mod(s3 * pullback(n_i, self.u_rows) - nv * n_i,
+                    self.ground.char)
+        return "N(M y) monomial %r" % (_lowest(diff),) if diff else None
+
+
 def isotope(j, v):
-    """The v-isotope of j on the same carrier.
-
-    U_{v^-1} (u_matrix_int) is held once as int rows over its
-    denominator, so x^{#v} = N(v) U_{v^-1}(x#) is scale times those rows
-    applied to x#.  The isotope's forms are N(v) times the base's norm
-    form and the base's adjoint forms through the rows, times scale; its
-    evaluators are the base's, scaled the same way, and the evaluator
-    check compares the two."""
-    nv = j.norm(v)
-    if not nv:
-        raise NotInvertible("N(v) = 0: isotope needs invertible v")
-    v_inv = j.inverse(v)
-    u_rows, u_den = j.u_matrix_int(v_inv)
-    scale = nv / u_den
-
-    def eval_norm(coords):
-        return nv * j.eval_norm(coords)
-
-    def eval_sharp(coords):
-        return [scale * c
-                for c in linalg.matvec(u_rows, j.eval_sharp(coords))]
-
-    def forms():
-        n, sh = j.expand_symbolic()
-        return nv * n, [scale * p for p in linalg.matvec(u_rows, sh)]
-
-    out = CubicNormStructure(j.ground, j.dim, eval_norm, eval_sharp,
-                             list(v_inv), label=j.label + "^(v)",
-                             forms=forms)
-    out.meta = {"type": "isotope", "base": j, "v": tuple(v)}
-    return out
+    """The v-isotope of j (Isotope)."""
+    return Isotope(j, v)
 
 
 def u_isotope_identity(j, jv, v, stream, points=50):
@@ -149,9 +243,8 @@ def verify_norm_similarity(f):
     b = n1_i.terms[m]
     diff = _mod(b * pull - a * n1_i, g.char)
     if diff:
-        first = indices(min(diff.terms, key=indices))
         return None, ("monomial %r: pullback and source norm are not "
-                      "proportional" % (first,))
+                      "proportional" % (_lowest(diff),))
     nu = g.from_fraction(Fraction(a * d1, b * d2 * s ** 3))
     if not nu:
         return None, "pullback is the zero form"

@@ -33,8 +33,9 @@ from its neighbour, and since only ints are added and multiplied the
 result is exact over Z and so, read by _mod, in every characteristic.
 
 The int-form helpers live here too: _int_scaled turns ground polys into
-int forms over one denominator (through scalars.lift), and _mod reads
-an int form in a characteristic.  The cubic structures (cubic,
+int forms over one denominator (through scalars.lift), _mod reads an
+int form in a characteristic, and _lowest names the lowest monomial of
+a difference that _mod left nonzero.  The cubic structures (cubic,
 isotopy) and the coefficient algebras (associative) build and compare
 their int forms with them.
 """
@@ -307,6 +308,12 @@ def _mod(p, char):
     if not char:
         return p
     return Poly({m: c % char for m, c in p.terms.items() if c % char})
+
+
+def _lowest(p):
+    """The index tuple of the lowest monomial of a nonzero Poly, in the
+    order of indices: the monomial a failed comparison names."""
+    return indices(min(p.terms, key=indices))
 
 
 def pullback(p, rows):

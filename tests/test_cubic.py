@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from albertlab import cubic
+from albertlab import cubic, isotopy
 from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import NotInvertible, VerificationFailure
 from albertlab.isotopy import isotope
-from albertlab.poly import indices
+from albertlab.poly import Poly, indices
 from albertlab.rng import Stream
 from albertlab.scalars import lift
 
@@ -263,21 +263,6 @@ class TestMutationDetection:
         rep = j_m3_f5.axiom_suite(seed=11, points=40)
         assert rep.all_passed, rep
 
-    def test_random_point_fallback(self, j_m3_f5, monkeypatch):
-        # with no symbolic budget both adjoint identities run on random
-        # points, and still separate a clean structure from a corrupt one
-        monkeypatch.setattr(cubic, "SYMBOLIC_OP_LIMIT", 0)
-        names = ("adjoint_of_adjoint", "norm_of_adjoint")
-        clean = {c.name: c for c in j_m3_f5.axiom_suite(seed=11, points=40)
-                 .checks}
-        bad = {c.name: c for c in corrupt_sharp(j_m3_f5, coord=3)
-               .axiom_suite(seed=5, points=40).checks}
-        for name in names:
-            assert clean[name].mode == bad[name].mode == "random"
-            assert clean[name].passed
-            assert not bad[name].passed
-            assert bad[name].witness
-
 
 SEED = 20260823
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -301,6 +286,10 @@ def _check(rep, name):
     return next(c for c in rep.checks if c.name == name)
 
 
+def _lowest_term(p):
+    return indices(min(p.terms, key=indices))
+
+
 class TestNormOfAdjointRoute:
     # N(x#) = N(x)^2 is derived from x## = N(x) x and the gradient
     # identity outside characteristic 3, and composed otherwise
@@ -312,7 +301,7 @@ class TestNormOfAdjointRoute:
         # the composition the suite skips still proves N(x#) = N(x)^2
         j = request.getfixturevalue(name)
         j.expand_symbolic()
-        assert j._norm_of_adjoint_direct()
+        assert j._norm_of_adjoint_direct() is None
 
     def test_clean_suite_derives(self, j_m3_f5, direct_calls):
         rep = j_m3_f5.axiom_suite(seed=SEED, points=20)
@@ -332,16 +321,18 @@ class TestNormOfAdjointRoute:
         assert _check(rep, "norm_of_adjoint").mode == "symbolic"
         assert direct_calls == [j.label]
 
-    def test_failed_trace_premise_composes(self, j_m3_q, direct_calls,
-                                           monkeypatch):
+    def test_failed_trace_premise_composes(self, direct_calls, monkeypatch):
+        # a fresh J(M3(Q), 1): the verdicts are cached per structure, so a
+        # fixture whose suite already ran would not compose again
+        j = BuildContext(_config("m3_q_first")).j
         monkeypatch.setattr(CubicNormStructure, "_trace_adjoint_ok",
                             lambda self: False)
-        rep = j_m3_q.axiom_suite(seed=SEED, points=20)
+        rep = j.axiom_suite(seed=SEED, points=20)
         trace = _check(rep, "trace_adjoint_is_norm_derivative")
         assert not trace.passed and trace.witness == "polynomials differ"
         norm = _check(rep, "norm_of_adjoint")
         assert norm.passed and norm.mode == "symbolic"
-        assert direct_calls == [j_m3_q.label]
+        assert direct_calls == [j.label]
 
     def test_failed_adjoint_premise_composes(self, QQ, direct_calls):
         # N(x) = x0^3 - 3 x0 x1^2 with x# the gradient of N through T:
@@ -361,19 +352,26 @@ class TestNormOfAdjointRoute:
         assert direct_calls == ["toy"]
 
     @pytest.mark.parametrize("name, witness", [
-        ("j_m3_f5", (1, 1, 1, 2, 0, 2, 4, 2, 1, 4, 2, 3, 1, 0, 3, 3, 4, 2,
-                     3, 3, 4, 4, 4, 0, 1, 4, 4)),
-        ("j_m3_q", tuple(Fraction(v) for v in (
-            1, -10, -1, -7, 8, 10, 10, 8, 10, 4, -7, 6, -8, 6, 1, 0, -3,
-            -6, -6, 8, -5, 0, 0, 8, 4, 10, -5)))])
+        ("j_m3_f5", (0, 0, 0, 4, 7, 8)), ("j_m3_q", (0, 0, 0, 4, 7, 8))])
     def test_corrupt_sharp_composes(self, name, witness, request,
                                     direct_calls):
-        # the verdict and the witness of the composition route, pinned
+        # the verdict and the witness of the composition route, pinned:
+        # the lowest monomial of N(x#) - N(x)^2 with the ground forms
+        # composed, and x## = N(x) x failing at the lowest monomial of
+        # coordinate 0, where x0^2 in adjoint coordinate 5 first shows
         j = corrupt_sharp(request.getfixturevalue(name), coord=5)
         rep = j.axiom_suite(seed=SEED, points=60)
         norm = _check(rep, "norm_of_adjoint")
         assert (norm.passed, norm.mode, norm.witness) == (
-            False, "symbolic", repr(witness))
+            False, "symbolic", "monomial %r" % (witness,))
+        n, sh = j.expand_symbolic()
+        one = j.ground.one
+        assert _lowest_term(n.eval(sh, one) - n * n) == witness
+        assert _lowest_term(sh[0].eval(sh, one) - n * Poly.var(0, one)) \
+            == (0, 0, 0, 7)
+        adjoint = _check(rep, "adjoint_of_adjoint")
+        assert (adjoint.passed, adjoint.witness) == (
+            False, "coordinate 0, monomial (0, 0, 0, 7)")
         assert direct_calls == [j.label]
 
 
@@ -431,20 +429,18 @@ class TestUOperatorRoute:
             x = j.random_invertible(s)
             assert j.u_op(x, j.inverse(x)) == x
 
-    @pytest.mark.parametrize("owner, attr, value, premise, verdict", [
-        (CubicNormStructure, "_unit_cross_failure", lambda self: 0,
-         "unit_cross_identity", (False, "symbolic")),
-        (CubicNormStructure, "_trace_adjoint_ok", lambda self: False,
-         "trace_adjoint_is_norm_derivative", (False, "symbolic")),
-        (cubic, "SYMBOLIC_OP_LIMIT", 0, "adjoint_of_adjoint",
-         (True, "random"))],
-        ids=["unit_cross", "trace_adjoint", "limit"])
-    def test_unproved_premise_samples(self, j_m3_q, owner, attr, value,
-                                      premise, verdict, monkeypatch):
-        monkeypatch.setattr(owner, attr, value)
+    @pytest.mark.parametrize("attr, value, premise", [
+        ("_unit_cross_failure", lambda self: 0, "unit_cross_identity"),
+        ("_trace_adjoint_ok", lambda self: False,
+         "trace_adjoint_is_norm_derivative")],
+        ids=["unit_cross", "trace_adjoint"])
+    def test_unproved_premise_samples(self, j_m3_q, attr, value, premise,
+                                      monkeypatch):
+        # a failed premise is the one way to the sampled U checks
+        monkeypatch.setattr(CubicNormStructure, attr, value)
         rep = j_m3_q.axiom_suite(seed=SEED, points=20)
         check = _check(rep, premise)
-        assert (check.passed, check.mode) == verdict
+        assert (check.passed, check.mode) == (False, "symbolic")
         for name in U_CHECKS:
             u = _check(rep, name)
             assert (u.passed, u.mode) == (True, "random")
@@ -505,6 +501,21 @@ class TestEvaluatorCheck:
             ("expansion_matches_evaluators", "symbolic",
              "adjoint coordinate 4, monomial (0, 2)")]
 
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_lk_f5"])
+    def test_isotope_of_wrong_evaluator_is_caught(self, name, request):
+        # an isotope's evaluator forms are its base's, scaled by the held
+        # U_{v^-1}: 2 x0 x2 in the base's evaluator coordinate 4 shows at
+        # the first isotope coordinate whose row of U_{v^-1} reaches 4
+        j = request.getfixturevalue(name)
+        jv = isotope(_wrong_evaluator(j), j.random_invertible(Stream(7)))
+        p = j.ground.char
+        first = next(m for m, row in enumerate(jv.u_rows)
+                     if (row[4] % p if p else row[4]))
+        rep = jv.axiom_suite(seed=SEED, points=20)
+        assert [(c.name, c.mode, c.witness) for c in rep.failed()] == [
+            ("expansion_matches_evaluators", "symbolic",
+             "adjoint coordinate %d, monomial (0, 2)" % first)]
+
     @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q"])
     def test_scaled_norm_form_is_caught(self, name, request):
         # N/2 against N: both lift to the same int form, over the
@@ -517,3 +528,153 @@ class TestEvaluatorCheck:
                                                          sh))
         assert half._forms_mismatch() == "norm, monomial %r" % (
             indices(min(n.terms, key=indices)),)
+
+
+def _isotope_calls(calls):
+    """The isotope labels among the recorded direct_calls."""
+    return [label for label in calls if "^(v)" in label]
+
+
+def _random_isotope(j):
+    return isotope(j, j.random_invertible(Stream(SEED).derive(j.label)))
+
+
+class TestNoSampling:
+    def test_suite_draws_no_point(self, six_fixtures, monkeypatch):
+        # every fixture and a random-v isotope of each (two of them
+        # isotopes of isotopes) passes all 12 checks symbolically, with
+        # the sampling loop and every point draw made to raise
+        structures = [s for j in six_fixtures
+                      for s in (j, _random_isotope(j))]
+
+        def refuse(*args):
+            raise AssertionError("the axiom suite drew a point")
+
+        monkeypatch.setattr(cubic, "_first_failure", refuse)
+        monkeypatch.setattr(CubicNormStructure, "random_point", refuse)
+        for j in structures:
+            rep = j.axiom_suite(seed=SEED)
+            assert rep.all_passed, (j.label, rep)
+            assert len(rep.checks) == 12
+            assert {c.mode for c in rep.checks} == {"symbolic"}, j.label
+
+
+def _nested(name, v, w):
+    """The config `name` with its construction wrapped in isotope_of at v,
+    and that in isotope_of at w."""
+    data = _config(name)
+    for point in (v, w):
+        data["construction"] = {"type": "isotope_of", "v": point,
+                                "base": data["construction"]}
+    return data
+
+
+class TestIsotopeRoute:
+    # an isotope's x## = N(x) x and N(x#) = N(x)^2 are proved through its
+    # base (isotopy.Isotope), never composed from its own dense forms
+
+    @pytest.mark.parametrize("name, v, w", [
+        ("m3_f5_first", ["1", "1", "0", "0", "1", "0", "0", "0", "1"],
+         ["2", "0", "0", "0", "1", "0", "1", "0", "1"]),
+        ("m3_q_first", ["1", "1/2", "0", "0", "1", "0", "0", "0", "3"],
+         ["2", "0", "0", "-1", "1", "0", "1", "0", "1"])])
+    def test_nested_isotope_matches_flattened(self, name, v, w,
+                                              direct_calls):
+        # (J^(v))^(w) = J^(U_v w): the same forms and unit, and the same
+        # verdicts, all symbolic, with no isotope composed
+        pad = ["0"] * 18
+        nested = BuildContext(_nested(name, v + pad, w + pad)).j
+        inner = nested.meta["base"]
+        j = inner.meta["base"]
+        flat = isotope(j, j.u_op(inner.meta["v"], nested.meta["v"]))
+        assert nested.expand_symbolic() == flat.expand_symbolic()
+        assert nested.unit == flat.unit
+        reps = [s.axiom_suite(seed=SEED) for s in (nested, flat)]
+        verdicts = [[(c.name, c.passed, c.mode) for c in rep.checks]
+                    for rep in reps]
+        assert verdicts[0] == verdicts[1]
+        assert reps[0].all_passed and len(reps[0].checks) == 12
+        assert {c.mode for c in reps[0].checks} == {"symbolic"}
+        assert _isotope_calls(direct_calls) == []
+
+    def test_characteristic_3_isotope_uses_pullback(self, direct_calls,
+                                                    monkeypatch):
+        # over F_3 the base composes N(x#) = N(x)^2; the isotope pulls its
+        # base's norm form back through M once and composes nothing
+        data = _config("m3_f5_first")
+        data["base"] = {"p": 3}
+        j = BuildContext(data).j
+        jv = _random_isotope(j)
+        calls = []
+        real = isotopy.pullback
+
+        def spy(p, rows):
+            calls.append(p)
+            return real(p, rows)
+
+        monkeypatch.setattr(isotopy, "pullback", spy)
+        rep = jv.axiom_suite(seed=SEED)
+        assert rep.all_passed, rep
+        assert _check(rep, "norm_of_adjoint").mode == "symbolic"
+        assert calls == [j.n_int[0]]
+        assert direct_calls == [j.label]
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_lk_q"])
+    @pytest.mark.parametrize("mutant", ["u_entry", "scale"])
+    def test_mutant_fails_both_checks(self, name, mutant, request,
+                                      direct_calls):
+        # the held rows of U_{v^-1} with one entry raised by 1, or N(v)
+        # replaced by 1 in the scale, changed before the isotope's forms
+        # are built from them
+        j = request.getfixturevalue(name)
+        s = Stream(SEED).derive("mutant:" + j.label)
+        v = j.random_invertible(s)
+        while j.norm(v) ** 3 == j.ground.one:     # else scale is unchanged
+            v = j.random_invertible(s)
+        jv = isotope(j, v)
+        if mutant == "u_entry":
+            jv.u_rows[0][1] += 1
+            want = "U_w U_{w#} entry (0, "
+        else:
+            jv.scale = j.ground.one / jv.u_den
+            want = "scale: "
+        rep = jv.axiom_suite(seed=SEED, points=20)
+        adjoint = _check(rep, "adjoint_of_adjoint")
+        norm = _check(rep, "norm_of_adjoint")
+        assert (adjoint.passed, adjoint.mode) == (False, "symbolic")
+        assert adjoint.witness.startswith(want), adjoint.witness
+        assert (norm.passed, norm.mode) == (False, "symbolic")
+        assert norm.witness.startswith("N(M y) monomial ("), norm.witness
+        assert _isotope_calls(direct_calls) == []
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5"])
+    def test_adjoint_identity_step_alone(self, name, request):
+        # x0^2 added to the base's adjoint coordinate 4, with the base's
+        # verdicts forced to pass, and v = (p, 0, 0) for the permutation
+        # matrix p swapping rows 0 and 1.  Coordinate 0 of w = v^-1 and of
+        # w# is 0, so U_w and U_{w#} and the two checks on them stay as
+        # they were, and only (U_w y)# = U_{w#} y# sees the change: its
+        # left side gains (U_w y)_0^2 = y_4^2 in coordinate 4, its right
+        # side U_{w#}(y_0^2 e_4) = y_0^2 e_0 up to a scalar
+        j = request.getfixturevalue(name)
+        bad = corrupt_sharp(j, coord=4)
+        bad._adjoint_verdicts = (None, None)
+        p = [0, 1, 0, 1, 0, 0, 0, 0, 1] + [0] * 18
+        jv = isotope(bad, tuple(j.ground.from_int(e) for e in p))
+        assert jv.unit[0] == bad.sharp(jv.unit)[0] == 0
+        assert jv._adjoint_verdicts == (
+            "(U_w y)# coordinate 0, monomial (0, 0)", None)
+
+    def test_corrupt_sharp_reapplies_v(self, iso_m3_f5, direct_calls):
+        # the corruption lands in the innermost construction, and the
+        # isotope's failure names the base
+        bad = corrupt_sharp(iso_m3_f5, coord=3)
+        base = bad.meta["base"]
+        assert base.label == iso_m3_f5.meta["base"].label + "_corrupted"
+        assert bad.meta["v"] == iso_m3_f5.meta["v"]
+        assert bad.label == base.label + "^(v)"
+        rep = bad.axiom_suite(seed=SEED, points=20)
+        adjoint = _check(rep, "adjoint_of_adjoint")
+        assert adjoint.witness == "base: coordinate 3, monomial (0, 0, 0, 4)"
+        assert _check(rep, "norm_of_adjoint").witness.startswith("base: ")
+        assert direct_calls == [base.label]

@@ -210,3 +210,29 @@ class TestEvaluatorRuns:
         assert next(c.mode for c in rep.checks
                     if c.name == "expansion_matches_evaluators") == "symbolic"
         assert counts == {"eval_norm": 1, "eval_sharp": 1}
+
+    def test_isotope_runs_no_evaluator_again(self):
+        # an isotope's evaluator check reads its base's evaluator forms,
+        # cached from the base's own suite, so neither evaluator runs
+        # again
+        with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
+            j = BuildContext(json.load(fh)).j
+        counts = {"eval_norm": 0, "eval_sharp": 0}
+
+        def counted(name):
+            f = getattr(j, name)
+
+            def wrapper(coords):
+                counts[name] += 1
+                return f(coords)
+            return wrapper
+
+        for name in counts:
+            setattr(j, name, counted(name))
+        assert j.axiom_suite(seed=1).all_passed
+        jv = isotope(j, j.random_invertible(Stream(93)))
+        rep = jv.axiom_suite(seed=1)
+        assert rep.all_passed
+        assert next(c.mode for c in rep.checks
+                    if c.name == "expansion_matches_evaluators") == "symbolic"
+        assert counts == {"eval_norm": 1, "eval_sharp": 1}

@@ -378,7 +378,7 @@ class CubicNormStructure:
 
         x## = N(x) x is compared on the int lifts (denominators cleared
         over Q) mod the characteristic: with n_i = n_den N and sh_i =
-        s_den #, coordinate i reads n_den sh_i(sh_i)_i = s_den^3 n_i x_i.
+        s_den #, coordinate i reads n_den sh_i[i](sh_i) = s_den^3 n_i x_i.
         The witness names the first coordinate that differs and its
         lowest differing monomial.
 

@@ -540,10 +540,12 @@ def _random_isotope(j):
 
 
 class TestNoSampling:
-    def test_suite_draws_no_point(self, six_fixtures, monkeypatch):
+    def test_suite_draws_no_point(self, six_fixtures, monkeypatch,
+                                  direct_calls):
         # every fixture and a random-v isotope of each (two of them
         # isotopes of isotopes) passes all 12 checks symbolically, with
-        # the sampling loop and every point draw made to raise
+        # the sampling loop and every point draw made to raise, and no
+        # isotope composes N(x#) = N(x)^2
         structures = [s for j in six_fixtures
                       for s in (j, _random_isotope(j))]
 
@@ -557,6 +559,7 @@ class TestNoSampling:
             assert rep.all_passed, (j.label, rep)
             assert len(rep.checks) == 12
             assert {c.mode for c in rep.checks} == {"symbolic"}, j.label
+        assert _isotope_calls(direct_calls) == []
 
 
 def _nested(name, v, w):

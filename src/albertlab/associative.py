@@ -136,7 +136,8 @@ class _Algebra:
         if self._norm_int is None:
             c = self.center
             n = self.norm(self.from_k_coords(
-                variables(self.k_dim, c.ground.one)))
+                variables(self.k_dim,
+                          c.ground.one if c.ground.char else 1)))
             polys = c.to_k_coords(n)
             if not all(p.is_homogeneous(3) for p in polys):
                 raise VerificationFailure(

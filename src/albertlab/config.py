@@ -47,8 +47,7 @@ def load_config(path):
 
 
 # integer task fields and their least values
-_TASK_COUNTS = (("budget", 0), ("points", 1), ("u_points", 1),
-                ("corrupt_coord", 0))
+_TASK_COUNTS = (("budget", 0), ("points", 1), ("corrupt_coord", 0))
 # task fields without a default
 _TASK_NEEDS = {"isotope": ("v",), "iso_verify": ("v",)}
 SEARCH_MODES = ("random", "exhaustive")

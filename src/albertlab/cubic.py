@@ -20,7 +20,7 @@ the U-operator, are read off the int norm form at the unit's lift.
 u_matrix_int, u_op and cross share the int U-operator data (_u_data),
 the trace bilinear matrix and the polarized adjoint: u_matrix_int
 returns the int U-matrix over one denominator, for callers that keep
-computing on ints (the isotope's U_{v^-1} and its U^(v) check), u_op
+computing on ints (the isotope's U_{v^-1}, U_{w#} and U_v), u_op
 applies it to y's lift, and cross applies the polarized adjoint rows at
 x's lift to y's lift.
 Identity checks compare int forms mod the characteristic; a failed
@@ -43,10 +43,14 @@ characteristic; U_x(x^-1) = x also follows from two of them directly
 loop (_first_failure).
 
 The evaluators run only on indeterminates, once per structure
-(_evaluator_forms).  Without a forms hook they yield the forms, so forms
-and evaluators agree by construction; with one, the evaluator check
-(_forms_mismatch) compares the hook's forms with the evaluators' own
-forms as int forms, mod the characteristic.  Neither draws a point.
+(_evaluator_forms); over Q the indeterminates carry the int 1, so the
+integral coefficients of the forms are ints.  Without a forms hook they
+yield the forms, and an isotope's forms are its scaled evaluators'
+forms when its base's are its base's evaluators' forms
+(_forms_are_evaluators), so forms and evaluators agree by construction;
+otherwise the evaluator check (_forms_mismatch) compares the hook's
+forms with the evaluators' own forms as int forms, mod the
+characteristic.  Neither draws a point.
 """
 
 import time
@@ -58,8 +62,9 @@ from typing import Callable, List, Optional
 
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
-from .poly import (Poly, _int_scaled, _lowest, _mod, directional_derivative,
-                   indices, linear_form, sum_of_products, variables)
+from .poly import (Poly, _int_scaled, _integral_as_int, _lowest, _mod,
+                   directional_derivative, indices, linear_form,
+                   sum_of_products, variables)
 from .rng import Stream
 from .scalars import from_int, lift
 
@@ -121,11 +126,21 @@ class CubicNormStructure:
     def _evaluator_forms(self):
         """The evaluators run on indeterminates, once; a constant they
         return (a coordinate that no term reaches) becomes a constant
-        Poly."""
-        xs = variables(self.dim, self.ground.one)
-        n, *sh = [p if isinstance(p, Poly) else Poly.const(p)
+        Poly.  Over Q the indeterminates carry the int 1, so integral
+        coefficients stay ints through the expansion (Poly multiplies by
+        an integral Fraction as an int), and the few that sums of
+        fractions make integral are turned into ints at the end."""
+        xs = variables(self.dim, self.ground.one if self.ground.char else 1)
+        n, *sh = [_integral_as_int(p) if isinstance(p, Poly)
+                  else Poly.const(p)
                   for p in [self.eval_norm(xs), *self.eval_sharp(xs)]]
         return n, sh
+
+    @property
+    def _forms_are_evaluators(self):
+        """True when the forms are the evaluators' own forms by
+        construction: here, when there is no forms hook."""
+        return self._forms is None
 
     def _given_forms(self):
         """The forms before expand_symbolic checks them: the forms hook's,
@@ -556,9 +571,9 @@ class CubicNormStructure:
                 emit("u_operator_inverse_identity", False, "random",
                      "no invertible elements found")
 
-        # the forms against the evaluators: the same forms without a
-        # forms hook, else compared as int forms
-        w = None if self._forms is None else self._forms_mismatch()
+        # the forms against the evaluators: the same forms by
+        # construction, else compared as int forms
+        w = None if self._forms_are_evaluators else self._forms_mismatch()
         emit("expansion_matches_evaluators", w is None, "symbolic", w)
 
         return AxiomReport(checks)

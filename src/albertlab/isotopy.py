@@ -14,8 +14,9 @@ identities, plus exact checks on the fixed v (the adjoint identity
 an int matrix identity, one scalar identity, and the norm pulled back
 through N(v) U_w), with w = v^{-1}.  The isotope's own dense forms are
 never composed, and an isotope of an isotope recurses.
-u_isotope_identity compares the isotope's own U-matrix with U_x U_v as
-int matrices over their denominators, mod the characteristic.
+u_isotope_identity proves U^{(v)}_x = U_x U_v the same way, from the
+cached checks on v, one scalar identity and two int matrix identities,
+U_w U_v = I and T^v = T U_v; it draws no point.
 Norm similarities are certified symbolically: the pullback of the target
 norm form through the map's matrix is compared, monomial by monomial,
 with a scalar multiple of the source norm form.  The pullback runs on
@@ -80,15 +81,17 @@ class Isotope(CubicNormStructure):
     N(v) / u_den.  The isotope's forms hook is the base's forms, which
     it scales: N(v) times the base's norm form and the base's adjoint
     forms through M (_scaled).  Its evaluators are the base's, scaled the
-    same way, and its evaluator forms are the base's cached evaluator
-    forms, scaled the same way, so the evaluator check runs no evaluator
-    again.  The forms, the evaluator forms and the proofs read nv,
-    u_rows, u_den and scale from the isotope at first use.
+    same way.  When the base's forms are its evaluators' forms, so are
+    the isotope's (_forms_are_evaluators) and nothing is compared;
+    otherwise its evaluator forms are the base's cached evaluator forms,
+    scaled the same way, so the evaluator check runs no evaluator again.
+    The forms, the evaluator forms and the proofs read nv, u_rows, u_den
+    and scale from the isotope at first use.
 
     x## = N(x) x and N(x#) = N(x)^2 are proved through the base
     (_adjoint_verdicts), never by composing the isotope's own dense
-    forms.  An isotope's base may be an isotope, and the proof then
-    recurses."""
+    forms, and so is U^{(v)}_x = U_x U_v (u_isotope_identity).  An
+    isotope's base may be an isotope, and the proof then recurses."""
 
     def __init__(self, base, v):
         nv = base.norm(v)
@@ -119,6 +122,13 @@ class Isotope(CubicNormStructure):
     def _given_forms(self):
         return self._scaled(*self._forms())
 
+    @property
+    def _forms_are_evaluators(self):
+        """The base's forms are its evaluators' forms, so the scaled forms
+        are the scaled evaluators' forms: true for an isotope of a Tits
+        construction, and of one of those, recursively."""
+        return self.base._forms_are_evaluators
+
     @cached_property
     def _evaluator_forms(self):
         return self._scaled(*self.base._evaluator_forms)
@@ -134,7 +144,7 @@ class Isotope(CubicNormStructure):
         N_v = nv N for the isotope's norm, w = v^-1 (the isotope's unit)
         and M = scale A with A = u_rows, so x^{#v} = M x#.
 
-        x## (_adjoint_failure): (x^{#v})^{#v} = scale^3 A (A x#)#.  If
+        x## (_v_failure): (x^{#v})^{#v} = scale^3 A (A x#)#.  If
         (A y)# = (u_den^2 / c_den) C y# as forms in y, for C / c_den =
         U_{w#}; A C = N(w)^2 u_den c_den I; and (scale u_den)^3 N(w)^2 =
         nv, then with the base's x## = N(x) x this is scale^3 u_den^3
@@ -146,13 +156,15 @@ class Isotope(CubicNormStructure):
         nv N(y) as forms in y, then with the base's N(x#) = N(x)^2 this
         is nv^2 N(x)^2 = N_v(x)^2."""
         adjoint, norm = self.base._adjoint_verdicts
-        return ("base: " + adjoint if adjoint else self._adjoint_failure(),
+        return ("base: " + adjoint if adjoint else self._v_failure,
                 "base: " + norm if norm else self._norm_failure())
 
-    def _adjoint_failure(self):
-        """The first of the three x## checks on v that fails, or None (see
-        _adjoint_verdicts).  Each is exact over the ints, read mod the
-        characteristic."""
+    @cached_property
+    def _v_failure(self):
+        """The first of the three checks on v that fails, or None (see
+        _adjoint_verdicts); cached, so x## and the U-operator law
+        (u_isotope_identity) share them.  Each is exact over the ints,
+        read mod the characteristic."""
         b = self.base
         char = self.ground.char
         a, a_den = self.u_rows, self.u_den
@@ -161,13 +173,10 @@ class Isotope(CubicNormStructure):
             return "scale: (scale u_den)^3 N(w)^2 != N(v)"
         c, c_den = b.u_matrix_int(b.sharp(self.unit))
         (n2,), d2 = lift([nw * nw])
-        diag = n2 * a_den * c_den
-        cols = list(zip(*c))
-        for i, row in enumerate(a):
-            for k, col in enumerate(cols):
-                e = d2 * sum(map(mul, row, col)) - (diag if i == k else 0)
-                if e % char if char else e:
-                    return "U_w U_{w#} entry (%d, %d)" % (i, k)
+        bad = _product_mismatch(a, c, d2, _diagonal(n2 * a_den * c_den),
+                                char)
+        if bad:
+            return "U_w U_{w#} entry (%d, %d)" % bad
         sh_i, _ = b.sharp_int
         ay = [linear_form(row) for row in a]
         a2 = a_den * a_den
@@ -194,28 +203,63 @@ def isotope(j, v):
     return Isotope(j, v)
 
 
-def u_isotope_identity(j, jv, v, stream, points=50):
-    """Check U^{(v)}_x = U_x U_v for random x; returns the first failing x
-    or None.
+def _diagonal(d):
+    """The entries of d I, as _product_mismatch reads them."""
+    return lambda i, k: d if i == k else 0
 
-    The left side is jv's own U-matrix, from the isotope's expansion, and
-    the right side the base's product.  With every U-matrix an int matrix
-    over its denominator (u_matrix_int), the identity reads
-    lhs (dx dv) = dl (U_x U_v) entry by entry over ints, mod the
-    characteristic; U_v is lifted once."""
-    p = j.ground.char
+
+def _product_mismatch(a, b, s, want, char):
+    """The first entry (i, k) where s (a b)_ik, for int matrices a and b,
+    differs from want(i, k) mod the characteristic, or None."""
+    cols = list(zip(*b))
+    for i, row in enumerate(a):
+        for k, col in enumerate(cols):
+            e = s * sum(map(mul, row, col)) - want(i, k)
+            if e % char if char else e:
+                return i, k
+    return None
+
+
+def u_isotope_identity(j, jv, v):
+    """Prove U^{(v)}_x = U_x U_v for the isotope jv = isotope(j, v); None
+    when proved, else a witness naming the route step that failed.  No
+    point is drawn.
+
+    Write w = v^-1, A / u_den = U_w (jv's u_rows), M = scale A, so that
+    x^{#v} = M x#, C / c_den = U_{w#} and V / dv = U_v.  jv's U-matrix is
+    U^{(v)}_x y = T^v(x, y) x - x^{#v} x_v y, and the base's product is
+    U_x U_v y = T(x, U_v y) x - x# x (U_v y).  jv's adjoint forms are M #
+    by construction (Isotope._scaled), so a x_v b = M (a x b).  The checks
+    on v that prove jv's x## (Isotope._v_failure) give A C = N(w)^2
+    u_den c_den I and (A y)# = (u_den^2 / c_den) C y# as forms in y,
+    whose polarization (A a) x (A b) = (u_den^2 / c_den) C (a x b) holds
+    in every characteristic.  Added to them are one scalar identity,
+    (scale u_den N(w))^2 = 1, and two int matrix identities:
+    (i) A V = u_den dv I, that is U_w U_v = I, and
+    (ii) T^v = T U_v, with T^v read from jv's own trace data.
+    By (i), y = A V y / (u_den dv), so x^{#v} x_v y = M ((M x#) x y) =
+    (scale u_den N(w))^2 x# x (U_v y) = x# x (U_v y), and with (ii) the
+    two sides agree (McCrimmon, A Taste of Jordan Algebras, 2004, Part
+    II)."""
+    if getattr(jv, "base", None) is not j:
+        return "premise: jv is not an isotope of j"
+    if jv._v_failure:
+        return jv._v_failure
+    if (jv.scale * jv.u_den * j.norm(jv.unit)) ** 2 != j.ground.one:
+        return "scale: (scale u_den N(w))^2 != 1"
+    char = j.ground.char
     v_rows, dv = j.u_matrix_int(v)
-    v_cols = list(zip(*v_rows))
-    for _ in range(points):
-        x = j.random_point(stream)
-        lhs, dl = jv.u_matrix_int(x)
-        ux, dx = j.u_matrix_int(x)
-        a = dx * dv
-        for lrow, urow in zip(lhs, ux):
-            for e, col in zip(lrow, v_cols):
-                diff = a * e - dl * sum(map(mul, urow, col))
-                if diff and (not p or diff % p):
-                    return x
+    bad = _product_mismatch(jv.u_rows, v_rows, 1, _diagonal(jv.u_den * dv),
+                            char)
+    if bad:
+        return "U_w U_v entry (%d, %d)" % bad
+    tv, tv_den, _ = jv._u_data
+    t, t_den, _ = j._u_data
+    a = t_den * dv
+    bad = _product_mismatch(t, v_rows, tv_den, lambda i, k: a * tv[i][k],
+                            char)
+    if bad:
+        return "T^v = T U_v entry (%d, %d)" % bad
     return None
 
 

@@ -176,6 +176,9 @@ class Poly:
             return _nonzero(out)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        if type(other) is Fraction and other.denominator == 1:
+            # an integral factor keeps int coefficients ints
+            other = other.numerator
         # over F_p a nonzero c * other can still be zero: keep no zero
         return _nonzero({m: c * other for m, c in self.terms.items()})
 
@@ -269,6 +272,13 @@ def _subst_into(out, terms, args):
         _subst_into(q, rest, args)
         _mul_into(out, {m: v for m, v in q.items() if v}, _terms(args[i]),
                   1)
+
+
+def _integral_as_int(p):
+    """p with every integral Fraction coefficient held as its int
+    numerator; an equal Poly."""
+    return Poly({m: c.numerator if type(c) is Fraction and c.denominator == 1
+                 else c for m, c in p.terms.items()})
 
 
 def variables(n, one):

@@ -9,9 +9,10 @@ import pytest
 
 from albertlab import cubic, isotopy
 from albertlab.config import BuildContext
+from albertlab.runner import run_config
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import NotInvertible, VerificationFailure
-from albertlab.isotopy import isotope
+from albertlab.isotopy import isotope, u_isotope_identity
 from albertlab.poly import Poly, indices
 from albertlab.rng import Stream
 from albertlab.scalars import lift
@@ -681,3 +682,90 @@ class TestIsotopeRoute:
         assert adjoint.witness == "base: coordinate 3, monomial (0, 0, 0, 4)"
         assert _check(rep, "norm_of_adjoint").witness.startswith("base: ")
         assert direct_calls == [base.label]
+
+
+def _law_mutant(j, mutant):
+    """An isotope of j at a random v with N(v)^3 != 1, changed by
+    `mutant` before its forms are built from what it holds."""
+    s = Stream(SEED).derive("law:" + j.label)
+    v = j.random_invertible(s)
+    while j.norm(v) ** 3 == j.ground.one:       # else scale is unchanged
+        v = j.random_invertible(s)
+    jv = isotope(j, v)
+    if mutant == "u_entry":
+        jv.u_rows[0][1] += 1
+    elif mutant == "scale":
+        jv.scale = j.ground.one / jv.u_den
+    else:
+        jv.nv = jv.nv + jv.nv
+    return jv, v
+
+
+class TestULawRoute:
+    # U^(v)_x = U_x U_v is proved through the base
+    # (isotopy.u_isotope_identity): the isotope's cached checks on v, one
+    # scalar, U_w U_v = I and T^v = T U_v, and no point is drawn
+
+    def test_law_draws_no_point(self, six_fixtures, monkeypatch):
+        # a random-v isotope of each fixture (two of them isotopes of
+        # isotopes), a config-built nested isotope_of and an F_3 isotope,
+        # with every point draw refused
+        data = _config("m3_f5_first")
+        data["base"] = {"p": 3}
+        f3 = BuildContext(data).j
+        pad = ["0"] * 18
+        nested = BuildContext(_nested(
+            "m3_q_first", ["1", "1/2", "0", "0", "1", "0", "0", "0", "3"]
+            + pad, ["2", "0", "0", "-1", "1", "0", "1", "0", "1"] + pad)).j
+        laws = [(nested.meta["base"], nested, nested.meta["v"])]
+        for j in six_fixtures + [f3]:
+            jv = _random_isotope(j)
+            laws.append((j, jv, jv.meta["v"]))
+
+        def refuse(*args):
+            raise AssertionError("the U^(v) law drew a point")
+
+        monkeypatch.setattr(CubicNormStructure, "random_point", refuse)
+        for j, jv, v in laws:
+            assert u_isotope_identity(j, jv, v) is None, jv.label
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_lk_q"])
+    @pytest.mark.parametrize("mutant, want", [
+        ("u_entry", "U_w U_{w#} entry (0, "),
+        ("scale", "scale: (scale u_den)^3 N(w)^2 != N(v)"),
+        ("nv", "scale: (scale u_den)^3 N(w)^2 != N(v)")])
+    def test_mutant_names_its_step(self, name, mutant, want, request):
+        j = request.getfixturevalue(name)
+        jv, v = _law_mutant(j, mutant)
+        wit = u_isotope_identity(j, jv, v)
+        assert wit.startswith(want), wit
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_lk_q"])
+    @pytest.mark.parametrize("mutant, want", [
+        ("scale", "scale: (scale u_den N(w))^2 != 1"),
+        ("nv", "T^v = T U_v entry (")])
+    def test_steps_after_the_cached_checks(self, name, mutant, want,
+                                           request):
+        # with the cached checks on v forced to pass, the scalar step
+        # sees a wrong scale, and T^v = T U_v a wrong N(v): the isotope's
+        # trace form, read off N(v) N at w, is then twice T U_v
+        j = request.getfixturevalue(name)
+        jv, v = _law_mutant(j, mutant)
+        jv._v_failure = None
+        wit = u_isotope_identity(j, jv, v)
+        assert wit.startswith(want), wit
+
+    def test_other_base_is_refused(self, j_m3_f5, iso_m3_f5):
+        v = iso_m3_f5.meta["v"]
+        assert u_isotope_identity(iso_m3_f5, iso_m3_f5, v) == \
+            "premise: jv is not an isotope of j"
+
+    def test_report_names_the_step(self, monkeypatch):
+        # the isotope task reports a failed step as "fail: <step>"
+        monkeypatch.setattr(isotopy.Isotope, "_v_failure", "scale: test")
+        cfg = _config("m3_q_first")
+        node = next(t for t in cfg["tasks"] if t["task"] == "isotope")
+        report, code = run_config(cfg, tasks=[node])
+        entry = report["tasks"][0]
+        assert (code, entry["status"], entry["u_operator_identity"]) == (
+            1, "fail", "fail: scale: test")

@@ -16,7 +16,7 @@ import pytest
 from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.isotopy import isotope
-from albertlab.poly import Poly, variables
+from albertlab.poly import Poly, _int_scaled, variables
 from albertlab.rng import Stream
 from albertlab.scalars import lift
 
@@ -212,9 +212,9 @@ class TestEvaluatorRuns:
         assert counts == {"eval_norm": 1, "eval_sharp": 1}
 
     def test_isotope_runs_no_evaluator_again(self):
-        # an isotope's evaluator check reads its base's evaluator forms,
-        # cached from the base's own suite, so neither evaluator runs
-        # again
+        # an isotope's forms are its scaled evaluators' forms by
+        # construction, so its suite compares nothing and neither
+        # evaluator runs again
         with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
             j = BuildContext(json.load(fh)).j
         counts = {"eval_norm": 0, "eval_sharp": 0}
@@ -236,3 +236,43 @@ class TestEvaluatorRuns:
         assert next(c.mode for c in rep.checks
                     if c.name == "expansion_matches_evaluators") == "symbolic"
         assert counts == {"eval_norm": 1, "eval_sharp": 1}
+
+    def test_isotope_of_construction_compares_nothing(self):
+        # the scaled forms of a Tits construction's isotope, and of an
+        # isotope of that, are their scaled evaluators' forms, so neither
+        # builds evaluator forms of its own
+        with open(os.path.join(CONFIGS, "m3_q_first.json")) as fh:
+            j = BuildContext(json.load(fh)).j
+        jv = isotope(j, j.random_invertible(Stream(93)))
+        jw = isotope(jv, jv.random_invertible(Stream(94)))
+        for s in (jv, jw):
+            rep = s.axiom_suite(seed=1)
+            assert rep.all_passed, rep
+            assert "_evaluator_forms" not in vars(s), s.label
+
+
+Q_CONFIGS = ["cyclic_q_first", "m3_q_first", "m3k_q_second", "lk_q_second"]
+
+
+class TestIntExpansion:
+    """Over Q the evaluators and the coefficient algebra's reduced norm
+    run on indeterminates with the int coefficient 1, so integral
+    coefficients are ints, and the forms are those of an expansion on
+    Fraction indeterminates."""
+
+    @pytest.mark.parametrize("name", Q_CONFIGS)
+    def test_forms_match_fraction_expansion(self, name):
+        with open(os.path.join(CONFIGS, name + ".json")) as fh:
+            j = BuildContext(json.load(fh)).j
+        n, sh = j.expand_symbolic()
+        coeffs = [c for p in [n, *sh] for c in p.terms.values()]
+        assert all(type(c) is int for c in coeffs
+                   if Fraction(c).denominator == 1)
+        assert any(type(c) is int for c in n.terms.values())
+        xs = variables(j.dim, Fraction(1))
+        assert [n, *sh] == [j.eval_norm(xs), *j.eval_sharp(xs)]
+        alg = j.meta["algebra"]
+        c = alg.center
+        ref = c.to_k_coords(alg.norm(alg.from_k_coords(
+            variables(alg.k_dim, Fraction(1)))))
+        assert alg.norm_int() == _int_scaled(ref)

@@ -104,6 +104,18 @@ class TestPoly:
         assert (p * 5).terms == {} and (5 * p).terms == {}
         assert (p * 6).terms == p.terms
 
+    def test_integral_fraction_multiplies_as_int(self):
+        # an int coefficient times an integral Fraction stays an int; a
+        # proper fraction makes it a Fraction
+        x, y = variables(2, 1)
+        p = 3 * x * y + x
+        for q in (p * Fraction(2), Fraction(-4) * p):
+            assert {type(c) for c in q.terms.values()} == {int}
+        assert p * Fraction(2) == 2 * p
+        half = p * Fraction(1, 2)
+        assert {type(c) for c in half.terms.values()} == {Fraction}
+        assert half + half == p
+
     def test_foreign_operands_refused(self):
         # only a Poly, an int or a Fraction is a coefficient: a float
         # raises instead of becoming a constant term

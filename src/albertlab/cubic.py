@@ -29,7 +29,13 @@ and the coordinate where there is one.
 x## = N(x) x and N(x#) = N(x)^2 come from one cached property
 (_adjoint_verdicts): this class proves them on its own forms, and an
 isotope overrides it to prove them through its base (isotopy.Isotope),
-so no dense isotope form is ever composed.
+so no dense isotope form is ever composed.  x## is composed a run of
+adjoint coordinates at a time (poly.compose_mismatch): consecutive
+coordinates whose terms start with the first indices of the run's first
+coordinate share every product of the nested substitution, their int
+forms packed into the slots of one int coefficient (9 runs of 3 on
+J(cyclic, 3)); the verdict and the witness are those of one coordinate
+at a time.
 
 The two U-operator identities N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x
 are derived, not sampled, when the suite has proved their premises as
@@ -63,8 +69,8 @@ from typing import Callable, List, Optional
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
 from .poly import (Poly, _int_scaled, _integral_as_int, _lowest, _mod,
-                   directional_derivative, indices, linear_form,
-                   sum_of_products, variables)
+                   compose_mismatch, directional_derivative, indices,
+                   linear_form, sum_of_products, variables)
 from .rng import Stream
 from .scalars import from_int, lift
 
@@ -394,8 +400,15 @@ class CubicNormStructure:
         x## = N(x) x is compared on the int lifts (denominators cleared
         over Q) mod the characteristic: with n_i = n_den N and sh_i =
         s_den #, coordinate i reads n_den sh_i[i](sh_i) = s_den^3 n_i x_i.
-        The witness names the first coordinate that differs and its
-        lowest differing monomial.
+        poly.compose_mismatch composes the coordinates a run at a time
+        (a coordinate joins the run while the first indices of its terms
+        are among those of the run's first coordinate), the run's forms
+        packed into the slots of one int coefficient and the packed
+        target s_den^3 n_i x_i subtracted; over Q a run whose packed
+        differences are all 0 is done without unpacking, otherwise each
+        slot is read through _mod.  The witness is unchanged by the
+        packing: the first coordinate that differs and its lowest
+        differing monomial.
 
         N(x#) = N(x)^2 is derived, not composed, when x## = N(x) x is
         proved, the gradient identity T(x#, y) = d_y N(x) holds
@@ -411,13 +424,10 @@ class CubicNormStructure:
         n_i, n_den = self.n_int
         char = self.ground.char
         s3 = s_den ** 3
-        adjoint = None
-        for i, p in enumerate(sh_i):
-            diff = _mod(n_den * p.eval(sh_i, 1)
-                        - s3 * (n_i * Poly.var(i, 1)), char)
-            if diff:
-                adjoint = "coordinate %d, monomial %r" % (i, _lowest(diff))
-                break
+        bad = compose_mismatch([n_den * p for p in sh_i], sh_i,
+                               lambda i: s3 * (n_i * Poly.var(i, 1)), char)
+        adjoint = None if bad is None else "coordinate %d, monomial %r" % (
+            bad[0], _lowest(bad[1]))
         if adjoint is None and char != 3 and self._trace_adjoint_ok():
             return None, None
         return adjoint, self._norm_of_adjoint_direct()

@@ -6,14 +6,16 @@ The v-isotope lives on the same carrier with
 
 and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope
 (Isotope) holds U_{v^-1} once as int rows; its forms are the base's
-forms scaled by these closed formulas, its evaluator forms the base's
-cached evaluator forms scaled the same way.  Its x## = N(x) x and
+forms scaled by these closed formulas, the rows multiplied into the
+base's int adjoint forms, its evaluator forms the base's cached
+evaluator forms scaled the same way.  Its x## = N(x) x and
 N(x#) = N(x)^2 are proved through the base: the base's proved
 identities, plus exact checks on the fixed v (the adjoint identity
-(U_w y)# = U_{w#} y# as int quadratic forms, U_w U_{w#} = N(w)^2 I as
-an int matrix identity, one scalar identity, and the norm pulled back
-through N(v) U_w), with w = v^{-1}.  The isotope's own dense forms are
-never composed, and an isotope of an isotope recurses.
+(U_w y)# = U_{w#} y# as int quadratic forms, composed a run of
+coordinates at a time by poly.compose_mismatch, U_w U_{w#} = N(w)^2 I
+as an int matrix identity, one scalar identity, and the norm pulled
+back through N(v) U_w), with w = v^{-1}.  The isotope's own dense forms
+are never composed, and an isotope of an isotope recurses.
 u_isotope_identity proves U^{(v)}_x = U_x U_v the same way, from the
 cached checks on v, one scalar identity and two int matrix identities,
 U_w U_v = I and T^v = T U_v; it draws no point.
@@ -40,8 +42,10 @@ from operator import mul
 from . import linalg
 from .cubic import CubicNormStructure, corrupt_sharp
 from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
-from .poly import _lowest, _mod, indices, linear_form, pullback
-from .scalars import lift
+from .poly import (_int_scaled, _lowest, _mod, _nonzero,
+                   compose_mismatch, indices, linear_combination, linear_form,
+                   pullback)
+from .scalars import from_int, lift
 from .tits import componentwise_matrix, embed_hermitian_summand, second_tits
 
 
@@ -79,14 +83,14 @@ class Isotope(CubicNormStructure):
     U_{v^-1} (u_matrix_int) is held once as int rows u_rows over u_den,
     so x^{#v} = M x# for M = N(v) U_{v^-1} = scale u_rows, scale =
     N(v) / u_den.  The isotope's forms hook is the base's forms, which
-    it scales: N(v) times the base's norm form and the base's adjoint
-    forms through M (_scaled).  Its evaluators are the base's, scaled the
-    same way.  When the base's forms are its evaluators' forms, so are
-    the isotope's (_forms_are_evaluators) and nothing is compared;
-    otherwise its evaluator forms are the base's cached evaluator forms,
-    scaled the same way, so the evaluator check runs no evaluator again.
-    The forms, the evaluator forms and the proofs read nv, u_rows, u_den
-    and scale from the isotope at first use.
+    it scales: N(v) times the base's norm form and the base's int
+    adjoint forms through M (_scaled).  Its evaluators are the base's,
+    scaled the same way.  When the base's forms are its evaluators'
+    forms, so are the isotope's (_forms_are_evaluators) and nothing is
+    compared; otherwise its evaluator forms are the base's cached
+    evaluator forms, scaled the same way, so the evaluator check runs no
+    evaluator again.  The forms, the evaluator forms and the proofs read
+    nv, u_rows, u_den and scale from the isotope at first use.
 
     x## = N(x) x and N(x#) = N(x)^2 are proved through the base
     (_adjoint_verdicts), never by composing the isotope's own dense
@@ -114,13 +118,22 @@ class Isotope(CubicNormStructure):
         self.nv, self.u_rows, self.u_den, self.scale = nv, u_rows, u_den, scale
         self.meta = {"type": "isotope", "base": base, "v": tuple(v)}
 
-    def _scaled(self, n, sh):
-        """The isotope's (N, #) from forms (n, sh) of the base."""
-        return self.nv * n, [self.scale * p
-                             for p in linalg.matvec(self.u_rows, sh)]
+    def _scaled(self, n, sh_int):
+        """The isotope's (N, #) from a norm form n of the base and the
+        base's adjoint as int forms sh_int = (sh_i, s_den): N(v) n, and
+        M # = scale u_rows sh_i / s_den, each row of u_rows multiplied
+        into sh_i in one int dict (linear_combination) and each of its
+        coefficients mapped back once."""
+        sh_i, s_den = sh_int
+        (sc,), sd = lift([self.scale])
+        den = sd * s_den
+        return self.nv * n, [
+            _nonzero({m: from_int(self._kind, sc * c, den)
+                      for m, c in linear_combination(row, sh_i).terms.items()})
+            for row in self.u_rows]
 
     def _given_forms(self):
-        return self._scaled(*self._forms())
+        return self._scaled(self._forms()[0], self.base.sharp_int)
 
     @property
     def _forms_are_evaluators(self):
@@ -131,7 +144,8 @@ class Isotope(CubicNormStructure):
 
     @cached_property
     def _evaluator_forms(self):
-        return self._scaled(*self.base._evaluator_forms)
+        n, sh = self.base._evaluator_forms
+        return self._scaled(n, _int_scaled(sh))
 
     def _corrupted(self, coord):
         return Isotope(corrupt_sharp(self.base, coord), self.meta["v"])
@@ -150,7 +164,12 @@ class Isotope(CubicNormStructure):
         nv, then with the base's x## = N(x) x this is scale^3 u_den^3
         N(w)^2 N(x) x = N_v(x) x.  For a true isotope these are
         (U_w y)# = U_{w#} y#, U_w U_{w#} = N(w)^2 I and N(w) = 1 / N(v)
-        (McCrimmon, A Taste of Jordan Algebras, 2004, Part II).
+        (McCrimmon, A Taste of Jordan Algebras, 2004, Part II).  The
+        quadratic check composes the base's int adjoint forms at the
+        linear forms A y by poly.compose_mismatch, against the rows of C
+        times the base's int adjoint forms, each built in one int dict
+        (linear_combination); its witness names the first coordinate
+        that differs and its lowest differing monomial.
 
         N(x#) (_norm_failure): N_v(x^{#v}) = nv N(M x#).  If N(M y) =
         nv N(y) as forms in y, then with the base's N(x#) = N(x)^2 this
@@ -178,13 +197,13 @@ class Isotope(CubicNormStructure):
         if bad:
             return "U_w U_{w#} entry (%d, %d)" % bad
         sh_i, _ = b.sharp_int
-        ay = [linear_form(row) for row in a]
         a2 = a_den * a_den
-        for m, (p, q) in enumerate(zip(sh_i, linalg.matvec(c, sh_i))):
-            diff = _mod(c_den * p.eval(ay, 1) - a2 * q, char)
-            if diff:
-                return "(U_w y)# coordinate %d, monomial %r" % (
-                    m, _lowest(diff))
+        bad = compose_mismatch(
+            [c_den * p for p in sh_i], [linear_form(row) for row in a],
+            lambda m: linear_combination([a2 * e for e in c[m]], sh_i), char)
+        if bad:
+            return "(U_w y)# coordinate %d, monomial %r" % (
+                bad[0], _lowest(bad[1]))
         return None
 
     def _norm_failure(self):

@@ -31,6 +31,18 @@ the remaining mode one scalar multiply-add per row on those ints.  The
 slot width comes from an exact bound on every slot, so no slot borrows
 from its neighbour, and since only ints are added and multiplied the
 result is exact over Z and so, read by _mod, in every characteristic.
+compose_mismatch(forms, args, target, char) packs the other way round,
+over the output: it finds the first form whose composition at args
+differs from its target, substituting a run of forms at once (_runs: a
+form joins the run while the first indices of its terms are among
+those of the run's first form) by the same nested substitution as
+Poly.eval, on one term dict whose coefficients hold one form each in
+signed slots of w bits, w again from an exact bound on every slot.  In
+characteristic 0 a run whose packed differences are all 0 is never
+unpacked; otherwise the differences are read slot by slot through
+_mod, so the first failing form and its difference are those of
+composing the forms one at a time.  The axiom suite's x## = N(x) x and
+the isotope's (U_w y)# = U_{w#} y# are proved through it.
 
 The int-form helpers live here too: _int_scaled turns ground polys into
 int forms over one denominator (through scalars.lift), _mod reads an
@@ -299,6 +311,17 @@ def sum_of_products(pairs):
     return _nonzero(out)
 
 
+def linear_combination(coeffs, polys):
+    """sum c p over the scalars coeffs and the Polys polys, accumulated in
+    one dict; a zero c is skipped."""
+    out = {}
+    for c, p in zip(coeffs, polys):
+        if c:
+            for m, e in p.terms.items():
+                out[m] = out[m] + c * e if m in out else c * e
+    return _nonzero(out)
+
+
 # -- int forms --------------------------------------------------------------
 
 def _int_scaled(polys):
@@ -407,6 +430,92 @@ def pullback(p, rows):
                 m += x[a]
                 out[m] = out.get(m, 0) + v
     return _nonzero(out)
+
+
+def _runs(forms):
+    """The runs of compose_mismatch, as lists of consecutive indices into
+    forms: a form joins the current run when the first indices of its
+    terms of degree 2 or more are all among those of the run's first
+    form, and starts a new run otherwise."""
+    runs = []
+    for k, p in enumerate(forms):
+        first = {indices(m)[0] for m in p.terms if m & 255 >= 2}
+        if runs and first <= runs[-1][0]:
+            runs[-1][1].append(k)
+        else:
+            runs.append((first, [k]))
+    return [run for _, run in runs]
+
+
+def compose_mismatch(forms, args, target, char):
+    """The first k where forms[k](args) - target(k), read in
+    characteristic char (_mod), is nonzero, as (k, that difference), or
+    None; forms, args and the targets are int Polys.  target(k) is called
+    once per k, when the run holding k is reached, so only one run's
+    targets are held at a time.
+
+    The forms are substituted a run (_runs) at a time, by one nested
+    substitution (_subst_into) of a packed term dict: its coefficient at a
+    monomial is sum_s c_s 2^(w s), c_s the coefficient of the run's s-th
+    form (Kronecker substitution over the form).  Each L_i of the
+    substitution is then formed and multiplied by args[i] once for the
+    whole run, not once per form; a form whose first indices are all
+    those of the run adds no such product.
+
+    Every value the substitution forms is linear in the packed
+    coefficients with int multipliers, so its slot s is the value the s-th
+    form alone would give.  With r_i the sum of the absolute coefficients
+    of args[i], at least 1, no slot of any partial sum, and no slot of the
+    difference, exceeds bound = the largest, over the run's forms, of
+    (sum over the terms c x_i...x_j of |c| r_i...r_j) + (largest
+    |coefficient| of the target).  w = bit length of bound + 1 keeps every
+    |slot| below 2^(w-1), so the slots of a packed value are read back
+    exactly after adding 2^(w-1) to each, and a packed value is 0 only
+    when all its slots are.  In characteristic 0 a run whose packed
+    differences are all 0 is done without unpacking; otherwise its
+    differences are unpacked and each slot is read through _mod, in
+    order.  The result, witness included, is that of substituting each
+    form alone."""
+    weights = [max(1, sum(map(abs, a.terms.values()))) for a in args]
+    for run in _runs(forms):
+        targets = [target(k).terms for k in run]
+        bound = 0
+        for k, t in zip(run, targets):
+            b = max(map(abs, t.values()), default=0)
+            for m, c in forms[k].terms.items():
+                for i in indices(m):
+                    c *= weights[i]
+                b += abs(c)
+            bound = max(bound, b)
+        w = bound.bit_length() + 1
+        packed = {}
+        for s, k in enumerate(run):
+            for m, c in forms[k].terms.items():
+                packed[m] = packed.get(m, 0) + (c << (w * s))
+        out = {}
+        _subst_into(out, packed, args)
+        for s, t in enumerate(targets):
+            for m, c in t.items():
+                out[m] = out.get(m, 0) - (c << (w * s))
+        if not char and not any(out.values()):
+            continue
+        half = 1 << (w - 1)
+        mask = (1 << w) - 1
+        offset = sum(half << (w * s) for s in range(len(run)))
+        slots = [{} for _ in run]
+        for m, v in out.items():
+            if v:
+                v += offset
+                for d in slots:
+                    e = (v & mask) - half
+                    if e:
+                        d[m] = e
+                    v >>= w
+        for k, d in zip(run, slots):
+            diff = _mod(Poly(d), char)
+            if diff:
+                return k, diff
+    return None
 
 
 def directional_derivative(p, nvars):

@@ -1,8 +1,8 @@
 """The int-lifted kernels (linalg.matmul, linalg.rank, u_matrix,
-poly.pullback) against independent references written here: plain
-Fraction and mod-p loops, U_x(y) = T(x, y) x - x# x y assembled from
-T(x, y) (the trace_pair fixture) and cross, and the nested Poly.eval
-substitution."""
+poly.pullback, poly.compose_mismatch) against independent references
+written here: plain Fraction and mod-p loops, U_x(y) = T(x, y) x -
+x# x y assembled from T(x, y) (the trace_pair fixture) and cross, and
+the nested Poly.eval substitution, one form at a time."""
 
 from fractions import Fraction
 
@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from albertlab import linalg, poly, tits
 from albertlab.associative import CyclicAlgebra
+from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import AlbertLabError
-from albertlab.poly import Poly, linear_form, mono, pullback
+from albertlab.isotopy import Isotope
+from albertlab.poly import (Poly, _runs, compose_mismatch, linear_form, mono,
+                            pullback)
 from albertlab.rng import Stream
 from albertlab.scalars import PrimeField, RationalField, lift
 
@@ -350,3 +353,171 @@ class TestPullback:
     def test_non_cubic_rejected(self, p):
         with pytest.raises(AlbertLabError):
             pullback(p, [[1, 0], [0, 1]])
+
+
+def _from_terms(terms):
+    """The int Poly sum c x_i...x_j over (index tuple, c) terms."""
+    out = {}
+    for idx, c in terms:
+        m = mono(tuple(sorted(idx)))
+        out[m] = out.get(m, 0) + c
+    return Poly({m: c for m, c in out.items() if c})
+
+
+def _one_at_a_time(forms, args, target, char):
+    """compose_mismatch's result by Poly.eval, one form at a time: the
+    first k where forms[k](args) - target(k) is nonzero mod char, with
+    that difference."""
+    for k, p in enumerate(forms):
+        d = p.eval(args, 1) - target(k)
+        if char:
+            d = Poly({m: c % char for m, c in d.terms.items() if c % char})
+        if d:
+            return k, d
+    return None
+
+
+def _against_reference(forms, args, target, char):
+    got = compose_mismatch(forms, args, target, char)
+    assert got == _one_at_a_time(forms, args, target, char)
+    return got
+
+
+def _terms_of(nvars, degrees, coef):
+    """Int Polys in nvars variables: up to 6 terms, each of a degree drawn
+    from degrees, with coefficients drawn from coef."""
+    idx = st.integers(0, nvars - 1)
+    return st.lists(st.tuples(
+        st.sampled_from(degrees).flatmap(
+            lambda d: st.lists(idx, min_size=d, max_size=d)), coef),
+        max_size=6).map(_from_terms)
+
+
+class TestComposeMismatch:
+    """Every slot of a packed run is read back by asking for the first
+    mismatch with the targets of the forms before a cut set to their
+    true compositions: the answer is then the first slot from the cut
+    on that differs."""
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_quadratic_forms(self, nvars, nargs, wide, data):
+        coef = st.integers(-2 ** 70, 2 ** 70) if wide else \
+            st.integers(-9, 9)
+        forms = data.draw(st.lists(_terms_of(nvars, [2, 2, 1, 0], coef),
+                                   min_size=1, max_size=6))
+        args = data.draw(st.lists(_terms_of(nargs, [1, 2], coef),
+                                  min_size=nvars, max_size=nvars))
+        noise = data.draw(st.lists(_terms_of(nargs, [2, 3, 4], coef),
+                                   min_size=len(forms), max_size=len(forms)))
+        ref = [p.eval(args, 1) for p in forms]
+        for char in (0, 5):
+            for cut in range(len(forms) + 1):
+                _against_reference(
+                    forms, args,
+                    lambda k: ref[k] if k < cut else noise[k], char)
+        assert _against_reference(forms, args, lambda k: ref[k], 0) is None
+
+    @pytest.mark.parametrize("bits", [2, 8, 63, 64, 200])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("char", [0, 7])
+    def test_slots_at_the_bound(self, bits, sign, char):
+        """Forms 0..cut-1 are h x0^2 against the target h y0^2 (slot 0,
+        slot bound 2 h = v - 1), the rest sign v x0^2 against 0 (slot and
+        slot bound v = 2^bits - 1), with x0 -> y0: the run's bound is v,
+        and every slot from the cut on holds sign v, of one sign."""
+        v = 2 ** bits - 1
+        h = (v - 1) // 2
+        args = [_from_terms([((0,), 1)])]
+        for cut in range(5):
+            forms = [_from_terms([((0, 0), h if k < cut else sign * v)])
+                     for k in range(5)]
+            got = _against_reference(
+                forms, args, lambda k: forms[k] if k < cut else Poly(), char)
+            if not char:
+                assert got == (cut, forms[cut]) if cut < 5 else got is None
+
+    @pytest.mark.parametrize("v", [1, 5, 2 ** 64 - 1])
+    def test_arg_terms_add_up_in_a_slot(self, v):
+        """v x0^2 at x0 -> y0 - y1 gives v y0^2 - 2 v y0 y1 + v y1^2: the
+        slot of y0 y1 is twice v, the largest coefficient of any form or
+        arg, so the bound must add up the terms of each arg."""
+        forms = [_from_terms([((0, 0), v)])] * 3
+        args = [_from_terms([((0,), 1), ((1,), -1)])]
+        ref = [p.eval(args, 1) for p in forms]
+        for cut in range(4):
+            _against_reference(forms, args,
+                               lambda k: ref[k] if k < cut else Poly(), 0)
+
+    @pytest.mark.parametrize("values", [
+        [-1, 1, -1, 1], [1, -1, 1, -1], [-5, 0, 7, -7, 1, 0],
+        [-(2 ** 64 - 1), 2 ** 64 - 1, -1, 0, 1, -(2 ** 64 - 1)],
+        [0, -1, 0, 0, -1, 1]])
+    @pytest.mark.parametrize("char", [0, 5])
+    def test_negative_slots_next_to_positive(self, values, char):
+        """Form k is values[k] x0^2 + (k + 1) x0 x1 at x0 -> y0 + y1,
+        x1 -> -y1: a packed value whose slots change sign from one to the
+        next, read after every cut and with every target doubled, so each
+        slot's difference is its negative."""
+        forms = [_from_terms([((0, 0), c), ((0, 1), k + 1)])
+                 for k, c in enumerate(values)]
+        args = [_from_terms([((0,), 1), ((1,), 1)]),
+                _from_terms([((1,), -1)])]
+        ref = [p.eval(args, 1) for p in forms]
+        for cut in range(len(forms) + 1):
+            _against_reference(forms, args,
+                               lambda k: ref[k] if k < cut else Poly(), char)
+            _against_reference(forms, args,
+                               lambda k: ref[k] * (1 if k < cut else 2),
+                               char)
+
+    def test_runs_share_first_indices(self):
+        # first indices {0, 1}, {0}, {1}, {2}, {}, {0}: a form joins a run
+        # while its first indices are among those of the run's first form
+        forms = [_from_terms(t) for t in (
+            [((0, 2), 1), ((1, 1), 2)], [((0, 0), 3), ((1,), 4)],
+            [((1, 2), 5)], [((2, 2), 6)], [((0,), 7)], [((0, 1), 8)])]
+        assert _runs(forms) == [[0, 1, 2], [3, 4], [5]]
+
+
+def _first_failing_coordinate(j):
+    """x## = N(x) x composed one coordinate at a time by Poly.eval on j's
+    int forms: n_den sh_i[i](sh_i) against s_den^3 n_i x_i mod the
+    characteristic; the first failing coordinate and its lowest
+    differing monomial, as the suite words its witness, or None."""
+    sh_i, s_den = j.sharp_int
+    n_i, n_den = j.n_int
+    char = j.ground.char
+    for i, p in enumerate(sh_i):
+        d = n_den * p.eval(sh_i, 1) - s_den ** 3 * (n_i * Poly.var(i, 1))
+        low = [m for m, c in d.terms.items() if (c % char if char else c)]
+        if low:
+            return "coordinate %d, monomial %r" % (
+                i, min(poly.indices(m) for m in low))
+    return None
+
+
+def test_corrupted_witness_matches_one_coordinate_at_a_time(six_fixtures,
+                                                           monkeypatch):
+    """corrupt_sharp at the first, a middle and the last coordinate of the
+    longest run of the innermost construction's adjoint forms: the
+    suite's adjoint_of_adjoint witness is the one-at-a-time reference's,
+    prefixed "base: " on an isotope.  The failed x## sends N(x#) to its
+    composition, which is not under test here and is stubbed out."""
+    monkeypatch.setattr(CubicNormStructure, "_norm_of_adjoint_direct",
+                        lambda self: None)
+    for j in six_fixtures:
+        inner = j.base if isinstance(j, Isotope) else j
+        run = max(_runs(inner.sharp_int[0]), key=len)
+        for coord in sorted({run[0], run[len(run) // 2], run[-1]}):
+            bad = corrupt_sharp(j, coord)
+            rep = bad.axiom_suite(seed=3, points=4)
+            check = next(c for c in rep.checks
+                         if c.name == "adjoint_of_adjoint")
+            want = _first_failing_coordinate(
+                bad.base if isinstance(j, Isotope) else bad)
+            assert want is not None
+            if isinstance(j, Isotope):
+                want = "base: " + want
+            assert (check.passed, check.witness) == (False, want), \
+                (j.label, coord)

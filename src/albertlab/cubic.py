@@ -317,7 +317,8 @@ class CubicNormStructure:
         """T(x) = S(x) = N(x) = 0.  Every x satisfies its generic minimum
         polynomial x^3 - T(x) x^2 + S(x) x - N(x) (McCrimmon, A Taste of
         Jordan Algebras, 2004, Part II, ch. 4), so such an x has
-        x^3 = U_x(x) = 0; search.find_nilpotent re-verifies its hit with
+        x^3 = U_x(x) = 0.  search.find_nilpotent scans with the same test
+        on int lifts and re-verifies its hit with this one and with
         U_x(x) = 0."""
         return not self.trace(x) and not self.spur(x) and not self.norm(x)
 

@@ -232,12 +232,15 @@ class Poly:
     def eval(self, args, one):
         """Substitute args[i] for variable i.
 
-        With scalar args (ground scalars or ints) the result is the
-        scalar sum of c * prod(args); `one` only fixes its zero when self
-        has no terms.  The terms are read from a plan of (coefficient,
-        indices(m)) pairs built at the first scalar evaluation and kept,
-        which is sound because a Poly's terms never change after
-        construction.  With Poly args the substitution is
+        With scalar args (ground scalars or ints) the result is
+        (one - one) plus the scalar sum of c * prod(args), so `one` fixes
+        the result's type when self has no terms.  The terms are read
+        from a plan built at the first scalar evaluation and kept, which
+        is sound because a Poly's terms never change after construction:
+        rows (c, i), (c, i, j) and (c, i, j, k) for the terms of degree
+        1, 2 and 3, each degree summed by one list comprehension, and
+        (c, indices(m)) pairs for the terms of any other degree, summed
+        by a general loop.  With Poly args the substitution is
         nested down to linear terms: the terms of degree 2 or more are
         grouped by their first index i, self = sum_i x_i L_i + (terms of
         degree at most 1), and each L_i is substituted the same way,
@@ -254,10 +257,12 @@ class Poly:
         if not args or not isinstance(args[0], Poly):
             plan = self._plan
             if plan is None:
-                plan = self._plan = [(c, indices(m))
-                                     for m, c in self.terms.items()]
-            total = one - one
-            for c, idx in plan:
+                plan = self._plan = _point_plan(self.terms)
+            r1, r2, r3, rest = plan
+            total = one - one + sum([c * args[i] for c, i in r1]) \
+                + sum([c * args[i] * args[j] for c, i, j in r2]) \
+                + sum([c * args[i] * args[j] * args[k] for c, i, j, k in r3])
+            for c, idx in rest:
                 for i in idx:
                     c = c * args[i]
                 total = total + c
@@ -265,6 +270,21 @@ class Poly:
         out = {}
         _subst_into(out, self.terms, args)
         return _nonzero(out)
+
+
+def _point_plan(terms):
+    """The plan of the scalar route of Poly.eval: the rows (c, *indices)
+    of the terms of degree 1, 2 and 3, and the (c, indices) pairs of the
+    terms of every other degree."""
+    rows = {1: [], 2: [], 3: []}
+    rest = []
+    for m, c in terms.items():
+        idx = indices(m)
+        if len(idx) in rows:
+            rows[len(idx)].append((c, *idx))
+        else:
+            rest.append((c, idx))
+    return rows[1], rows[2], rows[3], rest
 
 
 def _subst_into(out, terms, args):

@@ -12,13 +12,19 @@ denominators of a list of ground scalars once, and from_int() maps an
 int result back once.  Matrix products and ranks take ground-field
 matrices only (ground_type); nothing multiplies or ranks a matrix over
 an extension field.
+
+A ground field turns a 64-bit draw u of the random stream into a
+coordinate through its draw_range, once: the coordinate is
+draw_range[u mod len(draw_range)], u mod 21 - 10 over Q and u mod p over
+F_p.  random() reads one draw through it, and draw_ints() reads a run of
+draws as the int lifts of those coordinates, for the witness scans.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .errors import ConfigError, NonPrimeModulus, NotInvertible
-from .rng import Stream
+from .rng import Stream, draws
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality
@@ -157,15 +163,27 @@ def from_int(kind, v, den):
     return Fraction(v, den) if kind is Fraction else kind(v)
 
 
+def draw_ints(ground, seed, offset, k):
+    """The int lifts of k successive ground.random draws from
+    Stream(seed, offset), drawn in one call: the coordinates
+    draw_range[u mod len(draw_range)] of the draws u, over Q integers and
+    over F_p residues, so every lift has d = 1."""
+    r = ground.draw_range
+    us = draws(seed, offset, k, len(r))
+    return [u + r.start for u in us] if r.start else us
+
+
 class RationalField:
     """The field Q with Fraction scalars."""
 
     char = 0
     is_finite = False
     order = None
-    # the values of random(), built once: small integers keep downstream
+    # the coordinates of the draws: small integers keep downstream
     # Fraction growth in check
-    _draws = tuple(Fraction(n) for n in range(-10, 11))
+    draw_range = range(-10, 11)
+    # the values of random(), built once
+    _draws = tuple(map(Fraction, draw_range))
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -198,7 +216,7 @@ class RationalField:
         return 1 / Fraction(x)
 
     def random(self, stream: Stream):
-        return self._draws[stream.next_below(21)]
+        return self._draws[stream.next_below(len(self._draws))]
 
     def __repr__(self):
         return "Q"
@@ -221,6 +239,7 @@ class PrimeField:
         self.p = p
         self.char = p
         self.order = p
+        self.draw_range = range(p)
         if p not in _fp_classes:
             _fp_classes[p] = _make_fp_class(p)
         self.elem = _fp_classes[p]
@@ -258,7 +277,8 @@ class PrimeField:
         return self.elem(pow(int(x), self.p - 2, self.p))
 
     def random(self, stream: Stream):
-        return self.elem(stream.next_below(self.p))
+        r = self.draw_range
+        return self.elem(r[stream.next_below(len(r))])
 
     def __repr__(self):
         return "F_%d" % self.p

@@ -6,16 +6,26 @@ sequential scan returns the earliest-index witness, so reports are
 byte-identical for a fixed seed.  The public searches keep their `jobs`
 parameter only for callers that still pass it, and ignore it: the
 predicates are pure-Python arithmetic, and worker threads made the scans
-slower.  The norm-preimage predicate of division falsification evaluates
-the coefficient algebra's int norm forms (norm_int) at the candidate's
-int lift.  Every witness is re-verified with a fresh evaluation before
-it is returned.
+slower.
+
+Every scan runs on ints from draw to verdict.  A candidate is the int
+lift, with d = 1, of a point with coordinates in k: a random candidate
+is drawn in one call (scalars.draw_ints) and equals the lift of the
+point that ground.random draws from the same stream offset, and an
+exhaustive one is read off the base-q digits of its index.  The
+predicates evaluate the int forms that the structures cache (n_int,
+_trace_data and the coefficient algebra's norm_int) at the candidate; a
+value is zero when it is 0 over Q, or 0 mod p over F_p.  Only the hit is
+mapped to ground scalars, and it is re-verified with a fresh
+ground-field evaluation before it is returned.
 """
+
+from operator import mul, not_
 
 from .associative import MatrixAlgebra
 from .errors import VerificationFailure
 from .rng import Stream
-from .scalars import lift
+from .scalars import draw_ints, lift
 
 
 class SearchResult:
@@ -35,19 +45,35 @@ class SearchResult:
         return "SearchResult(%s, index=%r)" % (self.status, self.index)
 
 
-def point_at(j, seed, index):
-    """Candidate number `index` of the random search stream."""
-    return j.random_point(Stream(seed, offset=index * (j.dim + 2)))
+def _candidates(ground, dim, seed):
+    """Candidate i of a random scan of k^dim: the int lift of the dim
+    coordinates that ground.random draws from
+    Stream(seed, offset=i (dim + 2))."""
+    stride = dim + 2
+    return lambda i: draw_ints(ground, seed, i * stride, dim)
 
 
 def _exhaustive_point(j, index):
-    """Candidate number `index` of the exhaustive scan (base-q digits)."""
+    """Candidate number `index` of the exhaustive scan: coordinate t is
+    base-q digit t of index, least significant digit first."""
     q = j.ground.order
     out = []
     for _ in range(j.dim):
-        out.append(j.ground.from_int(index % q))
-        index //= q
-    return tuple(out)
+        index, r = divmod(index, q)
+        out.append(r)
+    return out
+
+
+def _is_zero(char):
+    """v -> whether the int v is zero in characteristic char."""
+    if not char:
+        return not_
+    return lambda v: not v % char
+
+
+def _ground(g, xi):
+    """The ground point with int lift xi (d = 1)."""
+    return tuple(map(g.from_int, xi))
 
 
 class _Best:
@@ -77,10 +103,11 @@ def _search(total, candidate, predicate):
 
 def find_norm_zero(j, budget=10000, mode="random", seed=0, jobs=1):
     """Nonzero x with N(x) = 0, or exhaustion."""
-    j.expand_symbolic()
+    n_i, _ = j.n_int
+    zero = _is_zero(j.ground.char)
 
-    def predicate(x):
-        return any(x) and not j.norm(x)
+    def predicate(xi):
+        return any(xi) and zero(n_i.eval(xi, 1))
 
     if mode == "exhaustive":
         if not j.ground.is_finite:
@@ -89,17 +116,19 @@ def find_norm_zero(j, budget=10000, mode="random", seed=0, jobs=1):
         total = j.ground.order ** j.dim
         hit = _search(total, lambda i: _exhaustive_point(j, i), predicate)
     else:
-        hit = _search(budget, lambda i: point_at(j, seed, i), predicate)
+        hit = _search(budget, _candidates(j.ground, j.dim, seed), predicate)
     if hit is None:
         return SearchResult("exhausted")
-    i, x = hit
+    i, xi = hit
+    x = _ground(j.ground, xi)
     if j.norm(x) or not any(x):
         raise VerificationFailure("norm-zero witness failed re-verification")
     return SearchResult("witness", witness=x, index=i)
 
 
 def _structured_nilpotents(j):
-    """Known nilpotent classes, cheap to try before random draws."""
+    """Int lifts of known nilpotent classes, cheap to try before random
+    draws."""
     meta = getattr(j, "meta", None)
     out = []
     if meta and meta["type"] == "first_tits" and \
@@ -107,33 +136,35 @@ def _structured_nilpotents(j):
         d_alg = meta["algebra"]
         c = d_alg.center
         e12 = tuple(c.one if i == 1 else c.zero for i in range(9))
-        coords = d_alg.to_k_coords(e12)
-        g = j.ground
-        out.append(tuple(coords + [g.zero] * (j.dim - len(coords))))
+        coords, _ = lift(d_alg.to_k_coords(e12))
+        out.append(coords + [0] * (j.dim - len(coords)))
     return out
 
 
 def find_nilpotent(j, budget=100000, seed=0, jobs=1):
-    """Nonzero x with T(x) = S(x) = N(x) = 0 (j.is_nilpotent); the hit
-    alone is re-verified via U_x(x) = x^3 = 0."""
-    j.expand_symbolic()
+    """Nonzero x with T(x) = S(x) = N(x) = 0, tested on the int trace
+    data and norm form at x's lift; the hit alone is re-verified with
+    j.is_nilpotent and U_x(x) = x^3 = 0."""
+    n_i, _ = j.n_int
+    t, s, _ = j._trace_data
+    zero = _is_zero(j.ground.char)
 
-    def predicate(x):
-        return any(x) and j.is_nilpotent(x)
+    def predicate(xi):
+        return any(xi) and zero(sum(map(mul, t, xi))) and \
+            zero(s.eval(xi, 1)) and zero(n_i.eval(xi, 1))
 
-    x = next(filter(predicate, _structured_nilpotents(j)), None)
-    if x is not None:
-        res = SearchResult("witness", witness=x, index=-1,
-                           detail="structured candidate")
+    xi = next(filter(predicate, _structured_nilpotents(j)), None)
+    if xi is not None:
+        i, detail = -1, "structured candidate"
     else:
-        hit = _search(budget, lambda i: point_at(j, seed, i), predicate)
+        hit = _search(budget, _candidates(j.ground, j.dim, seed), predicate)
         if hit is None:
             return SearchResult("exhausted")
-        i, x = hit
-        res = SearchResult("witness", witness=x, index=i)
-    if any(j.u_op(x, x)) or not any(x):
+        (i, xi), detail = hit, None
+    x = _ground(j.ground, xi)
+    if not any(x) or not j.is_nilpotent(x) or any(j.u_op(x, x)):
         raise VerificationFailure("nilpotent witness failed re-verification")
-    return res
+    return SearchResult("witness", witness=x, index=i, detail=detail)
 
 
 def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
@@ -177,38 +208,38 @@ def division_falsify(j, budget=10000, mode="random", seed=0, jobs=1):
 
 
 def _preimage_search(alg, value, budget, seed):
-    """Earliest (i, w) with N(w) = value over the random candidates w of
-    alg, tested on alg.norm_int and re-verified with alg.norm."""
+    """Earliest (i, w) with N(w) = value over the random candidates of
+    alg, drawn at offset i (k_dim + 2) of the "preimage" substream of
+    seed, tested on alg.norm_int and re-verified with alg.norm."""
     base = Stream(seed).derive("preimage").seed
-
-    def candidate(i):
-        s = Stream(base, offset=i * (alg.k_dim + 2))
-        return alg.random(s)
-
-    hit = _search(budget, candidate, _norm_is(alg, value))
-    if hit is not None and alg.norm(hit[1]) != value:
+    hit = _search(budget, _candidates(alg.ground, alg.k_dim, base),
+                  _norm_is(alg, value))
+    if hit is None:
+        return None
+    i, xi = hit
+    w = alg.from_k_coords(_ground(alg.ground, xi))
+    if alg.norm(w) != value:
         raise VerificationFailure("norm preimage failed re-verification")
-    return hit
+    return i, w
 
 
 def _norm_is(alg, value):
-    """Predicate w -> N(w) == value on the int forms of alg.norm_int.
+    """Predicate (xi, d=1) -> N(w) == value on the int forms of
+    alg.norm_int, for the int lift xi / d of w's k-coordinates
+    (scalars.lift; a scan's candidates have d = 1).
 
-    With the k-coordinates of w equal to xi / d and the center coordinates
-    of value equal to t / t_den, coordinate i of N(w) is
-    forms[i](xi) / (den d^3), so the test is
+    With the center coordinates of value equal to t / t_den, coordinate
+    i of N(w) is forms[i](xi) / (den d^3), so the test is
     forms[i](xi) t_den == t[i] den d^3, read mod the characteristic."""
     forms, den = alg.norm_int()
     t, t_den = lift(alg.center.to_k_coords(value))
     pairs = list(zip(forms, t))
-    char = alg.center.ground.char
+    zero = _is_zero(alg.ground.char)
 
-    def predicate(w):
-        xi, d = lift(alg.to_k_coords(w))
+    def predicate(xi, d=1):
         scale = den * d ** 3
         for f, ti in pairs:
-            diff = f.eval(xi, 1) * t_den - ti * scale
-            if diff % char if char else diff:
+            if not zero(f.eval(xi, 1) * t_den - ti * scale):
                 return False
         return True
 

@@ -12,7 +12,7 @@ from albertlab.errors import (AlbertLabError, ConfigError, NonPrimeModulus,
 from albertlab.poly import (Poly, directional_derivative, dump_cubic_form,
                             indices, linear_form, mono, sum_of_products,
                             variables)
-from albertlab.rng import Stream, draw, splitmix64
+from albertlab.rng import Stream, draw, draws, splitmix64
 from albertlab.scalars import (PRIME_BOUND, PrimeField, RationalField,
                                is_prime)
 
@@ -197,25 +197,35 @@ class TestPoly:
         assert (p + q).eval(args, one) == p.eval(args, one) + q.eval(args, one)
 
     @given(st.lists(st.tuples(
-               st.lists(st.integers(0, 3), max_size=4),
+               st.lists(st.integers(0, 3), max_size=5),
                st.integers(-20, 20).filter(bool)), max_size=12),
            st.lists(st.lists(st.fractions(max_denominator=6),
                              min_size=4, max_size=4), min_size=1,
                     max_size=3),
-           st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_eval_plan_matches_plain_loop(self, terms, points, over_f7):
-        # every point after the first reuses the plan the first one built
-        g = PrimeField(7) if over_f7 else RationalField()
-        p = Poly({mono(sorted(idx)): g.from_int(c) for idx, c in terms})
+           st.sampled_from(["int", "Q", "F7"]))
+    @settings(max_examples=80, deadline=None)
+    def test_eval_plan_matches_plain_loop(self, terms, points, kind):
+        # degrees 0 to 5 mix the rows of degrees 1 to 3 with the general
+        # loop of the others; every point after the first reuses the plan
+        # the first one built, and the result has the type of `one`, also
+        # for a Poly with no terms
+        g = {"int": None, "Q": RationalField(), "F7": PrimeField(7)}[kind]
+        scalar = int if g is None else g.from_int
+        one = scalar(1)
+        p = Poly({mono(sorted(idx)): scalar(c) for idx, c in terms})
         for args in points:
-            args = [g.from_fraction(a) for a in args]
-            total = g.zero
+            args = [int(a) if g is None else g.from_fraction(a)
+                    for a in args]
+            total = one - one
             for m, c in p.terms.items():
                 for i in indices(m):
                     c = c * args[i]
                 total = total + c
-            assert p.eval(args, g.one) == total
+            got = p.eval(args, one)
+            assert got == total
+            assert type(got) is type(one)
+        assert type(Poly().eval(args, one)) is type(one)
+        assert Poly().eval(args, one) == one - one
 
     @pytest.mark.parametrize("field", [RationalField(), PrimeField(5)])
     def test_eval_route_picked_by_first_arg(self, field):
@@ -317,3 +327,14 @@ class TestRng:
 
     def test_mask(self):
         assert splitmix64(2 ** 64 + 1) == splitmix64(1)
+
+    @pytest.mark.parametrize("seed", [0, 123, 2 ** 64 + 5, 2 ** 70 - 1,
+                                      -1, -987654321])
+    def test_batched_draws_match_single_draws(self, seed):
+        # the batch masks its seed as Stream does; draw() masks the sum
+        for offset, k, n in [(0, 27, 21), (29 * 7, 27, 5), (3, 1, 2 ** 64),
+                             (10, 0, 7)]:
+            want = [draw(seed, offset + t) % n for t in range(k)]
+            assert draws(seed, offset, k, n) == want
+            s = Stream(seed, offset)
+            assert [s.next_below(n) for _ in range(k)] == want

@@ -14,15 +14,15 @@ from albertlab.isotopy import isotope
 from albertlab.rng import Stream
 from albertlab.scalars import from_int, lift
 from albertlab.search import (division_falsify, find_nilpotent,
-                              find_norm_zero, point_at)
+                              find_norm_zero)
 
 
 class TestDeterminism:
     def test_candidates_are_pure_functions(self, j_m3_f5):
-        a = point_at(j_m3_f5, 42, 7)
-        b = point_at(j_m3_f5, 42, 7)
+        a = search._candidates(j_m3_f5.ground, j_m3_f5.dim, 42)(7)
+        b = search._candidates(j_m3_f5.ground, j_m3_f5.dim, 42)(7)
         assert a == b
-        assert point_at(j_m3_f5, 42, 8) != a
+        assert search._candidates(j_m3_f5.ground, j_m3_f5.dim, 42)(8) != a
 
     def test_norm_zero_same_result_any_jobs(self, j_m3_f5):
         r1 = find_norm_zero(j_m3_f5, budget=2000, seed=9, jobs=1)
@@ -37,6 +37,44 @@ class TestDeterminism:
         assert r1.status == r8.status
         assert r1.index == r8.index
         assert r1.witness == r8.witness
+
+
+class TestIntCandidates:
+    """The int candidates are the lifts of the ground points that
+    ground.random draws from the same stream offset."""
+
+    SEEDS = (11, 2 ** 64 + 3)
+
+    def test_point_candidates_lift_ground_draws(self, six_fixtures):
+        for j in six_fixtures:
+            for seed in self.SEEDS:
+                candidate = search._candidates(j.ground, j.dim, seed)
+                for i in range(50):
+                    s = Stream(seed, offset=i * (j.dim + 2))
+                    x = tuple(j.ground.random(s) for _ in range(j.dim))
+                    assert lift(x) == (candidate(i), 1)
+
+    def test_preimage_candidates_lift_algebra_draws(self, six_fixtures):
+        # the coefficient algebras of the Tits constructions; an isotope
+        # has no preimage scan
+        algebras = {id(j.meta["algebra"]): j.meta["algebra"]
+                    for j in six_fixtures
+                    if getattr(j, "meta", {}).get("type")
+                    in ("first_tits", "second_tits")}
+        assert len(algebras) == 5
+        for alg in algebras.values():
+            for seed in self.SEEDS:
+                base = Stream(seed).derive("preimage").seed
+                candidate = search._candidates(alg.ground, alg.k_dim, base)
+                for i in range(50):
+                    w = alg.random(Stream(base, offset=i * (alg.k_dim + 2)))
+                    assert lift(alg.to_k_coords(w)) == (candidate(i), 1)
+
+    def test_exhaustive_digits(self, j_lk_f5):
+        q, dim = j_lk_f5.ground.order, j_lk_f5.dim
+        index = 3 + 4 * q + 2 * q ** (dim - 1)
+        assert search._exhaustive_point(j_lk_f5, index) == \
+            [3, 4] + [0] * (dim - 3) + [2]
 
 
 class TestNormZero:
@@ -174,6 +212,12 @@ def _elements(alg, s):
     return out
 
 
+def _norm_holds(alg, value, w):
+    """search._norm_is(alg, value) at the int lift of w's k-coordinates,
+    whose d may exceed 1."""
+    return search._norm_is(alg, value)(*lift(alg.to_k_coords(w)))
+
+
 class TestIntNormForms:
     @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_cyc_q",
                                       "cyclic_half", "cubic_etale", "j_lk_q",
@@ -193,28 +237,28 @@ class TestIntNormForms:
             got = [from_int(kind, f.eval(xi, 1), den * d ** 3)
                    for f in forms]
             assert got == c.to_k_coords(n)
-            assert search._norm_is(alg, n)(w)
+            assert _norm_holds(alg, n, w)
             g = c.ground
             for i in range(c.dim):
                 step = c.from_k_coords([g.one if k == i else g.zero
                                         for k in range(c.dim)])
-                assert not search._norm_is(alg, n + step)(w)
+                assert not _norm_holds(alg, n + step, w)
 
     def test_known_norms(self, j_m3_q, j_m3_f5, j_lk_q, QQ, F5):
         m3 = j_m3_q.meta["algebra"]
         two = m3.smul(QQ.from_int(2), m3.unit())
-        assert search._norm_is(m3, QQ.from_int(8))(two)
-        assert not search._norm_is(m3, QQ.from_int(7))(two)
+        assert _norm_holds(m3, QQ.from_int(8), two)
+        assert not _norm_holds(m3, QQ.from_int(7), two)
         half = m3.smul(Fraction(1, 2), m3.unit())     # lifts with d = 2
-        assert search._norm_is(m3, Fraction(1, 8))(half)
-        assert not search._norm_is(m3, Fraction(1, 4))(half)
+        assert _norm_holds(m3, Fraction(1, 8), half)
+        assert not _norm_holds(m3, Fraction(1, 4), half)
         m3_5 = j_m3_f5.meta["algebra"]
         two = m3_5.smul(F5.from_int(2), m3_5.unit())
-        assert search._norm_is(m3_5, F5.from_int(8))(two)
-        assert not search._norm_is(m3_5, F5.from_int(2))(two)
+        assert _norm_holds(m3_5, F5.from_int(8), two)
+        assert not _norm_holds(m3_5, F5.from_int(2), two)
         b = j_lk_q.meta["algebra"]
         k = b.center
         two = b.smul(Elem(k, [QQ.from_int(2), QQ.zero]), b.unit())
-        assert search._norm_is(b, Elem(k, [QQ.from_int(8), QQ.zero]))(two)
-        assert not search._norm_is(
-            b, Elem(k, [QQ.from_int(8), QQ.one]))(two)
+        assert _norm_holds(b, Elem(k, [QQ.from_int(8), QQ.zero]), two)
+        assert not _norm_holds(
+            b, Elem(k, [QQ.from_int(8), QQ.one]), two)

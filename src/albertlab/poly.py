@@ -238,14 +238,15 @@ class Poly:
         from a plan built at the first scalar evaluation and kept, which
         is sound because a Poly's terms never change after construction:
         rows (c, i), (c, i, j) and (c, i, j, k) for the terms of degree
-        1, 2 and 3, each degree summed by one list comprehension, and
-        (c, indices(m)) pairs for the terms of any other degree, summed
-        by a general loop.  With Poly args the substitution is
-        nested down to linear terms: the terms of degree 2 or more are
-        grouped by their first index i, self = sum_i x_i L_i + (terms of
-        degree at most 1), and each L_i is substituted the same way,
-        stripped of its zero sums and multiplied by args[i] once,
-        straight into one output dict whose zeros are dropped at the end.
+        1, 2 and 3, each degree summed by one loop that unpacks its rows,
+        and (c, indices(m)) pairs for the terms of any other degree,
+        summed by a general loop over the indices.  With Poly args the
+        substitution is nested down to linear terms: the terms of degree 2
+        or more are grouped by their first index i,
+        self = sum_i x_i L_i + (terms of degree at most 1), and each L_i
+        is substituted the same way, stripped of its zero sums and
+        multiplied by args[i] once, straight into one output dict whose
+        zeros are dropped at the end.
         So a quadratic form costs one linear combination of the args per
         first index and no product args[i] * args[j] per term.
 
@@ -259,9 +260,13 @@ class Poly:
             if plan is None:
                 plan = self._plan = _point_plan(self.terms)
             r1, r2, r3, rest = plan
-            total = one - one + sum([c * args[i] for c, i in r1]) \
-                + sum([c * args[i] * args[j] for c, i, j in r2]) \
-                + sum([c * args[i] * args[j] * args[k] for c, i, j, k in r3])
+            total = one - one
+            for c, i in r1:
+                total = total + c * args[i]
+            for c, i, j in r2:
+                total = total + c * args[i] * args[j]
+            for c, i, j, k in r3:
+                total = total + c * args[i] * args[j] * args[k]
             for c, idx in rest:
                 for i in idx:
                     c = c * args[i]

@@ -15,8 +15,8 @@ an extension field.
 
 A ground field turns a 64-bit draw u of the random stream into a
 coordinate through its draw_range, once: the coordinate is
-draw_range[u mod len(draw_range)], u mod 21 - 10 over Q and u mod p over
-F_p.  random() reads one draw through it, and draw_ints() reads a run of
+draw_range[u mod n] for the size n of draw_range, u mod 21 - 10 over Q
+and u mod p over F_p.  random() reads one draw through it, and draw_ints() reads a run of
 draws as the int lifts of those coordinates, for the witness scans.
 """
 
@@ -166,10 +166,12 @@ def from_int(kind, v, den):
 def draw_ints(ground, seed, offset, k):
     """The int lifts of k successive ground.random draws from
     Stream(seed, offset), drawn in one call: the coordinates
-    draw_range[u mod len(draw_range)] of the draws u, over Q integers and
-    over F_p residues, so every lift has d = 1."""
+    draw_range[u mod n] of the draws u, n the size of draw_range, over Q
+    integers and over F_p residues, so every lift has d = 1.  The size
+    is stop - start: len() of a range fails beyond 2^63 - 1, and a prime
+    modulus may be larger."""
     r = ground.draw_range
-    us = draws(seed, offset, k, len(r))
+    us = draws(seed, offset, k, r.stop - r.start)
     return [u + r.start for u in us] if r.start else us
 
 
@@ -278,7 +280,7 @@ class PrimeField:
 
     def random(self, stream: Stream):
         r = self.draw_range
-        return self.elem(r[stream.next_below(len(r))])
+        return self.elem(r[stream.next_below(r.stop - r.start)])
 
     def __repr__(self):
         return "F_%d" % self.p

@@ -14,7 +14,7 @@ from albertlab.poly import (Poly, directional_derivative, dump_cubic_form,
                             variables)
 from albertlab.rng import Stream, draw, draws, splitmix64
 from albertlab.scalars import (PRIME_BOUND, PrimeField, RationalField,
-                               is_prime)
+                               draw_ints, is_prime)
 
 
 class TestScalars:
@@ -338,3 +338,14 @@ class TestRng:
             assert draws(seed, offset, k, n) == want
             s = Stream(seed, offset)
             assert [s.next_below(n) for _ in range(k)] == want
+
+    @pytest.mark.parametrize("field", [RationalField(), PrimeField(5),
+                                       PrimeField(2 ** 64 - 59)])
+    def test_draw_ints_lift_random_draws(self, field):
+        # one draw map for both routes, also for a modulus past 2^63,
+        # where len() of a range overflows
+        for seed, offset in [(7, 0), (2 ** 64 + 9, 29 * 3)]:
+            s = Stream(seed, offset)
+            xs = [field.random(s) for _ in range(30)]
+            assert draw_ints(field, seed, offset, 30) == [
+                x.numerator if field.char == 0 else int(x) for x in xs]

@@ -16,7 +16,7 @@ Every operation at a ground point has one route.  N, #, T, S, the
 U-operator matrix, U_x(y) and x x y are computed from the int forms at
 the point's integer lift (scalars.lift) and mapped back once
 (scalars.from_int); T and S themselves, and the trace bilinear form of
-the U-operator, are read off the int norm form at the unit's lift.
+the U-operator, are read off the int norm form's terms at the unit's lift.
 u_matrix_int, u_op and cross share the int U-operator data (_u_data),
 the trace bilinear matrix and the polarized adjoint: u_matrix_int
 returns the int U-matrix over one denominator, for callers that keep
@@ -69,8 +69,8 @@ from typing import Callable, List, Optional
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
 from .poly import (Poly, _int_scaled, _integral_as_int, _lowest, _mod,
-                   compose_mismatch, directional_derivative, indices,
-                   linear_form, sum_of_products, variables)
+                   _nonzero, compose_mismatch, directional_derivative,
+                   indices, linear_form, mono, sum_of_products, variables)
 from .rng import Stream
 from .scalars import from_int, lift
 
@@ -186,14 +186,20 @@ class CubicNormStructure:
         """(t, s, den): T = t / den and S = s / den for an int vector t and
         an int quadratic form s, read off N(c + z) = 1 + T(z) + S(z) + N(z)
         on the int forms.  With c = ci / cd and N = n_i / n_den, the int
-        norm form at ci + cd z is den N(c + z) for den = n_den cd^3."""
+        norm form at ci + cd z is den N(c + z) for den = n_den cd^3: a term
+        a x_p x_q x_r of n_i gives a cd ci_p ci_q z_r to t and a cd^2 ci_r
+        z_p z_q to s for each of its three splittings {p, q}, r."""
         n_i, n_den = self.n_int
         ci, cd = lift(self.unit)
-        full = n_i.eval([Poly.var(k, cd) + c for k, c in enumerate(ci)], 1)
         t = [0] * self.dim
-        for m, c in full.homogeneous_part(1).terms.items():
-            t[indices(m)[0]] = c
-        return t, full.homogeneous_part(2), n_den * cd ** 3
+        s = {}
+        for m, a in n_i.terms.items():
+            i, j, k = indices(m)
+            for p, q, r in ((j, k, i), (i, k, j), (i, j, k)):
+                t[r] += a * cd * ci[p] * ci[q]
+                pq = mono((p, q))
+                s[pq] = s.get(pq, 0) + a * cd * cd * ci[r]
+        return t, _nonzero(s), n_den * cd ** 3
 
     # -- derived operations ----------------------------------------------------
 
@@ -434,16 +440,17 @@ class CubicNormStructure:
         return adjoint, self._norm_of_adjoint_direct()
 
     def _norm_of_adjoint_direct(self):
-        """N(x#) = N(x)^2 by composition: the int norm form composed with
-        the int adjoint, against the square of the norm form, mod the
-        characteristic.  With n_i = n_den N and sh_i = s_den #, the
-        identity reads n_den n_i(sh_i) = s_den^3 n_i^2.  None when it
+        """N(x#) = N(x)^2 by composition (compose_mismatch, one form): the
+        int norm form composed with the int adjoint, against the square of
+        the norm form, mod the characteristic.  With n_i = n_den N and
+        sh_i = s_den #, the identity reads n_den n_i(sh_i) = s_den^3 n_i^2.  None when it
         holds, else the lowest differing monomial."""
         sh_i, s_den = self.sharp_int
         n_i, n_den = self.n_int
-        diff = _mod(n_den * n_i.eval(sh_i, 1) - s_den ** 3 * (n_i * n_i),
-                    self.ground.char)
-        return "monomial %r" % (_lowest(diff),) if diff else None
+        bad = compose_mismatch([n_den * n_i], sh_i,
+                               lambda _: s_den ** 3 * (n_i * n_i),
+                               self.ground.char)
+        return None if bad is None else "monomial %r" % (_lowest(bad[1]),)
 
     def _forms_mismatch(self):
         """None when the forms equal the evaluators' own forms

@@ -12,37 +12,35 @@ and every deterministic order (dumps, repr, witnesses) sorts by it.
 Coefficients are ground-field scalars (Fraction or mod-p ints) or plain
 ints; zero coefficients are never stored, so equality is dict equality.
 No code changes a Poly's term dict once the Poly is built: every
-operation returns a new Poly, and the scalar route of eval caches a plan
-of the terms on that assumption.
+operation returns a new Poly, and eval, which evaluates at a point only,
+caches a plan of the terms on that assumption.
 A Poly adds, subtracts and multiplies only with another Poly, an int or
 a Fraction; any other operand gets NotImplemented (an extension Elem
 then handles a product itself).
 
-Poly.eval substitutes Poly args nested by first index down to linear
-terms and keeps nothing between calls.  Besides it, pullback(p, rows)
-pulls a homogeneous cubic int form back through an int matrix as a dense
-contraction on ints; the norm-similarity certificate uses it, since its
-matrices are nearly full and the sparse substitution pays one dict
-update per term product.  It contracts the first two tensor modes on
-int lists, folds the symmetric pair (b, c), (c, b) of the last two
-modes onto one entry, packs each folded slice into one int of
-fixed-width signed byte slots (Kronecker substitution) and contracts
-the remaining mode one scalar multiply-add per row on those ints.  The
-slot width comes from an exact bound on every slot, so no slot borrows
-from its neighbour, and since only ints are added and multiplied the
-result is exact over Z and so, read by _mod, in every characteristic.
-compose_mismatch(forms, args, target, char) packs the other way round,
-over the output: it finds the first form whose composition at args
-differs from its target, substituting a run of forms at once (_runs: a
-form joins the run while the first indices of its terms are among
-those of the run's first form) by the same nested substitution as
-Poly.eval, on one term dict whose coefficients hold one form each in
-signed slots of w bits, w again from an exact bound on every slot.  In
-characteristic 0 a run whose packed differences are all 0 is never
-unpacked; otherwise the differences are read slot by slot through
-_mod, so the first failing form and its difference are those of
-composing the forms one at a time.  The axiom suite's x## = N(x) x and
-the isotope's (U_w y)# = U_{w#} y# are proved through it.
+Forms are composed on ints by two functions that pack many int
+coefficients into the signed byte slots of one int (Kronecker
+substitution) and share one slot rule (_width, _pack, _unpack): every
+slot is bounded exactly before packing, so no slot borrows from its
+neighbour, and since only ints are added and multiplied the results are
+exact over Z and so, read by _mod, in every characteristic.
+pullback(p, rows) pulls a homogeneous cubic int form back through an
+int matrix as a dense contraction on ints; the norm-similarity
+certificate uses it, since its matrices are nearly full and a sparse
+substitution pays one dict update per term product.  It packs over the
+input: each folded slice of the contracted tensor is one int, and the
+last mode is contracted one scalar multiply-add per row on those ints.
+compose_mismatch(forms, args, target, char) packs over the output: it
+finds the first form whose composition at args differs from its target,
+substituting a run of forms at once (_runs: a form joins the run while
+the first indices of its terms are among those of the run's first form)
+by one nested substitution (_subst_into) of a term dict whose
+coefficients hold one form each in a slot.  In characteristic 0 a run
+whose packed differences are all 0 is never unpacked; otherwise the
+differences are read slot by slot through _mod, so the first failing
+form and its difference are those of composing the forms one at a time.
+The axiom suite's x## = N(x) x, its composed N(x#) = N(x)^2 and the
+isotope's (U_w y)# = U_{w#} y# are proved through it.
 
 The int-form helpers live here too: _int_scaled turns ground polys into
 int forms over one denominator (through scalars.lift), _mod reads an
@@ -112,11 +110,6 @@ def _mul_into(out, a, b, c):
 
 
 _ONE = {0: 1}
-
-
-def _terms(x):
-    """The term dict of a Poly, or of a scalar as a constant."""
-    return x.terms if isinstance(x, Poly) else {0: x}
 
 
 def _nonzero(out):
@@ -220,9 +213,6 @@ class Poly:
     def is_homogeneous(self, d):
         return all(m & 255 == d for m in self.terms)
 
-    def homogeneous_part(self, d):
-        return Poly({m: c for m, c in self.terms.items() if m & 255 == d})
-
     def coefficient(self, m):
         """Coefficient of the packed monomial m, or None."""
         return self.terms.get(m)
@@ -230,57 +220,39 @@ class Poly:
     # -- evaluation / substitution ----------------------------------------
 
     def eval(self, args, one):
-        """Substitute args[i] for variable i.
+        """The value at the point args (ground scalars or ints), variable
+        i taking args[i].
 
-        With scalar args (ground scalars or ints) the result is
-        (one - one) plus the scalar sum of c * prod(args), so `one` fixes
-        the result's type when self has no terms.  The terms are read
-        from a plan built at the first scalar evaluation and kept, which
-        is sound because a Poly's terms never change after construction:
-        rows (c, i), (c, i, j) and (c, i, j, k) for the terms of degree
-        1, 2 and 3, each degree summed by one loop that unpacks its rows,
-        and (c, indices(m)) pairs for the terms of any other degree,
-        summed by a general loop over the indices.  With Poly args the
-        substitution is nested down to linear terms: the terms of degree 2
-        or more are grouped by their first index i,
-        self = sum_i x_i L_i + (terms of degree at most 1), and each L_i
-        is substituted the same way, stripped of its zero sums and
-        multiplied by args[i] once, straight into one output dict whose
-        zeros are dropped at the end.
-        So a quadratic form costs one linear combination of the args per
-        first index and no product args[i] * args[j] per term.
-
-        The route is picked from the first argument alone.  Both routes
-        return the same value for any mix of Poly and scalar args (a
-        scalar product or sum that meets a Poly becomes Poly arithmetic),
-        so the choice affects only speed.
-        """
-        if not args or not isinstance(args[0], Poly):
-            plan = self._plan
-            if plan is None:
-                plan = self._plan = _point_plan(self.terms)
-            r1, r2, r3, rest = plan
-            total = one - one
-            for c, i in r1:
-                total = total + c * args[i]
-            for c, i, j in r2:
-                total = total + c * args[i] * args[j]
-            for c, i, j, k in r3:
-                total = total + c * args[i] * args[j] * args[k]
-            for c, idx in rest:
-                for i in idx:
-                    c = c * args[i]
-                total = total + c
-            return total
-        out = {}
-        _subst_into(out, self.terms, args)
-        return _nonzero(out)
+        The result is (one - one) plus the scalar sum of c * prod(args),
+        so `one` fixes the result's type when self has no terms.  The
+        terms are read from a plan built at the first evaluation and kept,
+        which is sound because a Poly's terms never change after
+        construction: rows (c, i), (c, i, j) and (c, i, j, k) for the
+        terms of degree 1, 2 and 3, each degree summed by one loop that
+        unpacks its rows, and (c, indices(m)) pairs for the terms of any
+        other degree, summed by a general loop over the indices."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _point_plan(self.terms)
+        r1, r2, r3, rest = plan
+        total = one - one
+        for c, i in r1:
+            total = total + c * args[i]
+        for c, i, j in r2:
+            total = total + c * args[i] * args[j]
+        for c, i, j, k in r3:
+            total = total + c * args[i] * args[j] * args[k]
+        for c, idx in rest:
+            for i in idx:
+                c = c * args[i]
+            total = total + c
+        return total
 
 
 def _point_plan(terms):
-    """The plan of the scalar route of Poly.eval: the rows (c, *indices)
-    of the terms of degree 1, 2 and 3, and the (c, indices) pairs of the
-    terms of every other degree."""
+    """The plan of Poly.eval: the rows (c, *indices) of the terms of
+    degree 1, 2 and 3, and the (c, indices) pairs of the terms of every
+    other degree."""
     rows = {1: [], 2: [], 3: []}
     rest = []
     for m, c in terms.items():
@@ -293,8 +265,13 @@ def _point_plan(terms):
 
 
 def _subst_into(out, terms, args):
-    """out += (the term dict `terms` with args substituted), nested by
-    first index as described in Poly.eval."""
+    """out += (the term dict `terms` with the int Polys args substituted),
+    nested down to linear terms: the terms of degree 2 or more are grouped
+    by their first index i, terms = sum_i x_i L_i + (terms of degree at
+    most 1), and each L_i is substituted the same way, stripped of its
+    zero sums and multiplied by args[i] once, straight into out.  So a
+    quadratic form costs one linear combination of the args per first
+    index and no product args[i] * args[j] per term; zeros stay in out."""
     groups = {}
     for m, c in terms.items():
         if m & 255 >= 2:
@@ -302,13 +279,11 @@ def _subst_into(out, terms, args):
             i = indices(m)[0]
             groups.setdefault(i, {})[m - (1 << (8 * i + 8)) - 1] = c
         else:
-            _mul_into(out, _terms(args[indices(m)[0]]) if m else _ONE,
-                      _ONE, c)
+            _mul_into(out, args[indices(m)[0]].terms if m else _ONE, _ONE, c)
     for i, rest in groups.items():
         q = {}
         _subst_into(q, rest, args)
-        _mul_into(out, {m: v for m, v in q.items() if v}, _terms(args[i]),
-                  1)
+        _mul_into(out, {m: v for m, v in q.items() if v}, args[i].terms, 1)
 
 
 def _integral_as_int(p):
@@ -374,6 +349,40 @@ def _lowest(p):
     return indices(min(p.terms, key=indices))
 
 
+def _width(bound):
+    """The least slot width nb, in bytes, with bound < 2^(8 nb - 1): the
+    one slot rule of pullback and compose_mismatch.  A slot holds a signed
+    v, |v| <= bound, as the byte digit v + 2^(8 nb - 1), so the packed int
+    sum_k v_k 2^(8 nb k) plus the offset sum_k 2^(8 nb - 1) 2^(8 nb k)
+    (_offset) has those digits: no slot borrows from its neighbour while
+    every slot of every int combination formed stays within bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _offset(count, nb):
+    """The offset of count slots of nb bytes (_width)."""
+    return int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * count,
+                          "little")
+
+
+def _pack(values, nb):
+    """sum_k values[k] 2^(8 nb k) for ints |values[k]| < 2^(8 nb - 1),
+    written slot by slot into one byte string (_width)."""
+    half = 1 << (8 * nb - 1)
+    buf = b"".join([(v + half).to_bytes(nb, "little") for v in values])
+    return int.from_bytes(buf, "little") - _offset(len(values), nb)
+
+
+def _unpack(v, count, nb):
+    """The count signed nb-byte slots of the packed int v, in order, read
+    through one to_bytes (_width)."""
+    half = 1 << (8 * nb - 1)
+    size = count * nb
+    buf = (v + _offset(count, nb)).to_bytes(size, "little")
+    return [int.from_bytes(buf[s:s + nb], "little") - half
+            for s in range(0, size, nb)]
+
+
 def pullback(p, rows):
     """p(F x) for a homogeneous cubic int form p and an int matrix F
     whose row r holds the coefficients of coordinate r of F x.
@@ -388,22 +397,17 @@ def pullback(p, rows):
     x_a x_b x_c.  Terms whose row i is zero contribute nothing and are
     skipped.  Entries (b, c) and (c, b) of G_i land on one monomial, so
     G_i is folded to its n(n + 1)/2 entries b <= c, the two entries added
-    when b != c.  Each folded G_i is packed into one int of nb-byte slots,
-    slot k holding entry k (Kronecker substitution), and the last mode is
-    contracted on those ints, T_a = sum_i rows[i][a] P_i being one scalar
-    multiply-add per packed i; each nonzero T_a is unpacked once.
+    when b != c.  Each folded G_i is packed into one int P_i (_pack), slot
+    k holding entry k, and the last mode is contracted on those ints,
+    T_a = sum_i rows[i][a] P_i being one scalar multiply-add per packed i;
+    each nonzero T_a is unpacked once (_unpack).
 
-    The slots never borrow from their neighbours: every |G_i[k]| is at
-    most gmax, the largest folded entry over the packed i, and every
-    |T_a[k]| at most (sum_i |rows[i][a]|) gmax.  Each packed i has a
-    nonzero row, so bound = max_a (sum_i |rows[i][a]|) gmax is at least
-    gmax and bounds every slot of both.  nb = (bit length of bound + 8)
-    // 8 bytes hold any |v| <= bound below 2^(8 nb - 1), the top bit of a
-    slot being its sign; a slot is written as v + 2^(8 nb - 1) and the
-    packed int corrected by one offset.  Only ints are added and
-    multiplied, so the result is exact over Z and, read by _mod, in
-    every characteristic.
-    The term dict equals p.eval(linear forms of rows, 1) exactly."""
+    Every |G_i[k]| is at most gmax, the largest folded entry over the
+    packed i, and every |T_a[k]| at most (sum_i |rows[i][a]|) gmax.  Each
+    packed i has a nonzero row, so bound = max_a (sum_i |rows[i][a]|) gmax
+    is at least gmax and bounds every slot of both; the slots are
+    _width(bound) bytes wide.  The term dict equals that of substituting
+    the linear forms of rows into p term by term."""
     if not p.is_homogeneous(3):
         raise AlbertLabError("pullback needs a homogeneous cubic form")
     n = len(rows[0]) if rows else 0
@@ -428,18 +432,10 @@ def pullback(p, rows):
     gmax = max((abs(v) for gi in g.values() for v in gi), default=0)
     wsum = max((sum(abs(rows[i][a]) for i in g) for a in range(n)),
                default=0)
-    bound = wsum * gmax
-    nb = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * nb - 1)
-    offset = int.from_bytes(half.to_bytes(nb, "little") * len(pairs),
-                            "little")
-    packed = []
-    for i, gi in g.items():
-        buf = b"".join([(v + half).to_bytes(nb, "little") for v in gi])
-        packed.append((rows[i], int.from_bytes(buf, "little") - offset))
+    nb = _width(wsum * gmax)
+    packed = [(rows[i], _pack(gi, nb)) for i, gi in g.items()]
     x = [mono((a,)) for a in range(n)]
     bc = [x[b] + x[c] for b in range(n) for c in range(b, n)]
-    size = nb * len(pairs)
     out = {}
     for a in range(n):
         t = 0
@@ -448,9 +444,7 @@ def pullback(p, rows):
                 t += row[a] * pi
         if not t:
             continue
-        buf = (t + offset).to_bytes(size, "little")
-        for m, s in zip(bc, range(0, size, nb)):
-            v = int.from_bytes(buf[s:s + nb], "little") - half
+        for m, v in zip(bc, _unpack(t, len(pairs), nb)):
             if v:
                 m += x[a]
                 out[m] = out.get(m, 0) + v
@@ -481,11 +475,12 @@ def compose_mismatch(forms, args, target, char):
 
     The forms are substituted a run (_runs) at a time, by one nested
     substitution (_subst_into) of a packed term dict: its coefficient at a
-    monomial is sum_s c_s 2^(w s), c_s the coefficient of the run's s-th
-    form (Kronecker substitution over the form).  Each L_i of the
-    substitution is then formed and multiplied by args[i] once for the
-    whole run, not once per form; a form whose first indices are all
-    those of the run adds no such product.
+    monomial is sum_s c_s 2^(8 nb s), c_s the coefficient of the run's
+    s-th form, the int _pack would give for those coefficients (built
+    term by term, since most monomials occur in few of the run's forms).
+    Each L_i of the substitution is then formed and multiplied by args[i]
+    once for the whole run, not once per form; a form whose first indices
+    are all those of the run adds no such product.
 
     Every value the substitution forms is linear in the packed
     coefficients with int multipliers, so its slot s is the value the s-th
@@ -493,14 +488,12 @@ def compose_mismatch(forms, args, target, char):
     of args[i], at least 1, no slot of any partial sum, and no slot of the
     difference, exceeds bound = the largest, over the run's forms, of
     (sum over the terms c x_i...x_j of |c| r_i...r_j) + (largest
-    |coefficient| of the target).  w = bit length of bound + 1 keeps every
-    |slot| below 2^(w-1), so the slots of a packed value are read back
-    exactly after adding 2^(w-1) to each, and a packed value is 0 only
-    when all its slots are.  In characteristic 0 a run whose packed
-    differences are all 0 is done without unpacking; otherwise its
-    differences are unpacked and each slot is read through _mod, in
-    order.  The result, witness included, is that of substituting each
-    form alone."""
+    |coefficient| of the target); the slots are _width(bound) bytes wide,
+    so a packed value is 0 only when all its slots are.  In
+    characteristic 0 a run whose packed differences are all 0 is done
+    without unpacking; otherwise its differences are unpacked (_unpack)
+    and each slot is read through _mod, in order.  The result, witness
+    included, is that of substituting each form alone."""
     weights = [max(1, sum(map(abs, a.terms.values()))) for a in args]
     for run in _runs(forms):
         targets = [target(k).terms for k in run]
@@ -512,30 +505,24 @@ def compose_mismatch(forms, args, target, char):
                     c *= weights[i]
                 b += abs(c)
             bound = max(bound, b)
-        w = bound.bit_length() + 1
+        nb = _width(bound)
         packed = {}
         for s, k in enumerate(run):
             for m, c in forms[k].terms.items():
-                packed[m] = packed.get(m, 0) + (c << (w * s))
+                packed[m] = packed.get(m, 0) + (c << (8 * nb * s))
         out = {}
         _subst_into(out, packed, args)
         for s, t in enumerate(targets):
             for m, c in t.items():
-                out[m] = out.get(m, 0) - (c << (w * s))
+                out[m] = out.get(m, 0) - (c << (8 * nb * s))
         if not char and not any(out.values()):
             continue
-        half = 1 << (w - 1)
-        mask = (1 << w) - 1
-        offset = sum(half << (w * s) for s in range(len(run)))
         slots = [{} for _ in run]
         for m, v in out.items():
             if v:
-                v += offset
-                for d in slots:
-                    e = (v & mask) - half
+                for d, e in zip(slots, _unpack(v, len(run), nb)):
                     if e:
                         d[m] = e
-                    v >>= w
         for k, d in zip(run, slots):
             diff = _mod(Poly(d), char)
             if diff:

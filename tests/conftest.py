@@ -1,4 +1,5 @@
-"""Shared fixtures: field towers and the standard structure zoo.
+"""Shared fixtures: field towers and the standard structure zoo, and the
+test-local composition of forms (compose).
 
 Everything expensive is session-scoped; symbolic expansions are cached
 on the structures themselves, so the acceptance suite reuses the work.
@@ -15,9 +16,27 @@ from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
                                    GroundCenter, MatrixAlgebra,
                                    UnitaryInvolution)
 from albertlab import tits, isotopy
+from albertlab.poly import Poly, indices
 
 F_COEFFS = ["1", "-3", "0", "1"]      # x^3 - 3x + 1, cyclic over Q, F5, F7
 RHO_COEFFS = ["-2", "0", "1"]         # alpha -> alpha^2 - 2
+
+
+def compose(p, args):
+    """p with the Polys args[i] substituted for x_i, term by term: the sum
+    of c args[i] ... args[j] over the terms c x_i ... x_j of p, each
+    product formed by Poly multiplication.  The reference for every
+    composition of forms in the tests; it shares no code with the
+    library's substitution kernels (poly.pullback, poly.compose_mismatch)
+    and is itself checked against sympy (test_sympy_oracle)."""
+    out = {}
+    for m, c in p.terms.items():
+        term = Poly({0: c})
+        for i in indices(m):
+            term = term * args[i]
+        for mm, v in term.terms.items():
+            out[mm] = out[mm] + v if mm in out else v
+    return Poly({m: c for m, c in out.items() if c})
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """The int-lifted kernels (linalg.matmul, linalg.rank, u_matrix,
-poly.pullback, poly.compose_mismatch) against independent references
-written here: plain Fraction and mod-p loops, U_x(y) = T(x, y) x -
-x# x y assembled from T(x, y) (the trace_pair fixture) and cross, and
-the nested Poly.eval substitution, one form at a time."""
+poly.pullback, poly.compose_mismatch and their slot packing) against
+independent references written here: plain Fraction and mod-p loops,
+U_x(y) = T(x, y) x - x# x y assembled from T(x, y) (the trace_pair
+fixture) and cross, and the term-by-term composition of conftest,
+one form at a time."""
 
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from albertlab.associative import CyclicAlgebra
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import AlbertLabError
 from albertlab.isotopy import Isotope
-from albertlab.poly import (Poly, _runs, compose_mismatch, linear_form, mono,
-                            pullback)
+from albertlab.poly import (Poly, _pack, _runs, _unpack, _width,
+                            compose_mismatch, linear_form, mono, pullback)
 from albertlab.rng import Stream
 from albertlab.scalars import PrimeField, RationalField, lift
+
+from .conftest import compose
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -201,8 +204,9 @@ class TestUMatrix:
 
 
 def _nested_pullback(p, rows):
-    """p(F x) by the nested Poly.eval route, one linear form per row."""
-    return p.eval([linear_form(row) for row in rows], 1)
+    """p(F x) by the term-by-term composition (compose), one linear form
+    per row."""
+    return compose(p, [linear_form(row) for row in rows])
 
 
 def _int_rows(m):
@@ -217,6 +221,35 @@ def _cubic(terms):
     for i, j, k, c in terms:
         out = out + Poly({mono((i, j, k)): c})
     return out
+
+
+class TestSlots:
+    """The slot rule that pullback and compose_mismatch share: _width
+    sizes the slots, _pack writes them and _unpack reads them."""
+
+    @pytest.mark.parametrize("nb", [1, 2, 3])
+    def test_round_trip_at_the_slot_bound(self, nb):
+        top = 2 ** (8 * nb - 1) - 1
+        assert _width(top) == nb
+        for values in ([top, -top, 0, -top, top], [-top] * 4, [top] * 4,
+                       [0, -1, 1, 0], [-top]):
+            packed = _pack(values, nb)
+            # compose_mismatch builds the same int by shifts
+            assert packed == sum(v << (8 * nb * k)
+                                 for k, v in enumerate(values))
+            assert _unpack(packed, len(values), nb) == values
+        # int combinations whose slots stay within the bound read back
+        a, b = [top, -1, 0, 1], [-top, 1, 1, 0]
+        assert _unpack(_pack(a, nb) + _pack(b, nb), 4, nb) == \
+            [x + y for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_width_at_powers_of_two(self, k):
+        # |v| <= bound < 2^(8 nb - 1): 2^(8k-1) - 1 fits in k bytes and
+        # 2^(8k-1) needs one more
+        assert _width(2 ** (8 * k - 1) - 1) == k
+        assert _width(2 ** (8 * k - 1)) == k + 1
+        assert _width(0) == 1
 
 
 class TestPullback:
@@ -238,7 +271,12 @@ class TestPullback:
         for a in points:
             rows = _int_rows(j.u_matrix(a))
             got = pullback(n2, rows)
-            assert got.terms == _nested_pullback(n2, rows).terms
+            # composing a dense 27-variable cubic term by term takes
+            # seconds: the reference here is the nested substitution of
+            # compose_mismatch, which TestComposeMismatch checks against
+            # compose; over Z, since pullback is exact over Z
+            assert compose_mismatch([n2], [linear_form(r) for r in rows],
+                                    lambda _: got, 0) is None
             assert got.terms
 
     @pytest.mark.parametrize("name", ["j_lk_q", "j_lk_f5"])
@@ -365,11 +403,11 @@ def _from_terms(terms):
 
 
 def _one_at_a_time(forms, args, target, char):
-    """compose_mismatch's result by Poly.eval, one form at a time: the
+    """compose_mismatch's result by compose, one form at a time: the
     first k where forms[k](args) - target(k) is nonzero mod char, with
     that difference."""
     for k, p in enumerate(forms):
-        d = p.eval(args, 1) - target(k)
+        d = compose(p, args) - target(k)
         if char:
             d = Poly({m: c % char for m, c in d.terms.items() if c % char})
         if d:
@@ -410,7 +448,7 @@ class TestComposeMismatch:
                                   min_size=nvars, max_size=nvars))
         noise = data.draw(st.lists(_terms_of(nargs, [2, 3, 4], coef),
                                    min_size=len(forms), max_size=len(forms)))
-        ref = [p.eval(args, 1) for p in forms]
+        ref = [compose(p, args) for p in forms]
         for char in (0, 5):
             for cut in range(len(forms) + 1):
                 _against_reference(
@@ -481,7 +519,7 @@ class TestComposeMismatch:
 
 
 def _first_failing_coordinate(j):
-    """x## = N(x) x composed one coordinate at a time by Poly.eval on j's
+    """x## = N(x) x composed one coordinate at a time by compose on j's
     int forms: n_den sh_i[i](sh_i) against s_den^3 n_i x_i mod the
     characteristic; the first failing coordinate and its lowest
     differing monomial, as the suite words its witness, or None."""
@@ -489,7 +527,7 @@ def _first_failing_coordinate(j):
     n_i, n_den = j.n_int
     char = j.ground.char
     for i, p in enumerate(sh_i):
-        d = n_den * p.eval(sh_i, 1) - s_den ** 3 * (n_i * Poly.var(i, 1))
+        d = n_den * compose(p, sh_i) - s_den ** 3 * (n_i * Poly.var(i, 1))
         low = [m for m, c in d.terms.items() if (c % char if char else c)]
         if low:
             return "coordinate %d, monomial %r" % (

@@ -1,7 +1,8 @@
 """Ground-point routes on int lifts: u_op from the int U data against
 T(x, y) x - x# x y assembled from T(x, y) (the trace_pair fixture) and
 the adjoint polarized from sharp; trace, spur and u_matrix against the
-ground norm form expanded at c + z; and N and # against the evaluators
+ground norm form composed at c + z, and the int trace data against the
+int norm form composed the same way; and N and # against the evaluators
 run point by point on the ground scalars themselves, with the form
 comparison of the evaluator check (_forms_mismatch) on forms that
 differ from the evaluators; and one run of each evaluator per suite
@@ -16,9 +17,11 @@ import pytest
 from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.isotopy import isotope
-from albertlab.poly import Poly, _int_scaled, variables
+from albertlab.poly import Poly, _int_scaled, indices, variables
 from albertlab.rng import Stream
 from albertlab.scalars import lift
+
+from .conftest import compose
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -28,6 +31,11 @@ def _polarized(j, x, y):
     references below do not read the U-operator data they check."""
     s = j.sharp(tuple(a + b for a, b in zip(x, y)))
     return tuple(a - b - c for a, b, c in zip(s, j.sharp(x), j.sharp(y)))
+
+
+def _degree_part(p, d):
+    """The terms of degree d of p."""
+    return Poly({m: c for m, c in p.terms.items() if m & 255 == d})
 
 
 def _generic_u(j, x, y, trace_pair):
@@ -82,7 +90,7 @@ class TestUOp:
 class TestTraceForms:
     """At a non-integral base point c = v^-1 of a random-v isotope, the
     int trace route against T and S read off the ground norm form
-    expanded at c + z, N(c + z) = 1 + T(z) + S(z) + N(z)."""
+    composed at c + z, N(c + z) = 1 + T(z) + S(z) + N(z)."""
 
     @staticmethod
     def _reference(j):
@@ -90,29 +98,37 @@ class TestTraceForms:
         g = j.ground
         xs = variables(j.dim, g.one)
         n = j.expand_symbolic()[0]
-        full = n.eval([Poly.const(c) + x for c, x in zip(j.unit, xs)], g.one)
-        t, s = full.homogeneous_part(1), full.homogeneous_part(2)
+        full = compose(n, [Poly.const(c) + x for c, x in zip(j.unit, xs)])
+        t, s = _degree_part(full, 1), _degree_part(full, 2)
         basis = [tuple(g.one if i == k else g.zero for i in range(j.dim))
                  for k in range(j.dim)]
+        # per e_k: T(e_k), e_k# and S(z + e_k) - S(z) - S(e_k), linear in z
+        at_basis = [(e, t.eval(e, g.one), j.sharp(e),
+                     compose(s, [z + c for z, c in zip(xs, e)]) - s
+                     - s.eval(e, g.one)) for e in basis]
 
         def u_matrix(x):
             """Column k is U_x(e_k) = T(x, e_k) x - x# x e_k, with
-            T(x, e_k) = T(x) T(e_k) - (S(x + e_k) - S(x) - S(e_k))."""
-            tx, sx, shx = t.eval(x, g.one), s.eval(x, g.one), j.sharp(x)
+            T(x, e_k) = T(x) T(e_k) - (S(x + e_k) - S(x) - S(e_k)) and
+            x# x e_k = (x# + e_k)# - x## - e_k# (_polarized); the values
+            at e_k are computed once, and those at x once per x."""
+            tx, shx = t.eval(x, g.one), j.sharp(x)
+            shsh = j.sharp(shx)
             cols = []
-            for e in basis:
-                xe = tuple(a + b for a, b in zip(x, e))
-                pair = tx * t.eval(e, g.one) - (
-                    s.eval(xe, g.one) - sx - s.eval(e, g.one))
-                cols.append([pair * a - b
-                             for a, b in zip(x, _polarized(j, shx, e))])
+            for e, te, she, polar in at_basis:
+                pair = tx * te - polar.eval(x, g.one)
+                she_x = j.sharp(tuple(a + b for a, b in zip(shx, e)))
+                cols.append([pair * a - (b - c - d) for a, b, c, d
+                             in zip(x, she_x, shsh, she)])
             return [list(row) for row in zip(*cols)]
 
         return (lambda x: t.eval(x, g.one)), (lambda x: s.eval(x, g.one)), \
             u_matrix
 
+    # the norms of j_cyc_q and j_m3k_q are dense (345 and 113 terms), so
+    # their isotopes' trace data use every splitting of the read-off
     @pytest.mark.parametrize("name", ["j_m3_q", "j_lk_q", "j_m3_f5",
-                                      "j_lk_f5"])
+                                      "j_lk_f5", "j_cyc_q", "j_m3k_q"])
     def test_random_v_isotope(self, name, request):
         j = request.getfixturevalue(name)
         s = Stream(95)
@@ -127,6 +143,21 @@ class TestTraceForms:
             assert jv.trace(x) == trace(x)
             assert jv.spur(x) == spur(x)
             assert jv.u_matrix(x) == u_matrix(x)
+
+    def test_trace_data_matches_composition(self, six_fixtures, j_m3k_q):
+        """_trace_data (t, s, den) against the int norm form composed at
+        ci + cd z (compose) for the unit's lift ci / cd: t is its degree-1
+        part, s its degree-2 part and den = n_den cd^3."""
+        for j in six_fixtures + [j_m3k_q]:
+            n_i, n_den = j.n_int
+            ci, cd = lift(j.unit)
+            full = compose(n_i, [Poly.var(k, cd) + c
+                                 for k, c in enumerate(ci)])
+            t = [0] * j.dim
+            for m, c in _degree_part(full, 1).terms.items():
+                t[indices(m)[0]] = c
+            assert j._trace_data == (t, _degree_part(full, 2),
+                                     n_den * cd ** 3), j.label
 
 
 def _reference_mismatch(j, points):

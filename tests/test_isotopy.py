@@ -15,18 +15,20 @@ from albertlab.poly import indices, linear_form
 from albertlab.rng import Stream
 from albertlab.scalars import lift
 
+from .conftest import compose
+
 
 def _u_map(j, a):
     return LinearMap(j, j, j.u_matrix(a))
 
 
-def _nested_witness(j, m):
+def _composed_witness(j, m):
     """First index tuple where N(m x) and N(x) are not proportional, with
-    the pullback substituted by the nested Poly.eval route."""
+    the pullback composed term by term (compose)."""
     ints, _ = lift([e for row in m for e in row])
     n2, _ = j.n_int
-    pull = n2.eval([linear_form(ints[r * j.dim:(r + 1) * j.dim])
-                    for r in range(j.dim)], 1)
+    pull = compose(n2, [linear_form(ints[r * j.dim:(r + 1) * j.dim])
+                        for r in range(j.dim)])
     first = min(n2.terms, key=indices)
     a, b = pull.coefficient(first) or 0, n2.terms[first]
     p = j.ground.char
@@ -124,8 +126,8 @@ class TestNormSimilarity:
 
     def test_non_similarity_detected(self, j_lk_q, j_lk_f5, j_m3_q):
         # a generic invertible matrix is not a norm similarity; the
-        # witness names the first monomial where the nested Poly.eval
-        # pullback and the source norm stop being proportional
+        # witness names the first monomial where the pullback composed
+        # term by term and the source norm stop being proportional
         for j in (j_lk_q, j_lk_f5, j_m3_q):
             g = j.ground
             m = linalg.identity(j.dim, g.one, g.zero)
@@ -134,7 +136,7 @@ class TestNormSimilarity:
             nu, wit = verify_norm_similarity(LinearMap(j, j, m))
             assert nu is None
             assert wit == ("monomial %r: pullback and source norm are not "
-                           "proportional" % (_nested_witness(j, m),))
+                           "proportional" % (_composed_witness(j, m),))
 
 
 class TestIsotope:

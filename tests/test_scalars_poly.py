@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from albertlab import linalg
 from albertlab.errors import (AlbertLabError, ConfigError, NonPrimeModulus,
                               NotInvertible)
-from albertlab.poly import (Poly, directional_derivative, dump_cubic_form,
-                            indices, linear_form, mono, sum_of_products,
-                            variables)
+from albertlab.poly import (Poly, compose_mismatch, directional_derivative,
+                            dump_cubic_form, indices, linear_form, mono,
+                            sum_of_products, variables)
 from albertlab.rng import Stream, draw, draws, splitmix64
 from albertlab.scalars import (PRIME_BOUND, PrimeField, RationalField,
                                draw_ints, is_prime)
@@ -132,7 +132,6 @@ class TestPoly:
         cubic = x * x * y
         assert cubic.is_homogeneous(3)
         assert not (cubic + x).is_homogeneous(3)
-        assert (cubic + x).homogeneous_part(1) == x
 
     def test_eval_matches_direct_substitution(self):
         x, y, z = self._vars()
@@ -145,20 +144,20 @@ class TestPoly:
         assert p.eval(args, Fraction(1)) == expect
 
     def test_eval_cancelled_group_is_zero(self):
-        # p = x0 x1 + x0 x2 groups to x0 (x1 + x2); with args[2] = -args[1]
-        # the linear remainder cancels, and nothing of it is stored
-        x, y, z = self._vars()
+        # compose_mismatch's substitution groups p = x0 x1 + x0 x2 to
+        # x0 (x1 + x2); with args[2] = -args[1] the linear remainder
+        # cancels, nothing of it is stored, and p composes to 0
+        x, y, z = variables(3, 1)
         p = x * y + x * z
         args = [x + 2 * z, y * y - x * z, -(y * y - x * z)]
-        out = p.eval(args, 1)
-        assert out == Poly()
-        assert out.terms == {}
+        assert compose_mismatch([p], args, lambda _: Poly(), 0) is None
+        assert compose_mismatch([p], args, lambda _: x, 0) == (0, -x)
         # the cancelled group is never multiplied by args[0]: were its zero
         # sums kept, the degree 200 remainder times the degree 100 args[0]
         # would overflow the degree byte
         high = [Poly({mono((0,) * 100): 1}), Poly({mono((1,) * 200): 1}),
                 Poly({mono((1,) * 200): -1})]
-        assert p.eval(high, 1).terms == {}
+        assert compose_mismatch([p], high, lambda _: Poly(), 0) is None
         with pytest.raises(AlbertLabError):
             high[0] * high[1]
 
@@ -226,19 +225,6 @@ class TestPoly:
             assert type(got) is type(one)
         assert type(Poly().eval(args, one)) is type(one)
         assert Poly().eval(args, one) == one - one
-
-    @pytest.mark.parametrize("field", [RationalField(), PrimeField(5)])
-    def test_eval_route_picked_by_first_arg(self, field):
-        # a mixed list takes the scalar route when a scalar comes first and
-        # the Poly route when a Poly does; both equal the all-Poly value
-        one = field.one
-        x, y, z = variables(3, one)
-        f = x * y * z + x * x * x + y * y + (one + one) * z + Poly.const(one)
-        two, u, v = one + one, *variables(2, one)
-        for args in ([u, two, v], [two, u, v], [two, two, u]):
-            all_poly = [a if isinstance(a, Poly) else Poly.const(a)
-                        for a in args]
-            assert f.eval(args, one) == f.eval(all_poly, one)
 
     def test_packed_monomials(self):
         # low byte: total degree; byte i + 1: exponent of x_i

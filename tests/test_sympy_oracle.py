@@ -1,5 +1,6 @@
-"""An independent oracle for the Poly kernel: sympy's sparse polynomial
-rings over QQ and GF(5) (the domain sympy.Poly picks for modulus=5).
+"""An independent oracle for the Poly kernel and the tests' own
+composition (conftest's compose): sympy's sparse polynomial rings over
+QQ and GF(5) (the domain sympy.Poly picks for modulus=5).
 
 The expanded forms are read monomial by monomial through indices(), so
 these checks share no arithmetic with albertlab's packed kernel."""
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albertlab.poly import Poly, indices, mono
+from albertlab.poly import Poly, _int_scaled, compose_mismatch, indices, mono
+
+from .conftest import compose
 
 sympy = pytest.importorskip("sympy")
 from sympy import GF, QQ, ring  # noqa: E402
@@ -77,16 +80,17 @@ def test_eval_matches_sympy(p, args, point):
     one = Fraction(1)
     # substituting polynomials
     want = ps.compose(list(zip(xs, [_to_sympy(a, r, QQ) for a in args])))
-    assert _to_sympy(p.eval(args, one), r, QQ) == want
+    assert _to_sympy(compose(p, args), r, QQ) == want
     # evaluating at a rational point
     assert _scalar(QQ, p.eval(point, one)) == \
         ps(*[_scalar(QQ, c) for c in point])
 
 
 # non-homogeneous polys with monomials up to degree 5, substituted by
-# polys of degree at most 2 (constants and zero included): terms of
-# degree 2 to 5 go through the grouping by first index, nested down to
-# linear terms, four times for degree 5
+# polys of degree at most 2 (constants and zero included): in
+# compose_mismatch, on the polys' int forms, terms of degree 2 to 5 go
+# through the grouping by first index, nested down to linear terms, four
+# times for degree 5
 _monomials5 = st.lists(st.integers(0, NVARS - 1), max_size=5).map(
     lambda idx: tuple(sorted(idx)))
 _polys5 = st.dictionaries(_monomials5, _coeffs, max_size=8).map(
@@ -103,5 +107,10 @@ def test_nested_eval_matches_sympy_compose(p, args):
     r, xs = _ring(NVARS, QQ)
     want = _to_sympy(p, r, QQ).compose(
         list(zip(xs, [_to_sympy(a, r, QQ) for a in args])))
-    one = Fraction(1)
-    assert _to_sympy(p.eval(args, one), r, QQ) == want
+    assert _to_sympy(compose(p, args), r, QQ) == want
+    (pi,), _ = _int_scaled([p])
+    ai, _ = _int_scaled(args)
+    got = compose_mismatch([pi], ai, lambda _: Poly(), 0)
+    want = _to_sympy(pi, r, QQ).compose(
+        list(zip(xs, [_to_sympy(a, r, QQ) for a in ai])))
+    assert _to_sympy(Poly() if got is None else got[1], r, QQ) == want

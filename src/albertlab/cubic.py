@@ -21,8 +21,8 @@ u_matrix_int, u_op and cross share the int U-operator data (_u_data),
 the trace bilinear matrix and the polarized adjoint: u_matrix_int
 returns the int U-matrix over one denominator, for callers that keep
 computing on ints (the isotope's U_{v^-1}, U_{w#} and U_v), u_op
-applies it to y's lift, and cross applies the polarized adjoint rows at
-x's lift to y's lift.
+applies the same int operator to y's lift without forming the matrix,
+and cross applies the polarized adjoint rows at x's lift to y's lift.
 Identity checks compare int forms mod the characteristic; a failed
 x##, N(x#) or evaluator check names the lowest monomial that differs,
 and the coordinate where there is one.
@@ -245,17 +245,31 @@ class CubicNormStructure:
         return self._apply(self._cross_rows(xi), self.sharp_int[1] * dx, y)
 
     def u_op(self, x, y):
-        """U_x(y) = T(x,y) x - x# x y at ground points: u_matrix_int(x)
-        applied to y."""
-        return self._apply(*self.u_matrix_int(x), y)
+        """U_x(y) = T(x,y) x - x# x y at ground points, on y's lift
+        yi / dy without forming the U-matrix: row m of u_matrix_int(x)
+        applied to yi is (r.yi) xi_m - b (s x yi)_m s_den, for r, s, b and
+        den of u_matrix_int, so entry m is that int over den dy, r.yi
+        summed over the nonzero yi_j and the cross term formed by
+        _cross_apply."""
+        cols, t_den, _ = self._u_data
+        sh_i, s_den = self.sharp_int
+        xi, d = lift(x)
+        yi, dy = lift(y)
+        den = lcm(t_den, s_den * s_den)
+        a, b = den // t_den, den // (s_den * s_den)
+        ry = a * sum(e * sum(map(mul, col, xi)) for col, e in zip(cols, yi)
+                     if e)
+        cy = self._cross_apply([p.eval(xi, 1) for p in sh_i], yi)
+        den *= d * d * dy
+        return tuple(from_int(self._kind, ry * xv - b * c, den)
+                     for xv, c in zip(xi, cy))
 
     @cached_property
     def _u_data(self):
         """Int data of the U-operator: the columns of the trace bilinear
-        matrix times t_den, and the polarized adjoint of sharp_int as
-        triples (i, j, c) per row m, the diagonal c doubled:
-        cross(x, y)_m * s_den sums c (x_i y_j + x_j y_i) over the triples
-        with i < j and c x_i y_i over those with i = j.
+        matrix times t_den, and the polarized adjoint of sharp_int as the
+        triples (i, j, c) of its terms c x_i x_j, per row m:
+        cross(x, y)_m * s_den sums c (x_i y_j + x_j y_i) over them.
 
         T(x, y) = T(x) T(y) - (S(x + y) - S(x) - S(y)), so with t, s and
         den of _trace_data the matrix is (t t^T - den P) / den^2 for the
@@ -270,9 +284,8 @@ class CubicNormStructure:
             cols[j][i] -= den * c
         g = gcd(den * den, *(e for col in cols for e in col))
         cols = [[e // g for e in col] for col in cols]
-        cross = [[(i, j, c + c if i == j else c)
-                  for m, c in p.terms.items() for i, j in [indices(m)]]
-                 for p in self.sharp_int[0]]
+        cross = [[(i, j, c) for m, c in p.terms.items()
+                  for i, j in [indices(m)]] for p in self.sharp_int[0]]
         return cols, den * den // g, cross
 
     def _cross_rows(self, s):
@@ -281,12 +294,15 @@ class CubicNormStructure:
         cm = [[0] * self.dim for _ in range(self.dim)]
         for row, terms in zip(cm, self._u_data[2]):
             for i, j, c in terms:
-                if i == j:
-                    row[i] += c * s[i]
-                else:
-                    row[j] += c * s[i]
-                    row[i] += c * s[j]
+                row[j] += c * s[i]
+                row[i] += c * s[j]
         return cm
+
+    def _cross_apply(self, s, y):
+        """(s x y) s_den for int vectors s and y: the rows of
+        _cross_rows(s) applied to y, without forming them."""
+        return [sum([c * (s[i] * y[j] + s[j] * y[i]) for i, j, c in terms])
+                for terms in self._u_data[2]]
 
     def u_matrix_int(self, x):
         """(rows, den): the matrix of U_x(y) = T(x,y) x - x# x y, linear

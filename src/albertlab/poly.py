@@ -23,13 +23,22 @@ coefficients into the signed byte slots of one int (Kronecker
 substitution) and share one slot rule (_width, _pack, _unpack): every
 slot is bounded exactly before packing, so no slot borrows from its
 neighbour, and since only ints are added and multiplied the results are
-exact over Z and so, read by _mod, in every characteristic.
+exact over Z and so, read by _mod, in every characteristic.  Slots are
+1, 2, 4 or 8 bytes wide where that suffices, written and read by one
+cached struct codec per slot count (_codec), and wider only for larger
+bounds, read slot by slot.
 pullback(p, rows) pulls a homogeneous cubic int form back through an
 int matrix as a dense contraction on ints; the norm-similarity
 certificate uses it, since its matrices are nearly full and a sparse
-substitution pays one dict update per term product.  It packs over the
-input: each folded slice of the contracted tensor is one int, and the
-last mode is contracted one scalar multiply-add per row on those ints.
+substitution pays one dict update per term product.  All three modes
+of the contraction run on packed ints: each matrix row is packed once,
+the third mode is one multiply-add of a packed row per term, the second
+one multiply-add per row of the result's slices, and the first one per
+matrix row; every slot stays within one bound, B = sum |c| m_i m_j m_k
+over the terms c x_i x_j x_k, m_r the largest |entry| of row r or 1.
+Each slice of the result is unpacked once, folded over its symmetric
+pair of modes, and each monomial gathers its at most three entries
+through index tables built once per number of variables.
 compose_mismatch(forms, args, target, char) packs over the output: it
 finds the first form whose composition at args differs from its target,
 substituting a run of forms at once (_runs: a form joins the run while
@@ -52,7 +61,9 @@ their int forms with them.
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from itertools import combinations_with_replacement
+from operator import add, itemgetter, mul
+from struct import Struct
 
 from .errors import AlbertLabError
 from .scalars import lift
@@ -350,37 +361,96 @@ def _lowest(p):
 
 
 def _width(bound):
-    """The least slot width nb, in bytes, with bound < 2^(8 nb - 1): the
-    one slot rule of pullback and compose_mismatch.  A slot holds a signed
-    v, |v| <= bound, as the byte digit v + 2^(8 nb - 1), so the packed int
+    """The slot width nb, in bytes, of the one slot rule of pullback and
+    compose_mismatch: the least of 1, 2, 4 and 8 with bound < 2^(8 nb - 1),
+    else the least nb with that.  A slot holds a signed v, |v| <= bound,
+    as the byte digit v + 2^(8 nb - 1), so the packed int
     sum_k v_k 2^(8 nb k) plus the offset sum_k 2^(8 nb - 1) 2^(8 nb k)
-    (_offset) has those digits: no slot borrows from its neighbour while
+    (_codec) has those digits: no slot borrows from its neighbour while
     every slot of every int combination formed stays within bound."""
-    return (bound.bit_length() + 8) // 8
+    nb = (bound.bit_length() + 8) // 8
+    return 1 << (nb - 1).bit_length() if nb <= 8 else nb
 
 
-def _offset(count, nb):
-    """The offset of count slots of nb bytes (_width)."""
-    return int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * count,
-                          "little")
+_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+@lru_cache(maxsize=256)
+def _codec(count, nb):
+    """(codec, offset) for count slots of nb bytes (_width): the offset,
+    and a struct.Struct of count signed little-endian nb-byte ints, or
+    None when the slots are wider than 8 bytes.  Plus the offset, slot k
+    of a packed int has the digit v_k + 2^(8 nb - 1); xor with the offset
+    flips the top bit of every slot, which makes that digit v_k mod
+    2^(8 nb), the two's complement that the codec and int.to_bytes read
+    and write, and back."""
+    off = int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * count,
+                         "little")
+    code = _CODES.get(nb)
+    return (Struct("<%d%s" % (count, code)) if code else None), off
 
 
 def _pack(values, nb):
     """sum_k values[k] 2^(8 nb k) for ints |values[k]| < 2^(8 nb - 1),
-    written slot by slot into one byte string (_width)."""
-    half = 1 << (8 * nb - 1)
-    buf = b"".join([(v + half).to_bytes(nb, "little") for v in values])
-    return int.from_bytes(buf, "little") - _offset(len(values), nb)
+    written into one byte string by the codec (_codec), or value by value
+    when the slots are wider than 8 bytes."""
+    codec, off = _codec(len(values), nb)
+    if codec:
+        buf = codec.pack(*values)
+    else:
+        buf = b"".join([v.to_bytes(nb, "little", signed=True)
+                        for v in values])
+    return (int.from_bytes(buf, "little") ^ off) - off
 
 
 def _unpack(v, count, nb):
-    """The count signed nb-byte slots of the packed int v, in order, read
-    through one to_bytes (_width)."""
-    half = 1 << (8 * nb - 1)
-    size = count * nb
-    buf = (v + _offset(count, nb)).to_bytes(size, "little")
-    return [int.from_bytes(buf[s:s + nb], "little") - half
-            for s in range(0, size, nb)]
+    """The count signed nb-byte slots of the packed int v, in order, as a
+    tuple read from one to_bytes by the codec (_codec), or slot by slot
+    when the slots are wider than 8 bytes."""
+    codec, off = _codec(count, nb)
+    buf = ((v + off) ^ off).to_bytes(count * nb, "little")
+    if codec:
+        return codec.unpack(buf)
+    return tuple([int.from_bytes(buf[s:s + nb], "little", signed=True)
+                  for s in range(0, count * nb, nb)])
+
+
+@lru_cache(maxsize=8)
+def _pullback_tables(n):
+    """(size, fold, gather, monos): the index tables of pullback for n
+    variables.
+
+    The folded T_a are laid end to end in one list, T_a at a * size for
+    size = n(n + 1)/2 + 1: its entry for the pair b <= c at the pair's
+    index in the order (0, 0), (0, 1), ..., (n - 1, n - 1), then one 0.
+    fold is the itemgetter pair (up, lo) that folds a T_a unpacked with
+    one slot past its n^2 (that slot reads 0): entry (b, c) is slot
+    b n + c plus slot c n + b, or plus the zero slot when b = c, and the
+    last entry adds the zero slot to itself.  gather holds three
+    itemgetters over the laid-out list, one key per sorted triple
+    a <= b <= c: the coefficient of x_a x_b x_c is entry (b, c) of T_a,
+    plus (a, c) of T_b when b != a and (a, b) of T_c when c != b, a
+    missing term reading the last entry of T_a.  monos holds the
+    triples' monomials in the same order.  Every getter has one extra
+    key, a zero entry, so it has at least two keys and returns a tuple;
+    the gathered values are zipped with monos, which drops that one."""
+    pairs = [(b, c) for b in range(n) for c in range(b, n)]
+    index = {bc: k for k, bc in enumerate(pairs)}
+    size = len(pairs) + 1
+    zero = n * n
+    fold = (itemgetter(*[b * n + c for b, c in pairs], zero),
+            itemgetter(*[c * n + b if b != c else zero for b, c in pairs],
+                       zero))
+    keys = ([], [], [])
+    monos = []
+    for a, b, c in combinations_with_replacement(range(n), 3):
+        none = a * size + size - 1
+        keys[0].append(a * size + index[b, c])
+        keys[1].append(b * size + index[a, c] if b != a else none)
+        keys[2].append(c * size + index[a, b] if c != b else none)
+        monos.append(mono((a, b, c)))
+    gather = tuple(itemgetter(*k, size - 1) for k in keys)
+    return size, fold, gather, tuple(monos)
 
 
 def pullback(p, rows):
@@ -391,23 +461,30 @@ def pullback(p, rows):
     (the number of variables of the result); anything else is an
     AlbertLabError.
 
-    A dense contraction on ints: with p = sum c_ijk x_i x_j x_k,
-    R_ij = sum_k c_ijk rows[k] over the terms of index prefix (i, j) and
-    G_i = sum_j rows[j] (x) R_ij, p(F x) = sum_a sum_i rows[i][a] G_i[b, c]
-    x_a x_b x_c.  Terms whose row i is zero contribute nothing and are
-    skipped.  Entries (b, c) and (c, b) of G_i land on one monomial, so
-    G_i is folded to its n(n + 1)/2 entries b <= c, the two entries added
-    when b != c.  Each folded G_i is packed into one int P_i (_pack), slot
-    k holding entry k, and the last mode is contracted on those ints,
-    T_a = sum_i rows[i][a] P_i being one scalar multiply-add per packed i;
-    each nonzero T_a is unpacked once (_unpack).
+    A dense contraction whose three modes all run on packed ints: with
+    p = sum c_ijk x_i x_j x_k, p(F x) = sum T_a[b, c] x_a x_b x_c for
+    T_a[b, c] = sum_i rows[i][a] sum_j rows[j][b] sum_k c_ijk rows[k][c].
+    Each row K_k = rows[k] is packed once (_pack), n slots; then
+    Q_ij = sum_k c_ijk K_k over the terms of index prefix (i, j) is one
+    multiply-add per term, row b of G_i is sum_j rows[j][b] Q_ij, and the
+    rows of G_i are joined by shift-add into P_i, slot b n + c holding
+    G_i[b, c]; T_a = sum_i rows[i][a] P_i is one multiply-add per packed
+    i.  Terms with a zero coefficient or a zero row i contribute nothing
+    and are skipped.  Each nonzero T_a is unpacked once (_unpack) and
+    folded to its n(n + 1)/2 pairs b <= c, T_a[b, c] + T_a[c, b] when
+    b != c, since both land on one monomial; each monomial then gathers
+    its at most three folded entries (_pullback_tables).
 
-    Every |G_i[k]| is at most gmax, the largest folded entry over the
-    packed i, and every |T_a[k]| at most (sum_i |rows[i][a]|) gmax.  Each
-    packed i has a nonzero row, so bound = max_a (sum_i |rows[i][a]|) gmax
-    is at least gmax and bounds every slot of both; the slots are
-    _width(bound) bytes wide.  The term dict equals that of substituting
-    the linear forms of rows into p term by term."""
+    The slot bound: with m_r = max(1, max |rows[r]|) and
+    B = sum |c_ijk| m_i m_j m_k over the terms kept, every slot of every
+    packed value formed is at most B in absolute value.  A slot of Q_ij
+    is at most sum_k |c_ijk| m_k, one of G_i at most
+    sum_j m_j sum_k |c_ijk| m_k, one of T_a at most B, and each partial
+    sum of these at most its full sum of absolute values; as every
+    m_r >= 1, each is at most B.  A packed row K_k is kept only for a
+    term with |c_ijk| >= 1, so its slots, at most m_k, are at most B too.
+    The slots are _width(B) bytes wide.  The term dict equals that of
+    substituting the linear forms of rows into p term by term."""
     if not p.is_homogeneous(3):
         raise AlbertLabError("pullback needs a homogeneous cubic form")
     n = len(rows[0]) if rows else 0
@@ -415,40 +492,46 @@ def pullback(p, rows):
     if len(rows) <= top or any(len(row) != n for row in rows):
         raise AlbertLabError("pullback needs one row per variable of the "
                              "form, all of one length")
-    r = {}
+    mags = [max(1, max(map(abs, row), default=0)) for row in rows]
+    live = [any(row) for row in rows]
+    kept = []
+    bound = 0
     for m, c in p.terms.items():
         i, j, k = indices(m)
-        if not any(rows[i]):
-            continue
-        rk = [c * e for e in rows[k]]
-        r[i, j] = list(map(add, r[i, j], rk)) if (i, j) in r else rk
-    g = {}
-    for (i, j), rij in r.items():
-        outer = [e * f for e in rows[j] for f in rij]
-        g[i] = list(map(add, g[i], outer)) if i in g else outer
-    pairs = [(b * n + c, c * n + b) for b in range(n) for c in range(b, n)]
-    for i, gi in g.items():
-        g[i] = [gi[u] + gi[v] if u != v else gi[u] for u, v in pairs]
-    gmax = max((abs(v) for gi in g.values() for v in gi), default=0)
-    wsum = max((sum(abs(rows[i][a]) for i in g) for a in range(n)),
-               default=0)
-    nb = _width(wsum * gmax)
-    packed = [(rows[i], _pack(gi, nb)) for i, gi in g.items()]
-    x = [mono((a,)) for a in range(n)]
-    bc = [x[b] + x[c] for b in range(n) for c in range(b, n)]
-    out = {}
-    for a in range(n):
-        t = 0
-        for row, pi in packed:
-            if row[a]:
-                t += row[a] * pi
-        if not t:
-            continue
-        for m, v in zip(bc, _unpack(t, len(pairs), nb)):
-            if v:
-                m += x[a]
-                out[m] = out.get(m, 0) + v
-    return _nonzero(out)
+        if c and live[i]:
+            kept.append((i, j, k, c))
+            bound += abs(c) * mags[i] * mags[j] * mags[k]
+    if not kept:
+        return Poly()
+    nb = _width(bound)
+    packed = {}
+    q = {}
+    for i, j, k, c in kept:
+        if k not in packed:
+            packed[k] = _pack(rows[k], nb)
+        qi = q.setdefault(i, {})
+        qi[j] = qi.get(j, 0) + c * packed[k]
+    cols = list(zip(*rows))
+    shift = 8 * nb * n
+    ps = {}
+    for i, qi in q.items():
+        js, qs = list(qi), list(qi.values())
+        pi = 0
+        for b, col in enumerate(cols):
+            pi += sum(map(mul, map(col.__getitem__, js), qs)) << (shift * b)
+        ps[i] = pi
+    size, (up, lo), gather, monos = _pullback_tables(n)
+    flat = []
+    for col in cols:
+        t = sum(map(mul, map(col.__getitem__, ps), ps.values()))
+        if t:
+            vals = _unpack(t, n * n + 1, nb)
+            flat += map(add, up(vals), lo(vals))
+        else:
+            flat += [0] * size
+    g1, g2, g3 = gather
+    coeffs = map(add, map(add, g1(flat), g2(flat)), g3(flat))
+    return Poly({m: v for m, v in zip(monos, coeffs) if v})
 
 
 def _runs(forms):

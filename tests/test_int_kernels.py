@@ -16,7 +16,7 @@ from albertlab.associative import CyclicAlgebra
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import AlbertLabError
 from albertlab.isotopy import Isotope
-from albertlab.poly import (Poly, _pack, _runs, _unpack, _width,
+from albertlab.poly import (Poly, _codec, _pack, _runs, _unpack, _width,
                             compose_mismatch, linear_form, mono, pullback)
 from albertlab.rng import Stream
 from albertlab.scalars import PrimeField, RationalField, lift
@@ -203,6 +203,57 @@ class TestUMatrix:
                        for row in got for c in row)
 
 
+class TestUOpWithoutMatrix:
+    """u_op applies U_x to y's lift without forming the U-matrix; it
+    must give the int U-matrix of u_matrix_int applied to y (_apply)."""
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q", "iso_lk_q"])
+    def test_mixed_denominators_over_q(self, name, request):
+        j = request.getfixturevalue(name)
+        s = Stream(89)
+        zero = tuple(j.ground.zero for _ in range(j.dim))
+        mixed = [tuple(Fraction(i - 13, 1 + (i + k) % 5)
+                       for i in range(j.dim)) for k in range(3)]
+        x = j.random_invertible(s)
+        pairs = [(mixed[0], mixed[1]), (mixed[1], mixed[2]), (j.unit, x),
+                 (x, mixed[2]), (x, j.inverse(x)), (zero, x), (x, zero)]
+        assert all(lift(p)[1] > 1 for p in mixed)
+        for x, y in pairs:
+            got = j.u_op(x, y)
+            assert got == j._apply(*j.u_matrix_int(x), y)
+            assert all(type(c) is Fraction for c in got)
+
+    def test_trace_denominator_outside_the_adjoint_denominator(self):
+        """On every structure of the zoo lcm(t_den, s_den^2) is s_den^2,
+        so the cross term's factor b = lcm / s_den^2 is 1.  Here the forms
+        N = x0^3 / 5 + x0 x1^2 and x# = (2 x0^2 / 3, x1^2 + x0 x1) at the
+        base point (1/3, 0), not a cubic norm structure but a valid input
+        of both routes, give t_den = 225 and s_den = 3, so b = 25."""
+        j = CubicNormStructure(
+            Q, 2, lambda xs: xs[0] * xs[0] * xs[0] * Fraction(1, 5)
+            + xs[0] * xs[1] * xs[1],
+            lambda xs: [xs[0] * xs[0] * Fraction(2, 3),
+                        xs[1] * xs[1] + xs[0] * xs[1]],
+            [Fraction(1, 3), Q.zero])
+        assert (j._u_data[1], j.sharp_int[1]) == (225, 3)
+        points = [(Fraction(2, 7), Fraction(-5, 3)), (Fraction(1), Q.zero),
+                  (Fraction(-4, 9), Fraction(6, 5)), (Q.zero, Fraction(1, 2))]
+        for x in points:
+            for y in points:
+                assert j.u_op(x, y) == j._apply(*j.u_matrix_int(x), y)
+
+    @pytest.mark.parametrize("name", ["j_lk_f5", "j_m3_f5", "iso_m3_f5"])
+    def test_finite_field(self, name, request):
+        j = request.getfixturevalue(name)
+        s = Stream(97)
+        kind = type(j.ground.one)
+        points = [j.unit] + [j.random_point(s) for _ in range(6)]
+        for x, y in zip(points, points[1:] + points[:1]):
+            got = j.u_op(x, y)
+            assert got == j._apply(*j.u_matrix_int(x), y)
+            assert all(type(c) is kind for c in got)
+
+
 def _nested_pullback(p, rows):
     """p(F x) by the term-by-term composition (compose), one linear form
     per row."""
@@ -225,31 +276,52 @@ def _cubic(terms):
 
 class TestSlots:
     """The slot rule that pullback and compose_mismatch share: _width
-    sizes the slots, _pack writes them and _unpack reads them."""
+    sizes the slots, _pack writes them and _unpack reads them, through
+    the struct codec up to 8 bytes and slot by slot above (_codec)."""
 
-    @pytest.mark.parametrize("nb", [1, 2, 3])
+    @pytest.mark.parametrize("nb", [1, 2, 4, 8, 9, 16])
     def test_round_trip_at_the_slot_bound(self, nb):
         top = 2 ** (8 * nb - 1) - 1
         assert _width(top) == nb
+        # widths up to 8 bytes have a struct codec, wider ones do not
+        assert (_codec(3, nb)[0] is None) == (nb > 8)
         for values in ([top, -top, 0, -top, top], [-top] * 4, [top] * 4,
                        [0, -1, 1, 0], [-top]):
             packed = _pack(values, nb)
             # compose_mismatch builds the same int by shifts
             assert packed == sum(v << (8 * nb * k)
                                  for k, v in enumerate(values))
-            assert _unpack(packed, len(values), nb) == values
-        # int combinations whose slots stay within the bound read back
-        a, b = [top, -1, 0, 1], [-top, 1, 1, 0]
-        assert _unpack(_pack(a, nb) + _pack(b, nb), 4, nb) == \
-            [x + y for x, y in zip(a, b)]
+            assert _unpack(packed, len(values), nb) == tuple(values)
+            # a slot past the packed ones reads 0 (pullback's fold
+            # reads one)
+            assert _unpack(packed, len(values) + 1, nb) == \
+                tuple(values) + (0,)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("nb", [1, 2, 4, 8, 9, 16])
+    def test_sums_within_the_bound_read_back(self, nb):
+        """Int combinations of packed values whose every slot stays
+        within the bound read back slot by slot, a slot at the bound
+        included."""
+        top = 2 ** (8 * nb - 1) - 1
+        a, b = [top, -1, 0, 1, -top], [-top, 1, 1, 0, top]
+        c = [1, -top, top, -1, 0]
+        for x, y, z in ((1, 1, 0), (2, 1, 0), (1, 1, -1), (-1, 0, 0)):
+            want = [x * u + y * v + z * w for u, v, w in zip(a, b, c)]
+            assert max(map(abs, want)) == top or (x, y, z) == (1, 1, 0)
+            got = x * _pack(a, nb) + y * _pack(b, nb) + z * _pack(c, nb)
+            assert _unpack(got, 5, nb) == tuple(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_width_at_powers_of_two(self, k):
-        # |v| <= bound < 2^(8 nb - 1): 2^(8k-1) - 1 fits in k bytes and
-        # 2^(8k-1) needs one more
+        # |v| <= bound < 2^(8 nb - 1) with nb rounded up to 1, 2, 4 or 8
+        # bytes: 2^(8k-1) - 1 fits in k bytes and 2^(8k-1) needs the next
+        # width; past 8 bytes the width is exact
         assert _width(2 ** (8 * k - 1) - 1) == k
-        assert _width(2 ** (8 * k - 1)) == k + 1
+        assert _width(2 ** (8 * k - 1)) == {1: 2, 2: 4, 4: 8, 8: 9}[k]
         assert _width(0) == 1
+        assert _width(2 ** 23 - 1) == 4
+        assert _width(2 ** 71 - 1) == 9
+        assert _width(2 ** 71) == 10
 
 
 class TestPullback:
@@ -363,10 +435,10 @@ class TestPullback:
 
     @pytest.mark.parametrize("m", [1, 255, 1000000, 2 ** 40 + 1])
     def test_same_sign_slot_at_bound(self, m):
-        """p = 2 (x0^3 + x1^3 + x2^3) with every entry -m: each folded
-        G_i has off-diagonal entries 4 m^2 and every T_a slot b < c is
-        -12 m^3, the slot bound exactly (it has bit length 64 at
-        m = 1000000, a whole number of bytes)."""
+        """p = 2 (x0^3 + x1^3 + x2^3) with every entry -m: the slot bound
+        is B = 3 * 2 m^3 and every slot of every T_a is -6 m^3 = -B, the
+        bound exactly, of one sign (bit length 63 at m = 1000000, so
+        the 8-byte slots are full)."""
         p = _cubic([(i, i, i, 2) for i in range(3)])
         rows = [[-m] * 3] * 3
         got = pullback(p, rows)
@@ -374,6 +446,49 @@ class TestPullback:
         s3 = _cubic([(i, j, k, 1) for i in range(3) for j in range(3)
                      for k in range(3)])    # (x0 + x1 + x2)^3
         assert got == -6 * m ** 3 * s3
+
+    def test_no_variables_or_no_terms(self):
+        """n = 0 and the empty form give the empty term dict."""
+        assert pullback(Poly(), []).terms == {}
+        assert pullback(Poly(), [[]]).terms == {}
+        assert pullback(_cubic([(0, 0, 0, 2)]), [[]]).terms == {}
+        assert pullback(Poly(), [[1, -2], [3, 4]]).terms == {}
+
+    @pytest.mark.parametrize("rows", [[[3], [-2]], [[0], [5]], [[-1], [0]]])
+    def test_one_variable(self, rows):
+        """n = 1: one pair and one triple, so every index table has a
+        single real key."""
+        p = _cubic([(0, 0, 0, 1), (0, 0, 1, -2), (0, 1, 1, 4),
+                    (1, 1, 1, -3)])
+        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+
+    def test_zero_row_as_second_and_third_index(self):
+        """A zero row j or k leaves its terms' contractions zero."""
+        p = _cubic([(0, 1, 2, 3), (0, 2, 2, -1), (1, 1, 2, 2),
+                    (0, 0, 1, 5)])
+        for z in range(3):
+            rows = [[1, -2, 3], [4, 0, -1], [-2, 5, 1]]
+            rows[z] = [0, 0, 0]
+            assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+        # a zero row j still packs the row k of its term, so the bound
+        # counts a zero row as 1, not 0
+        for rows in ([[1, 1], [0, 0], [300, -300]],
+                     [[2, -1], [0, 0], [-2 ** 40, 7]]):
+            p = _cubic([(0, 1, 2, 3)])
+            assert pullback(p, rows).terms == {}
+            p = p + _cubic([(0, 0, 2, -1)])
+            assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+
+    @pytest.mark.parametrize("e", [127, 128, 2 ** 15, 2 ** 63])
+    def test_zero_coefficient_with_a_large_row(self, e):
+        """A stored zero coefficient adds nothing to the slot bound, so
+        its rows must not be packed: with the row [e] alone the form
+        pulls back to nothing, and next to x0^3 the row of x1 stays out
+        of the 1-byte slots that x0^3 at [1] needs."""
+        zero = Poly({mono((0, 0, 0)): 0})
+        assert pullback(zero, [[e]]).terms == {}
+        p = Poly({mono((0, 0, 1)): 0, mono((0, 0, 0)): 1})
+        assert pullback(p, [[1], [e]]).terms == {mono((0, 0, 0)): 1}
 
     @pytest.mark.parametrize("rows", [
         [[1], [2, 3]],          # short first row

@@ -26,14 +26,15 @@ int lifts, the matrix lifted once over one denominator and the target's
 int norm form contracted with it by poly.pullback: all three tensor
 modes as big-int multiply-adds on matrix rows and slices packed into
 byte slots, every slot within one bound (sum |c| m_i m_j m_k over the
-form's terms, m_r the largest entry of row r) so that none borrows from
-the next, and the symmetric pair of the last two modes folded onto one
-entry after unpacking; no Poly per matrix row.  The contraction is
-exact over Z, so the result is read mod the characteristic afterwards.  An isomorphism
-certificate is a similarity with multiplier 1 that carries the base
-point to the base point.  For a second construction the v-isotope is
-mapped onto J(B, s_v, u v#, N(v) mu) by one closed-form map, which is
-certified that way before it is returned.
+form's terms, m_r the largest |entry| of row r or 1) so that none
+borrows from the next, and the symmetric pair of the last two modes
+folded onto one entry after unpacking; no Poly per matrix row.  The
+contraction is exact over Z, so the result is read mod the
+characteristic afterwards.  An isomorphism certificate is a similarity
+with multiplier 1 that carries the base point to the base point.  For
+a second construction the v-isotope is mapped onto
+J(B, s_v, u v#, N(v) mu) by one closed-form map, which is certified
+that way before it is returned.
 """
 
 from fractions import Fraction

@@ -430,11 +430,11 @@ def _pullback_tables(n):
     itemgetters over the laid-out list, one key per sorted triple
     a <= b <= c: the coefficient of x_a x_b x_c is entry (b, c) of T_a,
     plus (a, c) of T_b when b != a and (a, b) of T_c when c != b, a
-    missing term reading the last entry of T_a.  monos holds the
+    missing term reading the last entry of T_0.  monos holds the
     triples' monomials in the same order.  Every getter has one extra
     key, a zero entry, so it has at least two keys and returns a tuple;
     the gathered values are zipped with monos, which drops that one."""
-    pairs = [(b, c) for b in range(n) for c in range(b, n)]
+    pairs = list(combinations_with_replacement(range(n), 2))
     index = {bc: k for k, bc in enumerate(pairs)}
     size = len(pairs) + 1
     zero = n * n
@@ -444,10 +444,9 @@ def _pullback_tables(n):
     keys = ([], [], [])
     monos = []
     for a, b, c in combinations_with_replacement(range(n), 3):
-        none = a * size + size - 1
         keys[0].append(a * size + index[b, c])
-        keys[1].append(b * size + index[a, c] if b != a else none)
-        keys[2].append(c * size + index[a, b] if c != b else none)
+        keys[1].append(b * size + index[a, c] if b != a else size - 1)
+        keys[2].append(c * size + index[a, b] if c != b else size - 1)
         monos.append(mono((a, b, c)))
     gather = tuple(itemgetter(*k, size - 1) for k in keys)
     return size, fold, gather, tuple(monos)
@@ -469,11 +468,11 @@ def pullback(p, rows):
     multiply-add per term, row b of G_i is sum_j rows[j][b] Q_ij, and the
     rows of G_i are joined by shift-add into P_i, slot b n + c holding
     G_i[b, c]; T_a = sum_i rows[i][a] P_i is one multiply-add per packed
-    i.  Terms with a zero coefficient or a zero row i contribute nothing
-    and are skipped.  Each nonzero T_a is unpacked once (_unpack) and
-    folded to its n(n + 1)/2 pairs b <= c, T_a[b, c] + T_a[c, b] when
-    b != c, since both land on one monomial; each monomial then gathers
-    its at most three folded entries (_pullback_tables).
+    i.  Terms with a zero coefficient contribute nothing and are
+    skipped.  Each T_a is unpacked once (_unpack) and folded to its
+    n(n + 1)/2 pairs b <= c, T_a[b, c] + T_a[c, b] when b != c, since both
+    land on one monomial; each monomial then gathers its at most three
+    folded entries (_pullback_tables).
 
     The slot bound: with m_r = max(1, max |rows[r]|) and
     B = sum |c_ijk| m_i m_j m_k over the terms kept, every slot of every
@@ -493,15 +492,14 @@ def pullback(p, rows):
         raise AlbertLabError("pullback needs one row per variable of the "
                              "form, all of one length")
     mags = [max(1, max(map(abs, row), default=0)) for row in rows]
-    live = [any(row) for row in rows]
     kept = []
     bound = 0
     for m, c in p.terms.items():
         i, j, k = indices(m)
-        if c and live[i]:
+        if c:
             kept.append((i, j, k, c))
             bound += abs(c) * mags[i] * mags[j] * mags[k]
-    if not kept:
+    if not kept or not n:
         return Poly()
     nb = _width(bound)
     packed = {}
@@ -515,20 +513,17 @@ def pullback(p, rows):
     shift = 8 * nb * n
     ps = {}
     for i, qi in q.items():
-        js, qs = list(qi), list(qi.values())
         pi = 0
         for b, col in enumerate(cols):
-            pi += sum(map(mul, map(col.__getitem__, js), qs)) << (shift * b)
+            row = sum(map(mul, map(col.__getitem__, qi), qi.values()))
+            pi += row << (shift * b)
         ps[i] = pi
     size, (up, lo), gather, monos = _pullback_tables(n)
     flat = []
     for col in cols:
-        t = sum(map(mul, map(col.__getitem__, ps), ps.values()))
-        if t:
-            vals = _unpack(t, n * n + 1, nb)
-            flat += map(add, up(vals), lo(vals))
-        else:
-            flat += [0] * size
+        vals = _unpack(sum(map(mul, map(col.__getitem__, ps), ps.values())),
+                       n * n + 1, nb)
+        flat += map(add, up(vals), lo(vals))
     g1, g2, g3 = gather
     coeffs = map(add, map(add, g1(flat), g2(flat)), g3(flat))
     return Poly({m: v for m, v in zip(monos, coeffs) if v})

@@ -413,8 +413,9 @@ class TestPullback:
         assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
 
     def test_zero_row_with_nonzero_contraction(self):
-        """Row 1 is zero while R_12 and G_1 are not: the term adds no
-        weight to the last mode and must not size the slots."""
+        """Row 1 is zero while Q_12 and G_1 are not: the term's slices
+        reach no T_a, and its share of the slot bound only widens the
+        slots."""
         p = _cubic([(1, 2, 2, 5)])
         rows = [[1, 2], [0, 0], [30, -40]]
         assert pullback(p, rows).terms == _nested_pullback(p, rows).terms

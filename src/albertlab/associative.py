@@ -400,8 +400,7 @@ class UnitaryInvolution:
         (linalg.fixed_basis of the matrix)."""
         if self._herm is None:
             alg = self.algebra
-            g = alg.center.ground
-            kern = linalg.fixed_basis(self.matrix, g.one, g.zero)
+            kern = linalg.fixed_basis(self.matrix)
             self._herm = [alg.from_k_coords(v) for v in kern]
             self._free = [max(i for i, c in enumerate(v) if c)
                           for v in kern]

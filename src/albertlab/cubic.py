@@ -22,7 +22,8 @@ the trace bilinear matrix and the polarized adjoint: u_matrix_int
 returns the int U-matrix over one denominator, for callers that keep
 computing on ints (the isotope's U_{v^-1}, U_{w#} and U_v), u_op
 applies the same int operator to y's lift without forming the matrix,
-and cross applies the polarized adjoint rows at x's lift to y's lift.
+and cross applies the polarized adjoint at the lifts of x and y
+(_cross_apply), without forming its matrix either.
 Identity checks compare int forms mod the characteristic; a failed
 x##, N(x#) or evaluator check names the lowest monomial that differs,
 and the coordinate where there is one.
@@ -69,8 +70,8 @@ from typing import Callable, List, Optional
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
 from .poly import (Poly, _int_scaled, _integral_as_int, _lowest, _mod,
-                   _nonzero, compose_mismatch, directional_derivative,
-                   indices, linear_form, mono, sum_of_products, variables)
+                   _nonzero, compose_mismatch, indices, linear_combination,
+                   mono, variables)
 from .rng import Stream
 from .scalars import from_int, lift
 
@@ -208,7 +209,7 @@ class CubicNormStructure:
         mapped back once."""
         n_i, den = self.n_int
         xi, d = lift(x)
-        return from_int(self._kind, n_i.eval(xi, 1), den * d ** 3)
+        return from_int(self._kind, n_i.eval(xi), den * d ** 3)
 
     def sharp(self, x):
         """x# at a ground point: the int adjoint forms at the point's
@@ -216,7 +217,7 @@ class CubicNormStructure:
         sh_i, den = self.sharp_int
         xi, d = lift(x)
         den *= d * d
-        return tuple(from_int(self._kind, p.eval(xi, 1), den) for p in sh_i)
+        return tuple(from_int(self._kind, p.eval(xi), den) for p in sh_i)
 
     def trace(self, x):
         """T(x) at a ground point: t.xi / (den d) for the lift xi / d."""
@@ -228,21 +229,16 @@ class CubicNormStructure:
         """S(x) at a ground point: s(xi) / (den d^2)."""
         _, s, den = self._trace_data
         xi, d = lift(x)
-        return from_int(self._kind, s.eval(xi, 1), den * d * d)
-
-    def _apply(self, rows, den, y):
-        """The int matrix rows / den applied to a ground point y: with
-        y = yi / dy, (rows yi) / (den dy), mapped back once."""
-        yi, dy = lift(y)
-        den *= dy
-        return tuple(from_int(self._kind, sum(map(mul, row, yi)), den)
-                     for row in rows)
+        return from_int(self._kind, s.eval(xi), den * d * d)
 
     def cross(self, x, y):
-        """x x y = (x + y)# - x# - y# at ground points: _cross_rows of
-        x's int lift xi / dx applied to y, over s_den dx."""
+        """x x y = (x + y)# - x# - y# at ground points: _cross_apply at
+        the int lifts xi / dx and yi / dy, over s_den dx dy."""
         xi, dx = lift(x)
-        return self._apply(self._cross_rows(xi), self.sharp_int[1] * dx, y)
+        yi, dy = lift(y)
+        den = self.sharp_int[1] * dx * dy
+        return tuple(from_int(self._kind, v, den)
+                     for v in self._cross_apply(xi, yi))
 
     def u_op(self, x, y):
         """U_x(y) = T(x,y) x - x# x y at ground points, on y's lift
@@ -259,7 +255,7 @@ class CubicNormStructure:
         a, b = den // t_den, den // (s_den * s_den)
         ry = a * sum(e * sum(map(mul, col, xi)) for col, e in zip(cols, yi)
                      if e)
-        cy = self._cross_apply([p.eval(xi, 1) for p in sh_i], yi)
+        cy = self._cross_apply([p.eval(xi) for p in sh_i], yi)
         den *= d * d * dy
         return tuple(from_int(self._kind, ry * xv - b * c, den)
                      for xv, c in zip(xi, cy))
@@ -315,7 +311,7 @@ class CubicNormStructure:
         cols, t_den, _ = self._u_data
         sh_i, s_den = self.sharp_int
         xi, d = lift(x)
-        cm = self._cross_rows([p.eval(xi, 1) for p in sh_i])
+        cm = self._cross_rows([p.eval(xi) for p in sh_i])
         den = lcm(t_den, s_den * s_den)
         a, b = den // t_den, den // (s_den * s_den)
         r = [a * sum(map(mul, col, xi)) for col in cols]
@@ -378,22 +374,28 @@ class CubicNormStructure:
     # -- identity suite --------------------------------------------------------------
 
     def _trace_adjoint_ok(self):
-        """T(x#, y) equals the directional derivative of N at x along y,
-        as int forms mod the characteristic.
+        """T(x#, y) = d_y N(x), one coordinate y_n of y at a time, as int
+        forms mod the characteristic.
 
-        On the int forms (the trace columns of _u_data and sharp_int),
-        sum_m x#_m (sum_n T_mn y_n), with y in variables dim..2 dim - 1,
-        is accumulated into one dict and compared with dN over the same
-        denominator."""
+        With T(x, y) = sum_mn cols[n][m] x_m y_n / t_den (the trace
+        columns of _u_data), # = sh_i / s_den and N = n_i / n_den, the
+        coefficient of y_n reads n_den sum_m cols[n][m] sh_i[m] = s_den
+        t_den dn_i/dx_n.  The partial derivatives are read off n_i's terms
+        in one pass: a term a x_p x_q x_r adds e a times the monomial
+        without one x_n to dn_i/dx_n, for each distinct n among p, q, r,
+        e the exponent of x_n; distinct terms give distinct monomials."""
         cols, t_den, _ = self._u_data
         sh_i, s_den = self.sharp_int
         n_i, n_den = self.n_int
-        lhs = sum_of_products(
-            (p, linear_form([col[m] for col in cols], self.dim))
-            for m, p in enumerate(sh_i))
+        grads = [{} for _ in cols]
+        for m, a in n_i.terms.items():
+            idx = indices(m)
+            for n in set(idx):
+                grads[n][m - (1 << (8 * n + 8)) - 1] = idx.count(n) * a
         char = self.ground.char
-        return _mod(n_den * lhs, char) == _mod(
-            s_den * t_den * directional_derivative(n_i, self.dim), char)
+        return all(_mod(n_den * linear_combination(col, sh_i), char)
+                   == _mod(s_den * t_den * Poly(g), char)
+                   for col, g in zip(cols, grads))
 
     def _unit_cross_failure(self):
         """The first coordinate i where c x y = T(y) c - y fails, or None.

@@ -54,8 +54,7 @@ def fixed_subspace(f, j):
     closed under adjoint, cross products and U on basis pairs; by
     bilinearity the pair checks are complete.
     """
-    g = j.ground
-    basis = linalg.fixed_basis(f.matrix, g.one, g.zero)
+    basis = linalg.fixed_basis(f.matrix)
 
     def fixed(v):
         return f.apply(v) == tuple(v)

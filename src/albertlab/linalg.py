@@ -2,18 +2,19 @@
 
 Dimensions never exceed 27x27 here, so plain Gaussian elimination with
 first-nonzero pivoting is both fast enough and deterministic (the same
-input always yields the same echelon form and kernel basis), and
-kernel_basis runs it on any scalar type with /, == and truthiness.
+input always yields the same echelon form and kernel basis).
 fixed_basis, the kernel basis of m - I, is the one route to the space a
 square matrix fixes (a hermitian basis, the extended rho's fixed
 subalgebra).
 
-matmul and rank take matrices over a ground field only (every entry a
-Fraction, or every entry an F_p scalar; scalars.ground_type refuses
-anything else) and run through their int lifts (scalars.lift): a
-product multiplies int rows by int columns and maps each entry back
-once; a rank is Bareiss fraction-free elimination over Q (every division
-exact) and elimination mod p over F_p.
+matmul, rank and kernel_basis take matrices over a ground field only
+(every entry a Fraction, or every entry an F_p scalar;
+scalars.ground_type refuses anything else) and run through their int
+lifts (scalars.lift): a product multiplies int rows by int columns and
+maps each entry back once; rank and kernel_basis share one elimination
+(_echelon), Bareiss fraction-free elimination over Q (every division
+exact) and elimination mod p over F_p, and a kernel vector is
+back-substituted on ints over one denominator and mapped back once.
 """
 
 from fractions import Fraction
@@ -61,93 +62,84 @@ def mat_equal(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _echelonize(m):
-    """In-place reduced row echelon; returns list of pivot columns."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
 def rank(m):
     kind = ground_type([c for row in m for c in row])
     # row scaling keeps the rank, so each row is lifted on its own
-    return _rank_int([lift(r)[0] for r in m],
-                     0 if kind is Fraction else kind.modulus)
+    return len(_echelon([lift(r)[0] for r in m],
+                        0 if kind is Fraction else kind.modulus))
 
 
-def _rank_int(rows, p):
-    """Rank of an int matrix over Q (p = 0) or of residues mod a prime p,
-    by fraction-free elimination; the rows are overwritten.
+def _echelon(rows, p):
+    """The pivot columns of an int matrix over Q (p = 0) or of residues
+    mod a prime p, by fraction-free elimination; the rows are overwritten
+    by a row echelon form, row r with its pivot at the r-th pivot column.
 
     A step replaces each row below the pivot row by pivot * row - f * top.
     Over Q this is Bareiss: every entry is then a minor of the input
     (Sylvester's identity), so dividing by the previous pivot is exact.
-    Over F_p the step is read mod p instead: multiplying a row by a
-    nonzero residue keeps the rank, so no division is needed."""
+    Over F_p each pivot row is first scaled to pivot 1, so the step is
+    row - f * top, read mod p."""
     n = len(rows)
-    r, prev = 0, 1
+    pivots, prev = [], 1
     for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, n) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        if p:
+            inv = pow(rows[r][c], -1, p)
+            rows[r] = [x * inv % p for x in rows[r]]
         top = rows[r]
         a = top[c]
         for i in range(r + 1, n):
             f = rows[i][c]
             row = [(a * x - f * y) // prev for x, y in zip(rows[i], top)]
             rows[i] = [v % p for v in row] if p else row
-        prev = 1 if p else a
-        r += 1
-    return r
+        prev = a
+        pivots.append(c)
+    return pivots
 
 
-def kernel_basis(m, one, zero):
-    """Deterministic basis of the right kernel of m (echelon convention).
+def kernel_basis(m):
+    """Deterministic basis of the right kernel of a ground matrix m
+    (echelon convention); [] when m has no entries.
 
-    There is one vector per free column c of the reduced echelon form: it
-    has 1 at c, 0 at every other free column, and its other nonzero
-    entries at pivot columns left of c, so c is its last nonzero entry."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    work = [list(r) for r in m]
-    pivots = _echelonize(work)
-    free = [c for c in range(cols) if c not in pivots]
+    There is one vector per free column c (a column without a pivot in
+    _echelon's form of the row lifts): it has 1 at c, 0 at every other
+    free column, and its other nonzero entries at pivot columns left of
+    c, so c is its last nonzero entry.  Only one kernel vector is 1 at c
+    and 0 at the other free columns, so it is the reduced echelon form's
+    too.  It is back-substituted on ints over one denominator, from the
+    last pivot row left of c up: each such row is solved for the entry
+    at its pivot column after every entry is scaled by its pivot (1 over
+    F_p, where the entries are read mod p); each entry is mapped back
+    once."""
+    entries = [c for row in m for c in row]
+    if not entries:
+        return []
+    kind = ground_type(entries)
+    p = 0 if kind is Fraction else kind.modulus
+    rows = [lift(r)[0] for r in m]
+    pivots = _echelon(rows, p)
+    cols = len(m[0])
     basis = []
-    for fc in free:
-        vec = [zero] * cols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            val = work[r][fc]
-            if val:
-                vec[pc] = -val
-        basis.append(vec)
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        v, den = [0] * cols, 1
+        v[fc] = 1
+        for row, pc in reversed([(row, pc) for row, pc in zip(rows, pivots)
+                                 if pc < fc]):
+            a = row[pc]
+            s = sum(map(mul, row[pc + 1:fc + 1], v[pc + 1:fc + 1]))
+            v = [a * e for e in v]
+            den *= a
+            v[pc] = -s % p if p else -s
+        basis.append([from_int(kind, e, den) for e in v])
     return basis
 
 
-def fixed_basis(m, one, zero):
+def fixed_basis(m):
     """kernel_basis of m - I: a deterministic basis of the vectors the
-    square matrix m fixes, in kernel_basis's echelon convention."""
-    return kernel_basis([[e - one if i == k else e for k, e in enumerate(row)]
-                         for i, row in enumerate(m)], one, zero)
+    square ground matrix m fixes, in kernel_basis's echelon convention."""
+    return kernel_basis([[e - 1 if i == k else e for k, e in enumerate(row)]
+                         for i, row in enumerate(m)])

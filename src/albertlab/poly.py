@@ -230,14 +230,13 @@ class Poly:
 
     # -- evaluation / substitution ----------------------------------------
 
-    def eval(self, args, one):
+    def eval(self, args):
         """The value at the point args (ground scalars or ints), variable
-        i taking args[i].
+        i taking args[i]: the int 0 plus the sum of c * prod(args) over
+        the terms, so the int 0 when self has no terms.
 
-        The result is (one - one) plus the scalar sum of c * prod(args),
-        so `one` fixes the result's type when self has no terms.  The
-        terms are read from a plan built at the first evaluation and kept,
-        which is sound because a Poly's terms never change after
+        The terms are read from a plan built at the first evaluation and
+        kept, which is sound because a Poly's terms never change after
         construction: rows (c, i), (c, i, j) and (c, i, j, k) for the
         terms of degree 1, 2 and 3, each degree summed by one loop that
         unpacks its rows, and (c, indices(m)) pairs for the terms of any
@@ -246,7 +245,7 @@ class Poly:
         if plan is None:
             plan = self._plan = _point_plan(self.terms)
         r1, r2, r3, rest = plan
-        total = one - one
+        total = 0
         for c, i in r1:
             total = total + c * args[i]
         for c, i, j in r2:
@@ -312,14 +311,6 @@ def variables(n, one):
 def linear_form(coeffs, offset=0):
     """sum_n coeffs[n] x_{offset + n}; zero coefficients are skipped."""
     return Poly({mono((offset + n,)): c for n, c in enumerate(coeffs) if c})
-
-
-def sum_of_products(pairs):
-    """sum a * b over the Poly pairs (a, b), accumulated in one dict."""
-    out = {}
-    for a, b in pairs:
-        _mul_into(out, a.terms, b.terms, 1)
-    return _nonzero(out)
 
 
 def linear_combination(coeffs, polys):
@@ -606,21 +597,6 @@ def compose_mismatch(forms, args, target, char):
             if diff:
                 return k, diff
     return None
-
-
-def directional_derivative(p, nvars):
-    """d/dt p(x + t y) at t=0, as a Poly in x (vars 0..n-1), y (vars n..2n-1)."""
-    out = {}
-    shift = 8 * nvars
-    for m, c in p.terms.items():
-        for i in indices(m):
-            x_i = 1 << (8 * i + 8)
-            mm = m - x_i + (x_i << shift)
-            if mm in out:
-                out[mm] += c
-            else:
-                out[mm] = c
-    return _nonzero(out)
 
 
 # -- serialization of cubic forms and quadratic maps ------------------------

@@ -107,7 +107,7 @@ def find_norm_zero(j, budget=10000, mode="random", seed=0, jobs=1):
     zero = _is_zero(j.ground.char)
 
     def predicate(xi):
-        return any(xi) and zero(n_i.eval(xi, 1))
+        return any(xi) and zero(n_i.eval(xi))
 
     if mode == "exhaustive":
         if not j.ground.is_finite:
@@ -151,7 +151,7 @@ def find_nilpotent(j, budget=100000, seed=0, jobs=1):
 
     def predicate(xi):
         return any(xi) and zero(sum(map(mul, t, xi))) and \
-            zero(s.eval(xi, 1)) and zero(n_i.eval(xi, 1))
+            zero(s.eval(xi)) and zero(n_i.eval(xi))
 
     xi = next(filter(predicate, _structured_nilpotents(j)), None)
     if xi is not None:
@@ -239,7 +239,7 @@ def _norm_is(alg, value):
     def predicate(xi, d=1):
         scale = den * d ** 3
         for f, ti in pairs:
-            if not zero(f.eval(xi, 1) * t_den - ti * scale):
+            if not zero(f.eval(xi) * t_den - ti * scale):
                 return False
         return True
 

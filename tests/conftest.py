@@ -1,5 +1,6 @@
-"""Shared fixtures: field towers and the standard structure zoo, and the
-test-local composition of forms (compose).
+"""Shared fixtures: field towers and the standard structure zoo, the
+test-local composition of forms (compose), and the composed route of the
+gradient identity T(x#, y) = d_y N(x) (trace_adjoint_difference).
 
 Everything expensive is session-scoped; symbolic expansions are cached
 on the structures themselves, so the acceptance suite reuses the work.
@@ -16,7 +17,7 @@ from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
                                    GroundCenter, MatrixAlgebra,
                                    UnitaryInvolution)
 from albertlab import tits, isotopy
-from albertlab.poly import Poly, indices
+from albertlab.poly import Poly, _mod, indices, linear_form
 
 F_COEFFS = ["1", "-3", "0", "1"]      # x^3 - 3x + 1, cyclic over Q, F5, F7
 RHO_COEFFS = ["-2", "0", "1"]         # alpha -> alpha^2 - 2
@@ -37,6 +38,44 @@ def compose(p, args):
         for mm, v in term.terms.items():
             out[mm] = out[mm] + v if mm in out else v
     return Poly({m: c for m, c in out.items() if c})
+
+
+def directional_derivative(p, nvars):
+    """d/dt p(x + t y) at t = 0, as a Poly in x (variables 0..nvars - 1)
+    and y (variables nvars..2 nvars - 1)."""
+    out = {}
+    shift = 8 * nvars
+    for m, c in p.terms.items():
+        for i in indices(m):
+            x_i = 1 << (8 * i + 8)
+            mm = m - x_i + (x_i << shift)
+            out[mm] = out[mm] + c if mm in out else c
+    return Poly({m: c for m, c in out.items() if c})
+
+
+def sum_of_products(pairs):
+    """sum a * b over the Poly pairs (a, b), accumulated in one dict."""
+    out = {}
+    for a, b in pairs:
+        for m, c in (a * b).terms.items():
+            out[m] = out[m] + c if m in out else c
+    return Poly({m: c for m, c in out.items() if c})
+
+
+def trace_adjoint_difference(j):
+    """T(x#, y) - d_y N(x) as one form in x and y, the reference of the
+    library's check one coordinate of y at a time (_trace_adjoint_ok): on
+    j's int forms, sum_m x#_m (sum_n T_mn y_n), with y in variables
+    dim..2 dim - 1, minus the directional derivative of N over the same
+    denominator, read in the characteristic; 0 when the identity holds."""
+    cols, t_den, _ = j._u_data
+    sh_i, s_den = j.sharp_int
+    n_i, n_den = j.n_int
+    lhs = sum_of_products(
+        (p, linear_form([col[m] for col in cols], j.dim))
+        for m, p in enumerate(sh_i))
+    return _mod(n_den * lhs - s_den * t_den * directional_derivative(
+        n_i, j.dim), j.ground.char)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from albertlab.poly import Poly, indices
 from albertlab.rng import Stream
 from albertlab.scalars import lift
 
-from .conftest import compose
+from .conftest import compose, trace_adjoint_difference
 
 
 def _first_summand(j, d_elem):
@@ -563,6 +563,48 @@ class TestNoSampling:
             assert len(rep.checks) == 12
             assert {c.mode for c in rep.checks} == {"symbolic"}, j.label
         assert _isotope_calls(direct_calls) == []
+
+
+class TestTraceAdjointRoute:
+    """_trace_adjoint_ok proves T(x#, y) = d_y N(x) one coordinate of y at
+    a time; the verdict must be that of the composed identity
+    (trace_adjoint_difference)."""
+
+    @pytest.mark.parametrize("name", ["j_m3_f5", "j_m3_q", "j_cyc_q",
+                                      "j_lk_q", "j_lk_f5", "iso_m3_f5",
+                                      "iso_lk_q", "j_m3k_q"])
+    def test_proved_structures(self, name, request):
+        j = request.getfixturevalue(name)
+        assert j._trace_adjoint_ok()
+        assert not trace_adjoint_difference(j)
+
+    def test_isotopes(self, j_cyc_q, j_m3_q):
+        for j in (_random_isotope(j_cyc_q),
+                  _random_isotope(_random_isotope(j_m3_q))):
+            assert j._trace_adjoint_ok(), j.label
+            assert not trace_adjoint_difference(j)
+
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_lk_f5", "iso_m3_f5"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_corrupted_adjoint(self, name, where, request):
+        j = request.getfixturevalue(name)
+        coord = {"first": 0, "middle": j.dim // 2, "last": j.dim - 1}[where]
+        bad = corrupt_sharp(j, coord)
+        assert not bad._trace_adjoint_ok()
+        assert trace_adjoint_difference(bad)
+
+    def test_failure_past_the_first_coordinate(self, QQ):
+        # on k^3, N = x0 x1 x2 and T(x, y) = sum x_n y_n, so x0^2 added to
+        # adjoint coordinate 2 breaks the identity at y_2 alone
+        j = CubicNormStructure(
+            QQ, 3, lambda xs: xs[0] * xs[1] * xs[2],
+            lambda xs: [xs[1] * xs[2], xs[0] * xs[2], xs[0] * xs[1]],
+            [QQ.one] * 3, label="k3")
+        assert j._trace_adjoint_ok()
+        bad = corrupt_sharp(j, 2)
+        diff = trace_adjoint_difference(bad)
+        assert diff and all(indices(m)[-1] == j.dim + 2 for m in diff.terms)
+        assert not bad._trace_adjoint_ok()
 
 
 def _nested(name, v, w):

@@ -1,11 +1,13 @@
-"""The int-lifted kernels (linalg.matmul, linalg.rank, u_matrix,
-poly.pullback, poly.compose_mismatch and their slot packing) against
-independent references written here: plain Fraction and mod-p loops,
+"""The int-lifted kernels (linalg.matmul, linalg.rank,
+linalg.kernel_basis, u_matrix, poly.pullback, poly.compose_mismatch and
+their slot packing) against independent references written here: plain
+Fraction and mod-p loops, Gauss-Jordan on the scalars themselves,
 U_x(y) = T(x, y) x - x# x y assembled from T(x, y) (the trace_pair
 fixture) and cross, and the term-by-term composition of conftest,
 one form at a time."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,14 @@ from albertlab.isotopy import Isotope
 from albertlab.poly import (Poly, _codec, _pack, _runs, _unpack, _width,
                             compose_mismatch, linear_form, mono, pullback)
 from albertlab.rng import Stream
-from albertlab.scalars import PrimeField, RationalField, lift
+from albertlab.scalars import PrimeField, RationalField, from_int, lift
 
 from .conftest import compose
 
 Q = RationalField()
+F2 = PrimeField(2)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def _ref_matmul(a, b, zero):
@@ -51,6 +55,38 @@ def _ref_rank(m, p=None):
                     rows[i] = [Fraction(int(x) % p) for x in rows[i]]
         rank += 1
     return rank
+
+
+def _ref_kernel_basis(m, one, zero):
+    """The kernel basis in the echelon convention by Gauss-Jordan on the
+    scalars themselves: the reduced row echelon form, then one vector per
+    free column, 1 there and minus the column's entries at the pivot
+    columns."""
+    m = [list(r) for r in m]
+    cols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [zero] * cols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            if m[r][fc]:
+                vec[pc] = -m[r][fc]
+        basis.append(vec)
+    return basis
 
 
 def _q_entry(s):
@@ -151,10 +187,81 @@ class TestRank:
         assert linalg.rank([r0, r1, r2]) == 3
 
 
+def _fp_entry(g):
+    return lambda s: g.elem(s.next_below(g.p))
+
+
+def _unit_entry(s):
+    # pivots of 1 and -1 only, against _q_entry's non-unit pivots
+    return Fraction(s.next_below(3) - 1)
+
+
+KERNEL_FIELDS = [
+    ("Q", _q_entry, Q),
+    ("Q_units", _unit_entry, Q),
+    ("F2", _fp_entry(F2), F2),
+    ("F5", _fp_entry(F5), F5),
+    ("F7", _fp_entry(F7), F7),
+]
+
+
+class TestKernelBasis:
+    """kernel_basis runs on rank's elimination (_echelon); the reference
+    is Gauss-Jordan on the scalars: the same vectors, of the same type."""
+
+    @staticmethod
+    def _agrees(m, g):
+        got = linalg.kernel_basis(m)
+        assert got == _ref_kernel_basis(m, g.one, g.zero)
+        assert all(type(c) is type(g.one) for v in got for c in v)
+        assert len(got) == len(m[0]) - linalg.rank(m)
+
+    @pytest.mark.parametrize("name, entry, g", KERNEL_FIELDS)
+    @pytest.mark.parametrize("n, m, r", [(1, 1, 1), (1, 7, 1), (7, 1, 1),
+                                         (5, 8, 5), (8, 5, 5), (6, 7, 3),
+                                         (9, 9, 4), (9, 4, 2), (3, 9, 2)])
+    def test_random_matrices(self, name, entry, g, n, m, r):
+        # full random and rank-deficient products, tall and wide
+        s = Stream(100 * r + 10 * n + m).derive("kernel:" + name)
+        for _ in range(4):
+            self._agrees(_matrix(s, n, m, entry), g)
+            self._agrees(_low_rank(s, n, m, r, entry, g.zero), g)
+
+    @pytest.mark.parametrize("name, entry, g", KERNEL_FIELDS)
+    def test_zero_rows_and_columns(self, name, entry, g):
+        s = Stream(41).derive("kernel:" + name)
+        a = _low_rank(s, 7, 8, 4, entry, g.zero)
+        a[0] = [g.zero] * 8
+        a[5] = [g.zero] * 8
+        for row in a:
+            row[0] = row[3] = g.zero
+        self._agrees(a, g)
+        for shape in [(1, 1), (3, 5), (5, 3)]:
+            zero = [[g.zero] * shape[1] for _ in range(shape[0])]
+            self._agrees(zero, g)
+            assert len(linalg.kernel_basis(zero)) == shape[1]
+
+    def test_non_unit_pivots(self):
+        # no input pivot is 1 or -1: over Q the back-substitution
+        # carries a denominator, over F_7 every pivot row is scaled
+        m = [[Fraction(2), Fraction(3), Fraction(5), Fraction(7)],
+             [Fraction(4), Fraction(9), Fraction(1), Fraction(-3)]]
+        self._agrees(m, Q)
+        assert any(c.denominator > 1 for v in linalg.kernel_basis(m)
+                   for c in v)
+        f7 = [[F7.elem(3), F7.elem(5), F7.elem(2)],
+              [F7.elem(6), F7.elem(4), F7.elem(1)]]
+        self._agrees(f7, F7)
+
+    def test_empty_matrix(self):
+        assert linalg.kernel_basis([]) == []
+
+
 class TestExtensionFieldMatrices:
     def test_refused_by_int_kernels(self, QQ, tower_l_q):
-        # L-valued matrices are not ground matrices: matmul and rank have
-        # only the int route and refuse them, as they refuse mixed types
+        # L-valued matrices are not ground matrices: matmul, rank,
+        # kernel_basis and fixed_basis have only the int route and refuse
+        # them, as they refuse mixed types
         d = CyclicAlgebra(tower_l_q, QQ.from_int(2))
         L = d.L
         mx = d.splitting_embed(d.random(Stream(79)))
@@ -164,6 +271,10 @@ class TestExtensionFieldMatrices:
             linalg.matmul(mx, linalg.identity(3, L.one, L.zero))
         with pytest.raises(TypeError):
             linalg.rank([[Q.one, F5.one]])
+        with pytest.raises(TypeError):
+            linalg.kernel_basis(mx)
+        with pytest.raises(TypeError):
+            linalg.fixed_basis(mx)
 
 
 class TestUMatrix:
@@ -203,6 +314,14 @@ class TestUMatrix:
                        for row in got for c in row)
 
 
+def _apply(j, rows, den, y):
+    """The int matrix rows / den applied to a ground point y: with
+    y = yi / dy, (rows yi) / (den dy), mapped back once."""
+    yi, dy = lift(y)
+    return tuple(from_int(type(j.ground.one), sum(map(mul, row, yi)),
+                          den * dy) for row in rows)
+
+
 class TestUOpWithoutMatrix:
     """u_op applies U_x to y's lift without forming the U-matrix; it
     must give the int U-matrix of u_matrix_int applied to y (_apply)."""
@@ -220,7 +339,7 @@ class TestUOpWithoutMatrix:
         assert all(lift(p)[1] > 1 for p in mixed)
         for x, y in pairs:
             got = j.u_op(x, y)
-            assert got == j._apply(*j.u_matrix_int(x), y)
+            assert got == _apply(j, *j.u_matrix_int(x), y)
             assert all(type(c) is Fraction for c in got)
 
     def test_trace_denominator_outside_the_adjoint_denominator(self):
@@ -240,7 +359,7 @@ class TestUOpWithoutMatrix:
                   (Fraction(-4, 9), Fraction(6, 5)), (Q.zero, Fraction(1, 2))]
         for x in points:
             for y in points:
-                assert j.u_op(x, y) == j._apply(*j.u_matrix_int(x), y)
+                assert j.u_op(x, y) == _apply(j, *j.u_matrix_int(x), y)
 
     @pytest.mark.parametrize("name", ["j_lk_f5", "j_m3_f5", "iso_m3_f5"])
     def test_finite_field(self, name, request):
@@ -250,7 +369,7 @@ class TestUOpWithoutMatrix:
         points = [j.unit] + [j.random_point(s) for _ in range(6)]
         for x, y in zip(points, points[1:] + points[:1]):
             got = j.u_op(x, y)
-            assert got == j._apply(*j.u_matrix_int(x), y)
+            assert got == _apply(j, *j.u_matrix_int(x), y)
             assert all(type(c) is kind for c in got)
 
 
@@ -598,7 +717,7 @@ class TestComposeMismatch:
         arg, so the bound must add up the terms of each arg."""
         forms = [_from_terms([((0, 0), v)])] * 3
         args = [_from_terms([((0,), 1), ((1,), -1)])]
-        ref = [p.eval(args, 1) for p in forms]
+        ref = [p.eval(args) for p in forms]
         for cut in range(4):
             _against_reference(forms, args,
                                lambda k: ref[k] if k < cut else Poly(), 0)
@@ -617,7 +736,7 @@ class TestComposeMismatch:
                  for k, c in enumerate(values)]
         args = [_from_terms([((0,), 1), ((1,), 1)]),
                 _from_terms([((1,), -1)])]
-        ref = [p.eval(args, 1) for p in forms]
+        ref = [p.eval(args) for p in forms]
         for cut in range(len(forms) + 1):
             _against_reference(forms, args,
                                lambda k: ref[k] if k < cut else Poly(), char)

@@ -103,26 +103,26 @@ class TestTraceForms:
         basis = [tuple(g.one if i == k else g.zero for i in range(j.dim))
                  for k in range(j.dim)]
         # per e_k: T(e_k), e_k# and S(z + e_k) - S(z) - S(e_k), linear in z
-        at_basis = [(e, t.eval(e, g.one), j.sharp(e),
+        at_basis = [(e, t.eval(e), j.sharp(e),
                      compose(s, [z + c for z, c in zip(xs, e)]) - s
-                     - s.eval(e, g.one)) for e in basis]
+                     - s.eval(e)) for e in basis]
 
         def u_matrix(x):
             """Column k is U_x(e_k) = T(x, e_k) x - x# x e_k, with
             T(x, e_k) = T(x) T(e_k) - (S(x + e_k) - S(x) - S(e_k)) and
             x# x e_k = (x# + e_k)# - x## - e_k# (_polarized); the values
             at e_k are computed once, and those at x once per x."""
-            tx, shx = t.eval(x, g.one), j.sharp(x)
+            tx, shx = t.eval(x), j.sharp(x)
             shsh = j.sharp(shx)
             cols = []
             for e, te, she, polar in at_basis:
-                pair = tx * te - polar.eval(x, g.one)
+                pair = tx * te - polar.eval(x)
                 she_x = j.sharp(tuple(a + b for a, b in zip(shx, e)))
                 cols.append([pair * a - (b - c - d) for a, b, c, d
                              in zip(x, she_x, shsh, she)])
             return [list(row) for row in zip(*cols)]
 
-        return (lambda x: t.eval(x, g.one)), (lambda x: s.eval(x, g.one)), \
+        return (lambda x: t.eval(x)), (lambda x: s.eval(x)), \
             u_matrix
 
     # the norms of j_cyc_q and j_m3k_q are dense (345 and 113 terms), so

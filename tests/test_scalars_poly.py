@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from albertlab import linalg
 from albertlab.errors import (AlbertLabError, ConfigError, NonPrimeModulus,
                               NotInvertible)
-from albertlab.poly import (Poly, compose_mismatch, directional_derivative,
-                            dump_cubic_form, indices, linear_form, mono,
-                            sum_of_products, variables)
+from albertlab.poly import (Poly, compose_mismatch, dump_cubic_form, indices,
+                            linear_form, mono, variables)
 from albertlab.rng import Stream, draw, draws, splitmix64
 from albertlab.scalars import (PRIME_BOUND, PrimeField, RationalField,
                                draw_ints, is_prime)
@@ -139,9 +138,9 @@ class TestPoly:
         args = [Fraction(2), Fraction(-1, 3), Fraction(5)]
         a, b, c = args
         expect = a * a * b - 3 * c * c * c + b * b * c
-        assert p.eval(args, Fraction(1)) == expect
+        assert p.eval(args) == expect
         # a second evaluation reads the kept plan and gives the same value
-        assert p.eval(args, Fraction(1)) == expect
+        assert p.eval(args) == expect
 
     def test_eval_cancelled_group_is_zero(self):
         # compose_mismatch's substitution groups p = x0 x1 + x0 x2 to
@@ -161,14 +160,7 @@ class TestPoly:
         with pytest.raises(AlbertLabError):
             high[0] * high[1]
 
-    def test_directional_derivative_of_cube(self):
-        # d/dt (x0^3) along y = 3 x0^2 y0
-        x = variables(1, Fraction(1))[0]
-        dd = directional_derivative(x * x * x, 1)
-        y0 = Poly.var(1, Fraction(1))
-        assert dd == 3 * x * x * y0
-
-    def test_linear_form_and_sum_of_products(self):
+    def test_linear_form(self):
         x, y, z = self._vars()
         assert linear_form([Fraction(2), 0, Fraction(-1, 3)]) == \
             2 * x - Fraction(1, 3) * z
@@ -176,12 +168,6 @@ class TestPoly:
         w = variables(6, Fraction(1))
         assert linear_form([1, 5], 3) == w[3] + 5 * w[4]
         assert linear_form([0, 0]) == Poly()
-        pairs = [(x * y + z, x - 2 * z), (z * z, y + 1), (x, -x),
-                 (y, Poly())]
-        assert sum_of_products(pairs) == \
-            sum((a * b for a, b in pairs), Poly())
-        # cancelling products leave no zero coefficient behind
-        assert sum_of_products([(x, y), (-x, y)]).terms == {}
 
     @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
            st.lists(st.integers(-9, 9), min_size=3, max_size=3))
@@ -191,9 +177,8 @@ class TestPoly:
         p = x * y + z * z - 2 * x
         q = y * z - x * x + 1 * y
         args = [Fraction(v) for v in a]
-        one = Fraction(1)
-        assert (p * q).eval(args, one) == p.eval(args, one) * q.eval(args, one)
-        assert (p + q).eval(args, one) == p.eval(args, one) + q.eval(args, one)
+        assert (p * q).eval(args) == p.eval(args) * q.eval(args)
+        assert (p + q).eval(args) == p.eval(args) + q.eval(args)
 
     @given(st.lists(st.tuples(
                st.lists(st.integers(0, 3), max_size=5),
@@ -206,8 +191,8 @@ class TestPoly:
     def test_eval_plan_matches_plain_loop(self, terms, points, kind):
         # degrees 0 to 5 mix the rows of degrees 1 to 3 with the general
         # loop of the others; every point after the first reuses the plan
-        # the first one built, and the result has the type of `one`, also
-        # for a Poly with no terms
+        # the first one built, and the result has the scalars' type, or is
+        # the int 0 for a Poly with no terms
         g = {"int": None, "Q": RationalField(), "F7": PrimeField(7)}[kind]
         scalar = int if g is None else g.from_int
         one = scalar(1)
@@ -220,11 +205,10 @@ class TestPoly:
                 for i in indices(m):
                     c = c * args[i]
                 total = total + c
-            got = p.eval(args, one)
+            got = p.eval(args)
             assert got == total
-            assert type(got) is type(one)
-        assert type(Poly().eval(args, one)) is type(one)
-        assert Poly().eval(args, one) == one - one
+            assert type(got) is (type(one) if p.terms else int)
+        assert Poly().eval(args) == 0
 
     def test_packed_monomials(self):
         # low byte: total degree; byte i + 1: exponent of x_i
@@ -261,14 +245,14 @@ class TestLinalg:
     def test_kernel_basis_echelon_convention(self):
         one, zero = Fraction(1), Fraction(0)
         m = [[one, one, one]]
-        basis = linalg.kernel_basis(m, one, zero)
+        basis = linalg.kernel_basis(m)
         assert basis == [[-one, one, zero], [-one, zero, one]]
 
     def test_fixed_basis_of_a_swap(self):
         # (x0, x1, x2) -> (x1, x0, x2) fixes (1, 1, 0) and (0, 0, 1)
         one, zero = Fraction(1), Fraction(0)
         m = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
-        assert linalg.fixed_basis(m, one, zero) == \
+        assert linalg.fixed_basis(m) == \
             [[one, one, zero], [zero, zero, one]]
 
     @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
@@ -280,7 +264,7 @@ class TestLinalg:
         n = 4
         m = [[g.from_int(entries[n * i + k] if i != k or i >= ones else 1)
               for k in range(n)] for i in range(n)]
-        basis = linalg.fixed_basis(m, g.one, g.zero)
+        basis = linalg.fixed_basis(m)
         delta = [[e - (g.one if i == k else g.zero)
                   for k, e in enumerate(row)] for i, row in enumerate(m)]
         assert len(basis) == n - linalg.rank(delta)

@@ -234,7 +234,7 @@ class TestIntNormForms:
         for w in _elements(alg, Stream(7).derive(name)):
             n = alg.norm(w)
             xi, d = lift(alg.to_k_coords(w))
-            got = [from_int(kind, f.eval(xi, 1), den * d ** 3)
+            got = [from_int(kind, f.eval(xi), den * d ** 3)
                    for f in forms]
             assert got == c.to_k_coords(n)
             assert _norm_holds(alg, n, w)

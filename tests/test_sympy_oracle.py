@@ -77,12 +77,11 @@ def test_product_matches_sympy(p, q):
 def test_eval_matches_sympy(p, args, point):
     r, xs = _ring(NVARS, QQ)
     ps = _to_sympy(p, r, QQ)
-    one = Fraction(1)
     # substituting polynomials
     want = ps.compose(list(zip(xs, [_to_sympy(a, r, QQ) for a in args])))
     assert _to_sympy(compose(p, args), r, QQ) == want
     # evaluating at a rational point
-    assert _scalar(QQ, p.eval(point, one)) == \
+    assert _scalar(QQ, p.eval(point)) == \
         ps(*[_scalar(QQ, c) for c in point])
 
 

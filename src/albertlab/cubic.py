@@ -3,14 +3,12 @@
 The trace linear form, the quadratic spur, the trace bilinear form, the
 cross product, U-operators, inverses and nilpotency tests are all
 derived from the two forms and the base point alone.  A structure reads
-the exact sparse forms of N and # once, at first use, from its forms
-hook.  Its int data (the int forms n_int and sharp_int, the trace data
-and the U-operator data) are cached properties, each built once, at
-first use, from the items it reads, so no method has to run before
-another.  The default hook runs the evaluators on polynomial
-indeterminates; the Tits constructions use it.  Derived structures
-build their forms from their base's: an isotope scales them
-(isotopy.Isotope), and corrupt_sharp adds one term.
+the exact sparse forms of N and # once, at first use, from one source
+(_forms): its evaluators run on polynomial indeterminates, or, on an
+isotope, its base's forms scaled (isotopy.Isotope).  Its int data (the
+int forms n_int and sharp_int, the trace data and the U-operator data)
+are cached properties, each built once, at first use, from the items it
+reads, so no method has to run before another.
 
 Every operation at a ground point has one route.  N, #, T, S, the
 U-operator matrix, U_x(y) and x x y are computed from the int forms at
@@ -25,8 +23,8 @@ applies the same int operator to y's lift without forming the matrix,
 and cross applies the polarized adjoint at the lifts of x and y
 (_cross_apply), without forming its matrix either.
 Identity checks compare int forms mod the characteristic; a failed
-x##, N(x#) or evaluator check names the lowest monomial that differs,
-and the coordinate where there is one.
+x## or N(x#) check names the lowest monomial that differs, and the
+coordinate where there is one.
 x## = N(x) x and N(x#) = N(x)^2 come from one cached property
 (_adjoint_verdicts): this class proves them on its own forms, and an
 isotope overrides it to prove them through its base (isotopy.Isotope),
@@ -49,15 +47,15 @@ characteristic; U_x(x^-1) = x also follows from two of them directly
 (see axiom_suite).  Only a failed premise samples both, through one
 loop (_first_failure).
 
-The evaluators run only on indeterminates, once per structure
-(_evaluator_forms); over Q the indeterminates carry the int 1, so the
-integral coefficients of the forms are ints.  Without a forms hook they
-yield the forms, and an isotope's forms are its scaled evaluators'
-forms when its base's are its base's evaluators' forms
-(_forms_are_evaluators), so forms and evaluators agree by construction;
-otherwise the evaluator check (_forms_mismatch) compares the hook's
-forms with the evaluators' own forms as int forms, mod the
-characteristic.  Neither draws a point.
+The evaluators run only on indeterminates, once per structure (_forms);
+over Q the indeterminates carry the int 1, so the integral coefficients
+of the forms are ints.  An isotope runs no evaluator: its forms are its
+base's, scaled by the closed formulas of its evaluators.  So the forms
+are the evaluators' forms by construction on every structure, and
+expansion_matches_evaluators passes symbolically, comparing nothing and
+drawing no point.  A wrong evaluator yields wrong forms, which the
+identity checks catch; corrupt_sharp's copy is such a structure, its
+forms read off its perturbed adjoint evaluator.
 """
 
 import time
@@ -80,6 +78,9 @@ from .scalars import from_int, lift
 # proved symbolically in the same run (axiom_suite)
 U_PREMISES = ("norm_unit_is_one", "sharp_unit_is_unit", "adjoint_of_adjoint",
               "unit_cross_identity", "trace_adjoint_is_norm_derivative")
+
+# random_invertible's draws before it gives up
+_INVERTIBLE_TRIES = 1000
 
 
 @dataclass
@@ -110,28 +111,26 @@ class AxiomReport:
 
 class CubicNormStructure:
     """(N, #, c) on k^dim.  eval_norm and eval_sharp compute N and # at a
-    point; forms, when given, returns the sparse forms (N_poly,
-    sharp_polys) directly, and otherwise they are read off the evaluators
-    run on indeterminates (_evaluator_forms)."""
+    point; the sparse forms (N_poly, sharp_polys) are read off them run on
+    indeterminates (_forms)."""
 
     def __init__(self, ground, dim, eval_norm: Callable, eval_sharp: Callable,
-                 unit, label="J", forms: Optional[Callable] = None):
+                 unit, label="J"):
         self.ground = ground
         self.dim = dim
         self.eval_norm = eval_norm
         self.eval_sharp = eval_sharp
         self.unit = tuple(unit)
         self.label = label
-        self._forms = forms
         self._kind = type(ground.one)
         self._n_poly = None
-        self._sharp_polys = None
 
     # -- symbolic expansion --------------------------------------------------
 
     @cached_property
-    def _evaluator_forms(self):
-        """The evaluators run on indeterminates, once; a constant they
+    def _forms(self):
+        """(N_poly, sharp_polys) before expand_symbolic checks them: the
+        evaluators run on indeterminates, once; a constant they
         return (a coordinate that no term reaches) becomes a constant
         Poly.  Over Q the indeterminates carry the int 1, so integral
         coefficients stay ints through the expansion (Poly multiplies by
@@ -143,22 +142,11 @@ class CubicNormStructure:
                   for p in [self.eval_norm(xs), *self.eval_sharp(xs)]]
         return n, sh
 
-    @property
-    def _forms_are_evaluators(self):
-        """True when the forms are the evaluators' own forms by
-        construction: here, when there is no forms hook."""
-        return self._forms is None
-
-    def _given_forms(self):
-        """The forms before expand_symbolic checks them: the forms hook's,
-        else the evaluators' own."""
-        return self._forms() if self._forms else self._evaluator_forms
-
     def expand_symbolic(self):
-        """(N_poly, sharp_polys): the exact forms, from the forms hook,
-        checked to be homogeneous."""
+        """(N_poly, sharp_polys): the exact forms (_forms), checked to be
+        homogeneous."""
         if self._n_poly is None:
-            n, sh = self._given_forms()
+            n, sh = self._forms
             if not n.is_homogeneous(3):
                 raise VerificationFailure(
                     "norm of %s is not a homogeneous cubic" % self.label)
@@ -168,8 +156,7 @@ class CubicNormStructure:
                         "adjoint coordinate %d of %s is not homogeneous "
                         "quadratic" % (i, self.label))
             self._n_poly = n
-            self._sharp_polys = sh
-        return self._n_poly, self._sharp_polys
+        return self._forms
 
     @cached_property
     def n_int(self):
@@ -345,15 +332,17 @@ class CubicNormStructure:
     def random_point(self, stream: Stream):
         return tuple(self.ground.random(stream) for _ in range(self.dim))
 
-    def random_invertible(self, stream: Stream, tries=1000):
-        for _ in range(tries):
+    def random_invertible(self, stream: Stream):
+        for _ in range(_INVERTIBLE_TRIES):
             x = self.random_point(stream)
             if self.norm(x):
                 return x
-        raise NotInvertible("no invertible element found in %d draws" % tries)
+        raise NotInvertible("no invertible element found in %d draws"
+                            % _INVERTIBLE_TRIES)
 
     def _corrupted(self, coord):
-        """corrupt_sharp's copy of this structure."""
+        """corrupt_sharp's copy of this structure: its forms are read off
+        bad_sharp, like any structure's."""
         base_sharp = self.eval_sharp
 
         def bad_sharp(coords):
@@ -361,15 +350,9 @@ class CubicNormStructure:
             out[coord] = out[coord] + coords[0] * coords[0]
             return out
 
-        def forms():
-            n, sh = self.expand_symbolic()
-            x0 = Poly.var(0, self.ground.one)
-            return n, [p + x0 * x0 if i == coord else p
-                       for i, p in enumerate(sh)]
-
         return CubicNormStructure(self.ground, self.dim, self.eval_norm,
                                   bad_sharp, self.unit,
-                                  label=self.label + "_corrupted", forms=forms)
+                                  label=self.label + "_corrupted")
 
     # -- identity suite --------------------------------------------------------------
 
@@ -470,26 +453,6 @@ class CubicNormStructure:
                                self.ground.char)
         return None if bad is None else "monomial %r" % (_lowest(bad[1]),)
 
-    def _forms_mismatch(self):
-        """None when the forms equal the evaluators' own forms
-        (_evaluator_forms), else a witness naming the first that differs,
-        "norm" or "adjoint coordinate m", and its lowest differing
-        monomial.
-
-        Each side is lifted to int forms over one denominator
-        (_int_scaled), a = da A and b = db B, so A = B exactly when
-        db a - da b is zero read in the characteristic (_mod)."""
-        n, sh = self.expand_symbolic()
-        en, esh = self._evaluator_forms
-        (a_i, da), (b_i, db) = _int_scaled([n, *sh]), _int_scaled([en, *esh])
-        for m, (a, b) in enumerate(zip(a_i, b_i)):
-            diff = _mod(db * a - da * b, self.ground.char)
-            if diff:
-                return "%s, monomial %r" % (
-                    "adjoint coordinate %d" % (m - 1) if m else "norm",
-                    _lowest(diff))
-        return None
-
     def axiom_suite(self, seed=0, points=100):
         """Run the full identity suite and return a report with one entry
         per identity; failures are reported, not raised, but inhomogeneous
@@ -530,10 +493,9 @@ class CubicNormStructure:
         at `points` random pairs, then U_x(x^-1) = x at max(10, points //
         5) random invertible points, from the suite's one stream.
 
-        The forms agree with the evaluators by construction when there is
-        no forms hook; otherwise the hook's forms are compared with the
-        evaluators run on indeterminates (_forms_mismatch).  Either way
-        expansion_matches_evaluators is symbolic and draws no point."""
+        The forms are the evaluators' forms by construction (_forms), so
+        expansion_matches_evaluators passes symbolically, with no witness
+        and no point drawn."""
         g = self.ground
         stream = Stream(seed).derive("axioms:" + self.label)
         checks = []
@@ -607,10 +569,8 @@ class CubicNormStructure:
                 emit("u_operator_inverse_identity", False, "random",
                      "no invertible elements found")
 
-        # the forms against the evaluators: the same forms by
-        # construction, else compared as int forms
-        w = None if self._forms_are_evaluators else self._forms_mismatch()
-        emit("expansion_matches_evaluators", w is None, "symbolic", w)
+        # the forms are the evaluators' forms by construction (_forms)
+        emit("expansion_matches_evaluators", True, "symbolic")
 
         return AxiomReport(checks)
 
@@ -627,9 +587,9 @@ def _first_failure(n, draw, fails):
 
 def corrupt_sharp(j: CubicNormStructure, coord=0):
     """Copy of j with x0^2 added to adjoint coordinate `coord` (mutation
-    testing), built by j._corrupted: its forms are j's with that term
-    added, and its evaluator adds it to j's evaluator at a point.  An
-    isotope adds it to its innermost construction and re-applies its v
-    (isotopy.Isotope), so its identities are still proved through its
-    base."""
+    testing), built by j._corrupted: its adjoint evaluator adds that term
+    to j's, and its forms are read off its evaluators, so they are j's
+    with the term added.  An isotope adds it to its innermost
+    construction and re-applies its v (isotopy.Isotope), so its
+    identities are still proved through its base."""
     return j._corrupted(coord)

@@ -7,8 +7,8 @@ The v-isotope lives on the same carrier with
 and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope
 (Isotope) holds U_{v^-1} once as int rows; its forms are the base's
 forms scaled by these closed formulas, the rows multiplied into the
-base's int adjoint forms, its evaluator forms the base's cached
-evaluator forms scaled the same way.  Its x## = N(x) x and
+base's int adjoint forms, so its evaluators, the base's scaled the same
+way, never run on indeterminates.  Its x## = N(x) x and
 N(x#) = N(x)^2 are proved through the base: the base's proved
 identities, plus exact checks on the fixed v (the adjoint identity
 (U_w y)# = U_{w#} y# as int quadratic forms, composed a run of
@@ -44,9 +44,8 @@ from operator import mul
 from . import linalg
 from .cubic import CubicNormStructure, corrupt_sharp
 from .errors import ConfigError, NotInvertible, NoVerifiedMap, SingularMap
-from .poly import (_int_scaled, _lowest, _mod, _nonzero,
-                   compose_mismatch, indices, linear_combination, linear_form,
-                   pullback)
+from .poly import (_lowest, _mod, _nonzero, compose_mismatch, indices,
+                   linear_combination, linear_form, pullback)
 from .scalars import from_int, lift
 from .tits import componentwise_matrix, embed_hermitian_summand, second_tits
 
@@ -84,15 +83,12 @@ class Isotope(CubicNormStructure):
 
     U_{v^-1} (u_matrix_int) is held once as int rows u_rows over u_den,
     so x^{#v} = M x# for M = N(v) U_{v^-1} = scale u_rows, scale =
-    N(v) / u_den.  The isotope's forms hook is the base's forms, which
-    it scales: N(v) times the base's norm form and the base's int
-    adjoint forms through M (_scaled).  Its evaluators are the base's,
-    scaled the same way.  When the base's forms are its evaluators'
-    forms, so are the isotope's (_forms_are_evaluators) and nothing is
-    compared; otherwise its evaluator forms are the base's cached
-    evaluator forms, scaled the same way, so the evaluator check runs no
-    evaluator again.  The forms, the evaluator forms and the proofs read
-    nv, u_rows, u_den and scale from the isotope at first use.
+    N(v) / u_den.  The isotope's forms are its base's, scaled: N(v)
+    times the base's norm form and the base's int adjoint forms through
+    M (_forms).  Its evaluators are the base's, scaled the same way, so
+    the forms are its evaluators' forms without running them.  The forms
+    and the proofs read nv, u_rows, u_den and scale from the isotope at
+    first use.
 
     x## = N(x) x and N(x#) = N(x)^2 are proved through the base
     (_adjoint_verdicts), never by composing the isotope's own dense
@@ -115,39 +111,26 @@ class Isotope(CubicNormStructure):
                     for c in linalg.matvec(u_rows, base.eval_sharp(coords))]
 
         super().__init__(base.ground, base.dim, eval_norm, eval_sharp, w,
-                         label=base.label + "^(v)", forms=base.expand_symbolic)
+                         label=base.label + "^(v)")
         self.base = base
         self.nv, self.u_rows, self.u_den, self.scale = nv, u_rows, u_den, scale
         self.meta = {"type": "isotope", "base": base, "v": tuple(v)}
 
-    def _scaled(self, n, sh_int):
-        """The isotope's (N, #) from a norm form n of the base and the
-        base's adjoint as int forms sh_int = (sh_i, s_den): N(v) n, and
-        M # = scale u_rows sh_i / s_den, each row of u_rows multiplied
-        into sh_i in one int dict (linear_combination) and each of its
-        coefficients mapped back once."""
-        sh_i, s_den = sh_int
+    @cached_property
+    def _forms(self):
+        """The isotope's (N, #) from the base's forms: N(v) N, and
+        M # = scale u_rows sh_i / s_den for the base's int adjoint forms
+        (sh_i, s_den) = sharp_int, each row of u_rows multiplied into sh_i
+        in one int dict (linear_combination) and each of its coefficients
+        mapped back once."""
+        n = self.nv * self.base.expand_symbolic()[0]
+        sh_i, s_den = self.base.sharp_int
         (sc,), sd = lift([self.scale])
         den = sd * s_den
-        return self.nv * n, [
+        return n, [
             _nonzero({m: from_int(self._kind, sc * c, den)
                       for m, c in linear_combination(row, sh_i).terms.items()})
             for row in self.u_rows]
-
-    def _given_forms(self):
-        return self._scaled(self._forms()[0], self.base.sharp_int)
-
-    @property
-    def _forms_are_evaluators(self):
-        """The base's forms are its evaluators' forms, so the scaled forms
-        are the scaled evaluators' forms: true for an isotope of a Tits
-        construction, and of one of those, recursively."""
-        return self.base._forms_are_evaluators
-
-    @cached_property
-    def _evaluator_forms(self):
-        n, sh = self.base._evaluator_forms
-        return self._scaled(n, _int_scaled(sh))
 
     def _corrupted(self, coord):
         return Isotope(corrupt_sharp(self.base, coord), self.meta["v"])
@@ -250,7 +233,7 @@ def u_isotope_identity(j, jv, v):
     x^{#v} = M x#, C / c_den = U_{w#} and V / dv = U_v.  jv's U-matrix is
     U^{(v)}_x y = T^v(x, y) x - x^{#v} x_v y, and the base's product is
     U_x U_v y = T(x, U_v y) x - x# x (U_v y).  jv's adjoint forms are M #
-    by construction (Isotope._scaled), so a x_v b = M (a x b).  The checks
+    by construction (Isotope._forms), so a x_v b = M (a x b).  The checks
     on v that prove jv's x## (Isotope._v_failure) give A C = N(w)^2
     u_den c_den I and (A y)# = (u_den^2 / c_den) C y# as forms in y,
     whose polarization (A a) x (A b) = (u_den^2 / c_den) C (a x b) holds

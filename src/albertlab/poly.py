@@ -308,9 +308,9 @@ def variables(n, one):
     return [Poly.var(i, one) for i in range(n)]
 
 
-def linear_form(coeffs, offset=0):
-    """sum_n coeffs[n] x_{offset + n}; zero coefficients are skipped."""
-    return Poly({mono((offset + n,)): c for n, c in enumerate(coeffs) if c})
+def linear_form(coeffs):
+    """sum_n coeffs[n] x_n; zero coefficients are skipped."""
+    return Poly({mono((n,)): c for n, c in enumerate(coeffs) if c})
 
 
 def linear_combination(coeffs, polys):

@@ -43,7 +43,7 @@ def run_config(cfg, seed=None, budget=None, mode=None, timing=False,
     g = j.ground
     for node in task_list:
         corrupt = node.get("corrupt_coord")
-        if corrupt is not None and int(corrupt) >= j.dim:
+        if corrupt is not None and corrupt >= j.dim:
             raise ConfigError("%s corrupt_coord must be below %d, got %s"
                               % (node["task"], j.dim, corrupt))
         if node["task"] in _NORM_ZERO_SCANS and not g.is_finite and \
@@ -80,6 +80,16 @@ def run_config(cfg, seed=None, budget=None, mode=None, timing=False,
 # ---------------------------------------------------------------------------
 # task handlers
 
+def _fields(node, **overrides):
+    """Keyword arguments for a task's callee: each field named in
+    overrides that the node gives, replaced by its override (a CLI
+    option) when that is not None.  The callee declares the defaults, and
+    check_run has validated the fields."""
+    args = {k: node[k] for k in overrides if k in node}
+    args.update((k, v) for k, v in overrides.items() if v is not None)
+    return args
+
+
 def _t_axioms(ctx, node, entry, tseed, timing=False, **kw):
     j = ctx.j
     corrupt = node.get("corrupt_coord")
@@ -87,10 +97,9 @@ def _t_axioms(ctx, node, entry, tseed, timing=False, **kw):
         # mutation self-test: perturb one adjoint coefficient and let the
         # suite prove it notices (the task is then expected to fail)
         from .cubic import corrupt_sharp
-        corrupt = int(corrupt)
         j = corrupt_sharp(j, corrupt)
         entry["corrupted_coord"] = corrupt
-    rep = j.axiom_suite(seed=tseed, points=int(node.get("points", 100)))
+    rep = j.axiom_suite(seed=tseed, **_fields(node, points=None))
     entry["status"] = "pass" if rep.all_passed else "fail"
     entry["checks"] = [
         {"name": c.name, "passed": c.passed, "mode": c.mode,
@@ -108,23 +117,18 @@ def _search_entry(entry, g, res):
             entry["detail"] = res.detail
 
 
-def _t_div_falsify(ctx, node, entry, tseed, budget=None, mode=None, **kw):
-    b = budget if budget is not None else int(node.get("budget", 10000))
-    m = mode if mode is not None else node.get("mode", "random")
-    res = search.division_falsify(ctx.j, budget=b, mode=m, seed=tseed)
-    _search_entry(entry, ctx.j.ground, res)
-
-
 def _t_norm_zero(ctx, node, entry, tseed, budget=None, mode=None, **kw):
-    b = budget if budget is not None else int(node.get("budget", 10000))
-    m = mode if mode is not None else node.get("mode", "random")
-    res = search.find_norm_zero(ctx.j, budget=b, mode=m, seed=tseed)
+    # the scan is looked up at each call, so that wrappers installed on
+    # the search module are seen
+    scan = search.division_falsify if node["task"] == "div_falsify" \
+        else search.find_norm_zero
+    res = scan(ctx.j, seed=tseed, **_fields(node, budget=budget, mode=mode))
     _search_entry(entry, ctx.j.ground, res)
 
 
 def _t_nilpotent(ctx, node, entry, tseed, budget=None, **kw):
-    b = budget if budget is not None else int(node.get("budget", 100000))
-    res = search.find_nilpotent(ctx.j, budget=b, seed=tseed)
+    res = search.find_nilpotent(ctx.j, seed=tseed,
+                                **_fields(node, budget=budget))
     _search_entry(entry, ctx.j.ground, res)
 
 
@@ -136,7 +140,7 @@ def _t_isotope(ctx, node, entry, tseed, **kw):
         jv = isotopy.isotope(j, v)
     except NotInvertible as e:
         raise ConfigError("isotope v: %s" % e)
-    rep = jv.axiom_suite(seed=tseed, points=int(node.get("points", 100)))
+    rep = jv.axiom_suite(seed=tseed, **_fields(node, points=None))
     u_wit = isotopy.u_isotope_identity(j, jv, v)
     base_ok = tuple(jv.unit) == j.inverse(v)
     ok = rep.all_passed and u_wit is None and base_ok
@@ -190,7 +194,7 @@ _NORM_ZERO_SCANS = ("div_falsify", "norm_zero")
 
 _HANDLERS = {
     "axioms": _t_axioms,
-    "div_falsify": _t_div_falsify,
+    "div_falsify": _t_norm_zero,
     "norm_zero": _t_norm_zero,
     "nilpotent_search": _t_nilpotent,
     "isotope": _t_isotope,

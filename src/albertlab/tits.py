@@ -24,7 +24,7 @@ from .errors import (ConfigError, NotAdmissible, NotInvertible,
                      VerificationFailure, ZeroLambda)
 
 
-def first_tits(d_alg, lam, label=None):
+def first_tits(d_alg, lam):
     """J(D, lambda) for a degree-3 algebra D over the ground field."""
     if not isinstance(d_alg.center, GroundCenter):
         raise ConfigError("first construction needs a k-central algebra")
@@ -56,7 +56,7 @@ def first_tits(d_alg, lam, label=None):
 
     unit = d_alg.to_k_coords(d_alg.unit()) + [g.zero] * (2 * d)
     j = CubicNormStructure(g, dim, eval_norm, eval_sharp, unit,
-                           label=label or "J(D,%s)" % (lam,))
+                           label="J(D,%s)" % (lam,))
     j.meta = {"type": "first_tits", "algebra": d_alg, "lam": lam}
     return j
 

@@ -17,7 +17,7 @@ from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
                                    GroundCenter, MatrixAlgebra,
                                    UnitaryInvolution)
 from albertlab import tits, isotopy
-from albertlab.poly import Poly, _mod, indices, linear_form
+from albertlab.poly import Poly, _mod, indices, mono
 
 F_COEFFS = ["1", "-3", "0", "1"]      # x^3 - 3x + 1, cyclic over Q, F5, F7
 RHO_COEFFS = ["-2", "0", "1"]         # alpha -> alpha^2 - 2
@@ -72,7 +72,8 @@ def trace_adjoint_difference(j):
     sh_i, s_den = j.sharp_int
     n_i, n_den = j.n_int
     lhs = sum_of_products(
-        (p, linear_form([col[m] for col in cols], j.dim))
+        (p, Poly({mono((j.dim + n,)): col[m]
+                  for n, col in enumerate(cols) if col[m]}))
         for m, p in enumerate(sh_i))
     return _mod(n_den * lhs - s_den * t_den * directional_derivative(
         n_i, j.dim), j.ground.char)

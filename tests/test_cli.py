@@ -632,6 +632,27 @@ class TestExitContract:
             assert json.loads(out)["status"] == ("fail" if code else "ok")
 
 
+class TestTaskFields:
+    @pytest.mark.parametrize("name, task", [
+        ("m3_f5_first.json", "div_falsify"),
+        ("lk_f5_second.json", "norm_zero"),
+        ("lk_f5_second.json", "nilpotent_search")])
+    def test_budget_override_replaces_the_task_budget(self, name, task):
+        # --budget replaces the task's own budget in either direction; a
+        # zero budget scans nothing
+        with open(cfg(name)) as fh:
+            data = json.load(fh)
+
+        def status(own, override):
+            rep, _ = runner.run_config(data, budget=override,
+                                       tasks=[{"task": task, "budget": own}])
+            return rep["tasks"][0]["status"]
+
+        assert [status(0, None), status(0, 4000), status(4000, 0),
+                status(4000, None)] == \
+            ["exhausted", "witness", "exhausted", "witness"]
+
+
 class TestDeterminism:
     def test_reports_identical_across_jobs(self, tmp_path):
         a = tmp_path / "a.json"

@@ -262,6 +262,20 @@ class TestMutationDetection:
             rep = bad.axiom_suite(seed=7, points=40)
             assert not rep.all_passed, "coord %d" % coord
 
+    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5"])
+    def test_corrupted_forms_are_the_base_forms_plus_one_term(self, name,
+                                                              request):
+        # the copy's forms are read off its adjoint evaluator: j's norm
+        # form unchanged, and x0^2 added to j's adjoint coordinate c alone
+        j = request.getfixturevalue(name)
+        n, sh = j.expand_symbolic()
+        x0 = Poly.var(0, j.ground.one)
+        for c in (0, 7):
+            bad_n, bad_sh = corrupt_sharp(j, c).expand_symbolic()
+            assert bad_n == n
+            assert bad_sh == [p + x0 * x0 if i == c else p
+                              for i, p in enumerate(sh)]
+
     def test_clean_structure_passes(self, j_m3_f5):
         rep = j_m3_f5.axiom_suite(seed=11, points=40)
         assert rep.all_passed, rep
@@ -453,7 +467,7 @@ class TestUOperatorRoute:
         j = CubicNormStructure(
             j_m3_f5.ground, j_m3_f5.dim, j_m3_f5.eval_norm,
             j_m3_f5.eval_sharp, [two * c for c in j_m3_f5.unit],
-            label="wrong_unit", forms=j_m3_f5.expand_symbolic)
+            label="wrong_unit")
         rep = j.axiom_suite(seed=SEED, points=20)
         assert not _check(rep, "norm_unit_is_one").passed
         assert not _check(rep, "sharp_unit_is_unit").passed
@@ -462,75 +476,60 @@ class TestUOperatorRoute:
 
     @pytest.mark.parametrize("name", ["j_m3_f5", "j_m3_q", "j_cyc_q"])
     def test_derived_suite_catches_wrong_evaluator(self, name, request):
-        # j's own forms with 2 x0 x2 added to adjoint coordinate 4 of the
-        # evaluator: every premise passes, so the U checks are derived,
-        # and the form comparison names the coordinate and the monomial
+        # 2 x0 x2 added to adjoint coordinate 4 of the evaluator is in the
+        # forms read off it: the premises it breaks fail symbolically,
+        # x## = N(x) x with its coordinate and monomial, so the U checks
+        # are sampled, and the forms still match their evaluators
         bad = _wrong_evaluator(request.getfixturevalue(name))
         rep = bad.axiom_suite(seed=SEED, points=40)
-        assert [c.name for c in rep.failed()] == \
-            ["expansion_matches_evaluators"]
+        assert [c.name for c in rep.failed() if c.mode == "symbolic"] == [
+            "adjoint_of_adjoint", "norm_of_adjoint", "unit_cross_identity",
+            "trace_adjoint_is_norm_derivative",
+            "u_operator_of_unit_is_identity"]
+        assert _check(rep, "adjoint_of_adjoint").witness == \
+            "coordinate 0, monomial %r" % (_WRONG_EVALUATOR_MONOMIAL[name],)
         for u in U_CHECKS:
-            assert _check(rep, u).mode == "symbolic"
+            assert _check(rep, u).mode == "random"
         check = _check(rep, "expansion_matches_evaluators")
-        assert (check.mode, check.witness) == (
-            "symbolic", "adjoint coordinate 4, monomial (0, 2)")
+        assert (check.passed, check.mode, check.witness) == (
+            True, "symbolic", None)
+
+
+# the lowest monomial where x## = N(x) x fails, in adjoint coordinate 0,
+# on _wrong_evaluator of each fixture
+_WRONG_EVALUATOR_MONOMIAL = {"j_m3_q": (0, 0, 2, 4), "j_m3_f5": (0, 0, 2, 4),
+                             "j_cyc_q": (0, 0, 2, 6), "j_lk_f5": (0, 0, 2, 2)}
 
 
 def _wrong_evaluator(j):
-    """j's forms hook (its expanded forms) under j's evaluators with
-    2 x0 x2 added to adjoint coordinate 4."""
+    """j's evaluators with 2 x0 x2 added to adjoint coordinate 4."""
     def bad_sharp(coords):
         out = list(j.eval_sharp(coords))
         out[4] = out[4] + 2 * coords[0] * coords[2]
         return out
 
     return CubicNormStructure(j.ground, j.dim, j.eval_norm, bad_sharp,
-                              j.unit, label="bad_evaluator",
-                              forms=j.expand_symbolic)
+                              j.unit, label="bad_evaluator")
 
 
 class TestEvaluatorCheck:
-    # expansion_matches_evaluators is symbolic on every structure: a Tits
-    # construction's forms are its evaluators' forms, and a forms hook's
-    # forms are compared with the evaluators run on indeterminates
-
-    @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5"])
-    def test_isotope_hook_catches_wrong_evaluator(self, name, request):
-        j = request.getfixturevalue(name)
-        jv = isotope(j, j.random_invertible(Stream(7)))
-        assert jv.axiom_suite(seed=SEED, points=20).all_passed
-        rep = _wrong_evaluator(jv).axiom_suite(seed=SEED, points=20)
-        assert [(c.name, c.mode, c.witness) for c in rep.failed()] == [
-            ("expansion_matches_evaluators", "symbolic",
-             "adjoint coordinate 4, monomial (0, 2)")]
+    # expansion_matches_evaluators passes symbolically on every structure:
+    # the forms are read off the evaluators, or, on an isotope, scaled
+    # from its base's, so a wrong evaluator shows in the identity checks
 
     @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_lk_f5"])
     def test_isotope_of_wrong_evaluator_is_caught(self, name, request):
-        # an isotope's evaluator forms are its base's, scaled by the held
-        # U_{v^-1}: 2 x0 x2 in the base's evaluator coordinate 4 shows at
-        # the first isotope coordinate whose row of U_{v^-1} reaches 4
+        # an isotope's forms are its base's, scaled by the held U_{v^-1},
+        # so x## = N(x) x fails through the base, with the base's witness
         j = request.getfixturevalue(name)
         jv = isotope(_wrong_evaluator(j), j.random_invertible(Stream(7)))
-        p = j.ground.char
-        first = next(m for m, row in enumerate(jv.u_rows)
-                     if (row[4] % p if p else row[4]))
         rep = jv.axiom_suite(seed=SEED, points=20)
-        assert [(c.name, c.mode, c.witness) for c in rep.failed()] == [
-            ("expansion_matches_evaluators", "symbolic",
-             "adjoint coordinate %d, monomial (0, 2)" % first)]
-
-    @pytest.mark.parametrize("name", ["j_m3_q", "j_cyc_q"])
-    def test_scaled_norm_form_is_caught(self, name, request):
-        # N/2 against N: both lift to the same int form, over the
-        # denominators 2 and 1, so only the cross-multiplied compare sees
-        # the difference, at the lowest monomial of N
-        j = request.getfixturevalue(name)
-        n, sh = j.expand_symbolic()
-        half = CubicNormStructure(j.ground, j.dim, j.eval_norm, j.eval_sharp,
-                                  j.unit, forms=lambda: (n * Fraction(1, 2),
-                                                         sh))
-        assert half._forms_mismatch() == "norm, monomial %r" % (
-            indices(min(n.terms, key=indices)),)
+        adj = _check(rep, "adjoint_of_adjoint")
+        assert (adj.passed, adj.mode, adj.witness) == (
+            False, "symbolic", "base: coordinate 0, monomial %r"
+            % (_WRONG_EVALUATOR_MONOMIAL[name],))
+        ev = _check(rep, "expansion_matches_evaluators")
+        assert (ev.passed, ev.mode, ev.witness) == (True, "symbolic", None)
 
 
 def _isotope_calls(calls):

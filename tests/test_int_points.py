@@ -2,11 +2,10 @@
 T(x, y) x - x# x y assembled from T(x, y) (the trace_pair fixture) and
 the adjoint polarized from sharp; trace, spur and u_matrix against the
 ground norm form composed at c + z, and the int trace data against the
-int norm form composed the same way; and N and # against the evaluators
-run point by point on the ground scalars themselves, with the form
-comparison of the evaluator check (_forms_mismatch) on forms that
-differ from the evaluators; and one run of each evaluator per suite
-of a Tits construction."""
+int norm form composed the same way; N and # against the evaluators
+run point by point on the ground scalars themselves; and one run of
+each evaluator per suite of a Tits construction, none for its
+isotopes, whose forms are scaled from their base's."""
 
 import json
 import os
@@ -160,12 +159,14 @@ class TestTraceForms:
                                      n_den * cd ** 3), j.label
 
 
-def _reference_mismatch(j, points):
-    """The index of the first point at which the evaluators run on the
-    ground scalars differ from N and #, or None."""
+def _reference_mismatch(j, points, ref=None):
+    """The index of the first point at which the evaluators of ref (j by
+    default) run on the ground scalars differ from j's N and #, or
+    None."""
+    ref = ref or j
     return next((k for k, x in enumerate(points)
-                 if j.eval_norm(list(x)) != j.norm(x)
-                 or tuple(j.eval_sharp(list(x))) != j.sharp(x)), None)
+                 if ref.eval_norm(list(x)) != j.norm(x)
+                 or tuple(ref.eval_sharp(list(x))) != j.sharp(x)), None)
 
 
 class TestLiftedEvaluators:
@@ -194,48 +195,54 @@ class TestLiftedEvaluators:
     @pytest.mark.parametrize("form", ["norm", "sharp"])
     def test_first_mismatch_at_mixed_denominators(self, name, form,
                                                   request):
-        # forms with x0^3 added to N or x0^2 to #0, against j's own
-        # evaluators, differ exactly where x0 != 0 (the zero point and the
-        # unit come first), and the form comparison names that term
+        # evaluators with x0^3 added to N or x0^2 to #0: the forms read
+        # off them agree with them at every point, and differ from j's
+        # evaluators exactly where x0 != 0 (the zero point and the unit
+        # come first)
         j = request.getfixturevalue(name)
-        n, sh = j.expand_symbolic()
-        x0 = Poly.var(0, j.ground.one)
-        if form == "norm":
-            n = n + x0 * x0 * x0
-            want = "norm, monomial (0, 0, 0)"
-        else:
-            sh = [sh[0] + x0 * x0] + sh[1:]
-            want = "adjoint coordinate 0, monomial (0, 0)"
-        bad = CubicNormStructure(j.ground, j.dim, j.eval_norm, j.eval_sharp,
-                                 j.unit, forms=lambda: (n, sh))
+
+        def bad_norm(xs):
+            n = j.eval_norm(xs)
+            return n + xs[0] * xs[0] * xs[0] if form == "norm" else n
+
+        def bad_sharp(xs):
+            sh = list(j.eval_sharp(xs))
+            if form == "sharp":
+                sh[0] = sh[0] + xs[0] * xs[0]
+            return sh
+
+        bad = CubicNormStructure(j.ground, j.dim, bad_norm, bad_sharp,
+                                 j.unit)
         zero = tuple(j.ground.zero for _ in j.unit)
         points = [zero] + _points(j, Stream(92))
-        assert _reference_mismatch(bad, points) == \
+        assert _reference_mismatch(bad, points) is None
+        assert _reference_mismatch(bad, points, j) == \
             next(k for k, x in enumerate(points) if x[0])
-        assert bad._forms_mismatch() == want
+
+
+def _counted_evaluators(*structures):
+    """Wrap the evaluators of the structures to count their runs, in one
+    dict of counts by evaluator name, which is returned."""
+    counts = {"eval_norm": 0, "eval_sharp": 0}
+    for s in structures:
+        for name in counts:
+            def wrapper(coords, f=getattr(s, name), name=name):
+                counts[name] += 1
+                return f(coords)
+            setattr(s, name, wrapper)
+    return counts
 
 
 class TestEvaluatorRuns:
-    """The evaluator check of a Tits construction runs each evaluator
-    once per suite, in the expansion, whatever its points and seed: the
-    points form no chunks and none is run point by point."""
+    """A Tits construction runs each evaluator once per suite, in the
+    expansion, whatever its points and seed: the points form no chunks
+    and none is run point by point.  Its isotopes run none."""
 
     @pytest.mark.parametrize("points, seed", [(100, 1), (257, 3)])
     def test_one_run_per_chunk(self, points, seed):
         with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
             j = BuildContext(json.load(fh)).j
-        counts = {"eval_norm": 0, "eval_sharp": 0}
-
-        def counted(name):
-            f = getattr(j, name)
-
-            def wrapper(coords):
-                counts[name] += 1
-                return f(coords)
-            return wrapper
-
-        for name in counts:
-            setattr(j, name, counted(name))
+        counts = _counted_evaluators(j)
         rep = j.axiom_suite(seed=seed, points=points)
         assert rep.all_passed
         assert next(c.mode for c in rep.checks
@@ -243,23 +250,11 @@ class TestEvaluatorRuns:
         assert counts == {"eval_norm": 1, "eval_sharp": 1}
 
     def test_isotope_runs_no_evaluator_again(self):
-        # an isotope's forms are its scaled evaluators' forms by
-        # construction, so its suite compares nothing and neither
-        # evaluator runs again
+        # an isotope's forms are its base's, scaled, so its suite runs
+        # neither of the base's evaluators again
         with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
             j = BuildContext(json.load(fh)).j
-        counts = {"eval_norm": 0, "eval_sharp": 0}
-
-        def counted(name):
-            f = getattr(j, name)
-
-            def wrapper(coords):
-                counts[name] += 1
-                return f(coords)
-            return wrapper
-
-        for name in counts:
-            setattr(j, name, counted(name))
+        counts = _counted_evaluators(j)
         assert j.axiom_suite(seed=1).all_passed
         jv = isotope(j, j.random_invertible(Stream(93)))
         rep = jv.axiom_suite(seed=1)
@@ -269,17 +264,18 @@ class TestEvaluatorRuns:
         assert counts == {"eval_norm": 1, "eval_sharp": 1}
 
     def test_isotope_of_construction_compares_nothing(self):
-        # the scaled forms of a Tits construction's isotope, and of an
-        # isotope of that, are their scaled evaluators' forms, so neither
-        # builds evaluator forms of its own
+        # the forms of a Tits construction's isotope, and of an isotope of
+        # that, are scaled from their base's, so neither isotope runs its
+        # evaluators on indeterminates
         with open(os.path.join(CONFIGS, "m3_q_first.json")) as fh:
             j = BuildContext(json.load(fh)).j
         jv = isotope(j, j.random_invertible(Stream(93)))
         jw = isotope(jv, jv.random_invertible(Stream(94)))
+        counts = _counted_evaluators(jv, jw)
         for s in (jv, jw):
             rep = s.axiom_suite(seed=1)
             assert rep.all_passed, rep
-            assert "_evaluator_forms" not in vars(s), s.label
+        assert counts == {"eval_norm": 0, "eval_sharp": 0}
 
 
 Q_CONFIGS = ["cyclic_q_first", "m3_q_first", "m3k_q_second", "lk_q_second"]

@@ -164,9 +164,6 @@ class TestPoly:
         x, y, z = self._vars()
         assert linear_form([Fraction(2), 0, Fraction(-1, 3)]) == \
             2 * x - Fraction(1, 3) * z
-        # offset 3 puts the form in x3, x4, x5
-        w = variables(6, Fraction(1))
-        assert linear_form([1, 5], 3) == w[3] + 5 * w[4]
         assert linear_form([0, 0]) == Poly()
 
     @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3),

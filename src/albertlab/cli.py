@@ -1,14 +1,9 @@
 """Command line interface.
 
-Subcommands select which tasks run against the configured structure:
-
-  build    construct only, report carrier facts
-  check    run the config's task list (default: axioms)
-  search   run the search tasks (division falsification, norm zeros,
-           nilpotents)
-  isotope  run the isotope and isotope-isomorphism tasks
-  galois   extend the cubic Galois generator and report its fixed space
-  dump     emit the sparse norm form and adjoint map
+`build` constructs the configured structure and reports carrier facts,
+`check` runs the config's task list, and each other subcommand runs the
+configured tasks whose runner.TASKS entry names it, or else the ones the
+table marks as its default (the isotope subcommand has none).
 
 Exit codes: 0 all verification passed (search exhaustion included),
 1 verification failure, 2 configuration error.
@@ -20,10 +15,11 @@ import sys
 
 from .config import SEARCH_MODES, at_least, load_config
 from .errors import ConfigError, VerificationFailure
-from .runner import run_config
+from .runner import TASKS, run_config
 
-SEARCH_TASKS = ("div_falsify", "norm_zero", "nilpotent_search")
-ISOTOPE_TASKS = ("isotope", "iso_verify")
+# build, then the subcommands of the task table in its order
+COMMANDS = ("build",) + tuple(dict.fromkeys(t.command
+                                            for t in TASKS.values()))
 
 
 def _parser():
@@ -33,15 +29,16 @@ def _parser():
                     "Jordan algebras (Tits constructions, isotopes, "
                     "Galois automorphisms).")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("build", "check", "search", "isotope", "galois", "dump"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
         sp.add_argument("--budget", type=int, default=None,
-                        help="override search budgets")
-        sp.add_argument("--mode", choices=SEARCH_MODES,
-                        default=None, help="override search mode")
+                        help="replace the budget of each task that reads "
+                             "one")
+        sp.add_argument("--mode", choices=SEARCH_MODES, default=None,
+                        help="replace the mode of each task that reads one")
         sp.add_argument("--out", default=None,
                         help="write the JSON report here instead of stdout")
         sp.add_argument("--jobs", type=int, default=1,
@@ -55,25 +52,17 @@ def _parser():
 
 
 def _select_tasks(command, cfg):
-    configured = cfg.get("tasks", [{"task": "axioms"}])
-    if command == "build":
-        return []
+    """None, the config's task list, for check; for any other subcommand
+    the configured tasks whose TASKS entry names it, or else its default
+    tasks (build names no task and runs none)."""
     if command == "check":
-        return configured
-    if command == "search":
-        picked = [t for t in configured if t["task"] in SEARCH_TASKS]
-        return picked or [{"task": "div_falsify"},
-                          {"task": "nilpotent_search"}]
-    if command == "isotope":
-        picked = [t for t in configured if t["task"] in ISOTOPE_TASKS]
-        if not picked:
-            raise ConfigError("config has no isotope/iso_verify tasks")
-        return picked
-    if command == "galois":
-        return [{"task": "galois_ext"}]
-    if command == "dump":
-        return [{"task": "dump_forms"}]
-    raise ConfigError("unknown command %r" % (command,))
+        return None
+    names = [name for name, t in TASKS.items() if t.command == command]
+    picked = [t for t in cfg.get("tasks", []) if t["task"] in names] or \
+        [{"task": name} for name in names if TASKS[name].default]
+    if names and not picked:
+        raise ConfigError("config has no %s tasks" % "/".join(names))
+    return picked
 
 
 def main(argv=None):
@@ -85,18 +74,21 @@ def main(argv=None):
         report, code = run_config(
             cfg, seed=args.seed, budget=args.budget, mode=args.mode,
             timing=args.timing, tasks=tasks)
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise ConfigError("cannot write report: %s" % e)
+        else:
+            sys.stdout.write(text)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2
     except VerificationFailure as e:
         print("verification failure: %s" % e, file=sys.stderr)
         return 1
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

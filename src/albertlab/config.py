@@ -48,23 +48,25 @@ def load_config(path):
 
 # integer task fields and their least values
 _TASK_COUNTS = (("budget", 0), ("points", 1), ("corrupt_coord", 0))
-# task fields without a default
-_TASK_NEEDS = {"isotope": ("v",), "iso_verify": ("v",)}
 SEARCH_MODES = ("random", "exhaustive")
 
 
-def check_run(tasks, known, budget=None):
+def check_run(tasks, table, budget=None):
     """Reject what a run cannot honour before any task starts: a task name
-    not in `known` (the runner's task table), a missing field of
-    _TASK_NEEDS, a task field of _TASK_COUNTS that is not an integer of at
-    least its least value, a search mode not in SEARCH_MODES and a budget
-    override below 0."""
+    not in `table` (the runner's task table), a field that the task's
+    entry does not list, a missing `v` (the one field without a default),
+    a field of _TASK_COUNTS that is not an integer of at least its least
+    value, a mode not in SEARCH_MODES and a budget override below 0."""
     for t in tasks:
         name = t["task"]
-        if name not in known:
+        if name not in table:
             raise ConfigError("unknown task %r" % (name,))
-        for key in _TASK_NEEDS.get(name, ()):
-            _need(t, key, "task %s" % name)
+        fields = table[name].fields
+        for key in t:
+            if key != "task" and key not in fields:
+                raise ConfigError("task %s reads no field %r" % (name, key))
+        if "v" in fields:
+            _need(t, "v", "task %s" % name)
         for key, least in _TASK_COUNTS:
             if key in t:
                 at_least(t[key], least, "%s %s" % (name, key))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from albertlab import runner
+from albertlab import galois, runner, search
 from albertlab.cli import main
 from albertlab.scalars import PRIME_BOUND
 
@@ -288,9 +288,9 @@ class TestExitCodes:
         # an exhaustive scan needs a finite ground field; asking for one
         # over Q is refused after the build and before any task runs
         ran = []
-        for name in runner._HANDLERS:
-            monkeypatch.setitem(runner._HANDLERS, name,
-                                lambda *a, name=name, **kw: ran.append(name))
+        for name, t in runner.TASKS.items():
+            monkeypatch.setitem(runner.TASKS, name, t._replace(
+                handler=lambda *a, name=name: ran.append(name)))
         with open(cfg("cyclic_q_first.json")) as fh:
             data = json.load(fh)
         if field is not None:
@@ -427,6 +427,16 @@ class TestExitCodes:
         c.write_text(json.dumps(data))
         code, out, err = run_cli(["check", "--config", str(c)])
         assert (code, out, err) == (2, "", "config error: %s\n" % want)
+
+    def test_unwritable_out_is_2(self, tmp_path):
+        # exit 1 is kept for verification failures: a report that cannot
+        # be written is a config error, in one line and with no traceback
+        code, out, err = run_cli(["build", "--config",
+                                  cfg("m3_f5_first.json"), "--out",
+                                  str(tmp_path / "missing" / "r.json")])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: cannot write report: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_iso_verify_on_isotope_of_is_2(self, tmp_path):
         # an isotope has no coefficient algebra to read the task's v in
@@ -632,7 +642,103 @@ class TestExitContract:
             assert json.loads(out)["status"] == ("fail" if code else "ok")
 
 
+# for each task, a config and a node on it that runs; for each task field,
+# a value its readers accept
+TASK_NODES = {
+    "axioms": ("m3_f5_first.json", {}),
+    "div_falsify": ("m3_f5_first.json", {"budget": 10}),
+    "norm_zero": ("m3_f5_first.json", {"budget": 10}),
+    "nilpotent_search": ("m3_f5_first.json", {"budget": 10}),
+    "isotope": ("m3_f5_first.json", {"v": ISOTOPE_V}),
+    "iso_verify": ("lk_f5_second.json", {"v": ["1", "0", "1", "0", "0",
+                                               "0"]}),
+    "galois_ext": ("lk_f5_second.json", {}),
+    "dump_forms": ("m3_f5_first.json", {}),
+}
+FIELD_VALUES = {"budget": 10, "mode": "random", "points": 10,
+                "corrupt_coord": 0, "v": ISOTOPE_V}
+
+
+def _unread_fields():
+    """(task, field) for each field that another task reads and the task
+    does not."""
+    fields = {f for t in runner.TASKS.values() for f in t.fields}
+    return [(name, f) for name, t in runner.TASKS.items()
+            for f in sorted(fields - set(t.fields))]
+
+
+def _with_tasks(tmp_path, name, tasks):
+    """The path of the config `name` with its task list replaced."""
+    with open(cfg(name)) as fh:
+        data = json.load(fh)
+    data["tasks"] = tasks
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps(data))
+    return str(c)
+
+
 class TestTaskFields:
+    @pytest.mark.parametrize("task, field", _unread_fields())
+    def test_field_the_task_does_not_read_is_2(self, tmp_path, task, field):
+        # a field is never silently ignored: the task would otherwise run
+        # as if the config had not asked for it
+        name, node = TASK_NODES[task]
+        node = dict(node, task=task, **{field: FIELD_VALUES[field]})
+        code, out, err = run_cli(["check", "--config",
+                                  _with_tasks(tmp_path, name, [node])])
+        assert (code, out, err) == (
+            2, "", "config error: task %s reads no field %r\n"
+            % (task, field))
+
+    def test_override_reaches_only_the_tasks_that_read_its_field(self):
+        # --mode leaves nilpotent_search, which reads no mode, as
+        # configured
+        def entries(*flags):
+            code, out, _ = run_cli(["search", "--config",
+                                    cfg("m3_f5_first.json"),
+                                    "--budget", "300"] + list(flags))
+            assert code == 0
+            return {t["task"]: t for t in json.loads(out)["tasks"]}
+
+        plain, exhaustive = entries(), entries("--mode", "exhaustive")
+        assert exhaustive["nilpotent_search"] == plain["nilpotent_search"]
+        # and reaches norm_zero, whose exhaustive scan hits another index
+        with open(cfg("m3_f5_first.json")) as fh:
+            data = json.load(fh)
+        hits = [runner.run_config(data, budget=300, mode=mode,
+                                  tasks=[{"task": "norm_zero"}])[0]
+                ["tasks"][0]["index"] for mode in (None, "exhaustive")]
+        assert hits == [0, 1]
+
+    @pytest.mark.parametrize("name, tasks, scan, want", [
+        ("m3_q_first.json",
+         [{"task": "nilpotent_search", "budget": 3000},
+          {"task": "isotope", "v": ["1", "2"]}],
+         (search, "find_nilpotent"),
+         "expected 27 coordinates, got ['1', '2']"),
+        ("m3_f5_first.json",
+         [{"task": "nilpotent_search", "budget": 3000},
+          {"task": "isotope", "v": ["1/5"] + ["0"] * 26}],
+         (search, "find_nilpotent"),
+         "isotope v: denominator of 1/5 vanishes mod 5"),
+        ("lk_q_second.json",
+         [{"task": "galois_ext"}, {"task": "iso_verify", "v": ["1"]}],
+         (galois, "extend_rho"), "expected 6 coordinates, got ['1']"),
+        ("lk_f5_second.json",
+         [{"task": "galois_ext"},
+          {"task": "iso_verify", "v": ["1/5", "0", "1", "0", "0", "0"]}],
+         (galois, "extend_rho"),
+         "iso_verify v: denominator of 1/5 vanishes mod 5"),
+    ])
+    def test_v_is_parsed_before_any_task_runs(self, tmp_path, monkeypatch,
+                                              name, tasks, scan, want):
+        calls = []
+        monkeypatch.setattr(*scan, lambda *a, **kw: calls.append(a))
+        code, out, err = run_cli(["check", "--config",
+                                  _with_tasks(tmp_path, name, tasks)])
+        assert (code, out, err) == (2, "", "config error: %s\n" % want)
+        assert calls == []
+
     @pytest.mark.parametrize("name, task", [
         ("m3_f5_first.json", "div_falsify"),
         ("lk_f5_second.json", "norm_zero"),

@@ -3,12 +3,14 @@
 The trace linear form, the quadratic spur, the trace bilinear form, the
 cross product, U-operators, inverses and nilpotency tests are all
 derived from the two forms and the base point alone.  A structure reads
-the exact sparse forms of N and # once, at first use, from one source
-(_forms): its evaluators run on polynomial indeterminates, or, on an
-isotope, its base's forms scaled (isotopy.Isotope).  Its int data (the
-int forms n_int and sharp_int, the trace data and the U-operator data)
-are cached properties, each built once, at first use, from the items it
-reads, so no method has to run before another.
+the exact sparse form of N and the forms of # each once, at first use,
+from one source each (_norm_form, _adjoint_forms): its evaluator run on
+polynomial indeterminates, or, on an isotope, its base's forms scaled
+(isotopy.Isotope).  So the norm form alone costs no adjoint expansion,
+and a witness scan, which reads only N, never expands #.  Its int data
+(the int forms n_int and sharp_int, the trace data and the U-operator
+data) are cached properties, each built once, at first use, from the
+items it reads, so no method has to run before another.
 
 Every operation at a ground point has one route.  N, #, T, S, the
 U-operator matrix, U_x(y) and x x y are computed from the int forms at
@@ -47,15 +49,16 @@ characteristic; U_x(x^-1) = x also follows from two of them directly
 (see axiom_suite).  Only a failed premise samples both, through one
 loop (_first_failure).
 
-The evaluators run only on indeterminates, once per structure (_forms);
-over Q the indeterminates carry the int 1, so the integral coefficients
-of the forms are ints.  An isotope runs no evaluator: its forms are its
-base's, scaled by the closed formulas of its evaluators.  So the forms
-are the evaluators' forms by construction on every structure, and
-expansion_matches_evaluators passes symbolically, comparing nothing and
-drawing no point.  A wrong evaluator yields wrong forms, which the
-identity checks catch; corrupt_sharp's copy is such a structure, its
-forms read off its perturbed adjoint evaluator.
+The evaluators run only on indeterminates, each once per structure
+(_norm_form, _adjoint_forms); over Q the indeterminates carry the int
+1, so the integral coefficients of the forms are ints.  An isotope runs
+no evaluator: its forms are its base's, scaled by the closed formulas
+of its evaluators.  So the forms are the evaluators' forms by
+construction on every structure, and expansion_matches_evaluators
+passes symbolically, comparing nothing and drawing no point.  A wrong
+evaluator yields wrong forms, which the identity checks catch;
+corrupt_sharp's copy is such a structure, its forms read off its
+perturbed adjoint evaluator.
 """
 
 import time
@@ -111,8 +114,8 @@ class AxiomReport:
 
 class CubicNormStructure:
     """(N, #, c) on k^dim.  eval_norm and eval_sharp compute N and # at a
-    point; the sparse forms (N_poly, sharp_polys) are read off them run on
-    indeterminates (_forms)."""
+    point; the sparse forms N_poly and sharp_polys are read off them run on
+    indeterminates, each at its first use (_norm_form, _adjoint_forms)."""
 
     def __init__(self, ground, dim, eval_norm: Callable, eval_sharp: Callable,
                  unit, label="J"):
@@ -127,47 +130,54 @@ class CubicNormStructure:
 
     # -- symbolic expansion --------------------------------------------------
 
+    def _on_indeterminates(self, evaluator):
+        """evaluator run on indeterminates (variables).  Over Q they carry
+        the int 1, so integral coefficients stay ints through the
+        expansion (Poly multiplies by an integral Fraction as an int)."""
+        return evaluator(variables(self.dim, self.ground.one
+                                   if self.ground.char else 1))
+
     @cached_property
-    def _forms(self):
-        """(N_poly, sharp_polys) before expand_symbolic checks them: the
-        evaluators run on indeterminates, once; a constant they
-        return (a coordinate that no term reaches) becomes a constant
-        Poly.  Over Q the indeterminates carry the int 1, so integral
-        coefficients stay ints through the expansion (Poly multiplies by
-        an integral Fraction as an int), and the few that sums of
-        fractions make integral are turned into ints at the end."""
-        xs = variables(self.dim, self.ground.one if self.ground.char else 1)
-        n, *sh = [_integral_as_int(p) if isinstance(p, Poly)
-                  else Poly.const(p)
-                  for p in [self.eval_norm(xs), *self.eval_sharp(xs)]]
-        return n, sh
+    def _norm_form(self):
+        """N_poly: eval_norm run once on indeterminates (_as_form),
+        checked to be a homogeneous cubic."""
+        n = _as_form(self._on_indeterminates(self.eval_norm))
+        if not n.is_homogeneous(3):
+            raise VerificationFailure(
+                "norm of %s is not a homogeneous cubic" % self.label)
+        return n
+
+    @cached_property
+    def _adjoint_forms(self):
+        """sharp_polys: eval_sharp run once on indeterminates (_as_form),
+        each coordinate checked to be a homogeneous quadratic."""
+        sh = list(map(_as_form, self._on_indeterminates(self.eval_sharp)))
+        for i, p in enumerate(sh):
+            if not p.is_homogeneous(2):
+                raise VerificationFailure(
+                    "adjoint coordinate %d of %s is not homogeneous "
+                    "quadratic" % (i, self.label))
+        return sh
 
     def expand_symbolic(self):
-        """(N_poly, sharp_polys): the exact forms (_forms), checked to be
-        homogeneous."""
-        if self._n_poly is None:
-            n, sh = self._forms
-            if not n.is_homogeneous(3):
-                raise VerificationFailure(
-                    "norm of %s is not a homogeneous cubic" % self.label)
-            for i, p in enumerate(sh):
-                if not p.is_homogeneous(2):
-                    raise VerificationFailure(
-                        "adjoint coordinate %d of %s is not homogeneous "
-                        "quadratic" % (i, self.label))
-            self._n_poly = n
-        return self._forms
+        """(N_poly, sharp_polys): the norm form (_norm_form) and the
+        adjoint forms (_adjoint_forms), in that order."""
+        n, sh = self._norm_form, self._adjoint_forms
+        self._n_poly = n
+        return n, sh
 
     @cached_property
     def n_int(self):
-        """(n_i, den): N = n_i / den with n_i an int form (_int_scaled)."""
-        (n_i,), den = _int_scaled([self.expand_symbolic()[0]])
+        """(n_i, den): N = n_i / den with n_i an int form (_int_scaled),
+        read off the norm form alone."""
+        (n_i,), den = _int_scaled([self._norm_form])
         return n_i, den
 
     @cached_property
     def sharp_int(self):
-        """(sh_i, den): # = sh_i / den with sh_i int forms (_int_scaled)."""
-        return _int_scaled(self.expand_symbolic()[1])
+        """(sh_i, den): # = sh_i / den with sh_i int forms (_int_scaled),
+        read off the adjoint forms alone."""
+        return _int_scaled(self._adjoint_forms)
 
     @cached_property
     def _trace_data(self):
@@ -493,9 +503,9 @@ class CubicNormStructure:
         at `points` random pairs, then U_x(x^-1) = x at max(10, points //
         5) random invertible points, from the suite's one stream.
 
-        The forms are the evaluators' forms by construction (_forms), so
-        expansion_matches_evaluators passes symbolically, with no witness
-        and no point drawn."""
+        The forms are the evaluators' forms by construction (_norm_form,
+        _adjoint_forms), so expansion_matches_evaluators passes
+        symbolically, with no witness and no point drawn."""
         g = self.ground
         stream = Stream(seed).derive("axioms:" + self.label)
         checks = []
@@ -569,10 +579,18 @@ class CubicNormStructure:
                 emit("u_operator_inverse_identity", False, "random",
                      "no invertible elements found")
 
-        # the forms are the evaluators' forms by construction (_forms)
+        # the forms are the evaluators' forms by construction
         emit("expansion_matches_evaluators", True, "symbolic")
 
         return AxiomReport(checks)
+
+
+def _as_form(p):
+    """An evaluator's value on indeterminates as a form: a constant (a
+    coordinate that no term reaches) becomes a constant Poly, and the
+    few Fraction coefficients that sums of fractions make integral are
+    turned into ints."""
+    return _integral_as_int(p) if isinstance(p, Poly) else Poly.const(p)
 
 
 def _first_failure(n, draw, fails):

@@ -83,12 +83,13 @@ class Isotope(CubicNormStructure):
 
     U_{v^-1} (u_matrix_int) is held once as int rows u_rows over u_den,
     so x^{#v} = M x# for M = N(v) U_{v^-1} = scale u_rows, scale =
-    N(v) / u_den.  The isotope's forms are its base's, scaled: N(v)
-    times the base's norm form and the base's int adjoint forms through
-    M (_forms).  Its evaluators are the base's, scaled the same way, so
-    the forms are its evaluators' forms without running them.  The forms
-    and the proofs read nv, u_rows, u_den and scale from the isotope at
-    first use.
+    N(v) / u_den.  The isotope's forms are its base's, scaled, each at
+    its first use: N(v) times the base's norm form (_norm_form), and the
+    base's int adjoint forms through M (_adjoint_forms), so its n_int
+    reads the base's norm form alone.  Its evaluators are the base's,
+    scaled the same way, so the forms are its evaluators' forms without
+    running them.  The forms and the proofs read nv, u_rows, u_den and
+    scale from the isotope at first use.
 
     x## = N(x) x and N(x#) = N(x)^2 are proved through the base
     (_adjoint_verdicts), never by composing the isotope's own dense
@@ -117,17 +118,22 @@ class Isotope(CubicNormStructure):
         self.meta = {"type": "isotope", "base": base, "v": tuple(v)}
 
     @cached_property
-    def _forms(self):
-        """The isotope's (N, #) from the base's forms: N(v) N, and
-        M # = scale u_rows sh_i / s_den for the base's int adjoint forms
-        (sh_i, s_den) = sharp_int, each row of u_rows multiplied into sh_i
-        in one int dict (linear_combination) and each of its coefficients
-        mapped back once."""
-        n = self.nv * self.base.expand_symbolic()[0]
+    def _norm_form(self):
+        """N(v) times the base's norm form, a homogeneous cubic as that
+        one is."""
+        return self.nv * self.base._norm_form
+
+    @cached_property
+    def _adjoint_forms(self):
+        """M # = scale u_rows sh_i / s_den for the base's int adjoint
+        forms (sh_i, s_den) = sharp_int, homogeneous quadratics as those
+        are: each row of u_rows multiplied into sh_i in one int dict
+        (linear_combination) and each of its coefficients mapped back
+        once."""
         sh_i, s_den = self.base.sharp_int
         (sc,), sd = lift([self.scale])
         den = sd * s_den
-        return n, [
+        return [
             _nonzero({m: from_int(self._kind, sc * c, den)
                       for m, c in linear_combination(row, sh_i).terms.items()})
             for row in self.u_rows]
@@ -233,12 +239,13 @@ def u_isotope_identity(j, jv, v):
     x^{#v} = M x#, C / c_den = U_{w#} and V / dv = U_v.  jv's U-matrix is
     U^{(v)}_x y = T^v(x, y) x - x^{#v} x_v y, and the base's product is
     U_x U_v y = T(x, U_v y) x - x# x (U_v y).  jv's adjoint forms are M #
-    by construction (Isotope._forms), so a x_v b = M (a x b).  The checks
-    on v that prove jv's x## (Isotope._v_failure) give A C = N(w)^2
-    u_den c_den I and (A y)# = (u_den^2 / c_den) C y# as forms in y,
-    whose polarization (A a) x (A b) = (u_den^2 / c_den) C (a x b) holds
-    in every characteristic.  Added to them are one scalar identity,
-    (scale u_den N(w))^2 = 1, and two int matrix identities:
+    by construction (Isotope._adjoint_forms), so a x_v b = M (a x b).
+    The checks on v that prove jv's x## (Isotope._v_failure) give
+    A C = N(w)^2 u_den c_den I and (A y)# = (u_den^2 / c_den) C y# as
+    forms in y, whose polarization (A a) x (A b) = (u_den^2 / c_den)
+    C (a x b) holds in every characteristic.  Added to them are one
+    scalar identity, (scale u_den N(w))^2 = 1, and two int matrix
+    identities:
     (i) A V = u_den dv I, that is U_w U_v = I, and
     (ii) T^v = T U_v, with T^v read from jv's own trace data.
     By (i), y = A V y / (u_den dv), so x^{#v} x_v y = M ((M x#) x y) =

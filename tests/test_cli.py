@@ -710,6 +710,28 @@ class TestTaskFields:
                 ["tasks"][0]["index"] for mode in (None, "exhaustive")]
         assert hits == [0, 1]
 
+    def test_exhaustive_div_falsify_scans_the_carrier_alone(self):
+        # mode exhaustive draws no preimage candidates: the random run's
+        # preimage witness at index 6 gives way to the first norm-zero
+        # element of the carrier scan
+        def div_falsify(*flags):
+            code, out, _ = run_cli(["search", "--config",
+                                    cfg("m3_f5_first.json"),
+                                    "--budget", "300"] + list(flags))
+            assert code == 0
+            return next(t for t in json.loads(out)["tasks"]
+                        if t["task"] == "div_falsify")
+
+        plain = div_falsify()
+        assert (plain["index"], plain["detail"]) == (
+            6, "norm preimage of lambda in D; converted to the norm-zero "
+               "element (-w, 1, 0)")
+        exhaustive = div_falsify("--mode", "exhaustive")
+        assert exhaustive == {"task": "div_falsify", "status": "witness",
+                              "index": 1,
+                              "detail": "nonzero element with N = 0",
+                              "witness": ["1"] + ["0"] * 26}
+
     @pytest.mark.parametrize("name, tasks, scan, want", [
         ("m3_q_first.json",
          [{"task": "nilpotent_search", "budget": 3000},

@@ -185,9 +185,10 @@ class TestIntPointPath:
                              for i in range(j.dim)))
 
     def test_ground_points_never_reach_the_evaluators(self, QQ):
-        # one route: the first norm or sharp expands the forms, running
-        # the evaluators once on indeterminates, and every ground point
-        # goes through the int forms
+        # one route: the first sharp expands the adjoint forms alone and
+        # the first norm the norm form alone, each running its evaluator
+        # once on indeterminates, and every ground point goes through the
+        # int forms
         seen = []
 
         def eval_norm(xs):
@@ -201,8 +202,11 @@ class TestIntPointPath:
         j = CubicNormStructure(QQ, 1, eval_norm, eval_sharp, [QQ.one])
         x = (Fraction(2, 3),)
         assert j.sharp(x) == (Fraction(4, 9),)
+        assert seen == [("sharp", "Poly")]
         assert j.norm(x) == Fraction(8, 27)
-        assert seen == [("norm", "Poly"), ("sharp", "Poly")]
+        assert seen == [("sharp", "Poly"), ("norm", "Poly")]
+        j.sharp(x), j.norm(x)
+        assert len(seen) == 2
 
     def test_finite_field_points(self, j_lk_f5):
         j_lk_f5.expand_symbolic()

@@ -277,6 +277,34 @@ class TestEvaluatorRuns:
             assert rep.all_passed, rep
         assert counts == {"eval_norm": 0, "eval_sharp": 0}
 
+    def test_norm_form_alone(self):
+        # a scan reads N alone: n_int expands the norm form and not the
+        # adjoint, sharp_int then the adjoint forms alone, and neither
+        # runs again, through expand_symbolic either
+        with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
+            j = BuildContext(json.load(fh)).j
+        counts = _counted_evaluators(j)
+        j.n_int
+        assert counts == {"eval_norm": 1, "eval_sharp": 0}
+        assert j._n_poly is None
+        j.sharp_int
+        assert counts == {"eval_norm": 1, "eval_sharp": 1}
+        n, sh = j.expand_symbolic()
+        assert j._n_poly is n and len(sh) == j.dim
+        assert counts == {"eval_norm": 1, "eval_sharp": 1}
+
+    def test_isotope_norm_form_runs_no_evaluator(self):
+        # an isotope's norm form is N(v) times its base's, so its n_int
+        # runs no evaluator of either structure
+        with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
+            j = BuildContext(json.load(fh)).j
+        v = j.random_invertible(Stream(93))
+        jv = isotope(j, v)
+        counts = _counted_evaluators(j, jv)
+        n_i, den = jv.n_int
+        assert counts == {"eval_norm": 0, "eval_sharp": 0}
+        assert n_i.eval(lift(v)[0]) and jv.norm(v) == j.norm(v) ** 2
+
 
 Q_CONFIGS = ["cyclic_q_first", "m3_q_first", "m3k_q_second", "lk_q_second"]
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albertlab import linalg
+from albertlab import linalg, search
 from albertlab.errors import (AlbertLabError, ConfigError, NonPrimeModulus,
                               NotInvertible)
 from albertlab.poly import (Poly, compose_mismatch, dump_cubic_form, indices,
                             linear_form, mono, variables)
-from albertlab.rng import Stream, draw, draws, splitmix64
+from albertlab.rng import GOLDEN, Stream, draw, draws, splitmix64
 from albertlab.scalars import (PRIME_BOUND, PrimeField, RationalField,
                                draw_ints, is_prime)
 
@@ -295,12 +295,22 @@ class TestRng:
     def test_mask(self):
         assert splitmix64(2 ** 64 + 1) == splitmix64(1)
 
-    @pytest.mark.parametrize("seed", [0, 123, 2 ** 64 + 5, 2 ** 70 - 1,
-                                      -1, -987654321])
+    @pytest.mark.parametrize("seed", [0, 123, 2 ** 64, 2 ** 64 + 5,
+                                      2 ** 70 - 1, -1, -987654321])
     def test_batched_draws_match_single_draws(self, seed):
-        # the batch masks its seed as Stream does; draw() masks the sum
+        # the batch masks its seed as Stream does; draw() masks the sum.
+        # Offsets with offset GOLDEN >= 2^128 and negative seeds carry
+        # from one packed lane into the next unless the start is reduced
+        # mod 2^64 before it is spread over the lanes; the largest k is
+        # that of a full block of 27-dimensional scan candidates
+        block = search._BLOCK_CAP * 29
+        assert 2 ** 70 * GOLDEN >= 2 ** 128
         for offset, k, n in [(0, 27, 21), (29 * 7, 27, 5), (3, 1, 2 ** 64),
-                             (10, 0, 7)]:
+                             (10, 0, 7), (0, 0, 1), (2 ** 70, 0, 5),
+                             (2 ** 70, 29, 21), (2 ** 70 + 3, block, 5),
+                             (2 ** 64 - 1, block, 2 ** 64), (7, block, 1),
+                             (2 ** 90, 64, PRIME_BOUND - 1),
+                             (5, block, 2 ** 64 - 59)]:
             want = [draw(seed, offset + t) % n for t in range(k)]
             assert draws(seed, offset, k, n) == want
             s = Stream(seed, offset)

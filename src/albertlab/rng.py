@@ -35,8 +35,9 @@ def _lanes(k):
     ones holds 1 in every lane, steps holds (t + 1) GOLDEN in lane t,
     mask holds MASK64 in every lane, and unpack reads the 2k 8-byte
     words of the lanes, lane t's low word at 2t.  One repeat count keeps
-    the compiled format small for any k.  A scan asks for a few block
-    lengths (search._candidates), so a small cache holds them all."""
+    the compiled format small for any k.  A scan asks for one k, the
+    dimension of its candidates (search._candidates), so a small cache
+    holds every k in use."""
     ones = int.from_bytes((1).to_bytes(16, "little") * k, "little")
     steps = int.from_bytes(b"".join(((t + 1) * GOLDEN).to_bytes(16, "little")
                                     for t in range(k)), "little")

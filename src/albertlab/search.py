@@ -10,10 +10,9 @@ slower.
 
 Every scan runs on ints from draw to verdict.  A candidate is the int
 lift, with d = 1, of a point with coordinates in k: a random candidate
-is drawn with a block of candidates in one call (scalars.draw_ints,
-_candidates) and equals the lift of the point that ground.random draws
-from the same stream offset, and an exhaustive one is read off the
-base-q digits of its index.  The
+is drawn in one call (scalars.draw_ints) and equals the lift of the
+point that ground.random draws from the same stream offset, and an
+exhaustive one is read off the base-q digits of its index.  The
 predicates evaluate the int forms that the structures cache (n_int,
 _trace_data and the coefficient algebra's norm_int) at the candidate; a
 value is zero when it is 0 over Q, or 0 mod p over F_p.  Only the hit is
@@ -46,35 +45,12 @@ class SearchResult:
         return "SearchResult(%s, index=%r)" % (self.status, self.index)
 
 
-# the most candidates one draw_ints call of a scan draws: blocks of 64
-# scanned no faster and held twice the cached lane constants (rng._lanes)
-_BLOCK_CAP = 32
-
-
 def _candidates(ground, dim, seed):
     """Candidate i of a random scan of k^dim: the int lift of the dim
     coordinates that ground.random draws from
-    Stream(seed, offset=i (dim + 2)).
-
-    The candidates are drawn in blocks, one draw_ints call per block: an
-    i outside the last block draws the block of candidates from i on,
-    each block twice as long as the one before, up to _BLOCK_CAP, so a
-    scan that hits early draws at most about twice what it reads.  Each
-    candidate is read at its own stream offset, so it does not depend on
-    the blocks or on the order of the calls."""
+    Stream(seed, offset=i (dim + 2))."""
     stride = dim + 2
-    start, flat, size = 0, [], 1
-
-    def candidate(i):
-        nonlocal start, flat, size
-        t = (i - start) * stride
-        if not 0 <= t < len(flat):
-            start, t = i, 0
-            flat = draw_ints(ground, seed, i * stride, size * stride)
-            size = min(2 * size, _BLOCK_CAP)
-        return flat[t:t + dim]
-
-    return candidate
+    return lambda i: draw_ints(ground, seed, i * stride, dim)
 
 
 def _exhaustive_point(j, index):

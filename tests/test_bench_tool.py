@@ -1,6 +1,5 @@
-"""tools/bench.py refuses checkouts that hold a bytecode cache, compares
-a checkout with its baseline against BENCHMARK.json's bounds, and runs
-only the workloads that --workload names."""
+"""tools/bench.py refuses checkouts that hold a bytecode cache, and
+compares a checkout with its baseline against BENCHMARK.json's bounds."""
 
 import importlib.util
 import json
@@ -95,38 +94,3 @@ def test_relative_change_and_bound_per_metric(bench, tmp_path, monkeypatch):
         assert got["setup_s"]["relative_change"] == pytest.approx(0.2)
         assert got["setup_s"]["bound"] == 0.25
         assert got["peak_rss_mb"] == {"relative_change": 0.0, "bound": 0.1}
-
-
-@pytest.mark.parametrize("flags, want", [
-    ([], ["axioms", "certify", "search"]),
-    (["--workload", "search"], ["search"]),
-    (["--workload", "search", "--workload", "axioms", "--workload",
-      "search"], ["axioms", "search"])])
-def test_workload_option_selects_the_runs(bench, tmp_path, monkeypatch,
-                                          flags, want):
-    root = _checkout(tmp_path / "checkout")
-    ran = []
-
-    def run_once(root, workload, seed):
-        ran.append(workload)
-        return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
-                "setup_s": 0.1, "verdict_s": 0.2 + seed / 1000,
-                "peak_rss_mb": 20.0}
-
-    monkeypatch.setattr(bench, "run_once", run_once)
-    monkeypatch.chdir(root)
-    out = tmp_path / "out.json"
-    assert bench.main(["--out", str(out)] + flags) == 0
-    report = json.loads(out.read_text())
-    assert report["settings"]["workloads"] == want
-    assert sorted(report["workloads"]) == want
-    assert ran == [w for w in want for _ in range(bench.PAIRS)]
-
-
-def test_unknown_workload_is_refused(bench, tmp_path, monkeypatch):
-    monkeypatch.chdir(_checkout(tmp_path / "checkout"))
-    with pytest.raises(SystemExit) as exc:
-        bench.main(["--out", str(tmp_path / "out.json"),
-                    "--workload", "nope"])
-    assert exc.value.code == 2
-    assert not (tmp_path / "out.json").exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albertlab import linalg, search
+from albertlab import linalg
 from albertlab.errors import (AlbertLabError, ConfigError, NonPrimeModulus,
                               NotInvertible)
 from albertlab.poly import (Poly, compose_mismatch, dump_cubic_form, indices,
@@ -301,16 +301,16 @@ class TestRng:
         # the batch masks its seed as Stream does; draw() masks the sum.
         # Offsets with offset GOLDEN >= 2^128 and negative seeds carry
         # from one packed lane into the next unless the start is reduced
-        # mod 2^64 before it is spread over the lanes; the largest k is
-        # that of a full block of 27-dimensional scan candidates
-        block = search._BLOCK_CAP * 29
+        # mod 2^64 before it is spread over the lanes; k = 1000 is far
+        # above the 27 coordinates a scan candidate draws
+        big = 1000
         assert 2 ** 70 * GOLDEN >= 2 ** 128
         for offset, k, n in [(0, 27, 21), (29 * 7, 27, 5), (3, 1, 2 ** 64),
                              (10, 0, 7), (0, 0, 1), (2 ** 70, 0, 5),
-                             (2 ** 70, 29, 21), (2 ** 70 + 3, block, 5),
-                             (2 ** 64 - 1, block, 2 ** 64), (7, block, 1),
+                             (2 ** 70, 29, 21), (2 ** 70 + 3, big, 5),
+                             (2 ** 64 - 1, big, 2 ** 64), (7, big, 1),
                              (2 ** 90, 64, PRIME_BOUND - 1),
-                             (5, block, 2 ** 64 - 59)]:
+                             (5, big, 2 ** 64 - 59)]:
             want = [draw(seed, offset + t) % n for t in range(k)]
             assert draws(seed, offset, k, n) == want
             s = Stream(seed, offset)

@@ -12,7 +12,7 @@ from albertlab.errors import VerificationFailure
 from albertlab.fields import Elem
 from albertlab.isotopy import isotope
 from albertlab.rng import Stream
-from albertlab.scalars import draw_ints, from_int, lift
+from albertlab.scalars import from_int, lift
 from albertlab.search import (division_falsify, find_nilpotent,
                               find_norm_zero)
 
@@ -69,49 +69,6 @@ class TestIntCandidates:
                 for i in range(50):
                     w = alg.random(Stream(base, offset=i * (alg.k_dim + 2)))
                     assert lift(alg.to_k_coords(w)) == (candidate(i), 1)
-
-    def test_out_of_order_calls_match_single_draws(self, j_m3_q, j_m3_f5):
-        # a call outside the last block draws a new block from its index,
-        # so i + 1 then i, a jump ahead and a jump back all read the
-        # candidate's own offset
-        for j in (j_m3_q, j_m3_f5):
-            candidate = search._candidates(j.ground, j.dim, 42)
-            for i in (5, 6, 5, 4, 0, 1, 0, 300, 299, 301, 7, 3):
-                assert candidate(i) == draw_ints(
-                    j.ground, 42, i * (j.dim + 2), j.dim), (j.label, i)
-
-    @pytest.mark.parametrize("field, seed, pred", [
-        ("QQ", 2, lambda x: x[0] == 10 and x[5] == -10),
-        ("F5", 2, lambda x: x[:4] == [4, 4, 0, 1])])
-    def test_late_hit_matches_single_draw_scan(self, field, seed, pred,
-                                               request):
-        # the first hit lies past the doubling blocks, in a full one
-        g = request.getfixturevalue(field)
-        ref = next((i, x) for i in range(2000)
-                   for x in [draw_ints(g, seed, i * 29, 27)] if pred(x))
-        assert ref[0] > 2 * search._BLOCK_CAP
-        got = search._search(2000, search._candidates(g, 27, seed), pred)
-        assert got == ref
-
-    def test_early_hit_draws_at_most_two_strides(self, j_m3_f5,
-                                                 monkeypatch):
-        lanes = []
-
-        def counted(ground, seed, offset, k):
-            lanes.append(k)
-            return draw_ints(ground, seed, offset, k)
-
-        monkeypatch.setattr(search, "draw_ints", counted)
-        stride = j_m3_f5.dim + 2
-        # the norm-zero scan of test_norm_zero_fall_through hits at 0
-        j = isotope(j_m3_f5, j_m3_f5.random_invertible(Stream(5)))
-        assert find_norm_zero(j, budget=200, seed=3).index == 0
-        assert 0 < sum(lanes) <= 2 * stride
-        # an exhausted scan draws its budget and less than a block more
-        lanes.clear()
-        candidate = search._candidates(j.ground, j.dim, 3)
-        assert search._search(300, candidate, lambda x: False) is None
-        assert 300 * stride <= sum(lanes) < (300 + search._BLOCK_CAP) * stride
 
     def test_exhaustive_digits(self, j_lk_f5):
         q, dim = j_lk_f5.ground.order, j_lk_f5.dim

@@ -1,11 +1,9 @@
 """Run the perfbench workloads and write one BENCH JSON file.
 
     python3 tools/bench.py --out BENCH_N.json [--baseline DIR]
-                           [--workload W ...]
 
 Run from the root of a checkout.  Each of the three workloads (axioms,
-certify, search), or each one named by a --workload option (repeatable;
-the file records them under settings.workloads), gets PAIRS = 10 runs of
+certify, search) gets PAIRS = 10 runs of
 `python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0`
 (the run length perfbench/README.md fixes), run i with seed
 FIRST_SEED + i; the last output line of each run is parsed for the
@@ -131,12 +129,7 @@ def main(argv=None):
     ap.add_argument("--out", required=True, help="the JSON file to write")
     ap.add_argument("--baseline", default=None,
                     help="another checkout to run in alternating pairs")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="run only this workload (repeatable; default: "
-                         "all three)")
     args = ap.parse_args(argv)
-    workloads = [w for w in WORKLOADS
-                 if args.workload is None or w in args.workload]
 
     roots = {"checkout": os.getcwd()}
     if args.baseline:
@@ -155,9 +148,8 @@ def main(argv=None):
                  "machine": platform.machine()},
         "commits": {name: _git_sha(root) for name, root in roots.items()},
         "settings": {"pairs": PAIRS, "seconds": SECONDS,
-                     "first_seed": FIRST_SEED, "trace": 0,
-                     "workloads": workloads},
-        "workloads": {w: bench_workload(w, roots) for w in workloads},
+                     "first_seed": FIRST_SEED, "trace": 0},
+        "workloads": {w: bench_workload(w, roots) for w in WORKLOADS},
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

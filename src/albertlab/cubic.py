@@ -62,11 +62,9 @@ perturbed adjoint evaluator.
 """
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, List, Optional
 
 from . import linalg
 from .errors import NotInvertible, VerificationFailure
@@ -86,17 +84,17 @@ U_PREMISES = ("norm_unit_is_one", "sharp_unit_is_unit", "adjoint_of_adjoint",
 _INVERTIBLE_TRIES = 1000
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    mode: str                  # "symbolic" or "random"
-    witness: Optional[str] = None
-    elapsed_s: float = 0.0     # wall seconds spent on this check
+    """One check: mode "symbolic" or "random", witness None or a str, and
+    the wall seconds spent on it."""
+
+    def __init__(self, name, passed, mode, witness=None, elapsed_s=0.0):
+        self.name, self.passed, self.mode = name, passed, mode
+        self.witness, self.elapsed_s = witness, elapsed_s
 
 
 class AxiomReport:
-    def __init__(self, checks: List[CheckResult]):
+    def __init__(self, checks):
         self.checks = checks
 
     @property
@@ -117,8 +115,7 @@ class CubicNormStructure:
     point; the sparse forms N_poly and sharp_polys are read off them run on
     indeterminates, each at its first use (_norm_form, _adjoint_forms)."""
 
-    def __init__(self, ground, dim, eval_norm: Callable, eval_sharp: Callable,
-                 unit, label="J"):
+    def __init__(self, ground, dim, eval_norm, eval_sharp, unit, label="J"):
         self.ground = ground
         self.dim = dim
         self.eval_norm = eval_norm

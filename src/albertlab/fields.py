@@ -20,8 +20,8 @@ The F_p root test of a cubic takes a gcd with x^p - x, so a large prime
 costs O(log p) products.
 """
 
+from collections import namedtuple
 from math import isqrt, lcm
-from typing import NamedTuple, Optional
 
 from . import linalg
 from .errors import (ConfigError, DescentFailure, NotGaloisClosure,
@@ -255,12 +255,10 @@ class Extension:
 # ---------------------------------------------------------------------------
 # the tower
 
-class FieldTower(NamedTuple):
+class FieldTower(namedtuple("FieldTower", "ground K L")):
     """A ground field with the K and L a tower node declares (None for a
     level it does not)."""
-    ground: object
-    K: Optional[Extension]
-    L: Optional[Extension]
+    __slots__ = ()
 
 
 def quadratic_etale(ground, d):

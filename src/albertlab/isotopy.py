@@ -28,11 +28,11 @@ modes as big-int multiply-adds on matrix rows and slices packed into
 byte slots, every slot within one bound (sum |c| m_i m_j m_k over the
 form's terms, m_r the largest |entry| of row r or 1) so that none
 borrows from the next, and the symmetric pair of the last two modes
-folded onto one entry after unpacking; no Poly per matrix row.  The
-contraction is exact over Z, so the result is read mod the
-characteristic afterwards.  An isomorphism certificate is a similarity
-with multiplier 1 that carries the base point to the base point.  For
-a second construction the v-isotope is mapped onto
+folded onto one entry after unpacking; no Poly per matrix row.  It is
+exact over Z, and over F_p runs on residues and returns residues.  An
+isomorphism certificate is a similarity with multiplier 1 that carries
+the base point to the base point.  For a second construction the
+v-isotope is mapped onto
 J(B, s_v, u v#, N(v) mu) by one closed-form map, which is certified
 that way before it is returned.
 """
@@ -199,12 +199,13 @@ class Isotope(CubicNormStructure):
 
     def _norm_failure(self):
         """N(M y) = nv N(y) on the base's int norm form n_i, pulled back
-        through A (poly.pullback): scale^3 n_i(A y) = nv n_i(y), or the
-        lowest monomial where it fails."""
+        through A in the characteristic (poly.pullback):
+        scale^3 n_i(A y) = nv n_i(y), or the lowest monomial where it
+        fails."""
         n_i, _ = self.base.n_int
         (s3, nv), _ = lift([self.scale ** 3, self.nv])
-        diff = _mod(s3 * pullback(n_i, self.u_rows) - nv * n_i,
-                    self.ground.char)
+        char = self.ground.char
+        diff = _mod(s3 * pullback(n_i, self.u_rows, char) - nv * n_i, char)
         return "N(M y) monomial %r" % (_lowest(diff),) if diff else None
 
 
@@ -282,17 +283,17 @@ def verify_norm_similarity(f):
     and the target's int norm form is pulled back through that int
     matrix by poly.pullback, a dense contraction over Z whose three
     modes all run on packed big-int slots sized by one exact bound, the
-    symmetric pair of the last two modes folded after unpacking; the
-    result is compared with the source's int norm form mod the
-    characteristic, as in the axiom suite."""
+    symmetric pair of the last two modes folded after unpacking, over F_p
+    in residues; the result is compared with the source's int norm form
+    mod the characteristic, as in the axiom suite."""
     src, tgt = f.source, f.target
     g = src.ground
     n = src.dim
     n2_i, d2 = tgt.n_int
     n1_i, d1 = src.n_int
     ints, s = lift([e for row in f.matrix for e in row])
-    pull = pullback(n2_i, [ints[r * n:r * n + n]
-                           for r in range(tgt.dim)])   # = d2 s^3 N2(f(x))
+    pull = pullback(n2_i, [ints[r * n:r * n + n] for r in range(tgt.dim)],
+                    g.char)     # = d2 s^3 N2(f(x)), in the characteristic
     m = min(n1_i.terms, key=indices)
     a = pull.coefficient(m) or 0
     b = n1_i.terms[m]

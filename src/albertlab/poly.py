@@ -27,9 +27,9 @@ exact over Z and so, read by _mod, in every characteristic.  Slots are
 1, 2, 4 or 8 bytes wide where that suffices, written and read by one
 cached struct codec per slot count (_codec), and wider only for larger
 bounds, read slot by slot.
-pullback(p, rows) pulls a homogeneous cubic int form back through an
-int matrix as a dense contraction on ints; the norm-similarity
-certificate uses it, since its matrices are nearly full and a sparse
+pullback(p, rows, char) pulls a homogeneous cubic int form back through
+an int matrix as a dense contraction on ints, over F_p on the residues
+of the rows and to residues; the norm-similarity certificate uses it, since its matrices are nearly full and a sparse
 substitution pays one dict update per term product.  All three modes
 of the contraction run on packed ints: each matrix row is packed once,
 the third mode is one multiply-add of a packed row per term, the second
@@ -61,7 +61,7 @@ their int forms with them.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from operator import add, itemgetter, mul
 from struct import Struct
 
@@ -443,9 +443,10 @@ def _pullback_tables(n):
     return size, fold, gather, tuple(monos)
 
 
-def pullback(p, rows):
+def pullback(p, rows, char):
     """p(F x) for a homogeneous cubic int form p and an int matrix F
-    whose row r holds the coefficients of coordinate r of F x.
+    whose row r holds the coefficients of coordinate r of F x, in
+    characteristic char.
 
     rows must hold one row per variable index of p, all of one length n
     (the number of variables of the result); anything else is an
@@ -463,7 +464,10 @@ def pullback(p, rows):
     skipped.  Each T_a is unpacked once (_unpack) and folded to its
     n(n + 1)/2 pairs b <= c, T_a[b, c] + T_a[c, b] when b != c, since both
     land on one monomial; each monomial then gathers its at most three
-    folded entries (_pullback_tables).
+    folded entries (_pullback_tables).  Over F_p (char > 0) the rows
+    are read mod char first, so an unreduced lift widens no slot, and
+    each gathered coefficient is read mod char before the Poly is built,
+    zero residues dropped: the result is _mod(pullback(p, rows, 0), char).
 
     The slot bound: with m_r = max(1, max |rows[r]|) and
     B = sum |c_ijk| m_i m_j m_k over the terms kept, every slot of every
@@ -473,8 +477,8 @@ def pullback(p, rows):
     sum of these at most its full sum of absolute values; as every
     m_r >= 1, each is at most B.  A packed row K_k is kept only for a
     term with |c_ijk| >= 1, so its slots, at most m_k, are at most B too.
-    The slots are _width(B) bytes wide.  The term dict equals that of
-    substituting the linear forms of rows into p term by term."""
+    The slots are _width(B) bytes wide.  In characteristic 0 the term
+    dict is that of substituting the linear forms of rows into p."""
     if not p.is_homogeneous(3):
         raise AlbertLabError("pullback needs a homogeneous cubic form")
     n = len(rows[0]) if rows else 0
@@ -482,6 +486,8 @@ def pullback(p, rows):
     if len(rows) <= top or any(len(row) != n for row in rows):
         raise AlbertLabError("pullback needs one row per variable of the "
                              "form, all of one length")
+    if char:
+        rows = [list(map(char.__rmod__, row)) for row in rows]
     mags = [max(1, max(map(abs, row), default=0)) for row in rows]
     kept = []
     bound = 0
@@ -517,7 +523,8 @@ def pullback(p, rows):
         flat += map(add, up(vals), lo(vals))
     g1, g2, g3 = gather
     coeffs = map(add, map(add, g1(flat), g2(flat)), g3(flat))
-    return Poly({m: v for m, v in zip(monos, coeffs) if v})
+    coeffs = list(map(char.__rmod__, coeffs) if char else coeffs)
+    return Poly(dict(zip(compress(monos, coeffs), filter(None, coeffs))))
 
 
 def _runs(forms):

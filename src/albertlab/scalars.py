@@ -4,7 +4,9 @@ Scalar values must support +, -, *, unary -, /, ==, and be falsy exactly
 when zero; everything above this layer (extension towers, polynomials,
 matrices) is written against that contract only.  Rationals use
 fractions.Fraction, prime fields use a dynamically created int subclass
-that reduces mod p on every operation.
+whose +, -, * and / each make one int operation on the values, one
+reduction mod p and one int.__new__; an operand that is not an int gets
+NotImplemented.
 
 The exact kernels (Poly point evaluation, matrix products and ranks,
 U-matrices and U-operators) run on plain ints: lift() clears the
@@ -68,65 +70,46 @@ _fp_classes = {}
 
 
 def _make_fp_class(p: int):
+    new = int.__new__
+
+    def _op(f):
+        # f, an int method, on the values of self and an int operand
+        def op(self, o):
+            if isinstance(o, int):
+                return new(cls, f(self, o) % p)
+            return NotImplemented
+        return op
+
+    def _div(a, b):
+        b %= p
+        if not b:
+            raise NotInvertible("division by zero in F_%d" % p)
+        return new(cls, a * pow(b, -1, p) % p)
+
     def _new(cls, v=0):
-        return int.__new__(cls, int(v) % p)
-
-    def _coerce(o):
-        if isinstance(o, int):
-            return int(o)
-        return None
-
-    def _add(self, o):
-        v = _coerce(o)
-        if v is None:
-            return NotImplemented
-        return cls((int(self) + v) % p)
-
-    def _sub(self, o):
-        v = _coerce(o)
-        if v is None:
-            return NotImplemented
-        return cls((int(self) - v) % p)
-
-    def _rsub(self, o):
-        v = _coerce(o)
-        if v is None:
-            return NotImplemented
-        return cls((v - int(self)) % p)
-
-    def _mul(self, o):
-        v = _coerce(o)
-        if v is None:
-            return NotImplemented
-        return cls((int(self) * v) % p)
+        return new(cls, int(v) % p)
 
     def _neg(self):
-        return cls(-int(self) % p)
+        return new(cls, int.__neg__(self) % p)
 
     def _truediv(self, o):
-        v = _coerce(o)
-        if v is None:
-            return NotImplemented
-        if v % p == 0:
-            raise NotInvertible("division by zero in F_%d" % p)
-        return cls(int(self) * pow(v, p - 2, p) % p)
+        return _div(int(self), o) if isinstance(o, int) else NotImplemented
 
     def _rtruediv(self, o):
-        v = _coerce(o)
-        if v is None:
-            return NotImplemented
-        if int(self) == 0:
-            raise NotInvertible("division by zero in F_%d" % p)
-        return cls(v * pow(int(self), p - 2, p) % p)
+        return _div(int(o), self) if isinstance(o, int) else NotImplemented
 
     def _pow(self, e):
-        return cls(pow(int(self), e, p))
+        try:
+            return new(cls, pow(int(self), e, p))
+        except ValueError:
+            raise NotInvertible("division by zero in F_%d" % p) from None
 
+    add, mul = _op(int.__add__), _op(int.__mul__)
     cls = type("Fp%d" % p, (int,), {
         "__new__": _new,
-        "__add__": _add, "__radd__": _add,
-        "__sub__": _sub, "__rsub__": _rsub,
-        "__mul__": _mul, "__rmul__": _mul,
+        "__add__": add, "__radd__": add,
+        "__sub__": _op(int.__sub__), "__rsub__": _op(int.__rsub__),
+        "__mul__": mul, "__rmul__": mul,
         "__neg__": _neg,
         "__truediv__": _truediv, "__rtruediv__": _rtruediv,
         "__pow__": _pow,

@@ -659,15 +659,15 @@ class TestIsotopeRoute:
         calls = []
         real = isotopy.pullback
 
-        def spy(p, rows):
-            calls.append(p)
-            return real(p, rows)
+        def spy(p, rows, char):
+            calls.append((p, char))
+            return real(p, rows, char)
 
         monkeypatch.setattr(isotopy, "pullback", spy)
         rep = jv.axiom_suite(seed=SEED)
         assert rep.all_passed, rep
         assert _check(rep, "norm_of_adjoint").mode == "symbolic"
-        assert calls == [j.n_int[0]]
+        assert calls == [(j.n_int[0], 3)]
         assert direct_calls == [j.label]
 
     @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_lk_q"])

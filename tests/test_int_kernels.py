@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albertlab import linalg, poly, tits
-from albertlab.associative import CyclicAlgebra
+from albertlab.associative import CyclicAlgebra, GroundCenter, MatrixAlgebra
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.errors import AlbertLabError
-from albertlab.isotopy import Isotope
-from albertlab.poly import (Poly, _codec, _pack, _runs, _unpack, _width,
-                            compose_mismatch, linear_form, mono, pullback)
+from albertlab import isotopy
+from albertlab.isotopy import Isotope, LinearMap, verify_norm_similarity
+from albertlab.poly import (Poly, _codec, _mod, _pack, _runs, _unpack,
+                            _width, compose_mismatch, linear_form, mono,
+                            pullback)
 from albertlab.rng import Stream
 from albertlab.scalars import PrimeField, RationalField, from_int, lift
 
@@ -27,6 +29,7 @@ from .conftest import compose
 
 Q = RationalField()
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 
@@ -461,7 +464,7 @@ class TestPullback:
                             for i in range(j.dim)), j.random_point(s)]
         for a in points:
             rows = _int_rows(j.u_matrix(a))
-            got = pullback(n2, rows)
+            got = pullback(n2, rows, 0)
             # composing a dense 27-variable cubic term by term takes
             # seconds: the reference here is the nested substitution of
             # compose_mismatch, which TestComposeMismatch checks against
@@ -476,7 +479,7 @@ class TestPullback:
         b = j.meta["algebra"]
         rows = _int_rows(tits.componentwise_matrix(j, j, b.rho, b.rho))
         n2 = j.n_int[0]
-        assert pullback(n2, rows).terms == _nested_pullback(n2, rows).terms
+        assert pullback(n2, rows, 0).terms == _nested_pullback(n2, rows).terms
 
     @pytest.mark.parametrize("terms", [
         [(0, 0, 0, 1)],                                 # x0^3
@@ -486,7 +489,7 @@ class TestPullback:
     def test_power_and_square_terms(self, terms):
         p = _cubic(terms)
         rows = [[2, -1, 0], [0, 3, -4], [1, 1, 1]]
-        got = pullback(p, rows)
+        got = pullback(p, rows, 0)
         assert got.terms == _nested_pullback(p, rows).terms
 
     def test_zero_rows_columns_and_rank_deficiency(self):
@@ -499,11 +502,11 @@ class TestPullback:
         # rank 1: every row a multiple of (1, -1, 2, 0)
         rank_one = [[c * e for e in (1, -1, 2, 0)] for c in (2, -3, 0, 1)]
         for rows in (zero_row, zero_col, rank_one, [[0] * 4] * 4):
-            got = pullback(p, rows)
+            got = pullback(p, rows, 0)
             assert got.terms == _nested_pullback(p, rows).terms
-        assert pullback(p, [[0] * 4] * 4).terms == {}
+        assert pullback(p, [[0] * 4] * 4, 0).terms == {}
         assert all(1 not in poly.indices(m)
-                   for m in pullback(p, zero_col).terms)
+                   for m in pullback(p, zero_col, 0).terms)
 
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     @settings(max_examples=80, deadline=None)
@@ -515,7 +518,7 @@ class TestPullback:
         rows = data.draw(st.lists(
             st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
             min_size=nvars, max_size=nvars))
-        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+        assert pullback(p, rows, 0).terms == _nested_pullback(p, rows).terms
 
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -529,7 +532,7 @@ class TestPullback:
         rows = data.draw(st.lists(
             st.lists(wide, min_size=ncols, max_size=ncols),
             min_size=nvars, max_size=nvars))
-        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+        assert pullback(p, rows, 0).terms == _nested_pullback(p, rows).terms
 
     def test_zero_row_with_nonzero_contraction(self):
         """Row 1 is zero while Q_12 and G_1 are not: the term's slices
@@ -537,10 +540,10 @@ class TestPullback:
         slots."""
         p = _cubic([(1, 2, 2, 5)])
         rows = [[1, 2], [0, 0], [30, -40]]
-        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
-        assert pullback(p, rows).terms == {}
+        assert pullback(p, rows, 0).terms == _nested_pullback(p, rows).terms
+        assert pullback(p, rows, 0).terms == {}
         p = p + _cubic([(0, 0, 2, -3)])
-        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+        assert pullback(p, rows, 0).terms == _nested_pullback(p, rows).terms
 
     @pytest.mark.parametrize("e", [63, 64, 90])
     def test_entries_near_powers_of_two(self, e):
@@ -549,9 +552,9 @@ class TestPullback:
                     (2, 2, 2, -2), (0, 2, 2, 5)])
         rows = [[big - 1, -big, 3], [-big + 1, big, -5],
                 [7, -big - 1, big + 1]]
-        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+        assert pullback(p, rows, 0).terms == _nested_pullback(p, rows).terms
         rows = [[-big, -big + 1, big], [big - 1, 0, -big], [1, big, -1]]
-        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+        assert pullback(p, rows, 0).terms == _nested_pullback(p, rows).terms
 
     @pytest.mark.parametrize("m", [1, 255, 1000000, 2 ** 40 + 1])
     def test_same_sign_slot_at_bound(self, m):
@@ -561,7 +564,7 @@ class TestPullback:
         the 8-byte slots are full)."""
         p = _cubic([(i, i, i, 2) for i in range(3)])
         rows = [[-m] * 3] * 3
-        got = pullback(p, rows)
+        got = pullback(p, rows, 0)
         assert got.terms == _nested_pullback(p, rows).terms
         s3 = _cubic([(i, j, k, 1) for i in range(3) for j in range(3)
                      for k in range(3)])    # (x0 + x1 + x2)^3
@@ -569,10 +572,10 @@ class TestPullback:
 
     def test_no_variables_or_no_terms(self):
         """n = 0 and the empty form give the empty term dict."""
-        assert pullback(Poly(), []).terms == {}
-        assert pullback(Poly(), [[]]).terms == {}
-        assert pullback(_cubic([(0, 0, 0, 2)]), [[]]).terms == {}
-        assert pullback(Poly(), [[1, -2], [3, 4]]).terms == {}
+        assert pullback(Poly(), [], 0).terms == {}
+        assert pullback(Poly(), [[]], 0).terms == {}
+        assert pullback(_cubic([(0, 0, 0, 2)]), [[]], 0).terms == {}
+        assert pullback(Poly(), [[1, -2], [3, 4]], 0).terms == {}
 
     @pytest.mark.parametrize("rows", [[[3], [-2]], [[0], [5]], [[-1], [0]]])
     def test_one_variable(self, rows):
@@ -580,7 +583,7 @@ class TestPullback:
         single real key."""
         p = _cubic([(0, 0, 0, 1), (0, 0, 1, -2), (0, 1, 1, 4),
                     (1, 1, 1, -3)])
-        assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+        assert pullback(p, rows, 0).terms == _nested_pullback(p, rows).terms
 
     def test_zero_row_as_second_and_third_index(self):
         """A zero row j or k leaves its terms' contractions zero."""
@@ -589,15 +592,17 @@ class TestPullback:
         for z in range(3):
             rows = [[1, -2, 3], [4, 0, -1], [-2, 5, 1]]
             rows[z] = [0, 0, 0]
-            assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+            assert pullback(p, rows, 0).terms == \
+                _nested_pullback(p, rows).terms
         # a zero row j still packs the row k of its term, so the bound
         # counts a zero row as 1, not 0
         for rows in ([[1, 1], [0, 0], [300, -300]],
                      [[2, -1], [0, 0], [-2 ** 40, 7]]):
             p = _cubic([(0, 1, 2, 3)])
-            assert pullback(p, rows).terms == {}
+            assert pullback(p, rows, 0).terms == {}
             p = p + _cubic([(0, 0, 2, -1)])
-            assert pullback(p, rows).terms == _nested_pullback(p, rows).terms
+            assert pullback(p, rows, 0).terms == \
+                _nested_pullback(p, rows).terms
 
     @pytest.mark.parametrize("e", [127, 128, 2 ** 15, 2 ** 63])
     def test_zero_coefficient_with_a_large_row(self, e):
@@ -606,9 +611,9 @@ class TestPullback:
         pulls back to nothing, and next to x0^3 the row of x1 stays out
         of the 1-byte slots that x0^3 at [1] needs."""
         zero = Poly({mono((0, 0, 0)): 0})
-        assert pullback(zero, [[e]]).terms == {}
+        assert pullback(zero, [[e]], 0).terms == {}
         p = Poly({mono((0, 0, 1)): 0, mono((0, 0, 0)): 1})
-        assert pullback(p, [[1], [e]]).terms == {mono((0, 0, 0)): 1}
+        assert pullback(p, [[1], [e]], 0).terms == {mono((0, 0, 0)): 1}
 
     @pytest.mark.parametrize("rows", [
         [[1], [2, 3]],          # short first row
@@ -617,7 +622,7 @@ class TestPullback:
     def test_malformed_rows_rejected(self, rows):
         p = _cubic([(0, 0, 1, 1), (1, 1, 1, 2)])
         with pytest.raises(AlbertLabError, match="one row per variable"):
-            pullback(p, rows)
+            pullback(p, rows, 0)
 
     @pytest.mark.parametrize("p", [
         Poly({mono((0, 1)): 1}),
@@ -625,7 +630,126 @@ class TestPullback:
         Poly({mono((0, 0, 1, 1)): 3})])
     def test_non_cubic_rejected(self, p):
         with pytest.raises(AlbertLabError):
-            pullback(p, [[1, 0], [0, 1]])
+            pullback(p, [[1, 0], [0, 1]], 0)
+
+
+@pytest.fixture
+def pullback_over_z(monkeypatch):
+    """isotopy's pullback replaced by the contraction over Z, unreduced
+    whatever the characteristic, which its callers read mod the
+    characteristic through their own _mod; a call to undo() restores
+    it."""
+    real = isotopy.pullback
+    monkeypatch.setattr(isotopy, "pullback",
+                        lambda p, rows, char: real(p, rows, 0))
+    return lambda: monkeypatch.setattr(isotopy, "pullback", real)
+
+
+class TestResiduePullback:
+    """pullback(p, rows, char) over F_p: the contraction over Z read mod
+    char, the rows read mod char before the slot bound is taken, and no
+    zero residue kept."""
+
+    @pytest.mark.parametrize("char", [2, 3, 5, 2 ** 61 - 1])
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_residues_of_the_integer_pullback(self, char, nvars, ncols,
+                                              data):
+        # negative entries and entries at or above char, in the form and
+        # in the rows
+        ints = st.integers(-3 * char, 3 * char)
+        idx = st.integers(0, nvars - 1)
+        terms = data.draw(st.lists(st.tuples(idx, idx, idx, ints),
+                                   max_size=8))
+        p = _cubic([tuple(sorted(t[:3])) + (t[3],) for t in terms])
+        rows = data.draw(st.lists(
+            st.lists(ints, min_size=ncols, max_size=ncols),
+            min_size=nvars, max_size=nvars))
+        got = pullback(p, rows, char)
+        assert got.terms == _mod(pullback(p, rows, 0), char).terms
+        assert all(0 < c < char for c in got.terms.values())
+
+    @pytest.mark.parametrize("char", [2, 3, 5, 2 ** 61 - 1])
+    def test_zero_residues_are_dropped(self, char):
+        # (char x0)^3 and (char + 1)^3 x0^3 next to a term that stays
+        p = _cubic([(0, 0, 0, 1), (1, 1, 1, 1)])
+        assert pullback(p, [[char], [0]], char).terms == {}
+        assert pullback(p, [[char], [char + 1]], char).terms == \
+            {mono((0, 0, 0)): 1}
+        assert pullback(p, [[char], [char + 1]], 0).terms == \
+            {mono((0, 0, 0)): char ** 3 + (char + 1) ** 3}
+
+    @pytest.mark.parametrize("char", [2, 5, 2 ** 61 - 1])
+    def test_unreduced_rows_do_not_widen_the_slots(self, char,
+                                                   monkeypatch):
+        """Rows shifted by multiples of char give the slot bound of their
+        residues, and the same result."""
+        bounds = []
+        real = poly._width
+        monkeypatch.setattr(poly, "_width",
+                            lambda b: bounds.append(b) or real(b))
+        p = _cubic([(0, 0, 1, 3), (0, 1, 2, -1), (2, 2, 2, 1)])
+        rows = [[1, 0, char - 1], [2 % char, 1, 0], [0, char - 1, 1]]
+        shifted = [[e + k * char for k, e in enumerate(row, -4)]
+                   for row in rows]
+        assert pullback(p, shifted, char) == pullback(p, rows, char)
+        assert bounds[0] == bounds[1]
+        assert pullback(p, shifted, 0) != pullback(p, rows, 0)
+        assert bounds[2] > bounds[3]
+
+    @pytest.mark.parametrize("name", ["iso_m3_f5", "j_lk_f5"])
+    def test_an_unreduced_isotope_lift(self, name, request):
+        """The isotope's u_rows are lifted but not reduced, as is
+        any U-matrix lift the norm law of an isotope pulls through."""
+        j = request.getfixturevalue(name)
+        n_i = j.n_int[0]
+        jv = Isotope(j, j.random_invertible(Stream(83)))
+        assert max(max(map(abs, row)) for row in jv.u_rows) >= 5
+        got = pullback(n_i, jv.u_rows, 5)
+        assert got.terms == _mod(pullback(n_i, jv.u_rows, 0), 5).terms
+
+    @pytest.mark.parametrize("name", ["j_m3_f5", "j_lk_f5", "j_lk_f7",
+                                      "iso_m3_f5"])
+    def test_norm_similarity_verdicts_unchanged(self, name, request,
+                                                pullback_over_z):
+        """The multipliers and witnesses of verify_norm_similarity over
+        F_p, with the pullback read in residues and over Z: U-maps,
+        scalar maps, an invertible map that is not a similarity, and on
+        the second construction rho."""
+        j = request.getfixturevalue(name)
+        g = j.ground
+        s = Stream(89)
+        maps = [j.u_matrix(j.random_invertible(s)) for _ in range(3)]
+        maps.append([[g.from_int(3) * e for e in row] for row in
+                     linalg.identity(j.dim, g.one, g.zero)])
+        bad = linalg.identity(j.dim, g.one, g.zero)
+        bad[0][1], bad[3][7] = g.one, g.from_int(2)
+        maps.append(bad)
+        if name.startswith("j_lk"):
+            b = j.meta["algebra"]
+            maps.append(tits.componentwise_matrix(j, j, b.rho, b.rho))
+        over_z = [verify_norm_similarity(LinearMap(j, j, m)) for m in maps]
+        pullback_over_z()
+        got = [verify_norm_similarity(LinearMap(j, j, m)) for m in maps]
+        assert got == over_z
+        assert [nu is None for nu, _ in got] == [m is bad for m in maps]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_isotope_norm_law_unchanged(self, p, j_m3_f5, pullback_over_z):
+        """The isotope's N(M y) = nv N(y) check, which characteristic 3
+        proves through the pullback, with the pullback read in residues
+        and over Z: None on a true isotope, the same witness once an
+        entry of u_rows is raised by 1."""
+        j = j_m3_f5 if p == 5 else tits.first_tits(
+            MatrixAlgebra(GroundCenter(F3)), F3.from_int(2))
+        jv = Isotope(j, j.random_invertible(Stream(97)))
+        bad = Isotope(j, jv.meta["v"])
+        bad.u_rows = [list(row) for row in jv.u_rows]
+        bad.u_rows[1][2] += 1
+        over_z = [jv._norm_failure(), bad._norm_failure()]
+        pullback_over_z()
+        assert [jv._norm_failure(), bad._norm_failure()] == over_z
+        assert over_z[0] is None and over_z[1].startswith("N(M y) monomial")
 
 
 def _from_terms(terms):

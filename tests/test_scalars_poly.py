@@ -59,21 +59,72 @@ class TestScalars:
         with pytest.raises(NotInvertible):
             f5.from_fraction(Fraction(1, 5))
 
-    @given(st.integers(-50, 50), st.integers(-50, 50))
+    @given(st.integers(-50, 50), st.integers(-50, 50),
+           st.sampled_from([2, 7, 2 ** 61 - 1]))
     @settings(max_examples=60, deadline=None)
-    def test_fp_ring_laws(self, a, b):
-        f7 = PrimeField(7)
-        x, y = f7.from_int(a), f7.from_int(b)
-        assert x + y == f7.from_int(a + b)
-        assert x * y == f7.from_int(a * b)
-        assert x - y == f7.from_int(a - b)
-        assert -x == f7.from_int(-a)
+    def test_fp_ring_laws(self, a, b, p):
+        """Every operator of the F_p class, forward and reflected, against
+        (int(x) op int(o)) % p with o a plain int, a bool, an element of
+        the field or one of F_11, read as its int value: the value and the
+        type.  A Fraction operand gets NotImplemented and Fraction's
+        operator handles it."""
+        fp = PrimeField(p)
+        x, y = fp.from_int(a), fp.from_int(b)
+        assert type(x) is fp.elem and int(x) == a % p
+        assert type(-x) is fp.elem and -x == -a % p
+        laws = [("__add__", lambda u, v: u + v),
+                ("__radd__", lambda u, v: v + u),
+                ("__sub__", lambda u, v: u - v),
+                ("__rsub__", lambda u, v: v - u),
+                ("__mul__", lambda u, v: u * v),
+                ("__rmul__", lambda u, v: v * u),
+                ("__truediv__", lambda u, v: u * pow(v, -1, p)),
+                ("__rtruediv__", lambda u, v: v * pow(u, -1, p))]
+        for o in (b, b < 0, y, PrimeField(11).elem(b)):
+            for name, law in laws:
+                divisor = o if name == "__truediv__" else x
+                if name.endswith("truediv__") and int(divisor) % p == 0:
+                    with pytest.raises(NotInvertible):
+                        getattr(x, name)(o)
+                    continue
+                got = getattr(x, name)(o)
+                assert type(got) is fp.elem
+                assert got == law(int(x), int(o)) % p
+        # the operator forms, in both orders, for the int and the element
+        for o in (b, y):
+            assert type(x + o) is type(o + x) is fp.elem
+            assert (x + o, o + x) == ((a + b) % p,) * 2
+            assert (x - o, o - x) == ((a - b) % p, (b - a) % p)
+            assert (x * o, o * x) == ((a * b) % p,) * 2
+        for e in range(-3, 4):
+            if x or e >= 0:
+                assert type(x ** e) is fp.elem and x ** e == pow(a, e, p)
+        q = Fraction(b, 3)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            assert getattr(x, name)(q) is NotImplemented
+        assert (x + q, q - x, x * q) == (int(x) + q, q - int(x), int(x) * q)
+        assert type(x + q) is type(q - x) is type(x * q) is Fraction
+        for u, v in ((x, 0), (x, False), (x, fp.zero), (a, fp.zero),
+                     (fp.zero, fp.zero)):
+            with pytest.raises(NotInvertible):
+                u / v
 
     def test_fp_division(self):
         f7 = PrimeField(7)
         for a in range(1, 7):
             x = f7.from_int(a)
             assert x * f7.inv(x) == f7.one
+
+    def test_fp_zero_to_a_negative_power_is_not_invertible(self):
+        """0 ** e for e < 0 is a division by zero and raises NotInvertible,
+        as / does, not the ValueError of pow."""
+        for p in (2, 5, 2 ** 61 - 1):
+            zero = PrimeField(p).elem(0)
+            for e in (-1, -2, -(p - 1)):
+                with pytest.raises(NotInvertible, match="F_%d" % p):
+                    zero ** e
+            assert zero ** 0 == 1 and zero ** 3 == 0
 
 
 class TestPoly:

@@ -1,9 +1,11 @@
 """Every imported name in the package modules, the tests and the tools is
-read."""
+read, and the package imports no module it does not need at run time."""
 
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FILES = sorted(
@@ -36,3 +38,18 @@ def test_no_unused_imports():
         if names:
             unused[os.path.relpath(path, ROOT)] = names
     assert unused == {}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh process that imports the command line holds neither
+    dataclasses nor inspect (which would bring ast, dis and tokenize):
+    every search worker and every run pays for what the package loads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, albertlab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

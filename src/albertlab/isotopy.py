@@ -32,9 +32,8 @@ folded onto one entry after unpacking; no Poly per matrix row.  It is
 exact over Z, and over F_p runs on residues and returns residues.  An
 isomorphism certificate is a similarity with multiplier 1 that carries
 the base point to the base point.  For a second construction the
-v-isotope is mapped onto
-J(B, s_v, u v#, N(v) mu) by one closed-form map, which is certified
-that way before it is returned.
+v-isotope is mapped onto J(B, s_v, u v#, N(v) mu) by one closed-form
+map, which is certified that way before it is returned.
 """
 
 from fractions import Fraction

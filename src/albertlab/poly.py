@@ -29,8 +29,9 @@ cached struct codec per slot count (_codec), and wider only for larger
 bounds, read slot by slot.
 pullback(p, rows, char) pulls a homogeneous cubic int form back through
 an int matrix as a dense contraction on ints, over F_p on the residues
-of the rows and to residues; the norm-similarity certificate uses it, since its matrices are nearly full and a sparse
-substitution pays one dict update per term product.  All three modes
+of the rows and to residues; the norm-similarity certificate uses it,
+since its matrices are nearly full and a sparse substitution pays one
+dict update per term product.  All three modes
 of the contraction run on packed ints: each matrix row is packed once,
 the third mode is one multiply-add of a packed row per term, the second
 one multiply-add per row of the result's slices, and the first one per

@@ -633,16 +633,13 @@ class TestPullback:
             pullback(p, [[1, 0], [0, 1]], 0)
 
 
-@pytest.fixture
-def pullback_over_z(monkeypatch):
-    """isotopy's pullback replaced by the contraction over Z, unreduced
-    whatever the characteristic, which its callers read mod the
-    characteristic through their own _mod; a call to undo() restores
-    it."""
+def _pullback_over_z(monkeypatch):
+    """Replace isotopy's pullback by the contraction over Z, unreduced in
+    every characteristic, which its callers read mod the characteristic
+    through their own _mod."""
     real = isotopy.pullback
     monkeypatch.setattr(isotopy, "pullback",
                         lambda p, rows, char: real(p, rows, 0))
-    return lambda: monkeypatch.setattr(isotopy, "pullback", real)
 
 
 class TestResiduePullback:
@@ -697,21 +694,10 @@ class TestResiduePullback:
         assert pullback(p, shifted, 0) != pullback(p, rows, 0)
         assert bounds[2] > bounds[3]
 
-    @pytest.mark.parametrize("name", ["iso_m3_f5", "j_lk_f5"])
-    def test_an_unreduced_isotope_lift(self, name, request):
-        """The isotope's u_rows are lifted but not reduced, as is
-        any U-matrix lift the norm law of an isotope pulls through."""
-        j = request.getfixturevalue(name)
-        n_i = j.n_int[0]
-        jv = Isotope(j, j.random_invertible(Stream(83)))
-        assert max(max(map(abs, row)) for row in jv.u_rows) >= 5
-        got = pullback(n_i, jv.u_rows, 5)
-        assert got.terms == _mod(pullback(n_i, jv.u_rows, 0), 5).terms
-
     @pytest.mark.parametrize("name", ["j_m3_f5", "j_lk_f5", "j_lk_f7",
                                       "iso_m3_f5"])
     def test_norm_similarity_verdicts_unchanged(self, name, request,
-                                                pullback_over_z):
+                                                monkeypatch):
         """The multipliers and witnesses of verify_norm_similarity over
         F_p, with the pullback read in residues and over Z: U-maps,
         scalar maps, an invertible map that is not a similarity, and on
@@ -728,28 +714,29 @@ class TestResiduePullback:
         if name.startswith("j_lk"):
             b = j.meta["algebra"]
             maps.append(tits.componentwise_matrix(j, j, b.rho, b.rho))
-        over_z = [verify_norm_similarity(LinearMap(j, j, m)) for m in maps]
-        pullback_over_z()
         got = [verify_norm_similarity(LinearMap(j, j, m)) for m in maps]
-        assert got == over_z
+        _pullback_over_z(monkeypatch)
+        assert [verify_norm_similarity(LinearMap(j, j, m))
+                for m in maps] == got
         assert [nu is None for nu, _ in got] == [m is bad for m in maps]
 
     @pytest.mark.parametrize("p", [3, 5])
-    def test_isotope_norm_law_unchanged(self, p, j_m3_f5, pullback_over_z):
+    def test_isotope_norm_law_unchanged(self, p, j_m3_f5, monkeypatch):
         """The isotope's N(M y) = nv N(y) check, which characteristic 3
-        proves through the pullback, with the pullback read in residues
-        and over Z: None on a true isotope, the same witness once an
-        entry of u_rows is raised by 1."""
+        proves through the pullback of an unreduced lift (u_rows), with
+        the pullback read in residues and over Z: None on a true isotope,
+        the same witness once an entry of u_rows is raised by 1."""
         j = j_m3_f5 if p == 5 else tits.first_tits(
             MatrixAlgebra(GroundCenter(F3)), F3.from_int(2))
         jv = Isotope(j, j.random_invertible(Stream(97)))
         bad = Isotope(j, jv.meta["v"])
         bad.u_rows = [list(row) for row in jv.u_rows]
         bad.u_rows[1][2] += 1
-        over_z = [jv._norm_failure(), bad._norm_failure()]
-        pullback_over_z()
-        assert [jv._norm_failure(), bad._norm_failure()] == over_z
-        assert over_z[0] is None and over_z[1].startswith("N(M y) monomial")
+        assert max(max(map(abs, row)) for row in jv.u_rows) >= p
+        got = [jv._norm_failure(), bad._norm_failure()]
+        _pullback_over_z(monkeypatch)
+        assert [jv._norm_failure(), bad._norm_failure()] == got
+        assert got[0] is None and got[1].startswith("N(M y) monomial")
 
 
 def _from_terms(terms):

@@ -15,11 +15,11 @@ are K Elems).  An element is a tuple of entries: 9 center elements for
 the matrix algebra, 3 elements of L for the cyclic one, 3 center
 elements (its coefficients on {1, alpha, alpha^2}) for the commutative
 cubic.  The element operations that do not depend on the kind (sums,
-scaling, inverse, k-coordinates, random draws) live once in _Algebra;
-each kind gives its entry count and its entries: the center, or L for
-the cyclic algebra.  The commutative cubic multiplies through L's
-structure table and rho, with center elements as coefficients, so L
-over k and LK over K share one multiplication.
+scaling, inverse, k-coordinates) live once in _Algebra; each kind gives
+its entry count and its entries: the center, or L for the cyclic
+algebra.  The commutative cubic multiplies through L's structure table
+and rho, with center elements as coefficients, so L over k and LK over
+K share one multiplication.
 
 Every operation is division-free in the element coordinates and
 branches on a coordinate's truthiness only to skip a zero term or to
@@ -73,9 +73,6 @@ class GroundCenter:
     def inv(self, x):
         return self.ground.inv(x)
 
-    def random(self, stream):
-        return self.ground.random(stream)
-
 
 # ---------------------------------------------------------------------------
 # the element operations every algebra shares
@@ -84,7 +81,7 @@ class _Algebra:
     """A degree-3 algebra whose elements are tuples of `size` entries.
 
     `entries` is the center, or L for the cyclic algebra: it gives dim
-    (k-coordinates per entry), from_k_coords, to_k_coords and random.
+    (k-coordinates per entry), from_k_coords and to_k_coords.
     Subclasses give unit, mul, trace, norm and sharp; the cyclic algebra
     also gives the spur its adjoint is built from."""
 
@@ -123,9 +120,6 @@ class _Algebra:
         d = self.entries.dim
         return tuple(self.entries.from_k_coords(list(coords[d * i:d * i + d]))
                      for i in range(self.size))
-
-    def random(self, stream):
-        return tuple(self.entries.random(stream) for _ in range(self.size))
 
     def norm_int(self):
         """(forms, den): an element with k-coordinates x has reduced norm

@@ -47,7 +47,7 @@ def load_config(path):
 
 
 # integer task fields and their least values
-_TASK_COUNTS = (("budget", 0), ("points", 1), ("corrupt_coord", 0))
+_TASK_COUNTS = (("budget", 0), ("corrupt_coord", 0))
 SEARCH_MODES = ("random", "exhaustive")
 
 

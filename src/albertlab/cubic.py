@@ -39,15 +39,16 @@ J(cyclic, 3)); the verdict and the witness are those of one coordinate
 at a time.
 
 The two U-operator identities N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x
-are derived, not sampled, when the suite has proved their premises as
-formal identities in the same run: N(c) = 1, c# = c, x## = N(x) x,
+are derived when the suite has proved their premises as formal
+identities in the same run: N(c) = 1, c# = c, x## = N(x) x,
 c x y = T(y) c - y and T(x#, y) = d_y N(x).  These are the hypotheses
 of McCrimmon's construction theorem for cubic norm structures (Trans.
 AMS 139, 1969; A Taste of Jordan Algebras, 2004, Part II, ch. 4),
 stated over any commutative ring of scalars, so in every
 characteristic; U_x(x^-1) = x also follows from two of them directly
-(see axiom_suite).  Only a failed premise samples both, through one
-loop (_first_failure).
+(see axiom_suite).  When a premise failed, both are reported not
+proved, naming the failed premises.  So every check is symbolic, and
+the suite draws no point.
 
 The evaluators run only on indeterminates, each once per structure
 (_norm_form, _adjoint_forms); over Q the indeterminates carry the int
@@ -71,25 +72,24 @@ from .errors import NotInvertible, VerificationFailure
 from .poly import (Poly, _int_scaled, _integral_as_int, _lowest, _mod,
                    _nonzero, compose_mismatch, indices, linear_combination,
                    mono, variables)
-from .rng import Stream
 from .scalars import from_int, lift
 
 # the premises of McCrimmon's construction theorem, as the suite names
-# them; both U-operator identities are derived when all of them were
-# proved symbolically in the same run (axiom_suite)
+# them in its order; both U-operator identities are derived when all of
+# them were proved in the same run (axiom_suite)
 U_PREMISES = ("norm_unit_is_one", "sharp_unit_is_unit", "adjoint_of_adjoint",
               "unit_cross_identity", "trace_adjoint_is_norm_derivative")
 
-# random_invertible's draws before it gives up
-_INVERTIBLE_TRIES = 1000
-
 
 class CheckResult:
-    """One check: mode "symbolic" or "random", witness None or a str, and
-    the wall seconds spent on it."""
+    """One check: witness None or a str, and the wall seconds spent on it.
+    Every check is proved or refuted symbolically, so mode is always
+    "symbolic"."""
 
-    def __init__(self, name, passed, mode, witness=None, elapsed_s=0.0):
-        self.name, self.passed, self.mode = name, passed, mode
+    mode = "symbolic"
+
+    def __init__(self, name, passed, witness=None, elapsed_s=0.0):
+        self.name, self.passed = name, passed
         self.witness, self.elapsed_s = witness, elapsed_s
 
 
@@ -334,18 +334,7 @@ class CubicNormStructure:
         U_x(x) = 0."""
         return not self.trace(x) and not self.spur(x) and not self.norm(x)
 
-    # -- randomness ---------------------------------------------------------------
-
-    def random_point(self, stream: Stream):
-        return tuple(self.ground.random(stream) for _ in range(self.dim))
-
-    def random_invertible(self, stream: Stream):
-        for _ in range(_INVERTIBLE_TRIES):
-            x = self.random_point(stream)
-            if self.norm(x):
-                return x
-        raise NotInvertible("no invertible element found in %d draws"
-                            % _INVERTIBLE_TRIES)
+    # -- mutation testing ------------------------------------------------------
 
     def _corrupted(self, coord):
         """corrupt_sharp's copy of this structure: its forms are read off
@@ -460,7 +449,7 @@ class CubicNormStructure:
                                self.ground.char)
         return None if bad is None else "monomial %r" % (_lowest(bad[1]),)
 
-    def axiom_suite(self, seed=0, points=100):
+    def axiom_suite(self):
         """Run the full identity suite and return a report with one entry
         per identity; failures are reported, not raised, but inhomogeneous
         forms raise expand_symbolic's VerificationFailure first.  Each
@@ -471,10 +460,9 @@ class CubicNormStructure:
         proved on the structure's own int forms, or, on an isotope,
         through its base (isotopy.Isotope).  Neither draws a point.
 
-        N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x are derived, and draw no
-        points, when the five checks of U_PREMISES all passed
-        symbolically in this run: N(c) = 1, c# = c, x## = N(x) x,
-        c x y = T(y) c - y and T(x#, y) = d_y N(x).
+        N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x are derived when the
+        five checks of U_PREMISES all passed in this run: N(c) = 1,
+        c# = c, x## = N(x) x, c x y = T(y) c - y and T(x#, y) = d_y N(x).
         u_op computes U_x y = T(x, y) x - x# x y, with T(x, y) = T(x) T(y)
         - S(x, y) the trace bilinear form of _u_data and x x y =
         (x + y)# - x# - y# its polarized adjoint, the same T and x the
@@ -495,89 +483,68 @@ class CubicNormStructure:
           whose norm satisfies N(U_x y) = N(x)^2 N(y).  The suite proves
           the three identities as identities of formal polynomials, which
           hold in every scalar extension.  The theorem excludes no
-          characteristic, so none falls back to sampling.
-        Otherwise, only when a premise failed, both are sampled: N(U_x y)
-        at `points` random pairs, then U_x(x^-1) = x at max(10, points //
-        5) random invertible points, from the suite's one stream.
+          characteristic.
+        Otherwise, only when a premise failed, both fail as not proved,
+        with one witness naming the failed premises in suite order, e.g.
+        "not proved: premises failed: sharp_unit_is_unit,
+        adjoint_of_adjoint".  The structure has then already failed, so
+        a point drawn at random could neither prove them nor change the
+        verdict.
 
         The forms are the evaluators' forms by construction (_norm_form,
         _adjoint_forms), so expansion_matches_evaluators passes
         symbolically, with no witness and no point drawn."""
         g = self.ground
-        stream = Stream(seed).derive("axioms:" + self.label)
         checks = []
         n_poly, sharp_polys = self.expand_symbolic()
         clock = time.perf_counter()
 
-        def emit(name, ok, mode, witness=None):
+        def emit(name, ok, witness=None):
             # a check's time runs from the previous emit
             nonlocal clock
             now = time.perf_counter()
-            checks.append(CheckResult(name, bool(ok), mode, witness,
-                                      now - clock))
+            checks.append(CheckResult(name, bool(ok), witness, now - clock))
             clock = now
 
-        def sampled(name, n, fails, draw):
-            w = _first_failure(n, draw, fails)
-            emit(name, w is None, "random", None if w is None else repr(w))
-
         # base point identities
-        emit("norm_unit_is_one", self.norm(self.unit) == g.one, "symbolic")
+        emit("norm_unit_is_one", self.norm(self.unit) == g.one)
         emit("sharp_unit_is_unit",
-             all(a == b for a, b in zip(self.sharp(self.unit), self.unit)),
-             "symbolic")
-        emit("norm_homogeneous_degree_3", n_poly.is_homogeneous(3),
-             "symbolic")
+             all(a == b for a, b in zip(self.sharp(self.unit), self.unit)))
+        emit("norm_homogeneous_degree_3", n_poly.is_homogeneous(3))
         emit("sharp_homogeneous_degree_2",
-             all(p.is_homogeneous(2) for p in sharp_polys), "symbolic")
+             all(p.is_homogeneous(2) for p in sharp_polys))
 
         # x## = N(x) x and N(x#) = N(x)^2
         adjoint, norm = self._adjoint_verdicts
-        emit("adjoint_of_adjoint", adjoint is None, "symbolic", adjoint)
-        emit("norm_of_adjoint", norm is None, "symbolic", norm)
+        emit("adjoint_of_adjoint", adjoint is None, adjoint)
+        emit("norm_of_adjoint", norm is None, norm)
 
         # c x x = T(x) c - x   (cross with the unit)
         bad = self._unit_cross_failure()
-        emit("unit_cross_identity", bad is None, "symbolic",
+        emit("unit_cross_identity", bad is None,
              None if bad is None else "coordinate %d" % bad)
 
         # T(x#, y) equals the directional derivative of N at x along y
         trace_ok = self._trace_adjoint_ok()
-        emit("trace_adjoint_is_norm_derivative", trace_ok, "symbolic",
+        emit("trace_adjoint_is_norm_derivative", trace_ok,
              None if trace_ok else "polynomials differ")
 
         # U_c = identity
         uc = self.u_matrix(self.unit)
         ident = linalg.identity(self.dim, g.one, g.zero)
-        emit("u_operator_of_unit_is_identity", linalg.mat_equal(uc, ident),
-             "symbolic")
+        emit("u_operator_of_unit_is_identity", linalg.mat_equal(uc, ident))
 
         # N(U_x y) = N(x)^2 N(y) and U_x(x^{-1}) = x: derived from the
-        # proved premises (see the docstring), else sampled
-        if set(U_PREMISES) <= {c.name for c in checks
-                               if c.passed and c.mode == "symbolic"}:
-            emit("u_operator_norm_similarity", True, "symbolic")
-            emit("u_operator_inverse_identity", True, "symbolic")
-        else:
-            def similarity_fails(xy):
-                nx = self.norm(xy[0])
-                return self.norm(self.u_op(*xy)) != \
-                    nx * nx * self.norm(xy[1])
-            sampled("u_operator_norm_similarity", points, similarity_fails,
-                    lambda: (self.random_point(stream),
-                             self.random_point(stream)))
-            try:
-                sampled("u_operator_inverse_identity",
-                        max(10, points // 5),
-                        lambda x: any(a - b for a, b in zip(
-                            self.u_op(x, self.inverse(x)), x)),
-                        lambda: self.random_invertible(stream))
-            except NotInvertible:
-                emit("u_operator_inverse_identity", False, "random",
-                     "no invertible elements found")
+        # proved premises (see the docstring), else not proved
+        failed = [c.name for c in checks
+                  if c.name in U_PREMISES and not c.passed]
+        witness = ("not proved: premises failed: " + ", ".join(failed)
+                   if failed else None)
+        emit("u_operator_norm_similarity", not failed, witness)
+        emit("u_operator_inverse_identity", not failed, witness)
 
         # the forms are the evaluators' forms by construction
-        emit("expansion_matches_evaluators", True, "symbolic")
+        emit("expansion_matches_evaluators", True)
 
         return AxiomReport(checks)
 
@@ -588,16 +555,6 @@ def _as_form(p):
     few Fraction coefficients that sums of fractions make integral are
     turned into ints."""
     return _integral_as_int(p) if isinstance(p, Poly) else Poly.const(p)
-
-
-def _first_failure(n, draw, fails):
-    """The first of n values drawn by draw() at which fails holds, or
-    None."""
-    for _ in range(n):
-        x = draw()
-        if fails(x):
-            return x
-    return None
 
 
 def corrupt_sharp(j: CubicNormStructure, coord=0):

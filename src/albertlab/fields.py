@@ -244,10 +244,6 @@ class Extension:
             raise NotInvertible("element %r is not invertible" % (x,))
         return xb * self.ground.inv(n)
 
-    def random(self, stream):
-        return Elem(self, [self.ground.random(stream)
-                           for _ in range(self.dim)])
-
     def __repr__(self):
         return "Extension(%s/%r, dim %d)" % (self.name, self.ground, self.dim)
 

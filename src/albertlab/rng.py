@@ -2,12 +2,13 @@
 
 Draw i of a stream is a pure function of (seed, i), so a search reads
 candidate i at its own offset of the stream, and any candidate can be
-reproduced on its own.  The algorithm is pinned in docs/schema.md so
-reports stay comparable across implementations.  Stream reads one draw
-per call; draws reads a run of k of them reduced mod n in one call, for
-the witness scans: the k counters packed as 128-bit lanes of one int,
-the finalizer run once on the whole int, and the lanes read back by one
-struct unpack.
+reproduced on its own.  The algorithm is pinned in docs/schema.md
+("Random stream") so reports stay comparable across implementations.
+derive gives the seed of a labeled substream; draws reads a run of k
+draws reduced mod n in one call, for the witness scans: the k counters
+packed as 128-bit lanes of one int, the finalizer run once on the whole
+int, and the lanes read back by one struct unpack.  Nothing else draws:
+every identity check is symbolic.
 """
 
 from functools import lru_cache
@@ -24,9 +25,13 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def draw(seed: int, index: int) -> int:
-    """The index-th 64-bit value of the stream with the given seed."""
-    return splitmix64((seed + (index + 1) * GOLDEN) & MASK64)
+def derive(seed: int, label: str) -> int:
+    """The seed of the substream of seed labeled label: from h = seed mod
+    2^64, each byte b of the label gives h = splitmix64(h ^ b)."""
+    h = seed & MASK64
+    for ch in label.encode():
+        h = splitmix64(h ^ ch)
+    return h
 
 
 @lru_cache(maxsize=32)
@@ -45,8 +50,10 @@ def _lanes(k):
 
 
 def draws(seed: int, offset: int, k: int, n: int) -> list:
-    """[draw(seed, offset + t) % n for t in range(k)], the seed masked as
-    Stream masks it, in one pass over k packed lanes (_lanes).
+    """[u_t % n for t in range(k)] for the draws u_t = splitmix64(seed +
+    (offset + t + 1) GOLDEN mod 2^64) at offsets offset to offset + k - 1
+    of the stream of seed (docs/schema.md, "Random stream"), in one pass
+    over k packed lanes (_lanes).
 
     Lane t starts at b + (t + 1) GOLDEN for b = (seed + offset GOLDEN)
     mod 2^64, below 2^128 for any offset and any k < 2^63, so no lane
@@ -62,25 +69,3 @@ def draws(seed: int, offset: int, k: int, n: int) -> list:
     y ^= y >> 31 & mask
     return [u % n for u in unpack(y.to_bytes(16 * k, "little"))[::2]]
 
-
-class Stream:
-    """Sequential view over the counter-based stream."""
-
-    def __init__(self, seed: int, offset: int = 0):
-        self.seed = seed & MASK64
-        self.index = offset
-
-    def next_u64(self) -> int:
-        v = draw(self.seed, self.index)
-        self.index += 1
-        return v
-
-    def next_below(self, n: int) -> int:
-        # modulo reduction; the tiny bias is irrelevant for search seeding
-        return self.next_u64() % n
-
-    def derive(self, label: str) -> "Stream":
-        h = self.seed
-        for ch in label.encode():
-            h = splitmix64(h ^ ch)
-        return Stream(h)

@@ -14,7 +14,7 @@ from .config import SCHEMA_VERSION, BuildContext, as_int, check_run
 from .cubic import corrupt_sharp
 from .errors import ConfigError, NotInvertible, VerificationFailure
 from .poly import dump_cubic_form, dump_quad_map
-from .rng import Stream
+from .rng import derive
 
 
 def _coords_str(g, coords):
@@ -56,7 +56,7 @@ def run_config(cfg, seed=None, budget=None, mode=None, timing=False,
         name = node["task"]
         t0 = time.monotonic()
         entry = {"task": name}
-        tseed = Stream(seed).derive("task:%d:%s" % (pos, name)).seed
+        tseed = derive(seed, "task:%d:%s" % (pos, name))
         TASKS[name].handler(ctx, args, entry, tseed, timing)
         if timing:
             entry["elapsed_s"] = round(time.monotonic() - t0, 3)
@@ -105,14 +105,13 @@ def _parsed(parse):
 
 def _t_axioms(ctx, args, entry, tseed, timing):
     j = ctx.j
-    suite = dict(args)
-    corrupt = suite.pop("corrupt_coord", None)
+    corrupt = args.get("corrupt_coord")
     if corrupt is not None:
         # mutation self-test: perturb one adjoint coefficient and let the
         # suite prove it notices (the task is then expected to fail)
         j = corrupt_sharp(j, corrupt)
         entry["corrupted_coord"] = corrupt
-    rep = j.axiom_suite(seed=tseed, **suite)
+    rep = j.axiom_suite()
     entry["status"] = "pass" if rep.all_passed else "fail"
     entry["checks"] = [
         {"name": c.name, "passed": c.passed, "mode": c.mode,
@@ -138,13 +137,12 @@ def _scan(lookup):
 def _t_isotope(ctx, args, entry, tseed, timing):
     j = ctx.j
     g = j.ground
-    suite = dict(args)
-    v = suite.pop("v")
+    v = args["v"]
     try:
         jv = isotopy.isotope(j, v)
     except NotInvertible as e:
         raise ConfigError("%s v: %s" % (entry["task"], e))
-    rep = jv.axiom_suite(seed=tseed, **suite)
+    rep = jv.axiom_suite()
     u_wit = isotopy.u_isotope_identity(j, jv, v)
     base_ok = tuple(jv.unit) == j.inverse(v)
     ok = rep.all_passed and u_wit is None and base_ok
@@ -200,16 +198,15 @@ Task = namedtuple("Task", "handler fields command default")
 
 _SCAN = {"budget": None, "mode": _scan_mode}
 TASKS = {
-    "axioms": Task(_t_axioms, {"corrupt_coord": _coord, "points": None},
-                   "check", True),
+    "axioms": Task(_t_axioms, {"corrupt_coord": _coord}, "check", True),
     "div_falsify": Task(_scan(lambda: search.division_falsify), _SCAN,
                         "search", True),
     "norm_zero": Task(_scan(lambda: search.find_norm_zero), _SCAN,
                       "search", False),
     "nilpotent_search": Task(_scan(lambda: search.find_nilpotent),
                              {"budget": None}, "search", True),
-    "isotope": Task(_t_isotope, {"v": _parsed(BuildContext.carrier_point),
-                                 "points": None}, "isotope", False),
+    "isotope": Task(_t_isotope, {"v": _parsed(BuildContext.carrier_point)},
+                    "isotope", False),
     "iso_verify": Task(_t_iso_verify,
                        {"v": _parsed(BuildContext.algebra_element)},
                        "isotope", False),

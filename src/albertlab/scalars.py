@@ -18,15 +18,16 @@ an extension field.
 A ground field turns a 64-bit draw u of the random stream into a
 coordinate through its draw_range, once: the coordinate is
 draw_range[u mod n] for the size n of draw_range, u mod 21 - 10 over Q
-and u mod p over F_p.  random() reads one draw through it, and draw_ints() reads a run of
-draws as the int lifts of those coordinates, for the witness scans.
+and u mod p over F_p (docs/schema.md, "Random stream").  draw_ints()
+reads a run of draws as the int lifts of those coordinates, for the
+witness scans.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .errors import ConfigError, NonPrimeModulus, NotInvertible
-from .rng import Stream, draws
+from .rng import draws
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality
@@ -147,12 +148,12 @@ def from_int(kind, v, den):
 
 
 def draw_ints(ground, seed, offset, k):
-    """The int lifts of k successive ground.random draws from
-    Stream(seed, offset), drawn in one call: the coordinates
-    draw_range[u mod n] of the draws u, n the size of draw_range, over Q
-    integers and over F_p residues, so every lift has d = 1.  The size
-    is stop - start: len() of a range fails beyond 2^63 - 1, and a prime
-    modulus may be larger."""
+    """The int lifts of the coordinates of k successive draws of seed
+    from offset on (docs/schema.md, "Random stream"), drawn in one call:
+    the coordinates draw_range[u mod n] of the draws u, n the size of
+    draw_range, over Q integers and over F_p residues, so every lift has
+    d = 1.  The size is stop - start: len() of a range fails beyond
+    2^63 - 1, and a prime modulus may be larger."""
     r = ground.draw_range
     us = draws(seed, offset, k, r.stop - r.start)
     return [u + r.start for u in us] if r.start else us
@@ -167,8 +168,6 @@ class RationalField:
     # the coordinates of the draws: small integers keep downstream
     # Fraction growth in check
     draw_range = range(-10, 11)
-    # the values of random(), built once
-    _draws = tuple(map(Fraction, draw_range))
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -199,9 +198,6 @@ class RationalField:
         if x == 0:
             raise NotInvertible("division by zero in Q")
         return 1 / Fraction(x)
-
-    def random(self, stream: Stream):
-        return self._draws[stream.next_below(len(self._draws))]
 
     def __repr__(self):
         return "Q"
@@ -260,10 +256,6 @@ class PrimeField:
         if int(x) % self.p == 0:
             raise NotInvertible("division by zero in F_%d" % self.p)
         return self.elem(pow(int(x), self.p - 2, self.p))
-
-    def random(self, stream: Stream):
-        r = self.draw_range
-        return self.elem(r[stream.next_below(r.stop - r.start)])
 
     def __repr__(self):
         return "F_%d" % self.p

@@ -10,9 +10,10 @@ slower.
 
 Every scan runs on ints from draw to verdict.  A candidate is the int
 lift, with d = 1, of a point with coordinates in k: a random candidate
-is drawn in one call (scalars.draw_ints) and equals the lift of the
-point that ground.random draws from the same stream offset, and an
-exhaustive one is read off the base-q digits of its index.  The
+is drawn in one call (scalars.draw_ints), its coordinates read off the
+draws at its offsets of the stream as docs/schema.md ("Random stream")
+pins them, and an exhaustive one is read off the base-q digits of its
+index.  The
 predicates evaluate the int forms that the structures cache (n_int,
 _trace_data and the coefficient algebra's norm_int) at the candidate; a
 value is zero when it is 0 over Q, or 0 mod p over F_p.  Only the hit is
@@ -24,7 +25,7 @@ from operator import mul, not_
 
 from .associative import MatrixAlgebra
 from .errors import VerificationFailure
-from .rng import Stream
+from .rng import derive
 from .scalars import draw_ints, lift
 
 
@@ -47,8 +48,8 @@ class SearchResult:
 
 def _candidates(ground, dim, seed):
     """Candidate i of a random scan of k^dim: the int lift of the dim
-    coordinates that ground.random draws from
-    Stream(seed, offset=i (dim + 2))."""
+    coordinates read off the draws of seed at offsets i (dim + 2) to
+    i (dim + 2) + dim - 1 (docs/schema.md, "Random stream")."""
     stride = dim + 2
     return lambda i: draw_ints(ground, seed, i * stride, dim)
 
@@ -212,7 +213,7 @@ def _preimage_search(alg, value, budget, seed):
     """Earliest (i, w) with N(w) = value over the random candidates of
     alg, drawn at offset i (k_dim + 2) of the "preimage" substream of
     seed, tested on alg.norm_int and re-verified with alg.norm."""
-    base = Stream(seed).derive("preimage").seed
+    base = derive(seed, "preimage")
     hit = _search(budget, _candidates(alg.ground, alg.k_dim, base),
                   _norm_is(alg, value))
     if hit is None:

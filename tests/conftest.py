@@ -1,6 +1,9 @@
 """Shared fixtures: field towers and the standard structure zoo, the
-test-local composition of forms (compose), and the composed route of the
-gradient identity T(x#, y) = d_y N(x) (trace_adjoint_difference).
+test-local composition of forms (compose), the composed route of the
+gradient identity T(x#, y) = d_y N(x) (trace_adjoint_difference), and
+the test data drawn from the random stream of docs/schema.md: the
+reference draw, the sequential Stream over it, and the points drawn
+from a Stream (random_point, random_invertible).
 
 Everything expensive is session-scoped; symbolic expansions are cached
 on the structures themselves, so the acceptance suite reuses the work.
@@ -18,9 +21,62 @@ from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
                                    UnitaryInvolution)
 from albertlab import tits, isotopy
 from albertlab.poly import Poly, _mod, indices, mono
+from albertlab.rng import GOLDEN, MASK64, derive, splitmix64
 
 F_COEFFS = ["1", "-3", "0", "1"]      # x^3 - 3x + 1, cyclic over Q, F5, F7
 RHO_COEFFS = ["-2", "0", "1"]         # alpha -> alpha^2 - 2
+
+
+def draw(seed, index):
+    """The index-th 64-bit value of the stream with the given seed, one
+    draw at a time: the reference of rng.draws."""
+    return splitmix64((seed + (index + 1) * GOLDEN) & MASK64)
+
+
+class Stream:
+    """Sequential view over the counter-based stream: draw `index` of
+    `seed`, then the next."""
+
+    def __init__(self, seed, offset=0):
+        self.seed = seed & MASK64
+        self.index = offset
+
+    def next_u64(self):
+        v = draw(self.seed, self.index)
+        self.index += 1
+        return v
+
+    def next_below(self, n):
+        return self.next_u64() % n
+
+    def derive(self, label):
+        return Stream(derive(self.seed, label))
+
+
+def random_point(space, stream):
+    """An element of space read off the next draws of stream: one ground
+    coordinate draw_range[u mod n] per draw u, n the size of draw_range
+    (docs/schema.md, "Random stream"), for each k-coordinate.  space is a
+    cubic norm structure (a point of k^dim), or an algebra (k_dim
+    coordinates), a center or an extension field (dim coordinates), whose
+    coordinates are read through its from_k_coords; GroundCenter(k)
+    draws one scalar of k."""
+    g = space.ground
+    r = g.draw_range
+    k = space.k_dim if hasattr(space, "k_dim") else space.dim
+    coords = [g.from_int(r[stream.next_below(r.stop - r.start)])
+              for _ in range(k)]
+    if hasattr(space, "from_k_coords"):
+        return space.from_k_coords(coords)
+    return tuple(coords)
+
+
+def random_invertible(j, stream):
+    """The first point that random_point draws from stream with N != 0."""
+    while True:
+        x = random_point(j, stream)
+        if j.norm(x):
+            return x
 
 
 def compose(p, args):

@@ -18,8 +18,9 @@ from albertlab.galois import extend_rho, fixed_subspace
 from albertlab.isotopy import (LinearMap, isotope, second_tits_isotope_iso,
                                u_isotope_identity, verify_isomorphism,
                                verify_norm_similarity)
-from albertlab.rng import Stream
 from albertlab.search import find_nilpotent, find_norm_zero
+
+from .conftest import Stream, random_invertible
 
 SEED = 20260823
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -36,8 +37,7 @@ def _emit(n, ok, detail=""):
 @pytest.fixture(scope="module")
 def axiom_reports(six_fixtures):
     t0 = time.monotonic()
-    reports = [(j, j.axiom_suite(seed=SEED, points=100))
-               for j in six_fixtures]
+    reports = [(j, j.axiom_suite()) for j in six_fixtures]
     return reports, time.monotonic() - t0
 
 
@@ -59,7 +59,7 @@ def test_criterion_02_norm_similarity_law(six_fixtures, j_lk_q, j_m3_f5):
     for j in six_fixtures:
         s = Stream(SEED).derive("c2:" + j.label)
         for _ in range(20):
-            a = j.random_invertible(s)
+            a = random_invertible(j, s)
             nu, wit = verify_norm_similarity(_u_map(j, a))
             na = j.norm(a)
             if wit is not None or nu != na * na:
@@ -69,8 +69,8 @@ def test_criterion_02_norm_similarity_law(six_fixtures, j_lk_q, j_m3_f5):
     for j in (j_lk_q, j_m3_f5):
         s = Stream(SEED).derive("c2pairs:" + j.label)
         for _ in range(10):
-            f = _u_map(j, j.random_invertible(s))
-            g = _u_map(j, j.random_invertible(s))
+            f = _u_map(j, random_invertible(j, s))
+            g = _u_map(j, random_invertible(j, s))
             nu_f, _ = verify_norm_similarity(f)
             nu_g, _ = verify_norm_similarity(g)
             nu_fg, _ = verify_norm_similarity(f.compose(g))
@@ -95,7 +95,7 @@ def test_criterion_04_isotope_contract(six_fixtures):
         s = Stream(SEED).derive("c4:" + j.label)
         suite_done = False
         for _ in range(5):
-            v = j.random_invertible(s)
+            v = random_invertible(j, s)
             jv = isotope(j, v)
             if jv.unit != j.inverse(v):
                 _emit(4, False, "base point != v^-1 on %s" % j.label)
@@ -104,7 +104,7 @@ def test_criterion_04_isotope_contract(six_fixtures):
                 _emit(4, False, "U^(v) identity failed on %s: %s"
                       % (j.label, wit))
             if not suite_done:
-                rep = jv.axiom_suite(seed=SEED, points=60)
+                rep = jv.axiom_suite()
                 if not rep.all_passed:
                     _emit(4, False, "isotope suite failed on %s: %r"
                           % (j.label, [c.name for c in rep.failed()]))
@@ -203,7 +203,7 @@ def test_criterion_08_nilpotents(j_m3_q, finite_fixtures):
 def test_criterion_09_mutation_sensitivity(j_m3_f5, j_lk_q):
     for j, coord in ((j_m3_f5, 5), (j_lk_q, 2)):
         bad = corrupt_sharp(j, coord=coord)
-        rep = bad.axiom_suite(seed=SEED, points=60)
+        rep = bad.axiom_suite()
         adj = next(c for c in rep.checks if c.name == "adjoint_of_adjoint")
         if adj.passed:
             _emit(9, False, "corruption of %s went unnoticed" % j.label)

@@ -15,8 +15,9 @@ from albertlab.errors import (ConfigError, NotInvertible, NotSecondKind,
                               TwistNotHermitian)
 from albertlab.fields import Elem
 from albertlab.poly import Poly, mono
-from albertlab.rng import Stream
 from albertlab.scalars import PrimeField
+
+from .conftest import Stream, random_point
 
 
 F_COEFFS = [1, -3, 0, 1]      # f = x^3 - 3x + 1 of the conftest towers
@@ -74,7 +75,7 @@ class TestMatrixAlgebra:
         m3 = MatrixAlgebra(GroundCenter(QQ))
         s = Stream(101)
         for _ in range(20):
-            a = m3.random(s)
+            a = random_point(m3, s)
             na = m3.norm(a)
             prod = m3.mul(a, m3.sharp(a))
             assert prod == m3.smul(na, m3.unit())
@@ -83,14 +84,14 @@ class TestMatrixAlgebra:
         m3 = MatrixAlgebra(GroundCenter(F5))
         s = Stream(103)
         for _ in range(20):
-            a, b = m3.random(s), m3.random(s)
+            a, b = random_point(m3, s), random_point(m3, s)
             assert m3.norm(m3.mul(a, b)) == m3.norm(a) * m3.norm(b)
 
     def test_inverse(self, QQ):
         m3 = MatrixAlgebra(GroundCenter(QQ))
         s = Stream(107)
         for _ in range(10):
-            a = m3.random(s)
+            a = random_point(m3, s)
             if not m3.norm(a):
                 continue
             assert m3.mul(a, m3.inv(a)) == m3.unit()
@@ -103,7 +104,7 @@ class TestMatrixAlgebra:
             m3 = MatrixAlgebra(GroundCenter(g))
             s = Stream(109)
             for _ in range(10):
-                a = m3.random(s)
+                a = random_point(m3, s)
                 t, _, n, sharp = char_coeffs(m3, a)
                 assert t == m3.trace(a)
                 assert n == m3.norm(a)
@@ -117,7 +118,7 @@ class TestMatrixAlgebra:
             m3 = MatrixAlgebra(GroundCenter(g))
             s = Stream(113)
             for _ in range(10):
-                a = m3.random(s)
+                a = random_point(m3, s)
                 t, _, n, sharp = char_coeffs(m3, a)
                 assert t == m3.trace(a)
                 assert n == m3.norm(a)
@@ -126,7 +127,7 @@ class TestMatrixAlgebra:
     def test_conj_transpose_over_k(self, tower_q):
         m3 = MatrixAlgebra(tower_q.K)
         s = Stream(127)
-        x, y = m3.random(s), m3.random(s)
+        x, y = random_point(m3, s), random_point(m3, s)
         # antihomomorphism: (xy)* = y* x*
         assert m3.involution(m3.mul(x, y)) == \
             m3.mul(m3.involution(y), m3.involution(x))
@@ -166,7 +167,7 @@ class TestCyclicAlgebra:
         L = d.L
         s = Stream(131)
         for _ in range(10):
-            x, y = d.random(s), d.random(s)
+            x, y = random_point(d, s), random_point(d, s)
             mx, my = d.splitting_embed(x), d.splitting_embed(y)
             mxy = d.splitting_embed(d.mul(x, y))
             assert [[sum((a * b for a, b in zip(row, col)), L.zero)
@@ -177,7 +178,7 @@ class TestCyclicAlgebra:
         d = CyclicAlgebra(tower_l_q, QQ.from_int(2))
         s = Stream(137)
         for _ in range(10):
-            x, y = d.random(s), d.random(s)
+            x, y = random_point(d, s), random_point(d, s)
             assert d.norm(d.mul(x, y)) == d.norm(x) * d.norm(y)
             assert d.mul(x, d.sharp(x)) == d.smul(d.norm(x), d.unit())
 
@@ -185,7 +186,7 @@ class TestCyclicAlgebra:
         d = CyclicAlgebra(tower_l_q, QQ.from_int(2))
         s = Stream(139)
         for _ in range(10):
-            x = d.random(s)
+            x = random_point(d, s)
             t, sp, n, sharp = char_coeffs(d, x)
             assert t == d.trace(x)
             assert sp == d.spur(x)
@@ -208,7 +209,7 @@ class TestCommutativeCubic:
         L = tower_l_q.L
         s = Stream(149)
         for _ in range(10):
-            x = L.random(s)
+            x = random_point(L, s)
             trip = tuple(x.coords)
             r = L.conj(x)
             r2 = L.conj(r)
@@ -224,7 +225,7 @@ class TestCommutativeCubic:
         f = [K.from_scalar(Fraction(a)) for a in F_COEFFS]
         s = Stream(151)
         for _ in range(10):
-            x = c.random(s)
+            x = random_point(c, s)
             r = c.rho(x)
             prod = _mul_mod_f(_mul_mod_f(x, r, f, K.zero), c.rho(r), f,
                               K.zero)
@@ -234,14 +235,14 @@ class TestCommutativeCubic:
         c = CommutativeCubic.over_LK(tower_q)
         s = Stream(157)
         for _ in range(10):
-            x = c.random(s)
+            x = random_point(c, s)
             assert c.mul(x, c.sharp(x)) == c.smul(c.norm(x), c.unit())
 
     def test_star_is_semilinear_involution(self, tower_q):
         c = CommutativeCubic.over_LK(tower_q)
         s = Stream(163)
         for _ in range(10):
-            x, y = c.random(s), c.random(s)
+            x, y = random_point(c, s), random_point(c, s)
             assert c.involution(c.involution(x)) == x
             assert c.involution(c.mul(x, y)) == \
                 c.mul(c.involution(x), c.involution(y))
@@ -283,7 +284,7 @@ class TestUnitaryInvolution:
             linalg.identity(18, g.one, g.zero)
         s = Stream(171)
         for _ in range(3):
-            x = m3.random(s)
+            x = random_point(m3, s)
             assert m3.to_k_coords(sig.apply(x)) == \
                 linalg.matvec(sig.matrix, m3.to_k_coords(x))
 
@@ -302,7 +303,7 @@ class TestUnitaryInvolution:
         sig_v = sig.twisted(v)
         s = Stream(167)
         for _ in range(5):
-            x = m3.random(s)
+            x = random_point(m3, s)
             # sigma_v = Int(v) o sigma
             expect = m3.mul(m3.mul(v, sig.apply(x)), m3.inv(v))
             assert sig_v.apply(x) == expect

@@ -112,7 +112,7 @@ class TestSubcommands:
             data = json.load(fh)
         wrap_isotope_of(
             data, ["1", "1", "0", "0", "1", "0", "0", "0", "1"] + ["0"] * 18)
-        data["tasks"] = [{"task": "axioms", "points": 20}]
+        data["tasks"] = [{"task": "axioms"}]
         c = tmp_path / "c.json"
         c.write_text(json.dumps(data))
         code, out, err = run_cli(["check", "--config", str(c)])
@@ -165,8 +165,7 @@ class TestExitCodes:
         c.write_text(json.dumps({
             "schema_version": 1, "seed": 4, "base": {"p": 5},
             "construction": {"type": "first_tits", "lambda": "2"},
-            "tasks": [{"task": "axioms", "points": 30,
-                       "corrupt_coord": 3}]}))
+            "tasks": [{"task": "axioms", "corrupt_coord": 3}]}))
         code, out, _ = run_cli(["check", "--config", str(c)])
         assert code == 1
         rep = json.loads(out)
@@ -643,7 +642,8 @@ class TestExitContract:
 
 
 # for each task, a config and a node on it that runs; for each task field,
-# a value its readers accept
+# a value its readers accept, and a value for points, which no task reads,
+# so that a config that gives it exits 2 on every task
 TASK_NODES = {
     "axioms": ("m3_f5_first.json", {}),
     "div_falsify": ("m3_f5_first.json", {"budget": 10}),
@@ -660,9 +660,10 @@ FIELD_VALUES = {"budget": 10, "mode": "random", "points": 10,
 
 
 def _unread_fields():
-    """(task, field) for each field that another task reads and the task
-    does not."""
-    fields = {f for t in runner.TASKS.values() for f in t.fields}
+    """(task, field) for each field of FIELD_VALUES or of another task
+    that the task does not read."""
+    fields = set(FIELD_VALUES).union(*(t.fields
+                                       for t in runner.TASKS.values()))
     return [(name, f) for name, t in runner.TASKS.items()
             for f in sorted(fields - set(t.fields))]
 
@@ -923,7 +924,8 @@ class TestGoldenReports:
     def test_corrupted_axioms_report_matches_golden(self, tmp_path):
         # the failing verdicts and witnesses of a corrupted adjoint on
         # J(M3(F_5), 2), where N(x#) = N(x)^2 is composed directly and
-        # the U-operator identities are sampled
+        # the U-operator identities are not proved, naming the premises
+        # that failed
         with open(cfg("m3_f5_first.json")) as fh:
             data = json.load(fh)
         data["tasks"] = [{"task": "axioms", "corrupt_coord": 3}]

@@ -10,8 +10,9 @@ from albertlab.config import tower
 from albertlab.errors import (ConfigError, NotGaloisClosure, NotInvertible,
                               NotIrreducible)
 from albertlab.fields import Elem, cubic_is_irreducible
-from albertlab.rng import Stream
 from albertlab.scalars import PrimeField
+
+from .conftest import Stream, random_point
 
 
 def _cubic(f, rho):
@@ -66,7 +67,7 @@ class TestQuadratic:
         for K in (tower_q.K, tower_f5.K):
             s = Stream(19)
             for _ in range(20):
-                x = K.random(s)
+                x = random_point(K, s)
                 if not x:
                     with pytest.raises(NotInvertible):
                         K.inv(x)
@@ -118,7 +119,7 @@ class TestCyclicCubic:
         L = tower_l_q.L
         s = Stream(7)
         for _ in range(20):
-            x = L.random(s)
+            x = random_point(L, s)
             n = _rho_norm(L, x)
             assert not any(n.coords[1:])
             assert n == _rho_norm(L, L.conj(x))
@@ -185,14 +186,14 @@ class TestComposite:
         lk = CommutativeCubic.over_LK(tower_q)
         s = Stream(11)
         for _ in range(20):
-            x = lk.random(s)
+            x = random_point(lk, s)
             assert lk.involution(lk.rho(x)) == lk.rho(lk.involution(x))
 
     def test_lk_norm_multiplicative(self, tower_q):
         lk = CommutativeCubic.over_LK(tower_q)
         s = Stream(13)
         for _ in range(10):
-            x, y = lk.random(s), lk.random(s)
+            x, y = random_point(lk, s), random_point(lk, s)
             # norm descends x rho(x) rho^2(x) to K, or raises
             assert lk.norm(lk.mul(x, y)) == lk.norm(x) * lk.norm(y)
 
@@ -200,7 +201,7 @@ class TestComposite:
         lk = CommutativeCubic.over_LK(tower_q)
         s = Stream(17)
         for _ in range(10):
-            x = lk.random(s)
+            x = random_point(lk, s)
             if not any(x):
                 continue
             assert lk.mul(x, lk.inv(x)) == lk.unit()

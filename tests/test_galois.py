@@ -13,7 +13,8 @@ from albertlab.errors import ConfigError
 from albertlab.fields import Elem
 from albertlab.galois import NormConditionFailed, extend_rho, fixed_subspace
 from albertlab.isotopy import LinearMap
-from albertlab.rng import Stream
+
+from .conftest import Stream, random_point
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -59,7 +60,7 @@ class TestExtendRho:
         f = extend_rho(j_lk_q)
         s = Stream(401)
         for _ in range(5):
-            x = b.random(s)
+            x = random_point(b, s)
             pt = tuple([g.zero] * 3 + b.to_k_coords(x))
             want = tuple([g.zero] * 3 + b.to_k_coords(b.rho(x)))
             assert f.apply(pt) == want
@@ -68,7 +69,7 @@ class TestExtendRho:
         f = extend_rho(j_lk_f5)
         s = Stream(403)
         for _ in range(20):
-            x = j_lk_f5.random_point(s)
+            x = random_point(j_lk_f5, s)
             assert j_lk_f5.norm(f.apply(x)) == j_lk_f5.norm(x)
 
     def test_norm_condition_enforced(self, tower_q):

@@ -17,10 +17,9 @@ from albertlab.config import BuildContext
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
 from albertlab.isotopy import isotope
 from albertlab.poly import Poly, _int_scaled, indices, variables
-from albertlab.rng import Stream
 from albertlab.scalars import lift
 
-from .conftest import compose
+from .conftest import Stream, compose, random_invertible, random_point
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -52,7 +51,7 @@ def _mixed(j, s):
 
 def _points(j, s):
     """Drawn points, plus points with denominators over Q."""
-    pts = [j.unit] + [j.random_point(s) for _ in range(3)]
+    pts = [j.unit] + [random_point(j, s) for _ in range(3)]
     if j.ground.char == 0:
         pts += [_mixed(j, s) for _ in range(3)]
         assert any(lift(p)[1] > 1 for p in pts)
@@ -64,12 +63,12 @@ class TestUOp:
     def test_mixed_denominators_over_q(self, name, request, trace_pair):
         j = request.getfixturevalue(name)
         s = Stream(81)
-        x = j.random_invertible(s)
+        x = random_invertible(j, s)
         zero = tuple(j.ground.zero for _ in range(j.dim))
         pairs = [(j.unit, _mixed(j, s)), (_mixed(j, s), j.unit),
                  (x, j.inverse(x)), (x, zero), (zero, x)]
         pairs += [(_mixed(j, s), _mixed(j, s)) for _ in range(4)]
-        pairs += [(j.random_point(s), j.random_point(s)) for _ in range(2)]
+        pairs += [(random_point(j, s), random_point(j, s)) for _ in range(2)]
         assert any(lift(x)[1] > 1 and lift(y)[1] > 1 for x, y in pairs)
         for x, y in pairs:
             got = j.u_op(x, y)
@@ -80,7 +79,7 @@ class TestUOp:
         s = Stream(83)
         kind = type(j_lk_f5.ground.one)
         for _ in range(8):
-            x, y = j_lk_f5.random_point(s), j_lk_f5.random_point(s)
+            x, y = random_point(j_lk_f5, s), random_point(j_lk_f5, s)
             got = j_lk_f5.u_op(x, y)
             assert got == _generic_u(j_lk_f5, x, y, trace_pair)
             assert all(type(c) is kind for c in got)
@@ -131,7 +130,7 @@ class TestTraceForms:
     def test_random_v_isotope(self, name, request):
         j = request.getfixturevalue(name)
         s = Stream(95)
-        jv = isotope(j, j.random_invertible(s))
+        jv = isotope(j, random_invertible(j, s))
         trace, spur, u_matrix = self._reference(jv)
         points = _points(jv, s)
         if jv.ground.char == 0:
@@ -182,7 +181,7 @@ class TestLiftedEvaluators:
     def test_random_v_isotope(self, j_m3_q, j_cyc_q, j_m3_f5, j_lk_f5):
         for j in (j_m3_q, j_cyc_q, j_m3_f5, j_lk_f5):
             s = Stream(89)
-            jv = isotope(j, j.random_invertible(s))
+            jv = isotope(j, random_invertible(j, s))
             assert _reference_mismatch(jv, _points(jv, s)) is None, j.label
 
     def test_corrupt_sharp(self, j_m3_q, j_cyc_q, j_m3_f5):
@@ -234,17 +233,16 @@ def _counted_evaluators(*structures):
 
 
 class TestEvaluatorRuns:
-    """A Tits construction runs each evaluator once per suite, in the
-    expansion, whatever its points and seed: the points form no chunks
-    and none is run point by point.  Its isotopes run none."""
+    """A Tits construction runs each evaluator once, in the expansion,
+    however often its suite runs: no evaluator is run point by point.
+    Its isotopes run none."""
 
-    @pytest.mark.parametrize("points, seed", [(100, 1), (257, 3)])
-    def test_one_run_per_chunk(self, points, seed):
+    def test_one_run_per_structure(self):
         with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
             j = BuildContext(json.load(fh)).j
         counts = _counted_evaluators(j)
-        rep = j.axiom_suite(seed=seed, points=points)
-        assert rep.all_passed
+        rep = j.axiom_suite()
+        assert rep.all_passed and j.axiom_suite().all_passed
         assert next(c.mode for c in rep.checks
                     if c.name == "expansion_matches_evaluators") == "symbolic"
         assert counts == {"eval_norm": 1, "eval_sharp": 1}
@@ -255,9 +253,9 @@ class TestEvaluatorRuns:
         with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
             j = BuildContext(json.load(fh)).j
         counts = _counted_evaluators(j)
-        assert j.axiom_suite(seed=1).all_passed
-        jv = isotope(j, j.random_invertible(Stream(93)))
-        rep = jv.axiom_suite(seed=1)
+        assert j.axiom_suite().all_passed
+        jv = isotope(j, random_invertible(j, Stream(93)))
+        rep = jv.axiom_suite()
         assert rep.all_passed
         assert next(c.mode for c in rep.checks
                     if c.name == "expansion_matches_evaluators") == "symbolic"
@@ -269,11 +267,11 @@ class TestEvaluatorRuns:
         # evaluators on indeterminates
         with open(os.path.join(CONFIGS, "m3_q_first.json")) as fh:
             j = BuildContext(json.load(fh)).j
-        jv = isotope(j, j.random_invertible(Stream(93)))
-        jw = isotope(jv, jv.random_invertible(Stream(94)))
+        jv = isotope(j, random_invertible(j, Stream(93)))
+        jw = isotope(jv, random_invertible(jv, Stream(94)))
         counts = _counted_evaluators(jv, jw)
         for s in (jv, jw):
-            rep = s.axiom_suite(seed=1)
+            rep = s.axiom_suite()
             assert rep.all_passed, rep
         assert counts == {"eval_norm": 0, "eval_sharp": 0}
 
@@ -298,7 +296,7 @@ class TestEvaluatorRuns:
         # runs no evaluator of either structure
         with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
             j = BuildContext(json.load(fh)).j
-        v = j.random_invertible(Stream(93))
+        v = random_invertible(j, Stream(93))
         jv = isotope(j, v)
         counts = _counted_evaluators(j, jv)
         n_i, den = jv.n_int

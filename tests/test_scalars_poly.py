@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albertlab import linalg
+from albertlab.associative import GroundCenter
 from albertlab.errors import (AlbertLabError, ConfigError, NonPrimeModulus,
                               NotInvertible)
 from albertlab.poly import (Poly, compose_mismatch, dump_cubic_form, indices,
                             linear_form, mono, variables)
-from albertlab.rng import GOLDEN, Stream, draw, draws, splitmix64
+from albertlab.rng import GOLDEN, draws, splitmix64
 from albertlab.scalars import (PRIME_BOUND, PrimeField, RationalField,
                                draw_ints, is_prime)
+
+from .conftest import Stream, draw, random_point
 
 
 class TestScalars:
@@ -374,6 +377,6 @@ class TestRng:
         # where len() of a range overflows
         for seed, offset in [(7, 0), (2 ** 64 + 9, 29 * 3)]:
             s = Stream(seed, offset)
-            xs = [field.random(s) for _ in range(30)]
+            xs = [random_point(GroundCenter(field), s) for _ in range(30)]
             assert draw_ints(field, seed, offset, 30) == [
                 x.numerator if field.char == 0 else int(x) for x in xs]

@@ -11,10 +11,11 @@ from albertlab.associative import (CommutativeCubic, CyclicAlgebra,
 from albertlab.errors import VerificationFailure
 from albertlab.fields import Elem
 from albertlab.isotopy import isotope
-from albertlab.rng import Stream
 from albertlab.scalars import from_int, lift
 from albertlab.search import (division_falsify, find_nilpotent,
                               find_norm_zero)
+
+from .conftest import Stream, random_invertible, random_point
 
 
 class TestDeterminism:
@@ -41,7 +42,7 @@ class TestDeterminism:
 
 class TestIntCandidates:
     """The int candidates are the lifts of the ground points that
-    ground.random draws from the same stream offset."""
+    random_point draws from the same stream offset."""
 
     SEEDS = (11, 2 ** 64 + 3)
 
@@ -51,7 +52,7 @@ class TestIntCandidates:
                 candidate = search._candidates(j.ground, j.dim, seed)
                 for i in range(50):
                     s = Stream(seed, offset=i * (j.dim + 2))
-                    x = tuple(j.ground.random(s) for _ in range(j.dim))
+                    x = random_point(j, s)
                     assert lift(x) == (candidate(i), 1)
 
     def test_preimage_candidates_lift_algebra_draws(self, six_fixtures):
@@ -67,7 +68,8 @@ class TestIntCandidates:
                 base = Stream(seed).derive("preimage").seed
                 candidate = search._candidates(alg.ground, alg.k_dim, base)
                 for i in range(50):
-                    w = alg.random(Stream(base, offset=i * (alg.k_dim + 2)))
+                    w = random_point(
+                        alg, Stream(base, offset=i * (alg.k_dim + 2)))
                     assert lift(alg.to_k_coords(w)) == (candidate(i), 1)
 
     def test_exhaustive_digits(self, j_lk_f5):
@@ -168,7 +170,7 @@ class TestDivisionFalsify:
     def test_norm_zero_fall_through(self, j_m3_f5):
         # an isotope is no Tits construction, so no preimage scan runs
         # and the witness is a norm-zero element of j itself
-        j = isotope(j_m3_f5, j_m3_f5.random_invertible(Stream(5)))
+        j = isotope(j_m3_f5, random_invertible(j_m3_f5, Stream(5)))
         res = division_falsify(j, budget=200, seed=3)
         assert (res.found, res.index) == (True, 0)
         assert res.detail == "nonzero element with N = 0"
@@ -216,7 +218,7 @@ def _algebra(request, name):
 def _elements(alg, s):
     """The unit, drawn elements, and over Q elements whose k-coordinates
     have mixed denominators."""
-    out = [alg.unit()] + [alg.random(s) for _ in range(3)]
+    out = [alg.unit()] + [random_point(alg, s) for _ in range(3)]
     if alg.center.ground.char == 0:
         for _ in range(3):
             out.append(alg.from_k_coords([

@@ -10,8 +10,9 @@ from albertlab.associative import (CommutativeCubic, GroundCenter,
 from albertlab.errors import ConfigError, NotAdmissible, NotInvertible
 from albertlab.config import tower
 from albertlab.fields import Elem
-from albertlab.rng import Stream
 from albertlab.tits import ZeroLambda
+
+from .conftest import Stream, random_point
 
 
 def _first_summand(j, d_elem):
@@ -31,7 +32,7 @@ class TestFirstConstruction:
         m3 = j_m3_q.meta["algebra"]
         s = Stream(201)
         for _ in range(10):
-            a = m3.random(s)
+            a = random_point(m3, s)
             pt = _first_summand(j_m3_q, a)
             assert j_m3_q.norm(pt) == m3.norm(a)
             assert j_m3_q.sharp(pt) == \
@@ -43,7 +44,7 @@ class TestFirstConstruction:
         z = [F5.zero] * 9
         s = Stream(203)
         for _ in range(10):
-            a = m3.random(s)
+            a = random_point(m3, s)
             pt = tuple(z + m3.to_k_coords(a) + z)
             assert j_m3_f5.norm(pt) == lam * m3.norm(a)
 
@@ -52,7 +53,7 @@ class TestFirstConstruction:
         m3 = j_m3_q.meta["algebra"]
         s = Stream(207)
         for _ in range(5):
-            a, b = m3.random(s), m3.random(s)
+            a, b = random_point(m3, s), random_point(m3, s)
             pa = _first_summand(j_m3_q, a)
             pb = _first_summand(j_m3_q, b)
             aba = m3.mul(m3.mul(a, b), a)
@@ -82,7 +83,7 @@ class TestSecondConstruction:
         s = Stream(211)
         g = j_lk_q.ground
         for _ in range(10):
-            coeffs = [g.random(s) for _ in her]
+            coeffs = [random_point(GroundCenter(g), s) for _ in her]
             b = her[0]
             b = b_alg.smul(center.from_k_coords([coeffs[0], g.zero]), her[0])
             for c, h in zip(coeffs[1:], her[1:]):
@@ -131,7 +132,7 @@ class TestSecondConstruction:
         mu = Elem(split.K, [Fraction(5, 4), Fraction(3, 4)])
         j = tits.second_tits(b, sigma, b.unit(), mu)
         assert j.dim == 9
-        rep = j.axiom_suite(seed=17, points=40)
+        rep = j.axiom_suite()
         assert rep.all_passed, rep
 
     def test_involution_of_another_algebra_rejected(self, tower_q):
@@ -151,7 +152,7 @@ class TestSecondConstruction:
                               b.mul(j_lk_q.meta["u"], b.sharp(v)),
                               nv * j_lk_q.meta["mu"])
         assert j2.dim == 9
-        rep = j2.axiom_suite(seed=13, points=40)
+        rep = j2.axiom_suite()
         assert rep.all_passed, rep
 
 
@@ -168,7 +169,7 @@ class TestMatrixSecondConstruction:
 def _random_hermitian(j, stream):
     """y + sigma(y) for a random y of the coefficient algebra."""
     b_alg, sigma = j.meta["algebra"], j.meta["sigma"]
-    y = b_alg.random(stream)
+    y = random_point(b_alg, stream)
     return b_alg.add(y, sigma.apply(y))
 
 

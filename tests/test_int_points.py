@@ -234,10 +234,11 @@ def _counted_evaluators(*structures):
 
 class TestEvaluatorRuns:
     """A Tits construction runs each evaluator once, in the expansion,
-    however often its suite runs: no evaluator is run point by point.
-    Its isotopes run none."""
+    however often its suite runs and at however many points its forms are
+    read: no evaluator is run point by point.  Its isotopes run none."""
 
-    def test_one_run_per_structure(self):
+    @pytest.mark.parametrize("points, seed", [(100, 1), (257, 3)])
+    def test_one_run_per_chunk(self, points, seed):
         with open(os.path.join(CONFIGS, "cyclic_q_first.json")) as fh:
             j = BuildContext(json.load(fh)).j
         counts = _counted_evaluators(j)
@@ -245,6 +246,10 @@ class TestEvaluatorRuns:
         assert rep.all_passed and j.axiom_suite().all_passed
         assert next(c.mode for c in rep.checks
                     if c.name == "expansion_matches_evaluators") == "symbolic"
+        s = Stream(seed)
+        for _ in range(points):
+            x = random_point(j, s)
+            assert j.norm(j.sharp(x)) == j.norm(x) ** 2
         assert counts == {"eval_norm": 1, "eval_sharp": 1}
 
     def test_isotope_runs_no_evaluator_again(self):

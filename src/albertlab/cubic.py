@@ -24,31 +24,18 @@ computing on ints (the isotope's U_{v^-1}, U_{w#} and U_v), u_op
 applies the same int operator to y's lift without forming the matrix,
 and cross applies the polarized adjoint at the lifts of x and y
 (_cross_apply), without forming its matrix either.
-Identity checks compare int forms mod the characteristic; a failed
-x## or N(x#) check names the lowest monomial that differs, and the
-coordinate where there is one.
-x## = N(x) x and N(x#) = N(x)^2 come from one cached property
-(_adjoint_verdicts): this class proves them on its own forms, and an
-isotope overrides it to prove them through its base (isotopy.Isotope),
-so no dense isotope form is ever composed.  x## is composed a run of
-adjoint coordinates at a time (poly.compose_mismatch): consecutive
-coordinates whose terms start with the first indices of the run's first
-coordinate share every product of the nested substitution, their int
-forms packed into the slots of one int coefficient (9 runs of 3 on
-J(cyclic, 3)); the verdict and the witness are those of one coordinate
-at a time.
+Identity checks compare int forms mod the characteristic.  x## = N(x) x
+comes from one cached property (_adjoint_failure): this class composes
+it on its own forms, a run of adjoint coordinates at a time
+(poly.compose_mismatch), and an isotope overrides it to prove it
+through its base (isotopy.Isotope), so no dense isotope form is ever
+composed.  A failure names the first coordinate that differs and its
+lowest differing monomial, as one coordinate at a time would.
 
-The two U-operator identities N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x
-are derived when the suite has proved their premises as formal
-identities in the same run: N(c) = 1, c# = c, x## = N(x) x,
-c x y = T(y) c - y and T(x#, y) = d_y N(x).  These are the hypotheses
-of McCrimmon's construction theorem for cubic norm structures (Trans.
-AMS 139, 1969; A Taste of Jordan Algebras, 2004, Part II, ch. 4),
-stated over any commutative ring of scalars, so in every
-characteristic; U_x(x^-1) = x also follows from two of them directly
-(see axiom_suite).  When a premise failed, both are reported not
-proved, naming the failed premises.  So every check is symbolic, and
-the suite draws no point.
+N(x#) = N(x)^2 and the two U-operator identities are derived from
+identities proved in the same run, in every characteristic, or reported
+not proved, naming the failed premises (axiom_suite).  So N is never
+composed with #, every check is symbolic, and the suite draws no point.
 
 The evaluators run only on indeterminates, each once per structure
 (_norm_form, _adjoint_forms); over Q the indeterminates carry the int
@@ -396,12 +383,12 @@ class CubicNormStructure:
         return None
 
     @cached_property
-    def _adjoint_verdicts(self):
-        """(x## = N(x) x, N(x#) = N(x)^2), each None when proved and a
-        witness otherwise.  Cached, so every suite run on the structure
-        and every isotope built on it share them.
+    def _adjoint_failure(self):
+        """x## = N(x) x: None when proved, else a witness.  Cached, so
+        every suite run on the structure and every isotope built on it
+        share it.
 
-        x## = N(x) x is compared on the int lifts (denominators cleared
+        The identity is compared on the int lifts (denominators cleared
         over Q) mod the characteristic: with n_i = n_den N and sh_i =
         s_den #, coordinate i reads n_den sh_i[i](sh_i) = s_den^3 n_i x_i.
         poly.compose_mismatch composes the coordinates a run at a time
@@ -412,42 +399,15 @@ class CubicNormStructure:
         differences are all 0 is done without unpacking, otherwise each
         slot is read through _mod.  The witness is unchanged by the
         packing: the first coordinate that differs and its lowest
-        differing monomial.
-
-        N(x#) = N(x)^2 is derived, not composed, when x## = N(x) x is
-        proved, the gradient identity T(x#, y) = d_y N(x) holds
-        (_trace_adjoint_ok) and the characteristic is not 3.  N is a
-        homogeneous cubic, so Euler's identity gives T(x#, x) = 3 N(x).
-        Substituting x# for x gives T(x##, x#) = 3 N(x#), and x## = N(x) x
-        with the symmetry of T turns the left side into N(x) T(x, x#) =
-        3 N(x)^2.  Dividing by 3 is allowed outside characteristic 3.  All
-        of these are identities of formal polynomials, so the
-        substitution is sound.  Otherwise N(x#) is composed
-        (_norm_of_adjoint_direct)."""
+        differing monomial."""
         sh_i, s_den = self.sharp_int
         n_i, n_den = self.n_int
-        char = self.ground.char
         s3 = s_den ** 3
         bad = compose_mismatch([n_den * p for p in sh_i], sh_i,
-                               lambda i: s3 * (n_i * Poly.var(i, 1)), char)
-        adjoint = None if bad is None else "coordinate %d, monomial %r" % (
-            bad[0], _lowest(bad[1]))
-        if adjoint is None and char != 3 and self._trace_adjoint_ok():
-            return None, None
-        return adjoint, self._norm_of_adjoint_direct()
-
-    def _norm_of_adjoint_direct(self):
-        """N(x#) = N(x)^2 by composition (compose_mismatch, one form): the
-        int norm form composed with the int adjoint, against the square of
-        the norm form, mod the characteristic.  With n_i = n_den N and
-        sh_i = s_den #, the identity reads n_den n_i(sh_i) = s_den^3 n_i^2.  None when it
-        holds, else the lowest differing monomial."""
-        sh_i, s_den = self.sharp_int
-        n_i, n_den = self.n_int
-        bad = compose_mismatch([n_den * n_i], sh_i,
-                               lambda _: s_den ** 3 * (n_i * n_i),
+                               lambda i: s3 * (n_i * Poly.var(i, 1)),
                                self.ground.char)
-        return None if bad is None else "monomial %r" % (_lowest(bad[1]),)
+        return None if bad is None else "coordinate %d, monomial %r" % (
+            bad[0], _lowest(bad[1]))
 
     def axiom_suite(self):
         """Run the full identity suite and return a report with one entry
@@ -456,17 +416,28 @@ class CubicNormStructure:
         entry's elapsed_s is the wall time of its check, including the int
         data it builds first.
 
-        x## = N(x) x and N(x#) = N(x)^2 are read from _adjoint_verdicts:
-        proved on the structure's own int forms, or, on an isotope,
-        through its base (isotopy.Isotope).  Neither draws a point.
+        x## = N(x) x is read from _adjoint_failure: proved on the
+        structure's own int forms, or, on an isotope, through its base
+        (isotopy.Isotope).
 
-        N(U_x y) = N(x)^2 N(y) and U_x(x^-1) = x are derived when the
-        five checks of U_PREMISES all passed in this run: N(c) = 1,
-        c# = c, x## = N(x) x, c x y = T(y) c - y and T(x#, y) = d_y N(x).
-        u_op computes U_x y = T(x, y) x - x# x y, with T(x, y) = T(x) T(y)
-        - S(x, y) the trace bilinear form of _u_data and x x y =
-        (x + y)# - x# - y# its polarized adjoint, the same T and x the
-        premises were proved for.
+        Three checks are derived from premises proved in the same run
+        (derive): each passes when all its premises passed, and otherwise
+        fails with one witness naming the failed premises in suite order,
+        e.g. "not proved: premises failed: sharp_unit_is_unit,
+        adjoint_of_adjoint".  The structure has then already failed, so
+        no point drawn at random could change the verdict.
+        - N(x#) = N(x)^2, from x## = N(x) x, in every characteristic.
+          That is an identity of forms in k[X] (an isotope's too), so at
+          x# it reads x### = N(x#) x#, and # of N(x) x is N(x)^2 x# (the
+          forms are homogeneous, or expand_symbolic would have raised).
+          So (N(x#) - N(x)^2) x# = 0 in k[X]^dim, and k[X] is a domain:
+          N(x#) = N(x)^2 if x# != 0, and if x# = 0, then N(x) x = 0, so
+          N = 0 and both sides are 0.  Nothing is divided.
+
+        The U-operator identities are derived from the five checks of
+        U_PREMISES, for the U_x y = T(x, y) x - x# x y of u_op, whose T
+        (the trace bilinear form of _u_data) and x (the polarized
+        adjoint) are those the premises were proved for.
         - U_x(x^-1) = x, in every characteristic: x^-1 = x# / N(x), and
           U_x x# = T(x, x#) x - x# x x#.  The adjoint is quadratic, so
           x# x x# = 2 x## = 2 N(x) x.  T is symmetric, and the gradient
@@ -484,12 +455,6 @@ class CubicNormStructure:
           the three identities as identities of formal polynomials, which
           hold in every scalar extension.  The theorem excludes no
           characteristic.
-        Otherwise, only when a premise failed, both fail as not proved,
-        with one witness naming the failed premises in suite order, e.g.
-        "not proved: premises failed: sharp_unit_is_unit,
-        adjoint_of_adjoint".  The structure has then already failed, so
-        a point drawn at random could neither prove them nor change the
-        verdict.
 
         The forms are the evaluators' forms by construction (_norm_form,
         _adjoint_forms), so expansion_matches_evaluators passes
@@ -506,6 +471,14 @@ class CubicNormStructure:
             checks.append(CheckResult(name, bool(ok), witness, now - clock))
             clock = now
 
+        def derive(name, premises):
+            # passed when every premise passed in this run, else not proved
+            failed = [c.name for c in checks
+                      if c.name in premises and not c.passed]
+            emit(name, not failed,
+                 ("not proved: premises failed: " + ", ".join(failed))
+                 if failed else None)
+
         # base point identities
         emit("norm_unit_is_one", self.norm(self.unit) == g.one)
         emit("sharp_unit_is_unit",
@@ -514,10 +487,10 @@ class CubicNormStructure:
         emit("sharp_homogeneous_degree_2",
              all(p.is_homogeneous(2) for p in sharp_polys))
 
-        # x## = N(x) x and N(x#) = N(x)^2
-        adjoint, norm = self._adjoint_verdicts
+        # x## = N(x) x, and N(x#) = N(x)^2 derived from it
+        adjoint = self._adjoint_failure
         emit("adjoint_of_adjoint", adjoint is None, adjoint)
-        emit("norm_of_adjoint", norm is None, norm)
+        derive("norm_of_adjoint", ("adjoint_of_adjoint",))
 
         # c x x = T(x) c - x   (cross with the unit)
         bad = self._unit_cross_failure()
@@ -535,13 +508,9 @@ class CubicNormStructure:
         emit("u_operator_of_unit_is_identity", linalg.mat_equal(uc, ident))
 
         # N(U_x y) = N(x)^2 N(y) and U_x(x^{-1}) = x: derived from the
-        # proved premises (see the docstring), else not proved
-        failed = [c.name for c in checks
-                  if c.name in U_PREMISES and not c.passed]
-        witness = ("not proved: premises failed: " + ", ".join(failed)
-                   if failed else None)
-        emit("u_operator_norm_similarity", not failed, witness)
-        emit("u_operator_inverse_identity", not failed, witness)
+        # premises of McCrimmon's theorem (see the docstring)
+        derive("u_operator_norm_similarity", U_PREMISES)
+        derive("u_operator_inverse_identity", U_PREMISES)
 
         # the forms are the evaluators' forms by construction
         emit("expansion_matches_evaluators", True)

@@ -8,14 +8,11 @@ and the derived U-operator satisfies U^{(v)}_x = U_x U_v.  The isotope
 (Isotope) holds U_{v^-1} once as int rows; its forms are the base's
 forms scaled by these closed formulas, the rows multiplied into the
 base's int adjoint forms, so its evaluators, the base's scaled the same
-way, never run on indeterminates.  Its x## = N(x) x and
-N(x#) = N(x)^2 are proved through the base: the base's proved
-identities, plus exact checks on the fixed v (the adjoint identity
-(U_w y)# = U_{w#} y# as int quadratic forms, composed a run of
-coordinates at a time by poly.compose_mismatch, U_w U_{w#} = N(w)^2 I
-as an int matrix identity, one scalar identity, and the norm pulled
-back through N(v) U_w), with w = v^{-1}.  The isotope's own dense forms
-are never composed, and an isotope of an isotope recurses.
+way, never run on indeterminates.  Its x## = N(x) x is proved through
+the base, from the base's proved identity and exact checks on the fixed
+v (Isotope._adjoint_failure), and the suite derives N(x#) = N(x)^2 from
+it as on any structure.  The isotope's own dense forms are never
+composed, and an isotope of an isotope recurses.
 u_isotope_identity proves U^{(v)}_x = U_x U_v the same way, from the
 cached checks on v, one scalar identity and two int matrix identities,
 U_w U_v = I and T^v = T U_v; it draws no point.
@@ -90,10 +87,10 @@ class Isotope(CubicNormStructure):
     running them.  The forms and the proofs read nv, u_rows, u_den and
     scale from the isotope at first use.
 
-    x## = N(x) x and N(x#) = N(x)^2 are proved through the base
-    (_adjoint_verdicts), never by composing the isotope's own dense
-    forms, and so is U^{(v)}_x = U_x U_v (u_isotope_identity).  An
-    isotope's base may be an isotope, and the proof then recurses."""
+    x## = N(x) x and U^{(v)}_x = U_x U_v are proved through the base
+    (_adjoint_failure, u_isotope_identity), never by composing the
+    isotope's own dense forms, recursively when the base is an
+    isotope."""
 
     def __init__(self, base, v):
         nv = base.norm(v)
@@ -141,37 +138,32 @@ class Isotope(CubicNormStructure):
         return Isotope(corrupt_sharp(self.base, coord), self.meta["v"])
 
     @cached_property
-    def _adjoint_verdicts(self):
-        """(x## = N(x) x, N(x#) = N(x)^2) through the base, each None when
-        proved and a witness otherwise: a failed base verdict, prefixed
-        "base: ", else the first failed check on the fixed v.  Write
-        N_v = nv N for the isotope's norm, w = v^-1 (the isotope's unit)
-        and M = scale A with A = u_rows, so x^{#v} = M x#.
+    def _adjoint_failure(self):
+        """x## = N(x) x through the base: None when proved, else a
+        witness, a failed base verdict prefixed "base: ", or else the
+        first failed check on the fixed v.  Write N_v = nv N for the
+        isotope's norm, w = v^-1 (the isotope's unit) and M = scale A
+        with A = u_rows, so x^{#v} = M x#.
 
-        x## (_v_failure): (x^{#v})^{#v} = scale^3 A (A x#)#.  If
-        (A y)# = (u_den^2 / c_den) C y# as forms in y, for C / c_den =
-        U_{w#}; A C = N(w)^2 u_den c_den I; and (scale u_den)^3 N(w)^2 =
-        nv, then with the base's x## = N(x) x this is scale^3 u_den^3
-        N(w)^2 N(x) x = N_v(x) x.  For a true isotope these are
-        (U_w y)# = U_{w#} y#, U_w U_{w#} = N(w)^2 I and N(w) = 1 / N(v)
-        (McCrimmon, A Taste of Jordan Algebras, 2004, Part II).  The
-        quadratic check composes the base's int adjoint forms at the
-        linear forms A y by poly.compose_mismatch, against the rows of C
-        times the base's int adjoint forms, each built in one int dict
-        (linear_combination); its witness names the first coordinate
-        that differs and its lowest differing monomial.
-
-        N(x#) (_norm_failure): N_v(x^{#v}) = nv N(M x#).  If N(M y) =
-        nv N(y) as forms in y, then with the base's N(x#) = N(x)^2 this
-        is nv^2 N(x)^2 = N_v(x)^2."""
-        adjoint, norm = self.base._adjoint_verdicts
-        return ("base: " + adjoint if adjoint else self._v_failure,
-                "base: " + norm if norm else self._norm_failure())
+        (x^{#v})^{#v} = scale^3 A (A x#)#.  If (A y)# = (u_den^2 / c_den)
+        C y# as forms in y, for C / c_den = U_{w#}; A C = N(w)^2 u_den
+        c_den I; and (scale u_den)^3 N(w)^2 = nv (_v_failure), then with
+        the base's x## = N(x) x this is scale^3 u_den^3 N(w)^2 N(x) x =
+        N_v(x) x.  For a true isotope these are (U_w y)# = U_{w#} y#,
+        U_w U_{w#} = N(w)^2 I and N(w) = 1 / N(v) (McCrimmon, A Taste of
+        Jordan Algebras, 2004, Part II).  The quadratic check composes
+        the base's int adjoint forms at the linear forms A y by
+        poly.compose_mismatch, against the rows of C times the base's int
+        adjoint forms, each built in one int dict (linear_combination);
+        its witness names the first coordinate that differs and its
+        lowest differing monomial."""
+        adjoint = self.base._adjoint_failure
+        return "base: " + adjoint if adjoint else self._v_failure
 
     @cached_property
     def _v_failure(self):
         """The first of the three checks on v that fails, or None (see
-        _adjoint_verdicts); cached, so x## and the U-operator law
+        _adjoint_failure); cached, so x## and the U-operator law
         (u_isotope_identity) share them.  Each is exact over the ints,
         read mod the characteristic."""
         b = self.base
@@ -195,17 +187,6 @@ class Isotope(CubicNormStructure):
             return "(U_w y)# coordinate %d, monomial %r" % (
                 bad[0], _lowest(bad[1]))
         return None
-
-    def _norm_failure(self):
-        """N(M y) = nv N(y) on the base's int norm form n_i, pulled back
-        through A in the characteristic (poly.pullback):
-        scale^3 n_i(A y) = nv n_i(y), or the lowest monomial where it
-        fails."""
-        n_i, _ = self.base.n_int
-        (s3, nv), _ = lift([self.scale ** 3, self.nv])
-        char = self.ground.char
-        diff = _mod(s3 * pullback(n_i, self.u_rows, char) - nv * n_i, char)
-        return "N(M y) monomial %r" % (_lowest(diff),) if diff else None
 
 
 def isotope(j, v):

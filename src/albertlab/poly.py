@@ -49,8 +49,8 @@ coefficients hold one form each in a slot.  In characteristic 0 a run
 whose packed differences are all 0 is never unpacked; otherwise the
 differences are read slot by slot through _mod, so the first failing
 form and its difference are those of composing the forms one at a time.
-The axiom suite's x## = N(x) x, its composed N(x#) = N(x)^2 and the
-isotope's (U_w y)# = U_{w#} y# are proved through it.
+The axiom suite's x## = N(x) x and the isotope's
+(U_w y)# = U_{w#} y# are proved through it.
 
 The int-form helpers live here too: _int_scaled turns ground polys into
 int forms over one denominator (through scalars.lift), _mod reads an

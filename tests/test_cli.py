@@ -923,9 +923,8 @@ class TestGoldenReports:
 
     def test_corrupted_axioms_report_matches_golden(self, tmp_path):
         # the failing verdicts and witnesses of a corrupted adjoint on
-        # J(M3(F_5), 2), where N(x#) = N(x)^2 is composed directly and
-        # the U-operator identities are not proved, naming the premises
-        # that failed
+        # J(M3(F_5), 2), where N(x#) = N(x)^2 and the U-operator
+        # identities are not proved, naming the premises that failed
         with open(cfg("m3_f5_first.json")) as fh:
             data = json.load(fh)
         data["tasks"] = [{"task": "axioms", "corrupt_coord": 3}]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from albertlab import cubic, isotopy
+from albertlab import cubic, isotopy, poly
 from albertlab.config import BuildContext
 from albertlab.runner import run_config
 from albertlab.cubic import CubicNormStructure, corrupt_sharp
@@ -291,16 +291,25 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 @pytest.fixture
-def direct_calls(monkeypatch):
-    """Labels of the structures whose N(x#) = N(x)^2 was composed."""
+def route_calls(monkeypatch):
+    """The proof steps run while the test runs, in order: "x##" for each
+    composition in cubic (a structure's x## = N(x) x), "(U_w y)#" for
+    each in isotopy (an isotope's check on v) and "pullback" for each
+    norm pullback in isotopy."""
     calls = []
-    real = CubicNormStructure._norm_of_adjoint_direct
 
-    def spy(self):
-        calls.append(self.label)
-        return real(self)
+    def spy(module, name, step):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(CubicNormStructure, "_norm_of_adjoint_direct", spy)
+        def wrapped(*args):
+            calls.append(step)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(cubic, "compose_mismatch", "x##")
+    spy(isotopy, "compose_mismatch", "(U_w y)#")
+    spy(isotopy, "pullback", "pullback")
     return calls
 
 
@@ -312,54 +321,99 @@ def _lowest_term(p):
     return indices(min(p.terms, key=indices))
 
 
+def _norm_of_adjoint_mismatch(j):
+    """N(x#) - N(x)^2 composed on j's own int forms (poly.compose_mismatch,
+    one form), mod the characteristic: with n_i = n_den N and sh_i =
+    s_den #, n_den n_i(sh_i) - s_den^3 n_i^2.  None when it vanishes, else
+    its lowest monomial.  The suite never composes it; the tests do, as
+    the reference its derived verdict must agree with."""
+    sh_i, s_den = j.sharp_int
+    n_i, n_den = j.n_int
+    bad = poly.compose_mismatch([n_den * n_i], sh_i,
+                                lambda _: s_den ** 3 * (n_i * n_i),
+                                j.ground.char)
+    return None if bad is None else _lowest_term(bad[1])
+
+
+def _m3_f3():
+    # J(M3(F_3), 2): m3_f5_first read over F_3
+    data = _config("m3_f5_first")
+    data["base"] = {"p": 3}
+    return BuildContext(data).j
+
+
+@pytest.fixture(scope="module")
+def j_m3_f3():
+    return _m3_f3()
+
+
+@pytest.fixture(scope="module")
+def iso_iso_lk_q(iso_lk_q):
+    # an isotope of an isotope, with dense forms
+    return _random_isotope(iso_lk_q)
+
+
+NOT_PROVED = "not proved: premises failed: adjoint_of_adjoint"
+
+
 class TestNormOfAdjointRoute:
-    # N(x#) = N(x)^2 is derived from x## = N(x) x and the gradient
-    # identity outside characteristic 3, and composed otherwise
+    # N(x#) = N(x)^2 is derived from x## = N(x) x in every
+    # characteristic, and never composed by the suite; each test composes
+    # N(x#) - N(x)^2 itself as the reference (_norm_of_adjoint_mismatch)
 
     @pytest.mark.parametrize("name", [
         "j_m3_f5", "j_m3_q", "j_cyc_q", "j_lk_q", "j_lk_f5", "iso_m3_f5",
-        "iso_lk_q", "j_m3k_q", "j_m3_f7", "j_lk_f7"])
+        "iso_lk_q", "j_m3k_q", "j_m3_f7", "j_lk_f7", "j_m3_f3",
+        "iso_iso_lk_q"])
     def test_direct_composition_holds(self, name, request):
-        # the composition the suite skips still proves N(x#) = N(x)^2
+        # soundness of the derivation: where the suite derives
+        # N(x#) = N(x)^2, composing it on the structure's own forms (an
+        # isotope's dense ones included) finds no differing monomial
         j = request.getfixturevalue(name)
-        j.expand_symbolic()
-        assert j._norm_of_adjoint_direct() is None
+        norm = _check(j.axiom_suite(), "norm_of_adjoint")
+        assert (norm.passed, norm.witness) == (True, None)
+        assert _norm_of_adjoint_mismatch(j) is None
 
-    def test_clean_suite_derives(self, j_m3_f5, direct_calls):
-        rep = j_m3_f5.axiom_suite()
-        assert rep.all_passed
-        assert _check(rep, "norm_of_adjoint").mode == "symbolic"
-        assert direct_calls == []
+    def test_clean_suite_derives(self, route_calls):
+        # a fresh J(M3(F_5), 2): its suite composes x## = N(x) x once and
+        # nothing else, and a second run reuses the cached verdict
+        j = BuildContext(_config("m3_f5_first")).j
+        for _ in range(2):
+            rep = j.axiom_suite()
+            assert rep.all_passed
+            assert _check(rep, "norm_of_adjoint").mode == "symbolic"
+        assert route_calls == ["x##"]
 
-    def test_characteristic_3_composes(self, direct_calls):
-        # J(M3(F_3), 2): the derivation divides by 3, so it is not used
-        with open(os.path.join(CONFIGS, "m3_f5_first.json")) as fh:
-            data = json.load(fh)
-        data["base"] = {"p": 3}
-        j = BuildContext(data).j
+    def test_characteristic_3_composes(self, route_calls):
+        # J(M3(F_3), 2): the derivation divides by nothing, so
+        # characteristic 3 takes the same route as any other
+        j = _m3_f3()
         assert j.ground.char == 3
         rep = j.axiom_suite()
         assert rep.all_passed, rep
-        assert _check(rep, "norm_of_adjoint").mode == "symbolic"
-        assert direct_calls == [j.label]
+        assert route_calls == ["x##"]
+        assert _norm_of_adjoint_mismatch(j) is None
 
-    def test_failed_trace_premise_composes(self, direct_calls, monkeypatch):
-        # a fresh J(M3(Q), 1): the verdicts are cached per structure, so a
-        # fixture whose suite already ran would not compose again
-        j = BuildContext(_config("m3_q_first")).j
+    def test_failed_trace_premise_composes(self, route_calls, monkeypatch):
+        # the gradient identity is no premise of N(x#) = N(x)^2, and the
+        # derivation divides by nothing: with it failed in characteristic
+        # 3, N(x#) still passes, and so it does when composed
+        j = _m3_f3()
         monkeypatch.setattr(CubicNormStructure, "_trace_adjoint_ok",
                             lambda self: False)
         rep = j.axiom_suite()
         trace = _check(rep, "trace_adjoint_is_norm_derivative")
         assert not trace.passed and trace.witness == "polynomials differ"
         norm = _check(rep, "norm_of_adjoint")
-        assert norm.passed and norm.mode == "symbolic"
-        assert direct_calls == [j.label]
+        assert (norm.passed, norm.mode, norm.witness) == (
+            True, "symbolic", None)
+        assert route_calls == ["x##"]
+        assert _norm_of_adjoint_mismatch(j) is None
 
-    def test_failed_adjoint_premise_composes(self, QQ, direct_calls):
+    def test_failed_adjoint_premise_composes(self, QQ, route_calls):
         # N(x) = x0^3 - 3 x0 x1^2 with x# the gradient of N through T:
         # T(x#, y) = d_y N(x) holds, x## = N(x) x does not, and neither
-        # does N(x#) = N(x)^2
+        # does N(x#) = N(x)^2 when composed; the suite names the premise
         j = CubicNormStructure(
             QQ, 2,
             lambda x: x[0] * x[0] * x[0] - 3 * x[0] * x[1] * x[1],
@@ -369,32 +423,35 @@ class TestNormOfAdjointRoute:
         assert _check(rep, "trace_adjoint_is_norm_derivative").passed
         assert not _check(rep, "adjoint_of_adjoint").passed
         norm = _check(rep, "norm_of_adjoint")
-        assert not norm.passed and norm.mode == "symbolic"
-        assert norm.witness
-        assert direct_calls == ["toy"]
+        assert (norm.passed, norm.mode, norm.witness) == (
+            False, "symbolic", NOT_PROVED)
+        assert route_calls == ["x##"]
+        assert _norm_of_adjoint_mismatch(j) is not None
 
     @pytest.mark.parametrize("name, witness", [
         ("j_m3_f5", (0, 0, 0, 4, 7, 8)), ("j_m3_q", (0, 0, 0, 4, 7, 8))])
     def test_corrupt_sharp_composes(self, name, witness, request,
-                                    direct_calls):
-        # the verdict and the witness of the composition route, pinned:
-        # the lowest monomial of N(x#) - N(x)^2 with the ground forms
-        # composed, and x## = N(x) x failing at the lowest monomial of
-        # coordinate 0, where x0^2 in adjoint coordinate 5 first shows
+                                    route_calls):
+        # the suite reports N(x#) = N(x)^2 not proved, naming the failed
+        # x## = N(x) x, which fails at the lowest monomial of coordinate
+        # 0, where x0^2 in adjoint coordinate 5 first shows; composed, the
+        # identity fails too, at the pinned lowest monomial, by both the
+        # packed kernel and the term-by-term reference
         j = corrupt_sharp(request.getfixturevalue(name), coord=5)
         rep = j.axiom_suite()
         norm = _check(rep, "norm_of_adjoint")
         assert (norm.passed, norm.mode, norm.witness) == (
-            False, "symbolic", "monomial %r" % (witness,))
-        n, sh = j.expand_symbolic()
-        one = j.ground.one
-        assert _lowest_term(compose(n, sh) - n * n) == witness
-        assert _lowest_term(compose(sh[0], sh) - n * Poly.var(0, one)) \
-            == (0, 0, 0, 7)
+            False, "symbolic", NOT_PROVED)
         adjoint = _check(rep, "adjoint_of_adjoint")
         assert (adjoint.passed, adjoint.witness) == (
             False, "coordinate 0, monomial (0, 0, 0, 7)")
-        assert direct_calls == [j.label]
+        assert route_calls == ["x##"]
+        n, sh = j.expand_symbolic()
+        one = j.ground.one
+        assert _lowest_term(compose(n, sh) - n * n) == witness
+        assert _norm_of_adjoint_mismatch(j) == witness
+        assert _lowest_term(compose(sh[0], sh) - n * Poly.var(0, one)) \
+            == (0, 0, 0, 7)
 
 
 U_CHECKS = ("u_operator_norm_similarity", "u_operator_inverse_identity")
@@ -566,11 +623,6 @@ class TestEvaluatorCheck:
         assert (ev.passed, ev.mode, ev.witness) == (True, "symbolic", None)
 
 
-def _isotope_calls(calls):
-    """The isotope labels among the recorded direct_calls."""
-    return [label for label in calls if "^(v)" in label]
-
-
 def _random_isotope(j):
     return isotope(j, random_invertible(j, Stream(SEED).derive(j.label)))
 
@@ -587,21 +639,26 @@ def _rng_imports(module):
 
 
 class TestNoSampling:
-    def test_suite_draws_no_point(self, six_fixtures, direct_calls):
+    def test_suite_draws_no_point(self, six_fixtures, route_calls):
         # cubic and isotopy import nothing from the random stream, so
         # neither the suite nor an isotope's route through its base can
         # draw a point; every fixture and a random-v isotope of each (two
         # of them isotopes of isotopes) passes all 12 checks
-        # symbolically, and no isotope composes N(x#) = N(x)^2
+        # symbolically.  Each suite composes at most its own x## (a
+        # fixture's may be cached) or, on an isotope, (U_w y)# once, its
+        # base's verdict being cached by then, and pulls nothing back
         assert _rng_imports(cubic) == _rng_imports(isotopy) == []
-        structures = [s for j in six_fixtures
-                      for s in (j, _random_isotope(j))]
-        for j in structures:
-            rep = j.axiom_suite()
-            assert rep.all_passed, (j.label, rep)
-            assert len(rep.checks) == 12
-            assert {c.mode for c in rep.checks} == {"symbolic"}, j.label
-        assert _isotope_calls(direct_calls) == []
+        for j in six_fixtures:
+            for s in (j, _random_isotope(j)):
+                route_calls.clear()
+                rep = s.axiom_suite()
+                assert rep.all_passed, (s.label, rep)
+                assert len(rep.checks) == 12
+                assert {c.mode for c in rep.checks} == {"symbolic"}, s.label
+                step = "(U_w y)#" if isinstance(s, isotopy.Isotope) \
+                    else "x##"
+                want = [[step]] if s is not j else [[], [step]]
+                assert route_calls in want, (s.label, route_calls)
 
 
 class TestTraceAdjointRoute:
@@ -657,8 +714,9 @@ def _nested(name, v, w):
 
 
 class TestIsotopeRoute:
-    # an isotope's x## = N(x) x and N(x#) = N(x)^2 are proved through its
-    # base (isotopy.Isotope), never composed from its own dense forms
+    # an isotope's x## = N(x) x is proved through its base
+    # (isotopy.Isotope), never composed from its own dense forms, and
+    # N(x#) = N(x)^2 is derived from it
 
     @pytest.mark.parametrize("name, v, w", [
         ("m3_f5_first", ["1", "1", "0", "0", "1", "0", "0", "0", "1"],
@@ -666,9 +724,10 @@ class TestIsotopeRoute:
         ("m3_q_first", ["1", "1/2", "0", "0", "1", "0", "0", "0", "3"],
          ["2", "0", "0", "-1", "1", "0", "1", "0", "1"])])
     def test_nested_isotope_matches_flattened(self, name, v, w,
-                                              direct_calls):
+                                              route_calls):
         # (J^(v))^(w) = J^(U_v w): the same forms and unit, and the same
-        # verdicts, all symbolic, with no isotope composed
+        # verdicts, all symbolic; the innermost x## is composed once, and
+        # each isotope composes its (U_w y)# once and pulls nothing back
         pad = ["0"] * 18
         nested = BuildContext(_nested(name, v + pad, w + pad)).j
         inner = nested.meta["base"]
@@ -682,34 +741,22 @@ class TestIsotopeRoute:
         assert verdicts[0] == verdicts[1]
         assert reps[0].all_passed and len(reps[0].checks) == 12
         assert {c.mode for c in reps[0].checks} == {"symbolic"}
-        assert _isotope_calls(direct_calls) == []
+        assert route_calls == ["x##"] + ["(U_w y)#"] * 3
 
-    def test_characteristic_3_isotope_uses_pullback(self, direct_calls,
-                                                    monkeypatch):
-        # over F_3 the base composes N(x#) = N(x)^2; the isotope pulls its
-        # base's norm form back through M once and composes nothing
-        data = _config("m3_f5_first")
-        data["base"] = {"p": 3}
-        j = BuildContext(data).j
-        jv = _random_isotope(j)
-        calls = []
-        real = isotopy.pullback
-
-        def spy(p, rows, char):
-            calls.append((p, char))
-            return real(p, rows, char)
-
-        monkeypatch.setattr(isotopy, "pullback", spy)
+    def test_characteristic_3_isotope_derives(self, route_calls):
+        # over F_3 the isotope's suite composes its base's x## and its own
+        # (U_w y)# once each, derives N(x#) = N(x)^2 and pulls nothing
+        # back
+        jv = _random_isotope(_m3_f3())
         rep = jv.axiom_suite()
         assert rep.all_passed, rep
         assert _check(rep, "norm_of_adjoint").mode == "symbolic"
-        assert calls == [(j.n_int[0], 3)]
-        assert direct_calls == [j.label]
+        assert route_calls == ["x##", "(U_w y)#"]
 
     @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5", "j_lk_q"])
     @pytest.mark.parametrize("mutant", ["u_entry", "scale"])
     def test_mutant_fails_both_checks(self, name, mutant, request,
-                                      direct_calls):
+                                      route_calls):
         # the held rows of U_{v^-1} with one entry raised by 1, or N(v)
         # replaced by 1 in the scale, changed before the isotope's forms
         # are built from them
@@ -730,9 +777,11 @@ class TestIsotopeRoute:
         norm = _check(rep, "norm_of_adjoint")
         assert (adjoint.passed, adjoint.mode) == (False, "symbolic")
         assert adjoint.witness.startswith(want), adjoint.witness
-        assert (norm.passed, norm.mode) == (False, "symbolic")
-        assert norm.witness.startswith("N(M y) monomial ("), norm.witness
-        assert _isotope_calls(direct_calls) == []
+        assert (norm.passed, norm.mode, norm.witness) == (
+            False, "symbolic", NOT_PROVED)
+        # the failed step is a matrix or scalar one: the isotope composes
+        # and pulls back nothing
+        assert route_calls in ([], ["x##"])
 
     @pytest.mark.parametrize("name", ["j_m3_q", "j_m3_f5"])
     def test_adjoint_identity_step_alone(self, name, request):
@@ -745,14 +794,14 @@ class TestIsotopeRoute:
         # side U_{w#}(y_0^2 e_4) = y_0^2 e_0 up to a scalar
         j = request.getfixturevalue(name)
         bad = corrupt_sharp(j, coord=4)
-        bad._adjoint_verdicts = (None, None)
+        bad._adjoint_failure = None
         p = [0, 1, 0, 1, 0, 0, 0, 0, 1] + [0] * 18
         jv = isotope(bad, tuple(j.ground.from_int(e) for e in p))
         assert jv.unit[0] == bad.sharp(jv.unit)[0] == 0
-        assert jv._adjoint_verdicts == (
-            "(U_w y)# coordinate 0, monomial (0, 0)", None)
+        assert jv._adjoint_failure == \
+            "(U_w y)# coordinate 0, monomial (0, 0)"
 
-    def test_corrupt_sharp_reapplies_v(self, iso_m3_f5, direct_calls):
+    def test_corrupt_sharp_reapplies_v(self, iso_m3_f5, route_calls):
         # the corruption lands in the innermost construction, and the
         # isotope's failure names the base
         bad = corrupt_sharp(iso_m3_f5, coord=3)
@@ -763,8 +812,8 @@ class TestIsotopeRoute:
         rep = bad.axiom_suite()
         adjoint = _check(rep, "adjoint_of_adjoint")
         assert adjoint.witness == "base: coordinate 3, monomial (0, 0, 0, 4)"
-        assert _check(rep, "norm_of_adjoint").witness.startswith("base: ")
-        assert direct_calls == [base.label]
+        assert _check(rep, "norm_of_adjoint").witness == NOT_PROVED
+        assert route_calls == ["x##"]
 
 
 def _law_mutant(j, mutant):

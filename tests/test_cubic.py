@@ -844,9 +844,7 @@ class TestULawRoute:
         # isotopy and cubic import nothing from the random stream, so the
         # law can draw no point
         assert _rng_imports(isotopy) == _rng_imports(cubic) == []
-        data = _config("m3_f5_first")
-        data["base"] = {"p": 3}
-        f3 = BuildContext(data).j
+        f3 = _m3_f3()
         pad = ["0"] * 18
         nested = BuildContext(_nested(
             "m3_q_first", ["1", "1/2", "0", "0", "1", "0", "0", "0", "3"]
